@@ -41,13 +41,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import pmap
 from .errors import ConfigError, DegenerateSkewProductError
 from .kernels import KernelBundle
 from .laguerre import LaguerreBasis, build_basis
 from .params import ContourSpec, ModelParams, mp_edges, weight_w
-from .quadrature import KAPPA_EPSILON, EpsilonTransform, half_line_rule
-from .skew import SkewProductTable, pfaffian
+from .quadrature import KAPPA_EPSILON, half_line_rule
+from .skew import SkewProductTable, pfaffian, skew_gram
 
 __all__ = [
     "CdfResult",
@@ -142,14 +141,14 @@ def fredholm_det_exact(bundle: KernelBundle, z: float) -> complex:
         return 1.0 + 0j
     N = bundle.params.N
     phi = bundle.table.lag[:N] * bundle.table.wvals
-    F_z = np.array([rule.cum_at(phi[j], z) for j in range(N)])
+    F_z = rule.cum_at(phi, z)
     totals = phi @ rule.w
     tails = totals - F_z
 
     sub = half_line_rule(rule.xmax, n_panels=16, q=16, x0=z)
     lag_s = bundle.table.basis.eval_all(sub.x)[:N]
     phi_s = lag_s * weight_w(bundle.params, bundle.t, sub.x)
-    F_s = np.stack([rule.cum_at(phi[k], sub.x) for k in range(N)])
+    F_s = rule.cum_at(phi, sub.x)
 
     k_eps = KAPPA_EPSILON
     tail_int = phi_s @ sub.w                                  # int_z phi_j
@@ -165,10 +164,7 @@ def _loe_truncated_matrix(params: ModelParams, z: float, basis: LaguerreBasis,
     """Moment matrix of the null (tau = 0) ensemble weight, no t anywhere."""
     rule = half_line_rule(float(z), n_panels=n_panels, q=q)
     wv = np.exp(-0.5 * params.M * rule.x) * rule.x ** (0.5 * (params.M - params.N - 1))
-    phi = basis.eval_all(rule.x)[: params.N] * wv
-    epsn = np.stack([EpsilonTransform(rule, phi[j]).at_nodes() for j in range(params.N)])
-    raw = (phi * rule.w) @ epsn.T
-    return 0.5 * (raw - raw.T)
+    return skew_gram(rule, basis.eval_all(rule.x)[: params.N] * wv)[0]
 
 
 def loe_direct_cdf(params: ModelParams, z: float, z_inf: float | None = None,
@@ -247,11 +243,7 @@ class CdfEngine:
         if cut > 0:
             d_max = max(abs(center.real), cut - center.real)
             n = max(n, 2 * math.ceil(17.0 / math.log(radius / d_max)))
-        k = np.arange(n)
-        theta = 2.0 * np.pi * (k + 0.5) / n
-        nodes = center + radius * np.exp(1j * theta)
-        weights = (2.0j * np.pi / n) * radius * np.exp(1j * theta)
-        return ContourSpec(center, radius, n, nodes, weights)
+        return ContourSpec.circle(center, radius, n)
 
     # ------------------------------------------------------------------ #
     # Pfaffian route
@@ -261,15 +253,10 @@ class CdfEngine:
         """Stabilised contour sum of e^{M t} Pf(Mtrunc(t, z))."""
         params = self.params
         basis = build_basis(params)
-
-        def node_term(tk):
-            m = truncated_moment_matrix(params, tk, z, basis=basis,
-                                        n_panels=self.n_panels, q=self.q)
-            return pfaffian(m)
-
-        pf_vals = pmap(node_term, contour.nodes)
-        phases = np.exp(params.M * contour.nodes)
-        return complex(np.sum(contour.weights * phases * np.asarray(pf_vals)))
+        pf_vals = [pfaffian(truncated_moment_matrix(params, tk, z, basis=basis,
+                                                    n_panels=self.n_panels, q=self.q))
+                   for tk in contour.nodes]
+        return contour.integrate(np.exp(params.M * contour.nodes) * np.asarray(pf_vals))
 
     def cdf_pfaffian(self, z: float, contour: ContourSpec | None = None) -> CdfResult:
         if z <= 0.0:

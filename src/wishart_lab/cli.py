@@ -4,7 +4,7 @@ Every data file is written next to a JSON manifest that records the full
 configuration, seeds and versions needed to reproduce it byte for byte
 (wall-clock time is recorded for bookkeeping but is of course not part of
 the reproducibility contract).  Exit codes: 0 success, 2 configuration
-error, 3 numerical degeneracy after retries, 4 verification failure.
+error, 3 numerical failure (see `errors`), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -20,13 +20,18 @@ import numpy as np
 
 from . import __version__
 from .cdf import CdfEngine
-from .errors import ConfigError, DegenerateSkewProductError, WishartLabError
+from .errors import (ConfigError, DegenerateSkewProductError, QuadratureError,
+                     SingularWeightError, WishartLabError)
 from .kernels import CdCorrectedKernel, KernelBundle
 from .params import ModelParams, mp_density
 from .sampling import McConfig, sample_wishart_all_eigs, sample_wishart_max_eig
 from .verify import SUITES, run_suite
 
 _FMT = "%.17g"
+
+#: exceptions reported as a numerical failure (exit 3) rather than a traceback
+_NUMERICAL = (DegenerateSkewProductError, SingularWeightError, QuadratureError,
+              ZeroDivisionError, FloatingPointError, np.linalg.LinAlgError)
 
 
 def _fmt(x) -> str:
@@ -258,8 +263,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DegenerateSkewProductError as exc:
-        print(f"numerical degeneracy: {exc}", file=sys.stderr)
+    except _NUMERICAL as exc:
+        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
     except WishartLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

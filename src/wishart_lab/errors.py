@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: configuration problems exit with 2,
-numerical degeneracies (after retries) with 3, verification failures with 4.
+The CLI maps these onto exit codes: configuration problems exit with 2;
+numerical failures exit with 3, namely DegenerateSkewProductError (after
+retries), SingularWeightError, QuadratureError, and the arithmetic errors
+ZeroDivisionError, FloatingPointError and numpy.linalg.LinAlgError;
+verification failures exit with 4.
 """
 
 

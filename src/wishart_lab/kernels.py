@@ -96,8 +96,7 @@ class KernelBundle:
 
     def _eps_at(self, y: np.ndarray) -> np.ndarray:
         """(N, len(y)) values of eps(L_j w)(y)."""
-        N = self.params.N
-        return np.stack([self.table.eps[j](y) for j in range(N)])
+        return self.table.eps(y)[: self.params.N]
 
     def s1(self, x, y):
         xs, sx = _as_points(x)
@@ -122,7 +121,7 @@ class KernelBundle:
         """S1(x, x) at the rule nodes (for traces and resolvent integrals)."""
         N = self.params.N
         phi = self.table.lag[:N] * self.table.wvals
-        epsn = np.stack([self.table.eps[j].at_nodes() for j in range(N)])
+        epsn = self.table.eps.at_nodes()[:N]
         return -np.einsum("jn,jk,kn->n", phi, self.mu, epsn)
 
     def trace_s1(self) -> complex:
@@ -154,7 +153,7 @@ class CdCorrectedKernel:
     table: SkewProductTable
     polys: SkewPolySet
     A: np.ndarray                       # 2x2 correction matrix
-    eps_hi: list = field(repr=False)    # eps(pi_{N+1,1} w), eps(pi_{N,1} w)
+    eps_hi: EpsilonTransform = field(repr=False)   # of the stack (pi_{N+1,1} w, pi_{N,1} w)
 
     @classmethod
     def build(cls, params: ModelParams, t: complex,
@@ -167,10 +166,8 @@ class CdCorrectedKernel:
         polys = build_skew_polys(table)
         N = params.N
         A = correction_matrix(params, complex(t), table.basis)
-        eps_hi = [
-            EpsilonTransform(table.rule, polys.values(N + 1) * table.wvals),
-            EpsilonTransform(table.rule, polys.values(N) * table.wvals),
-        ]
+        hi = np.stack([polys.values(N + 1), polys.values(N)])
+        eps_hi = EpsilonTransform(table.rule, hi * table.wvals)
         return cls(table, polys, A, eps_hi)
 
     @property
@@ -186,7 +183,7 @@ class CdCorrectedKernel:
         xs, sx = _as_points(x)
         ys, sy = _as_points(y)
         N = self.params.N
-        row = np.stack([self.eps_hi[0](ys), self.eps_hi[1](ys)])   # (2, ny)
+        row = self.eps_hi(ys)                                      # (2, ny)
         lag = self.table.basis.eval_all(xs)
         col = np.stack([lag[N - 2], lag[N - 1]])                   # (2, nx)
         col = col * np.atleast_1d(weight_w(self.params, self.t, xs))
@@ -235,6 +232,7 @@ def check_multi_orthogonality(params: ModelParams, t: complex,
     table = SkewProductTable.build(params, t, n_panels=n_panels, q=q)
     rule, basis = table.rule, table.basis
     lag = table.lag
+    eps_nodes = table.eps.at_nodes()
     w0v = np.exp(-params.M * rule.x) * rule.x ** params.alpha
 
     # rows 0..N-3: <P, x^m>_2 = 0 ; rows N-2, N-1: int P w_l = -2 pi i delta
@@ -242,7 +240,7 @@ def check_multi_orthogonality(params: ModelParams, t: complex,
     for m in range(N - 2):
         A[m, :] = ((rule.x ** m) * w0v * lag[:N]) @ rule.w
     for li, l in enumerate((1, 2)):
-        wm = table.wvals * table.eps[N - l - 2].at_nodes()   # w_l = w * eps(L_{N-l-2} w)
+        wm = table.wvals * eps_nodes[N - l - 2]   # w_l = w * eps(L_{N-l-2} w)
         A[N - 2 + li, :] = (wm * lag[:N]) @ rule.w
     rhs = np.zeros((N, 2), dtype=complex)
     rhs[N - 2, 0] = rhs[N - 1, 1] = -2.0j * np.pi

@@ -151,13 +151,14 @@ class ContourSpec:
     def residue_weights(self) -> np.ndarray:
         return self.weights / (2.0j * np.pi)
 
-    def rotated(self, fraction: float = 0.25) -> "ContourSpec":
-        """Same circle with every node phase advanced by `fraction` of a step."""
-        shift = 2.0 * np.pi * fraction / self.node_count
-        theta = np.angle(self.nodes - self.center) + shift
-        nodes = self.center + self.radius * np.exp(1j * theta)
-        weights = (2.0j * np.pi / self.node_count) * self.radius * np.exp(1j * theta)
-        return ContourSpec(self.center, self.radius, self.node_count, nodes, weights)
+    @classmethod
+    def circle(cls, center: complex, radius: float, node_count: int) -> "ContourSpec":
+        """`node_count` trapezoid nodes at phases 2*pi*(k + 1/2)/node_count."""
+        theta = 2.0 * np.pi * (np.arange(node_count) + 0.5) / node_count
+        nodes = center + radius * np.exp(1j * theta)
+        # dt = i R e^{i theta} dtheta with dtheta = 2 pi / n
+        weights = (2.0j * np.pi / node_count) * radius * np.exp(1j * theta)
+        return cls(center, radius, node_count, nodes, weights)
 
     def integrate(self, fvals) -> complex:
         """Plain contour integral of sampled values (fixed summation order)."""
@@ -176,11 +177,4 @@ def make_contour(z: float, node_count: int = 64, margin: float = 0.5) -> Contour
         raise ConfigError(f"node_count must be even and >= 8, got {node_count}")
     if z <= 0:
         raise ConfigError(f"z must be positive, got {z}")
-    center = complex(z / 2.0, 0.0)
-    radius = z / 2.0 + margin
-    k = np.arange(node_count)
-    theta = 2.0 * np.pi * (k + 0.5) / node_count
-    nodes = center + radius * np.exp(1j * theta)
-    # dt = i R e^{i theta} dtheta with dtheta = 2 pi / n
-    weights = (2.0j * np.pi / node_count) * radius * np.exp(1j * theta)
-    return ContourSpec(center, radius, node_count, nodes, weights)
+    return ContourSpec.circle(complex(z / 2.0, 0.0), z / 2.0 + margin, node_count)

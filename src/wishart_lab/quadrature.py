@@ -106,23 +106,34 @@ class HalfLineRule:
             raise QuadratureError(f"non-finite sample at node {bad} (x={self.x[bad]:.6g})")
         return fvals @ self.w
 
-    def _gvals(self, fvals):
-        """u-space integrand samples g = 2 u f(u^2), reshaped (n_panels, q)."""
-        u = np.sqrt(self.x - self.x0)
-        return (2.0 * u * np.asarray(fvals)).reshape(self.n_panels, self.q)
-
     def _panel_scales(self):
         return 0.5 * np.diff(self.u_edges)
 
+    def _series(self, fvals):
+        """Legendre series of g = 2 u f(u^2) on every panel, and running totals.
+
+        Returns the coefficients, shaped (..., n_panels, q), and the
+        integrals up to each panel edge, shaped (..., n_panels + 1).
+        """
+        u = np.sqrt(self.x - self.x0)
+        g = 2.0 * u * np.asarray(fvals)
+        g = g.reshape(g.shape[:-1] + (self.n_panels, self.q))
+        panel_totals = (g * self.wg).sum(axis=-1) * self._panel_scales()
+        running = np.cumsum(panel_totals, axis=-1)
+        prefix = np.concatenate((np.zeros_like(running[..., :1]), running), axis=-1)
+        return g @ self.vinv.T, prefix
+
     def cumulative(self, fvals) -> np.ndarray:
-        """F(x_i) = int_{x0}^{x_i} f dx at every rule node."""
-        g = self._gvals(fvals)
+        """F(x_i) = int_{x0}^{x_i} f dx at every rule node.
+
+        `fvals` holds samples at the nodes along its last axis, optionally
+        stacked over leading axes; the result has the same shape.
+        """
+        coef, prefix = self._series(fvals)
         s = self._panel_scales()
-        coef = g @ self.vinv.T                       # (n_panels, q) Legendre coefficients
         within = coef @ self.cum_ref.T * s[:, None]  # cumulative inside each panel at its nodes
-        panel_totals = (g * self.wg).sum(axis=1) * s
-        prefix = np.concatenate(([0.0], np.cumsum(panel_totals)[:-1]))
-        return (within + prefix[:, None]).reshape(-1)
+        out = within + prefix[..., :-1, None]
+        return out.reshape(out.shape[:-2] + (-1,))
 
     def total(self, fvals) -> complex:
         return self.integrate(fvals)
@@ -146,12 +157,14 @@ class HalfLineRule:
         return C * (2.0 * u)[None, :]
 
     def cum_at(self, fvals, xq) -> np.ndarray:
-        """int_{x0}^{xq} f dx for arbitrary query points (clipped to [x0, xmax])."""
-        g = self._gvals(fvals)
+        """int_{x0}^{xq} f dx for arbitrary query points (clipped to [x0, xmax]).
+
+        `fvals` is shaped (..., n_nodes) as in `cumulative`; a scalar `xq`
+        gives shape (...), a 1-D `xq` gives (..., len(xq)).  The Legendre
+        basis at the query points is built once for the whole stack.
+        """
+        coef, prefix = self._series(fvals)
         s = self._panel_scales()
-        coef = g @ self.vinv.T
-        panel_totals = (g * self.wg).sum(axis=1) * s
-        prefix = np.concatenate(([0.0], np.cumsum(panel_totals)))
         scalar = np.ndim(xq) == 0
         xq = np.atleast_1d(np.asarray(xq, dtype=float))
         uq = np.sqrt(np.clip(xq, self.x0, self.xmax) - self.x0)
@@ -159,9 +172,9 @@ class HalfLineRule:
         lo = self.u_edges[idx]
         v = np.clip((uq - lo) / s[idx] - 1.0, -1.0, 1.0)
         intp = _legendre_cumulative(v, self.q)       # (q, npts)
-        within = np.einsum("pn,np->p", coef[idx], intp) * s[idx]
-        out = prefix[idx] + within
-        return out[0] if scalar else out
+        within = np.einsum("...pn,np->...p", coef[..., idx, :], intp) * s[idx]
+        out = prefix[..., idx] + within
+        return np.take(out, 0, axis=-1) if scalar else out
 
 
 def _build_from_u_edges(xmax: float, u_edges: np.ndarray, q: int, x0: float = 0.0) -> HalfLineRule:
@@ -268,9 +281,11 @@ def epsilon_transform(f, rule: HalfLineRule, x, kappa: float = KAPPA_EPSILON):
 class EpsilonTransform:
     """eps(f)(x) = kappa * (int_0^x f - int_x^xmax f) for sampled f.
 
-    Precomputes the cumulative table once; evaluation at the rule's own
-    nodes is a lookup, and arbitrary points go through the panelwise
-    Legendre series.  Linear in f; eps(f)' = 2 kappa f at interior points.
+    `fvals` is shaped (..., n_nodes): one transform per row of a stack,
+    all computed together.  Precomputes the cumulative table once;
+    evaluation at the rule's own nodes is a lookup, and arbitrary points go
+    through the panelwise Legendre series.  Linear in f; eps(f)' = 2 kappa f
+    at interior points.
     """
 
     def __init__(self, rule: HalfLineRule, fvals, kappa: float = KAPPA_EPSILON):
@@ -278,11 +293,14 @@ class EpsilonTransform:
         self.kappa = kappa
         self._fvals = np.asarray(fvals)
         self._cum = rule.cumulative(self._fvals)
-        self.total = self._fvals @ rule.w
+        self.total = np.asarray(self._fvals @ rule.w)   # shape (...)
 
     def at_nodes(self) -> np.ndarray:
-        return self.kappa * (2.0 * self._cum - self.total)
+        """eps(f) at the rule nodes, shaped like `fvals`."""
+        return self.kappa * (2.0 * self._cum - self.total[..., None])
 
     def __call__(self, xq):
+        """eps(f)(xq), shaped (...) for scalar xq and (..., len(xq)) otherwise."""
         F = self.rule.cum_at(self._fvals, xq)
-        return self.kappa * (2.0 * F - self.total)
+        total = self.total if np.ndim(xq) == 0 else self.total[..., None]
+        return self.kappa * (2.0 * F - total)

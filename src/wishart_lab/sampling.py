@@ -54,6 +54,15 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _chunked(n: int, draw) -> np.ndarray:
+    """Concatenate draw(m) over consecutive chunks of m <= _CHUNK rows, n rows in all.
+
+    Chunks are drawn in order, so the stream consumed depends on n only;
+    each chunk's intermediates are freed before the next one is drawn.
+    """
+    return np.concatenate([draw(min(_CHUNK, n - start)) for start in range(0, n, _CHUNK)])
+
+
 def sample_wishart_all_eigs(cfg: McConfig) -> np.ndarray:
     """Eigenvalues of S = X X^T / M, shape (n_samples, N), ascending.
 
@@ -64,16 +73,13 @@ def sample_wishart_all_eigs(cfg: McConfig) -> np.ndarray:
     p = cfg.params
     rng = _rng(cfg.seed)
     scale = math.sqrt(1.0 + p.tau)
-    out = np.empty((cfg.n_samples, p.N))
-    done = 0
-    while done < cfg.n_samples:
-        m = min(_CHUNK, cfg.n_samples - done)
+
+    def draw(m):
         X = rng.standard_normal((m, p.N, p.M))
         X[:, 0, :] *= scale
-        S = X @ np.swapaxes(X, 1, 2) / p.M
-        out[done:done + m] = np.linalg.eigvalsh(S)
-        done += m
-    return out
+        return np.linalg.eigvalsh(X @ np.swapaxes(X, 1, 2) / p.M)
+
+    return _chunked(cfg.n_samples, draw)
 
 
 def sample_wishart_max_eig(cfg: McConfig) -> np.ndarray:
@@ -113,14 +119,13 @@ def sphere_integral_oracle(cfg: McConfig, lambdas) -> tuple[float, float]:
         raise ConfigError(f"need exactly N={p.N} eigenvalues")
     rng = _rng(cfg.seed)
     pref = math.exp(-0.5 * p.M * float(np.sum(lambdas)))
-    vals = np.empty(cfg.n_samples)
-    done = 0
-    while done < cfg.n_samples:
-        m = min(_CHUNK, cfg.n_samples - done)
+
+    def draw(m):
         g = rng.standard_normal((m, p.N))
         u2 = g**2 / np.sum(g**2, axis=1, keepdims=True)
-        vals[done:done + m] = np.exp(p.M * p.tau_tilde * (u2 @ lambdas))
-        done += m
+        return np.exp(p.M * p.tau_tilde * (u2 @ lambdas))
+
+    vals = _chunked(cfg.n_samples, draw)
     mean = float(np.mean(vals)) * pref
     se = float(np.std(vals, ddof=1) / math.sqrt(cfg.n_samples)) * pref
     return mean, se
@@ -152,34 +157,25 @@ def haar_orthogonal_integral(cfg: McConfig, x_eigs, y: float,
     differ from cfg.params.N, and M may be overridden: the group integral is
     meaningful for scalars (N, M) that no Wishart ensemble admits.
     """
-    x_eigs = np.asarray(x_eigs, dtype=float)
-    n = x_eigs.size
-    rng = _rng(cfg.seed)
-    M = cfg.params.M if M is None else M
-    vals = np.empty(cfg.n_samples)
-    done = 0
-    while done < cfg.n_samples:
-        m = min(_CHUNK, cfg.n_samples - done)
-        g = haar_orthogonal(rng, n, m)
-        col = g[:, :, -1]
-        vals[done:done + m] = np.exp(-M * y * (col**2 @ x_eigs))
-        done += m
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(cfg.n_samples))
+    return _haar_integral(haar_orthogonal, cfg, x_eigs, y, M)
 
 
 def haar_unitary_integral(cfg: McConfig, x_eigs, y: float,
                           M: int | None = None) -> tuple[float, float]:
     """Same as haar_orthogonal_integral but over U(N), with |g_iN|^2 weights."""
+    return _haar_integral(haar_unitary, cfg, x_eigs, y, M)
+
+
+def _haar_integral(haar, cfg: McConfig, x_eigs, y: float,
+                   M: int | None) -> tuple[float, float]:
+    """MC (mean, SE) of e^{-M y sum x_i |g_iN|^2} over g drawn by `haar`."""
     x_eigs = np.asarray(x_eigs, dtype=float)
-    n = x_eigs.size
     rng = _rng(cfg.seed)
     M = cfg.params.M if M is None else M
-    vals = np.empty(cfg.n_samples)
-    done = 0
-    while done < cfg.n_samples:
-        m = min(_CHUNK, cfg.n_samples - done)
-        g = haar_unitary(rng, n, m)
-        col = np.abs(g[:, :, -1]) ** 2
-        vals[done:done + m] = np.exp(-M * y * (col @ x_eigs))
-        done += m
+
+    def draw(m):
+        col = np.abs(haar(rng, x_eigs.size, m)[:, :, -1]) ** 2
+        return np.exp(-M * y * (col @ x_eigs))
+
+    vals = _chunked(cfg.n_samples, draw)
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(cfg.n_samples))

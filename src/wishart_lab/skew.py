@@ -6,8 +6,10 @@ The skew product at fixed contour variable t (optionally truncated to
     <f, g>_1 = int int (1/2) sgn(x - y) f(x) g(y) w(x; t) w(y; t) dx dy
 
 and collapses to a single integral through the epsilon transform:
-<f, g>_1 = int f w eps(g w).  Every table entry is antisymmetrised,
-0.5 * (raw - raw^T), so <f, f>_1 = 0 holds to roundoff by construction.
+<f, g>_1 = int f w eps(g w).  `skew_gram` is the one place that forms
+these products: one batched epsilon transform of every sampled f w, then
+the antisymmetrised table 0.5 * (raw - raw^T), so <f, f>_1 = 0 holds to
+roundoff by construction.
 
 The companion form <f, g>_2 = int f g w0 is the plain Laguerre pairing.
 The two are linked by the integration-by-parts identity
@@ -40,6 +42,7 @@ from .quadrature import EpsilonTransform, HalfLineRule, half_line_rule
 __all__ = [
     "default_xmax",
     "rule_for_t",
+    "skew_gram",
     "SkewProductTable",
     "SkewPolySet",
     "MomentMatrix",
@@ -88,12 +91,24 @@ def rule_for_t(params: ModelParams, t: complex, xmax: float | None = None,
                           refine_x=refine_x, refine_width=refine_width)
 
 
+def skew_gram(rule: HalfLineRule, phi) -> tuple[np.ndarray, EpsilonTransform]:
+    """Skew Gram of sampled functions phi_j (rows of `phi`, at the rule nodes).
+
+    Returns the antisymmetric matrix 0.5 * (raw - raw^T) with
+    raw[i, j] = int phi_i eps(phi_j), and the batched epsilon transform of
+    all the phi_j, which callers reuse for point evaluations.
+    """
+    eps = EpsilonTransform(rule, phi)
+    raw = (phi * rule.w) @ eps.at_nodes().T
+    return 0.5 * (raw - raw.T), eps
+
+
 @dataclass
 class SkewProductTable:
     """Entries <L_i, L_j>_1 for 0 <= i, j <= kmax at fixed (t, z).
 
-    Also caches the sampled weight, Laguerre values and epsilon transforms
-    of the L_j w, which every kernel evaluation reuses.
+    Also caches the sampled weight, Laguerre values and the batched epsilon
+    transform of the L_j w, which every kernel evaluation reuses.
     """
 
     params: ModelParams
@@ -104,7 +119,7 @@ class SkewProductTable:
     entries: np.ndarray           # (kmax+1, kmax+1) complex, antisymmetric
     wvals: np.ndarray             # w(x_i; t) at rule nodes
     lag: np.ndarray               # (kmax+1, n_nodes) Laguerre values
-    eps: list                     # EpsilonTransform of L_j w, per degree
+    eps: EpsilonTransform         # batched over the L_j w: eps(x) is (kmax+1, len(x))
 
     @classmethod
     def build(cls, params: ModelParams, t: complex, kmax: int | None = None,
@@ -118,11 +133,7 @@ class SkewProductTable:
         rule = rule_for_t(params, complex(t), xmax=xmax, n_panels=n_panels, q=q)
         wv = weight_w(params, complex(t), rule.x)
         lag = basis.eval_all(rule.x)[: kmax + 1]
-        phi = lag * wv
-        eps = [EpsilonTransform(rule, phi[j]) for j in range(kmax + 1)]
-        epsn = np.stack([e.at_nodes() for e in eps])
-        raw = (phi * rule.w) @ epsn.T            # raw[i, j] = int phi_i eps(phi_j)
-        entries = 0.5 * (raw - raw.T)
+        entries, eps = skew_gram(rule, lag * wv)
         return cls(params, complex(t), z, basis, rule, entries, wv, lag, eps)
 
     @property
@@ -149,13 +160,8 @@ def skew_product(params: ModelParams, fcoef, gcoef, t: complex,
     xmax = default_xmax(params) if not math.isfinite(z) else float(z)
     rule = rule_for_t(params, complex(t), xmax=xmax, n_panels=n_panels, q=q)
     wv = weight_w(params, complex(t), rule.x)
-    fw = P.polyval(rule.x, np.asarray(fcoef, dtype=complex)) * wv
-    gw = P.polyval(rule.x, np.asarray(gcoef, dtype=complex)) * wv
-    ef = EpsilonTransform(rule, fw).at_nodes()
-    eg = EpsilonTransform(rule, gw).at_nodes()
-    fwd = (fw * eg) @ rule.w
-    bwd = (gw * ef) @ rule.w
-    return complex(0.5 * (fwd - bwd))
+    fg = np.stack([P.polyval(rule.x, np.asarray(c, dtype=complex)) for c in (fcoef, gcoef)])
+    return complex(skew_gram(rule, fg * wv)[0][0, 1])
 
 
 def inner_product_2(params: ModelParams, fcoef, gcoef,

@@ -316,4 +316,4 @@ def run_suite(name: str, seed: int | None = None) -> dict:
 
 
 def run_all(seed: int | None = None) -> list[dict]:
-    return [run_suite(name, seed=None) for name in SUITES]
+    return [run_suite(name, seed=seed) for name in SUITES]

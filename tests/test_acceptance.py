@@ -6,6 +6,7 @@ all); the same suites back `wishart-lab verify`.
 
 import pytest
 
+from wishart_lab import verify
 from wishart_lab.verify import SUITES, run_suite
 
 CRITERIA = [
@@ -36,3 +37,17 @@ def test_acceptance_criterion(suite, descr):
 
 def test_all_suites_registered():
     assert {name for name, _ in CRITERIA} == set(SUITES)
+
+
+def test_run_all_passes_seed(monkeypatch):
+    seen = []
+
+    def stub(name):
+        def suite(seed=None):
+            seen.append((name, seed))
+            return {"suite": name, "passed": True}
+        return suite
+
+    monkeypatch.setattr(verify, "SUITES", {n: stub(n) for n in ("a", "b")})
+    assert [r["suite"] for r in verify.run_all(seed=17)] == ["a", "b"]
+    assert seen == [("a", 17), ("b", 17)]

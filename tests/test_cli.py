@@ -36,6 +36,16 @@ class TestCdfCommand:
         cfg = write_config(tmp_path / "c.json", N=4, M=8)
         assert main(["cdf", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_numerical_failure_exits_3_without_traceback(self, tmp_path, capsys):
+        # the Fredholm route underflows at this size (a known limitation);
+        # the CLI must say so in one line, not die with a traceback
+        cfg = write_config(tmp_path / "c.json", N=12, M=48, tau=1.0, z=[2.0])
+        code = main(["cdf", "--config", cfg, "--route", "fredholm",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_bad_route(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[2.0],
                            route="magic")

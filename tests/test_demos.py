@@ -1,0 +1,25 @@
+"""The narrative demos run to completion against this checkout's src/.
+
+Demo 02 (about 12 s) is left out; the CDF routes it shows are covered by
+test_cdf and the acceptance suites.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["01_bulk_density.py", "03_kernel_structure.py",
+                                  "04_group_integrals.py"])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -105,3 +105,21 @@ class TestEpsilonTransform:
         eps = EpsilonTransform(rule, f)
         v = eps(np.array([1.0, 4.0]))
         assert v.dtype == complex and np.all(np.isfinite(v))
+
+
+def test_stacked_samples_match_row_by_row(rule):
+    """Leading axes of the samples are a batch: each row transforms alone."""
+    rng = np.random.default_rng(5)
+    f = (rng.normal(size=(3, rule.n_nodes)) + 1j * rng.normal(size=(3, rule.n_nodes))) \
+        * np.exp(-rule.x)
+    xq = np.array([0.37, 2.0, 11.5, 29.99])
+    eps = EpsilonTransform(rule, f)
+    batched = [rule.cumulative(f), rule.cum_at(f, xq), rule.cum_at(f, 3.0),
+               eps.at_nodes(), eps(xq), eps(3.0)]
+    for i in range(3):
+        row = EpsilonTransform(rule, f[i])
+        single = [rule.cumulative(f[i]), rule.cum_at(f[i], xq), rule.cum_at(f[i], 3.0),
+                  row.at_nodes(), row(xq), row(3.0)]
+        for b, s in zip(batched, single):
+            assert np.shape(b[i]) == np.shape(s)
+            assert np.max(np.abs(b[i] - s)) <= 1e-14 * np.max(np.abs(s))
