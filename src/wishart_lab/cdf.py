@@ -9,10 +9,12 @@ a z- and t-independent constant) the Pfaffian of the truncated moment matrix
                           oint e^{M t} Pf(Mtrunc(t, z_inf)) dt
 
 with z_inf a far-tail anchor where the CDF is 1.  The unknown normalisation
-constant of the de Bruijn identity and of the eigenvalue density both cancel
-in this ratio, which is how they are fixed ("never computed from first
-principles").  Any monic family gives the same Pfaffian (unit-triangular
-congruence), so the truncated matrices are built straight from Laguerre.
+constants of the de Bruijn identity and of the eigenvalue density cancel in
+this ratio ("never computed from first principles").  Any monic family gives
+the same Pfaffian (unit-triangular congruence), so the truncated matrices
+are built straight from Laguerre.  Every z shares one contour, the z_inf
+circle, and Mtrunc(t, z) is the full-half-line Gram summed over the nodes
+below z (a panel edge), so one pass over the contour serves a whole z grid.
 
 Cross-check route.  Pf(Mtrunc)^2 = det M(t) * det(I - K chi_[z,inf)) where K
 is the 2x2 matrix kernel
@@ -30,8 +32,8 @@ through the logarithmic derivative
 (note the sign: it is forced by the tau = 0 reduction, where w carries a
 global t^(-1/2) so log det M = -N log t + const), integrated along straight
 chords between adjacent contour nodes from a base point near arg t = pi.
-The square root of the Fredholm determinant is tracked by sign continuity
-along the same chain; all residual constants cancel against the anchor.
+sqrt(det(I - K chi)) is tracked by sign continuity along the same chain;
+all residual constants cancel against the anchor.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .kernels import KernelBundle
 from .laguerre import LaguerreBasis, build_basis
 from .params import ContourSpec, ModelParams, mp_edges, weight_w
 from .quadrature import KAPPA_EPSILON, half_line_rule
-from .skew import SkewProductTable, pfaffian, skew_gram
+from .skew import SkewProductTable, default_xmax, pfaffian, skew_gram
 
 __all__ = [
     "CdfResult",
@@ -73,12 +75,14 @@ def default_z_inf(params: ModelParams) -> float:
     return 3.0 * (1.0 + params.tau) * b_plus + 10.0 / params.M
 
 
-def truncated_moment_matrix(params: ModelParams, t: complex, z: float,
+def truncated_moment_matrix(params: ModelParams, t: complex, z,
                             basis: LaguerreBasis | None = None,
                             n_panels: int = 24, q: int = 16) -> np.ndarray:
-    """N x N antisymmetric matrix <L_j, L_k>_1 truncated to [0, z]^2."""
-    if z <= 0.0:
-        return np.zeros((params.N, params.N), dtype=complex)
+    """N x N antisymmetric matrix <L_j, L_k>_1 truncated to [0, z]^2.
+
+    A 1-D z gives the stack (len(z), N, N), every truncation read off one
+    full-half-line rule with a panel edge at each z; z <= 0 gives zeros.
+    """
     table = SkewProductTable.build(params, t, kmax=params.N - 1, z=z,
                                    basis=basis, n_panels=n_panels, q=q)
     return table.entries
@@ -93,14 +97,6 @@ def logdet_m_derivative(params: ModelParams, t: complex,
     return -bundle.resolvent_trace()
 
 
-def _nystrom_grid(bundle: KernelBundle, z: float, n_nystrom: int):
-    """Panel rule on [z, xmax] under x = z + u^2 (about n_nystrom nodes)."""
-    xmax = bundle.table.rule.xmax
-    q = 20
-    n_panels = max(2, int(round(n_nystrom / q)))
-    return half_line_rule(xmax, n_panels=n_panels, q=q, x0=z)
-
-
 def fredholm_det(bundle: KernelBundle, z: float, n_nystrom: int = 80) -> complex:
     """det(I - K chi_[z, inf)) by Nystrom discretisation on [z, xmax].
 
@@ -112,7 +108,8 @@ def fredholm_det(bundle: KernelBundle, z: float, n_nystrom: int = 80) -> complex
     """
     if z >= bundle.table.rule.xmax:
         return 1.0 + 0j
-    grid = _nystrom_grid(bundle, z, n_nystrom)
+    # about n_nystrom nodes on [z, xmax], under x = z + u^2
+    grid = half_line_rule(bundle.table.rule.xmax, max(2, round(n_nystrom / 20)), 20, x0=z)
     x, w = grid.x, grid.w
     n = x.size
     S = bundle.s1(x, x)
@@ -159,37 +156,34 @@ def fredholm_det_exact(bundle: KernelBundle, z: float) -> complex:
     return complex(np.linalg.det(np.eye(N) - bundle.mu @ B))
 
 
-def _loe_truncated_matrix(params: ModelParams, z: float, basis: LaguerreBasis,
-                          n_panels: int = 24, q: int = 16) -> np.ndarray:
-    """Moment matrix of the null (tau = 0) ensemble weight, no t anywhere."""
-    rule = half_line_rule(float(z), n_panels=n_panels, q=q)
-    wv = np.exp(-0.5 * params.M * rule.x) * rule.x ** (0.5 * (params.M - params.N - 1))
-    return skew_gram(rule, basis.eval_all(rule.x)[: params.N] * wv)[0]
-
-
 def loe_direct_cdf(params: ModelParams, z: float, z_inf: float | None = None,
                    n_panels: int = 24, q: int = 16) -> float:
     """Null-Wishart largest-eigenvalue CDF by a direct Pfaffian ratio.
 
     Pure real arithmetic, no contour: the tau = 0 weight has no t content
     beyond a global factor, so the t-integral drops out of the ratio.
+    Numerator and denominator are the moment matrices truncated at z and
+    z_inf, from one skew Gram on one rule.
     """
     if z_inf is None:
         z_inf = default_z_inf(params)
-    basis = build_basis(params)
-    if z <= 0.0:
-        return 0.0
-    num = pfaffian(_loe_truncated_matrix(params, z, basis, n_panels, q))
-    den = pfaffian(_loe_truncated_matrix(params, z_inf, basis, n_panels, q))
-    return float(np.real(num / den))
+    rule = half_line_rule(default_xmax(params), n_panels=n_panels, q=q, breaks=(z, z_inf))
+    wv = np.exp(-0.5 * params.M * rule.x) * rule.x ** (0.5 * (params.M - params.N - 1))
+    phi = build_basis(params).eval_all(rule.x)[: params.N] * wv
+    num, den = skew_gram(rule, phi, [z, z_inf])[0]
+    return float(np.real(pfaffian(num) / pfaffian(den)))
 
 
 class CdfEngine:
-    """Shared-anchor evaluator for P(lambda_max < z), both routes.
+    """Evaluator of P(lambda_max < z) on one contour with one anchor per route.
 
-    One engine fixes (N, M, tau) plus all discretisation knobs; the
-    normalisation anchors Z~ (one per route) are computed once at z_inf and
-    reused for every z, as the formulas require.
+    One engine fixes (N, M, tau), all discretisation knobs and with them one
+    contour, the circle for z_inf: its geometry is capped, so it encloses
+    the live part of the branch cut for every z, and both routes use it.
+    `cdf_grid` is the one evaluation path.  A single pass over the contour
+    nodes serves every z of a grid; the first pass of each route also
+    evaluates z_inf and caches that contour sum as the route's
+    normalisation anchor, which later calls reuse.
     """
 
     def __init__(self, params: ModelParams, *, contour_nodes: int = 64,
@@ -204,8 +198,10 @@ class CdfEngine:
         self.q = q
         self.n_nystrom = n_nystrom
         self.z_inf = default_z_inf(params) if z_inf is None else float(z_inf)
-        self._anchors: dict = {}
-        self._bundles: dict = {}
+        self.contour = self.contour_for(self.z_inf)
+        self._anchors: dict = {}     # (route, c0_shift) -> contour sum at z_inf
+        self._lambdas: dict = {}     # c0_shift -> Fredholm walks and their Lambda tables
+        self._bundles: dict = {}     # contour node -> KernelBundle
 
     def contour_for(self, z: float) -> ContourSpec:
         """Circle hugging the integrand's branch cut [0, tau_tilde * z].
@@ -246,38 +242,77 @@ class CdfEngine:
         return ContourSpec.circle(center, radius, n)
 
     # ------------------------------------------------------------------ #
-    # Pfaffian route
+    # The one evaluation path
     # ------------------------------------------------------------------ #
 
-    def _pf_sum(self, z: float, contour: ContourSpec) -> complex:
-        """Stabilised contour sum of e^{M t} Pf(Mtrunc(t, z))."""
-        params = self.params
-        basis = build_basis(params)
-        pf_vals = [pfaffian(truncated_moment_matrix(params, tk, z, basis=basis,
-                                                    n_panels=self.n_panels, q=self.q))
-                   for tk in contour.nodes]
-        return contour.integrate(np.exp(params.M * contour.nodes) * np.asarray(pf_vals))
+    def cdf_grid(self, zs, route: str = "pfaffian") -> list[CdfResult]:
+        """P(lambda_max < z) for every z of `zs`, in order, from one node pass.
 
-    def cdf_pfaffian(self, z: float, contour: ContourSpec | None = None) -> CdfResult:
-        if z <= 0.0:
-            return CdfResult(z, 0.0, "pfaffian", {"anchor": self._anchor("pfaffian")})
-        if contour is None:
-            contour = self.contour_for(z)
-        val = self._pf_sum(z, contour) / self._anchor("pfaffian")
-        return CdfResult(
-            z, float(val.real), "pfaffian",
-            {"im_residual": float(val.imag), "node_count": contour.node_count,
-             "anchor": self._anchor("pfaffian")},
-        )
+        z <= 0 gives exactly 0.  Each other result carries `im_residual`,
+        `node_count`, the route's `anchor`, `retries` and
+        `cancellation_digits` = log10(sum |w e^{M t} f| / |sum w e^{M t} f|),
+        the digits lost to cancellation in the contour sum (f is Pf on the
+        Pfaffian route and e^Lambda sqrt(det) on the Fredholm route).
+        """
+        return self._grid(zs, route)
 
-    def _anchor(self, route: str, c0_shift: int = 0) -> complex:
-        key = (route, c0_shift)
-        if key not in self._anchors:
-            if route == "pfaffian":
-                self._anchors[key] = self._pf_sum(self.z_inf, self.contour_for(self.z_inf))
-            else:
-                self._anchors[key] = self._fredholm_sum(self.z_inf, c0_shift)[0]
-        return self._anchors[key]
+    def cdf(self, z: float, route: str = "pfaffian") -> CdfResult:
+        return self._grid([z], route)[0]
+
+    def cdf_pfaffian(self, z: float) -> CdfResult:
+        return self._grid([z], "pfaffian")[0]
+
+    def cdf_fredholm(self, z: float, c0_shift: int = 0) -> CdfResult:
+        return self._grid([z], "fredholm", c0_shift)[0]
+
+    def _grid(self, zs, route: str, c0_shift: int = 0) -> list[CdfResult]:
+        if route not in ("pfaffian", "fredholm"):
+            raise ConfigError(f"unknown route {route!r}")
+        zs = [float(z) for z in zs]
+        if not all(map(math.isfinite, zs)):
+            raise ConfigError(f"every z must be finite, got {zs}")
+        live = [z for z in zs if z > 0.0]
+        n = self.contour.node_count
+        results = iter(())
+        if live:
+            for retries in (0, 1):
+                key = (route, c0_shift + retries)
+                pts = live + ([self.z_inf] if key not in self._anchors else [])
+                try:
+                    f, diags = self._node_values(pts, route, key[1])
+                    break
+                except DegenerateSkewProductError:
+                    if retries:
+                        raise
+                    # a degenerate node: retry from the Fredholm walks' next base point
+            terms = (self.contour.weights * np.exp(self.params.M * self.contour.nodes))[:, None] * f
+            total = terms.sum(axis=0)
+            if len(pts) > len(live):
+                if not (np.isfinite(total[-1]) and total[-1] != 0):
+                    raise FloatingPointError(
+                        f"{route} anchor at z_inf = {self.z_inf:g} is {total[-1]}: "
+                        "the contour sum under- or overflows at this (N, M, tau)")
+                self._anchors[key] = complex(total[-1])
+            anchor = self._anchors[key]
+            mag = np.abs(terms).sum(axis=0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                digits = np.where(mag > 0, np.log10(mag / np.abs(total)), 0.0)
+            results = iter([CdfResult(z, float((total[k] / anchor).real), route, {
+                "im_residual": float((total[k] / anchor).imag), "node_count": n,
+                "anchor": anchor, "retries": retries,
+                "cancellation_digits": float(digits[k]), **diags[k]})
+                for k, z in enumerate(live)])
+        return [next(results) if z > 0.0 else CdfResult(z, 0.0, route, {"node_count": n})
+                for z in zs]
+
+    def _node_values(self, zs, route: str, c0_shift: int):
+        """f at every contour node (rows) and z (columns), and per-z diagnostics."""
+        if route == "fredholm":
+            return self._fredholm_values(zs, c0_shift)
+        basis = build_basis(self.params)
+        return np.array([[pfaffian(m) for m in truncated_moment_matrix(
+            self.params, t, zs, basis=basis, n_panels=self.n_panels, q=self.q)]
+            for t in self.contour.nodes]), [{}] * len(zs)
 
     # ------------------------------------------------------------------ #
     # Fredholm route
@@ -290,24 +325,7 @@ class CdfEngine:
                                                     n_panels=self.n_panels, q=self.q)
         return self._bundles[key]
 
-    def _branches(self, contour: ContourSpec, c0_shift: int = 0):
-        """Two index walks from the base node (nearest arg t = pi): one with
-        decreasing phase through the upper half plane, one with increasing
-        phase through the lower.  Neither crosses the positive real axis,
-        where det M(t) has its branch cut; the walks close up across it only
-        in the assembled product, whose jump cancels there.
-        """
-        n = contour.node_count
-        i0 = (n // 2 - 1 + c0_shift) % n   # phases 2 pi (k + 1/2) / n: k = n/2 - 1 is just below pi
-        up = list(range(i0, -1, -1))
-        down = list(range(i0, n))
-        return up, down
-
-    def _detM(self, t: complex) -> complex:
-        b = self._bundle(t)
-        return complex(np.linalg.det(b.table.entries[: self.params.N, : self.params.N]))
-
-    def _lambda_along(self, contour: ContourSpec, walk) -> np.ndarray:
+    def _lambda_along(self, walk) -> np.ndarray:
         """Lambda(t_k) = (1/2) int_{c0}^{t_k} d/ds log det M(s) ds along the walk.
 
         Each chord's increment is pinned to the exact endpoint determinants:
@@ -321,88 +339,60 @@ class CdfEngine:
         gl_w = np.array([5.0, 8.0, 5.0]) / 9.0
         lam = np.empty(len(walk), dtype=complex)
         lam[0] = 0.0
-        nodes = contour.nodes
+        nodes, N = self.contour.nodes, self.params.N
+        detm = [complex(np.linalg.det(self._bundle(nodes[i]).table.entries[:N, :N])) for i in walk]
         for step in range(1, len(walk)):
             a, b = nodes[walk[step - 1]], nodes[walk[step]]
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             svals = mid + half * gl_x
-            dvals = [logdet_m_derivative(self.params, s, bundle=self._bundle(s))
+            # chord points are read once: their bundles are not cached
+            dvals = [logdet_m_derivative(self.params, s, n_panels=self.n_panels, q=self.q)
                      for s in svals]
             est = 0.5 * half * np.dot(gl_w, dvals)
-            base = 0.5 * np.log(self._detM(b) / self._detM(a))
+            base = 0.5 * np.log(detm[step] / detm[step - 1])
             m = round((est.imag - base.imag) / math.pi)
             lam[step] = lam[step - 1] + base + 1j * math.pi * m
         return lam
 
-    def _fr_setup(self, c0_shift: int = 0):
-        """Shared contour, walks and Lambda tables for the Fredholm route.
+    def _walks(self, c0_shift: int):
+        """Two index walks from the base node, with their Lambda tables.
 
-        One contour (the z_inf one; its geometry is capped, so it encloses
-        the live cut for every z) and one base point serve every z: the
-        sqrt(det M(c0)) constant hiding in Lambda then cancels against the
-        anchor, as the single-(Gamma, c0) formula requires.
+        The base node is the one nearest arg t = pi, advanced by c0_shift;
+        one walk runs with decreasing phase through the upper half plane,
+        one with increasing phase through the lower.  Neither crosses the
+        positive real axis, where det M(t) has its branch cut; the walks
+        close up across it only in the assembled product, whose jump cancels
+        there.  One base point serves every z, so the sqrt(det M(c0))
+        constant hiding in Lambda cancels against the anchor.
         """
-        key = ("fr", c0_shift)
-        if key not in self._anchors:
-            contour = self.contour_for(self.z_inf)
-            up, down = self._branches(contour, c0_shift)
-            lam_up = self._lambda_along(contour, up)
-            lam_down = self._lambda_along(contour, down)
-            self._anchors[key] = (contour, up, down, lam_up, lam_down)
-        return self._anchors[key]
+        if c0_shift not in self._lambdas:
+            n = self.contour.node_count
+            i0 = (n // 2 - 1 + c0_shift) % n   # phases 2 pi (k + 1/2) / n: k = n/2 - 1 is just below pi
+            self._lambdas[c0_shift] = [(w, self._lambda_along(w))
+                                       for w in (range(i0, -1, -1), range(i0, n))]
+        return self._lambdas[c0_shift]
 
-    def _fredholm_sum(self, z: float, c0_shift: int = 0):
-        contour, up, down, lam_up, lam_down = self._fr_setup(c0_shift)
-        total = 0j
-        root0 = None
-        max_step = 0.0
-        for walk, lam in ((up, lam_up), (down, lam_down)):
-            roots = np.empty(len(walk), dtype=complex)
-            for k, i in enumerate(walk):
-                r = np.sqrt(fredholm_det(self._bundle(contour.nodes[i]), z,
-                                         self.n_nystrom))
-                if k == 0:
-                    if root0 is None:
-                        root0 = r          # common base value for both walks
-                    roots[0] = root0
-                else:
-                    roots[k] = r if abs(r - roots[k - 1]) <= abs(r + roots[k - 1]) else -r
-                    rel = abs(roots[k] - roots[k - 1]) / max(abs(roots[k]), 1e-300)
-                    max_step = max(max_step, rel)
-            vals = np.exp(self.params.M * contour.nodes[walk] + lam) * roots
-            start = 1 if walk is down else 0    # base node summed once
-            total += np.sum(contour.weights[walk[start:]] * vals[start:])
-        return complex(total), {"sqrt_max_step": float(max_step),
-                                "node_count": contour.node_count}
+    def _fredholm_values(self, zs, c0_shift: int):
+        """e^Lambda sqrt(det(I - K chi_[z, inf))) at every node and z.
 
-    def cdf_fredholm(self, z: float, c0_shift: int = 0) -> CdfResult:
-        if z <= 0.0:
-            return CdfResult(z, 0.0, "fredholm",
-                             {"anchor": self._anchor("fredholm", c0_shift)})
-        attempts = 0
-        while True:
-            try:
-                total, diag = self._fredholm_sum(z, c0_shift)
-                break
-            except DegenerateSkewProductError:
-                attempts += 1
-                if attempts > 1:
-                    raise
-                # a degenerate node: advance the base point, which rotates
-                # every chord off the offending configuration
-                c0_shift += 1
-        anchor = self._anchor("fredholm", c0_shift)
-        val = total / anchor
-        diag.update({"im_residual": float(val.imag), "anchor": anchor,
-                     "n_nystrom": self.n_nystrom, "retries": attempts})
-        return CdfResult(z, float(val.real), "fredholm", diag)
-
-    def cdf(self, z: float, route: str = "pfaffian") -> CdfResult:
-        if route == "pfaffian":
-            return self.cdf_pfaffian(z)
-        if route == "fredholm":
-            return self.cdf_fredholm(z)
-        raise ConfigError(f"unknown route {route!r}")
-
-    def cdf_grid(self, zs, route: str = "pfaffian") -> list[CdfResult]:
-        return [self.cdf(float(z), route) for z in zs]
+        The root's sign is continued along each walk from the common base
+        node, for all z at once; `sqrt_max_step` is each z's largest
+        relative jump between neighbours.
+        """
+        nodes = self.contour.nodes
+        f = np.empty((len(nodes), len(zs)), dtype=complex)
+        max_step = np.zeros(len(zs))
+        roots: dict = {}
+        for walk, lam in self._walks(c0_shift):
+            prev = None
+            for i, la in zip(walk, lam):
+                if i not in roots:
+                    b = self._bundle(nodes[i])
+                    r = np.sqrt([fredholm_det(b, z, self.n_nystrom) for z in zs])
+                    if prev is not None:
+                        r = np.where(abs(r - prev) <= abs(r + prev), r, -r)
+                        max_step = np.maximum(max_step, abs(r - prev) / np.maximum(abs(r), 1e-300))
+                    roots[i] = r
+                prev = roots[i]
+                f[i] = np.exp(la) * prev
+        return f, [{"sqrt_max_step": float(s), "n_nystrom": self.n_nystrom} for s in max_step]

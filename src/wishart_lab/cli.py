@@ -91,10 +91,11 @@ def cmd_cdf(args) -> int:
     out_path = out_dir / "cdf.csv"
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["z", "cdf", "route", "im_residual"])
+        writer.writerow(["z", "cdf", "route", "im_residual", "cancellation_digits"])
         for r in results:
             writer.writerow([_fmt(r.z), _fmt(r.value), r.route,
-                             _fmt(r.diagnostics.get("im_residual", 0.0))])
+                             _fmt(r.diagnostics.get("im_residual", 0.0)),
+                             _fmt(r.diagnostics.get("cancellation_digits", 0.0))])
     _write_manifest(out_dir, "cdf", {
         "command": "cdf",
         "config": cfg,

@@ -135,9 +135,6 @@ class HalfLineRule:
         out = within + prefix[..., :-1, None]
         return out.reshape(out.shape[:-2] + (-1,))
 
-    def total(self, fvals) -> complex:
-        return self.integrate(fvals)
-
     def cumulative_matrix(self) -> np.ndarray:
         """Matrix C with (C f)_i = int_{x0}^{x_i} of the panelwise interpolant.
 
@@ -194,16 +191,25 @@ def _build_from_u_edges(xmax: float, u_edges: np.ndarray, q: int, x0: float = 0.
                         x, w, ug, wg, vinv, cum_ref)
 
 
+def _merge_edges(edges: np.ndarray, new, tol: float) -> np.ndarray:
+    """`edges` plus the points of `new` inside its span, no panel narrower than `tol`.
+
+    The end points stay; a near-duplicate new point is dropped, and an old
+    interior edge within `tol` of a new point gives way to it.
+    """
+    lo, hi = edges[0], edges[-1]
+    new = np.unique(np.asarray(new, float))
+    new = new[(new > lo + tol) & (new < hi - tol)]
+    new = new[np.diff(new, prepend=-np.inf) > tol]
+    old = edges[1:-1]
+    old = old[np.min(np.abs(old[:, None] - new[None, :]), axis=1, initial=np.inf) > tol]
+    return np.unique(np.concatenate(([lo, hi], old, new)))
+
+
 def _refine_edges(base: np.ndarray, u_star: float, delta: float, levels: int = 7) -> np.ndarray:
     """Insert a geometric ladder of edges around u_star, floor width `delta`."""
     extra = [u_star + sgn * delta * 2.0**m for m in range(levels + 1) for sgn in (-1.0, 1.0)]
-    extra.append(u_star)
-    edges = np.concatenate([base, np.asarray(extra)])
-    edges = edges[(edges >= base[0]) & (edges <= base[-1])]
-    edges = np.unique(edges)
-    # drop near-duplicate edges that would create degenerate panels
-    keep = np.concatenate(([True], np.diff(edges) > 1e-3 * delta))
-    return edges[keep]
+    return _merge_edges(base, extra + [u_star], 1e-3 * delta)
 
 
 def half_line_rule(
@@ -213,6 +219,7 @@ def half_line_rule(
     refine_x: float | None = None,
     refine_width: float | None = None,
     x0: float = 0.0,
+    breaks=(),
 ) -> HalfLineRule:
     """Build a rule on [x0, xmax] (x0 defaults to 0).
 
@@ -221,6 +228,10 @@ def half_line_rule(
     panels of u-width `refine_width`, so the peaked factor
     (t - tau_tilde x)^(-1/2) is resolved without ever evaluating closer to
     the peak than its own scale.
+
+    Every break z inside (x0, xmax) becomes a panel edge, so the nodes with
+    x_i < z integrate exactly over [x0, z]: truncating to [x0, z] is a mask
+    on this one rule, not a rule of its own.
     """
     if xmax <= x0 or n_panels < 2 or q < 4:
         raise ConfigError("need xmax > x0, n_panels >= 2, q >= 4")
@@ -232,6 +243,8 @@ def half_line_rule(
         delta = base_width / 64.0 if refine_width is None else max(refine_width, base_width / 512.0)
         if delta < base_width:
             base = _refine_edges(base, u_star, delta)
+    if np.size(breaks):
+        base = _merge_edges(base, np.sqrt(np.clip(breaks, x0, xmax) - x0), 1e-9 * umax)
     return _build_from_u_edges(xmax, base, q, x0=x0)
 
 
@@ -292,12 +305,12 @@ class EpsilonTransform:
         self.rule = rule
         self.kappa = kappa
         self._fvals = np.asarray(fvals)
-        self._cum = rule.cumulative(self._fvals)
+        self.cumulative = rule.cumulative(self._fvals)   # int_x0^{x_i} f at the nodes
         self.total = np.asarray(self._fvals @ rule.w)   # shape (...)
 
     def at_nodes(self) -> np.ndarray:
         """eps(f) at the rule nodes, shaped like `fvals`."""
-        return self.kappa * (2.0 * self._cum - self.total[..., None])
+        return self.kappa * (2.0 * self.cumulative - self.total[..., None])
 
     def __call__(self, xq):
         """eps(f)(xq), shaped (...) for scalar xq and (..., len(xq)) otherwise."""

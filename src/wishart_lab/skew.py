@@ -5,11 +5,11 @@ The skew product at fixed contour variable t (optionally truncated to
 
     <f, g>_1 = int int (1/2) sgn(x - y) f(x) g(y) w(x; t) w(y; t) dx dy
 
-and collapses to a single integral through the epsilon transform:
-<f, g>_1 = int f w eps(g w).  `skew_gram` is the one place that forms
-these products: one batched epsilon transform of every sampled f w, then
-the antisymmetrised table 0.5 * (raw - raw^T), so <f, f>_1 = 0 holds to
-roundoff by construction.
+and collapses to a single integral of running integrals: with F, G the
+integrals of f w, g w from 0, <f, g>_1 = (1/2) int_0^z (f w G - g w F).
+`skew_gram` is the one place that forms these products, full or truncated:
+one batched cumulative table of every sampled f w, then the antisymmetrised
+sum 0.5 * (raw - raw^T) over the nodes below z, so <f, f>_1 = 0 exactly.
 
 The companion form <f, g>_2 = int f g w0 is the plain Laguerre pairing.
 The two are linked by the integration-by-parts identity
@@ -68,17 +68,17 @@ def default_xmax(params: ModelParams) -> float:
     return 4.0 * b_plus + 40.0 / params.M
 
 
-def rule_for_t(params: ModelParams, t: complex, xmax: float | None = None,
-               n_panels: int = 24, q: int = 16) -> HalfLineRule:
-    """Quadrature rule on [0, xmax] adapted to the weight's branch point.
+def rule_for_t(params: ModelParams, t: complex, n_panels: int = 24, q: int = 16,
+               breaks=()) -> HalfLineRule:
+    """Quadrature rule on [0, default_xmax] adapted to the weight's branch point.
 
     For t near the positive real axis the factor (t - tau_tilde x)^(-1/2)
     peaks at x = Re t / tau_tilde with width |Im t| / tau_tilde; panels
     cluster there down to that width (never finer, so no sample sits closer
-    to the peak than its own scale).
+    to the peak than its own scale).  Each of `breaks` (truncation points)
+    becomes a panel edge.
     """
-    if xmax is None:
-        xmax = default_xmax(params)
+    xmax = default_xmax(params)
     tt = params.tau_tilde
     refine_x = refine_width = None
     if tt > 0 and 0.0 < t.real and t.real / tt < 1.1 * xmax:
@@ -87,36 +87,41 @@ def rule_for_t(params: ModelParams, t: complex, xmax: float | None = None,
         u_star = math.sqrt(x_star)
         refine_x = x_star
         refine_width = max(width_x / (2.0 * u_star) if u_star > 0 else width_x, 1e-8)
-    return half_line_rule(xmax, n_panels=n_panels, q=q,
-                          refine_x=refine_x, refine_width=refine_width)
+    return half_line_rule(xmax, n_panels=n_panels, q=q, refine_x=refine_x,
+                          refine_width=refine_width, breaks=breaks)
 
 
-def skew_gram(rule: HalfLineRule, phi) -> tuple[np.ndarray, EpsilonTransform]:
-    """Skew Gram of sampled functions phi_j (rows of `phi`, at the rule nodes).
+def skew_gram(rule: HalfLineRule, phi, z=math.inf) -> tuple[np.ndarray, EpsilonTransform]:
+    """Skew Gram over [0, z]^2 of sampled functions phi_a (rows of `phi`).
 
-    Returns the antisymmetric matrix 0.5 * (raw - raw^T) with
-    raw[i, j] = int phi_i eps(phi_j), and the batched epsilon transform of
-    all the phi_j, which callers reuse for point evaluations.
+    (1/2) sum_i w_i [x_i < z] (phi_a F_b - phi_b F_a)(x_i), F_a the running
+    integral of phi_a: one formula for the full Gram (z = inf) and every
+    truncated one, exact on the rule when z is a panel edge (`breaks`).  A
+    scalar z gives shape (k, k), a 1-D z (len(z), k, k).  Also returns the
+    batched epsilon transform of the phi_a, reused for point evaluations.
     """
     eps = EpsilonTransform(rule, phi)
-    raw = (phi * rule.w) @ eps.at_nodes().T
-    return 0.5 * (raw - raw.T), eps
+    zs = np.asarray(z, dtype=float)
+    mask_w = (rule.x < zs[..., None]) * rule.w                # (..., n_nodes)
+    raw = (phi * mask_w[..., None, :]) @ eps.cumulative.T      # (..., k, k)
+    return 0.5 * (raw - np.swapaxes(raw, -1, -2)), eps
 
 
 @dataclass
 class SkewProductTable:
-    """Entries <L_i, L_j>_1 for 0 <= i, j <= kmax at fixed (t, z).
+    """Entries <L_i, L_j>_1 for 0 <= i, j <= kmax at fixed t over [0, z]^2.
 
-    Also caches the sampled weight, Laguerre values and the batched epsilon
-    transform of the L_j w, which every kernel evaluation reuses.
+    A 1-D z stacks the truncations, all read off one rule with a panel edge
+    at every z.  Also caches the sampled weight, Laguerre values and the
+    batched epsilon transform of the L_j w, which kernel evaluations reuse.
     """
 
     params: ModelParams
     t: complex
-    z: float                      # truncation; inf means the full half-line
+    z: float | np.ndarray         # truncation(s); inf means the full half-line
     basis: LaguerreBasis
     rule: HalfLineRule
-    entries: np.ndarray           # (kmax+1, kmax+1) complex, antisymmetric
+    entries: np.ndarray           # (kmax+1, kmax+1) antisymmetric, stacked over a 1-D z
     wvals: np.ndarray             # w(x_i; t) at rule nodes
     lag: np.ndarray               # (kmax+1, n_nodes) Laguerre values
     eps: EpsilonTransform         # batched over the L_j w: eps(x) is (kmax+1, len(x))
@@ -129,11 +134,10 @@ class SkewProductTable:
             kmax = params.N + 1
         if basis is None:
             basis = build_basis(params, max(kmax, params.N + 2))
-        xmax = default_xmax(params) if not math.isfinite(z) else float(z)
-        rule = rule_for_t(params, complex(t), xmax=xmax, n_panels=n_panels, q=q)
+        rule = rule_for_t(params, complex(t), n_panels=n_panels, q=q, breaks=z)
         wv = weight_w(params, complex(t), rule.x)
         lag = basis.eval_all(rule.x)[: kmax + 1]
-        entries, eps = skew_gram(rule, lag * wv)
+        entries, eps = skew_gram(rule, lag * wv, z)
         return cls(params, complex(t), z, basis, rule, entries, wv, lag, eps)
 
     @property
@@ -143,9 +147,6 @@ class SkewProductTable:
     @property
     def scale(self) -> float:
         return float(np.max(np.abs(self.entries)))
-
-    def pair(self, i: int, j: int) -> complex:
-        return complex(self.entries[i, j])
 
     def bilinear(self, ci, cj) -> complex:
         """<p, q>_1 for polynomials given by Laguerre-basis coefficients."""
@@ -157,11 +158,10 @@ class SkewProductTable:
 def skew_product(params: ModelParams, fcoef, gcoef, t: complex,
                  z: float = math.inf, n_panels: int = 24, q: int = 16) -> complex:
     """<f, g>_1 for monomial-coefficient polynomials f, g (ascending coeffs)."""
-    xmax = default_xmax(params) if not math.isfinite(z) else float(z)
-    rule = rule_for_t(params, complex(t), xmax=xmax, n_panels=n_panels, q=q)
+    rule = rule_for_t(params, complex(t), n_panels=n_panels, q=q, breaks=z)
     wv = weight_w(params, complex(t), rule.x)
     fg = np.stack([P.polyval(rule.x, np.asarray(c, dtype=complex)) for c in (fcoef, gcoef)])
-    return complex(skew_gram(rule, fg * wv)[0][0, 1])
+    return complex(skew_gram(rule, fg * wv, z)[0][0, 1])
 
 
 def inner_product_2(params: ModelParams, fcoef, gcoef,

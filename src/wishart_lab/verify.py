@@ -152,23 +152,21 @@ def suite_derpar(seed: int = 0) -> dict:
 
 
 def suite_mc_cdf(seed: int = 20260811) -> dict:
-    """cdf_pfaffian vs the empirical CDF of sampled largest eigenvalues."""
+    """Pfaffian-route CDF vs the empirical CDF of sampled largest eigenvalues."""
     t0 = time.time()
     checks = []
     p = ModelParams(2, 4, 1.0)
     cfg = McConfig(seed=seed, n_samples=100_000, params=p)
     lams = sample_wishart_max_eig(cfg)
-    eng = CdfEngine(p)
-    for z in (2.0, 2.75, 3.5, 4.25, 5.0):
+    for r in CdfEngine(p).cdf_grid([2.0, 2.75, 3.5, 4.25, 5.0]):
+        z, th = r.z, r.value
         emp = float(np.mean(lams < z))
-        th = eng.cdf_pfaffian(z).value
         se = math.sqrt(th * (1.0 - th) / cfg.n_samples)
         checks.append(_check(f"z={z} (sigmas/3)", abs(th - emp) / (3.0 * se), 1.0))
     # tau = 0 reduction: the t-integral must collapse onto the direct path
     p0 = ModelParams(2, 4, 0.0)
-    eng0 = CdfEngine(p0)
-    dev = max(abs(eng0.cdf_pfaffian(z).value - loe_direct_cdf(p0, z))
-              for z in (1.0, 2.0, 3.0))
+    dev = max(abs(r.value - loe_direct_cdf(p0, r.z))
+              for r in CdfEngine(p0).cdf_grid([1.0, 2.0, 3.0]))
     checks.append(_check("tau=0 route agreement", dev, 1e-6))
     return _wrap("mc-cdf", checks, t0)
 
@@ -178,11 +176,9 @@ def suite_route_equiv(seed: int = 0) -> dict:
     t0 = time.time()
     p = ModelParams(4, 8, 1.0)
     eng = CdfEngine(p)
-    checks = []
-    for z in (2.5, 3.5, 4.5):
-        a = eng.cdf_pfaffian(z).value
-        b = eng.cdf_fredholm(z).value
-        checks.append(_check(f"z={z}", abs(a - b), 1e-3))
+    zs = [2.5, 3.5, 4.5]
+    checks = [_check(f"z={z}", abs(a.value - b.value), 1e-3)
+              for z, a, b in zip(zs, eng.cdf_grid(zs), eng.cdf_grid(zs, "fredholm"))]
     return _wrap("route-equiv", checks, t0)
 
 
@@ -266,28 +262,27 @@ def suite_hygiene(seed: int = 0) -> dict:
     p = ModelParams(4, 8, 1.0)
     checks = []
     base = CdfEngine(p)
-    vals = {z: base.cdf_pfaffian(z).value for z in (2.5, 3.5)}
-    wide = CdfEngine(p, radius_factor=2.0)
-    dev = max(abs(wide.cdf_pfaffian(z).value - vals[z]) for z in vals)
-    checks.append(_check("contour radius doubling", dev, 1e-4))
-    fine = CdfEngine(p, n_panels=48, q=20)
-    dev = max(abs(fine.cdf_pfaffian(z).value - vals[z]) for z in vals)
-    checks.append(_check("quadrature doubling", dev, 1e-4))
+    zs = [2.5, 3.5]
+    vals = [r.value for r in base.cdf_grid(zs)]
+    for name, eng in (("contour radius doubling", CdfEngine(p, radius_factor=2.0)),
+                      ("quadrature doubling", CdfEngine(p, n_panels=48, q=20))):
+        dev = max(abs(r.value - v) for r, v in zip(eng.cdf_grid(zs), vals))
+        checks.append(_check(name, dev, 1e-4))
     fr1 = base.cdf_fredholm(3.5).value
     fr2 = CdfEngine(p, n_nystrom=160).cdf_fredholm(3.5).value
     checks.append(_check("Nystrom doubling", abs(fr2 - fr1), 1e-4))
     # Pf^2 = det at contour nodes
-    contour = base.contour_for(3.5)
     worst = 0.0
-    for t in contour.nodes[::8]:
+    for t in base.contour.nodes[::8]:
         tab = SkewProductTable.build(p, t, kmax=p.N - 1, z=3.5)
         pf = pfaffian(tab.entries)
         det = np.linalg.det(tab.entries)
         worst = max(worst, abs(pf**2 - det) / abs(det))
     checks.append(_check("Pf^2 = det", worst, 1e-9))
-    im = max(abs(base.cdf_pfaffian(z).diagnostics["im_residual"]) for z in (2.5, 3.5, 6.0))
+    res = base.cdf_grid(np.linspace(0.4, 12.0, 25))
+    im = max(abs(r.diagnostics["im_residual"]) for r in res)
     checks.append(_check("conjugation symmetry |Im CDF|", im, 1e-6))
-    grid = [base.cdf_pfaffian(z).value for z in np.linspace(0.4, 12.0, 25)]
+    grid = [r.value for r in res]
     mono = max(max(grid[i] - grid[i + 1] for i in range(len(grid) - 1)), 0.0)
     checks.append(_check("monotone nondecreasing", mono, 1e-6))
     checks.append(_check("bounds", max(-min(grid), max(grid) - 1.0, 0.0), 1e-6))

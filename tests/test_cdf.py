@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from wishart_lab import (CdfEngine, KernelBundle, ModelParams, fredholm_det,
-                         fredholm_det_exact, loe_direct_cdf, logdet_m_derivative,
-                         pfaffian, truncated_moment_matrix)
-from wishart_lab.skew import SkewProductTable
+from wishart_lab import (CdfEngine, EpsilonTransform, KernelBundle,
+                         ModelParams, build_basis, fredholm_det, fredholm_det_exact,
+                         half_line_rule, loe_direct_cdf, logdet_m_derivative, pfaffian,
+                         truncated_moment_matrix, weight_w)
+from wishart_lab import cdf as cdf_module
+from wishart_lab.skew import SkewProductTable, default_xmax
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +148,80 @@ class TestFredholmRoute:
         fine = CdfEngine(p48, n_nystrom=160)
         assert abs(fine.cdf_fredholm(3.5).value
                    - engine.cdf_fredholm(3.5).value) < 1e-4
+
+
+class TestTruncatedMomentMatrix:
+    T = 2 + 1j
+    ZS = [1.5, 3.0, 5.0]
+
+    def test_stack_matches_per_z_calls(self, p48):
+        stack = truncated_moment_matrix(p48, self.T, self.ZS)
+        assert stack.shape == (len(self.ZS), p48.N, p48.N)
+        for z, m in zip(self.ZS, stack):
+            one = truncated_moment_matrix(p48, self.T, z)
+            assert np.max(np.abs(one - m)) <= 1e-12 * np.max(np.abs(m))
+
+    def test_against_independent_rule_on_0_z(self, p48):
+        # the parent construction: a separate rule on [0, z] and the
+        # epsilon transform over it, int phi_a eps(phi_b), antisymmetrised
+        stack = truncated_moment_matrix(p48, self.T, self.ZS)
+        for z, m in zip(self.ZS, stack):
+            rule = half_line_rule(z, n_panels=32, q=16)
+            phi = build_basis(p48).eval_all(rule.x)[: p48.N] * weight_w(p48, self.T, rule.x)
+            raw = (phi * rule.w) @ EpsilonTransform(rule, phi).at_nodes().T
+            assert np.max(np.abs(0.5 * (raw - raw.T) - m)) <= 1e-12 * np.max(np.abs(m))
+
+    def test_past_xmax_is_the_full_gram(self, p48):
+        full = SkewProductTable.build(p48, self.T, kmax=p48.N - 1).entries
+        xmax = default_xmax(p48)
+        for m in truncated_moment_matrix(p48, self.T, [xmax, xmax + 5.0]):
+            assert np.max(np.abs(m - full)) <= 1e-14 * np.max(np.abs(full))
+
+
+class TestCdfGrid:
+    ZS = [2.0, 4.0]
+
+    @pytest.mark.parametrize("route", ["pfaffian", "fredholm"])
+    def test_grid_matches_points_in_any_order(self, engine, route):
+        grid = [r.value for r in engine.cdf_grid(self.ZS, route)]
+        back = [r.value for r in engine.cdf_grid(self.ZS[::-1], route)][::-1]
+        assert back == grid
+        for z, g in zip(self.ZS, grid):
+            assert abs(engine.cdf(z, route).value - g) < 1e-7
+
+    def test_mixed_and_empty_grids(self, engine):
+        res = engine.cdf_grid([-1.0, 2.0, 0.0, 4.0])
+        assert [r.z for r in res] == [-1.0, 2.0, 0.0, 4.0]
+        assert res[0].value == 0.0 and res[2].value == 0.0
+        assert [res[1].value, res[3].value] == [r.value for r in engine.cdf_grid(self.ZS)]
+        assert all(r.diagnostics["node_count"] == engine.contour.node_count for r in res)
+        assert engine.cdf_grid([]) == []
+
+    def test_anchor_computed_once(self, p48, monkeypatch):
+        calls = []
+
+        def spy(params, t, z, **kw):
+            calls.append(len(z))
+            return truncated_moment_matrix(params, t, z, **kw)
+
+        monkeypatch.setattr(cdf_module, "truncated_moment_matrix", spy)
+        eng = CdfEngine(p48)
+        eng.cdf_grid(self.ZS)
+        anchor = eng._anchors[("pfaffian", 0)]
+        assert calls == [len(self.ZS) + 1] * eng.contour.node_count
+        calls.clear()
+        eng.cdf_grid(self.ZS)
+        assert calls == [len(self.ZS)] * eng.contour.node_count
+        assert eng._anchors[("pfaffian", 0)] == anchor
+
+    def test_bundle_cache_holds_contour_nodes_only(self, engine):
+        engine.cdf_grid(self.ZS, "fredholm")
+        assert len(engine._bundles) == engine.contour.node_count
+
+    def test_cancellation_digits(self, p48, engine):
+        c = engine.contour
+        pf = np.array([pfaffian(truncated_moment_matrix(p48, t, 2.0)) for t in c.nodes])
+        terms = c.weights * np.exp(p48.M * c.nodes) * pf
+        expect = np.log10(np.sum(np.abs(terms)) / abs(np.sum(terms)))
+        got = engine.cdf(2.0).diagnostics["cancellation_digits"]
+        assert got == pytest.approx(expect, rel=1e-6)

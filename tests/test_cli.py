@@ -25,6 +25,7 @@ class TestCdfCommand:
         vals = [float(r["cdf"]) for r in rows]
         assert all(-1e-6 < v < 1 + 1e-6 for v in vals)
         assert vals == sorted(vals)
+        assert all(float(r["cancellation_digits"]) >= 0.0 for r in rows)
         manifest = json.loads((out1 / "cdf_manifest.json").read_text())
         assert manifest["outputs"] == ["cdf.csv"]
 
@@ -36,15 +37,23 @@ class TestCdfCommand:
         cfg = write_config(tmp_path / "c.json", N=4, M=8)
         assert main(["cdf", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_non_finite_z_is_config_error(self, tmp_path):
+        for bad in (float("nan"), float("inf")):
+            cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[2.0, bad])
+            assert main(["cdf", "--config", cfg, "--out", str(tmp_path)]) == 2
+
     def test_numerical_failure_exits_3_without_traceback(self, tmp_path, capsys):
-        # the Fredholm route underflows at this size (a known limitation);
-        # the CLI must say so in one line, not die with a traceback
-        cfg = write_config(tmp_path / "c.json", N=12, M=48, tau=1.0, z=[2.0])
-        code = main(["cdf", "--config", cfg, "--route", "fredholm",
-                     "--out", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        # each route underflows at its size (a known limitation: at (20, 80)
+        # the Pfaffian anchor is exactly 0); the CLI must say so in one line,
+        # not die with a traceback or write NaN
+        for (N, M), route in (((12, 48), "fredholm"), ((20, 80), "pfaffian")):
+            cfg = write_config(tmp_path / "c.json", N=N, M=M, tau=1.0, z=[2.0])
+            code = main(["cdf", "--config", cfg, "--route", route,
+                         "--out", str(tmp_path)])
+            err = capsys.readouterr().err
+            assert code == 3
+            assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+            assert not (tmp_path / "cdf.csv").exists()
 
     def test_bad_route(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[2.0],

@@ -1,6 +1,6 @@
 """The narrative demos run to completion against this checkout's src/.
 
-Demo 02 (about 12 s) is left out; the CDF routes it shows are covered by
+Demo 02 (about 7 s) is left out; the CDF routes it shows are covered by
 test_cdf and the acceptance suites.
 """
 

@@ -57,6 +57,29 @@ class TestHalfLineRule:
         v2 = integrate_halfline(f, half_line_rule(30.0, n_panels=48, q=16))
         assert abs(v1 - v2) / abs(v2) < 1e-9
 
+    def test_breaks_become_panel_edges(self):
+        breaks = [0.3, 2.0, 7.77]
+        for refine_x in (None, 3.0):
+            r = half_line_rule(30.0, refine_x=refine_x, x0=0.1, breaks=breaks + [-1.0, 0.1, 30.0, 40.0])
+            plain = half_line_rule(30.0, refine_x=refine_x, x0=0.1)
+            ub = np.sqrt(np.array(breaks) - 0.1)
+            assert np.all(np.min(np.abs(r.u_edges[:, None] - ub), axis=0) == 0.0)
+            # breaks outside (x0, xmax) add nothing
+            assert len(r.u_edges) == len(plain.u_edges) + len(breaks)
+            # the nodes below a break integrate exactly over [x0, z]
+            for z in breaks:
+                f = np.exp(-r.x)
+                assert np.sum((r.w * f)[r.x < z]) == pytest.approx(np.exp(-0.1) - np.exp(-z), rel=1e-14)
+
+    def test_breaks_make_no_degenerate_panel(self):
+        # breaks a hair from each other, from a uniform edge and from xmax
+        base = half_line_rule(16.0, n_panels=8)
+        edge = base.u_edges[3] ** 2
+        r = half_line_rule(16.0, n_panels=8, breaks=[2.0, 2.0 + 1e-15, edge + 1e-14, 16.0 - 1e-15])
+        assert np.min(np.diff(r.u_edges)) > 1e-9 * 4.0
+        assert r.u_edges[0] == 0.0 and r.u_edges[-1] == 4.0
+        assert r.integrate(np.exp(-r.x)) == pytest.approx(1 - np.exp(-16.0), rel=1e-14)
+
     def test_nonfinite_sample_aborts_with_node(self, rule):
         f = np.ones(rule.n_nodes)
         f[17] = np.nan
