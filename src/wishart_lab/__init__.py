@@ -36,6 +36,6 @@ from .zonal import (ZonalSeries, zonal_row, zonal_I_closed_form, contour_S,
                     series_S, haar_series, zonal_identity_check,
                     unitary_symplectic_identity_check)
 from .errors import (WishartLabError, ConfigError, SingularWeightError,
-                     DegenerateSkewProductError, QuadratureError)
+                     DegenerateSkewProductError, QuadratureError, PrecisionLossError)
 
 __version__ = "1.0.0"

@@ -38,12 +38,13 @@ all residual constants cancel against the anchor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSkewProductError
+from .errors import ConfigError, PrecisionLossError
 from .kernels import KernelBundle
 from .laguerre import LaguerreBasis, build_basis
 from .params import ContourSpec, ModelParams, mp_edges, weight_w
@@ -59,6 +60,11 @@ __all__ = [
     "loe_direct_cdf",
     "CdfEngine",
 ]
+
+
+#: a CDF value is refused past this many digits lost to contour cancellation,
+#: or RANGE_TOL outside [0, 1]
+MAX_LOST_DIGITS, RANGE_TOL = 13.0, 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,31 +103,49 @@ def logdet_m_derivative(params: ModelParams, t: complex,
     return -bundle.resolvent_trace()
 
 
-def fredholm_det(bundle: KernelBundle, z: float, n_nystrom: int = 80) -> complex:
-    """det(I - K chi_[z, inf)) by Nystrom discretisation on [z, xmax].
+#: byte budget of one block of stacked Nystrom matrices in `fredholm_det`
+_DET_BLOCK_BYTES = 1 << 24
+
+
+@functools.lru_cache(maxsize=256)
+def _nystrom_data(xmax: float, z: float, n_panels: int):
+    """Read-only t-free Nystrom nodes, weights and eps operator on [z, xmax]."""
+    grid = half_line_rule(xmax, n_panels, 20, x0=z)  # x = z + u^2
+    eps_op = KAPPA_EPSILON * (2.0 * grid.cumulative_matrix() - grid.w[None, :])
+    for a in (grid.x, grid.w, eps_op):
+        a.setflags(write=False)
+    return grid.x, grid.w, eps_op
+
+
+def fredholm_det(bundle: KernelBundle, z, n_nystrom: int = 80):
+    """det(I - K chi_[z, inf)) by Nystrom discretisation on [z, xmax], z scalar or 1-D.
 
     The three smooth entries are sampled pointwise; the sign-kernel
-    eps(x - y) in the lower-left entry is discretised through the rule's
-    exact cumulative operator, which keeps the scheme spectrally accurate
-    despite the diagonal kink.  For z past the quadrature horizon the
-    operator is empty and the determinant is 1.
+    eps(x - y) in the lower-left entry goes through the rule's exact
+    cumulative operator, which keeps the scheme spectrally accurate despite
+    the diagonal kink.  z past the quadrature horizon gives 1.  Every z has
+    n nodes, so the kernels are sampled once for the stacked grids and one
+    batched determinant is taken per block of at most `_DET_BLOCK_BYTES`.
     """
-    if z >= bundle.table.rule.xmax:
-        return 1.0 + 0j
-    # about n_nystrom nodes on [z, xmax], under x = z + u^2
-    grid = half_line_rule(bundle.table.rule.xmax, max(2, round(n_nystrom / 20)), 20, x0=z)
-    x, w = grid.x, grid.w
-    n = x.size
-    S = bundle.s1(x, x)
-    D = bundle.ds1(x, x)
-    IS = bundle.is1(x, x)
-    eps_op = KAPPA_EPSILON * (2.0 * grid.cumulative_matrix() - np.ones((n, 1)) * w[None, :])
-    K = np.empty((2 * n, 2 * n), dtype=complex)
-    K[:n, :n] = S * w[None, :]
-    K[:n, n:] = D * w[None, :]
-    K[n:, :n] = IS * w[None, :] - eps_op
-    K[n:, n:] = S.T * w[None, :]
-    return complex(np.linalg.det(np.eye(2 * n) - K))
+    zs = np.asarray(z, dtype=float)
+    xmax = bundle.table.rule.xmax
+    out = np.ones(zs.shape, dtype=complex)
+    live = np.flatnonzero(zs < xmax)
+    n = 20 * max(2, round(n_nystrom / 20))
+    block = max(1, _DET_BLOCK_BYTES // (16 * (2 * n) ** 2))
+    for start in range(0, live.size, block):
+        idx = live[start:start + block]
+        data = (_nystrom_data(xmax, float(zs.flat[i]), n // 20) for i in idx)
+        x, w, eps_op = map(np.stack, zip(*data))
+        w = w[:, None, :]
+        S = bundle.s1(x, x)
+        K = np.empty((idx.size, 2 * n, 2 * n), dtype=complex)
+        K[:, :n, :n] = S * w
+        K[:, :n, n:] = bundle.ds1(x, x) * w
+        K[:, n:, :n] = bundle.is1(x, x) * w - eps_op
+        K[:, n:, n:] = np.swapaxes(S, -1, -2) * w
+        out.flat[idx] = np.linalg.det(np.eye(2 * n) - K)
+    return complex(out) if zs.ndim == 0 else out
 
 
 def fredholm_det_exact(bundle: KernelBundle, z: float) -> complex:
@@ -170,8 +194,11 @@ def loe_direct_cdf(params: ModelParams, z: float, z_inf: float | None = None,
     rule = half_line_rule(default_xmax(params), n_panels=n_panels, q=q, breaks=(z, z_inf))
     wv = np.exp(-0.5 * params.M * rule.x) * rule.x ** (0.5 * (params.M - params.N - 1))
     phi = build_basis(params).eval_all(rule.x)[: params.N] * wv
-    num, den = skew_gram(rule, phi, [z, z_inf])[0]
-    return float(np.real(pfaffian(num) / pfaffian(den)))
+    num, den = (pfaffian(m) for m in skew_gram(rule, phi, [z, z_inf])[0])
+    if not (np.isfinite(num) and np.isfinite(den) and num != 0 and den != 0):
+        raise FloatingPointError(f"LOE Pfaffians at z = {z:g}, z_inf = {z_inf:g} are "
+                                 f"{num} and {den}: they under- or overflow at this (N, M)")
+    return float(np.real(num / den))
 
 
 class CdfEngine:
@@ -249,10 +276,12 @@ class CdfEngine:
         """P(lambda_max < z) for every z of `zs`, in order, from one node pass.
 
         z <= 0 gives exactly 0.  Each other result carries `im_residual`,
-        `node_count`, the route's `anchor`, `retries` and
+        `node_count`, the route's `anchor` and
         `cancellation_digits` = log10(sum |w e^{M t} f| / |sum w e^{M t} f|),
         the digits lost to cancellation in the contour sum (f is Pf on the
-        Pfaffian route and e^Lambda sqrt(det) on the Fredholm route).
+        Pfaffian route and e^Lambda sqrt(det) on the Fredholm route).  A z
+        that loses more than MAX_LOST_DIGITS, or whose value leaves [0, 1]
+        by more than RANGE_TOL, raises PrecisionLossError.
         """
         return self._grid(zs, route)
 
@@ -275,16 +304,9 @@ class CdfEngine:
         n = self.contour.node_count
         results = iter(())
         if live:
-            for retries in (0, 1):
-                key = (route, c0_shift + retries)
-                pts = live + ([self.z_inf] if key not in self._anchors else [])
-                try:
-                    f, diags = self._node_values(pts, route, key[1])
-                    break
-                except DegenerateSkewProductError:
-                    if retries:
-                        raise
-                    # a degenerate node: retry from the Fredholm walks' next base point
+            key = (route, c0_shift)
+            pts = live + ([self.z_inf] if key not in self._anchors else [])
+            f, diags = self._node_values(pts, route, c0_shift)
             terms = (self.contour.weights * np.exp(self.params.M * self.contour.nodes))[:, None] * f
             total = terms.sum(axis=0)
             if len(pts) > len(live):
@@ -297,9 +319,16 @@ class CdfEngine:
             mag = np.abs(terms).sum(axis=0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 digits = np.where(mag > 0, np.log10(mag / np.abs(total)), 0.0)
-            results = iter([CdfResult(z, float((total[k] / anchor).real), route, {
-                "im_residual": float((total[k] / anchor).imag), "node_count": n,
-                "anchor": anchor, "retries": retries,
+            vals = total[:len(live)] / anchor
+            in_range = (vals.real >= -RANGE_TOL) & (vals.real <= 1.0 + RANGE_TOL)
+            bad = np.flatnonzero(~in_range | (digits[:len(live)] > MAX_LOST_DIGITS))
+            if bad.size:
+                k = bad[0]
+                raise PrecisionLossError(
+                    f"{route} CDF at z = {live[k]:g} is {vals[k].real:.6g} and lost "
+                    f"{digits[k]:.1f} digits to contour cancellation (budget {MAX_LOST_DIGITS:g})")
+            results = iter([CdfResult(z, float(vals[k].real), route, {
+                "im_residual": float(vals[k].imag), "node_count": n, "anchor": anchor,
                 "cancellation_digits": float(digits[k]), **diags[k]})
                 for k, z in enumerate(live)])
         return [next(results) if z > 0.0 else CdfResult(z, 0.0, route, {"node_count": n})
@@ -337,8 +366,7 @@ class CdfEngine:
         """
         gl_x = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
         gl_w = np.array([5.0, 8.0, 5.0]) / 9.0
-        lam = np.empty(len(walk), dtype=complex)
-        lam[0] = 0.0
+        lam = np.zeros(len(walk), dtype=complex)
         nodes, N = self.contour.nodes, self.params.N
         detm = [complex(np.linalg.det(self._bundle(nodes[i]).table.entries[:N, :N])) for i in walk]
         for step in range(1, len(walk)):
@@ -387,8 +415,7 @@ class CdfEngine:
             prev = None
             for i, la in zip(walk, lam):
                 if i not in roots:
-                    b = self._bundle(nodes[i])
-                    r = np.sqrt([fredholm_det(b, z, self.n_nystrom) for z in zs])
+                    r = np.sqrt(fredholm_det(self._bundle(nodes[i]), zs, self.n_nystrom))
                     if prev is not None:
                         r = np.where(abs(r - prev) <= abs(r + prev), r, -r)
                         max_step = np.maximum(max_step, abs(r - prev) / np.maximum(abs(r), 1e-300))

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .cdf import CdfEngine
-from .errors import (ConfigError, DegenerateSkewProductError, QuadratureError,
-                     SingularWeightError, WishartLabError)
+from .errors import (ConfigError, DegenerateSkewProductError, PrecisionLossError,
+                     QuadratureError, SingularWeightError, WishartLabError)
 from .kernels import CdCorrectedKernel, KernelBundle
 from .params import ModelParams, mp_density
 from .sampling import McConfig, sample_wishart_all_eigs, sample_wishart_max_eig
@@ -30,7 +30,7 @@ from .verify import SUITES, run_suite
 _FMT = "%.17g"
 
 #: exceptions reported as a numerical failure (exit 3) rather than a traceback
-_NUMERICAL = (DegenerateSkewProductError, SingularWeightError, QuadratureError,
+_NUMERICAL = (DegenerateSkewProductError, SingularWeightError, QuadratureError, PrecisionLossError,
               ZeroDivisionError, FloatingPointError, np.linalg.LinAlgError)
 
 

@@ -1,10 +1,10 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 2;
-numerical failures exit with 3, namely DegenerateSkewProductError (after
-retries), SingularWeightError, QuadratureError, and the arithmetic errors
-ZeroDivisionError, FloatingPointError and numpy.linalg.LinAlgError;
-verification failures exit with 4.
+numerical failures exit with 3, namely DegenerateSkewProductError,
+SingularWeightError, QuadratureError, PrecisionLossError, and the
+arithmetic errors ZeroDivisionError, FloatingPointError and
+numpy.linalg.LinAlgError; verification failures exit with 4.
 """
 
 
@@ -21,12 +21,12 @@ class SingularWeightError(WishartLabError):
 
 
 class DegenerateSkewProductError(WishartLabError):
-    """A pivot skew product <L_{2k-1}, L_{2k-2}>_1 is numerically zero.
-
-    Signals a bad contour node to the caller, which may rotate the node
-    set and retry.
-    """
+    """A pivot skew product <L_{2k-1}, L_{2k-2}>_1 is numerically zero (a bad contour node)."""
 
 
 class QuadratureError(WishartLabError):
     """Non-finite sample or unmet precondition inside a quadrature rule."""
+
+
+class PrecisionLossError(WishartLabError):
+    """A computed value lost too many digits to cancellation, or left its range."""

@@ -88,34 +88,35 @@ class KernelBundle:
     def t(self) -> complex:
         return self.table.t
 
-    def _phi_at(self, x: np.ndarray) -> np.ndarray:
-        """(N, len(x)) values of L_j(x) w(x)."""
-        N = self.params.N
-        lag = self.table.basis.eval_all(x)[:N]
-        return lag * np.atleast_1d(weight_w(self.params, self.t, x))
+    def _sample(self, x: np.ndarray, eps: bool) -> np.ndarray:
+        """(..., N, n) values of eps(L_j w), or L_j w, at points (..., n), all at once."""
+        N, flat = self.params.N, x.reshape(-1)
+        vals = (self.table.eps(flat)[:N] if eps else
+                self.table.basis.eval_all(flat)[:N] * weight_w(self.params, self.t, flat))
+        return np.moveaxis(vals.reshape((N,) + x.shape), 0, -2)
 
-    def _eps_at(self, y: np.ndarray) -> np.ndarray:
-        """(N, len(y)) values of eps(L_j w)(y)."""
-        return self.table.eps(y)[: self.params.N]
+    def _kernel(self, x, y, eps_x: bool, eps_y: bool, scale: float):
+        """scale (f(x)^T mu) g(y), f and g each L_j w or eps(L_j w).
+
+        Points (..., nx) and (..., ny) give (..., nx, ny), two scalars a
+        complex; when y is x and g = f, the samples are taken once.
+        """
+        xs, sx = _as_points(x)
+        ys, sy = _as_points(y)
+        fx = self._sample(xs, eps_x)
+        gy = fx if y is x and eps_x == eps_y else self._sample(ys, eps_y)
+        out = scale * np.swapaxes(fx, -1, -2) @ self.mu @ gy
+        return complex(out[0, 0]) if sx and sy else out
 
     def s1(self, x, y):
-        xs, sx = _as_points(x)
-        ys, sy = _as_points(y)
-        out = -self._phi_at(xs).T @ self.mu @ self._eps_at(ys)
-        return complex(out[0, 0]) if sx and sy else out
+        return self._kernel(x, y, False, True, -1.0)
 
     def is1(self, x, y):
-        xs, sx = _as_points(x)
-        ys, sy = _as_points(y)
-        out = -self._eps_at(xs).T @ self.mu @ self._eps_at(ys)
-        return complex(out[0, 0]) if sx and sy else out
+        return self._kernel(x, y, True, True, -1.0)
 
     def ds1(self, x, y):
         """-d/dy S1(x, y), the exact termwise derivative (eps' = identity)."""
-        xs, sx = _as_points(x)
-        ys, sy = _as_points(y)
-        out = (2.0 * KAPPA_EPSILON) * self._phi_at(xs).T @ self.mu @ self._phi_at(ys)
-        return complex(out[0, 0]) if sx and sy else out
+        return self._kernel(x, y, False, False, 2.0 * KAPPA_EPSILON)
 
     def s1_diag_nodes(self) -> np.ndarray:
         """S1(x, x) at the rule nodes (for traces and resolvent integrals)."""

@@ -5,6 +5,7 @@ from wishart_lab import (CdfEngine, EpsilonTransform, KernelBundle,
                          ModelParams, build_basis, fredholm_det, fredholm_det_exact,
                          half_line_rule, loe_direct_cdf, logdet_m_derivative, pfaffian,
                          truncated_moment_matrix, weight_w)
+from wishart_lab import DegenerateSkewProductError, PrecisionLossError
 from wishart_lab import cdf as cdf_module
 from wishart_lab.skew import SkewProductTable, default_xmax
 
@@ -26,8 +27,12 @@ def bundle(p48):
 
 class TestFredholmDet:
     def test_empty_domain(self, bundle):
-        assert fredholm_det(bundle, bundle.table.rule.xmax + 1.0) == 1.0
-        assert fredholm_det_exact(bundle, bundle.table.rule.xmax + 1.0) == 1.0
+        xmax = bundle.table.rule.xmax
+        assert fredholm_det(bundle, xmax + 1.0) == 1.0
+        assert fredholm_det_exact(bundle, xmax + 1.0) == 1.0
+        mixed = fredholm_det(bundle, [3.0, xmax, 2.0, xmax + 4.0])
+        assert mixed[1] == 1.0 and mixed[3] == 1.0
+        assert mixed[0] == fredholm_det(bundle, 3.0) and mixed[2] == fredholm_det(bundle, 2.0)
 
     @pytest.mark.parametrize("z", [2.0, 3.5, 6.0])
     def test_nystrom_matches_rank_reduction(self, bundle, z):
@@ -43,6 +48,44 @@ class TestFredholmDet:
         e1 = abs(d[1] - d[0])
         e2 = abs(d[2] - d[1])
         assert e2 < max(e1 / 4.0, 1e-14)
+
+    def test_stack_matches_scalar_calls_and_dense_assembly(self, bundle):
+        # the dense 2n x 2n Nystrom matrix assembled from 1-D kernel calls
+        zs = [2.0, 3.5, 6.0]
+        stack = fredholm_det(bundle, zs, 80)
+        assert stack.shape == (3,)
+        for z, d in zip(zs, stack):
+            assert d == pytest.approx(fredholm_det(bundle, z, 80), rel=1e-14, abs=0)
+            grid = half_line_rule(bundle.table.rule.xmax, 4, 20, x0=z)
+            x, w, n = grid.x, grid.w, grid.n_nodes
+            eps_op = 0.5 * (2.0 * grid.cumulative_matrix() - np.ones((n, 1)) * w[None, :])
+            S = bundle.s1(x, x)
+            K = np.block([[S * w, bundle.ds1(x, x) * w],
+                          [bundle.is1(x, x) * w - eps_op, S.T * w]])
+            assert d == pytest.approx(np.linalg.det(np.eye(2 * n) - K), rel=1e-12, abs=0)
+
+    def test_blocks_bound_the_stack(self, bundle, monkeypatch):
+        # a budget of two 160 x 160 complex matrices splits five z into 2 + 2 + 1
+        zs = np.linspace(1.0, 7.0, 5)
+        whole = fredholm_det(bundle, zs)
+        budget = 2 * 16 * 160 ** 2
+        stacks, det = [], np.linalg.det
+
+        def spy(a):
+            stacks.append(a.nbytes)
+            return det(a)
+
+        monkeypatch.setattr(cdf_module, "_DET_BLOCK_BYTES", budget)
+        monkeypatch.setattr(np.linalg, "det", spy)
+        blocked = fredholm_det(bundle, zs)
+        assert stacks == [budget, budget, budget // 2]
+        assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+    def test_nystrom_data_is_read_only(self, bundle):
+        for a in cdf_module._nystrom_data(bundle.table.rule.xmax, 2.5, 4):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_factorisation_against_pfaffian(self, p48, bundle):
         # Pf(Mtrunc)^2 = det M * det(I - K chi): the de Bruijn / Fredholm bridge
@@ -98,6 +141,11 @@ class TestPfaffianRoute:
         assert all(v2 >= v1 - 1e-6 for v1, v2 in zip(vals, vals[1:]))
         assert min(vals) > -1e-6 and max(vals) < 1.0 + 1e-6
 
+    def test_loe_underflow_raises(self):
+        # at (20, 80, 0) both Pfaffians underflow to zero: refused, not 0/0
+        with pytest.raises(FloatingPointError):
+            loe_direct_cdf(ModelParams(20, 80, 0.0), 2.0)
+
     def test_loe_reduction(self):
         # tau = 0: the t-integral collapses; the contour route must equal the
         # direct no-contour Pfaffian path
@@ -138,6 +186,18 @@ class TestFredholmRoute:
 
     def test_zero_at_origin(self, engine):
         assert engine.cdf_fredholm(0.0).value == 0.0
+
+    def test_degenerate_node_raises_without_retry(self, p48, monkeypatch):
+        calls = []
+
+        def degenerate(cls, *args, **kw):
+            calls.append(args)
+            raise DegenerateSkewProductError("singular moment matrix")
+
+        monkeypatch.setattr(KernelBundle, "build", classmethod(degenerate))
+        with pytest.raises(DegenerateSkewProductError):
+            CdfEngine(p48).cdf_grid([2.0], "fredholm")
+        assert len(calls) == 1
 
     def test_c0_invariance(self, engine):
         a = engine.cdf_fredholm(3.5, c0_shift=0).value
@@ -225,3 +285,12 @@ class TestCdfGrid:
         expect = np.log10(np.sum(np.abs(terms)) / abs(np.sum(terms)))
         got = engine.cdf(2.0).diagnostics["cancellation_digits"]
         assert got == pytest.approx(expect, rel=1e-6)
+
+
+class TestPrecisionGuard:
+    @pytest.mark.parametrize("params,route", [((8, 32, 2.0), "pfaffian"),
+                                              ((4, 16, 2.0), "fredholm")])
+    def test_cancelled_values_are_refused(self, params, route):
+        # about 15 digits lost: the values come out as -0.25 and 0.75 at z = 2
+        with pytest.raises(PrecisionLossError):
+            CdfEngine(ModelParams(*params)).cdf_grid([2.0, 3.0], route)

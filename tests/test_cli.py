@@ -55,6 +55,14 @@ class TestCdfCommand:
             assert "Traceback" not in err and len(err.strip().splitlines()) == 1
             assert not (tmp_path / "cdf.csv").exists()
 
+    def test_precision_loss_exits_3(self, tmp_path, capsys):
+        # (8, 32, 2) loses about 15 digits to contour cancellation
+        cfg = write_config(tmp_path / "c.json", N=8, M=32, tau=2.0, z=[2.0, 3.0])
+        assert main(["cdf", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "PrecisionLossError" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "cdf.csv").exists()
+
     def test_bad_route(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[2.0],
                            route="magic")

@@ -101,6 +101,45 @@ class TestBruteForce:
             assert np.allclose(vb, np.conj(va), rtol=1e-10)
 
 
+class TestStackedPoints:
+    KERNELS = ("s1", "is1", "ds1")
+
+    def test_stack_matches_row_by_row(self, bundle):
+        x = np.linspace(0.3, 7.0, 3 * 11).reshape(3, 11)
+        y = np.linspace(0.5, 9.0, 3 * 7).reshape(3, 7)[::-1]
+        for name in self.KERNELS:
+            f = getattr(bundle, name)
+            for a, b in ((x, y), (x, x)):
+                stack = f(a, b)
+                assert stack.shape == (3, a.shape[1], b.shape[1])
+                for k in range(3):
+                    row = f(a[k], b[k])
+                    assert np.max(np.abs(stack[k] - row)) <= 1e-14 * np.max(np.abs(row))
+
+    def test_scalar_and_1d_keep_the_plain_formula(self, p48, bundle):
+        # bitwise: -(phi(x)^T mu) eps(y), -(eps(x)^T mu) eps(y), (phi(x)^T mu) phi(y)
+        N = p48.N
+
+        def phi(x):
+            x = np.atleast_1d(x)
+            return bundle.table.basis.eval_all(x)[:N] * weight_w(p48, bundle.t, x)
+
+        def eps(x):
+            return bundle.table.eps(np.atleast_1d(x))[:N]
+
+        xs, ys = np.linspace(0.3, 7.0, 9), np.linspace(0.5, 9.0, 7)
+        for x, y in ((xs, ys), (xs, xs), (1.3, ys), (1.3, 2.2)):
+            expect = {"s1": -phi(x).T @ bundle.mu @ eps(y),
+                      "is1": -eps(x).T @ bundle.mu @ eps(y),
+                      "ds1": phi(x).T @ bundle.mu @ phi(y)}
+            for name in self.KERNELS:
+                got = getattr(bundle, name)(x, y)
+                if np.ndim(x) == 0 and np.ndim(y) == 0:
+                    assert isinstance(got, complex) and got == expect[name][0, 0]
+                else:
+                    assert np.array_equal(got, expect[name])
+
+
 class TestCdCorrected:
     @pytest.mark.parametrize("tau,t", [(1.0, 2 + 1j), (0.3, 1 + 2j)])
     def test_pointwise_equality_with_brute_force(self, tau, t):
