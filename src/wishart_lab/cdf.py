@@ -30,9 +30,12 @@ through the logarithmic derivative
     d/dt log det M(t) = - int S1(x, x) / (t - tau_tilde x) dx
 
 (note the sign: it is forced by the tau = 0 reduction, where w carries a
-global t^(-1/2) so log det M = -N log t + const), integrated along straight
-chords between adjacent contour nodes from a base point near arg t = pi.
-sqrt(det(I - K chi)) is tracked by sign continuity along the same chain;
+global t^(-1/2) so log det M = -N log t + const).  Lambda = (1/2) log det M
+is continued node by node along two walks from a base node near arg t = pi:
+each step is (1/2) Log of the ratio of neighbouring nodes' det M, on the
+branch picked by the trapezoid rule over the two nodes' resolvent traces,
+so Lambda comes from the same node bundles as the Nystrom determinants.
+sqrt(det(I - K chi)) is tracked by sign continuity along the same walks;
 all residual constants cancel against the anchor.
 """
 
@@ -210,7 +213,8 @@ class CdfEngine:
     `cdf_grid` is the one evaluation path.  A single pass over the contour
     nodes serves every z of a grid; the first pass of each route also
     evaluates z_inf and caches that contour sum as the route's
-    normalisation anchor, which later calls reuse.
+    normalisation anchor, which later calls reuse.  The Fredholm route
+    caches one KernelBundle per contour node and nothing off the contour.
     """
 
     def __init__(self, params: ModelParams, *, contour_nodes: int = 64,
@@ -226,9 +230,8 @@ class CdfEngine:
         self.n_nystrom = n_nystrom
         self.z_inf = default_z_inf(params) if z_inf is None else float(z_inf)
         self.contour = self.contour_for(self.z_inf)
-        self._anchors: dict = {}     # (route, c0_shift) -> contour sum at z_inf
-        self._lambdas: dict = {}     # c0_shift -> Fredholm walks and their Lambda tables
-        self._bundles: dict = {}     # contour node -> KernelBundle
+        self._anchors: dict = {}     # route -> contour sum at z_inf
+        self._bundles: dict = {}     # contour node index -> KernelBundle
 
     def contour_for(self, z: float) -> ContourSpec:
         """Circle hugging the integrand's branch cut [0, tau_tilde * z].
@@ -291,10 +294,10 @@ class CdfEngine:
     def cdf_pfaffian(self, z: float) -> CdfResult:
         return self._grid([z], "pfaffian")[0]
 
-    def cdf_fredholm(self, z: float, c0_shift: int = 0) -> CdfResult:
-        return self._grid([z], "fredholm", c0_shift)[0]
+    def cdf_fredholm(self, z: float) -> CdfResult:
+        return self._grid([z], "fredholm")[0]
 
-    def _grid(self, zs, route: str, c0_shift: int = 0) -> list[CdfResult]:
+    def _grid(self, zs, route: str) -> list[CdfResult]:
         if route not in ("pfaffian", "fredholm"):
             raise ConfigError(f"unknown route {route!r}")
         zs = [float(z) for z in zs]
@@ -304,9 +307,8 @@ class CdfEngine:
         n = self.contour.node_count
         results = iter(())
         if live:
-            key = (route, c0_shift)
-            pts = live + ([self.z_inf] if key not in self._anchors else [])
-            f, diags = self._node_values(pts, route, c0_shift)
+            pts = live + ([self.z_inf] if route not in self._anchors else [])
+            f, diags = self._node_values(pts, route)
             terms = (self.contour.weights * np.exp(self.params.M * self.contour.nodes))[:, None] * f
             total = terms.sum(axis=0)
             if len(pts) > len(live):
@@ -314,8 +316,8 @@ class CdfEngine:
                     raise FloatingPointError(
                         f"{route} anchor at z_inf = {self.z_inf:g} is {total[-1]}: "
                         "the contour sum under- or overflows at this (N, M, tau)")
-                self._anchors[key] = complex(total[-1])
-            anchor = self._anchors[key]
+                self._anchors[route] = complex(total[-1])
+            anchor = self._anchors[route]
             mag = np.abs(terms).sum(axis=0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 digits = np.where(mag > 0, np.log10(mag / np.abs(total)), 0.0)
@@ -334,10 +336,10 @@ class CdfEngine:
         return [next(results) if z > 0.0 else CdfResult(z, 0.0, route, {"node_count": n})
                 for z in zs]
 
-    def _node_values(self, zs, route: str, c0_shift: int):
+    def _node_values(self, zs, route: str):
         """f at every contour node (rows) and z (columns), and per-z diagnostics."""
         if route == "fredholm":
-            return self._fredholm_values(zs, c0_shift)
+            return self._fredholm_values(zs)
         basis = build_basis(self.params)
         return np.array([[pfaffian(m) for m in truncated_moment_matrix(
             self.params, t, zs, basis=basis, n_panels=self.n_panels, q=self.q)]
@@ -347,79 +349,47 @@ class CdfEngine:
     # Fredholm route
     # ------------------------------------------------------------------ #
 
-    def _bundle(self, t: complex) -> KernelBundle:
-        key = complex(t)
-        if key not in self._bundles:
-            self._bundles[key] = KernelBundle.build(self.params, key,
-                                                    n_panels=self.n_panels, q=self.q)
-        return self._bundles[key]
-
-    def _lambda_along(self, walk) -> np.ndarray:
-        """Lambda(t_k) = (1/2) int_{c0}^{t_k} d/ds log det M(s) ds along the walk.
-
-        Each chord's increment is pinned to the exact endpoint determinants:
-        the 3-point Gauss estimate of the log-derivative integral only
-        selects the branch of (1/2) Log(det M(b) / det M(a)), so the values
-        satisfy e^{2 Lambda} = det M(t)/det M(c0) to quadrature accuracy of
-        the determinants themselves, with winding decided by the derivative
-        identity.
-        """
-        gl_x = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
-        gl_w = np.array([5.0, 8.0, 5.0]) / 9.0
-        lam = np.zeros(len(walk), dtype=complex)
-        nodes, N = self.contour.nodes, self.params.N
-        detm = [complex(np.linalg.det(self._bundle(nodes[i]).table.entries[:N, :N])) for i in walk]
-        for step in range(1, len(walk)):
-            a, b = nodes[walk[step - 1]], nodes[walk[step]]
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            svals = mid + half * gl_x
-            # chord points are read once: their bundles are not cached
-            dvals = [logdet_m_derivative(self.params, s, n_panels=self.n_panels, q=self.q)
-                     for s in svals]
-            est = 0.5 * half * np.dot(gl_w, dvals)
-            base = 0.5 * np.log(detm[step] / detm[step - 1])
-            m = round((est.imag - base.imag) / math.pi)
-            lam[step] = lam[step - 1] + base + 1j * math.pi * m
-        return lam
-
-    def _walks(self, c0_shift: int):
-        """Two index walks from the base node, with their Lambda tables.
-
-        The base node is the one nearest arg t = pi, advanced by c0_shift;
-        one walk runs with decreasing phase through the upper half plane,
-        one with increasing phase through the lower.  Neither crosses the
-        positive real axis, where det M(t) has its branch cut; the walks
-        close up across it only in the assembled product, whose jump cancels
-        there.  One base point serves every z, so the sqrt(det M(c0))
-        constant hiding in Lambda cancels against the anchor.
-        """
-        if c0_shift not in self._lambdas:
-            n = self.contour.node_count
-            i0 = (n // 2 - 1 + c0_shift) % n   # phases 2 pi (k + 1/2) / n: k = n/2 - 1 is just below pi
-            self._lambdas[c0_shift] = [(w, self._lambda_along(w))
-                                       for w in (range(i0, -1, -1), range(i0, n))]
-        return self._lambdas[c0_shift]
-
-    def _fredholm_values(self, zs, c0_shift: int):
+    def _fredholm_values(self, zs):
         """e^Lambda sqrt(det(I - K chi_[z, inf))) at every node and z.
 
-        The root's sign is continued along each walk from the common base
-        node, for all z at once; `sqrt_max_step` is each z's largest
-        relative jump between neighbours.
+        Two walks leave the base node just below arg t = pi, one through
+        the upper half plane and one through the lower, so neither crosses
+        the branch cut of det M(t) on the positive real axis (the assembled
+        product's jump cancels there).  One loop per walk over the cached
+        node bundles continues Lambda and the root's sign together: a Lambda
+        step is (1/2) Log(det M(b) / det M(a)) on the branch nearest the
+        trapezoid estimate from the two nodes' resolvent traces, and the
+        sqrt(det M(c0)) it leaves out cancels against the anchor.  The base
+        node's determinants are taken once.  `sqrt_max_step` is each z's
+        largest relative jump of the root between neighbours.
         """
-        nodes = self.contour.nodes
+        nodes, N = self.contour.nodes, self.params.N
+        i0 = len(nodes) // 2 - 1   # phases 2 pi (k + 1/2) / n: k = n/2 - 1 is just below pi
         f = np.empty((len(nodes), len(zs)), dtype=complex)
         max_step = np.zeros(len(zs))
         roots: dict = {}
-        for walk, lam in self._walks(c0_shift):
+        for walk in (range(i0, -1, -1), range(i0, len(nodes))):
             prev = None
-            for i, la in zip(walk, lam):
+            for i in walk:
+                if i not in self._bundles:
+                    self._bundles[i] = KernelBundle.build(self.params, complex(nodes[i]),
+                                                          n_panels=self.n_panels, q=self.q)
+                b = self._bundles[i]
+                det_b = complex(np.linalg.det(b.table.entries[:N, :N]))
+                d_b = logdet_m_derivative(self.params, b.t, bundle=b)
+                if prev is None:
+                    lam = 0j
+                else:
+                    step = 0.5 * np.log(det_b / det_a)
+                    est = 0.25 * (b.t - t_a) * (d_a + d_b)
+                    lam = lam + step + 1j * math.pi * round((est.imag - step.imag) / math.pi)
+                t_a, det_a, d_a = b.t, det_b, d_b
                 if i not in roots:
-                    r = np.sqrt(fredholm_det(self._bundle(nodes[i]), zs, self.n_nystrom))
+                    r = np.sqrt(fredholm_det(b, zs, self.n_nystrom))
                     if prev is not None:
                         r = np.where(abs(r - prev) <= abs(r + prev), r, -r)
                         max_step = np.maximum(max_step, abs(r - prev) / np.maximum(abs(r), 1e-300))
                     roots[i] = r
                 prev = roots[i]
-                f[i] = np.exp(la) * prev
+                f[i] = np.exp(lam) * prev
         return f, [{"sqrt_max_step": float(s), "n_nystrom": self.n_nystrom} for s in max_step]

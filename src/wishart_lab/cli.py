@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -41,9 +42,32 @@ def _fmt(x) -> str:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return cfg
+
+
+def _value(cfg: dict, key: str, kind: type, default=None):
+    """cfg[key] as an int, a finite float or (kind=list) a list of finite floats.
+
+    An absent or null key gives `default`; any other value that does not
+    convert raises ConfigError.
+    """
+    value = cfg.get(key)
+    if value is None:
+        return default
+    try:
+        if kind is list and not isinstance(value, list):
+            raise TypeError
+        out = [float(v) for v in value] if kind is list else kind(value)
+        if all(map(math.isfinite, out if kind is list else [out])):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"config value {key!r} = {value!r} is not a finite {kind.__name__}")
 
 
 def _params_from(cfg: dict) -> ModelParams:
@@ -65,19 +89,19 @@ def _write_manifest(out_dir: Path, name: str, payload: dict) -> None:
 def _engine_from(cfg: dict, params: ModelParams) -> CdfEngine:
     return CdfEngine(
         params,
-        contour_nodes=int(cfg.get("contour_nodes", 64)),
-        margin=float(cfg.get("margin", 0.5)),
-        n_panels=int(cfg.get("n_panels", 24)),
-        q=int(cfg.get("q", 16)),
-        n_nystrom=int(cfg.get("n_nystrom", 80)),
-        z_inf=cfg.get("z_inf"),
+        contour_nodes=_value(cfg, "contour_nodes", int, 64),
+        margin=_value(cfg, "margin", float, 0.5),
+        n_panels=_value(cfg, "n_panels", int, 24),
+        q=_value(cfg, "q", int, 16),
+        n_nystrom=_value(cfg, "n_nystrom", int, 80),
+        z_inf=_value(cfg, "z_inf", float),
     )
 
 
 def cmd_cdf(args) -> int:
     cfg = _load_config(args.config)
     params = _params_from(cfg)
-    zs = cfg.get("z", [])
+    zs = _value(cfg, "z", list, [])
     if not zs:
         raise ConfigError("config needs a non-empty z grid")
     route = args.route or cfg.get("route", "pfaffian")
@@ -85,7 +109,7 @@ def cmd_cdf(args) -> int:
         raise ConfigError(f"unknown route {route!r}")
     eng = _engine_from(cfg, params)
     t0 = time.time()
-    results = eng.cdf_grid([float(z) for z in zs], route=route)
+    results = eng.cdf_grid(zs, route=route)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "cdf.csv"
@@ -112,8 +136,9 @@ def cmd_cdf(args) -> int:
 def cmd_sample(args) -> int:
     cfg = _load_config(args.config)
     params = _params_from(cfg)
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    n = int(cfg.get("n", 1000))
+    seed = args.seed if args.seed is not None else _value(cfg, "seed", int, 0)
+    n = _value(cfg, "n", int, 1000)
+    nbins = _value(cfg, "bins", int, 40)
     mode = cfg.get("mode", "max")
     mc = McConfig(seed=seed, n_samples=n, params=params)
     t0 = time.time()
@@ -129,7 +154,6 @@ def cmd_sample(args) -> int:
                 writer.writerow([_fmt(v)])
     elif mode == "hist":
         eigs = sample_wishart_all_eigs(mc).ravel()
-        nbins = int(cfg.get("bins", 40))
         edges = np.linspace(0.0, 1.2 * float(np.max(eigs)), nbins + 1)
         counts, _ = np.histogram(eigs, edges)
         total = eigs.size
@@ -186,9 +210,12 @@ def cmd_verify(args) -> int:
 def cmd_kernel_dump(args) -> int:
     cfg = _load_config(args.config)
     params = _params_from(cfg)
-    t = complex(*cfg.get("t", [2.0, 1.0]))
-    grid = cfg.get("grid", {})
-    lo, hi, n = float(grid.get("lo", 0.3)), float(grid.get("hi", 6.0)), int(grid.get("n", 12))
+    re_im = _value(cfg, "t", list, [2.0, 1.0])
+    grid = cfg.get("grid") or {}
+    if len(re_im) != 2 or not isinstance(grid, dict):
+        raise ConfigError(f"config needs t = [re, im] and a grid object, got {re_im} and {grid!r}")
+    t = complex(*re_im)
+    lo, hi, n = _value(grid, "lo", float, 0.3), _value(grid, "hi", float, 6.0), _value(grid, "n", int, 12)
     xs = np.linspace(lo, hi, n)
     t0 = time.time()
     kb = KernelBundle.build(params, t)

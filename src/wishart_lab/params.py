@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +58,7 @@ class ModelParams:
             raise ConfigError(f"N must be a positive even integer, got {self.N!r}")
         if not (isinstance(self.M, (int, np.integer)) and self.M > self.N):
             raise ConfigError(f"M must be an integer > N, got {self.M!r}")
-        if not (np.isfinite(self.tau) and self.tau >= 0):
+        if not (isinstance(self.tau, numbers.Real) and math.isfinite(self.tau) and self.tau >= 0):
             raise ConfigError(f"tau must be a finite real >= 0, got {self.tau!r}")
         object.__setattr__(self, "N", int(self.N))
         object.__setattr__(self, "M", int(self.M))

@@ -199,10 +199,21 @@ class TestFredholmRoute:
             CdfEngine(p48).cdf_grid([2.0], "fredholm")
         assert len(calls) == 1
 
-    def test_c0_invariance(self, engine):
-        a = engine.cdf_fredholm(3.5, c0_shift=0).value
-        b = engine.cdf_fredholm(3.5, c0_shift=7).value
-        assert abs(a - b) < 1e-6
+    @pytest.mark.parametrize("params,zs", [((4, 8, 1.0), [2.0, 3.5, 5.0, None]),
+                                           ((8, 32, 1.0), [1.5, 2.5])])
+    def test_node_values_are_pfaffians_times_one_constant(self, params, zs):
+        # Pf(Mtrunc)^2 = det M det(I - K chi) and e^{2 Lambda} = det M / det M(c0),
+        # so f / Pf is one constant per z over both walks; a wrong Lambda
+        # branch or root sign flips the ratio at the nodes past the error
+        p = ModelParams(*params)
+        eng = CdfEngine(p)
+        zs = [eng.z_inf if z is None else z for z in zs]
+        f, _ = eng._fredholm_values(zs)
+        pf = np.array([[pfaffian(m) for m in truncated_moment_matrix(p, t, zs)]
+                       for t in eng.contour.nodes])
+        ratio = f / pf
+        spread = np.max(np.abs(ratio - ratio[0]), axis=0) / np.abs(ratio[0])
+        assert np.all(spread < 1e-10)
 
     def test_nystrom_doubling(self, p48, engine):
         fine = CdfEngine(p48, n_nystrom=160)
@@ -267,12 +278,37 @@ class TestCdfGrid:
         monkeypatch.setattr(cdf_module, "truncated_moment_matrix", spy)
         eng = CdfEngine(p48)
         eng.cdf_grid(self.ZS)
-        anchor = eng._anchors[("pfaffian", 0)]
+        anchor = eng._anchors["pfaffian"]
         assert calls == [len(self.ZS) + 1] * eng.contour.node_count
         calls.clear()
         eng.cdf_grid(self.ZS)
         assert calls == [len(self.ZS)] * eng.contour.node_count
-        assert eng._anchors[("pfaffian", 0)] == anchor
+        assert eng._anchors["pfaffian"] == anchor
+
+    def test_one_bundle_and_one_determinant_per_node(self, p48, monkeypatch):
+        # the anchor pass and a later grid share one KernelBundle per node
+        # (no bundles off the contour), and each pass takes one batched
+        # Nystrom determinant per node (the base node, on both walks, once)
+        builds, dets = [], []
+        build, det = KernelBundle.build.__func__, cdf_module.fredholm_det
+
+        def build_spy(cls, params, t, **kw):
+            builds.append(t)
+            return build(cls, params, t, **kw)
+
+        def det_spy(bundle, z, n_nystrom=80):
+            dets.append(bundle.t)
+            return det(bundle, z, n_nystrom)
+
+        monkeypatch.setattr(KernelBundle, "build", classmethod(build_spy))
+        monkeypatch.setattr(cdf_module, "fredholm_det", det_spy)
+        eng = CdfEngine(p48)
+        n = eng.contour.node_count
+        for zs in (self.ZS, [3.0]):
+            eng.cdf_grid(zs, "fredholm")
+            assert len(dets) == n and len(set(dets)) == n
+            dets.clear()
+        assert len(builds) == n and len(set(builds)) == n
 
     def test_bundle_cache_holds_contour_nodes_only(self, engine):
         engine.cdf_grid(self.ZS, "fredholm")

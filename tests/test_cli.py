@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from wishart_lab.cli import main
 
 
@@ -8,6 +10,27 @@ def write_config(path, **kw):
     with open(path, "w") as fh:
         json.dump(kw, fh)
     return str(path)
+
+
+@pytest.mark.parametrize("command,bad,out", [
+    ("cdf", {"z": 3.0}, "cdf.csv"),
+    ("cdf", {"z": ["a"]}, "cdf.csv"),
+    ("cdf", {"tau": "one"}, "cdf.csv"),
+    ("cdf", {"n_nystrom": "x"}, "cdf.csv"),
+    ("cdf", {"z_inf": "big"}, "cdf.csv"),
+    ("sample", {"seed": "x"}, "samples.csv"),
+    ("sample", {"n": [5]}, "samples.csv"),
+    ("sample", {"mode": "hist", "bins": "x"}, "samples.csv"),
+    ("kernel-dump", {"t": [2.0, "i"]}, "kernel.csv"),
+    ("kernel-dump", {"grid": {"n": "x"}}, "kernel.csv"),
+])
+def test_malformed_value_is_config_error(tmp_path, capsys, command, bad, out):
+    cfg = write_config(tmp_path / "c.json", **{"N": 4, "M": 8, "tau": 1.0, "z": [2.0], **bad})
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o" / out).exists()
 
 
 class TestCdfCommand:

@@ -20,7 +20,8 @@ class TestModelParams:
                                      dict(N=4, M=4, tau=1.0),
                                      dict(N=4, M=3, tau=1.0),
                                      dict(N=0, M=8, tau=1.0),
-                                     dict(N=4, M=8, tau=-0.1)])
+                                     dict(N=4, M=8, tau=-0.1),
+                                     dict(N=4, M=8, tau="one")])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
             ModelParams(**bad)
