@@ -197,7 +197,7 @@ def loe_direct_cdf(params: ModelParams, z: float, z_inf: float | None = None,
     rule = half_line_rule(default_xmax(params), n_panels=n_panels, q=q, breaks=(z, z_inf))
     wv = np.exp(-0.5 * params.M * rule.x) * rule.x ** (0.5 * (params.M - params.N - 1))
     phi = build_basis(params).eval_all(rule.x)[: params.N] * wv
-    num, den = (pfaffian(m) for m in skew_gram(rule, phi, [z, z_inf])[0])
+    num, den = pfaffian(skew_gram(rule, phi, [z, z_inf])[0])
     if not (np.isfinite(num) and np.isfinite(den) and num != 0 and den != 0):
         raise FloatingPointError(f"LOE Pfaffians at z = {z:g}, z_inf = {z_inf:g} are "
                                  f"{num} and {den}: they under- or overflow at this (N, M)")
@@ -213,8 +213,10 @@ class CdfEngine:
     `cdf_grid` is the one evaluation path.  A single pass over the contour
     nodes serves every z of a grid; the first pass of each route also
     evaluates z_inf and caches that contour sum as the route's
-    normalisation anchor, which later calls reuse.  The Fredholm route
-    caches one KernelBundle per contour node and nothing off the contour.
+    normalisation anchor, which later calls reuse.  A Pfaffian-route node
+    takes one truncated Gram stack and one batched Pfaffian for all its z;
+    the Fredholm route caches one KernelBundle per contour node and nothing
+    off the contour.  z_inf must be finite and positive.
     """
 
     def __init__(self, params: ModelParams, *, contour_nodes: int = 64,
@@ -229,6 +231,8 @@ class CdfEngine:
         self.q = q
         self.n_nystrom = n_nystrom
         self.z_inf = default_z_inf(params) if z_inf is None else float(z_inf)
+        if not (math.isfinite(self.z_inf) and self.z_inf > 0.0):
+            raise ConfigError(f"z_inf must be finite and positive, got {z_inf}")
         self.contour = self.contour_for(self.z_inf)
         self._anchors: dict = {}     # route -> contour sum at z_inf
         self._bundles: dict = {}     # contour node index -> KernelBundle
@@ -284,20 +288,9 @@ class CdfEngine:
         the digits lost to cancellation in the contour sum (f is Pf on the
         Pfaffian route and e^Lambda sqrt(det) on the Fredholm route).  A z
         that loses more than MAX_LOST_DIGITS, or whose value leaves [0, 1]
-        by more than RANGE_TOL, raises PrecisionLossError.
+        by more than RANGE_TOL, raises PrecisionLossError.  Each distinct z
+        is evaluated once.
         """
-        return self._grid(zs, route)
-
-    def cdf(self, z: float, route: str = "pfaffian") -> CdfResult:
-        return self._grid([z], route)[0]
-
-    def cdf_pfaffian(self, z: float) -> CdfResult:
-        return self._grid([z], "pfaffian")[0]
-
-    def cdf_fredholm(self, z: float) -> CdfResult:
-        return self._grid([z], "fredholm")[0]
-
-    def _grid(self, zs, route: str) -> list[CdfResult]:
         if route not in ("pfaffian", "fredholm"):
             raise ConfigError(f"unknown route {route!r}")
         zs = [float(z) for z in zs]
@@ -308,9 +301,10 @@ class CdfEngine:
         results = iter(())
         if live:
             pts = live + ([self.z_inf] if route not in self._anchors else [])
-            f, diags = self._node_values(pts, route)
+            uniq, inv = np.unique(pts, return_inverse=True)
+            f, diags = self._node_values(uniq, route)
             terms = (self.contour.weights * np.exp(self.params.M * self.contour.nodes))[:, None] * f
-            total = terms.sum(axis=0)
+            total, mag = terms.sum(axis=0)[inv], np.abs(terms).sum(axis=0)[inv]
             if len(pts) > len(live):
                 if not (np.isfinite(total[-1]) and total[-1] != 0):
                     raise FloatingPointError(
@@ -318,7 +312,6 @@ class CdfEngine:
                         "the contour sum under- or overflows at this (N, M, tau)")
                 self._anchors[route] = complex(total[-1])
             anchor = self._anchors[route]
-            mag = np.abs(terms).sum(axis=0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 digits = np.where(mag > 0, np.log10(mag / np.abs(total)), 0.0)
             vals = total[:len(live)] / anchor
@@ -331,18 +324,28 @@ class CdfEngine:
                     f"{digits[k]:.1f} digits to contour cancellation (budget {MAX_LOST_DIGITS:g})")
             results = iter([CdfResult(z, float(vals[k].real), route, {
                 "im_residual": float(vals[k].imag), "node_count": n, "anchor": anchor,
-                "cancellation_digits": float(digits[k]), **diags[k]})
+                "cancellation_digits": float(digits[k]), **diags[inv[k]]})
                 for k, z in enumerate(live)])
         return [next(results) if z > 0.0 else CdfResult(z, 0.0, route, {"node_count": n})
                 for z in zs]
 
+    def cdf(self, z: float, route: str = "pfaffian") -> CdfResult:
+        return self.cdf_grid([z], route)[0]
+
+    cdf_pfaffian = functools.partialmethod(cdf, route="pfaffian")
+    cdf_fredholm = functools.partialmethod(cdf, route="fredholm")
+
     def _node_values(self, zs, route: str):
-        """f at every contour node (rows) and z (columns), and per-z diagnostics."""
+        """f at every contour node (rows) and z (columns), and per-z diagnostics.
+
+        A Pfaffian-route node takes one batched Pfaffian of its (len(zs), N, N)
+        stack (one stack over all nodes would only raise the peak memory).
+        """
         if route == "fredholm":
             return self._fredholm_values(zs)
         basis = build_basis(self.params)
-        return np.array([[pfaffian(m) for m in truncated_moment_matrix(
-            self.params, t, zs, basis=basis, n_panels=self.n_panels, q=self.q)]
+        return np.array([pfaffian(truncated_moment_matrix(
+            self.params, t, zs, basis=basis, n_panels=self.n_panels, q=self.q))
             for t in self.contour.nodes]), [{}] * len(zs)
 
     # ------------------------------------------------------------------ #

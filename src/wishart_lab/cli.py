@@ -140,6 +140,8 @@ def cmd_sample(args) -> int:
     n = _value(cfg, "n", int, 1000)
     nbins = _value(cfg, "bins", int, 40)
     mode = cfg.get("mode", "max")
+    if mode == "hist" and nbins < 1:
+        raise ConfigError(f"config value 'bins' = {nbins} must be at least 1")
     mc = McConfig(seed=seed, n_samples=n, params=params)
     t0 = time.time()
     out_dir = Path(args.out)

@@ -7,9 +7,9 @@ The skew product at fixed contour variable t (optionally truncated to
 
 and collapses to a single integral of running integrals: with F, G the
 integrals of f w, g w from 0, <f, g>_1 = (1/2) int_0^z (f w G - g w F).
-`skew_gram` is the one place that forms these products, full or truncated:
-one batched cumulative table of every sampled f w, then the antisymmetrised
-sum 0.5 * (raw - raw^T) over the nodes below z, so <f, f>_1 = 0 exactly.
+`skew_gram` is the one place that forms these products: one batched
+cumulative table of every sampled f w, then a running sum over the sorted z
+of 0.5 * (raw - raw^T) on the nodes below each, so <f, f>_1 = 0 exactly.
 
 The companion form <f, g>_2 = int f g w0 is the plain Laguerre pairing.
 The two are linked by the integration-by-parts identity
@@ -82,11 +82,8 @@ def rule_for_t(params: ModelParams, t: complex, n_panels: int = 24, q: int = 16,
     tt = params.tau_tilde
     refine_x = refine_width = None
     if tt > 0 and 0.0 < t.real and t.real / tt < 1.1 * xmax:
-        x_star = t.real / tt
-        width_x = abs(t.imag) / (10.0 * tt)
-        u_star = math.sqrt(x_star)
-        refine_x = x_star
-        refine_width = max(width_x / (2.0 * u_star) if u_star > 0 else width_x, 1e-8)
+        refine_x = t.real / tt   # > 0: widths below are taken in u = sqrt(x)
+        refine_width = max(abs(t.imag) / (10.0 * tt) / (2.0 * math.sqrt(refine_x)), 1e-8)
     return half_line_rule(xmax, n_panels=n_panels, q=q, refine_x=refine_x,
                           refine_width=refine_width, breaks=breaks)
 
@@ -97,14 +94,20 @@ def skew_gram(rule: HalfLineRule, phi, z=math.inf) -> tuple[np.ndarray, EpsilonT
     (1/2) sum_i w_i [x_i < z] (phi_a F_b - phi_b F_a)(x_i), F_a the running
     integral of phi_a: one formula for the full Gram (z = inf) and every
     truncated one, exact on the rule when z is a panel edge (`breaks`).  A
-    scalar z gives shape (k, k), a 1-D z (len(z), k, k).  Also returns the
-    batched epsilon transform of the phi_a, reused for point evaluations.
+    scalar z gives shape (k, k), a 1-D z (len(z), k, k), summed once over the
+    sorted z, one product per node segment: O(n k^2 + len(z) k^2).  Also
+    returns the batched epsilon transform of the phi_a, for point evaluations.
     """
     eps = EpsilonTransform(rule, phi)
-    zs = np.asarray(z, dtype=float)
-    mask_w = (rule.x < zs[..., None]) * rule.w                # (..., n_nodes)
-    raw = (phi * mask_w[..., None, :]) @ eps.cumulative.T      # (..., k, k)
-    return 0.5 * (raw - np.swapaxes(raw, -1, -2)), eps
+    zs = np.nan_to_num(np.asarray(z, dtype=float), nan=-np.inf)   # x_i < NaN holds nowhere
+    pw, F = phi * rule.w, eps.cumulative
+    acc, a = np.zeros((len(pw), len(pw)), dtype=np.result_type(pw, F)), 0
+    raw = np.empty((zs.size,) + acc.shape, dtype=acc.dtype)
+    order = np.argsort(zs, axis=None)
+    for j, b in zip(order, np.searchsorted(rule.x, zs.flat[order])):  # b = #{x_i < z}
+        acc += pw[:, a:b] @ F[:, a:b].T
+        raw[j], a = acc, b
+    return (0.5 * (raw - np.swapaxes(raw, 1, 2))).reshape(zs.shape + acc.shape), eps
 
 
 @dataclass
@@ -285,37 +288,33 @@ def moment_matrix(table: SkewProductTable, polyset: SkewPolySet | None = None,
     return MomentMatrix(table.params, table.t, table.z, basis_kind, entries)
 
 
-def pfaffian(A: np.ndarray, antisym_tol: float = 1e-10) -> complex:
-    """Pfaffian of an even-dimensional antisymmetric matrix.
+def pfaffian(A: np.ndarray, antisym_tol: float = 1e-10):
+    """Pfaffians of a stack (..., n, n) of even-dimensional antisymmetric matrices.
 
-    Parlett-Reid style elimination with partial pivoting: each step pins the
-    largest element of the working column into the (k+1, k) slot (row+column
-    swap, flipping the sign) and clears the rest with a unit congruence,
-    which leaves the Pfaffian invariant.  Convention: Pf([[0, a], [-a, 0]]) = a.
+    Parlett-Reid elimination with partial pivoting over the whole stack at
+    once (Wimmer, ACM TOMS 38, 2012): each step swaps each matrix's own
+    largest working-column element into place (flipping the sign), clears
+    the rest with a unit congruence and drops the leading 2 x 2; an all-zero
+    column gives that matrix 0.  2-D input gives a complex; Pf([[0, a], [-a, 0]]) = a.
     """
-    A = np.array(A, dtype=complex)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape[1] != n:
-        raise ConfigError("pfaffian needs a square matrix")
-    if n % 2:
-        raise ConfigError("pfaffian needs even dimension")
-    norm = np.max(np.abs(A)) if n else 0.0
-    if norm > 0 and np.max(np.abs(A + A.T)) > antisym_tol * norm:
+    A = np.asarray(A, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] % 2:
+        raise ConfigError(f"pfaffian needs square matrices of even dimension, got {A.shape}")
+    lead, n = A.shape[:-2], A.shape[-1]
+    # a fresh (n, n, batch) copy: each entry's values over the stack are contiguous
+    A = np.moveaxis(A.reshape((math.prod(lead), n, n)), 0, -1).copy()
+    norm = np.abs(A).max(axis=(0, 1), initial=0.0)
+    if np.any(np.abs(A + np.swapaxes(A, 0, 1)).max(axis=(0, 1), initial=0.0) > antisym_tol * norm):
         raise ConfigError("matrix is not antisymmetric within tolerance")
-    if n == 0:
-        return 1.0 + 0j
-    pf = 1.0 + 0j
-    for k in range(0, n - 2, 2):
-        col = np.abs(A[k + 1:, k])
-        ip = k + 1 + int(np.argmax(col))
-        if col.max() == 0.0:
-            return 0j
-        if ip != k + 1:
-            A[[k + 1, ip], :] = A[[ip, k + 1], :]
-            A[:, [k + 1, ip]] = A[:, [ip, k + 1]]
-            pf = -pf
-        pf *= A[k, k + 1]
-        tau = A[k + 2:, k] / A[k + 1, k]
-        row = A[k + 1, k + 2:]
-        A[k + 2:, k + 2:] += np.outer(row, tau) - np.outer(tau, row)
-    return pf * A[n - 2, n - 1]
+    idx, pf = np.arange(A.shape[-1]), np.ones(A.shape[-1], dtype=complex)
+    while len(A) > 2:        # A is the trailing block; its rows 0 and 1 are the working pair
+        ip = 1 + np.abs(A[1:, 0]).argmax(axis=0)
+        A[1, :, idx], A[ip, :, idx] = A[ip, :, idx], A[1, :, idx]
+        A[:, 1, idx], A[:, ip, idx] = A[:, ip, idx], A[:, 1, idx]
+        live = A[1, 0] != 0
+        pf = np.where(live, np.where(ip == 1, pf, -pf) * A[0, 1], 0j)
+        tau = A[2:, 0] / np.where(live, A[1, 0], 1.0)
+        row = A[1, 2:]
+        A = A[2:, 2:] + (row[:, None] * tau[None, :] - tau[:, None] * row[None, :])
+    pf = pf * A[0, 1] if n else pf
+    return complex(pf[0]) if not lead else pf.reshape(lead)

@@ -5,7 +5,7 @@ from wishart_lab import (CdfEngine, EpsilonTransform, KernelBundle,
                          ModelParams, build_basis, fredholm_det, fredholm_det_exact,
                          half_line_rule, loe_direct_cdf, logdet_m_derivative, pfaffian,
                          truncated_moment_matrix, weight_w)
-from wishart_lab import DegenerateSkewProductError, PrecisionLossError
+from wishart_lab import ConfigError, DegenerateSkewProductError, PrecisionLossError
 from wishart_lab import cdf as cdf_module
 from wishart_lab.skew import SkewProductTable, default_xmax
 
@@ -284,6 +284,44 @@ class TestCdfGrid:
         eng.cdf_grid(self.ZS)
         assert calls == [len(self.ZS)] * eng.contour.node_count
         assert eng._anchors["pfaffian"] == anchor
+
+    def test_each_distinct_z_evaluated_once(self, p48, monkeypatch):
+        # one truncated Gram stack and one batched Pfaffian per node, over the
+        # distinct z only: the set-up call sees z_inf once, a grid's repeats
+        # (z_inf among them) are read back from their first evaluation
+        seen, pf_calls = [], []
+
+        def gram_spy(params, t, z, **kw):
+            seen.append(list(z))
+            return truncated_moment_matrix(params, t, z, **kw)
+
+        def pf_spy(A):
+            pf_calls.append(np.shape(A))
+            return pfaffian(A)
+
+        monkeypatch.setattr(cdf_module, "truncated_moment_matrix", gram_spy)
+        monkeypatch.setattr(cdf_module, "pfaffian", pf_spy)
+        eng = CdfEngine(p48)
+        n = eng.contour.node_count
+        eng.cdf(eng.z_inf)
+        assert seen == [[eng.z_inf]] * n and pf_calls == [(1, p48.N, p48.N)] * n
+        seen.clear()
+        pf_calls.clear()
+        grid = [3.0, 2.0, 3.0, eng.z_inf, 2.0, -1.0, 3.0]
+        res = eng.cdf_grid(grid)
+        assert seen == [[2.0, 3.0, eng.z_inf]] * n and pf_calls == [(3, p48.N, p48.N)] * n
+        assert res[0] == res[2] == res[6] and res[1] == res[4]
+        assert [r.z for r in res] == grid and res[0] != res[1]
+        assert res[3].value == pytest.approx(1.0, abs=1e-9)
+
+    def test_duplicates_equal_on_the_fredholm_route(self, engine):
+        res = engine.cdf_grid([4.0, 2.0, 4.0], "fredholm")
+        assert res[0] == res[2] and res[0] != res[1]
+
+    @pytest.mark.parametrize("z_inf", [0.0, -1.0, float("nan"), float("inf")])
+    def test_z_inf_must_be_finite_and_positive(self, p48, z_inf):
+        with pytest.raises(ConfigError):
+            CdfEngine(p48, z_inf=z_inf)
 
     def test_one_bundle_and_one_determinant_per_node(self, p48, monkeypatch):
         # the anchor pass and a later grid share one KernelBundle per node

@@ -23,6 +23,10 @@ def write_config(path, **kw):
     ("sample", {"mode": "hist", "bins": "x"}, "samples.csv"),
     ("kernel-dump", {"t": [2.0, "i"]}, "kernel.csv"),
     ("kernel-dump", {"grid": {"n": "x"}}, "kernel.csv"),
+    ("cdf", {"z_inf": -1}, "cdf.csv"),
+    ("cdf", {"z_inf": 0.0}, "cdf.csv"),
+    ("sample", {"mode": "hist", "bins": 0}, "samples.csv"),
+    ("sample", {"mode": "hist", "bins": -2}, "samples.csv"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, bad, out):
     cfg = write_config(tmp_path / "c.json", **{"N": 4, "M": 8, "tau": 1.0, "z": [2.0], **bad})

@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from wishart_lab import (ConfigError, DegenerateSkewProductError, ModelParams,
-                         SkewProductTable, build_basis, build_skew_polys, h_poly,
-                         inner_product_2, moment_matrix, pfaffian, skew_product,
-                         weight_w)
+from wishart_lab import (ConfigError, DegenerateSkewProductError, EpsilonTransform,
+                         ModelParams, SkewProductTable, build_basis, build_skew_polys,
+                         h_poly, inner_product_2, moment_matrix, pfaffian, skew_gram,
+                         skew_product, weight_w)
 from wishart_lab.quadrature import half_line_rule
-from wishart_lab.skew import default_xmax
+from wishart_lab.skew import default_xmax, rule_for_t
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +210,26 @@ class TestMomentMatrix:
         assert np.all(truncated_moment_matrix(p48, 2 + 1j, 0.0) == 0.0)
 
 
+def random_skew(rng, shape, n):
+    """Complex antisymmetric stack whose (1, 0) entries are tiny, so the
+    first elimination step must pivot in every member."""
+    A = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+    A[..., 1, 0] *= 1e-6
+    return np.triu(A, 1) - np.swapaxes(np.triu(A, 1), -1, -2)
+
+
+def pf_expansion(A):
+    """Oracle: expansion along the first row, Pf(A) = sum_j (-1)^(j+1) a_0j Pf(A without 0, j)."""
+    n = A.shape[0]
+    if n == 0:
+        return 1.0 + 0j
+    total = 0j
+    for j in range(1, n):
+        keep = [i for i in range(1, n) if i != j]
+        total += (-1) ** (j + 1) * A[0, j] * pf_expansion(A[np.ix_(keep, keep)])
+    return total
+
+
 class TestPfaffian:
     def test_2x2(self):
         assert pfaffian(np.array([[0.0, 2.5], [-2.5, 0.0]])) == 2.5 + 0j
@@ -216,18 +238,20 @@ class TestPfaffian:
         assert pfaffian(np.array([[0.0, 1.0], [-1.0, 0.0]])) == 1.0 + 0j
 
     def test_4x4_cofactor_formula(self):
-        rng = np.random.default_rng(1)
-        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        A = A - A.T
-        expect = A[0, 1] * A[2, 3] - A[0, 2] * A[1, 3] + A[0, 3] * A[1, 2]
-        assert pfaffian(A) == pytest.approx(expect, rel=1e-12)
+        A = random_skew(np.random.default_rng(1), (5,), 4)
+        expect = A[:, 0, 1] * A[:, 2, 3] - A[:, 0, 2] * A[:, 1, 3] + A[:, 0, 3] * A[:, 1, 2]
+        assert np.allclose(pfaffian(A), expect, rtol=1e-12, atol=0)
+        assert pfaffian(A[3]) == pytest.approx(expect[3], rel=1e-12)
 
-    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("n", [4, 6, 8, 2, 10, 12, 14, 16])
     def test_square_is_determinant(self, n):
-        rng = np.random.default_rng(n)
-        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        A = A - A.T
-        assert pfaffian(A) ** 2 == pytest.approx(np.linalg.det(A), rel=1e-9)
+        A = random_skew(np.random.default_rng(n), (7,), n)
+        assert np.allclose(pfaffian(A) ** 2, np.linalg.det(A), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_matches_first_row_expansion(self, n):
+        A = random_skew(np.random.default_rng(10 + n), (3,), n)
+        assert np.allclose(pfaffian(A), [pf_expansion(a) for a in A], rtol=1e-10, atol=0)
 
     def test_congruence_scaling(self):
         rng = np.random.default_rng(9)
@@ -241,12 +265,69 @@ class TestPfaffian:
         with pytest.raises(ConfigError):
             pfaffian(np.zeros((3, 3)))
         with pytest.raises(ConfigError):
+            pfaffian(np.zeros((2, 4, 6)))
+        with pytest.raises(ConfigError):
             pfaffian(np.eye(4))
+        A = random_skew(np.random.default_rng(7), (4,), 4)
+        A[2, 0, 1] += 1.0                             # one member of the stack
+        with pytest.raises(ConfigError):
+            pfaffian(A)
 
     def test_singular(self):
         A = np.zeros((4, 4))
         A[0, 1], A[1, 0] = 1.0, -1.0
         assert pfaffian(A) == 0.0
+
+    def test_dead_member_leaves_neighbours_alone(self):
+        rng = np.random.default_rng(4)
+        regular = random_skew(rng, (2,), 6)
+        first = random_skew(rng, (), 6)
+        first[0, :], first[:, 0] = 0.0, 0.0          # zero working column at step 1,
+        first[0, 1:] = 1e-13                          # its row only antisymmetric to tolerance
+        later = np.zeros((6, 6), dtype=complex)
+        later[:2, :2] = [[0.0, 2.0], [-2.0, 0.0]]     # zero working column at step 2
+        later[4:, 4:] = [[0.0, 3.0], [-3.0, 0.0]]
+        got = pfaffian(np.stack([regular[0], first, regular[1], later]))
+        assert got[1] == 0.0 and got[3] == 0.0
+        assert got[0] == pfaffian(regular[0]) and got[2] == pfaffian(regular[1])
+
+    def test_zero_pivot_raises_no_warning(self):
+        A = np.zeros((3, 4, 4))
+        A[1, 2, 3], A[1, 3, 2] = 1.0, -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(pfaffian(A) == 0.0)
+
+    def test_shapes(self):
+        A = random_skew(np.random.default_rng(6), (2, 3), 4)
+        got = pfaffian(A)
+        assert got.shape == (2, 3)
+        assert got[1, 2] == pfaffian(A[1, 2])
+        assert type(pfaffian(A[0, 0])) is complex
+        assert pfaffian(np.zeros((2, 0, 0))).tolist() == [1.0, 1.0]
+
+
+class TestSkewGram:
+    def test_running_sum_matches_masked_product(self, p48):
+        # the masked formula (phi [x < z] w) @ F^T, antisymmetrised, per z:
+        # unsorted and repeated z, z <= 0, z past xmax, z off the panel edges
+        # z on a node (which the strict mask leaves out) and NaN (no node)
+        t = 2 + 1j
+        rule = rule_for_t(p48, t, breaks=[2.0, 4.5])
+        phi = build_basis(p48).eval_all(rule.x)[:5] * weight_w(p48, t, rule.x)
+        F = EpsilonTransform(rule, phi).cumulative
+        zs = [4.5, 2.0, -1.0, 0.0, 4.5, 3.3, default_xmax(p48), 1e3, 2.0, 0.77, rule.x[37],
+              np.nan]
+        got, _ = skew_gram(rule, phi, zs)
+        assert got.shape == (len(zs), 5, 5)
+        for z, g in zip(zs, got):
+            raw = (phi * ((rule.x < z) * rule.w)) @ F.T
+            want = 0.5 * (raw - raw.T)
+            assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.all(got[2] == 0.0) and np.all(got[3] == 0.0)
+        assert np.array_equal(got[0], got[4]) and np.array_equal(got[1], got[8])
+        one, _ = skew_gram(rule, phi, 3.3)
+        assert one.shape == (5, 5) and np.max(np.abs(one - got[5])) <= 1e-13 * np.max(np.abs(one))
 
 
 class TestDeBruijn:
