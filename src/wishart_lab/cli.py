@@ -140,39 +140,32 @@ def cmd_sample(args) -> int:
     n = _value(cfg, "n", int, 1000)
     nbins = _value(cfg, "bins", int, 40)
     mode = cfg.get("mode", "max")
+    if mode not in ("max", "hist"):
+        raise ConfigError(f"unknown sample mode {mode!r}")
     if mode == "hist" and nbins < 1:
         raise ConfigError(f"config value 'bins' = {nbins} must be at least 1")
     mc = McConfig(seed=seed, n_samples=n, params=params)
     t0 = time.time()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "samples.csv"
     if mode == "max":
-        lams = sample_wishart_max_eig(mc)
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda_max"])
-            for v in lams:
-                writer.writerow([_fmt(v)])
-    elif mode == "hist":
+        header = ["lambda_max"]
+        rows = ([_fmt(v)] for v in sample_wishart_max_eig(mc))
+    else:
         eigs = sample_wishart_all_eigs(mc).ravel()
         edges = np.linspace(0.0, 1.2 * float(np.max(eigs)), nbins + 1)
         counts, _ = np.histogram(eigs, edges)
-        total = eigs.size
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_lo", "bin_hi", "count", "density", "se",
-                             "mp_density_mid"])
-            for i in range(nbins):
-                width = edges[i + 1] - edges[i]
-                dens = counts[i] / (total * width)
-                se = np.sqrt(max(counts[i], 1)) / (total * width)
-                mid = 0.5 * (edges[i] + edges[i + 1])
-                writer.writerow([_fmt(edges[i]), _fmt(edges[i + 1]),
-                                 int(counts[i]), _fmt(dens), _fmt(se),
-                                 _fmt(mp_density(params, mid))])
-    else:
-        raise ConfigError(f"unknown sample mode {mode!r}")
+        norm = eigs.size * np.diff(edges)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        header = ["bin_lo", "bin_hi", "count", "density", "se", "mp_density_mid"]
+        rows = ([_fmt(lo), _fmt(hi), int(c), _fmt(c / m), _fmt(np.sqrt(max(c, 1)) / m), _fmt(rho)]
+                for lo, hi, c, m, rho in zip(edges[:-1], edges[1:], counts, norm,
+                                             mp_density(params, mids)))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_path = out_dir / "samples.csv"
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
     _write_manifest(out_dir, "samples", {
         "command": "sample",
         "config": cfg,

@@ -1,11 +1,11 @@
 """Monte-Carlo and direct-integration oracles.
 
 Samplers use numpy's Philox counter-based generator (pinned in pyproject),
-so a seed fully determines every stream on every platform; Gaussian draws
-go through the generator's deterministic transform, never OS entropy.
-Sampling is chunked for memory but the draw order is fixed, so results are
-independent of chunk size only if the chunk size itself is fixed -- it is,
-as a module constant.
+so a seed fully determines every stream on every platform; Gaussian and
+chi-square draws go through the generator's deterministic transforms, never
+OS entropy.  Sampling is chunked for memory only: each chunk draws its rows
+in order, one variate after another, so a stream does not depend on the
+chunk size.
 
 The group-integral oracles follow two sign conventions deliberately: the
 sphere representation of the eigenvalue j.p.d.f. carries e^{+ M tau_tilde
@@ -46,6 +46,8 @@ class McConfig:
     params: ModelParams
 
     def __post_init__(self):
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
 
@@ -63,27 +65,42 @@ def _chunked(n: int, draw) -> np.ndarray:
     return np.concatenate([draw(min(_CHUNK, n - start)) for start in range(0, n, _CHUNK)])
 
 
+def _bidiagonal_gram(c: np.ndarray) -> np.ndarray:
+    """Lower triangle (all that eigvalsh reads) of B B^T, where each row of c
+    holds a lower-bidiagonal B: diagonal a = c[:N], subdiagonal b = c[N:]."""
+    m, n = c.shape[0], (c.shape[1] + 1) // 2
+    T = np.zeros((m, n, n))
+    flat = T.reshape(m, n * n)  # strided views: diagonal a_k^2 + b_{k-1}^2, subdiagonal a_k b_k
+    np.square(c[:, :n], out=flat[:, ::n + 1])
+    flat[:, n + 1::n + 1] += c[:, n:] ** 2
+    np.multiply(c[:, :n - 1], c[:, n:], out=flat[:, n::n + 1])
+    return T
+
+
 def sample_wishart_all_eigs(cfg: McConfig) -> np.ndarray:
     """Eigenvalues of S = X X^T / M, shape (n_samples, N), ascending.
 
-    X has independent N(0, 1) entries with the first row scaled by
-    sqrt(1 + tau): the spike's coordinate is immaterial by rotation
-    invariance of the remaining rows.
+    X is N x M Gaussian with row 1 scaled by sqrt(1 + tau).  Householder
+    reflections, from the right starting on row 1 and from the left on rows
+    2..N only, give S = B B^T / M in law with B lower bidiagonal: diagonal
+    sqrt(1 + tau) chi_M, chi_{M-1}, ..., chi_{M-N+1}, subdiagonal chi_{N-1},
+    ..., chi_1 (Dumitriu & Edelman, J. Math. Phys. 43 (2002), plus the spike).
     """
     p = cfg.params
     rng = _rng(cfg.seed)
-    scale = math.sqrt(1.0 + p.tau)
+    df = np.r_[np.arange(p.M, p.M - p.N, -1), np.arange(p.N - 1, 0, -1)]
 
     def draw(m):
-        X = rng.standard_normal((m, p.N, p.M))
-        X[:, 0, :] *= scale
-        return np.linalg.eigvalsh(X @ np.swapaxes(X, 1, 2) / p.M)
+        c = np.sqrt(rng.chisquare(df, size=(m, df.size)) / p.M)
+        c[:, 0] *= math.sqrt(1.0 + p.tau)
+        return np.linalg.eigvalsh(_bidiagonal_gram(c))
 
     return _chunked(cfg.n_samples, draw)
 
 
 def sample_wishart_max_eig(cfg: McConfig) -> np.ndarray:
-    """Largest eigenvalue per sample; identical seed, identical stream."""
+    """Largest eigenvalue per sample of the bidiagonal model (Dumitriu & Edelman 2002;
+    see sample_wishart_all_eigs); identical seed, identical stream."""
     return sample_wishart_all_eigs(cfg)[:, -1]
 
 

@@ -51,11 +51,8 @@ def suite_parts_identity(seed: int = 0) -> dict:
             for i in range(6):
                 fc = basis.coeffs(i)
                 for j in range(5):
-                    xj = np.zeros(j + 1)
-                    xj[j] = 1.0
-                    lhs = skew_product(p, fc, h_poly(p, j, t), t)
-                    rhs = inner_product_2(p, fc, xj)
-                    pairs.append((lhs, rhs))
+                    pairs.append((skew_product(p, fc, h_poly(p, j, t), t),
+                                  inner_product_2(p, fc, np.eye(j + 1)[j])))
             scale = max(abs(r) for _, r in pairs)
             worst = max(abs(l - r) / (abs(r) if abs(r) > 1e-10 * scale else scale)
                         for l, r in pairs)
@@ -73,17 +70,12 @@ def suite_skew_op(seed: int = 0) -> dict:
         table = SkewProductTable.build(p, t, basis=basis)
         scale = table.scale
         polys = build_skew_polys(table)
+        # pi_N and pi_{N+1} in the monomial basis
+        mono = {d: sum(c * np.pad(basis.coeffs(k), (0, d - k)) for k, c in enumerate(polys.coeffs[d]))
+                for d in (p.N, p.N + 1)}
         # <pi_{d,1}, y^j>_1 = 0 for j <= d - 2  (covers both members of each pair)
-        worst = 0.0
-        for d in (p.N, p.N + 1):
-            cm = np.zeros(d + 1, dtype=complex)
-            for k, c in enumerate(polys.coeffs[d]):
-                cc = basis.coeffs(k)
-                cm[: len(cc)] += c * cc
-            for j in range(p.N):
-                xj = np.zeros(j + 1)
-                xj[j] = 1.0
-                worst = max(worst, abs(skew_product(p, cm, xj, t)) / scale)
+        worst = max(abs(skew_product(p, cm, np.eye(j + 1)[j], t)) / scale
+                    for cm in mono.values() for j in range(p.N))
         checks.append(_check(f"sop conditions t={t}", worst, 1e-7))
         zero = max(abs(table.entries[2 * k, 2 * k - 1]) for k in (1, 2)) / scale
         checks.append(_check(f"<L_2k, L_2k-1> zero t={t}", zero, 1e-7))
@@ -95,11 +87,7 @@ def suite_skew_op(seed: int = 0) -> dict:
                     for k in (1, 2))
         checks.append(_check(f"gamma_2k,2 = 0 t={t}", gamma, 1e-7))
         # equivalent route: <pi_N, x^j>_2 = 0 for j <= N - 3
-        cm = np.zeros(p.N + 1, dtype=complex)
-        for k, c in enumerate(polys.coeffs[p.N]):
-            cc = basis.coeffs(k)
-            cm[: len(cc)] += c * cc
-        w2 = max(abs(inner_product_2(p, cm, np.eye(j + 1)[j]))
+        w2 = max(abs(inner_product_2(p, mono[p.N], np.eye(j + 1)[j]))
                  for j in range(p.N - 2)) / basis.h(p.N - 2)
         checks.append(_check(f"<pi_N, x^j>_2 zero t={t}", w2, 1e-7))
     return _wrap("skew-op", checks, t0)

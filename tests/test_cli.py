@@ -27,14 +27,22 @@ def write_config(path, **kw):
     ("cdf", {"z_inf": 0.0}, "cdf.csv"),
     ("sample", {"mode": "hist", "bins": 0}, "samples.csv"),
     ("sample", {"mode": "hist", "bins": -2}, "samples.csv"),
+    ("sample", {"seed": -1}, "samples.csv"),
+    ("verify", {"seed": -1}, "report.json"),
+    ("sample", {"mode": "foo"}, "samples.csv"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, bad, out):
     cfg = write_config(tmp_path / "c.json", **{"N": 4, "M": 8, "tau": 1.0, "z": [2.0], **bad})
-    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    out_dir = tmp_path / "o"
+    if command == "verify":
+        argv = ["verify", "mc-cdf", "--seed", str(bad["seed"]), "--json", str(out_dir / out)]
+    else:
+        argv = [command, "--config", cfg, "--out", str(out_dir)]
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "o" / out).exists()
+    assert not out_dir.exists()
 
 
 class TestCdfCommand:

@@ -5,6 +5,40 @@ from wishart_lab import (ConfigError, McConfig, ModelParams, contour_integral_I,
                          haar_orthogonal, haar_orthogonal_integral, haar_unitary,
                          loe_direct_cdf, make_contour, sample_wishart_all_eigs,
                          sample_wishart_max_eig, sphere_integral_oracle)
+from wishart_lab import sampling
+
+
+def dense_all_eigs(cfg: McConfig, chunk: int = 1000) -> np.ndarray:
+    """Oracle: eigenvalues of S = X X^T / M from the dense N x M Gaussian X itself.
+
+    N M normals per sample, the first row of X scaled by sqrt(1 + tau); the
+    model's definition, with no reduction.  Ascending, shape (n_samples, N).
+    """
+    p = cfg.params
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    out = []
+    for start in range(0, cfg.n_samples, chunk):
+        X = rng.standard_normal((min(chunk, cfg.n_samples - start), p.N, p.M))
+        X[:, 0, :] *= np.sqrt(1.0 + p.tau)
+        out.append(np.linalg.eigvalsh(X @ np.swapaxes(X, 1, 2) / p.M))
+    return np.concatenate(out)
+
+
+def ks_two_sample(x, y) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_x - F_y|."""
+    x, y = np.sort(x), np.sort(y)
+    pts = np.concatenate([x, y])
+    return float(np.max(np.abs(np.searchsorted(x, pts, side="right") / x.size
+                               - np.searchsorted(y, pts, side="right") / y.size)))
+
+
+def moment_sigmas(a, b) -> tuple[float, float]:
+    """|mean difference| and |variance difference| of two samples, in standard errors."""
+    va, vb = a.var(ddof=1), b.var(ddof=1)
+    m4a, m4b = np.mean((a - a.mean()) ** 4), np.mean((b - b.mean()) ** 4)
+    se_mean = np.sqrt(va / a.size + vb / b.size)
+    se_var = np.sqrt((m4a - va**2) / a.size + (m4b - vb**2) / b.size)
+    return abs(a.mean() - b.mean()) / se_mean, abs(va - vb) / se_var
 
 
 class TestWishartSampler:
@@ -44,6 +78,62 @@ class TestWishartSampler:
     def test_validation(self):
         with pytest.raises(ConfigError):
             McConfig(0, 0, ModelParams(2, 4, 0.0))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            McConfig(seed, 10, ModelParams(2, 4, 0.0))
+
+    @pytest.mark.parametrize("seed", [0, np.int64(3), 2**70])
+    def test_seed_accepts_non_negative_integers(self, seed):
+        assert sample_wishart_max_eig(McConfig(seed, 3, ModelParams(2, 4, 0.0))).shape == (3,)
+
+
+class TestBidiagonalModel:
+    """The sampler's B B^T / M against the dense X X^T / M it stands for."""
+
+    @pytest.mark.parametrize("N", [2, 8, 16])
+    def test_gram_is_the_explicit_bidiagonal_product(self, N):
+        M = 4 * N
+        df = np.r_[np.arange(M, M - N, -1), np.arange(N - 1, 0, -1)]
+        c = np.sqrt(np.random.default_rng(N).chisquare(df, size=(50, df.size)) / M)
+        B = np.zeros((50, N, N))
+        k = np.arange(N)
+        B[:, k, k] = c[:, :N]
+        B[:, k[1:], k[:-1]] = c[:, N:]
+        T = sampling._bidiagonal_gram(c)
+        assert not np.any(np.triu(T, 1))
+        np.testing.assert_allclose(T, np.tril(B @ np.swapaxes(B, 1, 2)), rtol=1e-14, atol=0)
+        sv2 = np.sort(np.linalg.svd(B, compute_uv=False) ** 2, axis=1)
+        np.testing.assert_allclose(np.linalg.eigvalsh(T), sv2, rtol=1e-12, atol=0)
+
+    def test_stream_does_not_depend_on_chunk_size(self, monkeypatch):
+        cfg = McConfig(5, 1000, ModelParams(4, 8, 1.0))
+        ref = sample_wishart_all_eigs(cfg)
+        monkeypatch.setattr(sampling, "_CHUNK", 7)
+        assert np.array_equal(sample_wishart_all_eigs(cfg), ref)
+
+    def test_smallest_m_gives_positive_spectrum(self):
+        # (2, 3): the last diagonal entry of B is chi_{M-N+1} = chi_2, never chi_0 = 0
+        eigs = sample_wishart_all_eigs(McConfig(23, 20_000, ModelParams(2, 3, 0.0)))
+        assert eigs.min() > 0.0
+
+    @pytest.mark.parametrize("N,M,tau,n,seed", [
+        (4, 8, 1.0, 40_000, 41),
+        (8, 32, 1.0, 20_000, 83),
+        (16, 64, 0.0, 10_000, 160),
+        (16, 64, 1.5, 10_000, 161),
+    ])
+    def test_agrees_with_dense_oracle(self, N, M, tau, n, seed):
+        p = ModelParams(N, M, tau)
+        fast = sample_wishart_all_eigs(McConfig(seed, n, p))
+        dense = dense_all_eigs(McConfig(seed + 1000, n, p))
+        # two-sample KS on lambda_max at alpha = 1e-3 (asymptotic critical value)
+        crit = np.sqrt(-0.5 * np.log(1e-3 / 2)) * np.sqrt(2.0 / n)
+        assert ks_two_sample(fast[:, -1], dense[:, -1]) < crit
+        for stat in (np.sum, np.max):
+            d_mean, d_var = moment_sigmas(stat(fast, axis=1), stat(dense, axis=1))
+            assert d_mean < 4.0 and d_var < 4.0
 
 
 class TestHaarSamplers:
