@@ -51,7 +51,7 @@ from .errors import ConfigError, PrecisionLossError
 from .kernels import KernelBundle
 from .laguerre import LaguerreBasis, build_basis
 from .params import ContourSpec, ModelParams, mp_edges, weight_w
-from .quadrature import KAPPA_EPSILON, half_line_rule
+from .quadrature import KAPPA_EPSILON, ReferencePanel, half_line_rule, reference_panel
 from .skew import SkewProductTable, default_xmax, pfaffian, skew_gram
 
 __all__ = [
@@ -86,14 +86,16 @@ def default_z_inf(params: ModelParams) -> float:
 
 def truncated_moment_matrix(params: ModelParams, t: complex, z,
                             basis: LaguerreBasis | None = None,
-                            n_panels: int = 24, q: int = 16) -> np.ndarray:
+                            n_panels: int = 24, q: int = 16,
+                            panel: ReferencePanel | None = None) -> np.ndarray:
     """N x N antisymmetric matrix <L_j, L_k>_1 truncated to [0, z]^2.
 
     A 1-D z gives the stack (len(z), N, N), every truncation read off one
     full-half-line rule with a panel edge at each z; z <= 0 gives zeros.
+    `basis` and the q-point reference `panel` are built when not given.
     """
-    table = SkewProductTable.build(params, t, kmax=params.N - 1, z=z,
-                                   basis=basis, n_panels=n_panels, q=q)
+    table = SkewProductTable.build(params, t, kmax=params.N - 1, z=z, basis=basis,
+                                   n_panels=n_panels, q=q, panel=panel)
     return table.entries
 
 
@@ -216,7 +218,11 @@ class CdfEngine:
     normalisation anchor, which later calls reuse.  A Pfaffian-route node
     takes one truncated Gram stack and one batched Pfaffian for all its z;
     the Fredholm route caches one KernelBundle per contour node and nothing
-    off the contour.  z_inf must be finite and positive.
+    off the contour.  The node rules of both routes share one q-point
+    Gauss-Legendre reference panel (it depends on q alone) and the nodes
+    share one Laguerre basis; the engine builds both once, for itself, not
+    in a process-wide cache.  q must be an integer >= 4 and z_inf finite
+    and positive.
     """
 
     def __init__(self, params: ModelParams, *, contour_nodes: int = 64,
@@ -229,6 +235,8 @@ class CdfEngine:
         self.radius_factor = radius_factor
         self.n_panels = n_panels
         self.q = q
+        self.panel = reference_panel(q)
+        self.basis = build_basis(params)
         self.n_nystrom = n_nystrom
         self.z_inf = default_z_inf(params) if z_inf is None else float(z_inf)
         if not (math.isfinite(self.z_inf) and self.z_inf > 0.0):
@@ -343,9 +351,9 @@ class CdfEngine:
         """
         if route == "fredholm":
             return self._fredholm_values(zs)
-        basis = build_basis(self.params)
         return np.array([pfaffian(truncated_moment_matrix(
-            self.params, t, zs, basis=basis, n_panels=self.n_panels, q=self.q))
+            self.params, t, zs, basis=self.basis, n_panels=self.n_panels, q=self.q,
+            panel=self.panel))
             for t in self.contour.nodes]), [{}] * len(zs)
 
     # ------------------------------------------------------------------ #
@@ -375,8 +383,9 @@ class CdfEngine:
             prev = None
             for i in walk:
                 if i not in self._bundles:
-                    self._bundles[i] = KernelBundle.build(self.params, complex(nodes[i]),
-                                                          n_panels=self.n_panels, q=self.q)
+                    self._bundles[i] = KernelBundle.build(
+                        self.params, complex(nodes[i]), basis=self.basis,
+                        n_panels=self.n_panels, q=self.q, panel=self.panel)
                 b = self._bundles[i]
                 det_b = complex(np.linalg.det(b.table.entries[:N, :N]))
                 d_b = logdet_m_derivative(self.params, b.t, bundle=b)

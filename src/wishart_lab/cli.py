@@ -54,14 +54,17 @@ def _value(cfg: dict, key: str, kind: type, default=None):
     """cfg[key] as an int, a finite float or (kind=list) a list of finite floats.
 
     An absent or null key gives `default`; any other value that does not
-    convert raises ConfigError.
+    convert exactly raises ConfigError: a boolean, and for an int a number
+    with a fractional part, are refused rather than coerced.
     """
     value = cfg.get(key)
     if value is None:
         return default
     try:
-        if kind is list and not isinstance(value, list):
+        if isinstance(value, bool) or (kind is list) != isinstance(value, list):
             raise TypeError
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
         out = [float(v) for v in value] if kind is list else kind(value)
         if all(map(math.isfinite, out if kind is list else [out])):
             return out

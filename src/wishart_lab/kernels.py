@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateSkewProductError
 from .laguerre import LaguerreBasis, cd_kernel_k2
 from .params import ModelParams, weight_w
-from .quadrature import EpsilonTransform, KAPPA_EPSILON
+from .quadrature import EpsilonTransform, KAPPA_EPSILON, ReferencePanel
 from .skew import SkewPolySet, SkewProductTable, build_skew_polys
 
 __all__ = [
@@ -67,10 +67,11 @@ class KernelBundle:
     def build(cls, params: ModelParams, t: complex,
               basis: LaguerreBasis | None = None,
               n_panels: int = 24, q: int = 16,
-              table: SkewProductTable | None = None) -> "KernelBundle":
+              table: SkewProductTable | None = None,
+              panel: ReferencePanel | None = None) -> "KernelBundle":
         if table is None:
             table = SkewProductTable.build(params, t, basis=basis,
-                                           n_panels=n_panels, q=q)
+                                           n_panels=n_panels, q=q, panel=panel)
         N = params.N
         m = table.entries[:N, :N]
         cond = float(np.linalg.cond(m))

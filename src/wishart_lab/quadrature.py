@@ -34,6 +34,8 @@ from .errors import ConfigError, QuadratureError
 
 __all__ = [
     "KAPPA_EPSILON",
+    "ReferencePanel",
+    "reference_panel",
     "HalfLineRule",
     "half_line_rule",
     "finite_rule",
@@ -71,25 +73,54 @@ def _legendre_cumulative(v, q):
 
 
 @dataclass(frozen=True)
-class HalfLineRule:
-    """Composite Gauss-Legendre rule on [0, xmax] under x = u^2.
+class ReferencePanel:
+    """The q-point Gauss-Legendre panel on [-1, 1] that every rule maps to its panels.
 
-    Fields `x`, `w` give nodes (increasing) and weights for int_0^xmax f dx.
-    `u_edges` are the panel boundaries in u = sqrt(x); each panel carries `q`
-    Gauss nodes.  The matrices `vinv` (Legendre analysis) and `cum_ref`
+    It depends on q alone, so one panel serves every rule of that q; its
+    arrays are read-only.  `vinv` (Legendre analysis) and `cum_ref`
     (reference cumulative integrals) implement within-panel cumulatives.
     """
 
-    xmax: float
     q: int
-    u_edges: np.ndarray
-    x0: float
-    x: np.ndarray
-    w: np.ndarray
     ug: np.ndarray        # reference Gauss nodes on [-1, 1]
     wg: np.ndarray        # reference Gauss weights
     vinv: np.ndarray      # (q, q): samples at ug -> Legendre coefficients
     cum_ref: np.ndarray   # (q, q): cum_ref[i, n] = int_{-1}^{ug_i} P_n
+
+
+def reference_panel(q: int) -> ReferencePanel:
+    """Build the q-point reference panel; q must be an integer >= 4."""
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 4:
+        raise ConfigError(f"q must be an integer >= 4, got {q!r}")
+    q = int(q)
+    ug, wg = leggauss(q)
+    V = _legendre_values(ug, q - 1).T               # (q, q): V[i, n] = P_n(ug_i)
+    arrays = (ug, wg, np.linalg.inv(V), _legendre_cumulative(ug, q).T)
+    for a in arrays:
+        a.setflags(write=False)
+    return ReferencePanel(q, *arrays)
+
+
+@dataclass(frozen=True)
+class HalfLineRule:
+    """Composite Gauss-Legendre rule on [x0, xmax] under x = x0 + u^2.
+
+    Fields `x`, `w` give nodes (increasing) and weights for int_x0^xmax f dx.
+    `u_edges` are the panel boundaries in u = sqrt(x - x0); each panel is an
+    affine image of the shared reference `panel` (q Gauss nodes), whose
+    tables also give the within-panel cumulatives.
+    """
+
+    xmax: float
+    u_edges: np.ndarray
+    x0: float
+    x: np.ndarray
+    w: np.ndarray
+    panel: ReferencePanel
+
+    @property
+    def q(self) -> int:
+        return self.panel.q
 
     @property
     def n_panels(self) -> int:
@@ -118,10 +149,10 @@ class HalfLineRule:
         u = np.sqrt(self.x - self.x0)
         g = 2.0 * u * np.asarray(fvals)
         g = g.reshape(g.shape[:-1] + (self.n_panels, self.q))
-        panel_totals = (g * self.wg).sum(axis=-1) * self._panel_scales()
+        panel_totals = (g * self.panel.wg).sum(axis=-1) * self._panel_scales()
         running = np.cumsum(panel_totals, axis=-1)
         prefix = np.concatenate((np.zeros_like(running[..., :1]), running), axis=-1)
-        return g @ self.vinv.T, prefix
+        return g @ self.panel.vinv.T, prefix
 
     def cumulative(self, fvals) -> np.ndarray:
         """F(x_i) = int_{x0}^{x_i} f dx at every rule node.
@@ -131,7 +162,7 @@ class HalfLineRule:
         """
         coef, prefix = self._series(fvals)
         s = self._panel_scales()
-        within = coef @ self.cum_ref.T * s[:, None]  # cumulative inside each panel at its nodes
+        within = coef @ self.panel.cum_ref.T * s[:, None]  # cumulative inside each panel at its nodes
         out = within + prefix[..., :-1, None]
         return out.reshape(out.shape[:-2] + (-1,))
 
@@ -146,11 +177,11 @@ class HalfLineRule:
         s = self._panel_scales()
         u = np.sqrt(self.x - self.x0)
         C = np.zeros((n, n))
-        Q = self.cum_ref @ self.vinv            # within-panel cumulative of samples
+        Q = self.panel.cum_ref @ self.panel.vinv            # within-panel cumulative of samples
         for p in range(self.n_panels):
             sl = slice(p * self.q, (p + 1) * self.q)
             C[sl, sl] = s[p] * Q
-            C[(p + 1) * self.q:, sl] = s[p] * self.wg
+            C[(p + 1) * self.q:, sl] = s[p] * self.panel.wg
         return C * (2.0 * u)[None, :]
 
     def cum_at(self, fvals, xq) -> np.ndarray:
@@ -174,21 +205,12 @@ class HalfLineRule:
         return np.take(out, 0, axis=-1) if scalar else out
 
 
-def _build_from_u_edges(xmax: float, u_edges: np.ndarray, q: int, x0: float = 0.0) -> HalfLineRule:
-    ug, wg = leggauss(q)
-    lo, hi = u_edges[:-1], u_edges[1:]
-    scale = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    u = (mid[:, None] + scale[:, None] * ug[None, :]).reshape(-1)
-    w_u = (scale[:, None] * wg[None, :]).reshape(-1)
-    x = x0 + u * u
-    w = w_u * 2.0 * u
-    # Legendre analysis operator at the reference nodes
-    V = _legendre_values(ug, q - 1).T               # (q, q): V[i, n] = P_n(ug_i)
-    vinv = np.linalg.inv(V)
-    cum_ref = _legendre_cumulative(ug, q).T         # (q, q)
-    return HalfLineRule(float(xmax), q, np.asarray(u_edges, float), float(x0),
-                        x, w, ug, wg, vinv, cum_ref)
+def _map_panel(edges: np.ndarray, panel: ReferencePanel) -> tuple[np.ndarray, np.ndarray]:
+    """The panel's nodes and weights mapped onto each [edges[k], edges[k+1]], flattened."""
+    lo, hi = edges[:-1], edges[1:]
+    scale, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    nodes = (mid[:, None] + scale[:, None] * panel.ug).reshape(-1)
+    return nodes, (scale[:, None] * panel.wg).reshape(-1)
 
 
 def _merge_edges(edges: np.ndarray, new, tol: float) -> np.ndarray:
@@ -220,8 +242,13 @@ def half_line_rule(
     refine_width: float | None = None,
     x0: float = 0.0,
     breaks=(),
+    panel: ReferencePanel | None = None,
 ) -> HalfLineRule:
-    """Build a rule on [x0, xmax] (x0 defaults to 0).
+    """Build a rule on [x0, xmax] (x0 defaults to 0) from `panel`.
+
+    `panel` is the q-point reference panel, built here when not given; a
+    caller that builds many rules passes one panel to all of them, and its
+    q must be `q`.
 
     If `refine_x` is given (the real part of the weight's branch point,
     Re t / tau_tilde), panel edges cluster geometrically toward it down to
@@ -233,8 +260,12 @@ def half_line_rule(
     x_i < z integrate exactly over [x0, z]: truncating to [x0, z] is a mask
     on this one rule, not a rule of its own.
     """
-    if xmax <= x0 or n_panels < 2 or q < 4:
-        raise ConfigError("need xmax > x0, n_panels >= 2, q >= 4")
+    if xmax <= x0 or n_panels < 2:
+        raise ConfigError("need xmax > x0, n_panels >= 2")
+    if panel is None:
+        panel = reference_panel(q)
+    elif panel.q != q:
+        raise ConfigError(f"reference panel has q = {panel.q}, the rule asks for q = {q}")
     umax = np.sqrt(xmax - x0)
     base = umax * np.linspace(0.0, 1.0, n_panels + 1)
     if refine_x is not None and x0 < refine_x < x0 + 1.1 * (xmax - x0):
@@ -245,7 +276,8 @@ def half_line_rule(
             base = _refine_edges(base, u_star, delta)
     if np.size(breaks):
         base = _merge_edges(base, np.sqrt(np.clip(breaks, x0, xmax) - x0), 1e-9 * umax)
-    return _build_from_u_edges(xmax, base, q, x0=x0)
+    u, w_u = _map_panel(base, panel)
+    return HalfLineRule(float(xmax), base, float(x0), x0 + u * u, w_u * 2.0 * u, panel)
 
 
 def finite_rule(a: float, b: float, n_panels: int = 12, q: int = 16,
@@ -257,26 +289,14 @@ def finite_rule(a: float, b: float, n_panels: int = 12, q: int = 16,
     """
     if b <= a:
         raise ConfigError(f"empty interval [{a}, {b}]")
-    ug, wg = leggauss(q)
     if sqrt_left and sqrt_right:
         raise ConfigError("choose at most one endpoint to absorb")
+    panel = reference_panel(q)
     if sqrt_left or sqrt_right:
-        umax = np.sqrt(b - a)
-        edges = umax * np.linspace(0.0, 1.0, n_panels + 1)
-        lo, hi = edges[:-1], edges[1:]
-        scale, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        u = (mid[:, None] + scale[:, None] * ug).reshape(-1)
-        w_u = (scale[:, None] * np.broadcast_to(wg, (n_panels, q))).reshape(-1)
-        if sqrt_left:
-            return a + u * u, 2.0 * u * w_u
-        x = b - u * u
-        return x[::-1], (2.0 * u * w_u)[::-1]
-    edges = np.linspace(a, b, n_panels + 1)
-    lo, hi = edges[:-1], edges[1:]
-    scale, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    x = (mid[:, None] + scale[:, None] * ug).reshape(-1)
-    w = (scale[:, None] * np.broadcast_to(wg, (n_panels, q))).reshape(-1)
-    return x, w
+        u, w_u = _map_panel(np.sqrt(b - a) * np.linspace(0.0, 1.0, n_panels + 1), panel)
+        x, w = u * u, 2.0 * u * w_u
+        return (a + x, w) if sqrt_left else ((b - x)[::-1], w[::-1])
+    return _map_panel(np.linspace(a, b, n_panels + 1), panel)
 
 
 def integrate_halfline(f, rule: HalfLineRule) -> complex:

@@ -46,10 +46,9 @@ class McConfig:
     params: ModelParams
 
     def __post_init__(self):
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be >= 1")
+        for name, value, least in (("seed", self.seed, 0), ("n_samples", self.n_samples, 1)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -37,7 +37,7 @@ from numpy.polynomial import polynomial as P
 from .errors import ConfigError, DegenerateSkewProductError
 from .laguerre import LaguerreBasis, build_basis
 from .params import ModelParams, mp_edges, weight_w, weight_w0
-from .quadrature import EpsilonTransform, HalfLineRule, half_line_rule
+from .quadrature import EpsilonTransform, HalfLineRule, ReferencePanel, half_line_rule
 
 __all__ = [
     "default_xmax",
@@ -69,14 +69,15 @@ def default_xmax(params: ModelParams) -> float:
 
 
 def rule_for_t(params: ModelParams, t: complex, n_panels: int = 24, q: int = 16,
-               breaks=()) -> HalfLineRule:
+               breaks=(), panel: ReferencePanel | None = None) -> HalfLineRule:
     """Quadrature rule on [0, default_xmax] adapted to the weight's branch point.
 
     For t near the positive real axis the factor (t - tau_tilde x)^(-1/2)
     peaks at x = Re t / tau_tilde with width |Im t| / tau_tilde; panels
     cluster there down to that width (never finer, so no sample sits closer
     to the peak than its own scale).  Each of `breaks` (truncation points)
-    becomes a panel edge.
+    becomes a panel edge.  `panel` is the shared q-point reference panel
+    (built per rule when not given).
     """
     xmax = default_xmax(params)
     tt = params.tau_tilde
@@ -85,7 +86,7 @@ def rule_for_t(params: ModelParams, t: complex, n_panels: int = 24, q: int = 16,
         refine_x = t.real / tt   # > 0: widths below are taken in u = sqrt(x)
         refine_width = max(abs(t.imag) / (10.0 * tt) / (2.0 * math.sqrt(refine_x)), 1e-8)
     return half_line_rule(xmax, n_panels=n_panels, q=q, refine_x=refine_x,
-                          refine_width=refine_width, breaks=breaks)
+                          refine_width=refine_width, breaks=breaks, panel=panel)
 
 
 def skew_gram(rule: HalfLineRule, phi, z=math.inf) -> tuple[np.ndarray, EpsilonTransform]:
@@ -132,12 +133,13 @@ class SkewProductTable:
     @classmethod
     def build(cls, params: ModelParams, t: complex, kmax: int | None = None,
               z: float = math.inf, basis: LaguerreBasis | None = None,
-              n_panels: int = 24, q: int = 16) -> "SkewProductTable":
+              n_panels: int = 24, q: int = 16,
+              panel: ReferencePanel | None = None) -> "SkewProductTable":
         if kmax is None:
             kmax = params.N + 1
         if basis is None:
             basis = build_basis(params, max(kmax, params.N + 2))
-        rule = rule_for_t(params, complex(t), n_panels=n_panels, q=q, breaks=z)
+        rule = rule_for_t(params, complex(t), n_panels=n_panels, q=q, breaks=z, panel=panel)
         wv = weight_w(params, complex(t), rule.x)
         lag = basis.eval_all(rule.x)[: kmax + 1]
         entries, eps = skew_gram(rule, lag * wv, z)

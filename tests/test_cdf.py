@@ -6,7 +6,7 @@ from wishart_lab import (CdfEngine, EpsilonTransform, KernelBundle,
                          half_line_rule, loe_direct_cdf, logdet_m_derivative, pfaffian,
                          truncated_moment_matrix, weight_w)
 from wishart_lab import ConfigError, DegenerateSkewProductError, PrecisionLossError
-from wishart_lab import cdf as cdf_module
+from wishart_lab import cdf as cdf_module, quadrature
 from wishart_lab.skew import SkewProductTable, default_xmax
 
 
@@ -322,6 +322,24 @@ class TestCdfGrid:
     def test_z_inf_must_be_finite_and_positive(self, p48, z_inf):
         with pytest.raises(ConfigError):
             CdfEngine(p48, z_inf=z_inf)
+
+    @pytest.mark.parametrize("q", [3, 2.5])
+    def test_q_is_checked_at_construction(self, p48, q):
+        with pytest.raises(ConfigError, match="q must be"):
+            CdfEngine(p48, q=q)
+
+    @pytest.mark.parametrize("route", ["pfaffian", "fredholm"])
+    def test_one_reference_panel_per_engine(self, p48, monkeypatch, route):
+        # every node rule of the anchor pass and of a later grid is built on
+        # the engine's one panel, so its q reaches leggauss once; the t-free
+        # Nystrom grids (q = 20) are cached per z by _nystrom_data instead
+        calls, leggauss = [], quadrature.leggauss
+        monkeypatch.setattr(quadrature, "leggauss", lambda q: calls.append(q) or leggauss(q))
+        eng = CdfEngine(p48)
+        eng.cdf(eng.z_inf, route)
+        eng.cdf_grid(self.ZS, route)
+        assert calls.count(eng.q) == 1
+        assert route == "fredholm" or calls == [eng.q]
 
     def test_one_bundle_and_one_determinant_per_node(self, p48, monkeypatch):
         # the anchor pass and a later grid share one KernelBundle per node

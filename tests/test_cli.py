@@ -30,6 +30,12 @@ def write_config(path, **kw):
     ("sample", {"seed": -1}, "samples.csv"),
     ("verify", {"seed": -1}, "report.json"),
     ("sample", {"mode": "foo"}, "samples.csv"),
+    ("sample", {"n": 2.7}, "samples.csv"),
+    ("sample", {"seed": 1.5}, "samples.csv"),
+    ("sample", {"n": True}, "samples.csv"),
+    ("cdf", {"contour_nodes": False}, "cdf.csv"),
+    ("cdf", {"q": 3}, "cdf.csv"),
+    ("cdf", {"q": 2.5}, "cdf.csv"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, bad, out):
     cfg = write_config(tmp_path / "c.json", **{"N": 4, "M": 8, "tau": 1.0, "z": [2.0], **bad})
@@ -115,6 +121,11 @@ class TestSampleCommand:
         assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
         manifest = json.loads((out1 / "samples_manifest.json").read_text())
         assert manifest["seed"] == 7
+
+    def test_integral_float_counts_are_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", N=2, M=4, tau=1.0, n=3.0, seed=7.0)
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len((tmp_path / "o" / "samples.csv").read_text().splitlines()) == 4
 
     def test_histogram_mode(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", N=4, M=16, tau=0.0, n=500,

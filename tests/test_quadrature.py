@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wishart_lab import (EpsilonTransform, KAPPA_EPSILON, QuadratureError,
+from wishart_lab import (ConfigError, EpsilonTransform, KAPPA_EPSILON, QuadratureError,
                          epsilon_transform, finite_rule, half_line_rule,
-                         integrate_halfline)
+                         integrate_halfline, quadrature, reference_panel)
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +146,48 @@ def test_stacked_samples_match_row_by_row(rule):
         for b, s in zip(batched, single):
             assert np.shape(b[i]) == np.shape(s)
             assert np.max(np.abs(b[i] - s)) <= 1e-14 * np.max(np.abs(s))
+
+
+def fresh_build(rule):
+    """x, w, vinv and cum_ref of `rule` recomputed from its panel edges alone,
+    with leggauss(q) and the Vandermonde inverse taken afresh."""
+    q = rule.q
+    ug, wg = np.polynomial.legendre.leggauss(q)
+    lo, hi = rule.u_edges[:-1], rule.u_edges[1:]
+    scale, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    u = (mid[:, None] + scale[:, None] * ug[None, :]).reshape(-1)
+    w_u = (scale[:, None] * wg[None, :]).reshape(-1)
+    vinv = np.linalg.inv(quadrature._legendre_values(ug, q - 1).T)
+    return rule.x0 + u * u, w_u * 2.0 * u, vinv, quadrature._legendre_cumulative(ug, q).T
+
+
+class TestReferencePanel:
+    @pytest.mark.parametrize("q", [4, 16, 20])
+    @pytest.mark.parametrize("breaks,refine_x,x0", [((), None, 0.0), ((0.3, 2.0, 7.77), None, 0.0),
+                                                    ((), 3.0, 0.0), ((2.5, 7.77), 3.0, 2.0)])
+    def test_shared_panel_rule_equals_fresh_build(self, q, breaks, refine_x, x0):
+        panel = reference_panel(q)
+        for _ in range(2):     # the second rule reuses the first one's panel
+            r = half_line_rule(30.0, q=q, refine_x=refine_x, x0=x0, breaks=breaks, panel=panel)
+            own = half_line_rule(30.0, q=q, refine_x=refine_x, x0=x0, breaks=breaks)
+            assert r.panel is panel and np.array_equal(r.u_edges, own.u_edges)
+            for got, want in zip((r.x, r.w, panel.vinv, panel.cum_ref), fresh_build(r)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(r.x, own.x) and np.array_equal(r.w, own.w)
+
+    def test_arrays_are_read_only(self):
+        panel = reference_panel(16)
+        for a in (panel.ug, panel.wg, panel.vinv, panel.cum_ref):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("q", [3, 2.5, 16.0, True, "16", None])
+    def test_q_must_be_an_integer_of_at_least_4(self, q):
+        with pytest.raises(ConfigError, match="q must be"):
+            reference_panel(q)
+        with pytest.raises(ConfigError, match="q must be"):
+            finite_rule(0.0, 1.0, q=q)
+
+    def test_panel_and_q_must_agree(self):
+        with pytest.raises(ConfigError, match="q = 20"):
+            half_line_rule(30.0, q=16, panel=reference_panel(20))

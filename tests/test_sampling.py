@@ -79,10 +79,15 @@ class TestWishartSampler:
         with pytest.raises(ConfigError):
             McConfig(0, 0, ModelParams(2, 4, 0.0))
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_seed_must_be_non_negative_integer(self, seed):
         with pytest.raises(ConfigError, match="seed"):
             McConfig(seed, 10, ModelParams(2, 4, 0.0))
+
+    @pytest.mark.parametrize("n", [2.5, True, 3.0, "3", None, -1])
+    def test_n_samples_must_be_positive_integer(self, n):
+        with pytest.raises(ConfigError, match="n_samples"):
+            McConfig(0, n, ModelParams(2, 4, 0.0))
 
     @pytest.mark.parametrize("seed", [0, np.int64(3), 2**70])
     def test_seed_accepts_non_negative_integers(self, seed):
