@@ -36,7 +36,18 @@ each step is (1/2) Log of the ratio of neighbouring nodes' det M, on the
 branch picked by the trapezoid rule over the two nodes' resolvent traces,
 so Lambda comes from the same node bundles as the Nystrom determinants.
 sqrt(det(I - K chi)) is tracked by sign continuity along the same walks;
-all residual constants cancel against the anchor.
+all residual constants cancel against the anchor.  Each node's det M is
+carried as (sign, log|det M|), so the walk survives det M underflowing to 0,
+as it does at every node of (12, 48, 1) and (16, 32, 1).
+
+The Nystrom determinant.  K is discretised on n nodes of [z, xmax] (2n x 2n),
+but apart from eps(x - y) every entry is a bilinear form in the N functions
+L_j w and eps(L_j w) through mu, so I - K is a unit-triangular matrix minus
+a rank-2N product.  Sylvester's identity det(I_2n - U R) = det(I_2N - R U)
+(with the triangular factor moved across, see `fredholm_det`) takes the same
+Nystrom determinant as one 2N x 2N determinant per z, at O(n^2 N + N^3) per
+node and z in place of O((2n)^3).  The discretisation, and with it the
+route's independence from the Pfaffian route's skew tables, is unchanged.
 """
 
 from __future__ import annotations
@@ -108,10 +119,6 @@ def logdet_m_derivative(params: ModelParams, t: complex,
     return -bundle.resolvent_trace()
 
 
-#: byte budget of one block of stacked Nystrom matrices in `fredholm_det`
-_DET_BLOCK_BYTES = 1 << 24
-
-
 @functools.lru_cache(maxsize=256)
 def _nystrom_data(xmax: float, z: float, n_panels: int):
     """Read-only t-free Nystrom nodes, weights and eps operator on [z, xmax]."""
@@ -123,33 +130,46 @@ def _nystrom_data(xmax: float, z: float, n_panels: int):
 
 
 def fredholm_det(bundle: KernelBundle, z, n_nystrom: int = 80):
-    """det(I - K chi_[z, inf)) by Nystrom discretisation on [z, xmax], z scalar or 1-D.
+    """det(I - K chi_[z, inf)) of the Nystrom matrix on [z, xmax], z scalar or 1-D.
 
-    The three smooth entries are sampled pointwise; the sign-kernel
-    eps(x - y) in the lower-left entry goes through the rule's exact
-    cumulative operator, which keeps the scheme spectrally accurate despite
-    the diagonal kink.  z past the quadrature horizon gives 1.  Every z has
-    n nodes, so the kernels are sampled once for the stacked grids and one
-    batched determinant is taken per block of at most `_DET_BLOCK_BYTES`.
+    The Nystrom matrix samples the three smooth entries at n nodes and takes
+    the sign kernel eps(x - y) in the lower-left entry through the rule's
+    exact cumulative operator eps_op, which keeps the scheme spectrally
+    accurate despite the diagonal kink.  Its determinant is taken through
+    Sylvester's identity, not by factorising the 2n x 2n matrix.  With
+    Phi, E the N x n samples of L_j w and eps(L_j w), W = diag(w) and
+    kappa = KAPPA_EPSILON, I - K = L - U R with L = [[I, 0], [eps_op, I]]
+    (det 1), U = diag(Phi^T, E^T) and
+    R = [[-mu E W, 2 kappa mu Phi W], [-mu E W, -mu^T Phi W]], so
+
+        det(I - K) = det(I_2N - Q),
+        Q = [[-mu P - 2 kappa mu Y, 2 kappa mu X], [-mu P + mu^T Y, -mu^T X]]
+
+    with P = E W Phi^T, X = Phi W E^T and Y = Phi W eps_op Phi^T.  A bundle
+    (contour node) then costs O(nz n^2 N + nz N^3) for nz values of z, in
+    place of O(nz (2n)^3), and nothing of size n^2 is allocated beyond the
+    cached eps operators.  z past the quadrature horizon gives 1.  The
+    factors come from the bundle's one sampler, once for the stacked grids,
+    and one batched 2N x 2N determinant serves every z.
     """
     zs = np.asarray(z, dtype=float)
     xmax = bundle.table.rule.xmax
     out = np.ones(zs.shape, dtype=complex)
     live = np.flatnonzero(zs < xmax)
-    n = 20 * max(2, round(n_nystrom / 20))
-    block = max(1, _DET_BLOCK_BYTES // (16 * (2 * n) ** 2))
-    for start in range(0, live.size, block):
-        idx = live[start:start + block]
-        data = (_nystrom_data(xmax, float(zs.flat[i]), n // 20) for i in idx)
-        x, w, eps_op = map(np.stack, zip(*data))
-        w = w[:, None, :]
-        S = bundle.s1(x, x)
-        K = np.empty((idx.size, 2 * n, 2 * n), dtype=complex)
-        K[:, :n, :n] = S * w
-        K[:, :n, n:] = bundle.ds1(x, x) * w
-        K[:, n:, :n] = bundle.is1(x, x) * w - eps_op
-        K[:, n:, n:] = np.swapaxes(S, -1, -2) * w
-        out.flat[idx] = np.linalg.det(np.eye(2 * n) - K)
+    if live.size:
+        n_panels = max(2, round(n_nystrom / 20))
+        x, w, eps_ops = zip(*(_nystrom_data(xmax, float(zs.flat[i]), n_panels) for i in live))
+        x, w = np.stack(x), np.stack(w)[:, None, :]
+        phi, e = bundle.factor(x, False), bundle.factor(x, True)     # (nz, N, n)
+        phi_w, phi_t = phi * w, np.swapaxes(phi, -1, -2)
+        P = (e * w) @ phi_t
+        X = phi_w @ np.swapaxes(e, -1, -2)
+        Y = phi_w @ np.stack([op @ f for op, f in zip(eps_ops, phi_t)])
+        mu, two_k, eye = bundle.mu, 2.0 * KAPPA_EPSILON, np.eye(bundle.params.N)
+        mu_p = mu @ P
+        out.flat[live] = np.linalg.det(np.block([
+            [eye + mu_p + two_k * (mu @ Y), -two_k * (mu @ X)],
+            [mu_p - mu.T @ Y, eye + mu.T @ X]]))
     return complex(out) if zs.ndim == 0 else out
 
 
@@ -298,6 +318,13 @@ class CdfEngine:
         that loses more than MAX_LOST_DIGITS, or whose value leaves [0, 1]
         by more than RANGE_TOL, raises PrecisionLossError.  Each distinct z
         is evaluated once.
+
+        On the Fredholm route a z's value does not depend on the other z of
+        the call: a fresh engine's `cdf(z)` is bitwise that z inside a grid.
+        On the Pfaffian route every z is a panel edge of every node rule, so
+        the other z of a grid move a value by roundoff that the contour
+        cancellation amplifies (up to 3.6e-8 at (4, 8, 1)); that dependence
+        is still open.
         """
         if route not in ("pfaffian", "fredholm"):
             raise ConfigError(f"unknown route {route!r}")
@@ -368,11 +395,13 @@ class CdfEngine:
         the branch cut of det M(t) on the positive real axis (the assembled
         product's jump cancels there).  One loop per walk over the cached
         node bundles continues Lambda and the root's sign together: a Lambda
-        step is (1/2) Log(det M(b) / det M(a)) on the branch nearest the
-        trapezoid estimate from the two nodes' resolvent traces, and the
-        sqrt(det M(c0)) it leaves out cancels against the anchor.  The base
-        node's determinants are taken once.  `sqrt_max_step` is each z's
-        largest relative jump of the root between neighbours.
+        step is (1/2) Log(det M(b) / det M(a)), read off `slogdet` as
+        (1/2)(log|det M(b)| - log|det M(a)|) + (i/2) arg(sign_b / sign_a), on
+        the branch nearest the trapezoid estimate from the two nodes'
+        resolvent traces; the sqrt(det M(c0)) it leaves out cancels against
+        the anchor, and a non-finite log|det M| raises FloatingPointError.
+        The base node's determinants are taken once.  `sqrt_max_step` is each
+        z's largest relative jump of the root between neighbours.
         """
         nodes, N = self.contour.nodes, self.params.N
         i0 = len(nodes) // 2 - 1   # phases 2 pi (k + 1/2) / n: k = n/2 - 1 is just below pi
@@ -387,15 +416,20 @@ class CdfEngine:
                         self.params, complex(nodes[i]), basis=self.basis,
                         n_panels=self.n_panels, q=self.q, panel=self.panel)
                 b = self._bundles[i]
-                det_b = complex(np.linalg.det(b.table.entries[:N, :N]))
+                sign_b, log_b = np.linalg.slogdet(b.table.entries[:N, :N])
+                if not math.isfinite(log_b):
+                    p = self.params
+                    raise FloatingPointError(
+                        f"log |det M| at contour node {i} (t = {b.t:.6g}) is {log_b} at "
+                        f"(N, M, tau) = ({p.N}, {p.M}, {p.tau:g})")
                 d_b = logdet_m_derivative(self.params, b.t, bundle=b)
                 if prev is None:
                     lam = 0j
                 else:
-                    step = 0.5 * np.log(det_b / det_a)
+                    step = 0.5 * (log_b - log_a) + 0.5j * np.angle(sign_b / sign_a)
                     est = 0.25 * (b.t - t_a) * (d_a + d_b)
                     lam = lam + step + 1j * math.pi * round((est.imag - step.imag) / math.pi)
-                t_a, det_a, d_a = b.t, det_b, d_b
+                t_a, sign_a, log_a, d_a = b.t, sign_b, log_b, d_b
                 if i not in roots:
                     r = np.sqrt(fredholm_det(b, zs, self.n_nystrom))
                     if prev is not None:

@@ -89,8 +89,13 @@ class KernelBundle:
     def t(self) -> complex:
         return self.table.t
 
-    def _sample(self, x: np.ndarray, eps: bool) -> np.ndarray:
-        """(..., N, n) values of eps(L_j w), or L_j w, at points (..., n), all at once."""
+    def factor(self, x: np.ndarray, eps: bool) -> np.ndarray:
+        """(..., N, n) values of eps(L_j w), or L_j w, at points (..., n), all at once.
+
+        Every kernel is a bilinear form in these two factors through mu, so
+        this is the one sampler behind `s1`, `is1`, `ds1` and the Fredholm
+        determinant.
+        """
         N, flat = self.params.N, x.reshape(-1)
         vals = (self.table.eps(flat)[:N] if eps else
                 self.table.basis.eval_all(flat)[:N] * weight_w(self.params, self.t, flat))
@@ -104,8 +109,8 @@ class KernelBundle:
         """
         xs, sx = _as_points(x)
         ys, sy = _as_points(y)
-        fx = self._sample(xs, eps_x)
-        gy = fx if y is x and eps_x == eps_y else self._sample(ys, eps_y)
+        fx = self.factor(xs, eps_x)
+        gy = fx if y is x and eps_x == eps_y else self.factor(ys, eps_y)
         out = scale * np.swapaxes(fx, -1, -2) @ self.mu @ gy
         return complex(out[0, 0]) if sx and sy else out
 

@@ -44,7 +44,8 @@ __all__ = [
 class ModelParams:
     """Dimensions and spike strength of the ensemble.
 
-    N must be even and M > N (the finite-N formulas assume both).
+    N must be even and M > N (the finite-N formulas assume both); a boolean
+    is refused for any of N, M and tau.
     """
 
     N: int
@@ -54,6 +55,9 @@ class ModelParams:
     gamma: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("N", "M", "tau"):
+            if isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be a number, not a boolean")
         if not (isinstance(self.N, (int, np.integer)) and self.N > 0 and self.N % 2 == 0):
             raise ConfigError(f"N must be a positive even integer, got {self.N!r}")
         if not (isinstance(self.M, (int, np.integer)) and self.M > self.N):

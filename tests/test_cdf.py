@@ -25,6 +25,17 @@ def bundle(p48):
     return KernelBundle.build(p48, 2 + 1j)
 
 
+def dense_nystrom_det(bundle, z, n_panels=4):
+    """det(I - K) of the 2n x 2n Nystrom matrix assembled from s1, is1 and ds1."""
+    grid = half_line_rule(bundle.table.rule.xmax, n_panels, 20, x0=z)
+    x, w, n = grid.x, grid.w, grid.n_nodes
+    eps_op = 0.5 * (2.0 * grid.cumulative_matrix() - np.ones((n, 1)) * w[None, :])
+    S = bundle.s1(x, x)
+    K = np.block([[S * w, bundle.ds1(x, x) * w],
+                  [bundle.is1(x, x) * w - eps_op, S.T * w]])
+    return np.linalg.det(np.eye(2 * n) - K)
+
+
 class TestFredholmDet:
     def test_empty_domain(self, bundle):
         xmax = bundle.table.rule.xmax
@@ -56,30 +67,33 @@ class TestFredholmDet:
         assert stack.shape == (3,)
         for z, d in zip(zs, stack):
             assert d == pytest.approx(fredholm_det(bundle, z, 80), rel=1e-14, abs=0)
-            grid = half_line_rule(bundle.table.rule.xmax, 4, 20, x0=z)
-            x, w, n = grid.x, grid.w, grid.n_nodes
-            eps_op = 0.5 * (2.0 * grid.cumulative_matrix() - np.ones((n, 1)) * w[None, :])
-            S = bundle.s1(x, x)
-            K = np.block([[S * w, bundle.ds1(x, x) * w],
-                          [bundle.is1(x, x) * w - eps_op, S.T * w]])
-            assert d == pytest.approx(np.linalg.det(np.eye(2 * n) - K), rel=1e-12, abs=0)
+            assert d == pytest.approx(dense_nystrom_det(bundle, z), rel=1e-12, abs=0)
 
-    def test_blocks_bound_the_stack(self, bundle, monkeypatch):
-        # a budget of two 160 x 160 complex matrices splits five z into 2 + 2 + 1
-        zs = np.linspace(1.0, 7.0, 5)
-        whole = fredholm_det(bundle, zs)
-        budget = 2 * 16 * 160 ** 2
-        stacks, det = [], np.linalg.det
+    @pytest.mark.parametrize("params", [(2, 8, 1.0), (4, 8, 1.0), (8, 32, 1.0)])
+    def test_sylvester_equals_dense_determinant_on_the_contour(self, params):
+        # det(I_2N - Q) is the 2n x 2n Nystrom determinant, node by node.
+        # Below the bulk the determinant is itself a cancellation (about
+        # 1e-54 at (8, 32, 1), z = 0.5), so there the two agree absolutely.
+        p = ModelParams(*params)
+        eng = CdfEngine(p)
+        nodes = eng.contour.nodes
+        zs = [0.5, 1.0, 1.5, 2.0, 3.0, 5.0]
+        for t in nodes[::max(1, len(nodes) // 5)]:
+            b = KernelBundle.build(p, complex(t), basis=eng.basis, panel=eng.panel)
+            for z, d in zip(zs, fredholm_det(b, zs)):
+                tol = dict(rel=1e-12, abs=0) if z >= 1.5 else dict(rel=0, abs=1e-14)
+                assert d == pytest.approx(dense_nystrom_det(b, z), **tol)
 
-        def spy(a):
-            stacks.append(a.nbytes)
-            return det(a)
-
-        monkeypatch.setattr(cdf_module, "_DET_BLOCK_BYTES", budget)
-        monkeypatch.setattr(np.linalg, "det", spy)
-        blocked = fredholm_det(bundle, zs)
-        assert stacks == [budget, budget, budget // 2]
-        assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+    def test_64_z_stack_matches_per_z_calls(self, bundle):
+        xmax = bundle.table.rule.xmax
+        zs = np.linspace(0.5, xmax + 3.0, 64)
+        stack = fredholm_det(bundle, zs)
+        assert stack.shape == (64,) and np.any(zs >= xmax)
+        for z, d in zip(zs, stack):
+            if z >= xmax:
+                assert d == 1.0
+            else:
+                assert d == pytest.approx(fredholm_det(bundle, z), rel=1e-14, abs=0)
 
     def test_nystrom_data_is_read_only(self, bundle):
         for a in cdf_module._nystrom_data(bundle.table.rule.xmax, 2.5, 4):
@@ -220,6 +234,33 @@ class TestFredholmRoute:
         assert abs(fine.cdf_fredholm(3.5).value
                    - engine.cdf_fredholm(3.5).value) < 1e-4
 
+    @pytest.mark.parametrize("params", [(16, 32, 1.0), (12, 48, 0.5)])
+    def test_lambda_walk_survives_det_m_underflow(self, params):
+        # det M underflows to 0 at every contour node here; the walk runs on
+        # slogdet, so the route still returns the Pfaffian route's value
+        p = ModelParams(*params)
+        eng = CdfEngine(p)
+        f = eng.cdf(2.5, "fredholm").value
+        assert all(np.linalg.det(b.table.entries[:p.N, :p.N]) == 0
+                   for b in eng._bundles.values())
+        assert abs(f - CdfEngine(p).cdf(2.5).value) < 1e-6
+
+    def test_n12_default_nystrom_rule_is_under_resolved(self):
+        # at (12, 48, 1) the 80-node rule misses the Pfaffian value by about
+        # 2e-6; doubling it shrinks the gap by more than 4x
+        p = ModelParams(12, 48, 1.0)
+        pf = CdfEngine(p).cdf(2.5).value
+        gap = [abs(CdfEngine(p, n_nystrom=n).cdf(2.5, "fredholm").value - pf)
+               for n in (80, 160)]
+        assert gap[1] < gap[0] / 4.0
+
+    def test_non_finite_log_det_m_raises(self, p48, monkeypatch):
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda a: (0j, -np.inf) if a.shape == (4, 4) else slogdet(a))
+        with pytest.raises(FloatingPointError, match=r"contour node \d+ .*\(4, 8, 1\)"):
+            CdfEngine(p48).cdf(2.0, "fredholm")
+
 
 class TestTruncatedMomentMatrix:
     T = 2 + 1j
@@ -313,6 +354,12 @@ class TestCdfGrid:
         assert res[0] == res[2] == res[6] and res[1] == res[4]
         assert [r.z for r in res] == grid and res[0] != res[1]
         assert res[3].value == pytest.approx(1.0, abs=1e-9)
+
+    def test_fredholm_point_equals_its_value_inside_a_grid(self, p48):
+        # a fresh engine's cdf(z) is bitwise the same z of the fredholm-n4 grid
+        grid = [2.0, 3.0, 4.0, 5.0]
+        res = CdfEngine(p48).cdf_grid(grid, "fredholm")
+        assert [CdfEngine(p48).cdf(z, "fredholm") for z in grid] == res
 
     def test_duplicates_equal_on_the_fredholm_route(self, engine):
         res = engine.cdf_grid([4.0, 2.0, 4.0], "fredholm")

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from wishart_lab.cli import main
@@ -36,6 +37,11 @@ def write_config(path, **kw):
     ("cdf", {"contour_nodes": False}, "cdf.csv"),
     ("cdf", {"q": 3}, "cdf.csv"),
     ("cdf", {"q": 2.5}, "cdf.csv"),
+    ("cdf", {"tau": True}, "cdf.csv"),
+    ("cdf", {"z": [True, 3.0]}, "cdf.csv"),
+    ("cdf", {"z_inf": True}, "cdf.csv"),
+    ("cdf", {"M": True}, "cdf.csv"),
+    ("kernel-dump", {"t": [2.0, False]}, "kernel.csv"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, bad, out):
     cfg = write_config(tmp_path / "c.json", **{"N": 4, "M": 8, "tau": 1.0, "z": [2.0], **bad})
@@ -84,10 +90,11 @@ class TestCdfCommand:
             assert main(["cdf", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     def test_numerical_failure_exits_3_without_traceback(self, tmp_path, capsys):
-        # each route underflows at its size (a known limitation: at (20, 80)
-        # the Pfaffian anchor is exactly 0); the CLI must say so in one line,
-        # not die with a traceback or write NaN
-        for (N, M), route in (((12, 48), "fredholm"), ((20, 80), "pfaffian")):
+        # each route fails at its size (known limitations: at (16, 64) the
+        # Fredholm route's moment matrix has cond ~ 2e15 on the contour, at
+        # (20, 80) the Pfaffian anchor is exactly 0); the CLI must say so in
+        # one line, not die with a traceback or write NaN
+        for (N, M), route in (((16, 64), "fredholm"), ((20, 80), "pfaffian")):
             cfg = write_config(tmp_path / "c.json", N=N, M=M, tau=1.0, z=[2.0])
             code = main(["cdf", "--config", cfg, "--route", route,
                          "--out", str(tmp_path)])
@@ -95,6 +102,16 @@ class TestCdfCommand:
             assert code == 3
             assert "Traceback" not in err and len(err.strip().splitlines()) == 1
             assert not (tmp_path / "cdf.csv").exists()
+
+    def test_non_finite_log_det_m_exits_3(self, tmp_path, capsys, monkeypatch):
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda a: (0j, -np.inf) if a.shape == (4, 4) else slogdet(a))
+        cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[2.0])
+        assert main(["cdf", "--config", cfg, "--route", "fredholm", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "FloatingPointError" in err and "(4, 8, 1)" in err
+        assert len(err.strip().splitlines()) == 1 and not (tmp_path / "cdf.csv").exists()
 
     def test_precision_loss_exits_3(self, tmp_path, capsys):
         # (8, 32, 2) loses about 15 digits to contour cancellation

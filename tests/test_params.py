@@ -21,7 +21,11 @@ class TestModelParams:
                                      dict(N=4, M=3, tau=1.0),
                                      dict(N=0, M=8, tau=1.0),
                                      dict(N=4, M=8, tau=-0.1),
-                                     dict(N=4, M=8, tau="one")])
+                                     dict(N=4, M=8, tau="one"),
+                                     dict(N=4, M=8, tau=True),
+                                     dict(N=4, M=8, tau=False),
+                                     dict(N=True, M=8, tau=1.0),
+                                     dict(N=4, M=True, tau=1.0)])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
             ModelParams(**bad)
