@@ -95,6 +95,12 @@ def default_z_inf(params: ModelParams) -> float:
     return 3.0 * (1.0 + params.tau) * b_plus + 10.0 / params.M
 
 
+def default_n_nystrom(params: ModelParams) -> int:
+    """Nystrom node count max(80, 10 N), rounded up to a multiple of 20 (one
+    20-node panel each): 80 up to N = 8, 120 at N = 12, 160 at N = 16."""
+    return 20 * math.ceil(max(80, 10 * params.N) / 20)
+
+
 def truncated_moment_matrix(params: ModelParams, t: complex, z,
                             basis: LaguerreBasis | None = None,
                             n_panels: int = 24, q: int = 16,
@@ -129,7 +135,7 @@ def _nystrom_data(xmax: float, z: float, n_panels: int):
     return grid.x, grid.w, eps_op
 
 
-def fredholm_det(bundle: KernelBundle, z, n_nystrom: int = 80):
+def fredholm_det(bundle: KernelBundle, z, n_nystrom: int | None = None):
     """det(I - K chi_[z, inf)) of the Nystrom matrix on [z, xmax], z scalar or 1-D.
 
     The Nystrom matrix samples the three smooth entries at n nodes and takes
@@ -148,7 +154,8 @@ def fredholm_det(bundle: KernelBundle, z, n_nystrom: int = 80):
     with P = E W Phi^T, X = Phi W E^T and Y = Phi W eps_op Phi^T.  A bundle
     (contour node) then costs O(nz n^2 N + nz N^3) for nz values of z, in
     place of O(nz (2n)^3), and nothing of size n^2 is allocated beyond the
-    cached eps operators.  z past the quadrature horizon gives 1.  The
+    cached eps operators.  z past the quadrature horizon gives 1; n_nystrom
+    defaults to default_n_nystrom(bundle.params).  The
     factors come from the bundle's one sampler, once for the stacked grids,
     and one batched 2N x 2N determinant serves every z.
     """
@@ -157,7 +164,8 @@ def fredholm_det(bundle: KernelBundle, z, n_nystrom: int = 80):
     out = np.ones(zs.shape, dtype=complex)
     live = np.flatnonzero(zs < xmax)
     if live.size:
-        n_panels = max(2, round(n_nystrom / 20))
+        n = default_n_nystrom(bundle.params) if n_nystrom is None else n_nystrom
+        n_panels = max(2, round(n / 20))
         x, w, eps_ops = zip(*(_nystrom_data(xmax, float(zs.flat[i]), n_panels) for i in live))
         x, w = np.stack(x), np.stack(w)[:, None, :]
         phi, e = bundle.factor(x, False), bundle.factor(x, True)     # (nz, N, n)
@@ -242,12 +250,12 @@ class CdfEngine:
     Gauss-Legendre reference panel (it depends on q alone) and the nodes
     share one Laguerre basis; the engine builds both once, for itself, not
     in a process-wide cache.  q must be an integer >= 4 and z_inf finite
-    and positive.
+    and positive; n_nystrom defaults to default_n_nystrom(params).
     """
 
     def __init__(self, params: ModelParams, *, contour_nodes: int = 64,
                  margin: float = 0.5, radius_factor: float = 1.0,
-                 n_panels: int = 24, q: int = 16, n_nystrom: int = 80,
+                 n_panels: int = 24, q: int = 16, n_nystrom: int | None = None,
                  z_inf: float | None = None):
         self.params = params
         self.contour_nodes = contour_nodes
@@ -257,7 +265,7 @@ class CdfEngine:
         self.q = q
         self.panel = reference_panel(q)
         self.basis = build_basis(params)
-        self.n_nystrom = n_nystrom
+        self.n_nystrom = default_n_nystrom(params) if n_nystrom is None else n_nystrom
         self.z_inf = default_z_inf(params) if z_inf is None else float(z_inf)
         if not (math.isfinite(self.z_inf) and self.z_inf > 0.0):
             raise ConfigError(f"z_inf must be finite and positive, got {z_inf}")

@@ -98,7 +98,7 @@ def _engine_from(cfg: dict, params: ModelParams) -> CdfEngine:
         margin=_value(cfg, "margin", float, 0.5),
         n_panels=_value(cfg, "n_panels", int, 24),
         q=_value(cfg, "q", int, 16),
-        n_nystrom=_value(cfg, "n_nystrom", int, 80),
+        n_nystrom=_value(cfg, "n_nystrom", int),
         z_inf=_value(cfg, "z_inf", float),
     )
 

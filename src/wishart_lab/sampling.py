@@ -76,6 +76,95 @@ def _bidiagonal_gram(c: np.ndarray) -> np.ndarray:
     return T
 
 
+#: Laguerre steps after which a lane that has not converged is an error
+_LAGUERRE_STEPS = 40
+
+
+def _bidiagonal_max_eig(c: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of B B^T per row of c (B as in _bidiagonal_gram), by Laguerre's method.
+
+    T = B B^T is tridiagonal with diagonal d_k = a_k^2 + b_{k-1}^2 and squared
+    off-diagonal f_k = (a_k b_k)^2.  Started at the Gershgorin upper bound,
+    Laguerre steps on p(lam) = det(T - lam) descend monotonically and cubically
+    onto the largest root (Parlett, Math. Comp. 18 (1964); Li & Zeng, SIAM J.
+    Sci. Comput. 15 (1994)); each costs O(N) vector operations over the chunk
+    (_laguerre_step).  A lane stops once its step is at most 4e-16 lam, or is
+    not finite (lam sits on a root, so some pivot is 0), and drops out of the
+    arrays; a lane still moving after _LAGUERRE_STEPS steps raises
+    FloatingPointError.
+    """
+    n = (c.shape[1] + 1) // 2
+    sq = np.square(c.T, order="C")          # rows a_k^2, then b_k^2
+    f = sq[:n - 1] * sq[n:]
+    d = sq[:n]
+    d[1:] += sq[n:]
+    lam = _gershgorin_top(d, np.sqrt(f))
+    out = np.empty_like(lam)
+    live = np.arange(lam.size)
+    with np.errstate(all="ignore"):
+        for _ in range(_LAGUERRE_STEPS):
+            step = _laguerre_step(d, f, lam)
+            moving = np.isfinite(step)
+            lam[moving] -= step[moving]
+            moving &= np.abs(step) > 4e-16 * lam
+            if moving.all():
+                continue
+            out[live[~moving]] = lam[~moving]
+            if not moving.any():
+                return out
+            live, lam, d, f = live[moving], lam[moving], d[:, moving], f[:, moving]
+    raise FloatingPointError(f"Laguerre iteration left {live.size} of {out.size} largest "
+                             f"eigenvalues unconverged after {_LAGUERRE_STEPS} steps")
+
+
+def _gershgorin_top(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """max_k d_k + e_{k-1} + e_k per column: the Gershgorin upper bound of a
+    tridiagonal with diagonal rows d and off-diagonal rows e >= 0."""
+    top = d.copy()
+    top[:-1] += e
+    top[1:] += e
+    return top.max(axis=0)
+
+
+def _laguerre_step(d: np.ndarray, f: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Laguerre step n / (G + sign(G) sqrt((n - 1)(n H - G^2))) on p(lam) = det(T - lam).
+
+    G = p'/p and H = -G' are sums over the LDL^T pivots
+    q_k = d_k - lam - f_{k-1} / q_{k-1}: with r_k = q_k'/q_k and
+    s_k = q_k''/q_k, G = sum r_k and H = sum r_k^2 - s_k.  The sign follows
+    G, so the step never overshoots the root nearest lam.
+    """
+    n = d.shape[0]
+    q = d[0] - lam
+    r, s = -1.0 / q, 0.0
+    G, H = r, r * r
+    for k in range(1, n):
+        g = f[k - 1] / q
+        q = d[k] - lam - g
+        r, s = (g * r - 1.0) / q, g * (s - 2.0 * r * r) / q
+        G = G + r
+        H = H + (r * r - s)
+    return n / (G + np.copysign(np.sqrt((n - 1) * np.maximum(n * H - G * G, 0.0)), G))
+
+
+def _sample_bidiagonal(cfg: McConfig, solve) -> np.ndarray:
+    """solve(c) over chunks of the bidiagonal model's chi variates, one row of c per sample.
+
+    Each row holds B's diagonal sqrt(1 + tau) chi_M, chi_{M-1}, ...,
+    chi_{M-N+1} and subdiagonal chi_{N-1}, ..., chi_1, all over sqrt(M).
+    """
+    p = cfg.params
+    rng = _rng(cfg.seed)
+    df = np.r_[np.arange(p.M, p.M - p.N, -1), np.arange(p.N - 1, 0, -1)]
+
+    def draw(m):
+        c = np.sqrt(rng.chisquare(df, size=(m, df.size)) / p.M)
+        c[:, 0] *= math.sqrt(1.0 + p.tau)
+        return solve(c)
+
+    return _chunked(cfg.n_samples, draw)
+
+
 def sample_wishart_all_eigs(cfg: McConfig) -> np.ndarray:
     """Eigenvalues of S = X X^T / M, shape (n_samples, N), ascending.
 
@@ -85,22 +174,17 @@ def sample_wishart_all_eigs(cfg: McConfig) -> np.ndarray:
     sqrt(1 + tau) chi_M, chi_{M-1}, ..., chi_{M-N+1}, subdiagonal chi_{N-1},
     ..., chi_1 (Dumitriu & Edelman, J. Math. Phys. 43 (2002), plus the spike).
     """
-    p = cfg.params
-    rng = _rng(cfg.seed)
-    df = np.r_[np.arange(p.M, p.M - p.N, -1), np.arange(p.N - 1, 0, -1)]
-
-    def draw(m):
-        c = np.sqrt(rng.chisquare(df, size=(m, df.size)) / p.M)
-        c[:, 0] *= math.sqrt(1.0 + p.tau)
-        return np.linalg.eigvalsh(_bidiagonal_gram(c))
-
-    return _chunked(cfg.n_samples, draw)
+    return _sample_bidiagonal(cfg, lambda c: np.linalg.eigvalsh(_bidiagonal_gram(c)))
 
 
 def sample_wishart_max_eig(cfg: McConfig) -> np.ndarray:
     """Largest eigenvalue per sample of the bidiagonal model (Dumitriu & Edelman 2002;
-    see sample_wishart_all_eigs); identical seed, identical stream."""
-    return sample_wishart_all_eigs(cfg)[:, -1]
+    see sample_wishart_all_eigs), by a batched Laguerre iteration on its tridiagonal.
+
+    It uses the same chi variates as sample_wishart_all_eigs and agrees with
+    its last column to about 1e-15 relative.
+    """
+    return _sample_bidiagonal(cfg, _bidiagonal_max_eig)
 
 
 def haar_orthogonal(rng: np.random.Generator, n: int, count: int = 1) -> np.ndarray:

@@ -245,7 +245,7 @@ class TestFredholmRoute:
                    for b in eng._bundles.values())
         assert abs(f - CdfEngine(p).cdf(2.5).value) < 1e-6
 
-    def test_n12_default_nystrom_rule_is_under_resolved(self):
+    def test_n12_80_node_nystrom_rule_is_under_resolved(self):
         # at (12, 48, 1) the 80-node rule misses the Pfaffian value by about
         # 2e-6; doubling it shrinks the gap by more than 4x
         p = ModelParams(12, 48, 1.0)
@@ -253,6 +253,16 @@ class TestFredholmRoute:
         gap = [abs(CdfEngine(p, n_nystrom=n).cdf(2.5, "fredholm").value - pf)
                for n in (80, 160)]
         assert gap[1] < gap[0] / 4.0
+
+    def test_default_nystrom_rule_grows_with_n(self):
+        # max(80, 10 N) rounded up to a multiple of 20; N <= 8 keeps 80 nodes
+        assert [CdfEngine(ModelParams(N, 4 * N, 1.0)).n_nystrom
+                for N in (2, 4, 8, 10, 12, 16)] == [80, 80, 80, 100, 120, 160]
+
+    def test_n12_default_nystrom_rule_matches_pfaffian(self):
+        p = ModelParams(12, 48, 1.0)
+        pf = CdfEngine(p).cdf(2.5).value
+        assert abs(CdfEngine(p).cdf(2.5, "fredholm").value - pf) < 1e-6
 
     def test_non_finite_log_det_m_raises(self, p48, monkeypatch):
         slogdet = np.linalg.slogdet

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from wishart_lab.cli import main
+from wishart_lab import McConfig, ModelParams, sample_wishart_max_eig
+from wishart_lab.cli import _fmt, main
 
 
 def write_config(path, **kw):
@@ -138,6 +139,14 @@ class TestSampleCommand:
         assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
         manifest = json.loads((out1 / "samples_manifest.json").read_text())
         assert manifest["seed"] == 7
+
+    @pytest.mark.parametrize("N,M", [(2, 4), (8, 32)])
+    def test_max_mode_writes_the_sampler_values(self, tmp_path, N, M):
+        cfg = write_config(tmp_path / "c.json", N=N, M=M, tau=1.0, n=500, seed=11)
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "samples.csv").read_text().splitlines()
+        lams = sample_wishart_max_eig(McConfig(11, 500, ModelParams(N, M, 1.0)))
+        assert rows == ["lambda_max"] + [_fmt(v) for v in lams]
 
     def test_integral_float_counts_are_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", N=2, M=4, tau=1.0, n=3.0, seed=7.0)

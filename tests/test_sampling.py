@@ -141,6 +141,47 @@ class TestBidiagonalModel:
             assert d_mean < 4.0 and d_var < 4.0
 
 
+class TestLaguerreMaxEig:
+    """sample_wishart_max_eig's Laguerre iteration against eigvalsh on the same chi variates."""
+
+    @pytest.mark.parametrize("N,M,tau", [
+        (2, 3, 0.0), (2, 4, 1.0), (4, 8, 1.0), (8, 32, 1.0), (8, 32, 3.0), (16, 64, 1.5),
+    ])
+    def test_matches_eigvalsh_on_the_same_stream(self, N, M, tau):
+        cfg = McConfig(N + M, 5_000, ModelParams(N, M, tau))
+        np.testing.assert_allclose(sample_wishart_max_eig(cfg),
+                                   sample_wishart_all_eigs(cfg)[:, -1], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_odd_sizes_and_exact_roots(self, N):
+        # ModelParams refuses odd N, so the solver is driven directly; at
+        # N = 1 the first step lands on the root and the next one is not finite
+        M = 4
+        df = np.r_[np.arange(M, M - N, -1), np.arange(N - 1, 0, -1)]
+        c = np.sqrt(np.random.default_rng(N).chisquare(df, size=(2_000, df.size)) / M)
+        c[:, 0] *= np.sqrt(2.0)
+        np.testing.assert_allclose(sampling._bidiagonal_max_eig(c),
+                                   np.linalg.eigvalsh(sampling._bidiagonal_gram(c))[:, -1],
+                                   rtol=1e-13, atol=0)
+
+    def test_stream_does_not_depend_on_chunk_size(self, monkeypatch):
+        cfg = McConfig(5, 1000, ModelParams(8, 32, 1.0))
+        ref = sample_wishart_max_eig(cfg)
+        monkeypatch.setattr(sampling, "_CHUNK", 7)
+        assert np.array_equal(sample_wishart_max_eig(cfg), ref)
+
+    def test_makes_no_eigvalsh_call(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError(f"eigvalsh called on shape {a.shape}")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert sample_wishart_max_eig(McConfig(1, 100, ModelParams(4, 8, 1.0))).shape == (100,)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_LAGUERRE_STEPS", 1)
+        with pytest.raises(FloatingPointError, match="unconverged after 1 steps"):
+            sample_wishart_max_eig(McConfig(1, 100, ModelParams(4, 8, 1.0)))
+
+
 class TestHaarSamplers:
     def test_orthogonality_and_column_moments(self):
         rng = np.random.default_rng(2)
