@@ -31,14 +31,14 @@ through the logarithmic derivative
 
 (note the sign: it is forced by the tau = 0 reduction, where w carries a
 global t^(-1/2) so log det M = -N log t + const).  Lambda = (1/2) log det M
-is continued node by node along two walks from a base node near arg t = pi:
-each step is (1/2) Log of the ratio of neighbouring nodes' det M, on the
-branch picked by the trapezoid rule over the two nodes' resolvent traces,
-so Lambda comes from the same node bundles as the Nystrom determinants.
-sqrt(det(I - K chi)) is tracked by sign continuity along the same walks;
-all residual constants cancel against the anchor.  Each node's det M is
-carried as (sign, log|det M|), so the walk survives det M underflowing to 0,
-as it does at every node of (12, 48, 1) and (16, 32, 1).
+is continued along one walk over the contour nodes that never crosses the
+cut: each step is (1/2) Log of the ratio of neighbouring nodes' det M, on
+the branch picked by the trapezoid rule over their resolvent traces.  Lambda
+is z-free, so each engine builds it once, from the same node bundles as the
+Nystrom determinants; sqrt(det(I - K chi)) follows by sign continuity along
+the same walk, and all residual constants cancel against the anchor.  det M
+is carried as (sign, log|det M|), so Lambda survives det M underflowing to
+0, as it does at every node of (12, 48, 1) and (16, 32, 1).
 
 The Nystrom determinant.  K is discretised on n nodes of [z, xmax] (2n x 2n),
 but apart from eps(x - y) every entry is a bilinear form in the N functions
@@ -101,6 +101,13 @@ def default_n_nystrom(params: ModelParams) -> int:
     return 20 * math.ceil(max(80, 10 * params.N) / 20)
 
 
+def _nystrom_panels(n) -> int:
+    """20-node panels of an n-node Nystrom rule; ConfigError unless n = 20 k, k >= 2."""
+    if not (isinstance(n, (int, np.integer)) and n >= 40 and n % 20 == 0):
+        raise ConfigError(f"n_nystrom must be an integer multiple of 20 and >= 40, got {n!r}")
+    return int(n) // 20
+
+
 def truncated_moment_matrix(params: ModelParams, t: complex, z,
                             basis: LaguerreBasis | None = None,
                             n_panels: int = 24, q: int = 16,
@@ -155,7 +162,7 @@ def fredholm_det(bundle: KernelBundle, z, n_nystrom: int | None = None):
     (contour node) then costs O(nz n^2 N + nz N^3) for nz values of z, in
     place of O(nz (2n)^3), and nothing of size n^2 is allocated beyond the
     cached eps operators.  z past the quadrature horizon gives 1; n_nystrom
-    defaults to default_n_nystrom(bundle.params).  The
+    (default_n_nystrom(bundle.params)) is whole 20-node panels, >= 2.  The
     factors come from the bundle's one sampler, once for the stacked grids,
     and one batched 2N x 2N determinant serves every z.
     """
@@ -164,8 +171,8 @@ def fredholm_det(bundle: KernelBundle, z, n_nystrom: int | None = None):
     out = np.ones(zs.shape, dtype=complex)
     live = np.flatnonzero(zs < xmax)
     if live.size:
-        n = default_n_nystrom(bundle.params) if n_nystrom is None else n_nystrom
-        n_panels = max(2, round(n / 20))
+        n_panels = _nystrom_panels(default_n_nystrom(bundle.params) if n_nystrom is None
+                                  else n_nystrom)
         x, w, eps_ops = zip(*(_nystrom_data(xmax, float(zs.flat[i]), n_panels) for i in live))
         x, w = np.stack(x), np.stack(w)[:, None, :]
         phi, e = bundle.factor(x, False), bundle.factor(x, True)     # (nz, N, n)
@@ -245,12 +252,12 @@ class CdfEngine:
     evaluates z_inf and caches that contour sum as the route's
     normalisation anchor, which later calls reuse.  A Pfaffian-route node
     takes one truncated Gram stack and one batched Pfaffian for all its z;
-    the Fredholm route caches one KernelBundle per contour node and nothing
-    off the contour.  The node rules of both routes share one q-point
-    Gauss-Legendre reference panel (it depends on q alone) and the nodes
-    share one Laguerre basis; the engine builds both once, for itself, not
-    in a process-wide cache.  q must be an integer >= 4 and z_inf finite
-    and positive; n_nystrom defaults to default_n_nystrom(params).
+    the Fredholm route builds one KernelBundle per contour node and the
+    z-free Lambda once, and nothing off the contour.  The node rules share
+    one q-point Gauss-Legendre reference panel and one Laguerre basis, which
+    the engine builds once, for itself.  q must be an integer >= 4, z_inf
+    and margin finite and positive, radius_factor finite and >= 1, and
+    n_nystrom (by default default_n_nystrom(params)) a multiple of 20, >= 40.
     """
 
     def __init__(self, params: ModelParams, *, contour_nodes: int = 64,
@@ -266,12 +273,17 @@ class CdfEngine:
         self.panel = reference_panel(q)
         self.basis = build_basis(params)
         self.n_nystrom = default_n_nystrom(params) if n_nystrom is None else n_nystrom
+        _nystrom_panels(self.n_nystrom)
         self.z_inf = default_z_inf(params) if z_inf is None else float(z_inf)
         if not (math.isfinite(self.z_inf) and self.z_inf > 0.0):
             raise ConfigError(f"z_inf must be finite and positive, got {z_inf}")
+        if not (math.isfinite(margin) and margin > 0.0):
+            raise ConfigError(f"margin must be finite and positive, got {margin}")
+        if not (math.isfinite(radius_factor) and radius_factor >= 1.0):
+            raise ConfigError(f"radius_factor must be finite and >= 1, got {radius_factor}")
         self.contour = self.contour_for(self.z_inf)
         self._anchors: dict = {}     # route -> contour sum at z_inf
-        self._bundles: dict = {}     # contour node index -> KernelBundle
+        self._bundles = self._lam = None   # Fredholm route: per-node KernelBundle and Lambda
 
     def contour_for(self, z: float) -> ContourSpec:
         """Circle hugging the integrand's branch cut [0, tau_tilde * z].
@@ -379,11 +391,8 @@ class CdfEngine:
     cdf_fredholm = functools.partialmethod(cdf, route="fredholm")
 
     def _node_values(self, zs, route: str):
-        """f at every contour node (rows) and z (columns), and per-z diagnostics.
-
-        A Pfaffian-route node takes one batched Pfaffian of its (len(zs), N, N)
-        stack (one stack over all nodes would only raise the peak memory).
-        """
+        """f at every contour node (rows) and z (columns), and per-z diagnostics;
+        one batched Pfaffian per node (one over all nodes only raises peak memory)."""
         if route == "fredholm":
             return self._fredholm_values(zs)
         return np.array([pfaffian(truncated_moment_matrix(
@@ -391,59 +400,39 @@ class CdfEngine:
             panel=self.panel))
             for t in self.contour.nodes]), [{}] * len(zs)
 
-    # ------------------------------------------------------------------ #
-    # Fredholm route
-    # ------------------------------------------------------------------ #
-
     def _fredholm_values(self, zs):
         """e^Lambda sqrt(det(I - K chi_[z, inf))) at every node and z.
 
-        Two walks leave the base node just below arg t = pi, one through
-        the upper half plane and one through the lower, so neither crosses
-        the branch cut of det M(t) on the positive real axis (the assembled
-        product's jump cancels there).  One loop per walk over the cached
-        node bundles continues Lambda and the root's sign together: a Lambda
-        step is (1/2) Log(det M(b) / det M(a)), read off `slogdet` as
-        (1/2)(log|det M(b)| - log|det M(a)|) + (i/2) arg(sign_b / sign_a), on
-        the branch nearest the trapezoid estimate from the two nodes'
-        resolvent traces; the sqrt(det M(c0)) it leaves out cancels against
-        the anchor, and a non-finite log|det M| raises FloatingPointError.
-        The base node's determinants are taken once.  `sqrt_max_step` is each
-        z's largest relative jump of the root between neighbours.
+        One walk over the nodes in index order runs from just above the
+        positive real axis round through arg t = pi to just below it.  The
+        route's first call builds the bundles and the z-free Lambda (a
+        `cumsum` of steps read off one stacked `slogdet`, 0 at node i0 just
+        below arg t = pi); every call takes one Nystrom determinant per node
+        and continues each z's root by sign from its principal value at i0.
+        `sqrt_max_step` is each z's largest jump of the root between
+        neighbours, relative to the root stepped to.
         """
-        nodes, N = self.contour.nodes, self.params.N
-        i0 = len(nodes) // 2 - 1   # phases 2 pi (k + 1/2) / n: k = n/2 - 1 is just below pi
-        f = np.empty((len(nodes), len(zs)), dtype=complex)
-        max_step = np.zeros(len(zs))
-        roots: dict = {}
-        for walk in (range(i0, -1, -1), range(i0, len(nodes))):
-            prev = None
-            for i in walk:
-                if i not in self._bundles:
-                    self._bundles[i] = KernelBundle.build(
-                        self.params, complex(nodes[i]), basis=self.basis,
-                        n_panels=self.n_panels, q=self.q, panel=self.panel)
-                b = self._bundles[i]
-                sign_b, log_b = np.linalg.slogdet(b.table.entries[:N, :N])
-                if not math.isfinite(log_b):
-                    p = self.params
-                    raise FloatingPointError(
-                        f"log |det M| at contour node {i} (t = {b.t:.6g}) is {log_b} at "
-                        f"(N, M, tau) = ({p.N}, {p.M}, {p.tau:g})")
-                d_b = logdet_m_derivative(self.params, b.t, bundle=b)
-                if prev is None:
-                    lam = 0j
-                else:
-                    step = 0.5 * (log_b - log_a) + 0.5j * np.angle(sign_b / sign_a)
-                    est = 0.25 * (b.t - t_a) * (d_a + d_b)
-                    lam = lam + step + 1j * math.pi * round((est.imag - step.imag) / math.pi)
-                t_a, sign_a, log_a, d_a = b.t, sign_b, log_b, d_b
-                if i not in roots:
-                    r = np.sqrt(fredholm_det(b, zs, self.n_nystrom))
-                    if prev is not None:
-                        r = np.where(abs(r - prev) <= abs(r + prev), r, -r)
-                        max_step = np.maximum(max_step, abs(r - prev) / np.maximum(abs(r), 1e-300))
-                    roots[i] = r
-                prev = roots[i]
-                f[i] = np.exp(lam) * prev
-        return f, [{"sqrt_max_step": float(s), "n_nystrom": self.n_nystrom} for s in max_step]
+        nodes, i0, N = self.contour.nodes, self.contour.node_count // 2 - 1, self.params.N
+        if self._bundles is None:
+            bs = [KernelBundle.build(self.params, complex(t), basis=self.basis,
+                                     n_panels=self.n_panels, q=self.q, panel=self.panel)
+                  for t in nodes]
+            sign, logabs = np.linalg.slogdet(np.stack([b.table.entries[:N, :N] for b in bs]))
+            bad = np.flatnonzero(~np.isfinite(logabs))
+            if bad.size:
+                i, p = bad[0], self.params
+                raise FloatingPointError(
+                    f"log |det M| at contour node {i} (t = {nodes[i]:.6g}) is {logabs[i]} at "
+                    f"(N, M, tau) = ({p.N}, {p.M}, {p.tau:g})")
+            d = np.array([logdet_m_derivative(self.params, b.t, bundle=b) for b in bs])
+            step = 0.5 * np.diff(logabs) + 0.5j * np.angle(sign[1:] / sign[:-1])
+            est = 0.25 * np.diff(nodes) * (d[:-1] + d[1:])
+            lam = np.cumsum(np.r_[0, step + 1j * np.pi * np.round((est.imag - step.imag) / np.pi)])
+            self._bundles, self._lam = bs, lam - lam[i0]
+        r = np.sqrt([fredholm_det(b, zs, self.n_nystrom) for b in self._bundles])
+        flips = np.where((r[1:] * r[:-1].conj()).real < 0, -1.0, 1.0)
+        parity = np.cumprod(np.vstack((np.ones(len(zs)), flips)), axis=0)
+        r *= parity * parity[i0]
+        max_step = np.max(abs(np.diff(r, axis=0)) / np.maximum(abs(r[1:]), 1e-300), axis=0)
+        return (np.exp(self._lam)[:, None] * r,
+                [{"sqrt_max_step": float(s), "n_nystrom": self.n_nystrom} for s in max_step])

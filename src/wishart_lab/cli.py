@@ -216,6 +216,8 @@ def cmd_kernel_dump(args) -> int:
         raise ConfigError(f"config needs t = [re, im] and a grid object, got {re_im} and {grid!r}")
     t = complex(*re_im)
     lo, hi, n = _value(grid, "lo", float, 0.3), _value(grid, "hi", float, 6.0), _value(grid, "n", int, 12)
+    if not (n >= 1 and lo > 0.0 and hi > 0.0):
+        raise ConfigError(f"kernel-dump grid needs n >= 1 and lo, hi > 0, got {grid!r}")
     xs = np.linspace(lo, hi, n)
     t0 = time.time()
     kb = KernelBundle.build(params, t)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .params import ContourSpec, ModelParams
+from .zonal import contour_S
 
 __all__ = [
     "McConfig",
@@ -234,18 +235,13 @@ def sphere_integral_oracle(cfg: McConfig, lambdas) -> tuple[float, float]:
 def contour_integral_I(params: ModelParams, lambdas, contour: ContourSpec) -> complex:
     """(1 / 2 pi i) oint e^{M t} prod_j (t - tau_tilde lambda_j)^{-1/2} dt.
 
-    Times the same prod exp(-M lambda_j / 2) prefactor as the sphere oracle;
+    That is `zonal.contour_S` at power 1 and y = tau_tilde, times the same
+    prod exp(-M lambda_j / 2) prefactor as the sphere oracle;
     the two agree up to one lambda-independent constant, so tests compare
     ratios across two eigenvalue vectors.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    sing = params.tau_tilde * lambdas
-    if np.any(np.abs(sing - contour.center) >= contour.radius * 0.999):
-        raise ConfigError("contour does not enclose all tau_tilde * lambda_j")
     pref = math.exp(-0.5 * params.M * float(np.sum(lambdas)))
-    t = contour.nodes[:, None]
-    integrand = np.exp(params.M * contour.nodes) * np.prod((t - sing) ** -0.5, axis=1)
-    return pref * complex(np.sum(contour.weights * integrand)) / (2.0j * np.pi)
+    return pref * contour_S(params.M, lambdas, params.tau_tilde, 1, contour)
 
 
 def haar_orthogonal_integral(cfg: McConfig, x_eigs, y: float,

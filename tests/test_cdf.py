@@ -36,6 +36,14 @@ def dense_nystrom_det(bundle, z, n_panels=4):
     return np.linalg.det(np.eye(2 * n) - K)
 
 
+def slogdet_with_one_node_at_minus_inf(a, slogdet=np.linalg.slogdet):
+    """np.linalg.slogdet with log|det| = -inf at node 5 of a stacked call."""
+    sign, logabs = slogdet(a)
+    if a.ndim == 3:
+        logabs = np.where(np.arange(len(logabs)) == 5, -np.inf, logabs)
+    return sign, logabs
+
+
 class TestFredholmDet:
     def test_empty_domain(self, bundle):
         xmax = bundle.table.rule.xmax
@@ -55,10 +63,18 @@ class TestFredholmDet:
         # self-convergence: each doubling shrinks the change by >= 4x until
         # the roundoff floor
         z = 3.0
-        d = [fredholm_det(bundle, z, n) for n in (20, 40, 80)]
+        d = [fredholm_det(bundle, z, n) for n in (40, 80, 160)]
         e1 = abs(d[1] - d[0])
         e2 = abs(d[2] - d[1])
         assert e2 < max(e1 / 4.0, 1e-14)
+
+    @pytest.mark.parametrize("n", [20, 90, 0, -20])
+    def test_node_count_off_the_panel_grid_raises(self, p48, bundle, n):
+        # the rule is whole 20-node panels, at least two: n is never rounded
+        with pytest.raises(ConfigError, match="n_nystrom"):
+            fredholm_det(bundle, 3.0, n)
+        with pytest.raises(ConfigError, match="n_nystrom"):
+            CdfEngine(p48, n_nystrom=n)
 
     def test_stack_matches_scalar_calls_and_dense_assembly(self, bundle):
         # the dense 2n x 2n Nystrom matrix assembled from 1-D kernel calls
@@ -242,7 +258,7 @@ class TestFredholmRoute:
         eng = CdfEngine(p)
         f = eng.cdf(2.5, "fredholm").value
         assert all(np.linalg.det(b.table.entries[:p.N, :p.N]) == 0
-                   for b in eng._bundles.values())
+                   for b in eng._bundles)
         assert abs(f - CdfEngine(p).cdf(2.5).value) < 1e-6
 
     def test_n12_80_node_nystrom_rule_is_under_resolved(self):
@@ -265,9 +281,7 @@ class TestFredholmRoute:
         assert abs(CdfEngine(p).cdf(2.5, "fredholm").value - pf) < 1e-6
 
     def test_non_finite_log_det_m_raises(self, p48, monkeypatch):
-        slogdet = np.linalg.slogdet
-        monkeypatch.setattr(np.linalg, "slogdet",
-                            lambda a: (0j, -np.inf) if a.shape == (4, 4) else slogdet(a))
+        monkeypatch.setattr(np.linalg, "slogdet", slogdet_with_one_node_at_minus_inf)
         with pytest.raises(FloatingPointError, match=r"contour node \d+ .*\(4, 8, 1\)"):
             CdfEngine(p48).cdf(2.0, "fredholm")
 
@@ -380,6 +394,19 @@ class TestCdfGrid:
         with pytest.raises(ConfigError):
             CdfEngine(p48, z_inf=z_inf)
 
+    @pytest.mark.parametrize("margin", [0.0, -0.5, float("nan"), float("inf")])
+    def test_margin_must_be_finite_and_positive(self, p48, margin):
+        # margin 0 puts a node on t = 0 at tau = 0
+        with pytest.raises(ConfigError, match="margin"):
+            CdfEngine(p48, margin=margin)
+
+    @pytest.mark.parametrize("radius_factor", [0.8, 0.0, float("nan"), float("inf")])
+    def test_radius_factor_must_be_finite_and_at_least_one(self, p48, radius_factor):
+        # below 1 the circle stops enclosing the cut: at 0.8 its leftmost
+        # point is +0.3 at (4, 8, 1), and CDF(2) came out 0.1910, not 0.2177
+        with pytest.raises(ConfigError, match="radius_factor"):
+            CdfEngine(p48, radius_factor=radius_factor)
+
     @pytest.mark.parametrize("q", [3, 2.5])
     def test_q_is_checked_at_construction(self, p48, q):
         with pytest.raises(ConfigError, match="q must be"):
@@ -401,7 +428,7 @@ class TestCdfGrid:
     def test_one_bundle_and_one_determinant_per_node(self, p48, monkeypatch):
         # the anchor pass and a later grid share one KernelBundle per node
         # (no bundles off the contour), and each pass takes one batched
-        # Nystrom determinant per node (the base node, on both walks, once)
+        # Nystrom determinant per node
         builds, dets = [], []
         build, det = KernelBundle.build.__func__, cdf_module.fredholm_det
 
@@ -422,6 +449,18 @@ class TestCdfGrid:
             assert len(dets) == n and len(set(dets)) == n
             dets.clear()
         assert len(builds) == n and len(set(builds)) == n
+
+    def test_lambda_is_built_once_per_engine(self, p48, monkeypatch):
+        # Lambda is z-free: the anchor pass takes one resolvent trace per
+        # node, and a later grid reuses its Lambda
+        traces = []
+        trace = KernelBundle.resolvent_trace
+        monkeypatch.setattr(KernelBundle, "resolvent_trace",
+                            lambda b: traces.append(b.t) or trace(b))
+        eng = CdfEngine(p48)
+        eng.cdf(eng.z_inf, "fredholm")
+        eng.cdf_grid(self.ZS, "fredholm")
+        assert len(traces) == eng.contour.node_count
 
     def test_bundle_cache_holds_contour_nodes_only(self, engine):
         engine.cdf_grid(self.ZS, "fredholm")

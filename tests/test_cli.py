@@ -43,6 +43,14 @@ def write_config(path, **kw):
     ("cdf", {"z_inf": True}, "cdf.csv"),
     ("cdf", {"M": True}, "cdf.csv"),
     ("kernel-dump", {"t": [2.0, False]}, "kernel.csv"),
+    ("cdf", {"n_nystrom": 90}, "cdf.csv"),
+    ("cdf", {"n_nystrom": 0}, "cdf.csv"),
+    ("cdf", {"margin": 0}, "cdf.csv"),
+    ("kernel-dump", {"grid": {"n": -1}}, "kernel.csv"),
+    ("kernel-dump", {"grid": {"n": 0}}, "kernel.csv"),
+    ("kernel-dump", {"grid": {"lo": 0}}, "kernel.csv"),
+    ("kernel-dump", {"grid": {"lo": -1.0, "hi": 2.0}}, "kernel.csv"),
+    ("kernel-dump", {"grid": {"lo": 0.5, "hi": -1.0}}, "kernel.csv"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, bad, out):
     cfg = write_config(tmp_path / "c.json", **{"N": 4, "M": 8, "tau": 1.0, "z": [2.0], **bad})
@@ -106,8 +114,14 @@ class TestCdfCommand:
 
     def test_non_finite_log_det_m_exits_3(self, tmp_path, capsys, monkeypatch):
         slogdet = np.linalg.slogdet
-        monkeypatch.setattr(np.linalg, "slogdet",
-                            lambda a: (0j, -np.inf) if a.shape == (4, 4) else slogdet(a))
+
+        def one_node_at_minus_inf(a):
+            sign, logabs = slogdet(a)
+            if a.ndim == 3:
+                logabs = np.where(np.arange(len(logabs)) == 5, -np.inf, logabs)
+            return sign, logabs
+
+        monkeypatch.setattr(np.linalg, "slogdet", one_node_at_minus_inf)
         cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[2.0])
         assert main(["cdf", "--config", cfg, "--route", "fredholm", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
