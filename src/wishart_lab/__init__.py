@@ -28,7 +28,7 @@ from .skew import (SkewProductTable, SkewPolySet, MomentMatrix, skew_gram, skew_
 from .kernels import (KernelBundle, CdCorrectedKernel, correction_matrix,
                       check_multi_orthogonality)
 from .cdf import (CdfEngine, CdfResult, truncated_moment_matrix, logdet_m_derivative,
-                  fredholm_det, fredholm_det_exact, loe_direct_cdf)
+                  fredholm_det, loe_direct_cdf)
 from .sampling import (McConfig, sample_wishart_max_eig, sample_wishart_all_eigs,
                        haar_orthogonal, haar_unitary, sphere_integral_oracle,
                        contour_integral_I, haar_orthogonal_integral,

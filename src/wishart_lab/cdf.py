@@ -16,6 +16,13 @@ are built straight from Laguerre.  Every z shares one contour, the z_inf
 circle, and Mtrunc(t, z) is the full-half-line Gram summed over the nodes
 below z (a panel edge), so one pass over the contour serves a whole z grid.
 
+Half the contour.  The weight's (t - tau_tilde x)^(-1/2) is principal and
+the Laguerre basis real, so f(conj t) = conj f(t); node n-1-k of the circle
+is the conjugate of node k (weight -conj).  Both routes evaluate only the
+upper nodes 0 .. n/2 - 1 and sum 2i Im sum_upper w e^{M t} f, so values are
+exactly real.  `anchor_gap` reports the anchor's shortfall against the exact
+normaliser 2 pi i (1 + tau)^{M/2} M^{N/2 - 1} / Gamma(N/2) Pf(G0).
+
 Cross-check route.  Pf(Mtrunc)^2 = det M(t) * det(I - K chi_[z,inf)) where K
 is the 2x2 matrix kernel
 
@@ -38,7 +45,9 @@ is z-free, so each engine builds it once, from the same node bundles as the
 Nystrom determinants; sqrt(det(I - K chi)) follows by sign continuity along
 the same walk, and all residual constants cancel against the anchor.  det M
 is carried as (sign, log|det M|), so Lambda survives det M underflowing to
-0, as it does at every node of (12, 48, 1) and (16, 32, 1).
+0, as it does at every node of (12, 48, 1) and (16, 32, 1).  The walk ends
+at the last upper node i0, where Lambda is (1/2) i arg det M(t_i0), so
+e^Lambda sqrt(det(I - K chi)) is a real constant times Pf(Mtrunc).
 
 The Nystrom determinant.  K is discretised on n nodes of [z, xmax] (2n x 2n),
 but apart from eps(x - y) every entry is a bilinear form in the N functions
@@ -61,7 +70,7 @@ import numpy as np
 from .errors import ConfigError, PrecisionLossError
 from .kernels import KernelBundle
 from .laguerre import LaguerreBasis, build_basis
-from .params import ContourSpec, ModelParams, mp_edges, weight_w
+from .params import ContourSpec, ModelParams, mp_edges
 from .quadrature import KAPPA_EPSILON, ReferencePanel, half_line_rule, reference_panel
 from .skew import SkewProductTable, default_xmax, pfaffian, skew_gram
 
@@ -70,7 +79,6 @@ __all__ = [
     "truncated_moment_matrix",
     "logdet_m_derivative",
     "fredholm_det",
-    "fredholm_det_exact",
     "loe_direct_cdf",
     "CdfEngine",
 ]
@@ -188,38 +196,6 @@ def fredholm_det(bundle: KernelBundle, z, n_nystrom: int | None = None):
     return complex(out) if zs.ndim == 0 else out
 
 
-def fredholm_det_exact(bundle: KernelBundle, z: float) -> complex:
-    """Rank-reduced oracle: det(I - K chi) = det(I_N - mu B(z)).
-
-    B_jk = <phi_j | eps chi | phi_k> + <phi_j | chi eps chi~ | phi_k> with
-    phi_j = L_j w, chi the indicator of [z, inf) and chi~ = 1 - chi; both
-    terms reduce to one-dimensional integrals of cumulative tables.  This is
-    the finite-rank content of the Fredholm determinant, independent of the
-    Nystrom discretisation.
-    """
-    rule = bundle.table.rule
-    if z >= rule.xmax:
-        return 1.0 + 0j
-    N = bundle.params.N
-    phi = bundle.table.lag[:N] * bundle.table.wvals
-    F_z = rule.cum_at(phi, z)
-    totals = phi @ rule.w
-    tails = totals - F_z
-
-    sub = half_line_rule(rule.xmax, n_panels=16, q=16, x0=z)
-    lag_s = bundle.table.basis.eval_all(sub.x)[:N]
-    phi_s = lag_s * weight_w(bundle.params, bundle.t, sub.x)
-    F_s = rule.cum_at(phi, sub.x)
-
-    k_eps = KAPPA_EPSILON
-    tail_int = phi_s @ sub.w                                  # int_z phi_j
-    cross = phi_s @ (sub.w[:, None] * F_s.T)                  # int_z phi_j F_k
-    B = (-k_eps * np.outer(F_z, tails)
-         + k_eps * (2.0 * cross - 2.0 * np.outer(tail_int, F_z) - np.outer(tail_int, tails))
-         + k_eps * np.outer(tail_int, F_z))
-    return complex(np.linalg.det(np.eye(N) - bundle.mu @ B))
-
-
 def loe_direct_cdf(params: ModelParams, z: float, z_inf: float | None = None,
                    n_panels: int = 24, q: int = 16) -> float:
     """Null-Wishart largest-eigenvalue CDF by a direct Pfaffian ratio.
@@ -247,15 +223,15 @@ class CdfEngine:
     One engine fixes (N, M, tau), all discretisation knobs and with them one
     contour, the circle for z_inf: its geometry is capped, so it encloses
     the live part of the branch cut for every z, and both routes use it.
-    `cdf_grid` is the one evaluation path.  A single pass over the contour
-    nodes serves every z of a grid; the first pass of each route also
-    evaluates z_inf and caches that contour sum as the route's
+    `cdf_grid` is the one evaluation path.  A single pass over the upper
+    contour nodes serves every z of a grid; the first pass of each route
+    also evaluates z_inf and caches that contour sum as the route's
     normalisation anchor, which later calls reuse.  A Pfaffian-route node
     takes one truncated Gram stack and one batched Pfaffian for all its z;
-    the Fredholm route builds one KernelBundle per contour node and the
-    z-free Lambda once, and nothing off the contour.  The node rules share
-    one q-point Gauss-Legendre reference panel and one Laguerre basis, which
-    the engine builds once, for itself.  q must be an integer >= 4, z_inf
+    the Fredholm route builds one KernelBundle per upper node and the z-free
+    Lambda once.  The node rules share one q-point Gauss-Legendre reference
+    panel and one Laguerre basis, which the engine builds once, for itself.
+    contour_nodes must be an even integer >= 8, q an integer >= 4, z_inf
     and margin finite and positive, radius_factor finite and >= 1, and
     n_nystrom (by default default_n_nystrom(params)) a multiple of 20, >= 40.
     """
@@ -264,6 +240,9 @@ class CdfEngine:
                  margin: float = 0.5, radius_factor: float = 1.0,
                  n_panels: int = 24, q: int = 16, n_nystrom: int | None = None,
                  z_inf: float | None = None):
+        if not (isinstance(contour_nodes, (int, np.integer))
+                and contour_nodes >= 8 and contour_nodes % 2 == 0):
+            raise ConfigError(f"contour_nodes must be an even integer >= 8, got {contour_nodes!r}")
         self.params = params
         self.contour_nodes = contour_nodes
         self.margin = margin
@@ -282,8 +261,8 @@ class CdfEngine:
         if not (math.isfinite(radius_factor) and radius_factor >= 1.0):
             raise ConfigError(f"radius_factor must be finite and >= 1, got {radius_factor}")
         self.contour = self.contour_for(self.z_inf)
-        self._anchors: dict = {}     # route -> contour sum at z_inf
-        self._bundles = self._lam = None   # Fredholm route: per-node KernelBundle and Lambda
+        self._anchors: dict = {}     # route -> (contour sum at z_inf, anchor_gap)
+        self._bundles = self._lam = self._lam0 = None  # Fredholm bundles, Lambda, (1/2) log|det M(t_i0)|
 
     def contour_for(self, z: float) -> ContourSpec:
         """Circle hugging the integrand's branch cut [0, tau_tilde * z].
@@ -330,21 +309,23 @@ class CdfEngine:
     def cdf_grid(self, zs, route: str = "pfaffian") -> list[CdfResult]:
         """P(lambda_max < z) for every z of `zs`, in order, from one node pass.
 
-        z <= 0 gives exactly 0.  Each other result carries `im_residual`,
-        `node_count`, the route's `anchor` and
-        `cancellation_digits` = log10(sum |w e^{M t} f| / |sum w e^{M t} f|),
-        the digits lost to cancellation in the contour sum (f is Pf on the
-        Pfaffian route and e^Lambda sqrt(det) on the Fredholm route).  A z
-        that loses more than MAX_LOST_DIGITS, or whose value leaves [0, 1]
-        by more than RANGE_TOL, raises PrecisionLossError.  Each distinct z
-        is evaluated once.
+        The sum over the upper nodes, 2i Im sum w e^{M t} f, makes each value
+        exactly real; z <= 0 gives exactly 0.  Each other result carries the
+        circle's `node_count`, the route's `anchor`, `anchor_gap` =
+        |anchor / exact - 1| (exact less the sqrt|det M(t_i0)| the Fredholm
+        Lambda leaves out; inf if Pf(G0) is 0 or not finite), `im_residual`
+        (0.0, kept for existing readers) and `cancellation_digits` =
+        log10(sum |w e^{M t} f| / |sum w e^{M t} f|), the digits lost to
+        cancellation in the contour sum (f is Pf on the Pfaffian route and
+        e^Lambda sqrt(det) on the Fredholm route).  A z that loses more than
+        MAX_LOST_DIGITS, or whose value leaves [0, 1] by more than RANGE_TOL,
+        raises PrecisionLossError.  Each distinct z is evaluated once.
 
         On the Fredholm route a z's value does not depend on the other z of
         the call: a fresh engine's `cdf(z)` is bitwise that z inside a grid.
         On the Pfaffian route every z is a panel edge of every node rule, so
         the other z of a grid move a value by roundoff that the contour
-        cancellation amplifies (up to 3.6e-8 at (4, 8, 1)); that dependence
-        is still open.
+        cancellation amplifies (up to 3.6e-8 at (4, 8, 1)), an open issue.
         """
         if route not in ("pfaffian", "fredholm"):
             raise ConfigError(f"unknown route {route!r}")
@@ -358,27 +339,31 @@ class CdfEngine:
             pts = live + ([self.z_inf] if route not in self._anchors else [])
             uniq, inv = np.unique(pts, return_inverse=True)
             f, diags = self._node_values(uniq, route)
-            terms = (self.contour.weights * np.exp(self.params.M * self.contour.nodes))[:, None] * f
-            total, mag = terms.sum(axis=0)[inv], np.abs(terms).sum(axis=0)[inv]
+            c = self.contour
+            terms = (c.weights * np.exp(self.params.M * c.nodes))[:n // 2, None] * f
+            total, mag = 2j * terms.sum(axis=0).imag[inv], 2.0 * np.abs(terms).sum(axis=0)[inv]
             if len(pts) > len(live):
                 if not (np.isfinite(total[-1]) and total[-1] != 0):
                     raise FloatingPointError(
                         f"{route} anchor at z_inf = {self.z_inf:g} is {total[-1]}: "
                         "the contour sum under- or overflows at this (N, M, tau)")
-                self._anchors[route] = complex(total[-1])
-            anchor = self._anchors[route]
+                gap = (math.log(abs(total[-1])) - self._log_exact_anchor
+                       + (self._lam0 if route == "fredholm" else 0.0))
+                self._anchors[route] = (complex(total[-1]),
+                                        abs(math.expm1(gap)) if gap < 700.0 else math.inf)
+            anchor, anchor_gap = self._anchors[route]
             with np.errstate(divide="ignore", invalid="ignore"):
                 digits = np.where(mag > 0, np.log10(mag / np.abs(total)), 0.0)
-            vals = total[:len(live)] / anchor
-            in_range = (vals.real >= -RANGE_TOL) & (vals.real <= 1.0 + RANGE_TOL)
+            vals = total.imag[:len(live)] / anchor.imag
+            in_range = (vals >= -RANGE_TOL) & (vals <= 1.0 + RANGE_TOL)
             bad = np.flatnonzero(~in_range | (digits[:len(live)] > MAX_LOST_DIGITS))
             if bad.size:
                 k = bad[0]
                 raise PrecisionLossError(
-                    f"{route} CDF at z = {live[k]:g} is {vals[k].real:.6g} and lost "
+                    f"{route} CDF at z = {live[k]:g} is {vals[k]:.6g} and lost "
                     f"{digits[k]:.1f} digits to contour cancellation (budget {MAX_LOST_DIGITS:g})")
-            results = iter([CdfResult(z, float(vals[k].real), route, {
-                "im_residual": float(vals[k].imag), "node_count": n, "anchor": anchor,
+            results = iter([CdfResult(z, float(vals[k]), route, {
+                "im_residual": 0.0, "node_count": n, "anchor": anchor, "anchor_gap": anchor_gap,
                 "cancellation_digits": float(digits[k]), **diags[inv[k]]})
                 for k, z in enumerate(live)])
         return [next(results) if z > 0.0 else CdfResult(z, 0.0, route, {"node_count": n})
@@ -390,29 +375,43 @@ class CdfEngine:
     cdf_pfaffian = functools.partialmethod(cdf, route="pfaffian")
     cdf_fredholm = functools.partialmethod(cdf, route="fredholm")
 
+    @functools.cached_property
+    def _log_exact_anchor(self) -> float:
+        """log |2 pi i (1 + tau)^{M/2} M^{N/2 - 1} / Gamma(N/2) Pf(G0)|, G0
+        the tau = 0 moment matrix at t = 1; nan unless Pf(G0) is usable."""
+        N, M = self.params.N, self.params.M
+        pf0 = abs(pfaffian(truncated_moment_matrix(
+            ModelParams(N, M, 0.0), 1.0, math.inf, basis=self.basis,
+            n_panels=self.n_panels, q=self.q, panel=self.panel)))
+        return (math.log(2.0 * math.pi) + 0.5 * M * math.log1p(self.params.tau)
+                + (0.5 * N - 1.0) * math.log(M) - math.lgamma(0.5 * N)
+                + math.log(pf0)) if 0.0 < pf0 < math.inf else math.nan
+
     def _node_values(self, zs, route: str):
-        """f at every contour node (rows) and z (columns), and per-z diagnostics;
+        """f at every upper contour node (rows) and z (columns), and per-z diagnostics;
         one batched Pfaffian per node (one over all nodes only raises peak memory)."""
         if route == "fredholm":
             return self._fredholm_values(zs)
         return np.array([pfaffian(truncated_moment_matrix(
-            self.params, t, zs, basis=self.basis, n_panels=self.n_panels, q=self.q,
-            panel=self.panel))
-            for t in self.contour.nodes]), [{}] * len(zs)
+            self.params, t, zs, basis=self.basis, n_panels=self.n_panels, q=self.q, panel=self.panel))
+            for t in self.contour.nodes[:self.contour.node_count // 2]]), [{}] * len(zs)
 
     def _fredholm_values(self, zs):
-        """e^Lambda sqrt(det(I - K chi_[z, inf))) at every node and z.
+        """e^Lambda sqrt(det(I - K chi_[z, inf))) at every upper-half node and z.
 
-        One walk over the nodes in index order runs from just above the
-        positive real axis round through arg t = pi to just below it.  The
-        route's first call builds the bundles and the z-free Lambda (a
-        `cumsum` of steps read off one stacked `slogdet`, 0 at node i0 just
-        below arg t = pi); every call takes one Nystrom determinant per node
-        and continues each z's root by sign from its principal value at i0.
-        `sqrt_max_step` is each z's largest jump of the root between
-        neighbours, relative to the root stepped to.
+        One walk over the upper nodes 0 .. i0 = n/2 - 1 in index order runs
+        from just above the positive real axis to just above arg t = pi.
+        The route's first call builds their bundles and the z-free Lambda (a
+        `cumsum` of steps read off one stacked `slogdet`), (1/2) i arg
+        det M(t_i0) at i0: relative in modulus, so det M may underflow, but
+        with the phase of sqrt(det M) that f(conj t) = conj f(t) needs.
+        Every call takes one Nystrom determinant per node and continues each
+        z's root by sign from its principal value at i0.  `sqrt_max_step` is
+        each z's largest jump of the root between neighbours, relative to the
+        root stepped to.
         """
-        nodes, i0, N = self.contour.nodes, self.contour.node_count // 2 - 1, self.params.N
+        i0, N = self.contour.node_count // 2 - 1, self.params.N
+        nodes = self.contour.nodes[:i0 + 1]
         if self._bundles is None:
             bs = [KernelBundle.build(self.params, complex(t), basis=self.basis,
                                      n_panels=self.n_panels, q=self.q, panel=self.panel)
@@ -428,7 +427,8 @@ class CdfEngine:
             step = 0.5 * np.diff(logabs) + 0.5j * np.angle(sign[1:] / sign[:-1])
             est = 0.25 * np.diff(nodes) * (d[:-1] + d[1:])
             lam = np.cumsum(np.r_[0, step + 1j * np.pi * np.round((est.imag - step.imag) / np.pi)])
-            self._bundles, self._lam = bs, lam - lam[i0]
+            self._bundles, self._lam0 = bs, 0.5 * logabs[i0]
+            self._lam = lam - lam[i0] + 0.5j * np.angle(sign[i0])
         r = np.sqrt([fredholm_det(b, zs, self.n_nystrom) for b in self._bundles])
         flips = np.where((r[1:] * r[:-1].conj()).real < 0, -1.0, 1.0)
         parity = np.cumprod(np.vstack((np.ones(len(zs)), flips)), axis=0)

@@ -259,18 +259,18 @@ def suite_hygiene(seed: int = 0) -> dict:
     fr1 = base.cdf_fredholm(3.5).value
     fr2 = CdfEngine(p, n_nystrom=160).cdf_fredholm(3.5).value
     checks.append(_check("Nystrom doubling", abs(fr2 - fr1), 1e-4))
-    # Pf^2 = det at contour nodes
-    worst = 0.0
+    # Pf^2 = det at contour nodes, and the half-contour sum's Pf(conj t) = conj Pf(t)
+    worst = sym = 0.0
     for t in base.contour.nodes[::8]:
         tab = SkewProductTable.build(p, t, kmax=p.N - 1, z=3.5)
         pf = pfaffian(tab.entries)
         det = np.linalg.det(tab.entries)
         worst = max(worst, abs(pf**2 - det) / abs(det))
+        pf_bar = pfaffian(SkewProductTable.build(p, np.conj(t), kmax=p.N - 1, z=3.5).entries)
+        sym = max(sym, abs(pf_bar - np.conj(pf)) / abs(pf))
     checks.append(_check("Pf^2 = det", worst, 1e-9))
-    res = base.cdf_grid(np.linspace(0.4, 12.0, 25))
-    im = max(abs(r.diagnostics["im_residual"]) for r in res)
-    checks.append(_check("conjugation symmetry |Im CDF|", im, 1e-6))
-    grid = [r.value for r in res]
+    checks.append(_check("conjugation symmetry |Pf(conj t) - conj Pf(t)|", sym, 1e-12))
+    grid = [r.value for r in base.cdf_grid(np.linspace(0.4, 12.0, 25))]
     mono = max(max(grid[i] - grid[i + 1] for i in range(len(grid) - 1)), 0.0)
     checks.append(_check("monotone nondecreasing", mono, 1e-6))
     checks.append(_check("bounds", max(-min(grid), max(grid) - 1.0, 0.0), 1e-6))

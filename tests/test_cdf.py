@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wishart_lab import (CdfEngine, EpsilonTransform, KernelBundle,
-                         ModelParams, build_basis, fredholm_det, fredholm_det_exact,
-                         half_line_rule, loe_direct_cdf, logdet_m_derivative, pfaffian,
+from wishart_lab import (KAPPA_EPSILON, CdfEngine, EpsilonTransform, KernelBundle,
+                         ModelParams, build_basis, fredholm_det, half_line_rule,
+                         loe_direct_cdf, logdet_m_derivative, pfaffian,
                          truncated_moment_matrix, weight_w)
 from wishart_lab import ConfigError, DegenerateSkewProductError, PrecisionLossError
 from wishart_lab import cdf as cdf_module, quadrature
@@ -34,6 +34,38 @@ def dense_nystrom_det(bundle, z, n_panels=4):
     K = np.block([[S * w, bundle.ds1(x, x) * w],
                   [bundle.is1(x, x) * w - eps_op, S.T * w]])
     return np.linalg.det(np.eye(2 * n) - K)
+
+
+def fredholm_det_exact(bundle, z):
+    """Rank-reduced oracle: det(I - K chi) = det(I_N - mu B(z)).
+
+    B_jk = <phi_j | eps chi | phi_k> + <phi_j | chi eps chi~ | phi_k> with
+    phi_j = L_j w, chi the indicator of [z, inf) and chi~ = 1 - chi; both
+    terms reduce to one-dimensional integrals of cumulative tables.  This is
+    the finite-rank content of the Fredholm determinant, independent of the
+    Nystrom discretisation.
+    """
+    rule = bundle.table.rule
+    if z >= rule.xmax:
+        return 1.0 + 0j
+    N = bundle.params.N
+    phi = bundle.table.lag[:N] * bundle.table.wvals
+    F_z = rule.cum_at(phi, z)
+    totals = phi @ rule.w
+    tails = totals - F_z
+
+    sub = half_line_rule(rule.xmax, n_panels=16, q=16, x0=z)
+    lag_s = bundle.table.basis.eval_all(sub.x)[:N]
+    phi_s = lag_s * weight_w(bundle.params, bundle.t, sub.x)
+    F_s = rule.cum_at(phi, sub.x)
+
+    k_eps = KAPPA_EPSILON
+    tail_int = phi_s @ sub.w                                  # int_z phi_j
+    cross = phi_s @ (sub.w[:, None] * F_s.T)                  # int_z phi_j F_k
+    B = (-k_eps * np.outer(F_z, tails)
+         + k_eps * (2.0 * cross - 2.0 * np.outer(tail_int, F_z) - np.outer(tail_int, tails))
+         + k_eps * np.outer(tail_int, F_z))
+    return complex(np.linalg.det(np.eye(N) - bundle.mu @ B))
 
 
 def slogdet_with_one_node_at_minus_inf(a, slogdet=np.linalg.slogdet):
@@ -161,9 +193,10 @@ class TestPfaffianRoute:
         assert r.value == pytest.approx(1.0, abs=1e-4)
 
     def test_im_residual_small(self, engine):
+        # the half-contour sum is exactly real; the key stays for its readers
         for z in (2.0, 4.0, 8.0):
             r = engine.cdf_pfaffian(z)
-            assert abs(r.diagnostics["im_residual"]) < 1e-6
+            assert r.diagnostics["im_residual"] == 0.0
 
     def test_monotone_and_bounded(self, engine):
         zs = np.linspace(0.4, 12.0, 20)
@@ -232,18 +265,22 @@ class TestFredholmRoute:
     @pytest.mark.parametrize("params,zs", [((4, 8, 1.0), [2.0, 3.5, 5.0, None]),
                                            ((8, 32, 1.0), [1.5, 2.5])])
     def test_node_values_are_pfaffians_times_one_constant(self, params, zs):
-        # Pf(Mtrunc)^2 = det M det(I - K chi) and e^{2 Lambda} = det M / det M(c0),
-        # so f / Pf is one constant per z over both walks; a wrong Lambda
-        # branch or root sign flips the ratio at the nodes past the error
+        # Pf(Mtrunc)^2 = det M det(I - K chi) and e^{2 Lambda} = det M / |det M(t_i0)|,
+        # so f / Pf is one real constant per z over the upper-half walk; a
+        # wrong Lambda branch or root sign flips the ratio at the nodes past
+        # the error, and a wrong phase at i0 makes it complex
         p = ModelParams(*params)
         eng = CdfEngine(p)
         zs = [eng.z_inf if z is None else z for z in zs]
         f, _ = eng._fredholm_values(zs)
+        upper = eng.contour.nodes[:eng.contour.node_count // 2]
+        assert len(f) == len(upper)
         pf = np.array([[pfaffian(m) for m in truncated_moment_matrix(p, t, zs)]
-                       for t in eng.contour.nodes])
+                       for t in upper])
         ratio = f / pf
         spread = np.max(np.abs(ratio - ratio[0]), axis=0) / np.abs(ratio[0])
         assert np.all(spread < 1e-10)
+        assert np.all(np.abs(ratio.imag) <= 1e-12 * np.abs(ratio))
 
     def test_nystrom_doubling(self, p48, engine):
         fine = CdfEngine(p48, n_nystrom=160)
@@ -336,18 +373,22 @@ class TestCdfGrid:
     def test_anchor_computed_once(self, p48, monkeypatch):
         calls = []
 
+        # one stack per upper-half node, and on the anchor pass the full
+        # half-line Gram G0 of the exact normaliser (scalar z = inf)
         def spy(params, t, z, **kw):
-            calls.append(len(z))
+            calls.append(np.size(z))
             return truncated_moment_matrix(params, t, z, **kw)
 
         monkeypatch.setattr(cdf_module, "truncated_moment_matrix", spy)
         eng = CdfEngine(p48)
+        half = eng.contour.node_count // 2
         eng.cdf_grid(self.ZS)
         anchor = eng._anchors["pfaffian"]
-        assert calls == [len(self.ZS) + 1] * eng.contour.node_count
+        assert calls == [len(self.ZS) + 1] * half + [1]
         calls.clear()
         eng.cdf_grid(self.ZS)
-        assert calls == [len(self.ZS)] * eng.contour.node_count
+        eng.cdf_grid(self.ZS, "fredholm")
+        assert calls == [len(self.ZS)] * half
         assert eng._anchors["pfaffian"] == anchor
 
     def test_each_distinct_z_evaluated_once(self, p48, monkeypatch):
@@ -357,7 +398,7 @@ class TestCdfGrid:
         seen, pf_calls = [], []
 
         def gram_spy(params, t, z, **kw):
-            seen.append(list(z))
+            seen.append(np.atleast_1d(z).tolist())
             return truncated_moment_matrix(params, t, z, **kw)
 
         def pf_spy(A):
@@ -367,9 +408,11 @@ class TestCdfGrid:
         monkeypatch.setattr(cdf_module, "truncated_moment_matrix", gram_spy)
         monkeypatch.setattr(cdf_module, "pfaffian", pf_spy)
         eng = CdfEngine(p48)
-        n = eng.contour.node_count
+        n = eng.contour.node_count // 2
         eng.cdf(eng.z_inf)
-        assert seen == [[eng.z_inf]] * n and pf_calls == [(1, p48.N, p48.N)] * n
+        # the anchor pass also takes G0's Pfaffian, once per engine
+        assert seen == [[eng.z_inf]] * n + [[np.inf]]
+        assert pf_calls == [(1, p48.N, p48.N)] * n + [(p48.N, p48.N)]
         seen.clear()
         pf_calls.clear()
         grid = [3.0, 2.0, 3.0, eng.z_inf, 2.0, -1.0, 3.0]
@@ -377,7 +420,11 @@ class TestCdfGrid:
         assert seen == [[2.0, 3.0, eng.z_inf]] * n and pf_calls == [(3, p48.N, p48.N)] * n
         assert res[0] == res[2] == res[6] and res[1] == res[4]
         assert [r.z for r in res] == grid and res[0] != res[1]
-        assert res[3].value == pytest.approx(1.0, abs=1e-9)
+        # z_inf's panel edges at 2 and 3 move its value by roundoff that the
+        # ~8.4 digits of contour cancellation amplify (the open panel-edge
+        # dependence): up to 2.2e-8 over grids with the full contour, 1.2e-8
+        # with the half contour
+        assert res[3].value == pytest.approx(1.0, abs=5e-8)
 
     def test_fredholm_point_equals_its_value_inside_a_grid(self, p48):
         # a fresh engine's cdf(z) is bitwise the same z of the fredholm-n4 grid
@@ -407,6 +454,18 @@ class TestCdfGrid:
         with pytest.raises(ConfigError, match="radius_factor"):
             CdfEngine(p48, radius_factor=radius_factor)
 
+    @pytest.mark.parametrize("contour_nodes", [0, -5, 65, 6, 64.0, True, "64"])
+    def test_contour_nodes_must_be_an_even_integer_of_at_least_8(self, p48, contour_nodes):
+        # never replaced silently; an odd count would put a node on the real axis
+        with pytest.raises(ConfigError, match="contour_nodes"):
+            CdfEngine(p48, contour_nodes=contour_nodes)
+
+    def test_valid_contour_nodes_is_a_floor_on_the_node_count(self, p48, engine):
+        # the circle's own aliasing bound (120 nodes at (4, 8, 1)) still wins
+        assert np.array_equal(CdfEngine(p48, contour_nodes=np.int64(8)).contour.nodes,
+                              engine.contour.nodes)
+        assert CdfEngine(p48, contour_nodes=160).contour.node_count == 160
+
     @pytest.mark.parametrize("q", [3, 2.5])
     def test_q_is_checked_at_construction(self, p48, q):
         with pytest.raises(ConfigError, match="q must be"):
@@ -426,9 +485,9 @@ class TestCdfGrid:
         assert route == "fredholm" or calls == [eng.q]
 
     def test_one_bundle_and_one_determinant_per_node(self, p48, monkeypatch):
-        # the anchor pass and a later grid share one KernelBundle per node
-        # (no bundles off the contour), and each pass takes one batched
-        # Nystrom determinant per node
+        # the anchor pass and a later grid share one KernelBundle per
+        # upper-half node (no bundles off the contour, none on the lower
+        # half), and each pass takes one batched Nystrom determinant per node
         builds, dets = [], []
         build, det = KernelBundle.build.__func__, cdf_module.fredholm_det
 
@@ -443,7 +502,7 @@ class TestCdfGrid:
         monkeypatch.setattr(KernelBundle, "build", classmethod(build_spy))
         monkeypatch.setattr(cdf_module, "fredholm_det", det_spy)
         eng = CdfEngine(p48)
-        n = eng.contour.node_count
+        n = eng.contour.node_count // 2
         for zs in (self.ZS, [3.0]):
             eng.cdf_grid(zs, "fredholm")
             assert len(dets) == n and len(set(dets)) == n
@@ -452,7 +511,7 @@ class TestCdfGrid:
 
     def test_lambda_is_built_once_per_engine(self, p48, monkeypatch):
         # Lambda is z-free: the anchor pass takes one resolvent trace per
-        # node, and a later grid reuses its Lambda
+        # upper-half node, and a later grid reuses its Lambda
         traces = []
         trace = KernelBundle.resolvent_trace
         monkeypatch.setattr(KernelBundle, "resolvent_trace",
@@ -460,11 +519,11 @@ class TestCdfGrid:
         eng = CdfEngine(p48)
         eng.cdf(eng.z_inf, "fredholm")
         eng.cdf_grid(self.ZS, "fredholm")
-        assert len(traces) == eng.contour.node_count
+        assert len(traces) == eng.contour.node_count // 2
 
     def test_bundle_cache_holds_contour_nodes_only(self, engine):
         engine.cdf_grid(self.ZS, "fredholm")
-        assert len(engine._bundles) == engine.contour.node_count
+        assert len(engine._bundles) == engine.contour.node_count // 2
 
     def test_cancellation_digits(self, p48, engine):
         c = engine.contour
@@ -473,6 +532,53 @@ class TestCdfGrid:
         expect = np.log10(np.sum(np.abs(terms)) / abs(np.sum(terms)))
         got = engine.cdf(2.0).diagnostics["cancellation_digits"]
         assert got == pytest.approx(expect, rel=1e-6)
+
+
+class TestHalfContour:
+    @pytest.mark.parametrize("params,zs", [((4, 8, 1.0), [2.0, 3.0, 4.0, 5.0]),
+                                           ((8, 32, 1.0), [1.5, 2.5])])
+    def test_value_equals_all_node_oracle(self, params, zs):
+        # the plain trapezoid sum over every node of the circle, both halves
+        p = ModelParams(*params)
+        eng = CdfEngine(p)
+        c = eng.contour
+        pf = np.array([[pfaffian(m) for m in truncated_moment_matrix(p, t, zs + [eng.z_inf])]
+                       for t in c.nodes])
+        sums = (c.weights * np.exp(p.M * c.nodes)) @ pf
+        oracle = (sums[:-1] / sums[-1]).real
+        got = [r.value for r in eng.cdf_grid(zs)]
+        assert np.max(np.abs(np.array(got) - oracle)) < 1e-7
+
+    def test_pfaffian_is_conjugate_symmetric(self):
+        p = ModelParams(16, 64, 1.0)
+        eng = CdfEngine(p)
+        for t in eng.contour.nodes[::8]:
+            a, b = (pfaffian(truncated_moment_matrix(p, s, 3.5, basis=eng.basis))
+                    for s in (t, np.conj(t)))
+            assert abs(b - np.conj(a)) <= 1e-13 * abs(a)
+
+    def test_lower_half_nodes_mirror_the_upper_half(self, engine):
+        c, n = engine.contour, engine.contour.node_count
+        assert np.allclose(c.nodes[::-1][:n // 2], np.conj(c.nodes[:n // 2]), rtol=0, atol=1e-14)
+        assert np.allclose(c.weights[::-1][:n // 2], -np.conj(c.weights[:n // 2]),
+                           rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("route", ["pfaffian", "fredholm"])
+    @pytest.mark.parametrize("params,lo,hi", [((4, 8, 1.0), 0.0, 1e-6),
+                                              ((8, 32, 1.0), 1e-5, 1e-4)])
+    def test_anchor_gap(self, params, lo, hi, route):
+        # the anchor's shortfall against the closed-form normaliser: roundoff
+        # at (4, 8, 1), the dropped part of the cut at (8, 32, 1)
+        eng = CdfEngine(ModelParams(*params))
+        res = eng.cdf_grid([2.0, 3.0], route)
+        gaps = {r.diagnostics["anchor_gap"] for r in res}
+        assert len(gaps) == 1 and lo <= gaps.pop() < hi
+
+    def test_anchor_gap_is_inf_when_pf_g0_is_not_usable(self, p48, monkeypatch):
+        pf = cdf_module.pfaffian
+        monkeypatch.setattr(cdf_module, "pfaffian",
+                            lambda A: 0.0 if np.ndim(A) == 2 else pf(A))
+        assert CdfEngine(p48).cdf(3.0).diagnostics["anchor_gap"] == np.inf
 
 
 class TestPrecisionGuard:

@@ -51,6 +51,9 @@ def write_config(path, **kw):
     ("kernel-dump", {"grid": {"lo": 0}}, "kernel.csv"),
     ("kernel-dump", {"grid": {"lo": -1.0, "hi": 2.0}}, "kernel.csv"),
     ("kernel-dump", {"grid": {"lo": 0.5, "hi": -1.0}}, "kernel.csv"),
+    ("cdf", {"contour_nodes": 0}, "cdf.csv"),
+    ("cdf", {"contour_nodes": -5}, "cdf.csv"),
+    ("cdf", {"contour_nodes": 65}, "cdf.csv"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, bad, out):
     cfg = write_config(tmp_path / "c.json", **{"N": 4, "M": 8, "tau": 1.0, "z": [2.0], **bad})
@@ -82,6 +85,7 @@ class TestCdfCommand:
         assert all(-1e-6 < v < 1 + 1e-6 for v in vals)
         assert vals == sorted(vals)
         assert all(float(r["cancellation_digits"]) >= 0.0 for r in rows)
+        assert all(0.0 <= float(r["anchor_gap"]) < 1e-6 for r in rows)
         manifest = json.loads((out1 / "cdf_manifest.json").read_text())
         assert manifest["outputs"] == ["cdf.csv"]
 
