@@ -13,15 +13,16 @@ constants of the de Bruijn identity and of the eigenvalue density cancel in
 this ratio ("never computed from first principles").  Any monic family gives
 the same Pfaffian (unit-triangular congruence), so the truncated matrices
 are built straight from Laguerre.  Every z shares one contour, the z_inf
-circle, and Mtrunc(t, z) is the full-half-line Gram summed over the nodes
-below z (a panel edge), so one pass over the contour serves a whole z grid.
+circle, and Mtrunc(t, z) is read off one z-free half-line rule per node
+(`skew_gram`), so one pass over the contour serves a whole z grid and a z's
+value does not depend on the other z of the grid.
 
 Half the contour.  The weight's (t - tau_tilde x)^(-1/2) is principal and
 the Laguerre basis real, so f(conj t) = conj f(t); node n-1-k of the circle
 is the conjugate of node k (weight -conj).  Both routes evaluate only the
-upper nodes 0 .. n/2 - 1 and sum 2i Im sum_upper w e^{M t} f, so values are
-exactly real.  `anchor_gap` reports the anchor's shortfall against the exact
-normaliser 2 pi i (1 + tau)^{M/2} M^{N/2 - 1} / Gamma(N/2) Pf(G0).
+upper nodes 0 .. n/2 - 1 and sum 2i Im sum_upper w e^{M t} f row by row,
+so values are exactly real.  `anchor_gap` reports the anchor's shortfall
+against the exact normaliser 2 pi i (1 + tau)^{M/2} M^{N/2 - 1} / Gamma(N/2) Pf(G0).
 
 Cross-check route.  Pf(Mtrunc)^2 = det M(t) * det(I - K chi_[z,inf)) where K
 is the 2x2 matrix kernel
@@ -123,7 +124,7 @@ def truncated_moment_matrix(params: ModelParams, t: complex, z,
     """N x N antisymmetric matrix <L_j, L_k>_1 truncated to [0, z]^2.
 
     A 1-D z gives the stack (len(z), N, N), every truncation read off one
-    full-half-line rule with a panel edge at each z; z <= 0 gives zeros.
+    z-free half-line rule; z <= 0 gives zeros.
     `basis` and the q-point reference `panel` are built when not given.
     """
     table = SkewProductTable.build(params, t, kmax=params.N - 1, z=z, basis=basis,
@@ -207,7 +208,7 @@ def loe_direct_cdf(params: ModelParams, z: float, z_inf: float | None = None,
     """
     if z_inf is None:
         z_inf = default_z_inf(params)
-    rule = half_line_rule(default_xmax(params), n_panels=n_panels, q=q, breaks=(z, z_inf))
+    rule = half_line_rule(default_xmax(params), n_panels=n_panels, q=q)
     wv = np.exp(-0.5 * params.M * rule.x) * rule.x ** (0.5 * (params.M - params.N - 1))
     phi = build_basis(params).eval_all(rule.x)[: params.N] * wv
     num, den = pfaffian(skew_gram(rule, phi, [z, z_inf])[0])
@@ -261,7 +262,7 @@ class CdfEngine:
         if not (math.isfinite(radius_factor) and radius_factor >= 1.0):
             raise ConfigError(f"radius_factor must be finite and >= 1, got {radius_factor}")
         self.contour = self.contour_for(self.z_inf)
-        self._anchors: dict = {}     # route -> (contour sum at z_inf, anchor_gap)
+        self._anchors: dict = {}     # route -> (contour sum at z_inf / i, anchor_gap)
         self._bundles = self._lam = self._lam0 = None  # Fredholm bundles, Lambda, (1/2) log|det M(t_i0)|
 
     def contour_for(self, z: float) -> ContourSpec:
@@ -321,11 +322,8 @@ class CdfEngine:
         MAX_LOST_DIGITS, or whose value leaves [0, 1] by more than RANGE_TOL,
         raises PrecisionLossError.  Each distinct z is evaluated once.
 
-        On the Fredholm route a z's value does not depend on the other z of
-        the call: a fresh engine's `cdf(z)` is bitwise that z inside a grid.
-        On the Pfaffian route every z is a panel edge of every node rule, so
-        the other z of a grid move a value by roundoff that the contour
-        cancellation amplifies (up to 3.6e-8 at (4, 8, 1)), an open issue.
+        On both routes a z's value does not depend on the other z of the
+        call: a fresh engine's `cdf(z)` is bitwise that z inside a grid.
         """
         if route not in ("pfaffian", "fredholm"):
             raise ConfigError(f"unknown route {route!r}")
@@ -339,22 +337,23 @@ class CdfEngine:
             pts = live + ([self.z_inf] if route not in self._anchors else [])
             uniq, inv = np.unique(pts, return_inverse=True)
             f, diags = self._node_values(uniq, route)
-            c = self.contour
-            terms = (c.weights * np.exp(self.params.M * c.nodes))[:n // 2, None] * f
-            total, mag = 2j * terms.sum(axis=0).imag[inv], 2.0 * np.abs(terms).sum(axis=0)[inv]
+            c, h = self.contour, n // 2
+            terms = (c.weights[:h] * np.exp(self.params.M * c.nodes[:h]))[:, None] * f
+            # summed row by row, so a column's sum does not depend on the other columns
+            total, mag = 2.0 * sum(terms).imag[inv], 2.0 * sum(np.abs(terms))[inv]
             if len(pts) > len(live):
                 if not (np.isfinite(total[-1]) and total[-1] != 0):
                     raise FloatingPointError(
-                        f"{route} anchor at z_inf = {self.z_inf:g} is {total[-1]}: "
+                        f"{route} anchor at z_inf = {self.z_inf:g} is {total[-1]}i: "
                         "the contour sum under- or overflows at this (N, M, tau)")
                 gap = (math.log(abs(total[-1])) - self._log_exact_anchor
                        + (self._lam0 if route == "fredholm" else 0.0))
-                self._anchors[route] = (complex(total[-1]),
+                self._anchors[route] = (float(total[-1]),
                                         abs(math.expm1(gap)) if gap < 700.0 else math.inf)
             anchor, anchor_gap = self._anchors[route]
             with np.errstate(divide="ignore", invalid="ignore"):
                 digits = np.where(mag > 0, np.log10(mag / np.abs(total)), 0.0)
-            vals = total.imag[:len(live)] / anchor.imag
+            vals = total[:len(live)] / anchor
             in_range = (vals >= -RANGE_TOL) & (vals <= 1.0 + RANGE_TOL)
             bad = np.flatnonzero(~in_range | (digits[:len(live)] > MAX_LOST_DIGITS))
             if bad.size:
@@ -363,7 +362,7 @@ class CdfEngine:
                     f"{route} CDF at z = {live[k]:g} is {vals[k]:.6g} and lost "
                     f"{digits[k]:.1f} digits to contour cancellation (budget {MAX_LOST_DIGITS:g})")
             results = iter([CdfResult(z, float(vals[k]), route, {
-                "im_residual": 0.0, "node_count": n, "anchor": anchor, "anchor_gap": anchor_gap,
+                "im_residual": 0.0, "node_count": n, "anchor": 1j * anchor, "anchor_gap": anchor_gap,
                 "cancellation_digits": float(digits[k]), **diags[inv[k]]})
                 for k, z in enumerate(live)])
         return [next(results) if z > 0.0 else CdfResult(z, 0.0, route, {"node_count": n})

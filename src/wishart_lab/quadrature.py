@@ -62,14 +62,11 @@ def _legendre_values(v, q):
     return out
 
 
-def _legendre_cumulative(v, q):
-    """IntP_n(v) = int_{-1}^v P_n for n = 0..q-1; shape (q,) + v.shape."""
-    P = _legendre_values(v, q)
-    out = np.empty((q,) + np.shape(v))
-    out[0] = np.asarray(v) + 1.0
-    for n in range(1, q):
-        out[n] = (P[n + 1] - P[n - 1]) / (2 * n + 1)
-    return out
+def _legendre_cumulative(v, q, P=None):
+    """IntP_n(v) = int_{-1}^v P_n for n = 0..q-1 (from P_0..P_q(v) if given); shape (q,) + v.shape."""
+    P = _legendre_values(v, q) if P is None else P
+    n = np.arange(1, q).reshape((-1,) + (1,) * (P.ndim - 1))
+    return np.concatenate((P[1:2] + 1.0, (P[2:] - P[:-2]) / (2 * n + 1)))
 
 
 @dataclass(frozen=True)
@@ -213,25 +210,15 @@ def _map_panel(edges: np.ndarray, panel: ReferencePanel) -> tuple[np.ndarray, np
     return nodes, (scale[:, None] * panel.wg).reshape(-1)
 
 
-def _merge_edges(edges: np.ndarray, new, tol: float) -> np.ndarray:
-    """`edges` plus the points of `new` inside its span, no panel narrower than `tol`.
-
-    The end points stay; a near-duplicate new point is dropped, and an old
-    interior edge within `tol` of a new point gives way to it.
-    """
-    lo, hi = edges[0], edges[-1]
-    new = np.unique(np.asarray(new, float))
-    new = new[(new > lo + tol) & (new < hi - tol)]
-    new = new[np.diff(new, prepend=-np.inf) > tol]
-    old = edges[1:-1]
+def _refine_edges(base: np.ndarray, u_star: float, delta: float, levels: int = 7) -> np.ndarray:
+    """Insert a geometric ladder of edges around u_star, floor width `delta`; an old
+    interior edge within delta / 1000 of a ladder edge gives way to it."""
+    lo, hi, tol = base[0], base[-1], 1e-3 * delta
+    new = np.unique([u_star] + [u_star + sgn * delta * 2.0**m
+                                for m in range(levels + 1) for sgn in (-1.0, 1.0)])
+    new, old = new[(new > lo + tol) & (new < hi - tol)], base[1:-1]
     old = old[np.min(np.abs(old[:, None] - new[None, :]), axis=1, initial=np.inf) > tol]
     return np.unique(np.concatenate(([lo, hi], old, new)))
-
-
-def _refine_edges(base: np.ndarray, u_star: float, delta: float, levels: int = 7) -> np.ndarray:
-    """Insert a geometric ladder of edges around u_star, floor width `delta`."""
-    extra = [u_star + sgn * delta * 2.0**m for m in range(levels + 1) for sgn in (-1.0, 1.0)]
-    return _merge_edges(base, extra + [u_star], 1e-3 * delta)
 
 
 def half_line_rule(
@@ -241,7 +228,6 @@ def half_line_rule(
     refine_x: float | None = None,
     refine_width: float | None = None,
     x0: float = 0.0,
-    breaks=(),
     panel: ReferencePanel | None = None,
 ) -> HalfLineRule:
     """Build a rule on [x0, xmax] (x0 defaults to 0) from `panel`.
@@ -254,11 +240,8 @@ def half_line_rule(
     Re t / tau_tilde), panel edges cluster geometrically toward it down to
     panels of u-width `refine_width`, so the peaked factor
     (t - tau_tilde x)^(-1/2) is resolved without ever evaluating closer to
-    the peak than its own scale.
-
-    Every break z inside (x0, xmax) becomes a panel edge, so the nodes with
-    x_i < z integrate exactly over [x0, z]: truncating to [x0, z] is a mask
-    on this one rule, not a rule of its own.
+    the peak than its own scale.  Truncations to [x0, z] need no panel edge
+    at z (`EpsilonTransform.cross_cumulative`).
     """
     if xmax <= x0 or n_panels < 2:
         raise ConfigError("need xmax > x0, n_panels >= 2")
@@ -274,8 +257,6 @@ def half_line_rule(
         delta = base_width / 64.0 if refine_width is None else max(refine_width, base_width / 512.0)
         if delta < base_width:
             base = _refine_edges(base, u_star, delta)
-    if np.size(breaks):
-        base = _merge_edges(base, np.sqrt(np.clip(breaks, x0, xmax) - x0), 1e-9 * umax)
     u, w_u = _map_panel(base, panel)
     return HalfLineRule(float(xmax), base, float(x0), x0 + u * u, w_u * 2.0 * u, panel)
 
@@ -327,6 +308,35 @@ class EpsilonTransform:
         self._fvals = np.asarray(fvals)
         self.cumulative = rule.cumulative(self._fvals)   # int_x0^{x_i} f at the nodes
         self.total = np.asarray(self._fvals @ rule.w)   # shape (...)
+
+    def cross_cumulative(self, xq) -> np.ndarray:
+        """int_{x0}^{xq} f_a F_b dx, F_b = int_{x0} f_b, for every pair of rows of a
+        (k, n_nodes) `fvals` at each point of a 1-D `xq`: (len(xq), k, k).  One Gauss
+        sum per panel edge below xq, plus the exact integral from that edge up to xq
+        of the panel's Legendre series of 2 u f and F (degrees q - 1 and q) by a
+        q-point Gauss rule: each value is xq's own, and xq need not be an edge."""
+        r, f = self.rule, self._fvals
+        (k, _), P, q = f.shape, r.n_panels, r.q
+        uq = np.sqrt(np.clip(xq, r.x0, r.xmax) - r.x0)
+        idx = np.searchsorted(r.u_edges, uq, side="right") - 1           # P past xmax
+        fw, F = f * r.w, self.cumulative
+        js, at = np.unique(idx, return_inverse=True)    # one Gauss sum per panel edge
+        out = np.stack([fw[:, :j * q] @ F[:, :j * q].T for j in js])[at]
+        part = np.flatnonzero((idx < P) & (uq > r.u_edges[np.minimum(idx, P - 1)]))
+        if part.size:        # the panel holding xq, from its lower edge lo up to xq
+            p, lo = idx[part], r.u_edges[idx[part]]
+            F_lo = np.stack([fw[:, :j * q].sum(axis=1) for j in js])[at[part]]
+            s = 0.5 * (r.u_edges[p + 1] - lo)
+            h = 0.5 * (uq[part] - lo) / s                                 # (v(xq) + 1) / 2
+            leg = _legendre_values(h[:, None] * (r.panel.ug + 1.0) - 1.0, q)  # Gauss nodes on [-1, v(xq)]
+            # panel samples of 2 u f -> 2 u f and (F - F_lo) / s at those nodes, all real
+            tables = r.panel.vinv.T @ np.moveaxis(
+                np.concatenate((leg[:q], _legendre_cumulative(None, q, leg)), axis=-1), 0, 1)
+            g = (2.0 * np.sqrt(r.x - r.x0).reshape(P, q)[p] * f.reshape(k, P, q)[:, p]).transpose(1, 0, 2)
+            gF = g.real @ tables + 1j * (g.imag @ tables) if np.iscomplexobj(g) else g @ tables
+            Fv = F_lo[..., None] + s[:, None, None] * gF[..., q:]
+            out[part] += (gF[..., :q] * (h * s)[:, None, None] * r.panel.wg) @ np.swapaxes(Fv, 1, 2)
+        return out
 
     def at_nodes(self) -> np.ndarray:
         """eps(f) at the rule nodes, shaped like `fvals`."""

@@ -7,9 +7,9 @@ The skew product at fixed contour variable t (optionally truncated to
 
 and collapses to a single integral of running integrals: with F, G the
 integrals of f w, g w from 0, <f, g>_1 = (1/2) int_0^z (f w G - g w F).
-`skew_gram` is the one place that forms these products: one batched
-cumulative table of every sampled f w, then a running sum over the sorted z
-of 0.5 * (raw - raw^T) on the nodes below each, so <f, f>_1 = 0 exactly.
+`skew_gram` is the one place that forms these products: the epsilon
+transform's `cross_cumulative` of every sampled f w at each z, then
+0.5 * (raw - raw^T), so <f, f>_1 = 0 exactly.
 
 The companion form <f, g>_2 = int f g w0 is the plain Laguerre pairing.
 The two are linked by the integration-by-parts identity
@@ -69,15 +69,14 @@ def default_xmax(params: ModelParams) -> float:
 
 
 def rule_for_t(params: ModelParams, t: complex, n_panels: int = 24, q: int = 16,
-               breaks=(), panel: ReferencePanel | None = None) -> HalfLineRule:
+               panel: ReferencePanel | None = None) -> HalfLineRule:
     """Quadrature rule on [0, default_xmax] adapted to the weight's branch point.
 
     For t near the positive real axis the factor (t - tau_tilde x)^(-1/2)
     peaks at x = Re t / tau_tilde with width |Im t| / tau_tilde; panels
     cluster there down to that width (never finer, so no sample sits closer
-    to the peak than its own scale).  Each of `breaks` (truncation points)
-    becomes a panel edge.  `panel` is the shared q-point reference panel
-    (built per rule when not given).
+    to the peak than its own scale).  `panel` is the shared q-point
+    reference panel (built per rule when not given).
     """
     xmax = default_xmax(params)
     tt = params.tau_tilde
@@ -86,38 +85,29 @@ def rule_for_t(params: ModelParams, t: complex, n_panels: int = 24, q: int = 16,
         refine_x = t.real / tt   # > 0: widths below are taken in u = sqrt(x)
         refine_width = max(abs(t.imag) / (10.0 * tt) / (2.0 * math.sqrt(refine_x)), 1e-8)
     return half_line_rule(xmax, n_panels=n_panels, q=q, refine_x=refine_x,
-                          refine_width=refine_width, breaks=breaks, panel=panel)
+                          refine_width=refine_width, panel=panel)
 
 
 def skew_gram(rule: HalfLineRule, phi, z=math.inf) -> tuple[np.ndarray, EpsilonTransform]:
-    """Skew Gram over [0, z]^2 of sampled functions phi_a (rows of `phi`).
-
-    (1/2) sum_i w_i [x_i < z] (phi_a F_b - phi_b F_a)(x_i), F_a the running
-    integral of phi_a: one formula for the full Gram (z = inf) and every
-    truncated one, exact on the rule when z is a panel edge (`breaks`).  A
-    scalar z gives shape (k, k), a 1-D z (len(z), k, k), summed once over the
-    sorted z, one product per node segment: O(n k^2 + len(z) k^2).  Also
-    returns the batched epsilon transform of the phi_a, for point evaluations.
-    """
+    """Skew Gram (1/2) int_0^z (phi_a F_b - phi_b F_a) of sampled functions
+    phi_a (rows of `phi`), F_a their running integrals, shaped (k, k) for a
+    scalar z and (len(z), k, k) for a 1-D z, z = inf the full Gram.  Read off
+    `EpsilonTransform.cross_cumulative`, so no z need be a panel edge and a
+    z's Gram depends on that z alone.  Also returns the epsilon transform."""
+    zs = np.nan_to_num(np.asarray(z, dtype=float), nan=-np.inf)   # [0, NaN] is empty
     eps = EpsilonTransform(rule, phi)
-    zs = np.nan_to_num(np.asarray(z, dtype=float), nan=-np.inf)   # x_i < NaN holds nowhere
-    pw, F = phi * rule.w, eps.cumulative
-    acc, a = np.zeros((len(pw), len(pw)), dtype=np.result_type(pw, F)), 0
-    raw = np.empty((zs.size,) + acc.shape, dtype=acc.dtype)
-    order = np.argsort(zs, axis=None)
-    for j, b in zip(order, np.searchsorted(rule.x, zs.flat[order])):  # b = #{x_i < z}
-        acc += pw[:, a:b] @ F[:, a:b].T
-        raw[j], a = acc, b
-    return (0.5 * (raw - np.swapaxes(raw, 1, 2))).reshape(zs.shape + acc.shape), eps
+    raw = eps.cross_cumulative(zs.ravel())
+    gram = 0.5 * (raw - np.swapaxes(raw, 1, 2))
+    return gram.reshape(zs.shape + gram.shape[1:]), eps
 
 
 @dataclass
 class SkewProductTable:
     """Entries <L_i, L_j>_1 for 0 <= i, j <= kmax at fixed t over [0, z]^2.
 
-    A 1-D z stacks the truncations, all read off one rule with a panel edge
-    at every z.  Also caches the sampled weight, Laguerre values and the
-    batched epsilon transform of the L_j w, which kernel evaluations reuse.
+    A 1-D z stacks the truncations, all read off one z-free rule.  Also
+    caches the sampled weight, Laguerre values and the batched epsilon
+    transform of the L_j w, which kernel evaluations reuse.
     """
 
     params: ModelParams
@@ -139,7 +129,7 @@ class SkewProductTable:
             kmax = params.N + 1
         if basis is None:
             basis = build_basis(params, max(kmax, params.N + 2))
-        rule = rule_for_t(params, complex(t), n_panels=n_panels, q=q, breaks=z, panel=panel)
+        rule = rule_for_t(params, complex(t), n_panels=n_panels, q=q, panel=panel)
         wv = weight_w(params, complex(t), rule.x)
         lag = basis.eval_all(rule.x)[: kmax + 1]
         entries, eps = skew_gram(rule, lag * wv, z)
@@ -163,7 +153,7 @@ class SkewProductTable:
 def skew_product(params: ModelParams, fcoef, gcoef, t: complex,
                  z: float = math.inf, n_panels: int = 24, q: int = 16) -> complex:
     """<f, g>_1 for monomial-coefficient polynomials f, g (ascending coeffs)."""
-    rule = rule_for_t(params, complex(t), n_panels=n_panels, q=q, breaks=z)
+    rule = rule_for_t(params, complex(t), n_panels=n_panels, q=q)
     wv = weight_w(params, complex(t), rule.x)
     fg = np.stack([P.polyval(rule.x, np.asarray(c, dtype=complex)) for c in (fcoef, gcoef)])
     return complex(skew_gram(rule, fg * wv, z)[0][0, 1])

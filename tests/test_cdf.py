@@ -420,17 +420,23 @@ class TestCdfGrid:
         assert seen == [[2.0, 3.0, eng.z_inf]] * n and pf_calls == [(3, p48.N, p48.N)] * n
         assert res[0] == res[2] == res[6] and res[1] == res[4]
         assert [r.z for r in res] == grid and res[0] != res[1]
-        # z_inf's panel edges at 2 and 3 move its value by roundoff that the
-        # ~8.4 digits of contour cancellation amplify (the open panel-edge
-        # dependence): up to 2.2e-8 over grids with the full contour, 1.2e-8
-        # with the half contour
-        assert res[3].value == pytest.approx(1.0, abs=5e-8)
+        assert res[3].value == pytest.approx(1.0, abs=1e-9)
 
     def test_fredholm_point_equals_its_value_inside_a_grid(self, p48):
         # a fresh engine's cdf(z) is bitwise the same z of the fredholm-n4 grid
         grid = [2.0, 3.0, 4.0, 5.0]
         res = CdfEngine(p48).cdf_grid(grid, "fredholm")
         assert [CdfEngine(p48).cdf(z, "fredholm") for z in grid] == res
+
+    def test_pfaffian_point_equals_its_value_inside_a_grid(self, p48):
+        # a z's truncated Grams do not depend on the other z of the call, and
+        # the contour sum adds each column in the same order
+        grid = [1.0, 2.0, 3.0, 6.0]
+        res = CdfEngine(p48).cdf_grid(grid)
+        assert [CdfEngine(p48).cdf(z) for z in grid] == res
+        eng = CdfEngine(p48)
+        eng.cdf(eng.z_inf)
+        assert eng.cdf_grid([2.0, eng.z_inf])[1].value == 1.0
 
     def test_duplicates_equal_on_the_fredholm_route(self, engine):
         res = engine.cdf_grid([4.0, 2.0, 4.0], "fredholm")

@@ -57,29 +57,6 @@ class TestHalfLineRule:
         v2 = integrate_halfline(f, half_line_rule(30.0, n_panels=48, q=16))
         assert abs(v1 - v2) / abs(v2) < 1e-9
 
-    def test_breaks_become_panel_edges(self):
-        breaks = [0.3, 2.0, 7.77]
-        for refine_x in (None, 3.0):
-            r = half_line_rule(30.0, refine_x=refine_x, x0=0.1, breaks=breaks + [-1.0, 0.1, 30.0, 40.0])
-            plain = half_line_rule(30.0, refine_x=refine_x, x0=0.1)
-            ub = np.sqrt(np.array(breaks) - 0.1)
-            assert np.all(np.min(np.abs(r.u_edges[:, None] - ub), axis=0) == 0.0)
-            # breaks outside (x0, xmax) add nothing
-            assert len(r.u_edges) == len(plain.u_edges) + len(breaks)
-            # the nodes below a break integrate exactly over [x0, z]
-            for z in breaks:
-                f = np.exp(-r.x)
-                assert np.sum((r.w * f)[r.x < z]) == pytest.approx(np.exp(-0.1) - np.exp(-z), rel=1e-14)
-
-    def test_breaks_make_no_degenerate_panel(self):
-        # breaks a hair from each other, from a uniform edge and from xmax
-        base = half_line_rule(16.0, n_panels=8)
-        edge = base.u_edges[3] ** 2
-        r = half_line_rule(16.0, n_panels=8, breaks=[2.0, 2.0 + 1e-15, edge + 1e-14, 16.0 - 1e-15])
-        assert np.min(np.diff(r.u_edges)) > 1e-9 * 4.0
-        assert r.u_edges[0] == 0.0 and r.u_edges[-1] == 4.0
-        assert r.integrate(np.exp(-r.x)) == pytest.approx(1 - np.exp(-16.0), rel=1e-14)
-
     def test_nonfinite_sample_aborts_with_node(self, rule):
         f = np.ones(rule.n_nodes)
         f[17] = np.nan
@@ -88,6 +65,20 @@ class TestHalfLineRule:
 
 
 class TestEpsilonTransform:
+    def test_cross_cumulative_needs_no_panel_edge(self):
+        # int_{x0}^z f F with f = e^-x, F = e^-x0 - e^-x, at z inside panels,
+        # on a panel edge, at x0 and past the ends; each z's value is its own
+        for refine_x in (None, 3.0):
+            r = half_line_rule(30.0, refine_x=refine_x, x0=0.1)
+            eps = EpsilonTransform(r, np.exp(-r.x)[None])
+            zs = [0.3, 2.0, 7.77, 0.1 + r.u_edges[5] ** 2, 29.9, 0.1, 30.0, 40.0, -1.0]
+            got = eps.cross_cumulative(zs)[:, 0, 0]
+            a, b = np.exp(-0.1), np.exp(-np.clip(zs, 0.1, 30.0))
+            assert np.allclose(got, a * (a - b) - 0.5 * (a * a - b * b), rtol=1e-14, atol=1e-17)
+            assert got[5] == got[8] == 0.0
+            for z, g in zip(zs, got):
+                assert eps.cross_cumulative([z])[0, 0, 0] == g
+
     def test_antisymmetric_split_vanishes(self, rule):
         # f even about x0 with the window inside the domain
         x0 = 6.0
@@ -163,13 +154,12 @@ def fresh_build(rule):
 
 class TestReferencePanel:
     @pytest.mark.parametrize("q", [4, 16, 20])
-    @pytest.mark.parametrize("breaks,refine_x,x0", [((), None, 0.0), ((0.3, 2.0, 7.77), None, 0.0),
-                                                    ((), 3.0, 0.0), ((2.5, 7.77), 3.0, 2.0)])
-    def test_shared_panel_rule_equals_fresh_build(self, q, breaks, refine_x, x0):
+    @pytest.mark.parametrize("refine_x,x0", [(None, 0.0), (3.0, 0.0), (3.0, 2.0)])
+    def test_shared_panel_rule_equals_fresh_build(self, q, refine_x, x0):
         panel = reference_panel(q)
         for _ in range(2):     # the second rule reuses the first one's panel
-            r = half_line_rule(30.0, q=q, refine_x=refine_x, x0=x0, breaks=breaks, panel=panel)
-            own = half_line_rule(30.0, q=q, refine_x=refine_x, x0=x0, breaks=breaks)
+            r = half_line_rule(30.0, q=q, refine_x=refine_x, x0=x0, panel=panel)
+            own = half_line_rule(30.0, q=q, refine_x=refine_x, x0=x0)
             assert r.panel is panel and np.array_equal(r.u_edges, own.u_edges)
             for got, want in zip((r.x, r.w, panel.vinv, panel.cum_ref), fresh_build(r)):
                 assert np.array_equal(got, want)

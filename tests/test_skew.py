@@ -308,26 +308,41 @@ class TestPfaffian:
 
 
 class TestSkewGram:
-    def test_running_sum_matches_masked_product(self, p48):
-        # the masked formula (phi [x < z] w) @ F^T, antisymmetrised, per z:
-        # unsorted and repeated z, z <= 0, z past xmax, z off the panel edges
-        # z on a node (which the strict mask leaves out) and NaN (no node)
+    def test_truncation_is_exact_and_depends_on_z_alone(self, p48):
+        # unsorted and repeated z, z <= 0, z past xmax and NaN (empty), z on
+        # panel edges, inside panels and on a node
         t = 2 + 1j
-        rule = rule_for_t(p48, t, breaks=[2.0, 4.5])
-        phi = build_basis(p48).eval_all(rule.x)[:5] * weight_w(p48, t, rule.x)
+        basis = build_basis(p48)
+
+        def phi_on(rule):
+            return basis.eval_all(rule.x)[:5] * weight_w(p48, t, rule.x)
+
+        rule = rule_for_t(p48, t)
+        phi = phi_on(rule)
         F = EpsilonTransform(rule, phi).cumulative
-        zs = [4.5, 2.0, -1.0, 0.0, 4.5, 3.3, default_xmax(p48), 1e3, 2.0, 0.77, rule.x[37],
-              np.nan]
+        edges = rule.u_edges ** 2
+        zs = [edges[20], edges[7], -1.0, 0.0, edges[20], 3.3, default_xmax(p48), 1e3, edges[7],
+              0.77, rule.x[37], np.nan]
         got, _ = skew_gram(rule, phi, zs)
         assert got.shape == (len(zs), 5, 5)
         for z, g in zip(zs, got):
-            raw = (phi * ((rule.x < z) * rule.w)) @ F.T
+            if z in edges or not 0 < z < default_xmax(p48):
+                # a panel edge: the masked sum (phi [x < z] w) @ F^T of the rule's nodes
+                raw = (phi * ((rule.x < z) * rule.w)) @ F.T
+            else:
+                # inside a panel: the full Gram of a fine rule on [0, z] itself
+                fine = half_line_rule(z, n_panels=96)
+                f = phi_on(fine)
+                raw = (f * fine.w) @ EpsilonTransform(fine, f).cumulative.T
             want = 0.5 * (raw - raw.T)
-            assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
-        assert np.all(got[2] == 0.0) and np.all(got[3] == 0.0)
+            assert np.max(np.abs(g - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+        assert np.all(got[[2, 3, -1]] == 0.0)
         assert np.array_equal(got[0], got[4]) and np.array_equal(got[1], got[8])
-        one, _ = skew_gram(rule, phi, 3.3)
-        assert one.shape == (5, 5) and np.max(np.abs(one - got[5])) <= 1e-13 * np.max(np.abs(one))
+        # each z's Gram is bitwise the same alone (scalar z) or beside other z
+        for z, g in zip(zs, got):
+            one, _ = skew_gram(rule, phi, z)
+            assert one.shape == (5, 5) and np.array_equal(one, g)
+            assert np.array_equal(skew_gram(rule, phi, [1.0, z])[0][1], g)
 
 
 class TestDeBruijn:
