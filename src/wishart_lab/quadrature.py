@@ -21,13 +21,19 @@ transform
 cheap to evaluate anywhere.  The constant KAPPA_EPSILON = 1/2 is the single
 normalisation used everywhere the transform appears; with it,
 d/dx eps(f)(x) = 2 * kappa * f(x) = f(x).
+
+The truncated cross cumulative int_0^z f F costs per panel, not per z: a sum of
+per-panel blocks below z's panel, and fixed Chebyshev tables of the head
+integrals on the reference panel for the piece of that panel below z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, QuadratureError
@@ -74,8 +80,8 @@ class ReferencePanel:
     """The q-point Gauss-Legendre panel on [-1, 1] that every rule maps to its panels.
 
     It depends on q alone, so one panel serves every rule of that q; its
-    arrays are read-only.  `vinv` (Legendre analysis) and `cum_ref`
-    (reference cumulative integrals) implement within-panel cumulatives.
+    arrays are read-only.  `vinv` (Legendre analysis), `cum_ref` (reference
+    cumulative integrals) and their product `cum_samples` give within-panel cumulatives.
     """
 
     q: int
@@ -83,6 +89,25 @@ class ReferencePanel:
     wg: np.ndarray        # reference Gauss weights
     vinv: np.ndarray      # (q, q): samples at ug -> Legendre coefficients
     cum_ref: np.ndarray   # (q, q): cum_ref[i, n] = int_{-1}^{ug_i} P_n
+    cum_samples: np.ndarray  # (q, q): cum_ref @ vinv, samples at ug -> int_{-1}^{ug_i}
+
+    @cached_property
+    def head(self) -> np.ndarray:
+        """Chebyshev coefficients in V, shaped (2q - 1, q, q + 1), of K_ij(V) / (V + 1)^2
+        (j < q) and m_i(V) / (V + 1) (j = q): m_i(V) = int_{-1}^V l_i and K_ij(V) =
+        int_{-1}^V l_i m_j for the Lagrange basis l_i on `ug`.  Both are polynomials
+        (degrees 2q - 2, q - 1; dividing out the roots keeps V near -1 accurate), fitted
+        at 2q - 1 Chebyshev points from a q-point Gauss rule on [-1, V], exact there."""
+        q, n = self.q, 2 * self.q - 1
+        V = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        d = (V + 1.0)[:, None]                         # Gauss nodes on [-1, V]: d (ug + 1) / 2 - 1
+        leg = _legendre_values(d * (self.ug + 1.0) / 2.0 - 1.0, q)
+        ell, m = np.moveaxis(np.stack((leg[:q], _legendre_cumulative(None, q, leg))), 1, -1) @ self.vinv
+        ellw = np.swapaxes(ell, 1, 2) * (d * self.wg / 2.0)[:, None]    # l_i times the weights on [-1, V]
+        vals = np.concatenate((ellw @ m / d[..., None], ellw.sum(-1)[..., None]), -1)
+        coef = np.linalg.solve(chebvander(V, n - 1), (vals / d[..., None]).reshape(n, -1))
+        coef.setflags(write=False)
+        return coef.reshape(vals.shape)
 
 
 def reference_panel(q: int) -> ReferencePanel:
@@ -92,7 +117,8 @@ def reference_panel(q: int) -> ReferencePanel:
     q = int(q)
     ug, wg = leggauss(q)
     V = _legendre_values(ug, q - 1).T               # (q, q): V[i, n] = P_n(ug_i)
-    arrays = (ug, wg, np.linalg.inv(V), _legendre_cumulative(ug, q).T)
+    vinv, cum_ref = np.linalg.inv(V), _legendre_cumulative(ug, q).T
+    arrays = (ug, wg, vinv, cum_ref, cum_ref @ vinv)
     for a in arrays:
         a.setflags(write=False)
     return ReferencePanel(q, *arrays)
@@ -138,18 +164,15 @@ class HalfLineRule:
         return 0.5 * np.diff(self.u_edges)
 
     def _series(self, fvals):
-        """Legendre series of g = 2 u f(u^2) on every panel, and running totals.
-
-        Returns the coefficients, shaped (..., n_panels, q), and the
-        integrals up to each panel edge, shaped (..., n_panels + 1).
-        """
+        """Samples of g = 2 u f(u^2) per panel, shaped (..., n_panels, q), and the
+        integrals up to each panel edge, shaped (..., n_panels + 1)."""
         u = np.sqrt(self.x - self.x0)
         g = 2.0 * u * np.asarray(fvals)
         g = g.reshape(g.shape[:-1] + (self.n_panels, self.q))
         panel_totals = (g * self.panel.wg).sum(axis=-1) * self._panel_scales()
         running = np.cumsum(panel_totals, axis=-1)
         prefix = np.concatenate((np.zeros_like(running[..., :1]), running), axis=-1)
-        return g @ self.panel.vinv.T, prefix
+        return g, prefix
 
     def cumulative(self, fvals) -> np.ndarray:
         """F(x_i) = int_{x0}^{x_i} f dx at every rule node.
@@ -157,9 +180,9 @@ class HalfLineRule:
         `fvals` holds samples at the nodes along its last axis, optionally
         stacked over leading axes; the result has the same shape.
         """
-        coef, prefix = self._series(fvals)
+        g, prefix = self._series(fvals)
         s = self._panel_scales()
-        within = coef @ self.panel.cum_ref.T * s[:, None]  # cumulative inside each panel at its nodes
+        within = g @ self.panel.cum_samples.T * s[:, None]  # cumulative inside each panel at its nodes
         out = within + prefix[..., :-1, None]
         return out.reshape(out.shape[:-2] + (-1,))
 
@@ -170,16 +193,9 @@ class HalfLineRule:
         to discretise the sign-kernel operator without losing spectral
         convergence to its diagonal kink.
         """
-        n = self.n_nodes
-        s = self._panel_scales()
-        u = np.sqrt(self.x - self.x0)
-        C = np.zeros((n, n))
-        Q = self.panel.cum_ref @ self.panel.vinv            # within-panel cumulative of samples
-        for p in range(self.n_panels):
-            sl = slice(p * self.q, (p + 1) * self.q)
-            C[sl, sl] = s[p] * Q
-            C[(p + 1) * self.q:, sl] = s[p] * self.panel.wg
-        return C * (2.0 * u)[None, :]
+        P, panel = self.n_panels, self.panel          # own panel, then every panel below
+        C = np.kron(np.eye(P), panel.cum_samples) + np.kron(np.tri(P, k=-1), np.ones((panel.q, 1)) * panel.wg)
+        return C * np.repeat(self._panel_scales(), panel.q) * (2.0 * np.sqrt(self.x - self.x0))
 
     def cum_at(self, fvals, xq) -> np.ndarray:
         """int_{x0}^{xq} f dx for arbitrary query points (clipped to [x0, xmax]).
@@ -188,7 +204,8 @@ class HalfLineRule:
         gives shape (...), a 1-D `xq` gives (..., len(xq)).  The Legendre
         basis at the query points is built once for the whole stack.
         """
-        coef, prefix = self._series(fvals)
+        g, prefix = self._series(fvals)
+        coef = g @ self.panel.vinv.T                 # (..., n_panels, q) Legendre coefficients
         s = self._panel_scales()
         scalar = np.ndim(xq) == 0
         xq = np.atleast_1d(np.asarray(xq, dtype=float))
@@ -307,35 +324,38 @@ class EpsilonTransform:
         self.kappa = kappa
         self._fvals = np.asarray(fvals)
         self.cumulative = rule.cumulative(self._fvals)   # int_x0^{x_i} f at the nodes
-        self.total = np.asarray(self._fvals @ rule.w)   # shape (...)
+
+    @cached_property
+    def total(self) -> np.ndarray:      # int_x0^xmax f, shaped (...); taken on first use
+        return np.asarray(self._fvals @ self.rule.w)
 
     def cross_cumulative(self, xq) -> np.ndarray:
         """int_{x0}^{xq} f_a F_b dx, F_b = int_{x0} f_b, for every pair of rows of a
-        (k, n_nodes) `fvals` at each point of a 1-D `xq`: (len(xq), k, k).  One Gauss
-        sum per panel edge below xq, plus the exact integral from that edge up to xq
-        of the panel's Legendre series of 2 u f and F (degrees q - 1 and q) by a
-        q-point Gauss rule: each value is xq's own, and xq need not be an edge."""
+        (k, n_nodes) `fvals` at each point of a 1-D `xq`: (len(xq), k, k).  The panels
+        below xq add up their (k, k) blocks; the piece of xq's own panel, from its lower
+        edge lo, is du^2 g K g^T + du (g m) F_lo^T with du = u(xq) - lo, g the panel's
+        samples of 2 u f and K, m the reference panel's `head` quotients at v(xq).
+        The products are batched one item per xq, so each value is xq's own."""
         r, f = self.rule, self._fvals
         (k, _), P, q = f.shape, r.n_panels, r.q
         uq = np.sqrt(np.clip(xq, r.x0, r.xmax) - r.x0)
         idx = np.searchsorted(r.u_edges, uq, side="right") - 1           # P past xmax
-        fw, F = f * r.w, self.cumulative
-        js, at = np.unique(idx, return_inverse=True)    # one Gauss sum per panel edge
-        out = np.stack([fw[:, :j * q] @ F[:, :j * q].T for j in js])[at]
+        F1 = np.concatenate((self.cumulative, np.ones_like(f[:1])))       # column k sums to F_lo
+        blocks = (f * r.w).reshape(k, P, q).transpose(1, 0, 2) @ F1.reshape(k + 1, P, q).transpose(1, 2, 0)
+        below = (np.arange(P) < idx[:, None, None]) * 1.0                # (n_xq, 1, P): panels below xq
+        acc = (below @ blocks.reshape(P, -1)).reshape(-1, k, k + 1)
+        out = acc[..., :k]
         part = np.flatnonzero((idx < P) & (uq > r.u_edges[np.minimum(idx, P - 1)]))
         if part.size:        # the panel holding xq, from its lower edge lo up to xq
             p, lo = idx[part], r.u_edges[idx[part]]
-            F_lo = np.stack([fw[:, :j * q].sum(axis=1) for j in js])[at[part]]
-            s = 0.5 * (r.u_edges[p + 1] - lo)
-            h = 0.5 * (uq[part] - lo) / s                                 # (v(xq) + 1) / 2
-            leg = _legendre_values(h[:, None] * (r.panel.ug + 1.0) - 1.0, q)  # Gauss nodes on [-1, v(xq)]
-            # panel samples of 2 u f -> 2 u f and (F - F_lo) / s at those nodes, all real
-            tables = r.panel.vinv.T @ np.moveaxis(
-                np.concatenate((leg[:q], _legendre_cumulative(None, q, leg)), axis=-1), 0, 1)
+            du = uq[part] - lo
+            v = np.minimum(2.0 * du / (r.u_edges[p + 1] - lo) - 1.0, 1.0)
+            T = np.cos(np.arange(2 * q - 1) * np.arccos(v)[:, None])         # Chebyshev T_l(v)
+            head = (T[:, None] @ r.panel.head.reshape(2 * q - 1, -1)).reshape(-1, q, q + 1)
             g = (2.0 * np.sqrt(r.x - r.x0).reshape(P, q)[p] * f.reshape(k, P, q)[:, p]).transpose(1, 0, 2)
-            gF = g.real @ tables + 1j * (g.imag @ tables) if np.iscomplexobj(g) else g @ tables
-            Fv = F_lo[..., None] + s[:, None, None] * gF[..., q:]
-            out[part] += (gF[..., :q] * (h * s)[:, None, None] * r.panel.wg) @ np.swapaxes(Fv, 1, 2)
+            gh = g.real @ head + 1j * (g.imag @ head) if np.iscomplexobj(g) else g @ head
+            du = du[:, None, None]
+            out[part] += du * (du * gh[..., :q] @ np.swapaxes(g, 1, 2) + gh[..., q:] * acc[part, None, :, k])
         return out
 
     def at_nodes(self) -> np.ndarray:

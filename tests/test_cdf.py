@@ -490,6 +490,16 @@ class TestCdfGrid:
         assert calls.count(eng.q) == 1
         assert route == "fredholm" or calls == [eng.q]
 
+    def test_no_legendre_recurrence_per_z_on_the_pfaffian_route(self, p48, monkeypatch):
+        # the truncated Grams read the panel's head tables: the first grid
+        # builds them (one recurrence), a later grid makes no per-z Legendre work
+        eng, calls, values = CdfEngine(p48), [], quadrature._legendre_values
+        monkeypatch.setattr(quadrature, "_legendre_values", lambda *a: calls.append(a) or values(*a))
+        eng.cdf_grid(self.ZS)
+        assert len(calls) == 1 and "head" in vars(eng.panel)
+        eng.cdf_grid(list(np.linspace(0.5, 7.5, 15)))
+        assert len(calls) == 1
+
     def test_one_bundle_and_one_determinant_per_node(self, p48, monkeypatch):
         # the anchor pass and a later grid share one KernelBundle per
         # upper-half node (no bundles off the contour, none on the lower

@@ -167,9 +167,35 @@ class TestReferencePanel:
 
     def test_arrays_are_read_only(self):
         panel = reference_panel(16)
-        for a in (panel.ug, panel.wg, panel.vinv, panel.cum_ref):
+        for a in (panel.ug, panel.wg, panel.vinv, panel.cum_ref, panel.cum_samples, panel.head):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    @pytest.mark.parametrize("q", [4, 16, 20])
+    def test_head_tables_match_gauss_on_the_piece(self, q):
+        # K_ij(V) = int_{-1}^V l_i m_j and m_i(V) = int_{-1}^V l_i from the
+        # Chebyshev tables against a q-point Gauss rule on [-1, V] itself
+        panel = reference_panel(q)
+        V = np.concatenate(([-1.0, -1.0 + 1e-12, -0.5, 0.0, 0.999999, 1.0],
+                            np.random.default_rng(q).uniform(-1.0, 1.0, 50)))
+        h = 0.5 * (V + 1.0)
+        leg = quadrature._legendre_values(h[:, None] * (panel.ug + 1.0) - 1.0, q)
+        ell = panel.vinv.T @ np.moveaxis(leg[:q], 0, 1)                   # l_i at the nodes
+        m = panel.vinv.T @ np.moveaxis(quadrature._legendre_cumulative(None, q, leg), 0, 1)
+        hw = (h[:, None] * panel.wg)[:, None, :]
+        want_K, want_m = (ell * hw) @ np.swapaxes(m, 1, 2), (ell * hw).sum(axis=-1)
+        T = np.cos(np.arange(2 * q - 1) * np.arccos(V)[:, None])
+        tab = np.einsum("vl,lij->vij", T, panel.head)
+        got_K = tab[..., :q] * ((V + 1.0) ** 2)[:, None, None]
+        got_m = tab[..., q] * (V + 1.0)[:, None]
+        assert np.max(np.abs(got_K - want_K)) <= 1e-14
+        assert np.max(np.abs(got_m - want_m)) <= 1e-14
+        assert np.all(got_K[0] == 0.0) and np.all(got_m[0] == 0.0)
+
+    def test_cum_samples_is_cum_ref_times_vinv(self):
+        panel = reference_panel(16)
+        assert np.array_equal(panel.cum_samples, panel.cum_ref @ panel.vinv)
+        assert panel.head is panel.head      # built once per panel
 
     @pytest.mark.parametrize("q", [3, 2.5, 16.0, True, "16", None])
     def test_q_must_be_an_integer_of_at_least_4(self, q):

@@ -310,7 +310,8 @@ class TestPfaffian:
 class TestSkewGram:
     def test_truncation_is_exact_and_depends_on_z_alone(self, p48):
         # unsorted and repeated z, z <= 0, z past xmax and NaN (empty), z on
-        # panel edges, inside panels and on a node
+        # panel edges, inside panels, on a node, and just inside both ends of a
+        # plain panel and of a refinement-ladder panel
         t = 2 + 1j
         basis = build_basis(p48)
 
@@ -322,7 +323,13 @@ class TestSkewGram:
         F = EpsilonTransform(rule, phi).cumulative
         edges = rule.u_edges ** 2
         zs = [edges[20], edges[7], -1.0, 0.0, edges[20], 3.3, default_xmax(p48), 1e3, edges[7],
-              0.77, rule.x[37], np.nan]
+              0.77, rule.x[37]]
+        width = np.diff(rule.u_edges)
+        assert np.isclose(width[8], width.max()) and width[22] < width.max() / 2    # plain, ladder
+        for lo, hi in (rule.u_edges[8:10], rule.u_edges[22:24]):
+            zs += [np.nextafter(lo ** 2, np.inf), (lo + 1e-9 * (hi - lo)) ** 2,
+                   (hi - 1e-9 * (hi - lo)) ** 2, np.nextafter(hi ** 2, 0.0)]
+        zs.append(np.nan)
         got, _ = skew_gram(rule, phi, zs)
         assert got.shape == (len(zs), 5, 5)
         for z, g in zip(zs, got):
