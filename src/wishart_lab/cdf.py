@@ -14,8 +14,8 @@ this ratio ("never computed from first principles").  Any monic family gives
 the same Pfaffian (unit-triangular congruence), so the truncated matrices
 are built straight from Laguerre.  Every z shares one contour, the z_inf
 circle, and Mtrunc(t, z) is read off one z-free half-line rule per node
-(`skew_gram`), so one pass over the contour serves a whole z grid and a z's
-value does not depend on the other z of the grid.
+(`skew_gram`), so one pass over the contour, in blocks of nodes on stacked rules,
+serves a whole z grid and a z's value does not depend on the other z of the grid.
 
 Half the contour.  The weight's (t - tau_tilde x)^(-1/2) is principal and
 the Laguerre basis real, so f(conj t) = conj f(t); node n-1-k of the circle
@@ -72,8 +72,8 @@ from .errors import ConfigError, PrecisionLossError
 from .kernels import KernelBundle
 from .laguerre import LaguerreBasis, build_basis
 from .params import ContourSpec, ModelParams, mp_edges
-from .quadrature import KAPPA_EPSILON, ReferencePanel, half_line_rule, reference_panel
-from .skew import SkewProductTable, default_xmax, pfaffian, skew_gram
+from .quadrature import KAPPA_EPSILON, HalfLineRule, ReferencePanel, half_line_rule, reference_panel
+from .skew import SkewProductTable, default_xmax, pfaffian, rule_for_t
 
 __all__ = [
     "CdfResult",
@@ -88,6 +88,9 @@ __all__ = [
 #: a CDF value is refused past this many digits lost to contour cancellation,
 #: or RANGE_TOL outside [0, 1]
 MAX_LOST_DIGITS, RANGE_TOL = 13.0, 1e-6
+
+#: bytes of complex samples (N x n_quad) and real head tables (n_z x q x (q + 1)) per node block
+BLOCK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -119,16 +122,16 @@ def _nystrom_panels(n) -> int:
 
 def truncated_moment_matrix(params: ModelParams, t: complex, z,
                             basis: LaguerreBasis | None = None,
-                            n_panels: int = 24, q: int = 16,
-                            panel: ReferencePanel | None = None) -> np.ndarray:
+                            n_panels: int = 24, q: int = 16, panel: ReferencePanel | None = None,
+                            rule: HalfLineRule | None = None) -> np.ndarray:
     """N x N antisymmetric matrix <L_j, L_k>_1 truncated to [0, z]^2.
 
     A 1-D z gives the stack (len(z), N, N), every truncation read off one
-    z-free half-line rule; z <= 0 gives zeros.
-    `basis` and the q-point reference `panel` are built when not given.
+    z-free half-line rule; z <= 0 gives zeros.  A 1-D t and a stacked `rule`
+    put a t axis first.  `basis` and the reference `panel` are built when not given.
     """
     table = SkewProductTable.build(params, t, kmax=params.N - 1, z=z, basis=basis,
-                                   n_panels=n_panels, q=q, panel=panel)
+                                   n_panels=n_panels, q=q, panel=panel, rule=rule)
     return table.entries
 
 
@@ -201,17 +204,15 @@ def loe_direct_cdf(params: ModelParams, z: float, z_inf: float | None = None,
                    n_panels: int = 24, q: int = 16) -> float:
     """Null-Wishart largest-eigenvalue CDF by a direct Pfaffian ratio.
 
-    Pure real arithmetic, no contour: the tau = 0 weight has no t content
-    beyond a global factor, so the t-integral drops out of the ratio.
-    Numerator and denominator are the moment matrices truncated at z and
+    No contour: the tau = 0 weight has no t content beyond a global factor
+    t^(-1/2), so the t-integral drops out of the ratio.  Numerator and
+    denominator are the tau = 0 moment matrices at t = 1 truncated at z and
     z_inf, from one skew Gram on one rule.
     """
     if z_inf is None:
         z_inf = default_z_inf(params)
-    rule = half_line_rule(default_xmax(params), n_panels=n_panels, q=q)
-    wv = np.exp(-0.5 * params.M * rule.x) * rule.x ** (0.5 * (params.M - params.N - 1))
-    phi = build_basis(params).eval_all(rule.x)[: params.N] * wv
-    num, den = pfaffian(skew_gram(rule, phi, [z, z_inf])[0])
+    num, den = pfaffian(truncated_moment_matrix(ModelParams(params.N, params.M, 0.0), 1.0,
+                                                [z, z_inf], n_panels=n_panels, q=q))
     if not (np.isfinite(num) and np.isfinite(den) and num != 0 and den != 0):
         raise FloatingPointError(f"LOE Pfaffians at z = {z:g}, z_inf = {z_inf:g} are "
                                  f"{num} and {den}: they under- or overflow at this (N, M)")
@@ -227,14 +228,14 @@ class CdfEngine:
     `cdf_grid` is the one evaluation path.  A single pass over the upper
     contour nodes serves every z of a grid; the first pass of each route
     also evaluates z_inf and caches that contour sum as the route's
-    normalisation anchor, which later calls reuse.  A Pfaffian-route node
-    takes one truncated Gram stack and one batched Pfaffian for all its z;
-    the Fredholm route builds one KernelBundle per upper node and the z-free
-    Lambda once.  The node rules share one q-point Gauss-Legendre reference
-    panel and one Laguerre basis, which the engine builds once, for itself.
-    contour_nodes must be an even integer >= 8, q an integer >= 4, z_inf
-    and margin finite and positive, radius_factor finite and >= 1, and
-    n_nystrom (by default default_n_nystrom(params)) a multiple of 20, >= 40.
+    normalisation anchor, which later calls reuse.  A Pfaffian-route block
+    of nodes takes one truncated Gram stack and one batched Pfaffian for all
+    its z; the Fredholm route builds one KernelBundle per upper node and the
+    z-free Lambda once.  The engine builds the node rules, their q-point
+    Gauss-Legendre reference panel and one Laguerre basis once.  contour_nodes
+    must be an even integer >= 8, n_panels >= 2 and q >= 4 integers, z_inf and
+    margin finite and positive, radius_factor finite and >= 1 (no boolean),
+    and n_nystrom (default_n_nystrom(params) if None) a multiple of 20, >= 40.
     """
 
     def __init__(self, params: ModelParams, *, contour_nodes: int = 64,
@@ -244,6 +245,8 @@ class CdfEngine:
         if not (isinstance(contour_nodes, (int, np.integer))
                 and contour_nodes >= 8 and contour_nodes % 2 == 0):
             raise ConfigError(f"contour_nodes must be an even integer >= 8, got {contour_nodes!r}")
+        if isinstance(n_panels, bool) or not isinstance(n_panels, (int, np.integer)) or n_panels < 2:
+            raise ConfigError(f"n_panels must be an integer >= 2, got {n_panels!r}")
         self.params = params
         self.contour_nodes = contour_nodes
         self.margin = margin
@@ -255,14 +258,15 @@ class CdfEngine:
         self.n_nystrom = default_n_nystrom(params) if n_nystrom is None else n_nystrom
         _nystrom_panels(self.n_nystrom)
         self.z_inf = default_z_inf(params) if z_inf is None else float(z_inf)
-        if not (math.isfinite(self.z_inf) and self.z_inf > 0.0):
+        if isinstance(z_inf, bool) or not (math.isfinite(self.z_inf) and self.z_inf > 0.0):
             raise ConfigError(f"z_inf must be finite and positive, got {z_inf}")
-        if not (math.isfinite(margin) and margin > 0.0):
+        if isinstance(margin, bool) or not (math.isfinite(margin) and margin > 0.0):
             raise ConfigError(f"margin must be finite and positive, got {margin}")
-        if not (math.isfinite(radius_factor) and radius_factor >= 1.0):
+        if isinstance(radius_factor, bool) or not (math.isfinite(radius_factor) and radius_factor >= 1.0):
             raise ConfigError(f"radius_factor must be finite and >= 1, got {radius_factor}")
         self.contour = self.contour_for(self.z_inf)
         self._anchors: dict = {}     # route -> (contour sum at z_inf / i, anchor_gap)
+        self._edges = None           # u-edges of each upper node's rule, built once
         self._bundles = self._lam = self._lam0 = None  # Fredholm bundles, Lambda, (1/2) log|det M(t_i0)|
 
     def contour_for(self, z: float) -> ContourSpec:
@@ -308,7 +312,7 @@ class CdfEngine:
     # ------------------------------------------------------------------ #
 
     def cdf_grid(self, zs, route: str = "pfaffian") -> list[CdfResult]:
-        """P(lambda_max < z) for every z of `zs`, in order, from one node pass.
+        """P(lambda_max < z) for every z of `zs`, in order, from one pass over the nodes.
 
         The sum over the upper nodes, 2i Im sum w e^{M t} f, makes each value
         exactly real; z <= 0 gives exactly 0.  Each other result carries the
@@ -387,13 +391,27 @@ class CdfEngine:
                 + math.log(pf0)) if 0.0 < pf0 < math.inf else math.nan
 
     def _node_values(self, zs, route: str):
-        """f at every upper contour node (rows) and z (columns), and per-z diagnostics;
-        one batched Pfaffian per node (one over all nodes only raises peak memory)."""
+        """f at every upper contour node (rows) and z (columns), and per-z diagnostics; one
+        Gram stack over (nodes x z) on stacked rules, and one Pfaffian, per `_node_blocks`."""
         if route == "fredholm":
             return self._fredholm_values(zs)
-        return np.array([pfaffian(truncated_moment_matrix(
-            self.params, t, zs, basis=self.basis, n_panels=self.n_panels, q=self.q, panel=self.panel))
-            for t in self.contour.nodes[:self.contour.node_count // 2]]), [{}] * len(zs)
+        h, p = self.contour.node_count // 2, self.params
+        self._edges = self._edges or [rule_for_t(p, complex(t), self.n_panels, self.q, self.panel).u_edges
+                                      for t in self.contour.nodes[:h]]
+        f = np.empty((h, len(zs)), dtype=complex)
+        for nodes in self._node_blocks(len(zs)):
+            rule = HalfLineRule.stack(default_xmax(p), [self._edges[i] for i in nodes], self.panel)
+            f[nodes] = pfaffian(truncated_moment_matrix(p, self.contour.nodes[nodes], zs,
+                                                        basis=self.basis, rule=rule))
+        return f, [{}] * len(zs)
+
+    def _node_blocks(self, n_z: int) -> list[np.ndarray]:
+        """Upper nodes in order of panel count, cut into blocks of about BLOCK_BYTES each
+        (a dense z grid gets smaller blocks)."""
+        order = np.argsort([len(e) for e in self._edges], kind="stable")
+        q, n_quad = self.q, np.array([len(self._edges[i]) - 1 for i in order]) * self.q
+        used = np.cumsum(16 * self.params.N * n_quad + 8 * n_z * q * (q + 1))
+        return np.split(order, np.flatnonzero(np.diff(used // BLOCK_BYTES)) + 1)
 
     def _fredholm_values(self, zs):
         """e^Lambda sqrt(det(I - K chi_[z, inf))) at every upper-half node and z.

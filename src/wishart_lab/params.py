@@ -88,18 +88,18 @@ class ModelParams:
 
 
 def weight_w(params: ModelParams, t: complex, x):
-    """Contour-dependent weight w(x; t), elementwise over x > 0.
+    """Contour-dependent weight w(x; t), elementwise over x > 0 (and a t that broadcasts).
 
     The factor (t - tau_tilde x)^(-1/2) uses the principal branch, i.e. the
     cut sits where arg(t - tau_tilde x) = pi.  Raises SingularWeightError if
-    any x lands within machine distance of the branch point t / tau_tilde.
+    any x lands within machine distance of its branch point t / tau_tilde.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("weight_w requires x > 0")
     u = np.asarray(t - params.tau_tilde * x, dtype=complex)
-    if np.any(np.abs(u) < 64 * np.finfo(float).eps * max(abs(t), 1.0)):
-        raise SingularWeightError(f"t - tau_tilde*x vanished at t={t!r}")
+    if np.any(near := np.abs(u) < 64 * np.finfo(float).eps * np.maximum(np.abs(t), 1.0)):
+        raise SingularWeightError(f"t - tau_tilde*x vanished at t={np.broadcast_to(t, u.shape)[near][0]}")
     expo = 0.5 * (params.M - params.N - 1)
     vals = np.exp(-0.5 * params.M * x) * x**expo / np.sqrt(u)
     return vals if vals.ndim else complex(vals)

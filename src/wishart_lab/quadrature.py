@@ -22,9 +22,9 @@ cheap to evaluate anywhere.  The constant KAPPA_EPSILON = 1/2 is the single
 normalisation used everywhere the transform appears; with it,
 d/dx eps(f)(x) = 2 * kappa * f(x) = f(x).
 
-The truncated cross cumulative int_0^z f F costs per panel, not per z: a sum of
-per-panel blocks below z's panel, and fixed Chebyshev tables of the head
-integrals on the reference panel for the piece of that panel below z.
+The truncated cross cumulative int_0^z f F costs per panel, not per z: a sum of per-panel
+blocks below z's panel, and fixed Chebyshev tables of the head integrals on the reference
+panel for the piece of that panel below z.  Both batch over a `HalfLineRule.stack`.
 """
 
 from __future__ import annotations
@@ -129,9 +129,10 @@ class HalfLineRule:
     """Composite Gauss-Legendre rule on [x0, xmax] under x = x0 + u^2.
 
     Fields `x`, `w` give nodes (increasing) and weights for int_x0^xmax f dx.
-    `u_edges` are the panel boundaries in u = sqrt(x - x0); each panel is an
-    affine image of the shared reference `panel` (q Gauss nodes), whose
-    tables also give the within-panel cumulatives.
+    `u_edges` are the panel boundaries in u = sqrt(x - x0); each panel is an affine image of
+    the shared reference `panel` (q Gauss nodes), whose tables also give the within-panel
+    cumulatives.  A `stack` puts a rules axis first; it serves `cumulative` and
+    `EpsilonTransform.cross_cumulative` of (rules, k, n_nodes) samples.
     """
 
     xmax: float
@@ -147,11 +148,23 @@ class HalfLineRule:
 
     @property
     def n_panels(self) -> int:
-        return len(self.u_edges) - 1
+        return self.u_edges.shape[-1] - 1
 
     @property
     def n_nodes(self) -> int:
-        return self.x.size
+        return self.x.shape[-1]
+
+    @classmethod
+    def stack(cls, xmax: float, edges, panel: ReferencePanel) -> "HalfLineRule":
+        """Rules on [0, xmax] on each of `edges`, padded to the most panels with zero-width
+        panels at sqrt(xmax) (weights exactly 0, above every point), stacked."""
+        P = max(map(len, edges))
+        E = np.stack([np.concatenate((e, e[-1:].repeat(P - len(e)))) for e in edges])
+        u, w_u = _map_panel(E, panel)
+        return cls(float(xmax), E, 0.0, u * u, w_u * 2.0 * u, panel)
+
+    def _lift(self, a):     # a per-rule array, with an axis for the k rows of a stack's samples
+        return a if self.u_edges.ndim == 1 else a[..., None, :]
 
     def integrate(self, fvals) -> complex:
         fvals = np.asarray(fvals)
@@ -161,12 +174,12 @@ class HalfLineRule:
         return fvals @ self.w
 
     def _panel_scales(self):
-        return 0.5 * np.diff(self.u_edges)
+        return self._lift(0.5 * np.diff(self.u_edges))
 
     def _series(self, fvals):
         """Samples of g = 2 u f(u^2) per panel, shaped (..., n_panels, q), and the
         integrals up to each panel edge, shaped (..., n_panels + 1)."""
-        u = np.sqrt(self.x - self.x0)
+        u = self._lift(np.sqrt(self.x - self.x0))
         g = 2.0 * u * np.asarray(fvals)
         g = g.reshape(g.shape[:-1] + (self.n_panels, self.q))
         panel_totals = (g * self.panel.wg).sum(axis=-1) * self._panel_scales()
@@ -181,9 +194,9 @@ class HalfLineRule:
         stacked over leading axes; the result has the same shape.
         """
         g, prefix = self._series(fvals)
-        s = self._panel_scales()
-        within = g @ self.panel.cum_samples.T * s[:, None]  # cumulative inside each panel at its nodes
-        out = within + prefix[..., :-1, None]
+        out = g @ self.panel.cum_samples.T           # cumulative inside each panel at its nodes,
+        out *= self._panel_scales()[..., None]       # scaled and shifted in place
+        out += prefix[..., :-1, None]
         return out.reshape(out.shape[:-2] + (-1,))
 
     def cumulative_matrix(self) -> np.ndarray:
@@ -220,11 +233,11 @@ class HalfLineRule:
 
 
 def _map_panel(edges: np.ndarray, panel: ReferencePanel) -> tuple[np.ndarray, np.ndarray]:
-    """The panel's nodes and weights mapped onto each [edges[k], edges[k+1]], flattened."""
-    lo, hi = edges[:-1], edges[1:]
+    """The panel's nodes and weights mapped onto each [edges[..., k], edges[..., k+1]]."""
+    lo, hi = edges[..., :-1], edges[..., 1:]
     scale, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    nodes = (mid[:, None] + scale[:, None] * panel.ug).reshape(-1)
-    return nodes, (scale[:, None] * panel.wg).reshape(-1)
+    nodes = (mid[..., None] + scale[..., None] * panel.ug).reshape(edges.shape[:-1] + (-1,))
+    return nodes, (scale[..., None] * panel.wg).reshape(nodes.shape)
 
 
 def _refine_edges(base: np.ndarray, u_star: float, delta: float, levels: int = 7) -> np.ndarray:
@@ -330,33 +343,41 @@ class EpsilonTransform:
         return np.asarray(self._fvals @ self.rule.w)
 
     def cross_cumulative(self, xq) -> np.ndarray:
-        """int_{x0}^{xq} f_a F_b dx, F_b = int_{x0} f_b, for every pair of rows of a
-        (k, n_nodes) `fvals` at each point of a 1-D `xq`: (len(xq), k, k).  The panels
-        below xq add up their (k, k) blocks; the piece of xq's own panel, from its lower
-        edge lo, is du^2 g K g^T + du (g m) F_lo^T with du = u(xq) - lo, g the panel's
-        samples of 2 u f and K, m the reference panel's `head` quotients at v(xq).
-        The products are batched one item per xq, so each value is xq's own."""
-        r, f = self.rule, self._fvals
-        (k, _), P, q = f.shape, r.n_panels, r.q
+        """int_{x0}^{xq} f_a F_b dx, F_b = int_{x0} f_b, for every pair of rows of a (k, n_nodes)
+        `fvals` at each point of a 1-D `xq`: (len(xq), k, k), after a stack's rules axis.  The
+        panels below xq add up their (k, k) blocks, over each rule's own panels (padding never
+        regroups a sum); the piece of xq's own panel, from its lower edge lo, is du^2 g K g^T
+        + du (g m) F_lo^T with du = u(xq) - lo, g the panel's samples of 2 u f and K, m the
+        reference `head` quotients at v(xq), batched one item per rule and xq (each its own)."""
+        r, q = self.rule, self.rule.q
+        edges = r.u_edges.reshape(-1, r.n_panels + 1)                     # one row per rule
+        f = self._fvals.reshape(len(edges), -1, r.n_nodes)
+        (B, k, _), P = f.shape, r.n_panels
         uq = np.sqrt(np.clip(xq, r.x0, r.xmax) - r.x0)
-        idx = np.searchsorted(r.u_edges, uq, side="right") - 1           # P past xmax
-        F1 = np.concatenate((self.cumulative, np.ones_like(f[:1])))       # column k sums to F_lo
-        blocks = (f * r.w).reshape(k, P, q).transpose(1, 0, 2) @ F1.reshape(k + 1, P, q).transpose(1, 2, 0)
-        below = (np.arange(P) < idx[:, None, None]) * 1.0                # (n_xq, 1, P): panels below xq
-        acc = (below @ blocks.reshape(P, -1)).reshape(-1, k, k + 1)
+        F1 = np.concatenate((self.cumulative.reshape(f.shape), np.ones_like(f[:, :1])), 1)  # row k: F_lo
+        if B > 1:        # a stack's table is transient: keep one copy of it, not two, at the peak
+            self.cumulative = F1[:, :k]
+        blocks = ((f * r.w.reshape(B, 1, -1)).reshape(B, k, P, q).transpose(0, 2, 1, 3)
+                  @ F1.reshape(B, k + 1, P, q).transpose(0, 2, 3, 1)).reshape(B, P, -1)
+        idx, acc = np.empty((B, len(uq)), int), np.empty((B, len(uq), 1, k * (k + 1)), blocks.dtype)
+        for i, e in enumerate(edges):       # the rule's own n panels: a stack pads with zero-width ones
+            n, idx[i] = e.searchsorted(e[-1]), e.searchsorted(uq, side="right") - 1   # P past xmax
+            acc[i] = (np.arange(n) < idx[i, :, None, None]) * 1.0 @ blocks[i, :n]  # (1, n) rows below xq
+        acc = acc.reshape(B, -1, k, k + 1)
         out = acc[..., :k]
-        part = np.flatnonzero((idx < P) & (uq > r.u_edges[np.minimum(idx, P - 1)]))
-        if part.size:        # the panel holding xq, from its lower edge lo up to xq
-            p, lo = idx[part], r.u_edges[idx[part]]
-            du = uq[part] - lo
-            v = np.minimum(2.0 * du / (r.u_edges[p + 1] - lo) - 1.0, 1.0)
+        b, j = np.nonzero((idx < P) & (uq > edges[np.arange(B)[:, None], np.minimum(idx, P - 1)]))
+        if b.size:        # the panel holding xq, from its lower edge lo up to xq
+            p, lo = idx[b, j], edges[b, idx[b, j]]
+            du = uq[j] - lo
+            v = np.minimum(2.0 * du / (edges[b, p + 1] - lo) - 1.0, 1.0)
             T = np.cos(np.arange(2 * q - 1) * np.arccos(v)[:, None])         # Chebyshev T_l(v)
             head = (T[:, None] @ r.panel.head.reshape(2 * q - 1, -1)).reshape(-1, q, q + 1)
-            g = (2.0 * np.sqrt(r.x - r.x0).reshape(P, q)[p] * f.reshape(k, P, q)[:, p]).transpose(1, 0, 2)
+            root = np.sqrt(r.x - r.x0).reshape(B, P, q)
+            g = (2.0 * root[b, p] * f.reshape(B, k, P, q).transpose(1, 0, 2, 3)[:, b, p]).transpose(1, 0, 2)
             gh = g.real @ head + 1j * (g.imag @ head) if np.iscomplexobj(g) else g @ head
             du = du[:, None, None]
-            out[part] += du * (du * gh[..., :q] @ np.swapaxes(g, 1, 2) + gh[..., q:] * acc[part, None, :, k])
-        return out
+            out[b, j] += du * (du * gh[..., :q] @ np.swapaxes(g, 1, 2) + gh[..., q:] * acc[b, j, None, :, k])
+        return out.reshape(r.u_edges.shape[:-1] + out.shape[1:])
 
     def at_nodes(self) -> np.ndarray:
         """eps(f) at the rule nodes, shaped like `fvals`."""

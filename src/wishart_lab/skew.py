@@ -89,29 +89,29 @@ def rule_for_t(params: ModelParams, t: complex, n_panels: int = 24, q: int = 16,
 
 
 def skew_gram(rule: HalfLineRule, phi, z=math.inf) -> tuple[np.ndarray, EpsilonTransform]:
-    """Skew Gram (1/2) int_0^z (phi_a F_b - phi_b F_a) of sampled functions
-    phi_a (rows of `phi`), F_a their running integrals, shaped (k, k) for a
-    scalar z and (len(z), k, k) for a 1-D z, z = inf the full Gram.  Read off
-    `EpsilonTransform.cross_cumulative`, so no z need be a panel edge and a
-    z's Gram depends on that z alone.  Also returns the epsilon transform."""
+    """Skew Gram (1/2) int_0^z (phi_a F_b - phi_b F_a) of sampled functions phi_a
+    (rows of `phi`), F_a their running integrals, shaped (k, k) for a scalar z and
+    (len(z), k, k) for a 1-D z (after a stack's rules axis), z = inf the full Gram.  Read
+    off `EpsilonTransform.cross_cumulative`, so no z need be a panel edge and a z's
+    Gram depends on that z alone.  Also returns the epsilon transform."""
     zs = np.nan_to_num(np.asarray(z, dtype=float), nan=-np.inf)   # [0, NaN] is empty
     eps = EpsilonTransform(rule, phi)
     raw = eps.cross_cumulative(zs.ravel())
-    gram = 0.5 * (raw - np.swapaxes(raw, 1, 2))
-    return gram.reshape(zs.shape + gram.shape[1:]), eps
+    gram = 0.5 * (raw - np.swapaxes(raw, -1, -2))
+    return gram.reshape(gram.shape[:-3] + zs.shape + gram.shape[-2:]), eps
 
 
 @dataclass
 class SkewProductTable:
     """Entries <L_i, L_j>_1 for 0 <= i, j <= kmax at fixed t over [0, z]^2.
 
-    A 1-D z stacks the truncations, all read off one z-free rule.  Also
-    caches the sampled weight, Laguerre values and the batched epsilon
-    transform of the L_j w, which kernel evaluations reuse.
+    A 1-D z stacks the truncations, all read off one z-free rule; a 1-D t and a
+    stacked `rule`, one rule per t, put a t axis first.  Also caches the sampled weight,
+    Laguerre values and the batched epsilon transform of the L_j w, which kernels reuse.
     """
 
     params: ModelParams
-    t: complex
+    t: complex | np.ndarray
     z: float | np.ndarray         # truncation(s); inf means the full half-line
     basis: LaguerreBasis
     rule: HalfLineRule
@@ -123,21 +123,22 @@ class SkewProductTable:
     @classmethod
     def build(cls, params: ModelParams, t: complex, kmax: int | None = None,
               z: float = math.inf, basis: LaguerreBasis | None = None,
-              n_panels: int = 24, q: int = 16,
-              panel: ReferencePanel | None = None) -> "SkewProductTable":
+              n_panels: int = 24, q: int = 16, panel: ReferencePanel | None = None,
+              rule: HalfLineRule | None = None) -> "SkewProductTable":
         if kmax is None:
             kmax = params.N + 1
         if basis is None:
             basis = build_basis(params, max(kmax, params.N + 2))
-        rule = rule_for_t(params, complex(t), n_panels=n_panels, q=q, panel=panel)
-        wv = weight_w(params, complex(t), rule.x)
-        lag = basis.eval_all(rule.x)[: kmax + 1]
-        entries, eps = skew_gram(rule, lag * wv, z)
-        return cls(params, complex(t), z, basis, rule, entries, wv, lag, eps)
+        t = t.astype(complex) if isinstance(t, np.ndarray) else complex(t)
+        rule = rule_for_t(params, t, n_panels=n_panels, q=q, panel=panel) if rule is None else rule
+        wv = weight_w(params, t[:, None] if np.ndim(t) else t, rule.x)
+        lag = np.swapaxes(basis.eval_all(rule.x)[: kmax + 1], 0, -2)
+        entries, eps = skew_gram(rule, lag * wv[..., None, :], z)
+        return cls(params, t, z, basis, rule, entries, wv, lag, eps)
 
     @property
     def kmax(self) -> int:
-        return self.entries.shape[0] - 1
+        return self.entries.shape[-1] - 1
 
     @property
     def scale(self) -> float:

@@ -5,8 +5,10 @@ from wishart_lab import (KAPPA_EPSILON, CdfEngine, EpsilonTransform, KernelBundl
                          ModelParams, build_basis, fredholm_det, half_line_rule,
                          loe_direct_cdf, logdet_m_derivative, pfaffian,
                          truncated_moment_matrix, weight_w)
-from wishart_lab import ConfigError, DegenerateSkewProductError, PrecisionLossError
+from wishart_lab import (ConfigError, DegenerateSkewProductError, PrecisionLossError,
+                         SingularWeightError)
 from wishart_lab import cdf as cdf_module, quadrature
+from wishart_lab.quadrature import HalfLineRule
 from wishart_lab.skew import SkewProductTable, default_xmax
 
 
@@ -373,32 +375,38 @@ class TestCdfGrid:
     def test_anchor_computed_once(self, p48, monkeypatch):
         calls = []
 
-        # one stack per upper-half node, and on the anchor pass the full
-        # half-line Gram G0 of the exact normaliser (scalar z = inf)
+        # one stack per block of upper-half nodes, and on the anchor pass the
+        # full half-line Gram G0 of the exact normaliser (scalar t = 1, z = inf)
         def spy(params, t, z, **kw):
-            calls.append(np.size(z))
+            calls.append((np.atleast_1d(t).tolist(), np.size(z)))
             return truncated_moment_matrix(params, t, z, **kw)
 
         monkeypatch.setattr(cdf_module, "truncated_moment_matrix", spy)
         eng = CdfEngine(p48)
-        half = eng.contour.node_count // 2
+        upper = sorted(eng.contour.nodes[:eng.contour.node_count // 2].tolist(), key=np.angle)
+
+        def nodes_and_sizes(block_calls):   # every upper node once, and the z sizes
+            return (sorted((t for ts, _ in block_calls for t in ts), key=np.angle),
+                    {size for _, size in block_calls})
+
         eng.cdf_grid(self.ZS)
         anchor = eng._anchors["pfaffian"]
-        assert calls == [len(self.ZS) + 1] * half + [1]
+        assert calls[-1] == ([1.0], 1)
+        assert nodes_and_sizes(calls[:-1]) == (upper, {len(self.ZS) + 1})
         calls.clear()
         eng.cdf_grid(self.ZS)
         eng.cdf_grid(self.ZS, "fredholm")
-        assert calls == [len(self.ZS)] * half
+        assert nodes_and_sizes(calls) == (upper, {len(self.ZS)})
         assert eng._anchors["pfaffian"] == anchor
 
     def test_each_distinct_z_evaluated_once(self, p48, monkeypatch):
-        # one truncated Gram stack and one batched Pfaffian per node, over the
-        # distinct z only: the set-up call sees z_inf once, a grid's repeats
-        # (z_inf among them) are read back from their first evaluation
+        # one truncated Gram stack and one batched Pfaffian per node block,
+        # over the distinct z only: the set-up call sees z_inf once, a grid's
+        # repeats (z_inf among them) are read back from their first evaluation
         seen, pf_calls = [], []
 
         def gram_spy(params, t, z, **kw):
-            seen.append(np.atleast_1d(z).tolist())
+            seen.append((np.size(t), np.atleast_1d(z).tolist()))
             return truncated_moment_matrix(params, t, z, **kw)
 
         def pf_spy(A):
@@ -411,13 +419,18 @@ class TestCdfGrid:
         n = eng.contour.node_count // 2
         eng.cdf(eng.z_inf)
         # the anchor pass also takes G0's Pfaffian, once per engine
-        assert seen == [[eng.z_inf]] * n + [[np.inf]]
-        assert pf_calls == [(1, p48.N, p48.N)] * n + [(p48.N, p48.N)]
+        assert seen[-1] == (1, [np.inf]) and pf_calls[-1] == (p48.N, p48.N)
+        assert {tuple(z) for _, z in seen[:-1]} == {(eng.z_inf,)}
+        assert [b for b, _ in seen[:-1]] == [s[0] for s in pf_calls[:-1]]
+        assert sum(b for b, _ in seen[:-1]) == n
+        assert {s[1:] for s in pf_calls[:-1]} == {(1, p48.N, p48.N)}
         seen.clear()
         pf_calls.clear()
         grid = [3.0, 2.0, 3.0, eng.z_inf, 2.0, -1.0, 3.0]
         res = eng.cdf_grid(grid)
-        assert seen == [[2.0, 3.0, eng.z_inf]] * n and pf_calls == [(3, p48.N, p48.N)] * n
+        assert {tuple(z) for _, z in seen} == {(2.0, 3.0, eng.z_inf)}
+        assert sum(b for b, _ in seen) == n and [b for b, _ in seen] == [s[0] for s in pf_calls]
+        assert {s[1:] for s in pf_calls} == {(3, p48.N, p48.N)}
         assert res[0] == res[2] == res[6] and res[1] == res[4]
         assert [r.z for r in res] == grid and res[0] != res[1]
         assert res[3].value == pytest.approx(1.0, abs=1e-9)
@@ -472,6 +485,18 @@ class TestCdfGrid:
                               engine.contour.nodes)
         assert CdfEngine(p48, contour_nodes=160).contour.node_count == 160
 
+    @pytest.mark.parametrize("n_panels", [1, 0, 2.5, 24.0, True, "24"])
+    def test_n_panels_is_checked_at_construction(self, p48, n_panels):
+        # not on the first evaluation, and never as a raw TypeError
+        with pytest.raises(ConfigError, match="n_panels"):
+            CdfEngine(p48, n_panels=n_panels)
+
+    @pytest.mark.parametrize("name", ["z_inf", "margin", "radius_factor"])
+    def test_booleans_are_refused(self, p48, name):
+        # z_inf=True would otherwise be an anchor at z = 1
+        with pytest.raises(ConfigError, match=name):
+            CdfEngine(p48, **{name: True})
+
     @pytest.mark.parametrize("q", [3, 2.5])
     def test_q_is_checked_at_construction(self, p48, q):
         with pytest.raises(ConfigError, match="q must be"):
@@ -499,6 +524,22 @@ class TestCdfGrid:
         assert len(calls) == 1 and "head" in vars(eng.panel)
         eng.cdf_grid(list(np.linspace(0.5, 7.5, 15)))
         assert len(calls) == 1
+
+    def test_one_pfaffian_per_node_block_and_one_rule_per_node(self, p48, monkeypatch):
+        # the node rules are built once per engine, and each pass takes one
+        # batched Pfaffian per block of nodes, fewer blocks than nodes
+        rules, pfs = [], []
+        rule_for_t, pf = cdf_module.rule_for_t, cdf_module.pfaffian
+        monkeypatch.setattr(cdf_module, "rule_for_t", lambda *a: rules.append(a[1]) or rule_for_t(*a))
+        monkeypatch.setattr(cdf_module, "pfaffian", lambda A: pfs.append(np.shape(A)) or pf(A))
+        eng = CdfEngine(p48)
+        n = eng.contour.node_count // 2
+        eng.cdf(eng.z_inf)
+        assert len(pfs) == len(eng._node_blocks(1)) + 1 < n     # and G0's, once
+        pfs.clear()
+        eng.cdf_grid(list(np.linspace(1.0, 6.0, 48)))
+        assert len(pfs) == len(eng._node_blocks(48)) < n
+        assert sorted(rules, key=np.angle) == sorted(eng.contour.nodes[:n].tolist(), key=np.angle)
 
     def test_one_bundle_and_one_determinant_per_node(self, p48, monkeypatch):
         # the anchor pass and a later grid share one KernelBundle per
@@ -548,6 +589,73 @@ class TestCdfGrid:
         expect = np.log10(np.sum(np.abs(terms)) / abs(np.sum(terms)))
         got = engine.cdf(2.0).diagnostics["cancellation_digits"]
         assert got == pytest.approx(expect, rel=1e-6)
+
+
+class TestNodeBlocks:
+    """The Pfaffian route's block pass against the one-node path, bit for bit."""
+
+    @staticmethod
+    def per_node(eng, zs):
+        p, h = eng.params, eng.contour.node_count // 2
+        return np.array([pfaffian(truncated_moment_matrix(p, t, zs, basis=eng.basis, panel=eng.panel))
+                         for t in eng.contour.nodes[:h]])
+
+    @pytest.mark.parametrize("params,zs", [((4, 8, 1.0), [1.0, 2.5, 6.0]),
+                                           ((8, 32, 1.0), [1.55, 2.25]),
+                                           ((16, 64, 1.0), [1.9, 2.62, 3.1])])
+    def test_block_pfaffians_are_the_per_node_pfaffians(self, params, zs):
+        eng = CdfEngine(ModelParams(*params))
+        zs = np.array(zs + [eng.z_inf])
+        assert np.array_equal(eng._node_values(zs, "pfaffian")[0], self.per_node(eng, zs))
+
+    def test_block_edges_and_padding_do_not_leak(self, monkeypatch):
+        # one block of every node, padded to the most panels, and one block per
+        # node: z past xmax, and z inside a short rule's last panel, which sits
+        # right below that rule's padding
+        p = ModelParams(16, 64, 1.0)
+        eng = CdfEngine(p)
+        eng.cdf(eng.z_inf)
+        counts = [len(e) - 1 for e in eng._edges]
+        short = eng._edges[int(np.argmin(counts))]
+        assert min(counts) < max(counts)
+        z_last = (0.5 * (short[-2] + short[-1])) ** 2
+        assert short[-2] ** 2 < z_last < default_xmax(p)
+        zs = np.array([2.5, z_last, default_xmax(p), default_xmax(p) + 1.0])
+        values = {}
+        for budget in (1, 2**40):
+            monkeypatch.setattr(cdf_module, "BLOCK_BYTES", budget)
+            blocks = eng._node_blocks(len(zs))
+            assert len(blocks) == (len(counts) if budget == 1 else 1)
+            values[budget] = eng._node_values(zs, "pfaffian")[0]
+        assert np.array_equal(values[1], values[2**40])
+        assert np.array_equal(values[1], self.per_node(eng, zs))
+
+    def test_blocks_cover_every_node_once(self, p48):
+        eng = CdfEngine(p48)
+        eng.cdf(eng.z_inf)
+        sparse, dense = eng._node_blocks(1), eng._node_blocks(48)
+        for blocks in (sparse, dense):
+            assert sorted(np.concatenate(blocks).tolist()) == list(range(len(eng._edges)))
+        # a dense grid's head tables make for smaller blocks
+        assert len(dense) > len(sparse)
+
+    def test_padding_panels_have_zero_weight_above_every_point(self, p48):
+        eng = CdfEngine(p48)
+        eng.cdf(eng.z_inf)
+        edges = sorted(eng._edges, key=len)
+        rule = HalfLineRule.stack(default_xmax(p48), [edges[0], edges[-1]], eng.panel)
+        short = len(edges[0]) - 1
+        assert rule.x.shape == (2, rule.n_panels * rule.q) and rule.n_panels == len(edges[-1]) - 1
+        assert np.all(rule.w[0, short * rule.q:] == 0.0)
+        assert np.all(rule.x[0, short * rule.q:] >= rule.x[0, :short * rule.q].max())
+
+    def test_a_node_on_the_branch_point_raises_through_the_batched_weight(self, p48):
+        eng = CdfEngine(p48)
+        eng.cdf(eng.z_inf)
+        rule = HalfLineRule.stack(default_xmax(p48), eng._edges[:2], eng.panel)
+        ts = np.array([eng.contour.nodes[0], p48.tau_tilde * rule.x[1, 5]])
+        with pytest.raises(SingularWeightError):
+            truncated_moment_matrix(p48, ts, [2.0], basis=eng.basis, rule=rule)
 
 
 class TestHalfContour:

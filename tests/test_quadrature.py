@@ -139,6 +139,27 @@ def test_stacked_samples_match_row_by_row(rule):
             assert np.max(np.abs(b[i] - s)) <= 1e-14 * np.max(np.abs(s))
 
 
+@pytest.mark.parametrize("counts", [(7, 13), (11, 14), (15, 24, 19)])
+def test_stacked_rules_match_rule_by_rule(counts):
+    """A stack of rules on different edges, padded to the most panels, gives each
+    rule's own cumulative and truncated cross cumulative bit for bit.  The samples
+    do not decay, so the top panels, which padding would regroup, count."""
+    panel, rng = reference_panel(8), np.random.default_rng(11)
+    edges = [np.sqrt(6.0) * np.linspace(0.0, 1.0, n + 1) ** 1.5 for n in counts]
+    rules = [quadrature.HalfLineRule(6.0, e, 0.0, u * u, 2.0 * u * w_u, panel)
+             for e in edges for u, w_u in [quadrature._map_panel(e, panel)]]
+    stack = quadrature.HalfLineRule.stack(6.0, edges, panel)
+    xq = np.array([0.3, 5.9, 6.0, 7.0] + [(0.5 * (e[-2] + e[-1])) ** 2 for e in edges])
+    n = stack.n_nodes
+    f = rng.normal(size=(len(counts), 3, n)) + 1j * rng.normal(size=(len(counts), 3, n))
+    cum, cross = stack.cumulative(f), EpsilonTransform(stack, f).cross_cumulative(xq)
+    for i, r in enumerate(rules):
+        own = f[i, :, :r.n_nodes]
+        assert np.array_equal(stack.x[i, :r.n_nodes], r.x) and np.all(stack.w[i, r.n_nodes:] == 0)
+        assert np.array_equal(cum[i, :, :r.n_nodes], r.cumulative(own))
+        assert np.array_equal(cross[i], EpsilonTransform(r, own).cross_cumulative(xq))
+
+
 def fresh_build(rule):
     """x, w, vinv and cum_ref of `rule` recomputed from its panel edges alone,
     with leggauss(q) and the Vandermonde inverse taken afresh."""
