@@ -74,6 +74,7 @@ from .laguerre import LaguerreBasis, build_basis
 from .params import ContourSpec, ModelParams, mp_edges
 from .quadrature import KAPPA_EPSILON, HalfLineRule, ReferencePanel, half_line_rule, reference_panel
 from .skew import SkewProductTable, default_xmax, pfaffian, rule_for_t
+from .zonal import _log_residue
 
 __all__ = [
     "CdfResult",
@@ -148,7 +149,7 @@ def logdet_m_derivative(params: ModelParams, t: complex,
 def _nystrom_data(xmax: float, z: float, n_panels: int):
     """Read-only t-free Nystrom nodes, weights and eps operator on [z, xmax]."""
     grid = half_line_rule(xmax, n_panels, 20, x0=z)  # x = z + u^2
-    eps_op = KAPPA_EPSILON * (2.0 * grid.cumulative_matrix() - grid.w[None, :])
+    eps_op = KAPPA_EPSILON * (2.0 * grid.cumulative(np.eye(grid.n_nodes)).T - grid.w[None, :])
     for a in (grid.x, grid.w, eps_op):
         a.setflags(write=False)
     return grid.x, grid.w, eps_op
@@ -375,9 +376,6 @@ class CdfEngine:
     def cdf(self, z: float, route: str = "pfaffian") -> CdfResult:
         return self.cdf_grid([z], route)[0]
 
-    cdf_pfaffian = functools.partialmethod(cdf, route="pfaffian")
-    cdf_fredholm = functools.partialmethod(cdf, route="fredholm")
-
     @functools.cached_property
     def _log_exact_anchor(self) -> float:
         """log |2 pi i (1 + tau)^{M/2} M^{N/2 - 1} / Gamma(N/2) Pf(G0)|, G0
@@ -387,8 +385,7 @@ class CdfEngine:
             ModelParams(N, M, 0.0), 1.0, math.inf, basis=self.basis,
             n_panels=self.n_panels, q=self.q, panel=self.panel)))
         return (math.log(2.0 * math.pi) + 0.5 * M * math.log1p(self.params.tau)
-                + (0.5 * N - 1.0) * math.log(M) - math.lgamma(0.5 * N)
-                + math.log(pf0)) if 0.0 < pf0 < math.inf else math.nan
+                + _log_residue(M, 0.5 * N) + math.log(pf0)) if 0.0 < pf0 < math.inf else math.nan
 
     def _node_values(self, zs, route: str):
         """f at every upper contour node (rows) and z (columns), and per-z diagnostics; one

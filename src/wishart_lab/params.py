@@ -174,12 +174,13 @@ def make_contour(z: float, node_count: int = 64, margin: float = 0.5) -> Contour
     """Circle centered at z/2 with radius z/2 + margin, enclosing [0, z].
 
     node_count must be even and at least 8 so conjugate node pairs exist and
-    none sits on the real axis (phases are 2*pi*(k + 1/2)/node_count).
+    none sits on the real axis (phases are 2*pi*(k + 1/2)/node_count); z and
+    margin must be finite and positive.
     """
-    if margin <= 0:
-        raise ConfigError(f"margin must be positive, got {margin}")
+    if not (math.isfinite(margin) and margin > 0):
+        raise ConfigError(f"margin must be finite and positive, got {margin}")
     if node_count < 8 or node_count % 2:
         raise ConfigError(f"node_count must be even and >= 8, got {node_count}")
-    if z <= 0:
-        raise ConfigError(f"z must be positive, got {z}")
+    if not (math.isfinite(z) and z > 0):
+        raise ConfigError(f"z must be finite and positive, got {z}")
     return ContourSpec.circle(complex(z / 2.0, 0.0), z / 2.0 + margin, node_count)

@@ -199,17 +199,6 @@ class HalfLineRule:
         out += prefix[..., :-1, None]
         return out.reshape(out.shape[:-2] + (-1,))
 
-    def cumulative_matrix(self) -> np.ndarray:
-        """Matrix C with (C f)_i = int_{x0}^{x_i} of the panelwise interpolant.
-
-        Exact for functions the per-panel Legendre series represents; used
-        to discretise the sign-kernel operator without losing spectral
-        convergence to its diagonal kink.
-        """
-        P, panel = self.n_panels, self.panel          # own panel, then every panel below
-        C = np.kron(np.eye(P), panel.cum_samples) + np.kron(np.tri(P, k=-1), np.ones((panel.q, 1)) * panel.wg)
-        return C * np.repeat(self._panel_scales(), panel.q) * (2.0 * np.sqrt(self.x - self.x0))
-
     def cum_at(self, fvals, xq) -> np.ndarray:
         """int_{x0}^{xq} f dx for arbitrary query points (clipped to [x0, xmax]).
 
@@ -316,25 +305,24 @@ def integrate_halfline(f, rule: HalfLineRule) -> complex:
     return rule.integrate(fvals)
 
 
-def epsilon_transform(f, rule: HalfLineRule, x, kappa: float = KAPPA_EPSILON):
+def epsilon_transform(f, rule: HalfLineRule, x):
     """eps(f)(x) for a callable or sampled integrand, at point(s) x."""
     fvals = f(rule.x) if callable(f) else np.asarray(f)
-    return EpsilonTransform(rule, fvals, kappa=kappa)(x)
+    return EpsilonTransform(rule, fvals)(x)
 
 
 class EpsilonTransform:
-    """eps(f)(x) = kappa * (int_0^x f - int_x^xmax f) for sampled f.
+    """eps(f)(x) = KAPPA_EPSILON * (int_0^x f - int_x^xmax f) for sampled f.
 
     `fvals` is shaped (..., n_nodes): one transform per row of a stack,
     all computed together.  Precomputes the cumulative table once;
     evaluation at the rule's own nodes is a lookup, and arbitrary points go
-    through the panelwise Legendre series.  Linear in f; eps(f)' = 2 kappa f
-    at interior points.
+    through the panelwise Legendre series.  Linear in f; eps(f)' = f at
+    interior points.
     """
 
-    def __init__(self, rule: HalfLineRule, fvals, kappa: float = KAPPA_EPSILON):
+    def __init__(self, rule: HalfLineRule, fvals):
         self.rule = rule
-        self.kappa = kappa
         self._fvals = np.asarray(fvals)
         self.cumulative = rule.cumulative(self._fvals)   # int_x0^{x_i} f at the nodes
 
@@ -381,10 +369,10 @@ class EpsilonTransform:
 
     def at_nodes(self) -> np.ndarray:
         """eps(f) at the rule nodes, shaped like `fvals`."""
-        return self.kappa * (2.0 * self.cumulative - self.total[..., None])
+        return KAPPA_EPSILON * (2.0 * self.cumulative - self.total[..., None])
 
     def __call__(self, xq):
         """eps(f)(xq), shaped (...) for scalar xq and (..., len(xq)) otherwise."""
         F = self.rule.cum_at(self._fvals, xq)
         total = self.total if np.ndim(xq) == 0 else self.total[..., None]
-        return self.kappa * (2.0 * F - total)
+        return KAPPA_EPSILON * (2.0 * F - total)

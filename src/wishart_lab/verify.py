@@ -256,8 +256,8 @@ def suite_hygiene(seed: int = 0) -> dict:
                       ("quadrature doubling", CdfEngine(p, n_panels=48, q=20))):
         dev = max(abs(r.value - v) for r, v in zip(eng.cdf_grid(zs), vals))
         checks.append(_check(name, dev, 1e-4))
-    fr1 = base.cdf_fredholm(3.5).value
-    fr2 = CdfEngine(p, n_nystrom=160).cdf_fredholm(3.5).value
+    fr1 = base.cdf(3.5, "fredholm").value
+    fr2 = CdfEngine(p, n_nystrom=160).cdf(3.5, "fredholm").value
     checks.append(_check("Nystrom doubling", abs(fr2 - fr1), 1e-4))
     # Pf^2 = det at contour nodes, and the half-contour sum's Pf(conj t) = conj Pf(t)
     worst = sym = 0.0

@@ -1,25 +1,25 @@
 """Single-row zonal polynomials and the rank-1 group-integral identities.
 
-Only single-row partitions survive at rank 1 (a rank-1 Y has one nonzero
-eigenvalue, and Z_p(Y) vanishes unless p = (k)), so everything reduces to
-power series in one variable:
+At rank 1 only single-row partitions survive (Z_p(Y) vanishes for a rank-1 Y
+unless p = (k)), so everything is read off one u-series of the eigenvalues
+x_i, built by convolving per-eigenvalue binomial series (A_k >= 0 for x_i >= 0):
 
-    real (O(N)):          prod_i (1 - 2 theta x_i)^(-1/2)
-                          = sum_k theta^k (2k-1)!! Z_(k)(X) / k!
-    complex (U(N)):       prod_i (1 - 2 theta x_i)^(-1)
-                          = sum_k (2 theta)^k C_(k)(X)
-    quaternionic (Sp(N)): prod_i (1 - 2 theta x_i)^(-2)
-                          = sum_k (2 theta)^k (k+1) Q_(k)(X)
+    prod_i (1 - u x_i)^(-p/2) = sum_k A_k u^k,    p = 1, 2, 4
+    real (O(N), p = 1):           Z_(k)(X) = A_k 2^k k! / (2k - 1)!!
+    complex (U(N), p = 2):        C_(k)(X) = A_k
+    quaternionic (Sp(N), p = 4):  Q_(k)(X) = A_k / (k + 1)
 
-extracted by convolving per-factor binomial series.  The companion contour
-integrals
+Term by term, the residue at infinity (1 / 2 pi i) oint e^{M t} t^(-s) dt =
+M^(s - 1) / Gamma(s) sums the contour integral (p N even, so the integrand is
+single-valued at infinity):
 
-    S_p(y) = (1 / 2 pi i) oint e^{M t} prod_i (t - x_i y)^(-p/2) dt,  p = 1, 2, 4
+    S_p(y) = (1 / 2 pi i) oint e^{M t} prod_i (t - x_i y)^(-p/2) dt
+           = sum_k A_k y^k M^(pN/2 + k - 1) / Gamma(pN/2 + k).
 
-evaluate by residue at infinity to hypergeometric-type series in the same
-coefficients, and for p = 1 match the Haar O(N) average of
-e^{+ M y sum x_i g_iN^2} up to M^{N/2 - 1} / Gamma(N/2).  Factorials and
-double factorials go through log-gamma so k up to 60 stays in range.
+At p = 1 that is M^(N/2 - 1) / Gamma(N/2) times the Haar O(N) average of
+e^{+ M y sum x_i g_iN^2}, sum_k (M y)^k Z_(k)(X) / (k! Z_(k)(I_N)).  Factorials
+go through log-gamma so k up to 60 stays in range; non-finite eigenvalues or y,
+and an M that is not finite and positive, raise ConfigError.
 """
 
 from __future__ import annotations
@@ -51,6 +51,36 @@ def _log_double_factorial(k: int) -> float:
     return math.lgamma(2 * k + 1) - k * math.log(2.0) - math.lgamma(k + 1)
 
 
+def _log_residue(M: float, s: float) -> float:
+    """log M^(s - 1) / Gamma(s), the residue at infinity (1 / 2 pi i) oint e^{M t} t^(-s) dt."""
+    return (s - 1.0) * math.log(M) - math.lgamma(s)
+
+
+def _checked(x_eigs, y: float = 0.0, M: float = 1.0, N: int = 1) -> np.ndarray:
+    """x_eigs as a 1-D array; ConfigError unless it and y are finite, 0 < M < inf and N >= 1 an integer."""
+    x = np.asarray(x_eigs, dtype=float)
+    if not (x.ndim == 1 and np.isfinite(x).all() and math.isfinite(y) and 0 < M < math.inf
+            and isinstance(N, (int, np.integer)) and not isinstance(N, bool) and N >= 1):
+        raise ConfigError(f"need finite 1-D x_eigs and y, 0 < M < inf and an integer N >= 1; "
+                          f"got {x_eigs!r}, {y!r}, {M!r}, {N!r}")
+    return x
+
+
+def _u_series(x: np.ndarray, max_k, power: int) -> np.ndarray:
+    """A_k, k = 0..max_k, with prod_i (1 - u x_i)^(-power/2) = sum_k A_k u^k."""
+    if isinstance(max_k, bool) or not isinstance(max_k, (int, np.integer)) or not 0 <= max_k <= 60:
+        raise ConfigError(f"max_k must be an integer in 0..60 (log-factorial guard), got {max_k!r}")
+    ks = np.arange(max_k + 1)
+    # (1 - u x)^(-p/2) = sum_m binom(m + p/2 - 1, m) (u x)^m
+    binom = np.exp([math.lgamma(m + power / 2.0) - math.lgamma(power / 2.0) - math.lgamma(m + 1.0)
+                    for m in ks])
+    A = np.zeros(max_k + 1)
+    A[0] = 1.0
+    for xi in x:
+        A = np.convolve(A, binom * xi**ks)[: max_k + 1]
+    return A
+
+
 @dataclass(frozen=True)
 class ZonalSeries:
     x_eigs: np.ndarray
@@ -63,36 +93,18 @@ class ZonalSeries:
 
 
 def zonal_row(x_eigs, max_k: int, family: str = "real") -> ZonalSeries:
-    """Z_(k)(X) for k = 0..max_k from the generating-function expansion.
-
-    Convolves the per-eigenvalue binomial series of (1 - 2 theta x)^(-p/2)
-    and strips the family-specific normalisation.
-    """
+    """Z_(k)(X) (or C_(k), Q_(k)) for k = 0..max_k, the family's multiple of the u-series."""
     if family not in _POWERS:
         raise ConfigError(f"family must be one of {sorted(_POWERS)}")
-    if not 0 <= max_k <= 60:
-        raise ConfigError("max_k must lie in 0..60 (log-factorial guard)")
-    x = np.asarray(x_eigs, dtype=float)
-    p = _POWERS[family]
+    x = _checked(x_eigs)
+    A = _u_series(x, max_k, _POWERS[family])
     ks = np.arange(max_k + 1)
-    # (1 - z)^(-p/2) = sum_m binom(m + p/2 - 1, m) z^m with z = 2 theta x
-    log_binom = (np.array([math.lgamma(m + p / 2.0) for m in ks])
-                 - math.lgamma(p / 2.0)
-                 - np.array([math.lgamma(m + 1.0) for m in ks]))
-    series = np.zeros(max_k + 1)
-    series[0] = 1.0
-    for xi in x:
-        factor = np.exp(log_binom) * (2.0 * xi) ** ks
-        series = np.convolve(series, factor)[: max_k + 1]
-    # strip normalisation: theta^k coefficient -> Z_(k)
-    if family == "real":
-        norm = np.exp(np.array([_log_double_factorial(int(k)) for k in ks])
-                      - np.array([math.lgamma(k + 1.0) for k in ks]))
-    elif family == "complex":
-        norm = 2.0**ks
-    else:
-        norm = (ks + 1.0) * 2.0**ks
-    return ZonalSeries(x, max_k, family, series / norm)
+    if family == "real":        # 2^k k! / (2k - 1)!!
+        A = A * np.exp([k * math.log(2.0) + math.lgamma(k + 1.0) - _log_double_factorial(k)
+                        for k in ks])
+    elif family == "quaternionic":
+        A = A / (ks + 1.0)
+    return ZonalSeries(x, max_k, family, A)
 
 
 def zonal_I_closed_form(N: int, k: int) -> float:
@@ -103,60 +115,34 @@ def zonal_I_closed_form(N: int, k: int) -> float:
 
 def contour_S(M: int, x_eigs, y: float, power: int,
               contour: ContourSpec | None = None) -> complex:
-    """(1 / 2 pi i) oint e^{M t} prod_i (t - x_i y)^(-power/2) dt."""
-    x = np.asarray(x_eigs, dtype=float)
-    sing = x * y
+    """(1 / 2 pi i) oint e^{M t} prod_i (t - x_i y)^(-power/2) dt, for power * N even."""
+    sing = _checked(x_eigs, y, M) * y
+    if (power * sing.size) % 2:     # the product's cut would run to infinity, across the circle
+        raise ConfigError("contour_S needs power * N even")
     if contour is None:
-        hi = float(np.max(np.abs(sing))) if sing.size else 0.0
+        hi = float(np.max(np.abs(sing), initial=0.0))
         contour = make_contour(2.0 * hi + 1.0, node_count=128, margin=0.5)
     if np.any(np.abs(sing - contour.center) >= 0.999 * contour.radius):
         raise ConfigError("contour does not enclose all x_i * y")
     t = contour.nodes[:, None]
     vals = np.exp(M * contour.nodes) * np.prod((t - sing) ** (-power / 2.0), axis=1)
-    return complex(np.sum(contour.weights * vals)) / (2.0j * np.pi)
-
-
-def _u_coefficients(Z: ZonalSeries) -> np.ndarray:
-    """A_k with prod_i (1 - u x_i)^(-p/2) = sum_k u^k A_k, from zonal values."""
-    ks = np.arange(Z.max_k + 1)
-    if Z.family == "real":
-        scale = np.exp(np.array([_log_double_factorial(int(k)) for k in ks])
-                       - np.array([math.lgamma(k + 1.0) for k in ks])
-                       - ks * math.log(2.0))
-    elif Z.family == "complex":
-        scale = np.ones_like(ks, dtype=float)
-    else:
-        scale = ks + 1.0
-    return Z.values * scale
+    return contour.integrate(vals) / (2.0j * np.pi)
 
 
 def series_S(M: int, N: int, x_eigs, y: float, power: int, max_k: int = 50,
              return_tail: bool = False):
-    """The contour integral by residue at infinity, as a zonal series.
+    """The contour integral by residue at infinity, sum_k A_k y^k M^(pN/2 + k - 1) / Gamma(pN/2 + k).
 
-    With prod_i (t - x_i y)^(-p/2) = t^(-pN/2) sum_k (y/t)^k A_k, the t^{-1}
-    coefficient of the product with e^{M t} is
-
-        S = sum_k A_k y^k M^(pN/2 + k - 1) / Gamma(pN/2 + k).
-
-    Requires p*N even so the integrand is single-valued at infinity.
+    Requires power in (1, 2, 4), N a positive integer and p*N even so the
+    integrand is single-valued at infinity; `return_tail` adds |last term|.
     """
+    if power not in (1, 2, 4):
+        raise ConfigError(f"power must be 1, 2 or 4, got {power!r}")
     if (power * N) % 2:
         raise ConfigError("residue series needs power * N even")
-    family = {1: "real", 2: "complex", 4: "quaternionic"}[power]
-    A = _u_coefficients(zonal_row(x_eigs, max_k, family))
-    total = 0.0
-    last = 0.0
-    half = power * N / 2.0
-    for k in range(max_k + 1):
-        j = half + k - 1.0
-        if j < 0:
-            continue
-        last = A[k] * (y**k) * math.exp(j * math.log(M) - math.lgamma(j + 1.0))
-        total += last
-    if return_tail:
-        return total, abs(last)
-    return total
+    A = _u_series(_checked(x_eigs, y, M, N), max_k, power)
+    terms = [A[k] * y**k * math.exp(_log_residue(M, power * N / 2.0 + k)) for k in range(max_k + 1)]
+    return (sum(terms), abs(terms[-1])) if return_tail else sum(terms)
 
 
 def haar_series(M: int, N: int, x_eigs, y: float, max_k: int = 50) -> float:
@@ -166,12 +152,18 @@ def haar_series(M: int, N: int, x_eigs, y: float, max_k: int = 50) -> float:
 
     valid for every N (the contour/residue route needs N even, this does not).
     """
-    Z = zonal_row(x_eigs, max_k, "real")
-    total = 0.0
-    for k in range(max_k + 1):
-        total += ((M * y) ** k * Z[k]
-                  * math.exp(-math.lgamma(k + 1.0)) / zonal_I_closed_form(N, k))
-    return total
+    Z = zonal_row(_checked(x_eigs, y, M, N), max_k, "real")
+    return sum((M * y) ** k * Z[k] * math.exp(-math.lgamma(k + 1.0)) / zonal_I_closed_form(N, k)
+               for k in range(max_k + 1))
+
+
+def _series_vs_contour(M: int, x: np.ndarray, y: float, power: int, max_k: int) -> dict:
+    """Contour value, residue series, their relative gap and the series' last-term tail."""
+    ct = contour_S(M, x, y, power=power)
+    se_val, tail = series_S(M, x.size, x, y, power=power, max_k=max_k, return_tail=True)
+    scale = max(abs(se_val), 1e-300)
+    return {"contour": ct, "series": se_val, "rel_dev": abs(ct - se_val) / scale,
+            "series_tail": tail / scale}
 
 
 def zonal_identity_check(M: int, x_eigs, y: float, max_k: int = 50,
@@ -183,24 +175,15 @@ def zonal_identity_check(M: int, x_eigs, y: float, max_k: int = 50,
     pair for e^{+ M y sum x_i g_iN^2} is compared against (positive-exponent
     convention; callers sampling e^{- M y ...} pass y -> -y first).
     """
-    x = np.asarray(x_eigs, dtype=float)
+    x = _checked(x_eigs, y, M)
     N = x.size
     hs = haar_series(M, N, x, y, max_k=max_k)
     out = {"haar_series": hs}
     if N % 2 == 0:
-        ct = contour_S(M, x, y, power=1)
-        se_val, tail = series_S(M, N, x, y, power=1, max_k=max_k, return_tail=True)
-        out.update({
-            "contour": ct,
-            "series": se_val,
-            "rel_dev": abs(ct - se_val) / max(abs(se_val), 1e-300),
-            "series_tail": tail / max(abs(se_val), 1e-300),
-            # appendix proportionality: S = M^(N/2-1) / Gamma(N/2) * group average
-            "proportionality_dev": abs(
-                se_val - math.exp((N / 2.0 - 1.0) * math.log(M)
-                                  - math.lgamma(N / 2.0)) * hs
-            ) / max(abs(se_val), 1e-300),
-        })
+        out.update(_series_vs_contour(M, x, y, 1, max_k))
+        # appendix proportionality: S = M^(N/2-1) / Gamma(N/2) * group average
+        out["proportionality_dev"] = (abs(out["series"] - math.exp(_log_residue(M, N / 2.0)) * hs)
+                                      / max(abs(out["series"]), 1e-300))
     if mc is not None:
         mean, se = mc
         out["mc_sigmas"] = abs(hs - mean) / se
@@ -209,26 +192,17 @@ def zonal_identity_check(M: int, x_eigs, y: float, max_k: int = 50,
 
 def unitary_symplectic_identity_check(M: int, x_eigs, y: float,
                                       max_k: int = 50, mc_unitary=None) -> dict:
-    """Series vs contour for the U(N) (simple poles) and Sp (double poles) cases."""
-    x = np.asarray(x_eigs, dtype=float)
+    """Series vs contour for the U(N) (simple poles) and Sp (double poles) cases; an
+    `mc_unitary` (mean, se) pair meets the U(N) average sum_k (M y)^k C_(k)(X) Gamma(N) / Gamma(N + k)."""
+    x = _checked(x_eigs, y, M)
     N = x.size
-    out = {}
-    for label, power in (("unitary", 2), ("symplectic", 4)):
-        ct = contour_S(M, x, y, power=power)
-        se_val, tail = series_S(M, N, x, y, power=power, max_k=max_k, return_tail=True)
-        out[label] = {
-            "contour": ct,
-            "series": se_val,
-            "rel_dev": abs(ct - se_val) / max(abs(se_val), 1e-300),
-            "series_tail": tail / max(abs(se_val), 1e-300),
-        }
+    out = {label: _series_vs_contour(M, x, y, power, max_k)
+           for label, power in (("unitary", 2), ("symplectic", 4))}
     if mc_unitary is not None:
         mean, se = mc_unitary
         C = zonal_row(x, max_k, "complex")
-        hs = sum((M * y) ** k * C[k] * math.exp(
-            math.lgamma(k + 1.0) + math.lgamma(float(N))
-            - math.lgamma(N + float(k)) - math.lgamma(k + 1.0))
-            for k in range(max_k + 1))
+        hs = sum((M * y) ** k * C[k] * math.exp(math.lgamma(float(N)) - math.lgamma(N + float(k)))
+                 for k in range(max_k + 1))
         out["unitary"]["haar_series"] = hs
         out["unitary"]["mc_sigmas"] = abs(hs - mean) / se
     return out

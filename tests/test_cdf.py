@@ -31,7 +31,7 @@ def dense_nystrom_det(bundle, z, n_panels=4):
     """det(I - K) of the 2n x 2n Nystrom matrix assembled from s1, is1 and ds1."""
     grid = half_line_rule(bundle.table.rule.xmax, n_panels, 20, x0=z)
     x, w, n = grid.x, grid.w, grid.n_nodes
-    eps_op = 0.5 * (2.0 * grid.cumulative_matrix() - np.ones((n, 1)) * w[None, :])
+    eps_op = 0.5 * (2.0 * grid.cumulative(np.eye(n)).T - np.ones((n, 1)) * w[None, :])
     S = bundle.s1(x, x)
     K = np.block([[S * w, bundle.ds1(x, x) * w],
                   [bundle.is1(x, x) * w - eps_op, S.T * w]])
@@ -151,6 +151,14 @@ class TestFredholmDet:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
+    def test_nystrom_eps_op_is_the_epsilon_transform(self, bundle):
+        xmax = bundle.table.rule.xmax
+        for z in (0.4, 2.5, 9.0):
+            x, _, eps_op = cdf_module._nystrom_data(xmax, z, 4)
+            f = np.cos(x) * np.exp(-x)
+            eps = EpsilonTransform(half_line_rule(xmax, 4, 20, x0=z), f).at_nodes()
+            assert np.max(np.abs(eps_op @ f - eps)) < 1e-13
+
     def test_factorisation_against_pfaffian(self, p48, bundle):
         # Pf(Mtrunc)^2 = det M * det(I - K chi): the de Bruijn / Fredholm bridge
         z = 3.5
@@ -186,23 +194,23 @@ class TestLogDetDerivative:
 
 class TestPfaffianRoute:
     def test_zero_at_origin(self, engine):
-        assert engine.cdf_pfaffian(0.0).value == 0.0
-        assert engine.cdf_pfaffian(-1.0).value == 0.0
+        assert engine.cdf(0.0).value == 0.0
+        assert engine.cdf(-1.0).value == 0.0
 
     def test_anchor_self_consistency(self, p48, engine):
         # the normalisation fixed at z_inf must hold at a second, larger anchor
-        r = engine.cdf_pfaffian(1.3 * engine.z_inf)
+        r = engine.cdf(1.3 * engine.z_inf)
         assert r.value == pytest.approx(1.0, abs=1e-4)
 
     def test_im_residual_small(self, engine):
         # the half-contour sum is exactly real; the key stays for its readers
         for z in (2.0, 4.0, 8.0):
-            r = engine.cdf_pfaffian(z)
+            r = engine.cdf(z)
             assert r.diagnostics["im_residual"] == 0.0
 
     def test_monotone_and_bounded(self, engine):
         zs = np.linspace(0.4, 12.0, 20)
-        vals = [engine.cdf_pfaffian(float(z)).value for z in zs]
+        vals = [engine.cdf(float(z)).value for z in zs]
         assert all(v2 >= v1 - 1e-6 for v1, v2 in zip(vals, vals[1:]))
         assert min(vals) > -1e-6 and max(vals) < 1.0 + 1e-6
 
@@ -217,18 +225,18 @@ class TestPfaffianRoute:
         p = ModelParams(4, 8, 0.0)
         eng = CdfEngine(p)
         for z in (1.5, 2.5, 3.5):
-            assert eng.cdf_pfaffian(z).value == pytest.approx(
+            assert eng.cdf(z).value == pytest.approx(
                 loe_direct_cdf(p, z), abs=1e-6)
 
     def test_contour_invariance(self, p48, engine):
         wide = CdfEngine(p48, radius_factor=2.0)
         for z in (2.5, 3.5):
-            assert wide.cdf_pfaffian(z).value == pytest.approx(
-                engine.cdf_pfaffian(z).value, abs=1e-6)
+            assert wide.cdf(z).value == pytest.approx(
+                engine.cdf(z).value, abs=1e-6)
 
     def test_determinism(self, p48):
-        a = CdfEngine(p48).cdf_pfaffian(3.0).value
-        b = CdfEngine(p48).cdf_pfaffian(3.0).value
+        a = CdfEngine(p48).cdf(3.0).value
+        b = CdfEngine(p48).cdf(3.0).value
         assert a == b
 
     def test_n2_reference_values(self):
@@ -239,18 +247,18 @@ class TestPfaffianRoute:
         expected = {2.0: 0.44545056, 2.75: 0.66365158, 3.5: 0.80812898,
                     4.25: 0.89431332, 5.0: 0.94306067}
         for z, v in expected.items():
-            assert eng.cdf_pfaffian(z).value == pytest.approx(v, abs=2e-6)
+            assert eng.cdf(z).value == pytest.approx(v, abs=2e-6)
 
 
 class TestFredholmRoute:
     def test_route_agreement(self, engine):
         for z in (2.5, 4.5):
-            a = engine.cdf_pfaffian(z).value
-            b = engine.cdf_fredholm(z).value
+            a = engine.cdf(z).value
+            b = engine.cdf(z, "fredholm").value
             assert abs(a - b) < 1e-3
 
     def test_zero_at_origin(self, engine):
-        assert engine.cdf_fredholm(0.0).value == 0.0
+        assert engine.cdf(0.0, "fredholm").value == 0.0
 
     def test_degenerate_node_raises_without_retry(self, p48, monkeypatch):
         calls = []
@@ -286,8 +294,8 @@ class TestFredholmRoute:
 
     def test_nystrom_doubling(self, p48, engine):
         fine = CdfEngine(p48, n_nystrom=160)
-        assert abs(fine.cdf_fredholm(3.5).value
-                   - engine.cdf_fredholm(3.5).value) < 1e-4
+        assert abs(fine.cdf(3.5, "fredholm").value
+                   - engine.cdf(3.5, "fredholm").value) < 1e-4
 
     @pytest.mark.parametrize("params", [(16, 32, 1.0), (12, 48, 0.5)])
     def test_lambda_walk_survives_det_m_underflow(self, params):

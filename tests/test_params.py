@@ -146,6 +146,12 @@ class TestContour:
         with pytest.raises(ConfigError):
             make_contour(-1.0)
 
+    @pytest.mark.parametrize("z, margin", [(3.0, float("nan")), (3.0, float("inf")),
+                                           (float("nan"), 0.5), (float("inf"), 0.5)])
+    def test_non_finite_z_or_margin_is_refused(self, z, margin):
+        with pytest.raises(ConfigError):
+            make_contour(z, margin=margin)
+
     def test_residue_weights(self):
         c = make_contour(1.0, node_count=32, margin=0.25)
         val = np.sum(c.residue_weights / (c.nodes - 0.4))

@@ -40,10 +40,6 @@ class TestHalfLineRule:
         Fq = rule.cum_at(np.exp(-rule.x), q)
         assert np.max(np.abs(Fq - (1 - np.exp(-q)))) < 1e-14
 
-    def test_cumulative_matrix_matches(self, rule):
-        f = np.cos(rule.x) * np.exp(-rule.x)
-        assert np.max(np.abs(rule.cumulative_matrix() @ f - rule.cumulative(f))) < 1e-13
-
     def test_offset_interval(self):
         r = half_line_rule(9.0, n_panels=10, q=12, x0=2.0)
         f = np.exp(-r.x)

@@ -43,6 +43,64 @@ class TestZonalRow:
         with pytest.raises(ConfigError):
             zonal_row([1.0], 5, "octonionic")
 
+    def test_quaternionic_family_divides_by_k_plus_1(self):
+        # (1 - u x)^(-2) = sum (k + 1) x^k u^k, so Q_(k)([x]) = x^k
+        Q = zonal_row([0.6], 5, "quaternionic")
+        for k in range(6):
+            assert Q[k] == pytest.approx(0.6**k, rel=1e-13)
+
+
+BAD_INPUTS = {
+    "zonal_row nan eigenvalue": lambda: zonal_row([0.3, np.nan], 3),
+    "zonal_row inf eigenvalue": lambda: zonal_row([np.inf], 3),
+    "zonal_row scalar eigenvalues": lambda: zonal_row(0.3, 3),
+    "zonal_row fractional max_k": lambda: zonal_row([0.3], 2.5),
+    "zonal_row boolean max_k": lambda: zonal_row([0.3], True),
+    "zonal_row negative max_k": lambda: zonal_row([0.3], -1),
+    "series_S nan eigenvalue": lambda: series_S(2, 2, [0.1, np.nan], 0.5, 1),
+    "series_S inf y": lambda: series_S(2, 2, [0.1, 0.2], np.inf, 1),
+    "series_S nan y": lambda: series_S(2, 2, [0.1, 0.2], np.nan, 1),
+    "series_S zero M": lambda: series_S(0, 2, [0.1, 0.2], 0.5, 1),
+    "series_S zero N": lambda: series_S(2, 0, [], 0.5, 2),
+    "series_S boolean N": lambda: series_S(2, True, [0.1], 0.5, 2),
+    "series_S power 3": lambda: series_S(2, 2, [0.1, 0.2], 0.5, 3),
+    "series_S fractional max_k": lambda: series_S(2, 2, [0.1, 0.2], 0.5, 1, max_k=10.5),
+    "haar_series inf eigenvalue": lambda: haar_series(2, 3, [0.2, np.inf, 0.9], 0.3),
+    "haar_series nan y": lambda: haar_series(2, 3, [0.2, 0.5, 0.9], np.nan),
+    "haar_series inf M": lambda: haar_series(np.inf, 3, [0.2, 0.5, 0.9], 0.3),
+    "haar_series zero N": lambda: haar_series(2, 0, [0.2, 0.5, 0.9], 0.3),
+    "haar_series fractional N": lambda: haar_series(2, 2.5, [0.2, 0.5], 0.3),
+    "contour_S nan eigenvalue": lambda: contour_S(2, [np.nan, 0.2], 0.5, 1),
+    "contour_S inf y": lambda: contour_S(2, [0.1, 0.2], np.inf, 1),
+    "contour_S nan M": lambda: contour_S(np.nan, [0.1, 0.2], 0.5, 1),
+    "contour_S odd power * N": lambda: contour_S(2, [0.1, 0.2, 0.3], 0.5, 1),
+    "identity check nan y": lambda: zonal_identity_check(2, [0.1, 0.2], np.nan),
+    "unitary check inf eigenvalue": lambda: unitary_symplectic_identity_check(1, [np.inf, 0.7], 0.4),
+}
+
+
+@pytest.mark.parametrize("call", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_is_refused(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+class TestSeriesClosedForms:
+    """series_S against closed forms that do not go through contour_S."""
+
+    @pytest.mark.parametrize("M, a, y", [(2, 0.3, 0.5), (5, 0.8, -0.6), (1, 1.5, 1.0)])
+    def test_real_two_equal_eigenvalues(self, M, a, y):
+        # (1 - u a)^(-1/2) squared is (1 - u a)^(-1): S = sum (M a y)^k / k!
+        assert series_S(M, 2, [a, a], y, 1) == pytest.approx(math.exp(M * a * y), rel=1e-13)
+
+    @pytest.mark.parametrize("M, x, y", [(3, 0.5, 0.4), (1, 2.0, -0.7), (4, 0.25, 1.3)])
+    def test_unitary_single_eigenvalue(self, M, x, y):
+        assert series_S(M, 1, [x], y, 2) == pytest.approx(math.exp(M * x * y), rel=1e-13)
+
+    @pytest.mark.parametrize("M, x, y", [(3, 0.5, 0.4), (1, 2.0, -0.7), (4, 0.25, 1.3)])
+    def test_symplectic_single_eigenvalue(self, M, x, y):
+        assert series_S(M, 1, [x], y, 4) == pytest.approx(M * math.exp(M * x * y), rel=1e-13)
+
 
 class TestSeriesVsContour:
     def test_real_case(self):
