@@ -19,8 +19,7 @@ against brute-force and Monte-Carlo oracles:
 from .params import (ModelParams, ContourSpec, weight_w, weight_w0, mp_density,
                      mp_edges, make_contour)
 from .quadrature import (KAPPA_EPSILON, HalfLineRule, ReferencePanel, half_line_rule,
-                         reference_panel, finite_rule, integrate_halfline, epsilon_transform,
-                         EpsilonTransform)
+                         reference_panel, finite_rule, EpsilonTransform)
 from .laguerre import LaguerreBasis, build_basis, eval_poly, cd_kernel_k2
 from .skew import (SkewProductTable, SkewPolySet, MomentMatrix, skew_gram, skew_product,
                    inner_product_2, h_poly, build_skew_polys, moment_matrix,

@@ -51,13 +51,15 @@ at the last upper node i0, where Lambda is (1/2) i arg det M(t_i0), so
 e^Lambda sqrt(det(I - K chi)) is a real constant times Pf(Mtrunc).
 
 The Nystrom determinant.  K is discretised on n nodes of [z, xmax] (2n x 2n),
-but apart from eps(x - y) every entry is a bilinear form in the N functions
-L_j w and eps(L_j w) through mu, so I - K is a unit-triangular matrix minus
-a rank-2N product.  Sylvester's identity det(I_2n - U R) = det(I_2N - R U)
-(with the triangular factor moved across, see `fredholm_det`) takes the same
-Nystrom determinant as one 2N x 2N determinant per z, at O(n^2 N + N^3) per
-node and z in place of O((2n)^3).  The discretisation, and with it the
-route's independence from the Pfaffian route's skew tables, is unchanged.
+the image z + (xmax - z) x~ of one reference rule on [0, 1], with eps taken
+by EpsilonTransform on that rule.  Apart from eps(x - y) every entry is a
+bilinear form in the N functions L_j w and eps(L_j w) through mu, so I - K
+is a unit-triangular matrix minus a rank-2N product.  Sylvester's identity
+det(I_2n - U R) = det(I_2N - R U) (with the triangular factor moved across,
+see `fredholm_det`) takes the same Nystrom determinant as one 2N x 2N
+determinant per z, at O(n N (N + q) + N^3) per node and z in place of
+O((2n)^3), and nothing keyed on z is cached.  The discretisation, and with
+it the route's independence from the Pfaffian route's skew tables, is unchanged.
 """
 
 from __future__ import annotations
@@ -68,11 +70,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, PrecisionLossError
+from .errors import ConfigError, PrecisionLossError, check_count, check_real
 from .kernels import KernelBundle
 from .laguerre import LaguerreBasis, build_basis
 from .params import ContourSpec, ModelParams, mp_edges
-from .quadrature import KAPPA_EPSILON, HalfLineRule, ReferencePanel, half_line_rule, reference_panel
+from .quadrature import (KAPPA_EPSILON, EpsilonTransform, HalfLineRule, ReferencePanel,
+                         half_line_rule, reference_panel)
 from .skew import SkewProductTable, default_xmax, pfaffian, rule_for_t
 from .zonal import _log_residue
 
@@ -145,38 +148,36 @@ def logdet_m_derivative(params: ModelParams, t: complex,
     return -bundle.resolvent_trace()
 
 
-@functools.lru_cache(maxsize=256)
-def _nystrom_data(xmax: float, z: float, n_panels: int):
-    """Read-only t-free Nystrom nodes, weights and eps operator on [z, xmax]."""
-    grid = half_line_rule(xmax, n_panels, 20, x0=z)  # x = z + u^2
-    eps_op = KAPPA_EPSILON * (2.0 * grid.cumulative(np.eye(grid.n_nodes)).T - grid.w[None, :])
-    for a in (grid.x, grid.w, eps_op):
-        a.setflags(write=False)
-    return grid.x, grid.w, eps_op
+@functools.cache
+def _nystrom_rule(n_panels: int) -> HalfLineRule:
+    """The reference Nystrom rule on [0, 1] (20-node panels); [z, xmax] takes z + (xmax - z) x."""
+    return half_line_rule(1.0, n_panels, 20)
 
 
 def fredholm_det(bundle: KernelBundle, z, n_nystrom: int | None = None):
     """det(I - K chi_[z, inf)) of the Nystrom matrix on [z, xmax], z scalar or 1-D.
 
-    The Nystrom matrix samples the three smooth entries at n nodes and takes
-    the sign kernel eps(x - y) in the lower-left entry through the rule's
-    exact cumulative operator eps_op, which keeps the scheme spectrally
-    accurate despite the diagonal kink.  Its determinant is taken through
-    Sylvester's identity, not by factorising the 2n x 2n matrix.  With
-    Phi, E the N x n samples of L_j w and eps(L_j w), W = diag(w) and
-    kappa = KAPPA_EPSILON, I - K = L - U R with L = [[I, 0], [eps_op, I]]
-    (det 1), U = diag(Phi^T, E^T) and
-    R = [[-mu E W, 2 kappa mu Phi W], [-mu E W, -mu^T Phi W]], so
+    Each z's grid is x = z + s x~, w = s w~ with s = xmax - z and (x~, w~) the
+    one reference rule on [0, 1], the u^2 map of `half_line_rule`.  The Nystrom
+    matrix samples the three smooth entries at its n nodes and takes the sign
+    kernel eps(x - y) in the lower-left entry through the rule's exact
+    cumulative, s EpsilonTransform on the reference rule, which keeps the
+    scheme spectrally accurate despite the diagonal kink.  Its determinant is
+    taken through Sylvester's identity, not by factorising the 2n x 2n matrix.
+    With Phi, E the N x n samples of L_j w and eps(L_j w), W = diag(w),
+    kappa = KAPPA_EPSILON and Eps the n x n matrix of eps on the grid,
+    I - K = L - U R with L = [[I, 0], [Eps, I]] (det 1), U = diag(Phi^T, E^T)
+    and R = [[-mu E W, 2 kappa mu Phi W], [-mu E W, -mu^T Phi W]], so
 
         det(I - K) = det(I_2N - Q),
         Q = [[-mu P - 2 kappa mu Y, 2 kappa mu X], [-mu P + mu^T Y, -mu^T X]]
 
-    with P = E W Phi^T, X = Phi W E^T and Y = Phi W eps_op Phi^T.  A bundle
-    (contour node) then costs O(nz n^2 N + nz N^3) for nz values of z, in
-    place of O(nz (2n)^3), and nothing of size n^2 is allocated beyond the
-    cached eps operators.  z past the quadrature horizon gives 1; n_nystrom
-    (default_n_nystrom(bundle.params)) is whole 20-node panels, >= 2.  The
-    factors come from the bundle's one sampler, once for the stacked grids,
+    with P = E W Phi^T, X = P^T and Y = Phi W eps(Phi)^T, Eps never formed.
+    A bundle (contour node) then costs O(nz n N (N + q)) plus O(nz N^3) for nz
+    values of z, in place of O(nz (2n)^3), and nothing of size n^2 is allocated.
+    z past the quadrature horizon gives 1; n_nystrom (default_n_nystrom(bundle.params))
+    is whole 20-node panels, >= 2.  The factors come from the bundle's one
+    sampler, once for the stacked grids, the transform is one call for every z,
     and one batched 2N x 2N determinant serves every z.
     """
     zs = np.asarray(z, dtype=float)
@@ -184,15 +185,15 @@ def fredholm_det(bundle: KernelBundle, z, n_nystrom: int | None = None):
     out = np.ones(zs.shape, dtype=complex)
     live = np.flatnonzero(zs < xmax)
     if live.size:
-        n_panels = _nystrom_panels(default_n_nystrom(bundle.params) if n_nystrom is None
-                                  else n_nystrom)
-        x, w, eps_ops = zip(*(_nystrom_data(xmax, float(zs.flat[i]), n_panels) for i in live))
-        x, w = np.stack(x), np.stack(w)[:, None, :]
+        ref = _nystrom_rule(_nystrom_panels(default_n_nystrom(bundle.params) if n_nystrom is None
+                                            else n_nystrom))
+        z_live = zs.ravel()[live, None]
+        s = xmax - z_live                                            # (nz, 1)
+        x, w = z_live + s * ref.x, (s * ref.w)[:, None, :]
         phi, e = bundle.factor(x, False), bundle.factor(x, True)     # (nz, N, n)
-        phi_w, phi_t = phi * w, np.swapaxes(phi, -1, -2)
-        P = (e * w) @ phi_t
-        X = phi_w @ np.swapaxes(e, -1, -2)
-        Y = phi_w @ np.stack([op @ f for op, f in zip(eps_ops, phi_t)])
+        P = (e * w) @ np.swapaxes(phi, -1, -2)
+        X = np.swapaxes(P, -1, -2)
+        Y = (phi * w) @ np.swapaxes(s[..., None] * EpsilonTransform(ref, phi).at_nodes(), -1, -2)
         mu, two_k, eye = bundle.mu, 2.0 * KAPPA_EPSILON, np.eye(bundle.params.N)
         mu_p = mu @ P
         out.flat[live] = np.linalg.det(np.block([
@@ -246,8 +247,7 @@ class CdfEngine:
         if not (isinstance(contour_nodes, (int, np.integer))
                 and contour_nodes >= 8 and contour_nodes % 2 == 0):
             raise ConfigError(f"contour_nodes must be an even integer >= 8, got {contour_nodes!r}")
-        if isinstance(n_panels, bool) or not isinstance(n_panels, (int, np.integer)) or n_panels < 2:
-            raise ConfigError(f"n_panels must be an integer >= 2, got {n_panels!r}")
+        check_count("n_panels", n_panels, 2)
         self.params = params
         self.contour_nodes = contour_nodes
         self.margin = margin
@@ -258,11 +258,8 @@ class CdfEngine:
         self.basis = build_basis(params)
         self.n_nystrom = default_n_nystrom(params) if n_nystrom is None else n_nystrom
         _nystrom_panels(self.n_nystrom)
-        self.z_inf = default_z_inf(params) if z_inf is None else float(z_inf)
-        if isinstance(z_inf, bool) or not (math.isfinite(self.z_inf) and self.z_inf > 0.0):
-            raise ConfigError(f"z_inf must be finite and positive, got {z_inf}")
-        if isinstance(margin, bool) or not (math.isfinite(margin) and margin > 0.0):
-            raise ConfigError(f"margin must be finite and positive, got {margin}")
+        self.z_inf = default_z_inf(params) if z_inf is None else check_real("z_inf", z_inf, 0.0)
+        check_real("margin", margin, 0.0)
         if isinstance(radius_factor, bool) or not (math.isfinite(radius_factor) and radius_factor >= 1.0):
             raise ConfigError(f"radius_factor must be finite and >= 1, got {radius_factor}")
         self.contour = self.contour_for(self.z_inf)

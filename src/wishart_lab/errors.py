@@ -5,7 +5,11 @@ numerical failures exit with 3, namely DegenerateSkewProductError,
 SingularWeightError, QuadratureError, PrecisionLossError, and the
 arithmetic errors ZeroDivisionError, FloatingPointError and
 numpy.linalg.LinAlgError; verification failures exit with 4.
+`check_count` and `check_real` are the argument checks that raise ConfigError.
 """
+
+import math
+import numbers
 
 
 class WishartLabError(Exception):
@@ -30,3 +34,17 @@ class QuadratureError(WishartLabError):
 
 class PrecisionLossError(WishartLabError):
     """A computed value lost too many digits to cancellation, or left its range."""
+
+
+def check_count(name: str, n, least: int) -> int:
+    """n as an int; ConfigError unless it is an integer (not a boolean) >= least."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
+def check_real(name: str, x, above: float = -math.inf) -> float:
+    """x as a float; ConfigError unless it is a finite real (not a boolean) > above."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not above < x < math.inf:
+        raise ConfigError(f"{name} must be a finite real > {above:g}, got {x!r}")
+    return float(x)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SingularWeightError
+from .errors import ConfigError, SingularWeightError, check_count, check_real
 
 __all__ = [
     "ModelParams",
@@ -173,14 +173,12 @@ class ContourSpec:
 def make_contour(z: float, node_count: int = 64, margin: float = 0.5) -> ContourSpec:
     """Circle centered at z/2 with radius z/2 + margin, enclosing [0, z].
 
-    node_count must be even and at least 8 so conjugate node pairs exist and
+    node_count must be an even integer >= 8 so conjugate node pairs exist and
     none sits on the real axis (phases are 2*pi*(k + 1/2)/node_count); z and
-    margin must be finite and positive.
+    margin must be finite and positive reals.  Booleans are refused.
     """
-    if not (math.isfinite(margin) and margin > 0):
-        raise ConfigError(f"margin must be finite and positive, got {margin}")
-    if node_count < 8 or node_count % 2:
-        raise ConfigError(f"node_count must be even and >= 8, got {node_count}")
-    if not (math.isfinite(z) and z > 0):
-        raise ConfigError(f"z must be finite and positive, got {z}")
+    z, margin = check_real("z", z, 0.0), check_real("margin", margin, 0.0)
+    node_count = check_count("node_count", node_count, 8)
+    if node_count % 2:
+        raise ConfigError(f"node_count must be even, got {node_count}")
     return ContourSpec.circle(complex(z / 2.0, 0.0), z / 2.0 + margin, node_count)

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, QuadratureError
+from .errors import ConfigError, QuadratureError, check_count, check_real
 
 __all__ = [
     "KAPPA_EPSILON",
@@ -45,8 +45,6 @@ __all__ = [
     "HalfLineRule",
     "half_line_rule",
     "finite_rule",
-    "integrate_halfline",
-    "epsilon_transform",
     "EpsilonTransform",
 ]
 
@@ -112,9 +110,7 @@ class ReferencePanel:
 
 def reference_panel(q: int) -> ReferencePanel:
     """Build the q-point reference panel; q must be an integer >= 4."""
-    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 4:
-        raise ConfigError(f"q must be an integer >= 4, got {q!r}")
-    q = int(q)
+    q = check_count("q", q, 4)
     ug, wg = leggauss(q)
     V = _legendre_values(ug, q - 1).T               # (q, q): V[i, n] = P_n(ug_i)
     vinv, cum_ref = np.linalg.inv(V), _legendre_cumulative(ug, q).T
@@ -126,10 +122,12 @@ def reference_panel(q: int) -> ReferencePanel:
 
 @dataclass(frozen=True)
 class HalfLineRule:
-    """Composite Gauss-Legendre rule on [x0, xmax] under x = x0 + u^2.
+    """Composite Gauss-Legendre rule on [0, xmax] under x = u^2.
 
-    Fields `x`, `w` give nodes (increasing) and weights for int_x0^xmax f dx.
-    `u_edges` are the panel boundaries in u = sqrt(x - x0); each panel is an affine image of
+    Fields `x`, `w` give nodes (increasing) and weights for int_0^xmax f dx.
+    A rule on [z, X] is z + half_line_rule(X - z): its nodes shifted by z, the same
+    weights, and cumulatives queried at x - z.
+    `u_edges` are the panel boundaries in u = sqrt(x); each panel is an affine image of
     the shared reference `panel` (q Gauss nodes), whose tables also give the within-panel
     cumulatives.  A `stack` puts a rules axis first; it serves `cumulative` and
     `EpsilonTransform.cross_cumulative` of (rules, k, n_nodes) samples.
@@ -137,7 +135,6 @@ class HalfLineRule:
 
     xmax: float
     u_edges: np.ndarray
-    x0: float
     x: np.ndarray
     w: np.ndarray
     panel: ReferencePanel
@@ -161,7 +158,7 @@ class HalfLineRule:
         P = max(map(len, edges))
         E = np.stack([np.concatenate((e, e[-1:].repeat(P - len(e)))) for e in edges])
         u, w_u = _map_panel(E, panel)
-        return cls(float(xmax), E, 0.0, u * u, w_u * 2.0 * u, panel)
+        return cls(float(xmax), E, u * u, w_u * 2.0 * u, panel)
 
     def _lift(self, a):     # a per-rule array, with an axis for the k rows of a stack's samples
         return a if self.u_edges.ndim == 1 else a[..., None, :]
@@ -179,7 +176,7 @@ class HalfLineRule:
     def _series(self, fvals):
         """Samples of g = 2 u f(u^2) per panel, shaped (..., n_panels, q), and the
         integrals up to each panel edge, shaped (..., n_panels + 1)."""
-        u = self._lift(np.sqrt(self.x - self.x0))
+        u = self._lift(np.sqrt(self.x))
         g = 2.0 * u * np.asarray(fvals)
         g = g.reshape(g.shape[:-1] + (self.n_panels, self.q))
         panel_totals = (g * self.panel.wg).sum(axis=-1) * self._panel_scales()
@@ -188,7 +185,7 @@ class HalfLineRule:
         return g, prefix
 
     def cumulative(self, fvals) -> np.ndarray:
-        """F(x_i) = int_{x0}^{x_i} f dx at every rule node.
+        """F(x_i) = int_0^{x_i} f dx at every rule node.
 
         `fvals` holds samples at the nodes along its last axis, optionally
         stacked over leading axes; the result has the same shape.
@@ -200,7 +197,7 @@ class HalfLineRule:
         return out.reshape(out.shape[:-2] + (-1,))
 
     def cum_at(self, fvals, xq) -> np.ndarray:
-        """int_{x0}^{xq} f dx for arbitrary query points (clipped to [x0, xmax]).
+        """int_0^{xq} f dx for arbitrary query points (clipped to [0, xmax]).
 
         `fvals` is shaped (..., n_nodes) as in `cumulative`; a scalar `xq`
         gives shape (...), a 1-D `xq` gives (..., len(xq)).  The Legendre
@@ -211,7 +208,7 @@ class HalfLineRule:
         s = self._panel_scales()
         scalar = np.ndim(xq) == 0
         xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        uq = np.sqrt(np.clip(xq, self.x0, self.xmax) - self.x0)
+        uq = np.sqrt(np.clip(xq, 0.0, self.xmax))
         idx = np.clip(np.searchsorted(self.u_edges, uq, side="right") - 1, 0, self.n_panels - 1)
         lo = self.u_edges[idx]
         v = np.clip((uq - lo) / s[idx] - 1.0, -1.0, 1.0)
@@ -246,10 +243,10 @@ def half_line_rule(
     q: int = 16,
     refine_x: float | None = None,
     refine_width: float | None = None,
-    x0: float = 0.0,
     panel: ReferencePanel | None = None,
 ) -> HalfLineRule:
-    """Build a rule on [x0, xmax] (x0 defaults to 0) from `panel`.
+    """Build a rule on [0, xmax] from `panel`; xmax must be finite and positive,
+    n_panels an integer >= 2, and refine_x, refine_width (when used) finite.
 
     `panel` is the q-point reference panel, built here when not given; a
     caller that builds many rules passes one panel to all of them, and its
@@ -259,56 +256,36 @@ def half_line_rule(
     Re t / tau_tilde), panel edges cluster geometrically toward it down to
     panels of u-width `refine_width`, so the peaked factor
     (t - tau_tilde x)^(-1/2) is resolved without ever evaluating closer to
-    the peak than its own scale.  Truncations to [x0, z] need no panel edge
+    the peak than its own scale.  Truncations to [0, z] need no panel edge
     at z (`EpsilonTransform.cross_cumulative`).
     """
-    if xmax <= x0 or n_panels < 2:
-        raise ConfigError("need xmax > x0, n_panels >= 2")
+    xmax, n_panels = check_real("xmax", xmax, 0.0), check_count("n_panels", n_panels, 2)
     if panel is None:
         panel = reference_panel(q)
     elif panel.q != q:
         raise ConfigError(f"reference panel has q = {panel.q}, the rule asks for q = {q}")
-    umax = np.sqrt(xmax - x0)
+    umax = np.sqrt(xmax)
     base = umax * np.linspace(0.0, 1.0, n_panels + 1)
-    if refine_x is not None and x0 < refine_x < x0 + 1.1 * (xmax - x0):
-        u_star = np.sqrt(refine_x - x0)
+    if refine_x is not None and 0.0 < check_real("refine_x", refine_x) < 1.1 * xmax:
+        u_star = np.sqrt(refine_x)
         base_width = umax / n_panels
-        delta = base_width / 64.0 if refine_width is None else max(refine_width, base_width / 512.0)
+        delta = base_width / 64.0 if refine_width is None else \
+            max(check_real("refine_width", refine_width, 0.0), base_width / 512.0)
         if delta < base_width:
             base = _refine_edges(base, u_star, delta)
     u, w_u = _map_panel(base, panel)
-    return HalfLineRule(float(xmax), base, float(x0), x0 + u * u, w_u * 2.0 * u, panel)
+    return HalfLineRule(xmax, base, u * u, w_u * 2.0 * u, panel)
 
 
-def finite_rule(a: float, b: float, n_panels: int = 12, q: int = 16,
-                sqrt_left: bool = False, sqrt_right: bool = False):
-    """Plain composite Gauss-Legendre nodes/weights on [a, b].
+def finite_rule(a: float, b: float, n_panels: int = 12, q: int = 16):
+    """Plain composite Gauss-Legendre nodes/weights on [a, b], a < b finite.
 
-    sqrt_left / sqrt_right absorb an inverse-square-root endpoint
-    singularity by mapping x = a + u^2 (resp. x = b - u^2).
+    An inverse-square-root endpoint singularity is absorbed by the u^2 map
+    instead: a + half_line_rule(b - a), or its mirror b - half_line_rule(b - a).
     """
-    if b <= a:
-        raise ConfigError(f"empty interval [{a}, {b}]")
-    if sqrt_left and sqrt_right:
-        raise ConfigError("choose at most one endpoint to absorb")
-    panel = reference_panel(q)
-    if sqrt_left or sqrt_right:
-        u, w_u = _map_panel(np.sqrt(b - a) * np.linspace(0.0, 1.0, n_panels + 1), panel)
-        x, w = u * u, 2.0 * u * w_u
-        return (a + x, w) if sqrt_left else ((b - x)[::-1], w[::-1])
-    return _map_panel(np.linspace(a, b, n_panels + 1), panel)
-
-
-def integrate_halfline(f, rule: HalfLineRule) -> complex:
-    """Integrate a callable or sampled values against the rule."""
-    fvals = f(rule.x) if callable(f) else np.asarray(f)
-    return rule.integrate(fvals)
-
-
-def epsilon_transform(f, rule: HalfLineRule, x):
-    """eps(f)(x) for a callable or sampled integrand, at point(s) x."""
-    fvals = f(rule.x) if callable(f) else np.asarray(f)
-    return EpsilonTransform(rule, fvals)(x)
+    a = check_real("a", a)
+    b, n_panels = check_real("b", b, a), check_count("n_panels", n_panels, 1)
+    return _map_panel(np.linspace(a, b, n_panels + 1), reference_panel(q))
 
 
 class EpsilonTransform:
@@ -324,14 +301,14 @@ class EpsilonTransform:
     def __init__(self, rule: HalfLineRule, fvals):
         self.rule = rule
         self._fvals = np.asarray(fvals)
-        self.cumulative = rule.cumulative(self._fvals)   # int_x0^{x_i} f at the nodes
+        self.cumulative = rule.cumulative(self._fvals)   # int_0^{x_i} f at the nodes
 
     @cached_property
-    def total(self) -> np.ndarray:      # int_x0^xmax f, shaped (...); taken on first use
+    def total(self) -> np.ndarray:      # int_0^xmax f, shaped (...); taken on first use
         return np.asarray(self._fvals @ self.rule.w)
 
     def cross_cumulative(self, xq) -> np.ndarray:
-        """int_{x0}^{xq} f_a F_b dx, F_b = int_{x0} f_b, for every pair of rows of a (k, n_nodes)
+        """int_0^{xq} f_a F_b dx, F_b = int_0 f_b, for every pair of rows of a (k, n_nodes)
         `fvals` at each point of a 1-D `xq`: (len(xq), k, k), after a stack's rules axis.  The
         panels below xq add up their (k, k) blocks, over each rule's own panels (padding never
         regroups a sum); the piece of xq's own panel, from its lower edge lo, is du^2 g K g^T
@@ -341,7 +318,7 @@ class EpsilonTransform:
         edges = r.u_edges.reshape(-1, r.n_panels + 1)                     # one row per rule
         f = self._fvals.reshape(len(edges), -1, r.n_nodes)
         (B, k, _), P = f.shape, r.n_panels
-        uq = np.sqrt(np.clip(xq, r.x0, r.xmax) - r.x0)
+        uq = np.sqrt(np.clip(xq, 0.0, r.xmax))
         F1 = np.concatenate((self.cumulative.reshape(f.shape), np.ones_like(f[:, :1])), 1)  # row k: F_lo
         if B > 1:        # a stack's table is transient: keep one copy of it, not two, at the peak
             self.cumulative = F1[:, :k]
@@ -360,7 +337,7 @@ class EpsilonTransform:
             v = np.minimum(2.0 * du / (edges[b, p + 1] - lo) - 1.0, 1.0)
             T = np.cos(np.arange(2 * q - 1) * np.arccos(v)[:, None])         # Chebyshev T_l(v)
             head = (T[:, None] @ r.panel.head.reshape(2 * q - 1, -1)).reshape(-1, q, q + 1)
-            root = np.sqrt(r.x - r.x0).reshape(B, P, q)
+            root = np.sqrt(r.x).reshape(B, P, q)
             g = (2.0 * root[b, p] * f.reshape(B, k, P, q).transpose(1, 0, 2, 3)[:, b, p]).transpose(1, 0, 2)
             gh = g.real @ head + 1j * (g.imag @ head) if np.iscomplexobj(g) else g @ head
             du = du[:, None, None]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .params import ContourSpec, ModelParams
 from .zonal import contour_S
 
@@ -47,9 +47,7 @@ class McConfig:
     params: ModelParams
 
     def __post_init__(self):
-        for name, value, least in (("seed", self.seed, 0), ("n_samples", self.n_samples, 1)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_count("seed", self.seed, 0), check_count("n_samples", self.n_samples, 1)
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -29,8 +29,8 @@ def bundle(p48):
 
 def dense_nystrom_det(bundle, z, n_panels=4):
     """det(I - K) of the 2n x 2n Nystrom matrix assembled from s1, is1 and ds1."""
-    grid = half_line_rule(bundle.table.rule.xmax, n_panels, 20, x0=z)
-    x, w, n = grid.x, grid.w, grid.n_nodes
+    grid = half_line_rule(bundle.table.rule.xmax - z, n_panels, 20)    # [z, xmax] as a shift
+    x, w, n = z + grid.x, grid.w, grid.n_nodes
     eps_op = 0.5 * (2.0 * grid.cumulative(np.eye(n)).T - np.ones((n, 1)) * w[None, :])
     S = bundle.s1(x, x)
     K = np.block([[S * w, bundle.ds1(x, x) * w],
@@ -56,10 +56,11 @@ def fredholm_det_exact(bundle, z):
     totals = phi @ rule.w
     tails = totals - F_z
 
-    sub = half_line_rule(rule.xmax, n_panels=16, q=16, x0=z)
-    lag_s = bundle.table.basis.eval_all(sub.x)[:N]
-    phi_s = lag_s * weight_w(bundle.params, bundle.t, sub.x)
-    F_s = rule.cum_at(phi, sub.x)
+    sub = half_line_rule(rule.xmax - z, n_panels=16, q=16)             # [z, xmax] as a shift
+    x_s = z + sub.x
+    lag_s = bundle.table.basis.eval_all(x_s)[:N]
+    phi_s = lag_s * weight_w(bundle.params, bundle.t, x_s)
+    F_s = rule.cum_at(phi, x_s)
 
     k_eps = KAPPA_EPSILON
     tail_int = phi_s @ sub.w                                  # int_z phi_j
@@ -145,19 +146,21 @@ class TestFredholmDet:
             else:
                 assert d == pytest.approx(fredholm_det(bundle, z), rel=1e-14, abs=0)
 
-    def test_nystrom_data_is_read_only(self, bundle):
-        for a in cdf_module._nystrom_data(bundle.table.rule.xmax, 2.5, 4):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 0.0
-
-    def test_nystrom_eps_op_is_the_epsilon_transform(self, bundle):
-        xmax = bundle.table.rule.xmax
+    def test_scaled_reference_grid_is_the_shifted_rule(self, bundle):
+        # z + s (x~, w~), s = xmax - z, from the one reference rule on [0, 1] is
+        # the rule z + half_line_rule(xmax - z), and s eps on the reference rule its eps
+        xmax, ref = bundle.table.rule.xmax, cdf_module._nystrom_rule(4)
+        assert cdf_module._nystrom_rule(4) is ref
         for z in (0.4, 2.5, 9.0):
-            x, _, eps_op = cdf_module._nystrom_data(xmax, z, 4)
+            s, own = xmax - z, half_line_rule(xmax - z, 4, 20)
+            x, w = z + s * ref.x, s * ref.w
+            assert np.max(np.abs(x / (z + own.x) - 1.0)) <= 1e-15
+            # relative to the largest weight: in both rules the first node's weight
+            # carries the cancellation in u = mid + scale ug_0, 1.5e-14 of itself
+            assert np.max(np.abs(w - own.w)) <= 1e-15 * np.max(own.w)
             f = np.cos(x) * np.exp(-x)
-            eps = EpsilonTransform(half_line_rule(xmax, 4, 20, x0=z), f).at_nodes()
-            assert np.max(np.abs(eps_op @ f - eps)) < 1e-13
+            eps = s * EpsilonTransform(ref, f).at_nodes()
+            assert np.max(np.abs(eps - EpsilonTransform(own, f).at_nodes())) < 1e-13
 
     def test_factorisation_against_pfaffian(self, p48, bundle):
         # Pf(Mtrunc)^2 = det M * det(I - K chi): the de Bruijn / Fredholm bridge
@@ -513,8 +516,8 @@ class TestCdfGrid:
     @pytest.mark.parametrize("route", ["pfaffian", "fredholm"])
     def test_one_reference_panel_per_engine(self, p48, monkeypatch, route):
         # every node rule of the anchor pass and of a later grid is built on
-        # the engine's one panel, so its q reaches leggauss once; the t-free
-        # Nystrom grids (q = 20) are cached per z by _nystrom_data instead
+        # the engine's one panel, so its q reaches leggauss once; the t- and
+        # z-free reference Nystrom rule (q = 20) is kept per panel count instead
         calls, leggauss = [], quadrature.leggauss
         monkeypatch.setattr(quadrature, "leggauss", lambda q: calls.append(q) or leggauss(q))
         eng = CdfEngine(p48)

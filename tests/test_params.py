@@ -152,6 +152,19 @@ class TestContour:
         with pytest.raises(ConfigError):
             make_contour(z, margin=margin)
 
+    @pytest.mark.parametrize("args, kwargs", [
+        ((True,), {"margin": True}), ((True,), {}), ((1.0,), {"margin": True}),
+        ((2.0,), {"node_count": 10.0}), ((2.0,), {"node_count": True}),
+        ((2.0,), {"node_count": "16"}), (("2.0",), {}), ((2.0,), {"node_count": 8.5})])
+    def test_booleans_and_non_integer_node_counts_are_refused(self, args, kwargs):
+        # make_contour(True, margin=True) would otherwise be the circle around
+        # [0, 1], and node_count=10.0 a ContourSpec with a float node_count
+        with pytest.raises(ConfigError):
+            make_contour(*args, **kwargs)
+
+    def test_numpy_integer_node_count_is_an_int(self):
+        assert type(make_contour(np.float64(2.0), node_count=np.int64(16)).node_count) is int
+
     def test_residue_weights(self):
         c = make_contour(1.0, node_count=32, margin=0.25)
         val = np.sum(c.residue_weights / (c.nodes - 0.4))

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from wishart_lab import (ConfigError, EpsilonTransform, KAPPA_EPSILON, QuadratureError,
-                         epsilon_transform, finite_rule, half_line_rule,
-                         integrate_halfline, quadrature, reference_panel)
+                         finite_rule, half_line_rule, quadrature, reference_panel)
 
 
 @pytest.fixture(scope="module")
@@ -16,22 +15,24 @@ def rule():
 class TestHalfLineRule:
     def test_gamma_identity(self, rule):
         # int_0^inf x^{M-N} e^{-M x} = Gamma(M-N+1) / M^{M-N+1}, N=4, M=8
-        val = integrate_halfline(lambda x: x**4 * np.exp(-8 * x), rule)
+        val = rule.integrate(rule.x**4 * np.exp(-8 * rule.x))
         assert val == pytest.approx(24 / 8**5, rel=1e-13)
 
     def test_zero_integrand(self, rule):
-        assert integrate_halfline(lambda x: 0.0 * x, rule) == 0.0
+        assert rule.integrate(0.0 * rule.x) == 0.0
 
     def test_half_integer_powers_absorbed(self, rule):
         # the u^2 substitution handles x^{(M-N-1)/2} for even M-N
-        val = integrate_halfline(lambda x: x**1.5 * np.exp(-4 * x), rule)
+        val = rule.integrate(rule.x**1.5 * np.exp(-4 * rule.x))
         assert val == pytest.approx(math.gamma(2.5) / 4**2.5, rel=1e-13)
 
     def test_endpoint_absorbing_finite_rule(self):
-        x, w = finite_rule(0.0, 1.0, n_panels=8, q=16, sqrt_right=True)
-        assert np.sum(w * (1 - x) ** -0.5) == pytest.approx(2.0, abs=1e-8)
-        x, w = finite_rule(2.0, 3.0, n_panels=8, q=16, sqrt_left=True)
-        assert np.sum(w * (x - 2) ** -0.5) == pytest.approx(2.0, abs=1e-8)
+        # [a, b] with the u^2 map at b is b - half_line_rule(b - a), at a its shift a + ...
+        r = half_line_rule(1.0, n_panels=8, q=16)
+        x = 1.0 - r.x
+        assert np.sum(r.w * (1 - x) ** -0.5) == pytest.approx(2.0, abs=1e-8)
+        x = 2.0 + r.x
+        assert np.sum(r.w * (x - 2) ** -0.5) == pytest.approx(2.0, abs=1e-8)
 
     def test_cumulative_against_closed_form(self, rule):
         F = rule.cumulative(np.exp(-rule.x))
@@ -41,16 +42,17 @@ class TestHalfLineRule:
         assert np.max(np.abs(Fq - (1 - np.exp(-q)))) < 1e-14
 
     def test_offset_interval(self):
-        r = half_line_rule(9.0, n_panels=10, q=12, x0=2.0)
-        f = np.exp(-r.x)
+        # the rule on [2, 9] is 2 + half_line_rule(7)
+        r = half_line_rule(7.0, n_panels=10, q=12)
+        x = 2.0 + r.x
+        f = np.exp(-x)
         assert r.integrate(f) == pytest.approx(np.exp(-2) - np.exp(-9), rel=1e-13)
-        assert np.max(np.abs(r.cumulative(f) - (np.exp(-2) - np.exp(-r.x)))) < 1e-14
+        assert np.max(np.abs(r.cumulative(f) - (np.exp(-2) - np.exp(-x)))) < 1e-14
 
     def test_refinement_convergence(self):
         # doubling the panel count moves a smooth integral by < 1e-9 relative
         f = lambda x: np.cos(3 * x) * np.exp(-2 * x)
-        v1 = integrate_halfline(f, half_line_rule(30.0, n_panels=24, q=16))
-        v2 = integrate_halfline(f, half_line_rule(30.0, n_panels=48, q=16))
+        v1, v2 = (r.integrate(f(r.x)) for r in (half_line_rule(30.0, n_panels=n, q=16) for n in (24, 48)))
         assert abs(v1 - v2) / abs(v2) < 1e-9
 
     def test_nonfinite_sample_aborts_with_node(self, rule):
@@ -63,16 +65,18 @@ class TestHalfLineRule:
 class TestEpsilonTransform:
     def test_cross_cumulative_needs_no_panel_edge(self):
         # int_{x0}^z f F with f = e^-x, F = e^-x0 - e^-x, at z inside panels,
-        # on a panel edge, at x0 and past the ends; each z's value is its own
+        # on a panel edge, at x0 and past the ends; each z's value is its own.
+        # The rule on [x0, 30] is x0 + half_line_rule(30 - x0), queried at z - x0.
+        x0 = 0.1
         for refine_x in (None, 3.0):
-            r = half_line_rule(30.0, refine_x=refine_x, x0=0.1)
-            eps = EpsilonTransform(r, np.exp(-r.x)[None])
-            zs = [0.3, 2.0, 7.77, 0.1 + r.u_edges[5] ** 2, 29.9, 0.1, 30.0, 40.0, -1.0]
-            got = eps.cross_cumulative(zs)[:, 0, 0]
-            a, b = np.exp(-0.1), np.exp(-np.clip(zs, 0.1, 30.0))
+            r = half_line_rule(30.0 - x0, refine_x=refine_x and refine_x - x0)
+            eps = EpsilonTransform(r, np.exp(-(x0 + r.x))[None])
+            y = np.array([0.2, 1.9, 7.67, r.u_edges[5] ** 2, 29.8, 0.0, 29.9, 39.9, -1.1])  # z - x0
+            got = eps.cross_cumulative(y)[:, 0, 0]
+            a, b = np.exp(-x0), np.exp(-np.clip(x0 + y, x0, 30.0))
             assert np.allclose(got, a * (a - b) - 0.5 * (a * a - b * b), rtol=1e-14, atol=1e-17)
             assert got[5] == got[8] == 0.0
-            for z, g in zip(zs, got):
+            for z, g in zip(y, got):
                 assert eps.cross_cumulative([z])[0, 0, 0] == g
 
     def test_antisymmetric_split_vanishes(self, rule):
@@ -104,11 +108,6 @@ class TestEpsilonTransform:
         lhs = EpsilonTransform(rule, a * f + b * g).at_nodes()
         rhs = a * EpsilonTransform(rule, f).at_nodes() + b * EpsilonTransform(rule, g).at_nodes()
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
-
-    def test_function_wrapper(self, rule):
-        val = epsilon_transform(lambda x: np.exp(-x), rule, 3.0)
-        direct = EpsilonTransform(rule, np.exp(-rule.x))(3.0)
-        assert val == direct
 
     def test_complex_values(self, rule):
         f = np.exp(-rule.x) * (2 + 1j - 0.25 * rule.x) ** -0.5
@@ -142,7 +141,7 @@ def test_stacked_rules_match_rule_by_rule(counts):
     do not decay, so the top panels, which padding would regroup, count."""
     panel, rng = reference_panel(8), np.random.default_rng(11)
     edges = [np.sqrt(6.0) * np.linspace(0.0, 1.0, n + 1) ** 1.5 for n in counts]
-    rules = [quadrature.HalfLineRule(6.0, e, 0.0, u * u, 2.0 * u * w_u, panel)
+    rules = [quadrature.HalfLineRule(6.0, e, u * u, 2.0 * u * w_u, panel)
              for e in edges for u, w_u in [quadrature._map_panel(e, panel)]]
     stack = quadrature.HalfLineRule.stack(6.0, edges, panel)
     xq = np.array([0.3, 5.9, 6.0, 7.0] + [(0.5 * (e[-2] + e[-1])) ** 2 for e in edges])
@@ -166,17 +165,18 @@ def fresh_build(rule):
     u = (mid[:, None] + scale[:, None] * ug[None, :]).reshape(-1)
     w_u = (scale[:, None] * wg[None, :]).reshape(-1)
     vinv = np.linalg.inv(quadrature._legendre_values(ug, q - 1).T)
-    return rule.x0 + u * u, w_u * 2.0 * u, vinv, quadrature._legendre_cumulative(ug, q).T
+    return u * u, w_u * 2.0 * u, vinv, quadrature._legendre_cumulative(ug, q).T
 
 
 class TestReferencePanel:
     @pytest.mark.parametrize("q", [4, 16, 20])
     @pytest.mark.parametrize("refine_x,x0", [(None, 0.0), (3.0, 0.0), (3.0, 2.0)])
     def test_shared_panel_rule_equals_fresh_build(self, q, refine_x, x0):
-        panel = reference_panel(q)
+        # the rule on [x0, 30] is x0 + half_line_rule(30 - x0): the rule itself is checked
+        panel, refine_x = reference_panel(q), refine_x and refine_x - x0
         for _ in range(2):     # the second rule reuses the first one's panel
-            r = half_line_rule(30.0, q=q, refine_x=refine_x, x0=x0, panel=panel)
-            own = half_line_rule(30.0, q=q, refine_x=refine_x, x0=x0)
+            r = half_line_rule(30.0 - x0, q=q, refine_x=refine_x, panel=panel)
+            own = half_line_rule(30.0 - x0, q=q, refine_x=refine_x)
             assert r.panel is panel and np.array_equal(r.u_edges, own.u_edges)
             for got, want in zip((r.x, r.w, panel.vinv, panel.cum_ref), fresh_build(r)):
                 assert np.array_equal(got, want)
@@ -224,3 +224,31 @@ class TestReferencePanel:
     def test_panel_and_q_must_agree(self):
         with pytest.raises(ConfigError, match="q = 20"):
             half_line_rule(30.0, q=16, panel=reference_panel(20))
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((float("nan"),), {}), ((float("inf"),), {}), ((0.0,), {}), ((-1.0,), {}), ((True,), {}),
+    (("30",), {}), ((10.0,), {"n_panels": 2.5}), ((10.0,), {"n_panels": 1}),
+    ((10.0,), {"n_panels": True}), ((10.0,), {"n_panels": np.float64(4.0)}),
+    ((10.0,), {"refine_x": float("nan")}), ((10.0,), {"refine_x": 3.0, "refine_width": float("nan")}),
+    ((10.0,), {"refine_x": 3.0, "refine_width": 0.0})])
+def test_half_line_rule_refuses_bad_input(args, kwargs):
+    # nan / inf would otherwise give all-NaN rules, a float n_panels a raw
+    # TypeError, and a nan refine_width an unrefined rule
+    with pytest.raises(ConfigError, match="xmax|n_panels|refine_"):
+        half_line_rule(*args, **kwargs)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((0.0, float("nan")), {}), ((float("nan"), 1.0), {}), ((0.0, float("inf")), {}),
+    ((float("-inf"), 0.0), {}), ((1.0, 0.0), {}), ((1.0, 1.0), {}), ((False, 1.0), {}),
+    ((0.0, 1.0), {"n_panels": 0}), ((0.0, 1.0), {"n_panels": 2.5}), ((0.0, 1.0), {"n_panels": True})])
+def test_finite_rule_refuses_bad_input(args, kwargs):
+    # finite_rule(0, nan) would otherwise give NaN nodes, n_panels = 0 an empty rule
+    with pytest.raises(ConfigError, match="a must|b must|n_panels"):
+        finite_rule(*args, **kwargs)
+
+
+def test_finite_rule_accepts_one_panel_and_numpy_scalars():
+    x, w = finite_rule(np.float64(0.0), np.int64(2), n_panels=np.int64(1), q=8)
+    assert len(x) == 8 and np.sum(w) == pytest.approx(2.0, rel=1e-15)
