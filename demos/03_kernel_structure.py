@@ -9,12 +9,13 @@ the finite-N structure theorem of this model.
 
 import numpy as np
 
-from wishart_lab import CdCorrectedKernel, KernelBundle, ModelParams
+from wishart_lab import CdCorrectedKernel, KernelBundle, ModelParams, SkewProductTable
 
 params = ModelParams(N=4, M=8, tau=1.0)
 t = 2 + 1j
-brute = KernelBundle.build(params, t)
-cd = CdCorrectedKernel.build(params, t, table=brute.table)
+table = SkewProductTable.build(params, t)    # both evaluators on one table, up to degree N + 1
+brute = KernelBundle.build(params, t, table=table)
+cd = CdCorrectedKernel.build(params, t, table=table)
 
 print(f"N={params.N}, M={params.M}, tau={params.tau}, t={t}\n")
 print("correction matrix (closed form):")

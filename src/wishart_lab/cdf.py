@@ -42,7 +42,7 @@ global t^(-1/2) so log det M = -N log t + const).  Lambda = (1/2) log det M
 is continued along one walk over the contour nodes that never crosses the
 cut: each step is (1/2) Log of the ratio of neighbouring nodes' det M, on
 the branch picked by the trapezoid rule over their resolvent traces.  Lambda
-is z-free, so each engine builds it once, from the same node bundles as the
+is z-free, so each engine builds it once, from the same bundles as the
 Nystrom determinants; sqrt(det(I - K chi)) follows by sign continuity along
 the same walk, and all residual constants cancel against the anchor.  det M
 is carried as (sign, log|det M|), so Lambda survives det M underflowing to
@@ -60,6 +60,12 @@ see `fredholm_det`) takes the same Nystrom determinant as one 2N x 2N
 determinant per z, at O(n N (N + q) + N^3) per node and z in place of
 O((2n)^3), and nothing keyed on z is cached.  The discretisation, and with
 it the route's independence from the Pfaffian route's skew tables, is unchanged.
+
+Node blocks.  Both routes run over blocks of upper contour nodes on stacked
+rules (`HalfLineRule.stack`), cut to about BLOCK_BYTES by `_node_blocks`.
+A Fredholm block is one stacked KernelBundle, formed once per engine; each
+pass samples its factors at the Nystrom points, which every node shares, and
+takes one batched determinant over (nodes x z), in z chunks within the budget.
 """
 
 from __future__ import annotations
@@ -93,7 +99,8 @@ __all__ = [
 #: or RANGE_TOL outside [0, 1]
 MAX_LOST_DIGITS, RANGE_TOL = 13.0, 1e-6
 
-#: bytes of complex samples (N x n_quad) and real head tables (n_z x q x (q + 1)) per node block
+#: bytes a block of contour nodes may hold: on the Pfaffian route its complex samples
+#: (N x n_quad) and real head tables (n_z x q x (q + 1)), on the Fredholm route `_fredholm_bytes`
 BLOCK_BYTES = 2**19
 
 
@@ -119,8 +126,8 @@ def default_n_nystrom(params: ModelParams) -> int:
 
 def _nystrom_panels(n) -> int:
     """20-node panels of an n-node Nystrom rule; ConfigError unless n = 20 k, k >= 2."""
-    if not (isinstance(n, (int, np.integer)) and n >= 40 and n % 20 == 0):
-        raise ConfigError(f"n_nystrom must be an integer multiple of 20 and >= 40, got {n!r}")
+    if check_count("n_nystrom", n, 40) % 20:
+        raise ConfigError(f"n_nystrom must be a multiple of 20, got {n!r}")
     return int(n) // 20
 
 
@@ -141,11 +148,19 @@ def truncated_moment_matrix(params: ModelParams, t: complex, z,
 
 def logdet_m_derivative(params: ModelParams, t: complex,
                         bundle: KernelBundle | None = None,
-                        n_panels: int = 24, q: int = 16) -> complex:
-    """d/dt log det M(t) = - int S1(x, x) / (t - tau_tilde x) dx."""
+                        n_panels: int = 24, q: int = 16):
+    """d/dt log det M(t) = - int S1(x, x) / (t - tau_tilde x) dx (one per t of a stacked bundle)."""
     if bundle is None:
         bundle = KernelBundle.build(params, t, n_panels=n_panels, q=q)
     return -bundle.resolvent_trace()
+
+
+def _fredholm_bytes(N: int, n_quad, n_z, n: int):
+    """Bytes one t of a Fredholm block holds at its peak in `fredholm_det` for n_z values
+    of z: the Legendre coefficients of its N samples on an n_quad-node rule (`cum_at`),
+    twice while they are formed, then once beside about four N x n complex Nystrom
+    arrays per z (the factors, the terms being summed and the transform)."""
+    return 16 * N * np.maximum(2 * n_quad, n_quad + 4 * n_z * n)
 
 
 @functools.cache
@@ -155,7 +170,8 @@ def _nystrom_rule(n_panels: int) -> HalfLineRule:
 
 
 def fredholm_det(bundle: KernelBundle, z, n_nystrom: int | None = None):
-    """det(I - K chi_[z, inf)) of the Nystrom matrix on [z, xmax], z scalar or 1-D.
+    """det(I - K chi_[z, inf)) of the Nystrom matrix on [z, xmax], z scalar or 1-D,
+    after the t axis of a stacked bundle.
 
     Each z's grid is x = z + s x~, w = s w~ with s = xmax - z and (x~, w~) the
     one reference rule on [0, 1], the u^2 map of `half_line_rule`.  The Nystrom
@@ -173,33 +189,45 @@ def fredholm_det(bundle: KernelBundle, z, n_nystrom: int | None = None):
         Q = [[-mu P - 2 kappa mu Y, 2 kappa mu X], [-mu P + mu^T Y, -mu^T X]]
 
     with P = E W Phi^T, X = P^T and Y = Phi W eps(Phi)^T, Eps never formed.
-    A bundle (contour node) then costs O(nz n N (N + q)) plus O(nz N^3) for nz
-    values of z, in place of O(nz (2n)^3), and nothing of size n^2 is allocated.
-    z past the quadrature horizon gives 1; n_nystrom (default_n_nystrom(bundle.params))
-    is whole 20-node panels, >= 2.  The factors come from the bundle's one
-    sampler, once for the stacked grids, the transform is one call for every z,
-    and one batched 2N x 2N determinant serves every z.
+    A (t, z) pair then costs O(n N (N + q)) plus O(N^3), in place of
+    O((2n)^3), and nothing of size n^2 is allocated.  z past the quadrature
+    horizon gives 1; n_nystrom (default_n_nystrom(bundle.params)) is whole
+    20-node panels, >= 2.  The z are taken in chunks that keep the bundle's
+    Nystrom arrays within BLOCK_BYTES (`_fredholm_bytes`); each chunk samples
+    the factors once for every t and z, takes one transform and one batched
+    2N x 2N determinant.  A z's value does not depend on the other z.
     """
     zs = np.asarray(z, dtype=float)
-    xmax = bundle.table.rule.xmax
-    out = np.ones(zs.shape, dtype=complex)
-    live = np.flatnonzero(zs < xmax)
+    rule, lead, N = bundle.table.rule, np.shape(bundle.t), bundle.params.N
+    out = np.ones(lead + (zs.size,), dtype=complex)
+    live = np.flatnonzero(zs.ravel() < rule.xmax)
     if live.size:
-        ref = _nystrom_rule(_nystrom_panels(default_n_nystrom(bundle.params) if n_nystrom is None
-                                            else n_nystrom))
-        z_live = zs.ravel()[live, None]
-        s = xmax - z_live                                            # (nz, 1)
-        x, w = z_live + s * ref.x, (s * ref.w)[:, None, :]
-        phi, e = bundle.factor(x, False), bundle.factor(x, True)     # (nz, N, n)
-        P = (e * w) @ np.swapaxes(phi, -1, -2)
-        X = np.swapaxes(P, -1, -2)
-        Y = (phi * w) @ np.swapaxes(s[..., None] * EpsilonTransform(ref, phi).at_nodes(), -1, -2)
-        mu, two_k, eye = bundle.mu, 2.0 * KAPPA_EPSILON, np.eye(bundle.params.N)
-        mu_p = mu @ P
-        out.flat[live] = np.linalg.det(np.block([
-            [eye + mu_p + two_k * (mu @ Y), -two_k * (mu @ X)],
-            [mu_p - mu.T @ Y, eye + mu.T @ X]]))
-    return complex(out) if zs.ndim == 0 else out
+        n = default_n_nystrom(bundle.params) if n_nystrom is None else n_nystrom
+        ref = _nystrom_rule(_nystrom_panels(n))
+        room = BLOCK_BYTES // math.prod(lead) - 16 * N * rule.n_nodes    # per t, beside its coefficients
+        chunk = max(1, room // _fredholm_bytes(N, 0, 1, n))
+        for part in np.array_split(live, -(-live.size // chunk)):
+            out[..., part] = _sylvester_det(bundle, ref, zs.ravel()[part, None])
+    out = out.reshape(lead + zs.shape)
+    return complex(out) if out.ndim == 0 else out
+
+
+def _sylvester_det(bundle: KernelBundle, ref: HalfLineRule, z: np.ndarray) -> np.ndarray:
+    """det(I_2N - Q) of `fredholm_det` at each z of a (nz, 1) chunk, after the bundle's t axis."""
+    s = bundle.table.rule.xmax - z                                   # (nz, 1)
+    x, w = z + s * ref.x, (s * ref.w)[:, None, :]
+    e = bundle.factor(x, True)                                       # (..., nz, N, n)
+    phi = bundle.factor(x, False)
+    P = (e * w) @ np.swapaxes(phi, -1, -2)
+    X = np.swapaxes(P, -1, -2)
+    del e                                                            # before eps(Phi) is formed
+    eps = EpsilonTransform(ref, phi).at_nodes()
+    eps *= s[..., None]
+    Y = (phi * w) @ np.swapaxes(eps, -1, -2)
+    mu, two_k, eye = bundle.mu[..., None, :, :], 2.0 * KAPPA_EPSILON, np.eye(bundle.params.N)
+    mu_p, mu_t = mu @ P, np.swapaxes(mu, -1, -2)
+    return np.linalg.det(np.block([[eye + mu_p + two_k * (mu @ Y), -two_k * (mu @ X)],
+                                   [mu_p - mu_t @ Y, eye + mu_t @ X]]))
 
 
 def loe_direct_cdf(params: ModelParams, z: float, z_inf: float | None = None,
@@ -232,8 +260,9 @@ class CdfEngine:
     also evaluates z_inf and caches that contour sum as the route's
     normalisation anchor, which later calls reuse.  A Pfaffian-route block
     of nodes takes one truncated Gram stack and one batched Pfaffian for all
-    its z; the Fredholm route builds one KernelBundle per upper node and the
-    z-free Lambda once.  The engine builds the node rules, their q-point
+    its z; the Fredholm route builds one stacked KernelBundle per block of
+    upper nodes and the z-free Lambda once, and each pass takes one batched
+    Nystrom determinant per block.  The engine builds the node rules, their q-point
     Gauss-Legendre reference panel and one Laguerre basis once.  contour_nodes
     must be an even integer >= 8, n_panels >= 2 and q >= 4 integers, z_inf and
     margin finite and positive, radius_factor finite and >= 1 (no boolean),
@@ -244,9 +273,8 @@ class CdfEngine:
                  margin: float = 0.5, radius_factor: float = 1.0,
                  n_panels: int = 24, q: int = 16, n_nystrom: int | None = None,
                  z_inf: float | None = None):
-        if not (isinstance(contour_nodes, (int, np.integer))
-                and contour_nodes >= 8 and contour_nodes % 2 == 0):
-            raise ConfigError(f"contour_nodes must be an even integer >= 8, got {contour_nodes!r}")
+        if check_count("contour_nodes", contour_nodes, 8) % 2:
+            raise ConfigError(f"contour_nodes must be even, got {contour_nodes!r}")
         check_count("n_panels", n_panels, 2)
         self.params = params
         self.contour_nodes = contour_nodes
@@ -260,12 +288,11 @@ class CdfEngine:
         _nystrom_panels(self.n_nystrom)
         self.z_inf = default_z_inf(params) if z_inf is None else check_real("z_inf", z_inf, 0.0)
         check_real("margin", margin, 0.0)
-        if isinstance(radius_factor, bool) or not (math.isfinite(radius_factor) and radius_factor >= 1.0):
-            raise ConfigError(f"radius_factor must be finite and >= 1, got {radius_factor}")
+        if check_real("radius_factor", radius_factor, 0.0) < 1.0:
+            raise ConfigError(f"radius_factor must be >= 1, got {radius_factor!r}")
         self.contour = self.contour_for(self.z_inf)
         self._anchors: dict = {}     # route -> (contour sum at z_inf / i, anchor_gap)
-        self._edges = None           # u-edges of each upper node's rule, built once
-        self._bundles = self._lam = self._lam0 = None  # Fredholm bundles, Lambda, (1/2) log|det M(t_i0)|
+        self._bundles = self._lam = self._lam0 = None  # Fredholm block bundles, Lambda, (1/2) log|det M(t_i0)|
 
     def contour_for(self, z: float) -> ContourSpec:
         """Circle hugging the integrand's branch cut [0, tau_tilde * z].
@@ -384,27 +411,40 @@ class CdfEngine:
         return (math.log(2.0 * math.pi) + 0.5 * M * math.log1p(self.params.tau)
                 + _log_residue(M, 0.5 * N) + math.log(pf0)) if 0.0 < pf0 < math.inf else math.nan
 
+    @functools.cached_property
+    def _edges(self) -> list[np.ndarray]:
+        """u-edges of each upper node's rule (`rule_for_t`), built once for both routes."""
+        return [rule_for_t(self.params, complex(t), self.n_panels, self.q, self.panel).u_edges
+                for t in self.contour.nodes[:self.contour.node_count // 2]]
+
     def _node_values(self, zs, route: str):
         """f at every upper contour node (rows) and z (columns), and per-z diagnostics; one
         Gram stack over (nodes x z) on stacked rules, and one Pfaffian, per `_node_blocks`."""
         if route == "fredholm":
             return self._fredholm_values(zs)
-        h, p = self.contour.node_count // 2, self.params
-        self._edges = self._edges or [rule_for_t(p, complex(t), self.n_panels, self.q, self.panel).u_edges
-                                      for t in self.contour.nodes[:h]]
-        f = np.empty((h, len(zs)), dtype=complex)
+        f = np.empty((self.contour.node_count // 2, len(zs)), dtype=complex)
         for nodes in self._node_blocks(len(zs)):
-            rule = HalfLineRule.stack(default_xmax(p), [self._edges[i] for i in nodes], self.panel)
-            f[nodes] = pfaffian(truncated_moment_matrix(p, self.contour.nodes[nodes], zs,
-                                                        basis=self.basis, rule=rule))
+            f[nodes] = pfaffian(truncated_moment_matrix(self.params, self.contour.nodes[nodes], zs,
+                                                        basis=self.basis, rule=self._rule(nodes)))
         return f, [{}] * len(zs)
 
-    def _node_blocks(self, n_z: int) -> list[np.ndarray]:
-        """Upper nodes in order of panel count, cut into blocks of about BLOCK_BYTES each
-        (a dense z grid gets smaller blocks)."""
-        order = np.argsort([len(e) for e in self._edges], kind="stable")
-        q, n_quad = self.q, np.array([len(self._edges[i]) - 1 for i in order]) * self.q
-        used = np.cumsum(16 * self.params.N * n_quad + 8 * n_z * q * (q + 1))
+    def _rule(self, nodes) -> HalfLineRule:
+        return HalfLineRule.stack(default_xmax(self.params), [self._edges[i] for i in nodes], self.panel)
+
+    def _node_blocks(self, n_z: int = 0, route: str = "pfaffian") -> list[np.ndarray]:
+        """Upper nodes cut into blocks of about BLOCK_BYTES each.  The Pfaffian route takes
+        them in order of panel count and counts each node's complex samples (N x n_quad) and
+        real head tables (n_z x q x (q + 1)), so a dense z grid gets smaller blocks.  The
+        Fredholm route takes them in index order, the order of its Lambda walk, and counts
+        each node's peak in `fredholm_det` for as many Nystrom points as its rule has nodes
+        (`_fredholm_bytes`), whatever n_z: a larger grid is split over z, not over nodes."""
+        N, q, n_quad = self.params.N, self.q, np.array([len(e) - 1 for e in self._edges]) * self.q
+        if route == "pfaffian":
+            order, used = np.argsort(n_quad, kind="stable"), 16 * N * n_quad + 8 * n_z * q * (q + 1)
+        else:
+            n = self.n_nystrom
+            order, used = np.arange(len(n_quad)), _fredholm_bytes(N, n_quad, n_quad / n, n)
+        used = np.cumsum(used[order])
         return np.split(order, np.flatnonzero(np.diff(used // BLOCK_BYTES)) + 1)
 
     def _fredholm_values(self, zs):
@@ -412,35 +452,35 @@ class CdfEngine:
 
         One walk over the upper nodes 0 .. i0 = n/2 - 1 in index order runs
         from just above the positive real axis to just above arg t = pi.
-        The route's first call builds their bundles and the z-free Lambda (a
-        `cumsum` of steps read off one stacked `slogdet`), (1/2) i arg
-        det M(t_i0) at i0: relative in modulus, so det M may underflow, but
-        with the phase of sqrt(det M) that f(conj t) = conj f(t) needs.
-        Every call takes one Nystrom determinant per node and continues each
-        z's root by sign from its principal value at i0.  `sqrt_max_step` is
-        each z's largest jump of the root between neighbours, relative to the
-        root stepped to.
+        The route's first call cuts the nodes into `_node_blocks`, builds one
+        stacked KernelBundle per block and the z-free Lambda (a `cumsum` of
+        steps read off one stacked `slogdet`), (1/2) i arg det M(t_i0) at i0:
+        relative in modulus, so det M may underflow, but with the phase of
+        sqrt(det M) that f(conj t) = conj f(t) needs.  Every call takes one
+        batched Nystrom determinant per block and continues each z's root by
+        sign from its principal value at i0.  `sqrt_max_step` is each z's
+        largest jump of the root between neighbours, relative to the root
+        stepped to.
         """
-        i0, N = self.contour.node_count // 2 - 1, self.params.N
+        i0, p = self.contour.node_count // 2 - 1, self.params
         nodes = self.contour.nodes[:i0 + 1]
         if self._bundles is None:
-            bs = [KernelBundle.build(self.params, complex(t), basis=self.basis,
-                                     n_panels=self.n_panels, q=self.q, panel=self.panel)
-                  for t in nodes]
-            sign, logabs = np.linalg.slogdet(np.stack([b.table.entries[:N, :N] for b in bs]))
+            bs = [KernelBundle.build(p, nodes[b], basis=self.basis, rule=self._rule(b))
+                  for b in self._node_blocks(route="fredholm")]
+            sign, logabs = np.linalg.slogdet(np.concatenate([b.table.entries for b in bs]))
             bad = np.flatnonzero(~np.isfinite(logabs))
             if bad.size:
-                i, p = bad[0], self.params
+                i = bad[0]
                 raise FloatingPointError(
                     f"log |det M| at contour node {i} (t = {nodes[i]:.6g}) is {logabs[i]} at "
                     f"(N, M, tau) = ({p.N}, {p.M}, {p.tau:g})")
-            d = np.array([logdet_m_derivative(self.params, b.t, bundle=b) for b in bs])
+            d = np.concatenate([logdet_m_derivative(p, b.t, bundle=b) for b in bs])
             step = 0.5 * np.diff(logabs) + 0.5j * np.angle(sign[1:] / sign[:-1])
             est = 0.25 * np.diff(nodes) * (d[:-1] + d[1:])
             lam = np.cumsum(np.r_[0, step + 1j * np.pi * np.round((est.imag - step.imag) / np.pi)])
             self._bundles, self._lam0 = bs, 0.5 * logabs[i0]
             self._lam = lam - lam[i0] + 0.5j * np.angle(sign[i0])
-        r = np.sqrt([fredholm_det(b, zs, self.n_nystrom) for b in self._bundles])
+        r = np.sqrt(np.concatenate([fredholm_det(b, zs, self.n_nystrom) for b in self._bundles]))
         flips = np.where((r[1:] * r[:-1].conj()).real < 0, -1.0, 1.0)
         parity = np.cumprod(np.vstack((np.ones(len(zs)), flips)), axis=0)
         r *= parity * parity[i0]

@@ -26,6 +26,7 @@ from .errors import (ConfigError, DegenerateSkewProductError, PrecisionLossError
 from .kernels import CdCorrectedKernel, KernelBundle
 from .params import ModelParams, mp_density
 from .sampling import McConfig, sample_wishart_all_eigs, sample_wishart_max_eig
+from .skew import SkewProductTable
 from .verify import SUITES, run_suite
 
 _FMT = "%.17g"
@@ -220,8 +221,8 @@ def cmd_kernel_dump(args) -> int:
         raise ConfigError(f"kernel-dump grid needs n >= 1 and lo, hi > 0, got {grid!r}")
     xs = np.linspace(lo, hi, n)
     t0 = time.time()
-    kb = KernelBundle.build(params, t)
-    cd = CdCorrectedKernel.build(params, t, table=kb.table)
+    table = SkewProductTable.build(params, t)     # degree N + 1, which the correction reads
+    kb, cd = KernelBundle.build(params, t, table=table), CdCorrectedKernel.build(params, t, table=table)
     s_b = kb.s1(xs, xs)
     s_c = cd.s1(xs, xs)
     is_b = kb.is1(xs, xs)

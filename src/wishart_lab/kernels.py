@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateSkewProductError
 from .laguerre import LaguerreBasis, cd_kernel_k2
 from .params import ModelParams, weight_w
-from .quadrature import EpsilonTransform, KAPPA_EPSILON, ReferencePanel
+from .quadrature import EpsilonTransform, HalfLineRule, KAPPA_EPSILON, ReferencePanel
 from .skew import SkewPolySet, SkewProductTable, build_skew_polys
 
 __all__ = [
@@ -56,30 +56,36 @@ class KernelBundle:
 
     Everything is precomputed on the table's quadrature rule; point
     evaluations sample the Laguerre recurrence and the cached epsilon
-    transform tables, so grids of any size are cheap.
+    transform tables, so grids of any size are cheap.  The table holds the
+    N rows that the kernels read (kmax = N - 1).  A 1-D t on a stacked
+    `rule` (as in `SkewProductTable`) gives one bundle per t with a t axis
+    first in `mu`, `cond`, `factor` and `resolvent_trace`; the kernels
+    `s1`, `is1` and `ds1` take a single t.
     """
 
     table: SkewProductTable
-    mu: np.ndarray                 # inverse moment matrix, Laguerre family
-    cond: float
+    mu: np.ndarray                 # inverse moment matrix, Laguerre family, (..., N, N)
+    cond: float | np.ndarray
 
     @classmethod
-    def build(cls, params: ModelParams, t: complex,
+    def build(cls, params: ModelParams, t,
               basis: LaguerreBasis | None = None,
               n_panels: int = 24, q: int = 16,
               table: SkewProductTable | None = None,
-              panel: ReferencePanel | None = None) -> "KernelBundle":
+              panel: ReferencePanel | None = None,
+              rule: HalfLineRule | None = None) -> "KernelBundle":
+        """DegenerateSkewProductError names the first t whose moment matrix is singular."""
         if table is None:
-            table = SkewProductTable.build(params, t, basis=basis,
-                                           n_panels=n_panels, q=q, panel=panel)
+            table = SkewProductTable.build(params, t, kmax=params.N - 1, basis=basis,
+                                           n_panels=n_panels, q=q, panel=panel, rule=rule)
         N = params.N
-        m = table.entries[:N, :N]
-        cond = float(np.linalg.cond(m))
-        if not np.isfinite(cond) or cond > 1e13:
-            raise DegenerateSkewProductError(
-                f"moment matrix singular at t={t} (cond ~ {cond:.2e})")
-        mu = np.linalg.inv(m)
-        return cls(table, mu, cond)
+        m = table.entries[..., :N, :N]
+        cond = np.linalg.cond(m)
+        bad = np.flatnonzero(~(cond <= 1e13))        # NaN and inf count as singular
+        if bad.size:
+            raise DegenerateSkewProductError(f"moment matrix singular at t={complex(np.ravel(t)[bad[0]])} "
+                                             f"(cond ~ {cond.flat[bad[0]]:.2e})")
+        return cls(table, np.linalg.inv(m), float(cond) if cond.ndim == 0 else cond)
 
     @property
     def params(self) -> ModelParams:
@@ -90,16 +96,17 @@ class KernelBundle:
         return self.table.t
 
     def factor(self, x: np.ndarray, eps: bool) -> np.ndarray:
-        """(..., N, n) values of eps(L_j w), or L_j w, at points (..., n), all at once.
+        """(..., N, n) values of eps(L_j w), or L_j w, at points (..., n), all at once
+        (after a stack's t axis; the Laguerre values are taken once for every t).
 
         Every kernel is a bilinear form in these two factors through mu, so
         this is the one sampler behind `s1`, `is1`, `ds1` and the Fredholm
         determinant.
         """
-        N, flat = self.params.N, x.reshape(-1)
-        vals = (self.table.eps(flat)[:N] if eps else
-                self.table.basis.eval_all(flat)[:N] * weight_w(self.params, self.t, flat))
-        return np.moveaxis(vals.reshape((N,) + x.shape), 0, -2)
+        N, flat, t = self.params.N, x.reshape(-1), self.t
+        vals = (self.table.eps(flat)[..., :N, :] if eps else self.table.basis.eval_all(flat)[:N]
+                * weight_w(self.params, t[:, None] if np.ndim(t) else t, flat)[..., None, :])
+        return np.moveaxis(vals.reshape(vals.shape[:-2] + (N,) + x.shape), -1 - x.ndim, -2)
 
     def _kernel(self, x, y, eps_x: bool, eps_y: bool, scale: float):
         """scale (f(x)^T mu) g(y), f and g each L_j w or eps(L_j w).
@@ -127,19 +134,19 @@ class KernelBundle:
     def s1_diag_nodes(self) -> np.ndarray:
         """S1(x, x) at the rule nodes (for traces and resolvent integrals)."""
         N = self.params.N
-        phi = self.table.lag[:N] * self.table.wvals
-        epsn = self.table.eps.at_nodes()[:N]
-        return -np.einsum("jn,jk,kn->n", phi, self.mu, epsn)
+        phi = self.table.lag[..., :N, :] * self.table.wvals[..., None, :]
+        epsn = self.table.eps.at_nodes()[..., :N, :]
+        return -np.einsum("...jn,...jk,...kn->...n", phi, self.mu, epsn)
 
     def trace_s1(self) -> complex:
         """int S1(x, x) dx; equals N and is t-independent."""
         return complex(self.s1_diag_nodes() @ self.table.rule.w)
 
-    def resolvent_trace(self) -> complex:
-        """int S1(x, x) / (t - tau_tilde x) dx over the half-line."""
-        rule = self.table.rule
-        vals = self.s1_diag_nodes() / (self.t - self.params.tau_tilde * rule.x)
-        return complex(vals @ rule.w)
+    def resolvent_trace(self):
+        """int S1(x, x) / (t - tau_tilde x) dx over the half-line, one per t of a stack."""
+        rule, t = self.table.rule, self.t
+        vals = self.s1_diag_nodes() / ((t[:, None] if np.ndim(t) else t) - self.params.tau_tilde * rule.x)
+        return np.einsum("...n,...n->...", vals, rule.w) if np.ndim(t) else complex(vals @ rule.w)
 
 
 def correction_matrix(params: ModelParams, t: complex, basis: LaguerreBasis) -> np.ndarray:

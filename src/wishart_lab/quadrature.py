@@ -199,22 +199,39 @@ class HalfLineRule:
     def cum_at(self, fvals, xq) -> np.ndarray:
         """int_0^{xq} f dx for arbitrary query points (clipped to [0, xmax]).
 
-        `fvals` is shaped (..., n_nodes) as in `cumulative`; a scalar `xq`
-        gives shape (...), a 1-D `xq` gives (..., len(xq)).  The Legendre
-        basis at the query points is built once for the whole stack.
+        `fvals` is shaped (..., n_nodes) as in `cumulative`, after a stack's
+        rules axis; a scalar `xq` gives shape (...), a 1-D `xq` gives
+        (..., len(xq)).  Each rule finds every point's panel through one
+        `searchsorted` over its own panels (a stack pads with zero-width
+        ones), and the panel's Legendre series is summed one term at a time,
+        so no (points x q) table of the samples is formed.
         """
-        g, prefix = self._series(fvals)
-        coef = g @ self.panel.vinv.T                 # (..., n_panels, q) Legendre coefficients
-        s = self._panel_scales()
+        cf, prefix = self._series(fvals)             # the samples, then in their place their
+        cf = (cf @ self.panel.vinv.T).reshape(-1)    # Legendre coefficients, (rules, rows, P, q) flat
+        edges = self.u_edges.reshape(-1, self.n_panels + 1)             # one row per rule
+        B, P, q = len(edges), self.n_panels, self.q
+        rows = np.arange(cf.size // (P * q)).reshape(B, -1, 1)
         scalar = np.ndim(xq) == 0
-        xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        uq = np.sqrt(np.clip(xq, 0.0, self.xmax))
-        idx = np.clip(np.searchsorted(self.u_edges, uq, side="right") - 1, 0, self.n_panels - 1)
-        lo = self.u_edges[idx]
-        v = np.clip((uq - lo) / s[idx] - 1.0, -1.0, 1.0)
-        intp = _legendre_cumulative(v, self.q)       # (q, npts)
-        within = np.einsum("...pn,np->...p", coef[..., idx, :], intp) * s[idx]
-        out = prefix[..., idx] + within
+        uq = np.sqrt(np.clip(np.atleast_1d(np.asarray(xq, dtype=float)), 0.0, self.xmax))
+        idx = np.empty((B, uq.size), dtype=np.intp)
+        for i, e in enumerate(edges):
+            idx[i] = np.minimum(e.searchsorted(uq, side="right"), e.searchsorted(e[-1])) - 1
+        lo = np.take_along_axis(edges, idx, 1)
+        half = 0.5 * (np.take_along_axis(edges, idx + 1, 1) - lo)
+        v = np.clip((uq - lo) / half - 1.0, -1.0, 1.0)
+        at = (rows * P + idx[:, None]) * q           # each point's panel, per rule and row
+        out = np.take(cf, at)
+        out *= (v + 1.0)[:, None]                    # n = 0: int_{-1}^v P_0
+        term, pm, pc = np.empty_like(out), np.ones_like(v), v        # P_{n-1}, P_n at the points
+        for n in range(1, q):                        # int_{-1}^v P_n = (P_{n+1} - P_{n-1}) / (2n + 1)
+            pn = ((2 * n + 1) * v * pc - n * pm) / (n + 1)
+            np.take(cf[n:], at, out=term, mode="clip")   # every index is in range; "clip" writes unbuffered
+            term *= ((pn - pm) / (2 * n + 1))[:, None]
+            out += term
+            pm, pc = pc, pn
+        out *= half[:, None]
+        out += np.take(prefix, rows * (P + 1) + idx[:, None], out=term, mode="clip")
+        out = out.reshape(np.shape(fvals)[:-1] + uq.shape)
         return np.take(out, 0, axis=-1) if scalar else out
 
 
@@ -305,7 +322,7 @@ class EpsilonTransform:
 
     @cached_property
     def total(self) -> np.ndarray:      # int_0^xmax f, shaped (...); taken on first use
-        return np.asarray(self._fvals @ self.rule.w)
+        return (self._fvals @ self.rule.w[..., None])[..., 0]
 
     def cross_cumulative(self, xq) -> np.ndarray:
         """int_0^{xq} f_a F_b dx, F_b = int_0 f_b, for every pair of rows of a (k, n_nodes)
@@ -346,10 +363,13 @@ class EpsilonTransform:
 
     def at_nodes(self) -> np.ndarray:
         """eps(f) at the rule nodes, shaped like `fvals`."""
-        return KAPPA_EPSILON * (2.0 * self.cumulative - self.total[..., None])
+        out = self.cumulative - 0.5 * self.total[..., None]
+        out *= 2.0 * KAPPA_EPSILON
+        return out
 
     def __call__(self, xq):
         """eps(f)(xq), shaped (...) for scalar xq and (..., len(xq)) otherwise."""
         F = self.rule.cum_at(self._fvals, xq)
-        total = self.total if np.ndim(xq) == 0 else self.total[..., None]
-        return KAPPA_EPSILON * (2.0 * F - total)
+        F -= 0.5 * (self.total if np.ndim(xq) == 0 else self.total[..., None])
+        F *= 2.0 * KAPPA_EPSILON
+        return F

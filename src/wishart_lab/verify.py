@@ -103,8 +103,8 @@ def suite_kernel_equiv(seed: int = 0) -> dict:
     for tau in (0.3, 1.0):
         p = ModelParams(4, 8, tau)
         for t in (2 + 1j, 1 + 2j, 0.8 + 0.9j):
-            kb = KernelBundle.build(p, t)
-            cd = CdCorrectedKernel.build(p, t, table=kb.table)
+            table = SkewProductTable.build(p, t)     # degree N + 1, which the correction reads
+            kb, cd = KernelBundle.build(p, t, table=table), CdCorrectedKernel.build(p, t, table=table)
             sb = kb.s1(xs, ys)
             sc = cd.s1(xs, ys)
             if ref_ratio is None:

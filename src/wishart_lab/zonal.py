@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count, check_real
 from .params import ContourSpec, make_contour
 
 __all__ = [
@@ -57,19 +57,21 @@ def _log_residue(M: float, s: float) -> float:
 
 
 def _checked(x_eigs, y: float = 0.0, M: float = 1.0, N: int = 1) -> np.ndarray:
-    """x_eigs as a 1-D array; ConfigError unless it and y are finite, 0 < M < inf and N >= 1 an integer."""
+    """x_eigs as a 1-D array; ConfigError unless it is finite, y a finite real, M a finite
+    real > 0 and N an integer >= 1 (no booleans)."""
+    check_real("y", y)
+    check_real("M", M, 0.0)
+    check_count("N", N, 1)
     x = np.asarray(x_eigs, dtype=float)
-    if not (x.ndim == 1 and np.isfinite(x).all() and math.isfinite(y) and 0 < M < math.inf
-            and isinstance(N, (int, np.integer)) and not isinstance(N, bool) and N >= 1):
-        raise ConfigError(f"need finite 1-D x_eigs and y, 0 < M < inf and an integer N >= 1; "
-                          f"got {x_eigs!r}, {y!r}, {M!r}, {N!r}")
+    if not (x.ndim == 1 and np.isfinite(x).all()):
+        raise ConfigError(f"x_eigs must be a finite 1-D array, got {x_eigs!r}")
     return x
 
 
 def _u_series(x: np.ndarray, max_k, power: int) -> np.ndarray:
     """A_k, k = 0..max_k, with prod_i (1 - u x_i)^(-power/2) = sum_k A_k u^k."""
-    if isinstance(max_k, bool) or not isinstance(max_k, (int, np.integer)) or not 0 <= max_k <= 60:
-        raise ConfigError(f"max_k must be an integer in 0..60 (log-factorial guard), got {max_k!r}")
+    if check_count("max_k", max_k, 0) > 60:
+        raise ConfigError(f"max_k must be at most 60 (log-factorial guard), got {max_k!r}")
     ks = np.arange(max_k + 1)
     # (1 - u x)^(-p/2) = sum_m binom(m + p/2 - 1, m) (u x)^m
     binom = np.exp([math.lgamma(m + power / 2.0) - math.lgamma(power / 2.0) - math.lgamma(m + 1.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,14 @@ class TestFredholmDet:
             for z, d in zip(zs, fredholm_det(b, zs)):
                 tol = dict(rel=1e-12, abs=0) if z >= 1.5 else dict(rel=0, abs=1e-14)
                 assert d == pytest.approx(dense_nystrom_det(b, z), **tol)
+
+    def test_z_chunks_do_not_change_values(self, bundle, monkeypatch):
+        # BLOCK_BYTES sets how many z share one batch: one z each, or all at once
+        zs, values = np.linspace(1.0, 9.0, 7), {}
+        for budget in (1, 2**40):
+            monkeypatch.setattr(cdf_module, "BLOCK_BYTES", budget)
+            values[budget] = fredholm_det(bundle, zs)
+        assert np.array_equal(values[1], values[2**40])
 
     def test_64_z_stack_matches_per_z_calls(self, bundle):
         xmax = bundle.table.rule.xmax
@@ -307,7 +317,7 @@ class TestFredholmRoute:
         p = ModelParams(*params)
         eng = CdfEngine(p)
         f = eng.cdf(2.5, "fredholm").value
-        assert all(np.linalg.det(b.table.entries[:p.N, :p.N]) == 0
+        assert all(np.all(np.linalg.det(b.table.entries[..., :p.N, :p.N]) == 0)
                    for b in eng._bundles)
         assert abs(f - CdfEngine(p).cdf(2.5).value) < 1e-6
 
@@ -502,6 +512,15 @@ class TestCdfGrid:
         with pytest.raises(ConfigError, match="n_panels"):
             CdfEngine(p48, n_panels=n_panels)
 
+    @pytest.mark.parametrize("name,good", [("contour_nodes", 64), ("radius_factor", 2),
+                                           ("n_nystrom", 80)])
+    def test_shared_checks_refuse_booleans_and_non_finite_values(self, p48, name, good):
+        for bad in (True, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=name):
+                CdfEngine(p48, **{name: bad})
+        a, b = CdfEngine(p48, **{name: np.int64(good)}), CdfEngine(p48, **{name: good})
+        assert np.array_equal(a.contour.nodes, b.contour.nodes) and a.n_nystrom == b.n_nystrom
+
     @pytest.mark.parametrize("name", ["z_inf", "margin", "radius_factor"])
     def test_booleans_are_refused(self, p48, name):
         # z_inf=True would otherwise be an anchor at z = 1
@@ -552,19 +571,20 @@ class TestCdfGrid:
         assert len(pfs) == len(eng._node_blocks(48)) < n
         assert sorted(rules, key=np.angle) == sorted(eng.contour.nodes[:n].tolist(), key=np.angle)
 
-    def test_one_bundle_and_one_determinant_per_node(self, p48, monkeypatch):
-        # the anchor pass and a later grid share one KernelBundle per
-        # upper-half node (no bundles off the contour, none on the lower
-        # half), and each pass takes one batched Nystrom determinant per node
+    def test_one_bundle_and_one_determinant_per_block(self, p48, monkeypatch):
+        # the anchor pass and a later grid share one stacked KernelBundle per
+        # block of upper-half nodes (no bundles off the contour, none on the
+        # lower half, every upper node in exactly one block), and each pass
+        # takes one batched Nystrom determinant per block, fewer than nodes
         builds, dets = [], []
         build, det = KernelBundle.build.__func__, cdf_module.fredholm_det
 
         def build_spy(cls, params, t, **kw):
-            builds.append(t)
+            builds.append(np.atleast_1d(t).tolist())
             return build(cls, params, t, **kw)
 
-        def det_spy(bundle, z, n_nystrom=80):
-            dets.append(bundle.t)
+        def det_spy(bundle, z, n_nystrom=None):
+            dets.append(np.atleast_1d(bundle.t).tolist())
             return det(bundle, z, n_nystrom)
 
         monkeypatch.setattr(KernelBundle, "build", classmethod(build_spy))
@@ -573,25 +593,59 @@ class TestCdfGrid:
         n = eng.contour.node_count // 2
         for zs in (self.ZS, [3.0]):
             eng.cdf_grid(zs, "fredholm")
-            assert len(dets) == n and len(set(dets)) == n
+            assert dets == builds
             dets.clear()
-        assert len(builds) == n and len(set(builds)) == n
+        assert 1 < len(builds) == len(eng._node_blocks(route="fredholm")) < n
+        assert sorted((t for ts in builds for t in ts), key=np.angle) == \
+            sorted(eng.contour.nodes[:n].tolist(), key=np.angle)
 
     def test_lambda_is_built_once_per_engine(self, p48, monkeypatch):
-        # Lambda is z-free: the anchor pass takes one resolvent trace per
-        # upper-half node, and a later grid reuses its Lambda
+        # Lambda is z-free: the anchor pass takes one batched resolvent trace
+        # per block, over every upper-half node once, and a later grid reuses it
         traces = []
         trace = KernelBundle.resolvent_trace
         monkeypatch.setattr(KernelBundle, "resolvent_trace",
-                            lambda b: traces.append(b.t) or trace(b))
+                            lambda b: traces.append(np.atleast_1d(b.t).tolist()) or trace(b))
         eng = CdfEngine(p48)
         eng.cdf(eng.z_inf, "fredholm")
         eng.cdf_grid(self.ZS, "fredholm")
-        assert len(traces) == eng.contour.node_count // 2
+        n = eng.contour.node_count // 2
+        assert len(traces) == len(eng._bundles) < n
+        assert sorted((t for ts in traces for t in ts), key=np.angle) == \
+            sorted(eng.contour.nodes[:n].tolist(), key=np.angle)
 
     def test_bundle_cache_holds_contour_nodes_only(self, engine):
+        # one bundle per block, the blocks in node order: together they hold
+        # the upper-half nodes, each once
         engine.cdf_grid(self.ZS, "fredholm")
-        assert len(engine._bundles) == engine.contour.node_count // 2
+        n = engine.contour.node_count // 2
+        assert 1 < len(engine._bundles) < n
+        assert np.array_equal(np.concatenate([b.t for b in engine._bundles]), engine.contour.nodes[:n])
+
+    def test_block_determinants_are_the_one_node_determinants(self, p48):
+        # a block's batched Nystrom determinants against fredholm_det on a
+        # one-node bundle with the node's own (unpadded) rule
+        eng, zs = CdfEngine(p48), [2.0, 3.0, 4.0, 5.0]
+        eng.cdf_grid(zs, "fredholm")
+        blocked = np.concatenate([fredholm_det(b, zs) for b in eng._bundles])
+        for t, row in zip(eng.contour.nodes[:len(blocked)], blocked):
+            one = fredholm_det(KernelBundle.build(p48, complex(t), basis=eng.basis, panel=eng.panel), zs)
+            assert np.max(np.abs(row - one) / np.abs(one)) <= 1e-12
+
+    def test_fredholm_grid_pass_memory(self, p48):
+        # tracemalloc peak of one 48-z Fredholm pass on a set-up engine, the
+        # held bundles included; the per-node pass that the node blocks
+        # replaced peaked at 16.623 MB here
+        tracemalloc.start()
+        try:
+            eng = CdfEngine(p48)
+            eng.cdf(eng.z_inf, "fredholm")
+            tracemalloc.reset_peak()
+            eng.cdf_grid(np.linspace(1.0, 6.0, 48), "fredholm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16.63e6
 
     def test_cancellation_digits(self, p48, engine):
         c = engine.contour
@@ -649,6 +703,16 @@ class TestNodeBlocks:
             assert sorted(np.concatenate(blocks).tolist()) == list(range(len(eng._edges)))
         # a dense grid's head tables make for smaller blocks
         assert len(dense) > len(sparse)
+        # the Fredholm route's blocks follow its walk, in node order, and hold
+        # about BLOCK_BYTES each of their nodes' peaks at as many Nystrom points
+        # as rule nodes: the nodes past a block's first stay below it, and a
+        # block ends where the next node would pass it
+        fredholm = eng._node_blocks(route="fredholm")
+        assert np.array_equal(np.concatenate(fredholm), np.arange(len(eng._edges)))
+        n_quad, n = (np.array([len(e) for e in eng._edges]) - 1) * eng.q, eng.n_nystrom
+        peak = cdf_module._fredholm_bytes(p48.N, n_quad, n_quad / n, n)
+        assert all(1 < len(b) and peak[b[1:]].sum() < cdf_module.BLOCK_BYTES for b in fredholm)
+        assert all(peak[b].sum() + peak[c[0]] > cdf_module.BLOCK_BYTES for b, c in zip(fredholm, fredholm[1:]))
 
     def test_padding_panels_have_zero_weight_above_every_point(self, p48):
         eng = CdfEngine(p48)

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from wishart_lab import (CdCorrectedKernel, KernelBundle, ModelParams,
-                         build_basis, check_multi_orthogonality,
-                         correction_matrix, weight_w)
-from wishart_lab.quadrature import EpsilonTransform
+from wishart_lab import (CdCorrectedKernel, CdfEngine, DegenerateSkewProductError, KernelBundle,
+                         ModelParams, build_basis, check_multi_orthogonality,
+                         correction_matrix, reference_panel, weight_w)
+from wishart_lab.quadrature import EpsilonTransform, HalfLineRule
+from wishart_lab.skew import SkewProductTable, default_xmax, rule_for_t
 
 
 @pytest.fixture(scope="module")
@@ -140,13 +143,57 @@ class TestStackedPoints:
                     assert np.array_equal(got, expect[name])
 
 
+class TestStackedBundle:
+    def test_table_holds_the_rows_the_kernels_read(self, p48, bundle):
+        # kmax = N - 1: mu, the kernels and the resolvent trace read rows < N
+        # only, so a bundle on a degree N + 1 table gives them to roundoff
+        wide = KernelBundle.build(p48, 2 + 1j, table=SkewProductTable.build(p48, 2 + 1j, kmax=p48.N + 1))
+        assert bundle.table.kmax == p48.N - 1 and wide.table.kmax == p48.N + 1
+        xs = np.linspace(0.3, 7.0, 9)
+        for name in ("s1", "is1", "ds1"):
+            a, b = getattr(bundle, name)(xs, xs), getattr(wide, name)(xs, xs)
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+        r = wide.resolvent_trace()
+        assert isinstance(bundle.resolvent_trace(), complex) and isinstance(bundle.cond, float)
+        assert abs(bundle.resolvent_trace() - r) <= 1e-13 * abs(r)
+
+    def test_stack_matches_one_bundle_per_t(self, p48):
+        # a 1-D t on a stacked rule: each t's mu, cond, factors and resolvent
+        # trace are those of a one-node bundle on that t's own rule
+        panel, ts = reference_panel(16), np.array([2 + 1j, 0.9 + 0.05j, -0.5 + 1.5j])
+        rules = [rule_for_t(p48, complex(t), panel=panel) for t in ts]
+        assert len({r.n_panels for r in rules}) > 1
+        stack = KernelBundle.build(p48, ts, rule=HalfLineRule.stack(
+            default_xmax(p48), [r.u_edges for r in rules], panel))
+        x = np.linspace(0.2, 9.0, 2 * 7).reshape(2, 7)
+        trace = stack.resolvent_trace()
+        assert stack.mu.shape == (3, p48.N, p48.N) and trace.shape == stack.cond.shape == (3,)
+        for i, (t, r) in enumerate(zip(ts, rules)):
+            one = KernelBundle.build(p48, complex(t), rule=r)
+            assert np.max(np.abs(stack.mu[i] - one.mu)) <= 1e-13 * np.max(np.abs(one.mu))
+            assert stack.cond[i] == pytest.approx(one.cond, rel=1e-10)
+            assert abs(trace[i] - one.resolvent_trace()) <= 1e-13 * abs(one.resolvent_trace())
+            for eps in (False, True):
+                a, b = stack.factor(x, eps)[i], one.factor(x, eps)
+                assert a.shape == (2, p48.N, 7) and np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    def test_degenerate_stack_names_its_first_singular_t(self):
+        # every upper contour node of (16, 64, 1) has a singular moment matrix:
+        # the Fredholm set-up names node 0, the lowest-index one
+        eng = CdfEngine(ModelParams(16, 64, 1.0))
+        t0 = complex(eng.contour.nodes[0])
+        assert t0 == pytest.approx(0.8748317527 + 0.0152089349j, abs=1e-9)
+        with pytest.raises(DegenerateSkewProductError, match=re.escape(f"t={t0} ")):
+            eng.cdf(eng.z_inf, "fredholm")
+
+
 class TestCdCorrected:
     @pytest.mark.parametrize("tau,t", [(1.0, 2 + 1j), (0.3, 1 + 2j)])
     def test_pointwise_equality_with_brute_force(self, tau, t):
         # the central structure theorem, on a 5 x 5 grid
         p = ModelParams(4, 8, tau)
-        kb = KernelBundle.build(p, t)
-        cd = CdCorrectedKernel.build(p, t, table=kb.table)
+        table = SkewProductTable.build(p, t)         # degree N + 1, which the correction reads
+        kb, cd = KernelBundle.build(p, t, table=table), CdCorrectedKernel.build(p, t, table=table)
         xs = np.linspace(0.4, 6.0, 5)
         ys = np.linspace(0.3, 5.5, 5)
         sb = kb.s1(xs, ys)

@@ -85,6 +85,18 @@ def test_bad_input_is_refused(call):
         call()
 
 
+@pytest.mark.parametrize("call", [lambda v: series_S(2, 2, [0.1, 0.2], v, 1),
+                                  lambda v: series_S(v, 2, [0.1, 0.2], 0.5, 1),
+                                  lambda v: series_S(2, v, [0.1, 0.2], 0.5, 2),
+                                  lambda v: zonal_row([0.3], v).values],
+                         ids=["y", "M", "N", "max_k"])
+def test_shared_checks_refuse_booleans_and_non_finite_values(call):
+    for bad in (True, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            call(bad)
+    assert np.array_equal(call(np.int64(2)), call(2))
+
+
 class TestSeriesClosedForms:
     """series_S against closed forms that do not go through contour_S."""
 
