@@ -146,12 +146,10 @@ def truncated_moment_matrix(params: ModelParams, t: complex, z,
     return table.entries
 
 
-def logdet_m_derivative(params: ModelParams, t: complex,
-                        bundle: KernelBundle | None = None,
-                        n_panels: int = 24, q: int = 16):
+def logdet_m_derivative(params: ModelParams, t: complex, bundle: KernelBundle | None = None):
     """d/dt log det M(t) = - int S1(x, x) / (t - tau_tilde x) dx (one per t of a stacked bundle)."""
     if bundle is None:
-        bundle = KernelBundle.build(params, t, n_panels=n_panels, q=q)
+        bundle = KernelBundle.build(params, t)
     return -bundle.resolvent_trace()
 
 
@@ -230,19 +228,16 @@ def _sylvester_det(bundle: KernelBundle, ref: HalfLineRule, z: np.ndarray) -> np
                                    [mu_p - mu_t @ Y, eye + mu_t @ X]]))
 
 
-def loe_direct_cdf(params: ModelParams, z: float, z_inf: float | None = None,
-                   n_panels: int = 24, q: int = 16) -> float:
+def loe_direct_cdf(params: ModelParams, z: float) -> float:
     """Null-Wishart largest-eigenvalue CDF by a direct Pfaffian ratio.
 
     No contour: the tau = 0 weight has no t content beyond a global factor
     t^(-1/2), so the t-integral drops out of the ratio.  Numerator and
     denominator are the tau = 0 moment matrices at t = 1 truncated at z and
-    z_inf, from one skew Gram on one rule.
+    z_inf = default_z_inf(params), from one skew Gram on one rule.
     """
-    if z_inf is None:
-        z_inf = default_z_inf(params)
-    num, den = pfaffian(truncated_moment_matrix(ModelParams(params.N, params.M, 0.0), 1.0,
-                                                [z, z_inf], n_panels=n_panels, q=q))
+    z_inf = default_z_inf(params)
+    num, den = pfaffian(truncated_moment_matrix(ModelParams(params.N, params.M, 0.0), 1.0, [z, z_inf]))
     if not (np.isfinite(num) and np.isfinite(den) and num != 0 and den != 0):
         raise FloatingPointError(f"LOE Pfaffians at z = {z:g}, z_inf = {z_inf:g} are "
                                  f"{num} and {den}: they under- or overflow at this (N, M)")
@@ -340,7 +335,8 @@ class CdfEngine:
         """P(lambda_max < z) for every z of `zs`, in order, from one pass over the nodes.
 
         The sum over the upper nodes, 2i Im sum w e^{M t} f, makes each value
-        exactly real; z <= 0 gives exactly 0.  Each other result carries the
+        exactly real; each z must be a finite real, not a boolean or a string
+        (ConfigError), and z <= 0 gives exactly 0.  Each other result carries the
         circle's `node_count`, the route's `anchor`, `anchor_gap` =
         |anchor / exact - 1| (exact less the sqrt|det M(t_i0)| the Fredholm
         Lambda leaves out; inf if Pf(G0) is 0 or not finite), `im_residual`
@@ -356,9 +352,7 @@ class CdfEngine:
         """
         if route not in ("pfaffian", "fredholm"):
             raise ConfigError(f"unknown route {route!r}")
-        zs = [float(z) for z in zs]
-        if not all(map(math.isfinite, zs)):
-            raise ConfigError(f"every z must be finite, got {zs}")
+        zs = [check_real("z", z) for z in zs]
         live = [z for z in zs if z > 0.0]
         n = self.contour.node_count
         results = iter(())

@@ -56,8 +56,9 @@ class KernelBundle:
 
     Everything is precomputed on the table's quadrature rule; point
     evaluations sample the Laguerre recurrence and the cached epsilon
-    transform tables, so grids of any size are cheap.  The table holds the
-    N rows that the kernels read (kmax = N - 1).  A 1-D t on a stacked
+    transform tables, so grids of any size are cheap.  The bundle holds the
+    table (its N rows of L_j w samples, kmax = N - 1, and their epsilon
+    transform) and the inverse moment matrix mu.  A 1-D t on a stacked
     `rule` (as in `SkewProductTable`) gives one bundle per t with a t axis
     first in `mu`, `cond`, `factor` and `resolvent_trace`; the kernels
     `s1`, `is1` and `ds1` take a single t.
@@ -70,14 +71,13 @@ class KernelBundle:
     @classmethod
     def build(cls, params: ModelParams, t,
               basis: LaguerreBasis | None = None,
-              n_panels: int = 24, q: int = 16,
               table: SkewProductTable | None = None,
               panel: ReferencePanel | None = None,
               rule: HalfLineRule | None = None) -> "KernelBundle":
         """DegenerateSkewProductError names the first t whose moment matrix is singular."""
         if table is None:
             table = SkewProductTable.build(params, t, kmax=params.N - 1, basis=basis,
-                                           n_panels=n_panels, q=q, panel=panel, rule=rule)
+                                           panel=panel, rule=rule)
         N = params.N
         m = table.entries[..., :N, :N]
         cond = np.linalg.cond(m)
@@ -132,11 +132,10 @@ class KernelBundle:
         return self._kernel(x, y, False, False, 2.0 * KAPPA_EPSILON)
 
     def s1_diag_nodes(self) -> np.ndarray:
-        """S1(x, x) at the rule nodes (for traces and resolvent integrals)."""
-        N = self.params.N
-        phi = self.table.lag[..., :N, :] * self.table.wvals[..., None, :]
-        epsn = self.table.eps.at_nodes()[..., :N, :]
-        return -np.einsum("...jn,...jk,...kn->...n", phi, self.mu, epsn)
+        """S1(x, x) at the rule nodes (for traces and resolvent integrals), from the
+        table's samples of L_j w and their epsilon transform."""
+        N, eps = self.params.N, self.table.eps
+        return -((self.mu @ eps.at_nodes()[..., :N, :]) * eps.fvals[..., :N, :]).sum(-2)
 
     def trace_s1(self) -> complex:
         """int S1(x, x) dx; equals N and is t-independent."""
@@ -171,17 +170,14 @@ class CdCorrectedKernel:
 
     @classmethod
     def build(cls, params: ModelParams, t: complex,
-              basis: LaguerreBasis | None = None,
-              n_panels: int = 24, q: int = 16,
               table: SkewProductTable | None = None) -> "CdCorrectedKernel":
         if table is None:
-            table = SkewProductTable.build(params, t, basis=basis,
-                                           n_panels=n_panels, q=q)
+            table = SkewProductTable.build(params, t)
         polys = build_skew_polys(table)
         N = params.N
         A = correction_matrix(params, complex(t), table.basis)
         hi = np.stack([polys.values(N + 1), polys.values(N)])
-        eps_hi = EpsilonTransform(table.rule, hi * table.wvals)
+        eps_hi = EpsilonTransform(table.rule, hi * weight_w(params, complex(t), table.rule.x))
         return cls(table, polys, A, eps_hi)
 
     @property
@@ -229,8 +225,7 @@ class CdCorrectedKernel:
         return C.T @ np.linalg.inv(B)
 
 
-def check_multi_orthogonality(params: ModelParams, t: complex,
-                              n_panels: int = 24, q: int = 16) -> dict:
+def check_multi_orthogonality(params: ModelParams, t: complex) -> dict:
     """Solve the type-II multi-orthogonality system and report residuals.
 
     The polynomials P_l (l = 1, 2) have degree N - 1, are w0-orthogonal to
@@ -243,9 +238,9 @@ def check_multi_orthogonality(params: ModelParams, t: complex,
     N = params.N
     if N < 4:
         raise ConfigError("multi-orthogonality check needs N >= 4")
-    table = SkewProductTable.build(params, t, n_panels=n_panels, q=q)
-    rule, basis = table.rule, table.basis
-    lag = table.lag
+    table = SkewProductTable.build(params, t)
+    rule = table.rule
+    lag = table.basis.eval_all(rule.x)
     eps_nodes = table.eps.at_nodes()
     w0v = np.exp(-params.M * rule.x) * rule.x ** params.alpha
 
@@ -253,8 +248,9 @@ def check_multi_orthogonality(params: ModelParams, t: complex,
     A = np.zeros((N, N), dtype=complex)
     for m in range(N - 2):
         A[m, :] = ((rule.x ** m) * w0v * lag[:N]) @ rule.w
+    wv = weight_w(params, complex(t), rule.x)
     for li, l in enumerate((1, 2)):
-        wm = table.wvals * eps_nodes[N - l - 2]   # w_l = w * eps(L_{N-l-2} w)
+        wm = wv * eps_nodes[N - l - 2]   # w_l = w * eps(L_{N-l-2} w)
         A[N - 2 + li, :] = (wm * lag[:N]) @ rule.w
     rhs = np.zeros((N, 2), dtype=complex)
     rhs[N - 2, 0] = rhs[N - 1, 1] = -2.0j * np.pi

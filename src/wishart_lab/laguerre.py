@@ -105,7 +105,7 @@ def eval_poly(basis: LaguerreBasis, n: int, x):
     return vals if vals.ndim else vals[()]
 
 
-def cd_kernel_k2(basis: LaguerreBasis, t: complex, x, y, diag_tol: float = 1e-6):
+def cd_kernel_k2(basis: LaguerreBasis, t: complex, x, y):
     """Christoffel-Darboux kernel K2(x, y) of the t-deformed Laguerre pair.
 
     Computed in the branch-unambiguous product form
@@ -115,9 +115,9 @@ def cd_kernel_k2(basis: LaguerreBasis, t: complex, x, y, diag_tol: float = 1e-6)
 
     which agrees with the square-root prefactor form for real t and extends
     it continuously off the axis (w^2 * x (t - tau_tilde x) = w0).  Near the
-    diagonal the CD ratio switches to the Wronskian of (L_N, L_{N-1}) at the
-    midpoint; the expansion is odd around the midpoint so the switch is
-    second-order accurate.
+    diagonal, |x - y| < 1e-6 (max(|x|, |y|) + 1), the CD ratio switches to the
+    Wronskian of (L_N, L_{N-1}) at the midpoint; the expansion is odd around
+    the midpoint so the switch is second-order accurate.
     """
     p = basis.params
     N = p.N
@@ -135,7 +135,7 @@ def cd_kernel_k2(basis: LaguerreBasis, t: complex, x, y, diag_tol: float = 1e-6)
     Ly = basis.eval_all(yf)
     num = Lx[N] * Ly[N - 1] - Ly[N] * Lx[N - 1]
     scale = np.maximum(np.abs(xf), np.abs(yf)) + 1.0
-    near = np.abs(xf - yf) < diag_tol * scale
+    near = np.abs(xf - yf) < 1e-6 * scale
     ratio = np.empty_like(num)
     np.divide(num, xf - yf, out=ratio, where=~near)
     if np.any(near):

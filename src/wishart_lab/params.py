@@ -20,7 +20,6 @@ w(x)^2 * x (t - tau_tilde x) = w0(x), an identity the kernel module leans on.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -74,17 +73,6 @@ class ModelParams:
     def alpha(self) -> int:
         """Laguerre exponent M - N of the weight w0."""
         return self.M - self.N
-
-    def to_json(self) -> str:
-        return json.dumps({"N": self.N, "M": self.M, "tau": self.tau})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelParams":
-        try:
-            obj = json.loads(text)
-            return cls(N=obj["N"], M=obj["M"], tau=obj["tau"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad ModelParams JSON: {exc}") from exc
 
 
 def weight_w(params: ModelParams, t: complex, x):
@@ -143,7 +131,7 @@ class ContourSpec:
     Node phases are offset by half a step so no node is real.  `weights`
     are plain dt weights (trapezoidal in the angle, spectrally accurate for
     integrands analytic in an annulus); divide by 2*pi*i for
-    residue-normalised sums, which `residue_weights` provides.
+    residue-normalised sums.
     """
 
     center: complex
@@ -151,10 +139,6 @@ class ContourSpec:
     node_count: int
     nodes: np.ndarray
     weights: np.ndarray
-
-    @property
-    def residue_weights(self) -> np.ndarray:
-        return self.weights / (2.0j * np.pi)
 
     @classmethod
     def circle(cls, center: complex, radius: float, node_count: int) -> "ContourSpec":

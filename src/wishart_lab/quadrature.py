@@ -309,7 +309,8 @@ class EpsilonTransform:
     """eps(f)(x) = KAPPA_EPSILON * (int_0^x f - int_x^xmax f) for sampled f.
 
     `fvals` is shaped (..., n_nodes): one transform per row of a stack,
-    all computed together.  Precomputes the cumulative table once;
+    all computed together.  It holds the samples as `fvals`, the one copy
+    its callers read, and precomputes the cumulative table once;
     evaluation at the rule's own nodes is a lookup, and arbitrary points go
     through the panelwise Legendre series.  Linear in f; eps(f)' = f at
     interior points.
@@ -317,12 +318,12 @@ class EpsilonTransform:
 
     def __init__(self, rule: HalfLineRule, fvals):
         self.rule = rule
-        self._fvals = np.asarray(fvals)
-        self.cumulative = rule.cumulative(self._fvals)   # int_0^{x_i} f at the nodes
+        self.fvals = np.asarray(fvals)
+        self.cumulative = rule.cumulative(self.fvals)   # int_0^{x_i} f at the nodes
 
     @cached_property
     def total(self) -> np.ndarray:      # int_0^xmax f, shaped (...); taken on first use
-        return (self._fvals @ self.rule.w[..., None])[..., 0]
+        return (self.fvals @ self.rule.w[..., None])[..., 0]
 
     def cross_cumulative(self, xq) -> np.ndarray:
         """int_0^{xq} f_a F_b dx, F_b = int_0 f_b, for every pair of rows of a (k, n_nodes)
@@ -333,7 +334,7 @@ class EpsilonTransform:
         reference `head` quotients at v(xq), batched one item per rule and xq (each its own)."""
         r, q = self.rule, self.rule.q
         edges = r.u_edges.reshape(-1, r.n_panels + 1)                     # one row per rule
-        f = self._fvals.reshape(len(edges), -1, r.n_nodes)
+        f = self.fvals.reshape(len(edges), -1, r.n_nodes)
         (B, k, _), P = f.shape, r.n_panels
         uq = np.sqrt(np.clip(xq, 0.0, r.xmax))
         F1 = np.concatenate((self.cumulative.reshape(f.shape), np.ones_like(f[:, :1])), 1)  # row k: F_lo
@@ -369,7 +370,7 @@ class EpsilonTransform:
 
     def __call__(self, xq):
         """eps(f)(xq), shaped (...) for scalar xq and (..., len(xq)) otherwise."""
-        F = self.rule.cum_at(self._fvals, xq)
+        F = self.rule.cum_at(self.fvals, xq)
         F -= 0.5 * (self.total if np.ndim(xq) == 0 else self.total[..., None])
         F *= 2.0 * KAPPA_EPSILON
         return F

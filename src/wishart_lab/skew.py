@@ -106,8 +106,10 @@ class SkewProductTable:
     """Entries <L_i, L_j>_1 for 0 <= i, j <= kmax at fixed t over [0, z]^2.
 
     A 1-D z stacks the truncations, all read off one z-free rule; a 1-D t and a
-    stacked `rule`, one rule per t, put a t axis first.  Also caches the sampled weight,
-    Laguerre values and the batched epsilon transform of the L_j w, which kernels reuse.
+    stacked `rule`, one rule per t, put a t axis first.  Besides the entries it keeps
+    one array of samples, the L_j w in `eps.fvals`, with their batched epsilon
+    transform, which kernels reuse; the Laguerre values and the weight they were
+    multiplied from are not kept.
     """
 
     params: ModelParams
@@ -116,9 +118,7 @@ class SkewProductTable:
     basis: LaguerreBasis
     rule: HalfLineRule
     entries: np.ndarray           # (kmax+1, kmax+1) antisymmetric, stacked over a 1-D z
-    wvals: np.ndarray             # w(x_i; t) at rule nodes
-    lag: np.ndarray               # (kmax+1, n_nodes) Laguerre values
-    eps: EpsilonTransform         # batched over the L_j w: eps(x) is (kmax+1, len(x))
+    eps: EpsilonTransform         # of the L_j w, (kmax+1, n_nodes) in eps.fvals: eps(x) is (kmax+1, len(x))
 
     @classmethod
     def build(cls, params: ModelParams, t: complex, kmax: int | None = None,
@@ -134,7 +134,7 @@ class SkewProductTable:
         wv = weight_w(params, t[:, None] if np.ndim(t) else t, rule.x)
         lag = np.swapaxes(basis.eval_all(rule.x)[: kmax + 1], 0, -2)
         entries, eps = skew_gram(rule, lag * wv[..., None, :], z)
-        return cls(params, t, z, basis, rule, entries, wv, lag, eps)
+        return cls(params, t, z, basis, rule, entries, eps)
 
     @property
     def kmax(self) -> int:
@@ -151,10 +151,9 @@ class SkewProductTable:
         return complex(ci @ self.entries[: len(ci), : len(cj)] @ cj)
 
 
-def skew_product(params: ModelParams, fcoef, gcoef, t: complex,
-                 z: float = math.inf, n_panels: int = 24, q: int = 16) -> complex:
+def skew_product(params: ModelParams, fcoef, gcoef, t: complex, z: float = math.inf) -> complex:
     """<f, g>_1 for monomial-coefficient polynomials f, g (ascending coeffs)."""
-    rule = rule_for_t(params, complex(t), n_panels=n_panels, q=q)
+    rule = rule_for_t(params, complex(t))
     wv = weight_w(params, complex(t), rule.x)
     fg = np.stack([P.polyval(rule.x, np.asarray(c, dtype=complex)) for c in (fcoef, gcoef)])
     return complex(skew_gram(rule, fg * wv, z)[0][0, 1])
@@ -209,11 +208,10 @@ class SkewPolySet:
     h_skew: complex
     table: SkewProductTable = field(repr=False)
 
-    def values(self, d: int, x=None) -> np.ndarray:
-        """pi_{d,1} sampled at the table's rule nodes (or given points)."""
+    def values(self, d: int) -> np.ndarray:
+        """pi_{d,1} sampled at the table's rule nodes."""
         c = self.coeffs[d]
-        lag = self.table.lag if x is None else self.table.basis.eval_all(x)
-        return np.tensordot(c, lag[: len(c)], axes=(0, 0))
+        return np.tensordot(c, self.table.basis.eval_all(self.table.rule.x)[: len(c)], axes=(0, 0))
 
 
 def _pair_coeffs(table: SkewProductTable, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,8 +279,9 @@ def moment_matrix(table: SkewProductTable, polyset: SkewPolySet | None = None,
     return MomentMatrix(table.params, table.t, table.z, basis_kind, entries)
 
 
-def pfaffian(A: np.ndarray, antisym_tol: float = 1e-10):
-    """Pfaffians of a stack (..., n, n) of even-dimensional antisymmetric matrices.
+def pfaffian(A: np.ndarray):
+    """Pfaffians of a stack (..., n, n) of even-dimensional antisymmetric matrices
+    (to 1e-10 of each matrix's largest entry, else ConfigError).
 
     Parlett-Reid elimination with partial pivoting over the whole stack at
     once (Wimmer, ACM TOMS 38, 2012): each step swaps each matrix's own
@@ -297,7 +296,7 @@ def pfaffian(A: np.ndarray, antisym_tol: float = 1e-10):
     # a fresh (n, n, batch) copy: each entry's values over the stack are contiguous
     A = np.moveaxis(A.reshape((math.prod(lead), n, n)), 0, -1).copy()
     norm = np.abs(A).max(axis=(0, 1), initial=0.0)
-    if np.any(np.abs(A + np.swapaxes(A, 0, 1)).max(axis=(0, 1), initial=0.0) > antisym_tol * norm):
+    if np.any(np.abs(A + np.swapaxes(A, 0, 1)).max(axis=(0, 1), initial=0.0) > 1e-10 * norm):
         raise ConfigError("matrix is not antisymmetric within tolerance")
     idx, pf = np.arange(A.shape[-1]), np.ones(A.shape[-1], dtype=complex)
     while len(A) > 2:        # A is the trailing block; its rows 0 and 1 are the working pair

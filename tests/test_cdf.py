@@ -53,7 +53,7 @@ def fredholm_det_exact(bundle, z):
     if z >= rule.xmax:
         return 1.0 + 0j
     N = bundle.params.N
-    phi = bundle.table.lag[:N] * bundle.table.wvals
+    phi = bundle.table.eps.fvals[:N]
     F_z = rule.cum_at(phi, z)
     totals = phi @ rule.w
     tails = totals - F_z
@@ -527,6 +527,13 @@ class TestCdfGrid:
         with pytest.raises(ConfigError, match=name):
             CdfEngine(p48, **{name: True})
 
+    @pytest.mark.parametrize("route", ["pfaffian", "fredholm"])
+    @pytest.mark.parametrize("z", [True, "3.0", float("nan")])
+    def test_every_z_must_be_a_finite_real(self, engine, route, z):
+        # [True, "3.0"] would otherwise give the CDF at z = 1 and at z = 3
+        with pytest.raises(ConfigError, match="z must be a finite real"):
+            engine.cdf_grid([2.0, z], route)
+
     @pytest.mark.parametrize("q", [3, 2.5])
     def test_q_is_checked_at_construction(self, p48, q):
         with pytest.raises(ConfigError, match="q must be"):
@@ -646,6 +653,21 @@ class TestCdfGrid:
         finally:
             tracemalloc.stop()
         assert peak <= 16.63e6
+
+    def test_fredholm_set_up_memory(self, p48):
+        # tracemalloc bytes a fresh engine holds after its Fredholm set-up: each
+        # bundle keeps its samples of L_j w once, with their epsilon transform and
+        # mu (4.75 MB); holding the Laguerre values and the weight as well reads
+        # 6.82 MB.  A first engine warms the caches that outlive an engine.
+        CdfEngine(p48).cdf(2.0, "fredholm")
+        tracemalloc.start()
+        try:
+            eng = CdfEngine(p48)
+            eng.cdf(eng.z_inf, "fredholm")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 5.5e6
 
     def test_cancellation_digits(self, p48, engine):
         c = engine.contour

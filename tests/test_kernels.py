@@ -64,7 +64,7 @@ class TestBruteForce:
         """Rebuilding S1 from plain monomials must reproduce it exactly."""
         t = bundle.t
         rule = bundle.table.rule
-        wv = bundle.table.wvals
+        wv = weight_w(p48, t, rule.x)
         N = p48.N
         powers = np.stack([rule.x**j for j in range(N)])
         phi = powers * wv
@@ -176,6 +176,18 @@ class TestStackedBundle:
             for eps in (False, True):
                 a, b = stack.factor(x, eps)[i], one.factor(x, eps)
                 assert a.shape == (2, p48.N, 7) and np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    def test_s1_diagonal_is_the_kernel_at_the_rule_nodes(self, p48, bundle):
+        # s1_diag_nodes reads the table's samples of L_j w and their transform;
+        # checked on one bundle and on the padded row of a stack
+        panel, ts = reference_panel(16), np.array([0.9 + 0.05j, 2 + 1j, -0.5 + 1.5j])
+        stack = KernelBundle.build(p48, ts, rule=HalfLineRule.stack(
+            default_xmax(p48), [rule_for_t(p48, complex(t), panel=panel).u_edges for t in ts], panel))
+        x = bundle.table.rule.x
+        assert stack.table.rule.n_nodes > x.size and np.array_equal(stack.table.rule.x[1, :x.size], x)
+        expect = np.diag(bundle.s1(x, x))
+        for got in (bundle.s1_diag_nodes(), stack.s1_diag_nodes()[1, :x.size]):
+            assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_degenerate_stack_names_its_first_singular_t(self):
         # every upper contour node of (16, 64, 1) has a singular moment matrix:

@@ -30,13 +30,6 @@ class TestModelParams:
         with pytest.raises(ConfigError):
             ModelParams(**bad)
 
-    def test_json_round_trip(self):
-        p = ModelParams(4, 8, 0.7)
-        q = ModelParams.from_json(p.to_json())
-        assert (q.N, q.M, q.tau) == (4, 8, 0.7)
-        with pytest.raises(ConfigError):
-            ModelParams.from_json('{"N": 4}')
-
 
 class TestWeights:
     def test_tau_zero_collapses_third_factor(self):
@@ -164,8 +157,3 @@ class TestContour:
 
     def test_numpy_integer_node_count_is_an_int(self):
         assert type(make_contour(np.float64(2.0), node_count=np.int64(16)).node_count) is int
-
-    def test_residue_weights(self):
-        c = make_contour(1.0, node_count=32, margin=0.25)
-        val = np.sum(c.residue_weights / (c.nodes - 0.4))
-        assert abs(val - 1.0) < 1e-12
