@@ -78,10 +78,8 @@ import numpy as np
 
 from .errors import ConfigError, PrecisionLossError, check_count, check_real
 from .kernels import KernelBundle
-from .laguerre import LaguerreBasis, build_basis
 from .params import ContourSpec, ModelParams, mp_edges
-from .quadrature import (KAPPA_EPSILON, EpsilonTransform, HalfLineRule, ReferencePanel,
-                         half_line_rule, reference_panel)
+from .quadrature import KAPPA_EPSILON, EpsilonTransform, HalfLineRule, half_line_rule
 from .skew import SkewProductTable, default_xmax, pfaffian, rule_for_t
 from .zonal import _log_residue
 
@@ -132,18 +130,14 @@ def _nystrom_panels(n) -> int:
 
 
 def truncated_moment_matrix(params: ModelParams, t: complex, z,
-                            basis: LaguerreBasis | None = None,
-                            n_panels: int = 24, q: int = 16, panel: ReferencePanel | None = None,
                             rule: HalfLineRule | None = None) -> np.ndarray:
     """N x N antisymmetric matrix <L_j, L_k>_1 truncated to [0, z]^2.
 
     A 1-D z gives the stack (len(z), N, N), every truncation read off one
-    z-free half-line rule; z <= 0 gives zeros.  A 1-D t and a stacked `rule`
-    put a t axis first.  `basis` and the reference `panel` are built when not given.
+    z-free half-line `rule` (default `rule_for_t(params, t)`); z <= 0 gives
+    zeros.  A 1-D t and a stacked `rule` put a t axis first.
     """
-    table = SkewProductTable.build(params, t, kmax=params.N - 1, z=z, basis=basis,
-                                   n_panels=n_panels, q=q, panel=panel, rule=rule)
-    return table.entries
+    return SkewProductTable.build(params, t, kmax=params.N - 1, z=z, rule=rule).entries
 
 
 def logdet_m_derivative(params: ModelParams, t: complex, bundle: KernelBundle | None = None):
@@ -234,8 +228,11 @@ def loe_direct_cdf(params: ModelParams, z: float) -> float:
     No contour: the tau = 0 weight has no t content beyond a global factor
     t^(-1/2), so the t-integral drops out of the ratio.  Numerator and
     denominator are the tau = 0 moment matrices at t = 1 truncated at z and
-    z_inf = default_z_inf(params), from one skew Gram on one rule.
+    z_inf = default_z_inf(params), from one skew Gram on one rule.  z must be a
+    finite real, not a boolean or a string (ConfigError), and z <= 0 gives exactly 0.
     """
+    if check_real("z", z) <= 0.0:
+        return 0.0
     z_inf = default_z_inf(params)
     num, den = pfaffian(truncated_moment_matrix(ModelParams(params.N, params.M, 0.0), 1.0, [z, z_inf]))
     if not (np.isfinite(num) and np.isfinite(den) and num != 0 and den != 0):
@@ -257,8 +254,9 @@ class CdfEngine:
     of nodes takes one truncated Gram stack and one batched Pfaffian for all
     its z; the Fredholm route builds one stacked KernelBundle per block of
     upper nodes and the z-free Lambda once, and each pass takes one batched
-    Nystrom determinant per block.  The engine builds the node rules, their q-point
-    Gauss-Legendre reference panel and one Laguerre basis once.  contour_nodes
+    Nystrom determinant per block.  The engine builds its node rules once; their
+    q-point reference panel and the Laguerre basis are the process's shared ones
+    (`reference_panel`, `build_basis`), and nothing is keyed on z or t.  contour_nodes
     must be an even integer >= 8, n_panels >= 2 and q >= 4 integers, z_inf and
     margin finite and positive, radius_factor finite and >= 1 (no boolean),
     and n_nystrom (default_n_nystrom(params) if None) a multiple of 20, >= 40.
@@ -271,14 +269,13 @@ class CdfEngine:
         if check_count("contour_nodes", contour_nodes, 8) % 2:
             raise ConfigError(f"contour_nodes must be even, got {contour_nodes!r}")
         check_count("n_panels", n_panels, 2)
+        check_count("q", q, 4)
         self.params = params
         self.contour_nodes = contour_nodes
         self.margin = margin
         self.radius_factor = radius_factor
         self.n_panels = n_panels
         self.q = q
-        self.panel = reference_panel(q)
-        self.basis = build_basis(params)
         self.n_nystrom = default_n_nystrom(params) if n_nystrom is None else n_nystrom
         _nystrom_panels(self.n_nystrom)
         self.z_inf = default_z_inf(params) if z_inf is None else check_real("z_inf", z_inf, 0.0)
@@ -399,16 +396,15 @@ class CdfEngine:
         """log |2 pi i (1 + tau)^{M/2} M^{N/2 - 1} / Gamma(N/2) Pf(G0)|, G0
         the tau = 0 moment matrix at t = 1; nan unless Pf(G0) is usable."""
         N, M = self.params.N, self.params.M
-        pf0 = abs(pfaffian(truncated_moment_matrix(
-            ModelParams(N, M, 0.0), 1.0, math.inf, basis=self.basis,
-            n_panels=self.n_panels, q=self.q, panel=self.panel)))
+        rule = half_line_rule(default_xmax(self.params), self.n_panels, self.q)   # rule_for_t at tau = 0
+        pf0 = abs(pfaffian(truncated_moment_matrix(ModelParams(N, M, 0.0), 1.0, math.inf, rule=rule)))
         return (math.log(2.0 * math.pi) + 0.5 * M * math.log1p(self.params.tau)
                 + _log_residue(M, 0.5 * N) + math.log(pf0)) if 0.0 < pf0 < math.inf else math.nan
 
     @functools.cached_property
     def _edges(self) -> list[np.ndarray]:
         """u-edges of each upper node's rule (`rule_for_t`), built once for both routes."""
-        return [rule_for_t(self.params, complex(t), self.n_panels, self.q, self.panel).u_edges
+        return [rule_for_t(self.params, complex(t), self.n_panels, self.q).u_edges
                 for t in self.contour.nodes[:self.contour.node_count // 2]]
 
     def _node_values(self, zs, route: str):
@@ -419,11 +415,11 @@ class CdfEngine:
         f = np.empty((self.contour.node_count // 2, len(zs)), dtype=complex)
         for nodes in self._node_blocks(len(zs)):
             f[nodes] = pfaffian(truncated_moment_matrix(self.params, self.contour.nodes[nodes], zs,
-                                                        basis=self.basis, rule=self._rule(nodes)))
+                                                        rule=self._rule(nodes)))
         return f, [{}] * len(zs)
 
     def _rule(self, nodes) -> HalfLineRule:
-        return HalfLineRule.stack(default_xmax(self.params), [self._edges[i] for i in nodes], self.panel)
+        return HalfLineRule.stack(default_xmax(self.params), [self._edges[i] for i in nodes], self.q)
 
     def _node_blocks(self, n_z: int = 0, route: str = "pfaffian") -> list[np.ndarray]:
         """Upper nodes cut into blocks of about BLOCK_BYTES each.  The Pfaffian route takes
@@ -459,7 +455,7 @@ class CdfEngine:
         i0, p = self.contour.node_count // 2 - 1, self.params
         nodes = self.contour.nodes[:i0 + 1]
         if self._bundles is None:
-            bs = [KernelBundle.build(p, nodes[b], basis=self.basis, rule=self._rule(b))
+            bs = [KernelBundle.build(p, nodes[b], rule=self._rule(b))
                   for b in self._node_blocks(route="fredholm")]
             sign, logabs = np.linalg.slogdet(np.concatenate([b.table.entries for b in bs]))
             bad = np.flatnonzero(~np.isfinite(logabs))

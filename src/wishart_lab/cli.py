@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 import time
 from pathlib import Path
@@ -55,16 +56,17 @@ def _value(cfg: dict, key: str, kind: type, default=None):
     """cfg[key] as an int, a finite float or (kind=list) a list of finite floats.
 
     An absent or null key gives `default`; any other value that does not
-    convert exactly raises ConfigError: a boolean (also as a list item), and
-    for an int a number with a fractional part, are refused rather than
-    coerced.
+    convert exactly raises ConfigError: a string or a boolean (also as a list
+    item), and for an int a number with a fractional part, are refused rather
+    than coerced.
     """
     value = cfg.get(key)
     if value is None:
         return default
     items = value if isinstance(value, list) else [value]
     try:
-        if (kind is list) != isinstance(value, list) or any(isinstance(v, bool) for v in items):
+        if (kind is list) != isinstance(value, list) or \
+                any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in items):
             raise TypeError
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError

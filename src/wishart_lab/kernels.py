@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateSkewProductError
 from .laguerre import LaguerreBasis, cd_kernel_k2
 from .params import ModelParams, weight_w
-from .quadrature import EpsilonTransform, HalfLineRule, KAPPA_EPSILON, ReferencePanel
+from .quadrature import EpsilonTransform, HalfLineRule, KAPPA_EPSILON
 from .skew import SkewPolySet, SkewProductTable, build_skew_polys
 
 __all__ = [
@@ -69,15 +69,12 @@ class KernelBundle:
     cond: float | np.ndarray
 
     @classmethod
-    def build(cls, params: ModelParams, t,
-              basis: LaguerreBasis | None = None,
-              table: SkewProductTable | None = None,
-              panel: ReferencePanel | None = None,
+    def build(cls, params: ModelParams, t, table: SkewProductTable | None = None,
               rule: HalfLineRule | None = None) -> "KernelBundle":
-        """DegenerateSkewProductError names the first t whose moment matrix is singular."""
+        """DegenerateSkewProductError names the first t whose moment matrix is singular;
+        the table is built on `rule` (default `rule_for_t(params, t)`) when not given."""
         if table is None:
-            table = SkewProductTable.build(params, t, kmax=params.N - 1, basis=basis,
-                                           panel=panel, rule=rule)
+            table = SkewProductTable.build(params, t, kmax=params.N - 1, rule=rule)
         N = params.N
         m = table.entries[..., :N, :N]
         cond = np.linalg.cond(m)

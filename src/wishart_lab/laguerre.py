@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .params import ModelParams, weight_w
 
 __all__ = ["LaguerreBasis", "build_basis", "eval_poly", "cd_kernel_k2"]
@@ -79,11 +80,15 @@ class LaguerreBasis:
 
 
 def build_basis(params: ModelParams, max_degree: int | None = None) -> LaguerreBasis:
-    """Recurrence coefficients and log-norms up to max_degree (>= N + 2)."""
-    if max_degree is None:
-        max_degree = params.N + 2
-    if max_degree < params.N + 2:
-        raise ConfigError(f"max_degree must be >= N + 2 = {params.N + 2}")
+    """Recurrence coefficients and log-norms up to max_degree (default N + 2; an integer
+    >= N + 2), built once per (params, max_degree) in a process; its arrays are read-only."""
+    least = params.N + 2
+    return _build_basis(params, least if max_degree is None else
+                        check_count("max_degree", max_degree, least))
+
+
+@cache
+def _build_basis(params: ModelParams, max_degree: int) -> LaguerreBasis:
     alpha = params.alpha
     M = params.M
     n = np.arange(max_degree + 1, dtype=float)   # one spare entry: b_n pairs with h_n / h_{n-1}
@@ -93,6 +98,8 @@ def build_basis(params: ModelParams, max_degree: int | None = None) -> LaguerreB
     log_h = (np.vectorize(math.lgamma)(k + 1.0)
              + np.vectorize(math.lgamma)(k + alpha + 1.0)
              - (2.0 * k + alpha + 1.0) * math.log(M))
+    for arr in (a, b, log_h):
+        arr.setflags(write=False)
     return LaguerreBasis(params, max_degree, a, b, log_h)
 
 

@@ -30,13 +30,13 @@ panel for the piece of that panel below z.  Both batch over a `HalfLineRule.stac
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, QuadratureError, check_count, check_real
+from .errors import QuadratureError, check_count, check_real
 
 __all__ = [
     "KAPPA_EPSILON",
@@ -77,9 +77,10 @@ def _legendre_cumulative(v, q, P=None):
 class ReferencePanel:
     """The q-point Gauss-Legendre panel on [-1, 1] that every rule maps to its panels.
 
-    It depends on q alone, so one panel serves every rule of that q; its
-    arrays are read-only.  `vinv` (Legendre analysis), `cum_ref` (reference
-    cumulative integrals) and their product `cum_samples` give within-panel cumulatives.
+    It depends on q alone, so `reference_panel` builds one per q for every rule
+    of the process; its arrays are read-only.  `vinv` (Legendre analysis), `cum_ref`
+    (reference cumulative integrals) and their product `cum_samples` give within-panel
+    cumulatives.
     """
 
     q: int
@@ -109,8 +110,12 @@ class ReferencePanel:
 
 
 def reference_panel(q: int) -> ReferencePanel:
-    """Build the q-point reference panel; q must be an integer >= 4."""
-    q = check_count("q", q, 4)
+    """The q-point reference panel, built once per q in a process; q must be an integer >= 4."""
+    return _reference_panel(check_count("q", q, 4))
+
+
+@cache
+def _reference_panel(q: int) -> ReferencePanel:
     ug, wg = leggauss(q)
     V = _legendre_values(ug, q - 1).T               # (q, q): V[i, n] = P_n(ug_i)
     vinv, cum_ref = np.linalg.inv(V), _legendre_cumulative(ug, q).T
@@ -128,9 +133,9 @@ class HalfLineRule:
     A rule on [z, X] is z + half_line_rule(X - z): its nodes shifted by z, the same
     weights, and cumulatives queried at x - z.
     `u_edges` are the panel boundaries in u = sqrt(x); each panel is an affine image of
-    the shared reference `panel` (q Gauss nodes), whose tables also give the within-panel
-    cumulatives.  A `stack` puts a rules axis first; it serves `cumulative` and
-    `EpsilonTransform.cross_cumulative` of (rules, k, n_nodes) samples.
+    the shared reference `panel` (`reference_panel(q)`), whose tables also give the
+    within-panel cumulatives.  A `stack` puts a rules axis first; it serves `cumulative`
+    and `EpsilonTransform.cross_cumulative` of (rules, k, n_nodes) samples.
     """
 
     xmax: float
@@ -152,11 +157,12 @@ class HalfLineRule:
         return self.x.shape[-1]
 
     @classmethod
-    def stack(cls, xmax: float, edges, panel: ReferencePanel) -> "HalfLineRule":
-        """Rules on [0, xmax] on each of `edges`, padded to the most panels with zero-width
-        panels at sqrt(xmax) (weights exactly 0, above every point), stacked."""
+    def stack(cls, xmax: float, edges, q: int) -> "HalfLineRule":
+        """q-point rules on [0, xmax] on each of `edges`, padded to the most panels with
+        zero-width panels at sqrt(xmax) (weights exactly 0, above every point), stacked."""
         P = max(map(len, edges))
         E = np.stack([np.concatenate((e, e[-1:].repeat(P - len(e)))) for e in edges])
+        panel = reference_panel(q)
         u, w_u = _map_panel(E, panel)
         return cls(float(xmax), E, u * u, w_u * 2.0 * u, panel)
 
@@ -260,14 +266,10 @@ def half_line_rule(
     q: int = 16,
     refine_x: float | None = None,
     refine_width: float | None = None,
-    panel: ReferencePanel | None = None,
 ) -> HalfLineRule:
-    """Build a rule on [0, xmax] from `panel`; xmax must be finite and positive,
+    """Build a rule on [0, xmax] from n_panels copies of `reference_panel(q)`, the one
+    read-only q-point panel of the process; xmax must be finite and positive,
     n_panels an integer >= 2, and refine_x, refine_width (when used) finite.
-
-    `panel` is the q-point reference panel, built here when not given; a
-    caller that builds many rules passes one panel to all of them, and its
-    q must be `q`.
 
     If `refine_x` is given (the real part of the weight's branch point,
     Re t / tau_tilde), panel edges cluster geometrically toward it down to
@@ -277,10 +279,7 @@ def half_line_rule(
     at z (`EpsilonTransform.cross_cumulative`).
     """
     xmax, n_panels = check_real("xmax", xmax, 0.0), check_count("n_panels", n_panels, 2)
-    if panel is None:
-        panel = reference_panel(q)
-    elif panel.q != q:
-        raise ConfigError(f"reference panel has q = {panel.q}, the rule asks for q = {q}")
+    panel = reference_panel(q)
     umax = np.sqrt(xmax)
     base = umax * np.linspace(0.0, 1.0, n_panels + 1)
     if refine_x is not None and 0.0 < check_real("refine_x", refine_x) < 1.1 * xmax:

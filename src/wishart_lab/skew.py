@@ -37,7 +37,7 @@ from numpy.polynomial import polynomial as P
 from .errors import ConfigError, DegenerateSkewProductError
 from .laguerre import LaguerreBasis, build_basis
 from .params import ModelParams, mp_edges, weight_w, weight_w0
-from .quadrature import EpsilonTransform, HalfLineRule, ReferencePanel, half_line_rule
+from .quadrature import EpsilonTransform, HalfLineRule, half_line_rule
 
 __all__ = [
     "default_xmax",
@@ -68,15 +68,14 @@ def default_xmax(params: ModelParams) -> float:
     return 4.0 * b_plus + 40.0 / params.M
 
 
-def rule_for_t(params: ModelParams, t: complex, n_panels: int = 24, q: int = 16,
-               panel: ReferencePanel | None = None) -> HalfLineRule:
+def rule_for_t(params: ModelParams, t: complex, n_panels: int = 24, q: int = 16) -> HalfLineRule:
     """Quadrature rule on [0, default_xmax] adapted to the weight's branch point.
 
     For t near the positive real axis the factor (t - tau_tilde x)^(-1/2)
     peaks at x = Re t / tau_tilde with width |Im t| / tau_tilde; panels
     cluster there down to that width (never finer, so no sample sits closer
-    to the peak than its own scale).  `panel` is the shared q-point
-    reference panel (built per rule when not given).
+    to the peak than its own scale).  Every panel is a copy of the process's
+    one q-point reference panel (`half_line_rule`).
     """
     xmax = default_xmax(params)
     tt = params.tau_tilde
@@ -84,8 +83,7 @@ def rule_for_t(params: ModelParams, t: complex, n_panels: int = 24, q: int = 16,
     if tt > 0 and 0.0 < t.real and t.real / tt < 1.1 * xmax:
         refine_x = t.real / tt   # > 0: widths below are taken in u = sqrt(x)
         refine_width = max(abs(t.imag) / (10.0 * tt) / (2.0 * math.sqrt(refine_x)), 1e-8)
-    return half_line_rule(xmax, n_panels=n_panels, q=q, refine_x=refine_x,
-                          refine_width=refine_width, panel=panel)
+    return half_line_rule(xmax, n_panels=n_panels, q=q, refine_x=refine_x, refine_width=refine_width)
 
 
 def skew_gram(rule: HalfLineRule, phi, z=math.inf) -> tuple[np.ndarray, EpsilonTransform]:
@@ -105,11 +103,12 @@ def skew_gram(rule: HalfLineRule, phi, z=math.inf) -> tuple[np.ndarray, EpsilonT
 class SkewProductTable:
     """Entries <L_i, L_j>_1 for 0 <= i, j <= kmax at fixed t over [0, z]^2.
 
-    A 1-D z stacks the truncations, all read off one z-free rule; a 1-D t and a
-    stacked `rule`, one rule per t, put a t axis first.  Besides the entries it keeps
-    one array of samples, the L_j w in `eps.fvals`, with their batched epsilon
-    transform, which kernels reuse; the Laguerre values and the weight they were
-    multiplied from are not kept.
+    A 1-D z stacks the truncations, all read off one z-free `rule` (default
+    `rule_for_t(params, t)`); a 1-D t and a stacked `rule`, one rule per t, put a
+    t axis first.  `basis` is the process's shared `build_basis` of the params.
+    Besides the entries it keeps one array of samples, the L_j w in `eps.fvals`,
+    with their batched epsilon transform, which kernels reuse; the Laguerre values
+    and the weight they were multiplied from are not kept.
     """
 
     params: ModelParams
@@ -122,15 +121,12 @@ class SkewProductTable:
 
     @classmethod
     def build(cls, params: ModelParams, t: complex, kmax: int | None = None,
-              z: float = math.inf, basis: LaguerreBasis | None = None,
-              n_panels: int = 24, q: int = 16, panel: ReferencePanel | None = None,
-              rule: HalfLineRule | None = None) -> "SkewProductTable":
+              z: float = math.inf, rule: HalfLineRule | None = None) -> "SkewProductTable":
         if kmax is None:
             kmax = params.N + 1
-        if basis is None:
-            basis = build_basis(params, max(kmax, params.N + 2))
+        basis = build_basis(params, max(kmax, params.N + 2))
         t = t.astype(complex) if isinstance(t, np.ndarray) else complex(t)
-        rule = rule_for_t(params, t, n_panels=n_panels, q=q, panel=panel) if rule is None else rule
+        rule = rule_for_t(params, t) if rule is None else rule
         wv = weight_w(params, t[:, None] if np.ndim(t) else t, rule.x)
         lag = np.swapaxes(basis.eval_all(rule.x)[: kmax + 1], 0, -2)
         entries, eps = skew_gram(rule, lag * wv[..., None, :], z)

@@ -67,7 +67,7 @@ def suite_skew_op(seed: int = 0) -> dict:
     p = ModelParams(4, 8, 1.0)
     basis = build_basis(p, 8)
     for t in (2 + 1j, 1 + 2j):
-        table = SkewProductTable.build(p, t, basis=basis)
+        table = SkewProductTable.build(p, t)
         scale = table.scale
         polys = build_skew_polys(table)
         # pi_N and pi_{N+1} in the monomial basis

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,12 @@ from wishart_lab import (ConfigError, DegenerateSkewProductError, PrecisionLossE
 from wishart_lab import cdf as cdf_module, quadrature
 from wishart_lab.quadrature import HalfLineRule
 from wishart_lab.skew import SkewProductTable, default_xmax
+
+
+def fresh_panel_cache(monkeypatch):
+    """An empty reference-panel cache for the rest of the test; the process's one comes back after."""
+    build = functools.cache(quadrature._reference_panel.__wrapped__)
+    monkeypatch.setattr(quadrature, "_reference_panel", build)
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +139,7 @@ class TestFredholmDet:
         nodes = eng.contour.nodes
         zs = [0.5, 1.0, 1.5, 2.0, 3.0, 5.0]
         for t in nodes[::max(1, len(nodes) // 5)]:
-            b = KernelBundle.build(p, complex(t), basis=eng.basis, panel=eng.panel)
+            b = KernelBundle.build(p, complex(t))
             for z, d in zip(zs, fredholm_det(b, zs)):
                 tol = dict(rel=1e-12, abs=0) if z >= 1.5 else dict(rel=0, abs=1e-14)
                 assert d == pytest.approx(dense_nystrom_det(b, z), **tol)
@@ -226,6 +233,15 @@ class TestPfaffianRoute:
         vals = [engine.cdf(float(z)).value for z in zs]
         assert all(v2 >= v1 - 1e-6 for v1, v2 in zip(vals, vals[1:]))
         assert min(vals) > -1e-6 and max(vals) < 1.0 + 1e-6
+
+    @pytest.mark.parametrize("z", [0.0, -1.0])
+    def test_loe_is_zero_at_and_below_the_origin(self, z):
+        assert loe_direct_cdf(ModelParams(4, 8, 0.0), z) == 0.0
+
+    @pytest.mark.parametrize("z", [float("nan"), True, "2"])
+    def test_loe_refuses_a_z_that_is_not_a_finite_real(self, z):
+        with pytest.raises(ConfigError, match="z must be"):
+            loe_direct_cdf(ModelParams(4, 8, 0.0), z)
 
     def test_loe_underflow_raises(self):
         # at (20, 80, 0) both Pfaffians underflow to zero: refused, not 0/0
@@ -542,8 +558,10 @@ class TestCdfGrid:
     @pytest.mark.parametrize("route", ["pfaffian", "fredholm"])
     def test_one_reference_panel_per_engine(self, p48, monkeypatch, route):
         # every node rule of the anchor pass and of a later grid is built on
-        # the engine's one panel, so its q reaches leggauss once; the t- and
-        # z-free reference Nystrom rule (q = 20) is kept per panel count instead
+        # the process's one panel of the engine's q, so from an empty panel cache
+        # that q reaches leggauss once; the t- and z-free reference Nystrom rule
+        # (q = 20) is kept per panel count
+        fresh_panel_cache(monkeypatch)
         calls, leggauss = [], quadrature.leggauss
         monkeypatch.setattr(quadrature, "leggauss", lambda q: calls.append(q) or leggauss(q))
         eng = CdfEngine(p48)
@@ -553,12 +571,14 @@ class TestCdfGrid:
         assert route == "fredholm" or calls == [eng.q]
 
     def test_no_legendre_recurrence_per_z_on_the_pfaffian_route(self, p48, monkeypatch):
-        # the truncated Grams read the panel's head tables: the first grid
-        # builds them (one recurrence), a later grid makes no per-z Legendre work
+        # the truncated Grams read the panel's head tables: the first grid on a
+        # fresh panel builds them (one recurrence), a later grid makes no per-z Legendre work
+        fresh_panel_cache(monkeypatch)
         eng, calls, values = CdfEngine(p48), [], quadrature._legendre_values
+        panel = quadrature.reference_panel(eng.q)
         monkeypatch.setattr(quadrature, "_legendre_values", lambda *a: calls.append(a) or values(*a))
         eng.cdf_grid(self.ZS)
-        assert len(calls) == 1 and "head" in vars(eng.panel)
+        assert len(calls) == 1 and "head" in vars(panel)
         eng.cdf_grid(list(np.linspace(0.5, 7.5, 15)))
         assert len(calls) == 1
 
@@ -636,7 +656,7 @@ class TestCdfGrid:
         eng.cdf_grid(zs, "fredholm")
         blocked = np.concatenate([fredholm_det(b, zs) for b in eng._bundles])
         for t, row in zip(eng.contour.nodes[:len(blocked)], blocked):
-            one = fredholm_det(KernelBundle.build(p48, complex(t), basis=eng.basis, panel=eng.panel), zs)
+            one = fredholm_det(KernelBundle.build(p48, complex(t)), zs)
             assert np.max(np.abs(row - one) / np.abs(one)) <= 1e-12
 
     def test_fredholm_grid_pass_memory(self, p48):
@@ -684,7 +704,7 @@ class TestNodeBlocks:
     @staticmethod
     def per_node(eng, zs):
         p, h = eng.params, eng.contour.node_count // 2
-        return np.array([pfaffian(truncated_moment_matrix(p, t, zs, basis=eng.basis, panel=eng.panel))
+        return np.array([pfaffian(truncated_moment_matrix(p, t, zs))
                          for t in eng.contour.nodes[:h]])
 
     @pytest.mark.parametrize("params,zs", [((4, 8, 1.0), [1.0, 2.5, 6.0]),
@@ -740,7 +760,7 @@ class TestNodeBlocks:
         eng = CdfEngine(p48)
         eng.cdf(eng.z_inf)
         edges = sorted(eng._edges, key=len)
-        rule = HalfLineRule.stack(default_xmax(p48), [edges[0], edges[-1]], eng.panel)
+        rule = HalfLineRule.stack(default_xmax(p48), [edges[0], edges[-1]], eng.q)
         short = len(edges[0]) - 1
         assert rule.x.shape == (2, rule.n_panels * rule.q) and rule.n_panels == len(edges[-1]) - 1
         assert np.all(rule.w[0, short * rule.q:] == 0.0)
@@ -749,10 +769,10 @@ class TestNodeBlocks:
     def test_a_node_on_the_branch_point_raises_through_the_batched_weight(self, p48):
         eng = CdfEngine(p48)
         eng.cdf(eng.z_inf)
-        rule = HalfLineRule.stack(default_xmax(p48), eng._edges[:2], eng.panel)
+        rule = HalfLineRule.stack(default_xmax(p48), eng._edges[:2], eng.q)
         ts = np.array([eng.contour.nodes[0], p48.tau_tilde * rule.x[1, 5]])
         with pytest.raises(SingularWeightError):
-            truncated_moment_matrix(p48, ts, [2.0], basis=eng.basis, rule=rule)
+            truncated_moment_matrix(p48, ts, [2.0], rule=rule)
 
 
 class TestHalfContour:
@@ -774,7 +794,7 @@ class TestHalfContour:
         p = ModelParams(16, 64, 1.0)
         eng = CdfEngine(p)
         for t in eng.contour.nodes[::8]:
-            a, b = (pfaffian(truncated_moment_matrix(p, s, 3.5, basis=eng.basis))
+            a, b = (pfaffian(truncated_moment_matrix(p, s, 3.5))
                     for s in (t, np.conj(t)))
             assert abs(b - np.conj(a)) <= 1e-13 * abs(a)
 

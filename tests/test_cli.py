@@ -54,6 +54,12 @@ def write_config(path, **kw):
     ("cdf", {"contour_nodes": 0}, "cdf.csv"),
     ("cdf", {"contour_nodes": -5}, "cdf.csv"),
     ("cdf", {"contour_nodes": 65}, "cdf.csv"),
+    ("cdf", {"z": ["3.0"]}, "cdf.csv"),
+    ("cdf", {"margin": "0.5"}, "cdf.csv"),
+    ("cdf", {"n_panels": "24"}, "cdf.csv"),
+    ("sample", {"n": "50"}, "samples.csv"),
+    ("sample", {"seed": "3"}, "samples.csv"),
+    ("sample", {"mode": "hist", "bins": "5"}, "samples.csv"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, bad, out):
     cfg = write_config(tmp_path / "c.json", **{"N": 4, "M": 8, "tau": 1.0, "z": [2.0], **bad})

@@ -5,7 +5,7 @@ import pytest
 
 from wishart_lab import (CdCorrectedKernel, CdfEngine, DegenerateSkewProductError, KernelBundle,
                          ModelParams, build_basis, check_multi_orthogonality,
-                         correction_matrix, reference_panel, weight_w)
+                         correction_matrix, weight_w)
 from wishart_lab.quadrature import EpsilonTransform, HalfLineRule
 from wishart_lab.skew import SkewProductTable, default_xmax, rule_for_t
 
@@ -160,11 +160,11 @@ class TestStackedBundle:
     def test_stack_matches_one_bundle_per_t(self, p48):
         # a 1-D t on a stacked rule: each t's mu, cond, factors and resolvent
         # trace are those of a one-node bundle on that t's own rule
-        panel, ts = reference_panel(16), np.array([2 + 1j, 0.9 + 0.05j, -0.5 + 1.5j])
-        rules = [rule_for_t(p48, complex(t), panel=panel) for t in ts]
+        ts = np.array([2 + 1j, 0.9 + 0.05j, -0.5 + 1.5j])
+        rules = [rule_for_t(p48, complex(t)) for t in ts]
         assert len({r.n_panels for r in rules}) > 1
         stack = KernelBundle.build(p48, ts, rule=HalfLineRule.stack(
-            default_xmax(p48), [r.u_edges for r in rules], panel))
+            default_xmax(p48), [r.u_edges for r in rules], 16))
         x = np.linspace(0.2, 9.0, 2 * 7).reshape(2, 7)
         trace = stack.resolvent_trace()
         assert stack.mu.shape == (3, p48.N, p48.N) and trace.shape == stack.cond.shape == (3,)
@@ -180,9 +180,9 @@ class TestStackedBundle:
     def test_s1_diagonal_is_the_kernel_at_the_rule_nodes(self, p48, bundle):
         # s1_diag_nodes reads the table's samples of L_j w and their transform;
         # checked on one bundle and on the padded row of a stack
-        panel, ts = reference_panel(16), np.array([0.9 + 0.05j, 2 + 1j, -0.5 + 1.5j])
+        ts = np.array([0.9 + 0.05j, 2 + 1j, -0.5 + 1.5j])
         stack = KernelBundle.build(p48, ts, rule=HalfLineRule.stack(
-            default_xmax(p48), [rule_for_t(p48, complex(t), panel=panel).u_edges for t in ts], panel))
+            default_xmax(p48), [rule_for_t(p48, complex(t)).u_edges for t in ts], 16))
         x = bundle.table.rule.x
         assert stack.table.rule.n_nodes > x.size and np.array_equal(stack.table.rule.x[1, :x.size], x)
         expect = np.diag(bundle.s1(x, x))

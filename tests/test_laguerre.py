@@ -100,6 +100,18 @@ class TestRecurrence:
         with pytest.raises(ConfigError):
             build_basis(ModelParams(4, 8, 1.0), 3)
 
+    @pytest.mark.parametrize("degree", [8.0, "8", True])
+    def test_degree_is_checked_before_the_cache(self, p48, basis, degree):
+        # 8.0 and True hash like 8 and 1: refused, not served a cached basis
+        assert build_basis(p48, np.int64(8)) is basis
+        with pytest.raises(ConfigError, match="max_degree must be"):
+            build_basis(p48, degree)
+
+    def test_arrays_are_read_only(self, basis):
+        for a in (basis.a, basis.b, basis.log_h):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
 
 class TestCdKernelK2:
     def test_diagonal_limit_tau_zero(self):

@@ -144,7 +144,7 @@ def test_stacked_rules_match_rule_by_rule(counts):
     edges = [np.sqrt(6.0) * np.linspace(0.0, 1.0, n + 1) ** 1.5 for n in counts]
     rules = [quadrature.HalfLineRule(6.0, e, u * u, 2.0 * u * w_u, panel)
              for e in edges for u, w_u in [quadrature._map_panel(e, panel)]]
-    stack = quadrature.HalfLineRule.stack(6.0, edges, panel)
+    stack = quadrature.HalfLineRule.stack(6.0, edges, 8)
     xq = np.array([0.3, 5.9, 6.0, 7.0] + [(0.5 * (e[-2] + e[-1])) ** 2 for e in edges])
     n = stack.n_nodes
     f = rng.normal(size=(len(counts), 3, n)) + 1j * rng.normal(size=(len(counts), 3, n))
@@ -179,12 +179,10 @@ class TestReferencePanel:
         # the rule on [x0, 30] is x0 + half_line_rule(30 - x0): the rule itself is checked
         panel, refine_x = reference_panel(q), refine_x and refine_x - x0
         for _ in range(2):     # the second rule reuses the first one's panel
-            r = half_line_rule(30.0 - x0, q=q, refine_x=refine_x, panel=panel)
-            own = half_line_rule(30.0 - x0, q=q, refine_x=refine_x)
-            assert r.panel is panel and np.array_equal(r.u_edges, own.u_edges)
+            r = half_line_rule(30.0 - x0, q=q, refine_x=refine_x)
+            assert r.panel is panel
             for got, want in zip((r.x, r.w, panel.vinv, panel.cum_ref), fresh_build(r)):
                 assert np.array_equal(got, want)
-            assert np.array_equal(r.x, own.x) and np.array_equal(r.w, own.w)
 
     def test_arrays_are_read_only(self):
         panel = reference_panel(16)
@@ -220,14 +218,12 @@ class TestReferencePanel:
 
     @pytest.mark.parametrize("q", [3, 2.5, 16.0, True, "16", None])
     def test_q_must_be_an_integer_of_at_least_4(self, q):
+        # refused before the cache: 16.0 and True hash like 16 and 1
+        assert reference_panel(np.int64(16)) is reference_panel(16)
         with pytest.raises(ConfigError, match="q must be"):
             reference_panel(q)
         with pytest.raises(ConfigError, match="q must be"):
             finite_rule(0.0, 1.0, q=q)
-
-    def test_panel_and_q_must_agree(self):
-        with pytest.raises(ConfigError, match="q = 20"):
-            half_line_rule(30.0, q=16, panel=reference_panel(20))
 
 
 @pytest.mark.parametrize("args, kwargs", [
