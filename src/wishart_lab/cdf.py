@@ -13,9 +13,10 @@ constants of the de Bruijn identity and of the eigenvalue density cancel in
 this ratio ("never computed from first principles").  Any monic family gives
 the same Pfaffian (unit-triangular congruence), so the truncated matrices
 are built straight from Laguerre.  Every z shares one contour, the z_inf
-circle, and Mtrunc(t, z) is read off one z-free half-line rule per node
-(`skew_gram`), so one pass over the contour, in blocks of nodes on stacked rules,
-serves a whole z grid and a z's value does not depend on the other z of the grid.
+circle, and Mtrunc(t, z) is read off one z-free table per node (running sums
+of its skew Gram up to each panel edge, `EpsilonTransform.gram_rows`), so one
+pass over the contour serves a whole z grid and a z's value does not depend
+on the other z of the grid.
 
 Half the contour.  The weight's (t - tau_tilde x)^(-1/2) is principal and
 the Laguerre basis real, so f(conj t) = conj f(t); node n-1-k of the circle
@@ -61,11 +62,18 @@ determinant per z, at O(n N (N + q) + N^3) per node and z in place of
 O((2n)^3), and nothing keyed on z is cached.  The discretisation, and with
 it the route's independence from the Pfaffian route's skew tables, is unchanged.
 
-Node blocks.  Both routes run over blocks of upper contour nodes on stacked
-rules (`HalfLineRule.stack`), cut to about BLOCK_BYTES by `_node_blocks`.
-A Fredholm block is one stacked KernelBundle, formed once per engine; each
-pass samples its factors at the Nystrom points, which every node shares, and
-takes one batched determinant over (nodes x z), in z chunks within the budget.
+Node blocks.  Both routes run over blocks of upper contour nodes, cut to about
+BLOCK_BYTES by `_node_blocks`, and build what is z-free once per engine, on
+stacked rules (`HalfLineRule.stack`).  The Pfaffian route keeps one table for
+all upper nodes: per node and own panel edge (no padding) the strict upper
+triangle of the Gram truncated there and the integrals F up to it, N (N + 1) / 2
+complex numbers, so nodes x panels x N (N + 1) / 2 in all (4.7 MB at
+(16, 64, 1), 0.3 MB at (4, 8, 1)).  A pass then reads, per (node, z), the row
+below z and the piece of z's own panel, from L_j w on that panel's q nodes
+alone (`_read_gram`), and takes one batched Pfaffian per block.  A Fredholm
+block is one stacked KernelBundle; each pass samples its factors at the
+Nystrom points, which every node shares, and takes one batched determinant
+over (nodes x z), in z chunks within the budget.
 """
 
 from __future__ import annotations
@@ -79,8 +87,9 @@ import numpy as np
 from .errors import ConfigError, PrecisionLossError, check_count, check_real
 from .kernels import KernelBundle
 from .params import ContourSpec, ModelParams, mp_edges
-from .quadrature import KAPPA_EPSILON, EpsilonTransform, HalfLineRule, half_line_rule
-from .skew import SkewProductTable, default_xmax, pfaffian, rule_for_t
+from .quadrature import (KAPPA_EPSILON, EpsilonTransform, HalfLineRule, _read_gram,
+                         half_line_rule, reference_panel)
+from .skew import SkewProductTable, _weighted_laguerre, default_xmax, pfaffian, rule_for_t
 from .zonal import _log_residue
 
 __all__ = [
@@ -97,8 +106,9 @@ __all__ = [
 #: or RANGE_TOL outside [0, 1]
 MAX_LOST_DIGITS, RANGE_TOL = 13.0, 1e-6
 
-#: bytes a block of contour nodes may hold: on the Pfaffian route its complex samples
-#: (N x n_quad) and real head tables (n_z x q x (q + 1)), on the Fredholm route `_fredholm_bytes`
+#: the bytes budget of a block of contour nodes: on the Pfaffian route its complex samples
+#: (N x n_quad) while its table is built, then `_pair_bytes` per z of a pass; on the Fredholm
+#: route `_fredholm_bytes`
 BLOCK_BYTES = 2**19
 
 
@@ -145,6 +155,14 @@ def logdet_m_derivative(params: ModelParams, t: complex, bundle: KernelBundle | 
     if bundle is None:
         bundle = KernelBundle.build(params, t)
     return -bundle.resolvent_trace()
+
+
+def _pair_bytes(N: int, q: int) -> int:
+    """Bytes one (node, z) pair of a Pfaffian pass keeps for its result: its samples of L_j w
+    on the q nodes of z's panel and its N x N Gram, both complex.  With the transients beside
+    them (the real q x (q + 1) head tables, the products with them and the Pfaffian's working
+    copy) a pair peaks at about 4.6 times this at N = 4 and 3.7 times at N = 16."""
+    return 16 * N * (q + N)
 
 
 def _fredholm_bytes(N: int, n_quad, n_z, n: int):
@@ -250,13 +268,18 @@ class CdfEngine:
     `cdf_grid` is the one evaluation path.  A single pass over the upper
     contour nodes serves every z of a grid; the first pass of each route
     also evaluates z_inf and caches that contour sum as the route's
-    normalisation anchor, which later calls reuse.  A Pfaffian-route block
-    of nodes takes one truncated Gram stack and one batched Pfaffian for all
-    its z; the Fredholm route builds one stacked KernelBundle per block of
-    upper nodes and the z-free Lambda once, and each pass takes one batched
-    Nystrom determinant per block.  The engine builds its node rules once; their
-    q-point reference panel and the Laguerre basis are the process's shared ones
-    (`reference_panel`, `build_basis`), and nothing is keyed on z or t.  contour_nodes
+    normalisation anchor, which later calls reuse.  Each route keeps what is
+    z-free for the engine's life, built on its first pass.  The Pfaffian route
+    keeps one table of truncated-Gram rows, one per own panel edge of every
+    upper node, nodes x panels x N (N + 1) / 2 complex numbers (4.7 MB at
+    (16, 64, 1)); each pass reads every (node, z) Gram off it, from L_j w on
+    z's panel alone, and takes one batched Pfaffian per block of nodes.  The
+    Fredholm route keeps one stacked KernelBundle per block of upper nodes
+    (the samples of L_j w, their epsilon transform and mu) and the z-free
+    Lambda, and each pass takes one batched Nystrom determinant per block.
+    The engine builds its node rules once; their q-point reference panel and
+    the Laguerre basis are the process's shared ones (`reference_panel`,
+    `build_basis`), and nothing is keyed on z.  contour_nodes
     must be an even integer >= 8, n_panels >= 2 and q >= 4 integers, z_inf and
     margin finite and positive, radius_factor finite and >= 1 (no boolean),
     and n_nystrom (default_n_nystrom(params) if None) a multiple of 20, >= 40.
@@ -344,8 +367,11 @@ class CdfEngine:
         MAX_LOST_DIGITS, or whose value leaves [0, 1] by more than RANGE_TOL,
         raises PrecisionLossError.  Each distinct z is evaluated once.
 
-        On both routes a z's value does not depend on the other z of the
-        call: a fresh engine's `cdf(z)` is bitwise that z inside a grid.
+        A pass does only per-z work on the route's z-free tables, which the
+        route's first pass builds (see the class docstring).  On both routes a
+        z's value does not depend on the other z of the call: a fresh engine's
+        `cdf(z)` is bitwise that z inside a grid.  On the Pfaffian route it does
+        not depend on BLOCK_BYTES either.
         """
         if route not in ("pfaffian", "fredholm"):
             raise ConfigError(f"unknown route {route!r}")
@@ -407,15 +433,39 @@ class CdfEngine:
         return [rule_for_t(self.params, complex(t), self.n_panels, self.q).u_edges
                 for t in self.contour.nodes[:self.contour.node_count // 2]]
 
+    @functools.cached_property
+    def _gram_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every upper node's z-free `EpsilonTransform.gram_rows` over its own panels, one
+        row per panel edge, in one table, and each node's first row.  Built once per engine,
+        on its first Pfaffian pass, in `_node_blocks` on stacked rules straight into the table."""
+        N, count = self.params.N, np.array([len(e) for e in self._edges])
+        start = np.cumsum(count) - count
+        rows = np.empty((count.sum(), N * (N + 1) // 2), dtype=complex)
+        for nodes in self._node_blocks():
+            rule = self._rule(nodes)
+            phi = _weighted_laguerre(self.params, self.contour.nodes[nodes], rule.x, N - 1)
+            for i, r in zip(nodes, EpsilonTransform(rule, phi).gram_rows()):
+                rows[start[i]:start[i] + count[i]] = r[:count[i]]
+        return rows, start
+
+    def _grams(self, nodes, zs) -> np.ndarray:
+        """Truncated moment matrices (len(nodes), len(zs), N, N) at the given upper nodes, read
+        off the table: per (node, z) only the row below z and the piece of z's own panel, whose
+        samples of L_j w are taken on that panel's q nodes alone."""
+        rows, start = self._gram_table
+        t, N = self.contour.nodes[nodes], self.params.N
+        return _read_gram(rows, start[nodes], [self._edges[i] for i in nodes], reference_panel(self.q),
+                          np.asarray(zs, dtype=float),
+                          lambda i, p, x: _weighted_laguerre(self.params, t[i], x, N - 1))
+
     def _node_values(self, zs, route: str):
-        """f at every upper contour node (rows) and z (columns), and per-z diagnostics; one
-        Gram stack over (nodes x z) on stacked rules, and one Pfaffian, per `_node_blocks`."""
+        """f at every upper contour node (rows) and z (columns), and per-z diagnostics; on the
+        Pfaffian route one batched Pfaffian of `_grams` per `_node_blocks` of the z."""
         if route == "fredholm":
             return self._fredholm_values(zs)
         f = np.empty((self.contour.node_count // 2, len(zs)), dtype=complex)
         for nodes in self._node_blocks(len(zs)):
-            f[nodes] = pfaffian(truncated_moment_matrix(self.params, self.contour.nodes[nodes], zs,
-                                                        rule=self._rule(nodes)))
+            f[nodes] = pfaffian(self._grams(nodes, zs))
         return f, [{}] * len(zs)
 
     def _rule(self, nodes) -> HalfLineRule:
@@ -423,14 +473,16 @@ class CdfEngine:
 
     def _node_blocks(self, n_z: int = 0, route: str = "pfaffian") -> list[np.ndarray]:
         """Upper nodes cut into blocks of about BLOCK_BYTES each.  The Pfaffian route takes
-        them in order of panel count and counts each node's complex samples (N x n_quad) and
-        real head tables (n_z x q x (q + 1)), so a dense z grid gets smaller blocks.  The
-        Fredholm route takes them in index order, the order of its Lambda walk, and counts
-        each node's peak in `fredholm_det` for as many Nystrom points as its rule has nodes
-        (`_fredholm_bytes`), whatever n_z: a larger grid is split over z, not over nodes."""
+        them in order of panel count, which keeps a stacked rule's padding small, and counts
+        each node's complex samples (N x n_quad) when n_z is 0, for the table build, and
+        otherwise n_z pairs of `_pair_bytes`, for a pass, so a dense z grid gets smaller
+        blocks.  The Fredholm route takes them in index order, the order of its Lambda walk,
+        and counts each node's peak in `fredholm_det` for as many Nystrom points as its rule
+        has nodes (`_fredholm_bytes`), whatever n_z: a larger grid is split over z, not over nodes."""
         N, q, n_quad = self.params.N, self.q, np.array([len(e) - 1 for e in self._edges]) * self.q
         if route == "pfaffian":
-            order, used = np.argsort(n_quad, kind="stable"), 16 * N * n_quad + 8 * n_z * q * (q + 1)
+            order = np.argsort(n_quad, kind="stable")
+            used = np.full(len(n_quad), n_z * _pair_bytes(N, q)) if n_z else 16 * N * n_quad
         else:
             n = self.n_nystrom
             order, used = np.arange(len(n_quad)), _fredholm_bytes(N, n_quad, n_quad / n, n)

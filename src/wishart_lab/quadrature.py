@@ -22,13 +22,16 @@ cheap to evaluate anywhere.  The constant KAPPA_EPSILON = 1/2 is the single
 normalisation used everywhere the transform appears; with it,
 d/dx eps(f)(x) = 2 * kappa * f(x) = f(x).
 
-The truncated cross cumulative int_0^z f F costs per panel, not per z: a sum of per-panel
-blocks below z's panel, and fixed Chebyshev tables of the head integrals on the reference
-panel for the piece of that panel below z.  Both batch over a `HalfLineRule.stack`.
+The truncated skew Gram (1/2) int_0^z (f_a F_b - f_b F_a) costs per panel edge once and per
+z only for the piece of z's own panel: a z-free table of running sums of per-panel blocks up to
+each edge (`EpsilonTransform.gram_rows`), and fixed Chebyshev tables of the head integrals on the
+reference panel for the piece of that panel below z (`_read_gram`).  Both batch over a
+`HalfLineRule.stack`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -135,7 +138,7 @@ class HalfLineRule:
     `u_edges` are the panel boundaries in u = sqrt(x); each panel is an affine image of
     the shared reference `panel` (`reference_panel(q)`), whose tables also give the
     within-panel cumulatives.  A `stack` puts a rules axis first; it serves `cumulative`
-    and `EpsilonTransform.cross_cumulative` of (rules, k, n_nodes) samples.
+    and `EpsilonTransform.gram_rows` of (rules, k, n_nodes) samples.
     """
 
     xmax: float
@@ -185,7 +188,7 @@ class HalfLineRule:
         u = self._lift(np.sqrt(self.x))
         g = 2.0 * u * np.asarray(fvals)
         g = g.reshape(g.shape[:-1] + (self.n_panels, self.q))
-        panel_totals = (g * self.panel.wg).sum(axis=-1) * self._panel_scales()
+        panel_totals = (g @ self.panel.wg) * self._panel_scales()
         running = np.cumsum(panel_totals, axis=-1)
         prefix = np.concatenate((np.zeros_like(running[..., :1]), running), axis=-1)
         return g, prefix
@@ -276,7 +279,7 @@ def half_line_rule(
     panels of u-width `refine_width`, so the peaked factor
     (t - tau_tilde x)^(-1/2) is resolved without ever evaluating closer to
     the peak than its own scale.  Truncations to [0, z] need no panel edge
-    at z (`EpsilonTransform.cross_cumulative`).
+    at z (`EpsilonTransform.truncated_gram`).
     """
     xmax, n_panels = check_real("xmax", xmax, 0.0), check_count("n_panels", n_panels, 2)
     panel = reference_panel(q)
@@ -324,42 +327,44 @@ class EpsilonTransform:
     def total(self) -> np.ndarray:      # int_0^xmax f, shaped (...); taken on first use
         return (self.fvals @ self.rule.w[..., None])[..., 0]
 
-    def cross_cumulative(self, xq) -> np.ndarray:
-        """int_0^{xq} f_a F_b dx, F_b = int_0 f_b, for every pair of rows of a (k, n_nodes)
-        `fvals` at each point of a 1-D `xq`: (len(xq), k, k), after a stack's rules axis.  The
-        panels below xq add up their (k, k) blocks, over each rule's own panels (padding never
-        regroups a sum); the piece of xq's own panel, from its lower edge lo, is du^2 g K g^T
-        + du (g m) F_lo^T with du = u(xq) - lo, g the panel's samples of 2 u f and K, m the
-        reference `head` quotients at v(xq), batched one item per rule and xq (each its own)."""
-        r, q = self.rule, self.rule.q
-        edges = r.u_edges.reshape(-1, r.n_panels + 1)                     # one row per rule
-        f = self.fvals.reshape(len(edges), -1, r.n_nodes)
-        (B, k, _), P = f.shape, r.n_panels
-        uq = np.sqrt(np.clip(xq, 0.0, r.xmax))
-        F1 = np.concatenate((self.cumulative.reshape(f.shape), np.ones_like(f[:, :1])), 1)  # row k: F_lo
-        if B > 1:        # a stack's table is transient: keep one copy of it, not two, at the peak
-            self.cumulative = F1[:, :k]
-        blocks = ((f * r.w.reshape(B, 1, -1)).reshape(B, k, P, q).transpose(0, 2, 1, 3)
-                  @ F1.reshape(B, k + 1, P, q).transpose(0, 2, 3, 1)).reshape(B, P, -1)
-        idx, acc = np.empty((B, len(uq)), int), np.empty((B, len(uq), 1, k * (k + 1)), blocks.dtype)
-        for i, e in enumerate(edges):       # the rule's own n panels: a stack pads with zero-width ones
-            n, idx[i] = e.searchsorted(e[-1]), e.searchsorted(uq, side="right") - 1   # P past xmax
-            acc[i] = (np.arange(n) < idx[i, :, None, None]) * 1.0 @ blocks[i, :n]  # (1, n) rows below xq
-        acc = acc.reshape(B, -1, k, k + 1)
-        out = acc[..., :k]
-        b, j = np.nonzero((idx < P) & (uq > edges[np.arange(B)[:, None], np.minimum(idx, P - 1)]))
-        if b.size:        # the panel holding xq, from its lower edge lo up to xq
-            p, lo = idx[b, j], edges[b, idx[b, j]]
-            du = uq[j] - lo
-            v = np.minimum(2.0 * du / (edges[b, p + 1] - lo) - 1.0, 1.0)
-            T = np.cos(np.arange(2 * q - 1) * np.arccos(v)[:, None])         # Chebyshev T_l(v)
-            head = (T[:, None] @ r.panel.head.reshape(2 * q - 1, -1)).reshape(-1, q, q + 1)
-            root = np.sqrt(r.x).reshape(B, P, q)
-            g = (2.0 * root[b, p] * f.reshape(B, k, P, q).transpose(1, 0, 2, 3)[:, b, p]).transpose(1, 0, 2)
-            gh = g.real @ head + 1j * (g.imag @ head) if np.iscomplexobj(g) else g @ head
-            du = du[:, None, None]
-            out[b, j] += du * (du * gh[..., :q] @ np.swapaxes(g, 1, 2) + gh[..., q:] * acc[b, j, None, :, k])
+    def gram_rows(self) -> np.ndarray:
+        """The z-free table of the truncated skew Gram (1/2) int_0^z (f_a F_b - f_b F_a) of the
+        k rows of `fvals`, F_a = int_0 f_a: at each panel edge e_0 = 0, ..., e_P the strict upper
+        triangle of the Gram truncated there, then F_a(e), k (k + 1) / 2 numbers, shaped
+        (P + 1, k (k + 1) / 2) after a stack's rules axis.  Each row is a running sum of
+        per-panel blocks, antisymmetrised before they are summed; a stack's padding panels add
+        exact zeros, so each rule's own rows are bitwise those of the rule alone."""
+        r, q, P = self.rule, self.rule.q, self.rule.n_panels
+        f = self.fvals.reshape(math.prod(r.u_edges.shape[:-1]), -1, r.n_nodes)   # (rules, k, n)
+        (B, k, _), (a, b) = f.shape, _upper(f.shape[1])
+        fw = (f * r.w.reshape(B, 1, -1)).reshape(B, k, P, q).transpose(0, 2, 1, 3)     # (B, P, k, q)
+        out = np.zeros((B, P + 1, len(a) + k), dtype=fw.dtype)
+        fw.sum(-1, out=out[:, 1:, len(a):])                       # int over each panel of f_a
+        blocks = fw @ self.cumulative.reshape(B, k, P, q).transpose(0, 2, 3, 1)          # (B, P, k, k)
+        del fw
+        np.subtract(blocks[..., a, b], blocks[..., b, a], out=out[:, 1:, :len(a)])
+        out[:, 1:, :len(a)] *= 0.5
+        np.cumsum(out, axis=1, out=out)
         return out.reshape(r.u_edges.shape[:-1] + out.shape[1:])
+
+    def truncated_gram(self, xq) -> np.ndarray:
+        """The skew Gram (1/2) int_0^{xq} (f_a F_b - f_b F_a) of a (k, n_nodes) `fvals` at each
+        point of a 1-D `xq`: (len(xq), k, k), after a stack's rules axis.  Read off `gram_rows`
+        by `_read_gram`, with the head samples taken from `fvals`; no point need be a panel
+        edge, and a point's Gram depends on that point alone."""
+        r = self.rule
+        edges = r.u_edges.reshape(-1, r.n_panels + 1)                       # one row per rule
+        rows = self.gram_rows()
+        f = self.fvals.reshape(len(edges), -1, r.n_panels, r.q)
+        out = _read_gram(rows.reshape(-1, rows.shape[-1]), np.arange(len(edges)) * (r.n_panels + 1),
+                         edges, r.panel, np.asarray(xq, dtype=float), lambda i, p, x: f[i, :, p])
+        return out.reshape(r.u_edges.shape[:-1] + out.shape[1:])
+
+    def cross_cumulative(self, xq) -> np.ndarray:
+        """int_0^{xq} f_a F_b dx at each point of a 1-D `xq`, shaped as `truncated_gram`: the skew
+        Gram plus its symmetric part (1/2) F_a(xq) F_b(xq)."""
+        F = np.moveaxis(self.rule.cum_at(self.fvals, xq), -1, -2)
+        return self.truncated_gram(xq) + 0.5 * F[..., :, None] * F[..., None, :]
 
     def at_nodes(self) -> np.ndarray:
         """eps(f) at the rule nodes, shaped like `fvals`."""
@@ -373,3 +378,68 @@ class EpsilonTransform:
         F -= 0.5 * (self.total if np.ndim(xq) == 0 else self.total[..., None])
         F *= 2.0 * KAPPA_EPSILON
         return F
+
+
+@cache
+def _upper(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of a k x k matrix, the order of a
+    Gram table row (`EpsilonTransform.gram_rows`), built once per k and read-only."""
+    upper = np.triu_indices(k, 1)
+    for a in upper:
+        a.setflags(write=False)
+    return upper
+
+
+def _read_gram(rows, start, edges, panel: ReferencePanel, xq, sample) -> np.ndarray:
+    """Truncated skew Grams of k functions on each of a set of rules at each point of a 1-D xq,
+    read off their z-free `EpsilonTransform.gram_rows`: (len(edges), len(xq), k, k).
+
+    Rule i's rows (`rows`, (n_rows, k (k + 1) / 2)) start at rows[start[i]], one per edge of
+    its own panels, the u-edges `edges[i]`; a stack's padding past them is never read.  The row
+    of the edge lo below a point gives the Gram up to lo, and F_lo.  The piece of the point's
+    own panel from lo up to it is du^2 g K g^T + du (g m) F_lo^T, antisymmetrised, with du =
+    u(xq) - lo, g the panel's samples of 2 u f and K, m the reference `head` quotients at
+    v(xq); a point at or past the rule's top edge has no such piece.  `sample(i, p, x)` gives
+    the k functions at the q nodes x (n, q) of panel p (n,) of rule i (n,), shaped (n, k, q).
+    Each (rule, point) item is computed on its own, with the same small products whatever the
+    number of items, so its Gram depends on neither the other points nor the other rules of
+    the call.
+    """
+    q, k = panel.q, (math.isqrt(8 * rows.shape[-1] + 1) - 1) // 2
+    uq = np.sqrt(np.maximum(xq, 0.0))
+    own = np.array([e.searchsorted(e[-1]) for e in edges])     # a stack pads with zero-width panels
+    idx = np.minimum(np.array([e.searchsorted(uq, side="right") for e in edges]) - 1, own[:, None])
+    inside = idx < own[:, None]                                 # idx is own past the top edge
+    size = np.array([len(e) for e in edges])
+    p = np.minimum(idx, own[:, None] - 1) + (np.cumsum(size) - size)[:, None]
+    flat = np.concatenate(edges)
+    lo, hi = flat[p], flat[p + 1]
+    at = rows[(np.asarray(start)[:, None] + idx).ravel()]
+    out = np.zeros((len(at), k, k), dtype=rows.dtype)
+    a, c = _upper(k)
+    out[:, a, c] = at[:, :-k]
+    out[:, c, a] = -at[:, :-k]
+    sel = np.flatnonzero(inside)
+    if sel.size:        # the piece of each point's panel from its lower edge lo up to the point
+        i, j = np.divmod(sel, len(uq))
+        lo, hi = lo.ravel()[sel], hi.ravel()[sel]
+        du = (uq[j] - lo)[:, None, None]
+        v = np.minimum(2.0 * du[:, 0, 0] / (hi - lo) - 1.0, 1.0)
+        u = _map_panel(np.stack((lo, hi), -1), panel)[0]                      # the panel's nodes
+        g = sample(i, idx.ravel()[sel], u * u)
+        g *= 2.0 * u[:, None, :]
+        head = (np.cos(np.arange(2 * q - 1) * np.arccos(v)[:, None])[:, None]   # Chebyshev T_l(v)
+                @ panel.head.reshape(2 * q - 1, -1)).reshape(-1, q, q + 1)
+        gh = np.concatenate((g.real, g.imag), 1) if np.iscomplexobj(g) else g   # one real product
+        gh = gh @ head
+        del head
+        if np.iscomplexobj(g):
+            gh = gh[:, :k] + 1j * gh[:, k:]
+        H = gh[..., :q] @ np.swapaxes(g, 1, 2)
+        H *= du
+        H += gh[..., q:] * at[sel, None, -k:]
+        H *= du
+        H = H - np.swapaxes(H, 1, 2)
+        H *= 0.5
+        out[sel] += H
+    return out.reshape(len(edges), len(uq), k, k)

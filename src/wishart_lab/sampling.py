@@ -5,7 +5,7 @@ so a seed fully determines every stream on every platform; Gaussian and
 chi-square draws go through the generator's deterministic transforms, never
 OS entropy.  Sampling is chunked for memory only: each chunk draws its rows
 in order, one variate after another, so a stream does not depend on the
-chunk size.
+chunk size, which is set in bytes (_CHUNK per array of a chunk).
 
 The group-integral oracles follow two sign conventions deliberately: the
 sphere representation of the eigenvalue j.p.d.f. carries e^{+ M tau_tilde
@@ -37,7 +37,8 @@ __all__ = [
     "haar_unitary_integral",
 ]
 
-_CHUNK = 20_000
+#: bytes one array of a chunk's rows may take
+_CHUNK = 2**20
 
 
 @dataclass(frozen=True)
@@ -54,13 +55,15 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _chunked(n: int, draw) -> np.ndarray:
-    """Concatenate draw(m) over consecutive chunks of m <= _CHUNK rows, n rows in all.
+def _chunked(n: int, draw, row_bytes: int) -> np.ndarray:
+    """Concatenate draw(m) over consecutive chunks of m rows, n rows in all, each chunk at
+    most _CHUNK bytes per array of row_bytes per row (one row at least).
 
     Chunks are drawn in order, so the stream consumed depends on n only;
     each chunk's intermediates are freed before the next one is drawn.
     """
-    return np.concatenate([draw(min(_CHUNK, n - start)) for start in range(0, n, _CHUNK)])
+    m = max(1, _CHUNK // row_bytes)
+    return np.concatenate([draw(min(m, n - start)) for start in range(0, n, m)])
 
 
 def _bidiagonal_gram(c: np.ndarray) -> np.ndarray:
@@ -88,32 +91,38 @@ def _bidiagonal_max_eig(c: np.ndarray) -> np.ndarray:
     onto the largest root (Parlett, Math. Comp. 18 (1964); Li & Zeng, SIAM J.
     Sci. Comput. 15 (1994)); each costs O(N) vector operations over the chunk
     (_laguerre_step).  A lane stops once its step is at most 4e-16 lam, or is
-    not finite (lam sits on a root, so some pivot is 0), and drops out of the
-    arrays; a lane still moving after _LAGUERRE_STEPS steps raises
-    FloatingPointError.
+    not finite (lam sits on a root, so some pivot is 0); stopped lanes drop out
+    of the arrays once they are half of them.  A lane still moving after
+    _LAGUERRE_STEPS steps raises FloatingPointError.
     """
     n = (c.shape[1] + 1) // 2
     sq = np.square(c.T, order="C")          # rows a_k^2, then b_k^2
     f = sq[:n - 1] * sq[n:]
-    d = sq[:n]
-    d[1:] += sq[n:]
+    d = np.empty_like(sq[:n])
+    d[0] = sq[0]
+    np.add(sq[1:n], sq[n:], out=d[1:])
+    del sq
     lam = _gershgorin_top(d, np.sqrt(f))
     out = np.empty_like(lam)
-    live = np.arange(lam.size)
+    live, active = np.arange(lam.size), np.ones(lam.size, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(_LAGUERRE_STEPS):
             step = _laguerre_step(d, f, lam)
             moving = np.isfinite(step)
-            lam[moving] -= step[moving]
-            moving &= np.abs(step) > 4e-16 * lam
-            if moving.all():
+            lam -= np.where(moving, step, 0.0)
+            moving &= active & (np.abs(step) > 4e-16 * lam)
+            if np.array_equal(moving, active):
                 continue
-            out[live[~moving]] = lam[~moving]
-            if not moving.any():
+            stopped = active & ~moving
+            out[live[stopped]] = lam[stopped]
+            active = moving
+            if not active.any():
                 return out
-            live, lam, d, f = live[moving], lam[moving], d[:, moving], f[:, moving]
-    raise FloatingPointError(f"Laguerre iteration left {live.size} of {out.size} largest "
-                             f"eigenvalues unconverged after {_LAGUERRE_STEPS} steps")
+            if 2 * np.count_nonzero(active) <= active.size:     # compact once half have stopped
+                live, lam, d, f = live[active], lam[active], d[:, active], f[:, active]
+                active = np.ones(lam.size, dtype=bool)
+    raise FloatingPointError(f"Laguerre iteration left {np.count_nonzero(active)} of {out.size} "
+                             f"largest eigenvalues unconverged after {_LAGUERRE_STEPS} steps")
 
 
 def _gershgorin_top(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -146,8 +155,9 @@ def _laguerre_step(d: np.ndarray, f: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return n / (G + np.copysign(np.sqrt((n - 1) * np.maximum(n * H - G * G, 0.0)), G))
 
 
-def _sample_bidiagonal(cfg: McConfig, solve) -> np.ndarray:
-    """solve(c) over chunks of the bidiagonal model's chi variates, one row of c per sample.
+def _sample_bidiagonal(cfg: McConfig, solve, row_bytes: int) -> np.ndarray:
+    """solve(c) over chunks of the bidiagonal model's chi variates, one row of c per sample,
+    each chunk sized for row_bytes per sample in solve's largest array (`_chunked`).
 
     Each row holds B's diagonal sqrt(1 + tau) chi_M, chi_{M-1}, ...,
     chi_{M-N+1} and subdiagonal chi_{N-1}, ..., chi_1, all over sqrt(M).
@@ -157,11 +167,13 @@ def _sample_bidiagonal(cfg: McConfig, solve) -> np.ndarray:
     df = np.r_[np.arange(p.M, p.M - p.N, -1), np.arange(p.N - 1, 0, -1)]
 
     def draw(m):
-        c = np.sqrt(rng.chisquare(df, size=(m, df.size)) / p.M)
+        c = rng.chisquare(df, size=(m, df.size))
+        c /= p.M
+        np.sqrt(c, out=c)
         c[:, 0] *= math.sqrt(1.0 + p.tau)
         return solve(c)
 
-    return _chunked(cfg.n_samples, draw)
+    return _chunked(cfg.n_samples, draw, row_bytes)
 
 
 def sample_wishart_all_eigs(cfg: McConfig) -> np.ndarray:
@@ -173,7 +185,8 @@ def sample_wishart_all_eigs(cfg: McConfig) -> np.ndarray:
     sqrt(1 + tau) chi_M, chi_{M-1}, ..., chi_{M-N+1}, subdiagonal chi_{N-1},
     ..., chi_1 (Dumitriu & Edelman, J. Math. Phys. 43 (2002), plus the spike).
     """
-    return _sample_bidiagonal(cfg, lambda c: np.linalg.eigvalsh(_bidiagonal_gram(c)))
+    return _sample_bidiagonal(cfg, lambda c: np.linalg.eigvalsh(_bidiagonal_gram(c)),
+                              8 * cfg.params.N ** 2)
 
 
 def sample_wishart_max_eig(cfg: McConfig) -> np.ndarray:
@@ -183,7 +196,7 @@ def sample_wishart_max_eig(cfg: McConfig) -> np.ndarray:
     It uses the same chi variates as sample_wishart_all_eigs and agrees with
     its last column to about 1e-15 relative.
     """
-    return _sample_bidiagonal(cfg, _bidiagonal_max_eig)
+    return _sample_bidiagonal(cfg, _bidiagonal_max_eig, 8 * (2 * cfg.params.N - 1))
 
 
 def haar_orthogonal(rng: np.random.Generator, n: int, count: int = 1) -> np.ndarray:
@@ -224,7 +237,7 @@ def sphere_integral_oracle(cfg: McConfig, lambdas) -> tuple[float, float]:
         u2 = g**2 / np.sum(g**2, axis=1, keepdims=True)
         return np.exp(p.M * p.tau_tilde * (u2 @ lambdas))
 
-    vals = _chunked(cfg.n_samples, draw)
+    vals = _chunked(cfg.n_samples, draw, 8 * p.N)
     mean = float(np.mean(vals)) * pref
     se = float(np.std(vals, ddof=1) / math.sqrt(cfg.n_samples)) * pref
     return mean, se
@@ -271,5 +284,5 @@ def _haar_integral(haar, cfg: McConfig, x_eigs, y: float,
         col = np.abs(haar(rng, x_eigs.size, m)[:, :, -1]) ** 2
         return np.exp(-M * y * (col @ x_eigs))
 
-    vals = _chunked(cfg.n_samples, draw)
+    vals = _chunked(cfg.n_samples, draw, 16 * x_eigs.size ** 2)
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(cfg.n_samples))

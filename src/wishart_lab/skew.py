@@ -7,9 +7,10 @@ The skew product at fixed contour variable t (optionally truncated to
 
 and collapses to a single integral of running integrals: with F, G the
 integrals of f w, g w from 0, <f, g>_1 = (1/2) int_0^z (f w G - g w F).
-`skew_gram` is the one place that forms these products: the epsilon
-transform's `cross_cumulative` of every sampled f w at each z, then
-0.5 * (raw - raw^T), so <f, f>_1 = 0 exactly.
+`skew_gram` forms these products for sampled f w: the epsilon transform's
+`truncated_gram`, read off its z-free table of antisymmetrised running sums
+(`EpsilonTransform.gram_rows`), so <f, f>_1 = 0 exactly.  The CDF engine
+keeps that table per contour node and reads it through the same code.
 
 The companion form <f, g>_2 = int f g w0 is the plain Laguerre pairing.
 The two are linked by the integration-by-parts identity
@@ -75,8 +76,12 @@ def rule_for_t(params: ModelParams, t: complex, n_panels: int = 24, q: int = 16)
     peaks at x = Re t / tau_tilde with width |Im t| / tau_tilde; panels
     cluster there down to that width (never finer, so no sample sits closer
     to the peak than its own scale).  Every panel is a copy of the process's
-    one q-point reference panel (`half_line_rule`).
+    one q-point reference panel (`half_line_rule`).  t must be one complex number
+    (ConfigError otherwise): a 1-D t needs a stacked rule, one per t (`HalfLineRule.stack`).
     """
+    if np.ndim(t):
+        raise ConfigError(f"rule_for_t takes one t, got shape {np.shape(t)}: "
+                          "a 1-D t needs a stacked rule, one per t (HalfLineRule.stack)")
     xmax = default_xmax(params)
     tt = params.tau_tilde
     refine_x = refine_width = None
@@ -90,13 +95,20 @@ def skew_gram(rule: HalfLineRule, phi, z=math.inf) -> tuple[np.ndarray, EpsilonT
     """Skew Gram (1/2) int_0^z (phi_a F_b - phi_b F_a) of sampled functions phi_a
     (rows of `phi`), F_a their running integrals, shaped (k, k) for a scalar z and
     (len(z), k, k) for a 1-D z (after a stack's rules axis), z = inf the full Gram.  Read
-    off `EpsilonTransform.cross_cumulative`, so no z need be a panel edge and a z's
+    off `EpsilonTransform.truncated_gram`, so no z need be a panel edge and a z's
     Gram depends on that z alone.  Also returns the epsilon transform."""
     zs = np.nan_to_num(np.asarray(z, dtype=float), nan=-np.inf)   # [0, NaN] is empty
     eps = EpsilonTransform(rule, phi)
-    raw = eps.cross_cumulative(zs.ravel())
-    gram = 0.5 * (raw - np.swapaxes(raw, -1, -2))
+    gram = eps.truncated_gram(zs.ravel())
     return gram.reshape(gram.shape[:-3] + zs.shape + gram.shape[-2:]), eps
+
+
+def _weighted_laguerre(params: ModelParams, t, x, kmax: int) -> np.ndarray:
+    """L_0 .. L_kmax times w(x; t) at points x (..., n), one t per row of x: (..., kmax + 1, n).
+    The one sampler of the truncated Grams' functions, on a whole rule or on one panel's nodes."""
+    wv = weight_w(params, t[..., None] if np.ndim(t) else t, x)
+    lag = build_basis(params, max(kmax, params.N + 2)).eval_all(x)[: kmax + 1]
+    return np.swapaxes(lag, 0, -2) * wv[..., None, :]
 
 
 @dataclass
@@ -124,13 +136,10 @@ class SkewProductTable:
               z: float = math.inf, rule: HalfLineRule | None = None) -> "SkewProductTable":
         if kmax is None:
             kmax = params.N + 1
-        basis = build_basis(params, max(kmax, params.N + 2))
         t = t.astype(complex) if isinstance(t, np.ndarray) else complex(t)
         rule = rule_for_t(params, t) if rule is None else rule
-        wv = weight_w(params, t[:, None] if np.ndim(t) else t, rule.x)
-        lag = np.swapaxes(basis.eval_all(rule.x)[: kmax + 1], 0, -2)
-        entries, eps = skew_gram(rule, lag * wv[..., None, :], z)
-        return cls(params, t, z, basis, rule, entries, eps)
+        entries, eps = skew_gram(rule, _weighted_laguerre(params, t, rule.x, kmax), z)
+        return cls(params, t, z, build_basis(params, max(kmax, params.N + 2)), rule, entries, eps)
 
     @property
     def kmax(self) -> int:

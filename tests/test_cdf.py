@@ -383,6 +383,11 @@ class TestTruncatedMomentMatrix:
             raw = (phi * rule.w) @ EpsilonTransform(rule, phi).at_nodes().T
             assert np.max(np.abs(0.5 * (raw - raw.T) - m)) <= 1e-12 * np.max(np.abs(m))
 
+    def test_a_1d_t_without_a_stacked_rule_is_a_config_error(self, p48):
+        # the default rule adapts to one t; it was a raw ValueError from comparing an array
+        with pytest.raises(ConfigError, match="stacked rule"):
+            truncated_moment_matrix(p48, np.array([2 + 1j, 1 + 1j]), 3.0)
+
     def test_past_xmax_is_the_full_gram(self, p48):
         full = SkewProductTable.build(p48, self.T, kmax=p48.N - 1).entries
         xmax = default_xmax(p48)
@@ -410,56 +415,47 @@ class TestCdfGrid:
         assert engine.cdf_grid([]) == []
 
     def test_anchor_computed_once(self, p48, monkeypatch):
-        calls = []
-
-        # one stack per block of upper-half nodes, and on the anchor pass the
-        # full half-line Gram G0 of the exact normaliser (scalar t = 1, z = inf)
-        def spy(params, t, z, **kw):
-            calls.append((np.atleast_1d(t).tolist(), np.size(z)))
-            return truncated_moment_matrix(params, t, z, **kw)
-
-        monkeypatch.setattr(cdf_module, "truncated_moment_matrix", spy)
+        # the first Pfaffian pass builds the z-free table, one stacked rule per build block
+        # and every upper node once, and takes G0 of the exact normaliser (scalar t = 1,
+        # z = inf); later passes on either route reuse the table, the anchor and G0
+        stacks, g0 = [], []
+        stack, tmm = HalfLineRule.stack.__func__, cdf_module.truncated_moment_matrix
+        monkeypatch.setattr(HalfLineRule, "stack", classmethod(
+            lambda cls, xmax, edges, q: stacks.append(len(edges)) or stack(cls, xmax, edges, q)))
+        monkeypatch.setattr(cdf_module, "truncated_moment_matrix",
+                            lambda params, t, z, **kw: g0.append((t, z)) or tmm(params, t, z, **kw))
         eng = CdfEngine(p48)
-        upper = sorted(eng.contour.nodes[:eng.contour.node_count // 2].tolist(), key=np.angle)
-
-        def nodes_and_sizes(block_calls):   # every upper node once, and the z sizes
-            return (sorted((t for ts, _ in block_calls for t in ts), key=np.angle),
-                    {size for _, size in block_calls})
-
         eng.cdf_grid(self.ZS)
-        anchor = eng._anchors["pfaffian"]
-        assert calls[-1] == ([1.0], 1)
-        assert nodes_and_sizes(calls[:-1]) == (upper, {len(self.ZS) + 1})
-        calls.clear()
+        rows, anchor = eng._gram_table[0], eng._anchors["pfaffian"]
+        assert g0 == [(1.0, np.inf)]
+        assert stacks == [len(b) for b in eng._node_blocks()] and sum(stacks) == eng.contour.node_count // 2
+        stacks.clear()
         eng.cdf_grid(self.ZS)
+        assert stacks == []
         eng.cdf_grid(self.ZS, "fredholm")
-        assert nodes_and_sizes(calls) == (upper, {len(self.ZS)})
-        assert eng._anchors["pfaffian"] == anchor
+        assert eng._gram_table[0] is rows and eng._anchors["pfaffian"] == anchor and len(g0) == 1
 
     def test_each_distinct_z_evaluated_once(self, p48, monkeypatch):
-        # one truncated Gram stack and one batched Pfaffian per node block,
-        # over the distinct z only: the set-up call sees z_inf once, a grid's
-        # repeats (z_inf among them) are read back from their first evaluation
+        # each pass reads the table once per node block over the distinct z only, and takes
+        # one batched Pfaffian per block: the set-up call sees z_inf once, a grid's repeats
+        # (z_inf among them) are read back from their first evaluation
         seen, pf_calls = [], []
+        read, pf = cdf_module._read_gram, cdf_module.pfaffian
 
-        def gram_spy(params, t, z, **kw):
-            seen.append((np.size(t), np.atleast_1d(z).tolist()))
-            return truncated_moment_matrix(params, t, z, **kw)
+        def read_spy(rows, start, edges, panel, xq, sample):
+            seen.append((len(edges), np.asarray(xq).tolist()))
+            return read(rows, start, edges, panel, xq, sample)
 
-        def pf_spy(A):
-            pf_calls.append(np.shape(A))
-            return pfaffian(A)
-
-        monkeypatch.setattr(cdf_module, "truncated_moment_matrix", gram_spy)
-        monkeypatch.setattr(cdf_module, "pfaffian", pf_spy)
+        monkeypatch.setattr(cdf_module, "_read_gram", read_spy)
+        monkeypatch.setattr(cdf_module, "pfaffian", lambda A: pf_calls.append(np.shape(A)) or pf(A))
         eng = CdfEngine(p48)
         n = eng.contour.node_count // 2
         eng.cdf(eng.z_inf)
         # the anchor pass also takes G0's Pfaffian, once per engine
-        assert seen[-1] == (1, [np.inf]) and pf_calls[-1] == (p48.N, p48.N)
-        assert {tuple(z) for _, z in seen[:-1]} == {(eng.z_inf,)}
-        assert [b for b, _ in seen[:-1]] == [s[0] for s in pf_calls[:-1]]
-        assert sum(b for b, _ in seen[:-1]) == n
+        assert pf_calls[-1] == (p48.N, p48.N)
+        assert {tuple(z) for _, z in seen} == {(eng.z_inf,)}
+        assert [b for b, _ in seen] == [s[0] for s in pf_calls[:-1]]
+        assert sum(b for b, _ in seen) == n
         assert {s[1:] for s in pf_calls[:-1]} == {(1, p48.N, p48.N)}
         seen.clear()
         pf_calls.clear()
@@ -472,17 +468,38 @@ class TestCdfGrid:
         assert [r.z for r in res] == grid and res[0] != res[1]
         assert res[3].value == pytest.approx(1.0, abs=1e-9)
 
+    def test_a_later_pass_samples_no_whole_rule(self, p48, monkeypatch):
+        # the table holds all a pass needs of the node rules: after the first pass no
+        # cumulative table is formed, and L_j w is taken only on the q nodes of z's panels
+        cums, sampled = [], []
+        cum, lw = HalfLineRule.cumulative, cdf_module._weighted_laguerre
+        monkeypatch.setattr(HalfLineRule, "cumulative",
+                            lambda self, f: cums.append(np.shape(f)) or cum(self, f))
+        monkeypatch.setattr(cdf_module, "_weighted_laguerre",
+                            lambda params, t, x, kmax: sampled.append(np.shape(x)) or lw(params, t, x, kmax))
+        eng = CdfEngine(p48)
+        eng.cdf(eng.z_inf)
+        assert len(cums) == len(eng._node_blocks()) + 1        # the build blocks and G0
+        cums.clear()
+        sampled.clear()
+        eng.cdf_grid(list(np.linspace(1.0, 6.0, 48)))
+        assert cums == [] and len(sampled) == len(eng._node_blocks(48))
+        assert {s[-1] for s in sampled} == {eng.q}
+
     def test_fredholm_point_equals_its_value_inside_a_grid(self, p48):
         # a fresh engine's cdf(z) is bitwise the same z of the fredholm-n4 grid
         grid = [2.0, 3.0, 4.0, 5.0]
         res = CdfEngine(p48).cdf_grid(grid, "fredholm")
         assert [CdfEngine(p48).cdf(z, "fredholm") for z in grid] == res
 
-    def test_pfaffian_point_equals_its_value_inside_a_grid(self, p48):
-        # a z's truncated Grams do not depend on the other z of the call, and
-        # the contour sum adds each column in the same order
+    def test_pfaffian_point_equals_its_value_inside_a_grid(self, p48, monkeypatch):
+        # a z's truncated Grams do not depend on the other z of the call, nor on the
+        # blocks of the table build and the pass, and the contour sum adds each column
+        # in the same order
         grid = [1.0, 2.0, 3.0, 6.0]
         res = CdfEngine(p48).cdf_grid(grid)
+        assert [CdfEngine(p48).cdf(z) for z in grid] == res
+        monkeypatch.setattr(cdf_module, "BLOCK_BYTES", 1)
         assert [CdfEngine(p48).cdf(z) for z in grid] == res
         eng = CdfEngine(p48)
         eng.cdf(eng.z_inf)
@@ -689,6 +706,41 @@ class TestCdfGrid:
             tracemalloc.stop()
         assert held <= 5.5e6
 
+    def test_pfaffian_grid_pass_memory(self, p48):
+        # tracemalloc peak of one 48-z Pfaffian pass on a set-up engine, the held table
+        # included (2.94 MB): about 2.5 MB of (node, z) pairs per block, over a 0.3 MB table.
+        # The pass that formed every node's samples, cumulative table and per-panel blocks
+        # on each call peaked at 2.17 MB here.  A first pass warms the caches that outlive
+        # an engine.
+        CdfEngine(p48).cdf_grid(np.linspace(1.0, 6.0, 48))
+        tracemalloc.start()
+        try:
+            eng = CdfEngine(p48)
+            eng.cdf(eng.z_inf)
+            tracemalloc.reset_peak()
+            eng.cdf_grid(np.linspace(1.0, 6.0, 48))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2e6
+
+    def test_pfaffian_set_up_memory(self):
+        # tracemalloc bytes a fresh (16, 64, 1) engine holds after its Pfaffian set-up: the
+        # z-free table, 2,178 rows of 136 complex numbers (4.7 MB), beside the node edges.
+        # A first engine warms the caches that outlive an engine.
+        p = ModelParams(16, 64, 1.0)
+        CdfEngine(p).cdf(2.5)
+        tracemalloc.start()
+        try:
+            eng = CdfEngine(p)
+            eng.cdf(eng.z_inf)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        rows, _ = eng._gram_table
+        assert rows.shape == (sum(map(len, eng._edges)), 136)
+        assert held <= 5.5e6
+
     def test_cancellation_digits(self, p48, engine):
         c = engine.contour
         pf = np.array([pfaffian(truncated_moment_matrix(p48, t, 2.0)) for t in c.nodes])
@@ -699,29 +751,36 @@ class TestCdfGrid:
 
 
 class TestNodeBlocks:
-    """The Pfaffian route's block pass against the one-node path, bit for bit."""
+    """The Pfaffian route's table and block pass against the one-node path, bit for bit."""
 
     @staticmethod
     def per_node(eng, zs):
         p, h = eng.params, eng.contour.node_count // 2
-        return np.array([pfaffian(truncated_moment_matrix(p, t, zs))
-                         for t in eng.contour.nodes[:h]])
+        return np.array([truncated_moment_matrix(p, t, zs) for t in eng.contour.nodes[:h]])
 
     @pytest.mark.parametrize("params,zs", [((4, 8, 1.0), [1.0, 2.5, 6.0]),
                                            ((8, 32, 1.0), [1.55, 2.25]),
                                            ((16, 64, 1.0), [1.9, 2.62, 3.1])])
-    def test_block_pfaffians_are_the_per_node_pfaffians(self, params, zs):
-        eng = CdfEngine(ModelParams(*params))
-        zs = np.array(zs + [eng.z_inf])
-        assert np.array_equal(eng._node_values(zs, "pfaffian")[0], self.per_node(eng, zs))
+    def test_block_pfaffians_are_the_per_node_pfaffians(self, params, zs, monkeypatch):
+        # whatever the budget, which cuts both the table build and the pass into blocks,
+        # the engine's Grams are bitwise each node's own truncated_moment_matrix, and so
+        # are its Pfaffians
+        p = ModelParams(*params)
+        zs = np.array(zs + [CdfEngine(p).z_inf])
+        want = self.per_node(CdfEngine(p), zs)
+        for budget in (1, cdf_module.BLOCK_BYTES, 2**40):
+            monkeypatch.setattr(cdf_module, "BLOCK_BYTES", budget)
+            eng = CdfEngine(p)
+            for nodes in eng._node_blocks(len(zs)):
+                assert np.array_equal(eng._grams(nodes, zs), want[nodes])
+            assert np.array_equal(eng._node_values(zs, "pfaffian")[0], pfaffian(want))
 
     def test_block_edges_and_padding_do_not_leak(self, monkeypatch):
-        # one block of every node, padded to the most panels, and one block per
-        # node: z past xmax, and z inside a short rule's last panel, which sits
-        # right below that rule's padding
+        # one block of every node, padded to the most panels, and one block per node, for
+        # the table build and for the pass: z past xmax, and z inside a short rule's last
+        # panel, which sits right below that rule's padding
         p = ModelParams(16, 64, 1.0)
         eng = CdfEngine(p)
-        eng.cdf(eng.z_inf)
         counts = [len(e) - 1 for e in eng._edges]
         short = eng._edges[int(np.argmin(counts))]
         assert min(counts) < max(counts)
@@ -731,20 +790,34 @@ class TestNodeBlocks:
         values = {}
         for budget in (1, 2**40):
             monkeypatch.setattr(cdf_module, "BLOCK_BYTES", budget)
-            blocks = eng._node_blocks(len(zs))
-            assert len(blocks) == (len(counts) if budget == 1 else 1)
+            eng = CdfEngine(p)
+            for blocks in (eng._node_blocks(), eng._node_blocks(len(zs))):
+                assert len(blocks) == (len(counts) if budget == 1 else 1)
             values[budget] = eng._node_values(zs, "pfaffian")[0]
         assert np.array_equal(values[1], values[2**40])
-        assert np.array_equal(values[1], self.per_node(eng, zs))
+        assert np.array_equal(values[1], pfaffian(self.per_node(eng, zs)))
+
+    def test_table_rows_are_each_nodes_own_gram_rows(self, p48):
+        # the table keeps each node's own panel edges only, no padding: bitwise the
+        # gram_rows of the node's own rule and samples, and one row per edge
+        eng = CdfEngine(p48)
+        rows, start = eng._gram_table
+        assert len(rows) == sum(map(len, eng._edges)) and rows.shape[1] == p48.N * (p48.N + 1) // 2
+        for i in (0, len(eng._edges) // 2, len(eng._edges) - 1):
+            own = SkewProductTable.build(p48, eng.contour.nodes[i], kmax=p48.N - 1).eps.gram_rows()
+            assert np.array_equal(rows[start[i]:start[i] + len(eng._edges[i])], own)
 
     def test_blocks_cover_every_node_once(self, p48):
         eng = CdfEngine(p48)
         eng.cdf(eng.z_inf)
-        sparse, dense = eng._node_blocks(1), eng._node_blocks(48)
-        for blocks in (sparse, dense):
+        build, sparse, dense = eng._node_blocks(), eng._node_blocks(1), eng._node_blocks(48)
+        for blocks in (build, sparse, dense):
             assert sorted(np.concatenate(blocks).tolist()) == list(range(len(eng._edges)))
-        # a dense grid's head tables make for smaller blocks
+        # a pass counts its (node, z) pairs, so a dense grid makes for smaller blocks
         assert len(dense) > len(sparse)
+        # and the nodes past a block's first stay below the budget
+        pair = cdf_module._pair_bytes(p48.N, eng.q)
+        assert all((len(b) - 1) * 48 * pair < cdf_module.BLOCK_BYTES for b in dense)
         # the Fredholm route's blocks follow its walk, in node order, and hold
         # about BLOCK_BYTES each of their nodes' peaks at as many Nystrom points
         # as rule nodes: the nodes past a block's first stay below it, and a

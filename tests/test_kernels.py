@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from wishart_lab import (CdCorrectedKernel, CdfEngine, DegenerateSkewProductError, KernelBundle,
+from wishart_lab import (CdCorrectedKernel, CdfEngine, ConfigError, DegenerateSkewProductError, KernelBundle,
                          ModelParams, build_basis, check_multi_orthogonality,
                          correction_matrix, weight_w)
 from wishart_lab.quadrature import EpsilonTransform, HalfLineRule
@@ -197,6 +197,12 @@ class TestStackedBundle:
         assert t0 == pytest.approx(0.8748317527 + 0.0152089349j, abs=1e-9)
         with pytest.raises(DegenerateSkewProductError, match=re.escape(f"t={t0} ")):
             eng.cdf(eng.z_inf, "fredholm")
+
+
+    def test_a_1d_t_without_a_stacked_rule_is_a_config_error(self, p48):
+        # the default rule adapts to one t; it was a raw ValueError from comparing an array
+        with pytest.raises(ConfigError, match="stacked rule"):
+            KernelBundle.build(p48, np.array([2 + 1j, 1 + 1j]))
 
 
 class TestCdCorrected:

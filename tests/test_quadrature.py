@@ -137,9 +137,9 @@ def test_stacked_samples_match_row_by_row(rule):
 @pytest.mark.parametrize("counts", [(7, 13), (11, 14), (15, 24, 19)])
 def test_stacked_rules_match_rule_by_rule(counts):
     """A stack of rules on different edges, padded to the most panels, gives each
-    rule's own cumulative, cumulative at points and truncated cross cumulative bit
-    for bit.  The samples do not decay, so the top panels, which padding would
-    regroup, count."""
+    rule's own cumulative, cumulative at points, z-free Gram table (padding rows
+    repeating the top one) and truncated cross cumulative bit for bit.  The samples do
+    not decay, so the top panels, which padding would regroup, count."""
     panel, rng = reference_panel(8), np.random.default_rng(11)
     edges = [np.sqrt(6.0) * np.linspace(0.0, 1.0, n + 1) ** 1.5 for n in counts]
     rules = [quadrature.HalfLineRule(6.0, e, u * u, 2.0 * u * w_u, panel)
@@ -149,6 +149,7 @@ def test_stacked_rules_match_rule_by_rule(counts):
     n = stack.n_nodes
     f = rng.normal(size=(len(counts), 3, n)) + 1j * rng.normal(size=(len(counts), 3, n))
     cum, cross = stack.cumulative(f), EpsilonTransform(stack, f).cross_cumulative(xq)
+    rows = EpsilonTransform(stack, f).gram_rows()
     at, at_one = stack.cum_at(f, xq), stack.cum_at(f, 6.0)
     assert at.shape == (len(counts), 3, len(xq)) and at_one.shape == (len(counts), 3)
     for i, r in enumerate(rules):
@@ -157,6 +158,8 @@ def test_stacked_rules_match_rule_by_rule(counts):
         assert np.array_equal(cum[i, :, :r.n_nodes], r.cumulative(own))
         assert np.array_equal(at[i], r.cum_at(own, xq)) and np.array_equal(at_one[i], r.cum_at(own, 6.0))
         assert np.array_equal(cross[i], EpsilonTransform(r, own).cross_cumulative(xq))
+        assert np.array_equal(rows[i, :r.n_panels + 1], EpsilonTransform(r, own).gram_rows())
+        assert np.all(rows[i, r.n_panels:] == rows[i, r.n_panels])
 
 
 def fresh_build(rule):

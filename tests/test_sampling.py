@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,20 @@ class TestLaguerreMaxEig:
         ref = sample_wishart_max_eig(cfg)
         monkeypatch.setattr(sampling, "_CHUNK", 7)
         assert np.array_equal(sample_wishart_max_eig(cfg), ref)
+
+    def test_draw_memory_is_bounded_by_the_chunk_bytes(self):
+        # tracemalloc peak of 10^4 draws at (16, 64): chunks of at most _CHUNK bytes per
+        # array, divided and rooted in place, the squared transpose freed once d and f
+        # exist (3.22 MB); 20,000-row chunks holding 3.5 copies of the variates read 8.72 MB
+        cfg = McConfig(1, 10_000, ModelParams(16, 64, 1.0))
+        sample_wishart_max_eig(McConfig(1, 10, cfg.params))
+        tracemalloc.start()
+        try:
+            sample_wishart_max_eig(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6
 
     def test_makes_no_eigvalsh_call(self, monkeypatch):
         def refuse(a):
