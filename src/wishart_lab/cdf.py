@@ -53,12 +53,14 @@ e^Lambda sqrt(det(I - K chi)) is a real constant times Pf(Mtrunc).
 
 The Nystrom determinant.  K is discretised on n nodes of [z, xmax] (2n x 2n),
 the image z + (xmax - z) x~ of one reference rule on [0, 1], with eps taken
-by EpsilonTransform on that rule.  Apart from eps(x - y) every entry is a
-bilinear form in the N functions L_j w and eps(L_j w) through mu, so I - K
-is a unit-triangular matrix minus a rank-2N product.  Sylvester's identity
+by EpsilonTransform on that rule, both eps(x - y) and eps(L_j w) (the
+latter shifted by eps(L_j w)(z), read off the node rule).  Apart from
+eps(x - y) every entry is a bilinear form in the N functions L_j w and
+eps(L_j w) through mu, so I - K is a unit-triangular matrix minus a rank-2N
+product.  Sylvester's identity
 det(I_2n - U R) = det(I_2N - R U) (with the triangular factor moved across,
 see `fredholm_det`) takes the same Nystrom determinant as one 2N x 2N
-determinant per z, at O(n N (N + q) + N^3) per node and z in place of
+determinant per z, at O(n N (N + 20) + N^3) per node and z in place of
 O((2n)^3), and nothing keyed on z is cached.  The discretisation, and with
 it the route's independence from the Pfaffian route's skew tables, is unchanged.
 
@@ -71,9 +73,10 @@ complex numbers, so nodes x panels x N (N + 1) / 2 in all (4.7 MB at
 (16, 64, 1), 0.3 MB at (4, 8, 1)).  A pass then reads, per (node, z), the row
 below z and the piece of z's own panel, from L_j w on that panel's q nodes
 alone (`_read_gram`), and takes one batched Pfaffian per block.  A Fredholm
-block is one stacked KernelBundle; each pass samples its factors at the
-Nystrom points, which every node shares, and takes one batched determinant
-over (nodes x z), in z chunks within the budget.
+block is one stacked KernelBundle.  Each pass reads eps(L_j w) off the node
+rule at the live z only, samples L_j w at the Nystrom points, which every
+node shares, takes eps there from the one transform on the Nystrom rule, and
+takes one batched determinant over (nodes x z), in z chunks within the budget.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ MAX_LOST_DIGITS, RANGE_TOL = 13.0, 1e-6
 
 #: the bytes budget of a block of contour nodes: on the Pfaffian route its complex samples
 #: (N x n_quad) while its table is built, then `_pair_bytes` per z of a pass; on the Fredholm
-#: route `_fredholm_bytes`
+#: route 80 N n_quad per node, and per z chunk of `fredholm_det` its Nystrom arrays
 BLOCK_BYTES = 2**19
 
 
@@ -165,14 +168,6 @@ def _pair_bytes(N: int, q: int) -> int:
     return 16 * N * (q + N)
 
 
-def _fredholm_bytes(N: int, n_quad, n_z, n: int):
-    """Bytes one t of a Fredholm block holds at its peak in `fredholm_det` for n_z values
-    of z: the Legendre coefficients of its N samples on an n_quad-node rule (`cum_at`),
-    twice while they are formed, then once beside about four N x n complex Nystrom
-    arrays per z (the factors, the terms being summed and the transform)."""
-    return 16 * N * np.maximum(2 * n_quad, n_quad + 4 * n_z * n)
-
-
 @functools.cache
 def _nystrom_rule(n_panels: int) -> HalfLineRule:
     """The reference Nystrom rule on [0, 1] (20-node panels); [z, xmax] takes z + (xmax - z) x."""
@@ -199,41 +194,49 @@ def fredholm_det(bundle: KernelBundle, z, n_nystrom: int | None = None):
         Q = [[-mu P - 2 kappa mu Y, 2 kappa mu X], [-mu P + mu^T Y, -mu^T X]]
 
     with P = E W Phi^T, X = P^T and Y = Phi W eps(Phi)^T, Eps never formed.
-    A (t, z) pair then costs O(n N (N + q)) plus O(N^3), in place of
-    O((2n)^3), and nothing of size n^2 is allocated.  z past the quadrature
-    horizon gives 1; n_nystrom (default_n_nystrom(bundle.params)) is whole
-    20-node panels, >= 2.  The z are taken in chunks that keep the bundle's
-    Nystrom arrays within BLOCK_BYTES (`_fredholm_bytes`); each chunk samples
-    the factors once for every t and z, takes one transform and one batched
-    2N x 2N determinant.  A z's value does not depend on the other z.
+    E comes from the same transform as Y: E = eps(Phi) + c with c = eps(L_j w)(z)
+    + kappa S and S = Phi W 1, so P = Y^T + c S^T.  eps(L_j w)(z) is read off the
+    bundle's own transform, once per call for every z; no Nystrom point is.
+    A (t, z) pair then costs O(n N (N + 20)) plus O(N^3), in place of
+    O((2n)^3), and nothing of size n^2 is allocated.  Each z must be a finite
+    real, not a boolean or a string (ConfigError); z < 0 gives the z = 0 value,
+    as K lives on [0, xmax], and z past the quadrature horizon gives 1.
+    n_nystrom (default_n_nystrom(bundle.params)) is whole 20-node panels, >= 2.
+    The z are taken in chunks whose Nystrom arrays, about four N x n complex per
+    (t, z), stay within BLOCK_BYTES; each chunk samples Phi once for every t and
+    z and takes one transform and one batched 2N x 2N determinant.  A z's value
+    does not depend on the other z.
     """
-    zs = np.asarray(z, dtype=float)
-    rule, lead, N = bundle.table.rule, np.shape(bundle.t), bundle.params.N
+    shape = np.shape(z)
+    zs = np.maximum([check_real("z", v) for v in np.asarray(z, dtype=object).ravel()], 0.0)
+    lead, N = np.shape(bundle.t), bundle.params.N
     out = np.ones(lead + (zs.size,), dtype=complex)
-    live = np.flatnonzero(zs.ravel() < rule.xmax)
+    live = np.flatnonzero(zs < bundle.table.rule.xmax)
     if live.size:
         n = default_n_nystrom(bundle.params) if n_nystrom is None else n_nystrom
         ref = _nystrom_rule(_nystrom_panels(n))
-        room = BLOCK_BYTES // math.prod(lead) - 16 * N * rule.n_nodes    # per t, beside its coefficients
-        chunk = max(1, room // _fredholm_bytes(N, 0, 1, n))
-        for part in np.array_split(live, -(-live.size // chunk)):
-            out[..., part] = _sylvester_det(bundle, ref, zs.ravel()[part, None])
-    out = out.reshape(lead + zs.shape)
+        eps_z = np.swapaxes(bundle.table.eps(zs[live])[..., :N, :], -1, -2)   # (..., live, N)
+        chunk = max(1, BLOCK_BYTES // (math.prod(lead) * 64 * N * n))
+        for part in np.array_split(np.arange(live.size), -(-live.size // chunk)):
+            out[..., live[part]] = _sylvester_det(bundle, ref, zs[live[part], None], eps_z[..., part, :])
+    out = out.reshape(lead + shape)
     return complex(out) if out.ndim == 0 else out
 
 
-def _sylvester_det(bundle: KernelBundle, ref: HalfLineRule, z: np.ndarray) -> np.ndarray:
-    """det(I_2N - Q) of `fredholm_det` at each z of a (nz, 1) chunk, after the bundle's t axis."""
+def _sylvester_det(bundle: KernelBundle, ref: HalfLineRule, z: np.ndarray, eps_z) -> np.ndarray:
+    """det(I_2N - Q) of `fredholm_det` at each z of a (nz, 1) chunk, after the bundle's t axis,
+    with eps_z the (..., nz, N) values eps(L_j w)(z)."""
     s = bundle.table.rule.xmax - z                                   # (nz, 1)
     x, w = z + s * ref.x, (s * ref.w)[:, None, :]
-    e = bundle.factor(x, True)                                       # (..., nz, N, n)
-    phi = bundle.factor(x, False)
-    P = (e * w) @ np.swapaxes(phi, -1, -2)
+    phi = bundle.factor(x, False)                                    # (..., nz, N, n)
+    eps = EpsilonTransform(ref, phi)
+    S = eps.total * s                                                # (..., nz, N)
+    e = eps.at_nodes()
+    e *= s[..., None]
+    del eps
+    Y = (phi * w) @ np.swapaxes(e, -1, -2)
+    P = np.swapaxes(Y, -1, -2) + (eps_z + KAPPA_EPSILON * S)[..., :, None] * S[..., None, :]
     X = np.swapaxes(P, -1, -2)
-    del e                                                            # before eps(Phi) is formed
-    eps = EpsilonTransform(ref, phi).at_nodes()
-    eps *= s[..., None]
-    Y = (phi * w) @ np.swapaxes(eps, -1, -2)
     mu, two_k, eye = bundle.mu[..., None, :, :], 2.0 * KAPPA_EPSILON, np.eye(bundle.params.N)
     mu_p, mu_t = mu @ P, np.swapaxes(mu, -1, -2)
     return np.linalg.det(np.block([[eye + mu_p + two_k * (mu @ Y), -two_k * (mu @ X)],
@@ -477,15 +480,15 @@ class CdfEngine:
         each node's complex samples (N x n_quad) when n_z is 0, for the table build, and
         otherwise n_z pairs of `_pair_bytes`, for a pass, so a dense z grid gets smaller
         blocks.  The Fredholm route takes them in index order, the order of its Lambda walk,
-        and counts each node's peak in `fredholm_det` for as many Nystrom points as its rule
-        has nodes (`_fredholm_bytes`), whatever n_z: a larger grid is split over z, not over nodes."""
+        and counts 80 N n_quad bytes per node whatever n_z: its complex samples (N x n_quad)
+        beside the four N x n complex Nystrom arrays of n_quad / n values of z.  A larger grid
+        is split over z in `fredholm_det`, not over nodes."""
         N, q, n_quad = self.params.N, self.q, np.array([len(e) - 1 for e in self._edges]) * self.q
         if route == "pfaffian":
             order = np.argsort(n_quad, kind="stable")
             used = np.full(len(n_quad), n_z * _pair_bytes(N, q)) if n_z else 16 * N * n_quad
         else:
-            n = self.n_nystrom
-            order, used = np.arange(len(n_quad)), _fredholm_bytes(N, n_quad, n_quad / n, n)
+            order, used = np.arange(len(n_quad)), 80 * N * n_quad
         used = np.cumsum(used[order])
         return np.split(order, np.flatnonzero(np.diff(used // BLOCK_BYTES)) + 1)
 

@@ -360,12 +360,6 @@ class EpsilonTransform:
                          edges, r.panel, np.asarray(xq, dtype=float), lambda i, p, x: f[i, :, p])
         return out.reshape(r.u_edges.shape[:-1] + out.shape[1:])
 
-    def cross_cumulative(self, xq) -> np.ndarray:
-        """int_0^{xq} f_a F_b dx at each point of a 1-D `xq`, shaped as `truncated_gram`: the skew
-        Gram plus its symmetric part (1/2) F_a(xq) F_b(xq)."""
-        F = np.moveaxis(self.rule.cum_at(self.fvals, xq), -1, -2)
-        return self.truncated_gram(xq) + 0.5 * F[..., :, None] * F[..., None, :]
-
     def at_nodes(self) -> np.ndarray:
         """eps(f) at the rule nodes, shaped like `fvals`."""
         out = self.cumulative - 0.5 * self.total[..., None]

@@ -120,6 +120,21 @@ class TestFredholmDet:
         with pytest.raises(ConfigError, match="n_nystrom"):
             CdfEngine(p48, n_nystrom=n)
 
+    @pytest.mark.parametrize("z", [float("nan"), float("inf"), True, "2"])
+    def test_z_must_be_a_finite_real(self, bundle, z):
+        # NaN used to give 1, and True, "2" the values at z = 1 and z = 2
+        with pytest.raises(ConfigError, match="z must be a finite real"):
+            fredholm_det(bundle, z)
+        with pytest.raises(ConfigError, match="z must be a finite real"):
+            fredholm_det(bundle, [2.0, z])
+
+    def test_negative_z_is_the_z_zero_value(self, bundle):
+        # K lives on [0, xmax]: [z, xmax] for z < 0 is all of it
+        at_zero = fredholm_det(bundle, 0.0)
+        assert fredholm_det(bundle, -1.0) == at_zero
+        assert np.array_equal(fredholm_det(bundle, [-1.0, 0.0, -0.0, 2.0]),
+                              [at_zero, at_zero, at_zero, fredholm_det(bundle, 2.0)])
+
     def test_stack_matches_scalar_calls_and_dense_assembly(self, bundle):
         # the dense 2n x 2n Nystrom matrix assembled from 1-D kernel calls
         zs = [2.0, 3.5, 6.0]
@@ -486,6 +501,25 @@ class TestCdfGrid:
         assert cums == [] and len(sampled) == len(eng._node_blocks(48))
         assert {s[-1] for s in sampled} == {eng.q}
 
+    def test_a_fredholm_pass_reads_the_node_rules_only_at_z(self, p48, monkeypatch):
+        # eps(L_j w) at the Nystrom points comes from the transform on the Nystrom rule:
+        # a pass queries each block's node rule once, at the grid's live z alone (the
+        # distinct z in (0, xmax); z_inf lies past xmax), never at a Nystrom point
+        calls, cum_at = [], HalfLineRule.cum_at
+
+        def cum_at_spy(rule, f, xq):
+            calls.append((rule, np.asarray(xq).tolist()))
+            return cum_at(rule, f, xq)
+
+        monkeypatch.setattr(HalfLineRule, "cum_at", cum_at_spy)
+        eng = CdfEngine(p48)
+        assert eng.z_inf > default_xmax(p48)
+        eng.cdf(eng.z_inf, "fredholm")
+        assert calls == []
+        eng.cdf_grid([3.0, 2.0, 3.0, eng.z_inf, -1.0, 5.0], "fredholm")
+        assert len(calls) == len(eng._bundles) > 1
+        assert all(r is b.table.rule and xq == [2.0, 3.0, 5.0] for (r, xq), b in zip(calls, eng._bundles))
+
     def test_fredholm_point_equals_its_value_inside_a_grid(self, p48):
         # a fresh engine's cdf(z) is bitwise the same z of the fredholm-n4 grid
         grid = [2.0, 3.0, 4.0, 5.0]
@@ -819,13 +853,12 @@ class TestNodeBlocks:
         pair = cdf_module._pair_bytes(p48.N, eng.q)
         assert all((len(b) - 1) * 48 * pair < cdf_module.BLOCK_BYTES for b in dense)
         # the Fredholm route's blocks follow its walk, in node order, and hold
-        # about BLOCK_BYTES each of their nodes' peaks at as many Nystrom points
-        # as rule nodes: the nodes past a block's first stay below it, and a
-        # block ends where the next node would pass it
+        # about BLOCK_BYTES each of 80 N n_quad bytes per node (its samples beside
+        # four N x n Nystrom arrays for n_quad / n values of z): the nodes past a
+        # block's first stay below it, and a block ends where the next node would pass it
         fredholm = eng._node_blocks(route="fredholm")
         assert np.array_equal(np.concatenate(fredholm), np.arange(len(eng._edges)))
-        n_quad, n = (np.array([len(e) for e in eng._edges]) - 1) * eng.q, eng.n_nystrom
-        peak = cdf_module._fredholm_bytes(p48.N, n_quad, n_quad / n, n)
+        peak = 80 * p48.N * (np.array([len(e) for e in eng._edges]) - 1) * eng.q
         assert all(1 < len(b) and peak[b[1:]].sum() < cdf_module.BLOCK_BYTES for b in fredholm)
         assert all(peak[b].sum() + peak[c[0]] > cdf_module.BLOCK_BYTES for b, c in zip(fredholm, fredholm[1:]))
 

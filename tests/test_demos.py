@@ -1,8 +1,5 @@
-"""The narrative demos run to completion against this checkout's src/.
-
-Demo 02 (about 7 s) is left out; the CDF routes it shows are covered by
-test_cdf and the acceptance suites.
-"""
+"""The narrative demos run to completion against this checkout's src/, each in
+about a second or less."""
 
 import os
 import subprocess
@@ -14,8 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_bulk_density.py", "03_kernel_structure.py",
-                                  "04_group_integrals.py"])
+@pytest.mark.parametrize("demo", ["01_bulk_density.py", "02_largest_eigenvalue_cdf.py",
+                                  "03_kernel_structure.py", "04_group_integrals.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

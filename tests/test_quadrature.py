@@ -63,21 +63,29 @@ class TestHalfLineRule:
 
 
 class TestEpsilonTransform:
-    def test_cross_cumulative_needs_no_panel_edge(self):
-        # int_{x0}^z f F with f = e^-x, F = e^-x0 - e^-x, at z inside panels,
-        # on a panel edge, at x0 and past the ends; each z's value is its own.
-        # The rule on [x0, 30] is x0 + half_line_rule(30 - x0), queried at z - x0.
+    def test_truncated_gram_and_cum_at_need_no_panel_edge(self):
+        # f_a = e^-x, f_b = e^-2x from x0: F_a = A - b and F_b = (A^2 - b^2) / 2 with
+        # A = e^-x0, b = e^-z, and int_{x0}^z f_a F_b = gram_ab + F_a F_b / 2 from the skew
+        # Gram, at z inside panels, on a panel edge, at x0 and past the ends; each z's value
+        # is its own.  The rule on [x0, 30] is x0 + half_line_rule(30 - x0), queried at z - x0.
         x0 = 0.1
         for refine_x in (None, 3.0):
             r = half_line_rule(30.0 - x0, refine_x=refine_x and refine_x - x0)
-            eps = EpsilonTransform(r, np.exp(-(x0 + r.x))[None])
+            eps = EpsilonTransform(r, np.exp(-np.outer([1.0, 2.0], x0 + r.x)))
             y = np.array([0.2, 1.9, 7.67, r.u_edges[5] ** 2, 29.8, 0.0, 29.9, 39.9, -1.1])  # z - x0
-            got = eps.cross_cumulative(y)[:, 0, 0]
+            gram, F = eps.truncated_gram(y), r.cum_at(eps.fvals, y)
             a, b = np.exp(-x0), np.exp(-np.clip(x0 + y, x0, 30.0))
-            assert np.allclose(got, a * (a - b) - 0.5 * (a * a - b * b), rtol=1e-14, atol=1e-17)
-            assert got[5] == got[8] == 0.0
-            for z, g in zip(y, got):
-                assert eps.cross_cumulative([z])[0, 0, 0] == g
+            fa_Fb = 0.5 * (a * a * (a - b) - (a**3 - b**3) / 3.0)
+            fb_Fa = 0.5 * a * (a * a - b * b) - (a**3 - b**3) / 3.0
+            assert np.allclose(F, [a - b, 0.5 * (a * a - b * b)], rtol=1e-14, atol=1e-17)
+            cross = gram + 0.5 * F.T[:, :, None] * F.T[:, None, :]       # int f_a F_b
+            assert np.allclose(cross[:, 0, 1], fa_Fb, rtol=1e-14, atol=1e-17)
+            assert np.allclose(cross[:, 1, 0], fb_Fa, rtol=1e-14, atol=1e-17)
+            assert np.array_equal(gram, -np.swapaxes(gram, 1, 2))
+            assert np.all(gram[[5, 8]] == 0.0) and np.all(F[:, [5, 8]] == 0.0)
+            for j, z in enumerate(y):
+                assert np.array_equal(eps.truncated_gram([z])[0], gram[j])
+                assert np.array_equal(r.cum_at(eps.fvals, z), F[:, j])
 
     def test_antisymmetric_split_vanishes(self, rule):
         # f even about x0 with the window inside the domain
@@ -138,7 +146,7 @@ def test_stacked_samples_match_row_by_row(rule):
 def test_stacked_rules_match_rule_by_rule(counts):
     """A stack of rules on different edges, padded to the most panels, gives each
     rule's own cumulative, cumulative at points, z-free Gram table (padding rows
-    repeating the top one) and truncated cross cumulative bit for bit.  The samples do
+    repeating the top one) and truncated Gram bit for bit.  The samples do
     not decay, so the top panels, which padding would regroup, count."""
     panel, rng = reference_panel(8), np.random.default_rng(11)
     edges = [np.sqrt(6.0) * np.linspace(0.0, 1.0, n + 1) ** 1.5 for n in counts]
@@ -148,7 +156,7 @@ def test_stacked_rules_match_rule_by_rule(counts):
     xq = np.array([0.3, 5.9, 6.0, 7.0] + [(0.5 * (e[-2] + e[-1])) ** 2 for e in edges])
     n = stack.n_nodes
     f = rng.normal(size=(len(counts), 3, n)) + 1j * rng.normal(size=(len(counts), 3, n))
-    cum, cross = stack.cumulative(f), EpsilonTransform(stack, f).cross_cumulative(xq)
+    cum, gram = stack.cumulative(f), EpsilonTransform(stack, f).truncated_gram(xq)
     rows = EpsilonTransform(stack, f).gram_rows()
     at, at_one = stack.cum_at(f, xq), stack.cum_at(f, 6.0)
     assert at.shape == (len(counts), 3, len(xq)) and at_one.shape == (len(counts), 3)
@@ -157,7 +165,7 @@ def test_stacked_rules_match_rule_by_rule(counts):
         assert np.array_equal(stack.x[i, :r.n_nodes], r.x) and np.all(stack.w[i, r.n_nodes:] == 0)
         assert np.array_equal(cum[i, :, :r.n_nodes], r.cumulative(own))
         assert np.array_equal(at[i], r.cum_at(own, xq)) and np.array_equal(at_one[i], r.cum_at(own, 6.0))
-        assert np.array_equal(cross[i], EpsilonTransform(r, own).cross_cumulative(xq))
+        assert np.array_equal(gram[i], EpsilonTransform(r, own).truncated_gram(xq))
         assert np.array_equal(rows[i, :r.n_panels + 1], EpsilonTransform(r, own).gram_rows())
         assert np.all(rows[i, r.n_panels:] == rows[i, r.n_panels])
 
