@@ -35,7 +35,7 @@ from .errors import ConfigError, DegenerateSkewProductError
 from .laguerre import LaguerreBasis, cd_kernel_k2
 from .params import ModelParams, weight_w
 from .quadrature import EpsilonTransform, HalfLineRule, KAPPA_EPSILON
-from .skew import SkewPolySet, SkewProductTable, build_skew_polys
+from .skew import SkewPolySet, SkewProductTable, _weighted_laguerre, build_skew_polys
 
 __all__ = [
     "KernelBundle",
@@ -72,10 +72,13 @@ class KernelBundle:
     def build(cls, params: ModelParams, t, table: SkewProductTable | None = None,
               rule: HalfLineRule | None = None) -> "KernelBundle":
         """DegenerateSkewProductError names the first t whose moment matrix is singular;
-        the table is built on `rule` (default `rule_for_t(params, t)`) when not given."""
-        if table is None:
-            table = SkewProductTable.build(params, t, kmax=params.N - 1, rule=rule)
+        the table is built on `rule` (default `rule_for_t(params, t)`) when not given, and a
+        given table must reach degree N - 1 (ConfigError)."""
         N = params.N
+        if table is None:
+            table = SkewProductTable.build(params, t, kmax=N - 1, rule=rule)
+        if table.kmax < N - 1:
+            raise ConfigError(f"table only reaches degree {table.kmax}, need {N - 1}")
         m = table.entries[..., :N, :N]
         cond = np.linalg.cond(m)
         bad = np.flatnonzero(~(cond <= 1e13))        # NaN and inf count as singular
@@ -93,16 +96,15 @@ class KernelBundle:
         return self.table.t
 
     def factor(self, x: np.ndarray, eps: bool) -> np.ndarray:
-        """(..., N, n) values of eps(L_j w), or L_j w, at points (..., n), all at once
-        (after a stack's t axis; the Laguerre values are taken once for every t).
+        """(..., N, n) values of eps(L_j w), or L_j w (the Pfaffian route's sampler
+        `skew._weighted_laguerre`), at points (..., n), all at once (after a stack's t axis).
 
         Every kernel is a bilinear form in these two factors through mu, so
         this is the one sampler behind `s1`, `is1`, `ds1` and the Fredholm
         determinant.
         """
-        N, flat, t = self.params.N, x.reshape(-1), self.t
-        vals = (self.table.eps(flat)[..., :N, :] if eps else self.table.basis.eval_all(flat)[:N]
-                * weight_w(self.params, t[:, None] if np.ndim(t) else t, flat)[..., None, :])
+        N, flat = self.params.N, x.reshape(-1)
+        vals = self.table.eps(flat)[..., :N, :] if eps else _weighted_laguerre(self.params, self.t, flat, N - 1)
         return np.moveaxis(vals.reshape(vals.shape[:-2] + (N,) + x.shape), -1 - x.ndim, -2)
 
     def _kernel(self, x, y, eps_x: bool, eps_y: bool, scale: float):

@@ -76,15 +76,16 @@ class ModelParams:
 
 
 def weight_w(params: ModelParams, t: complex, x):
-    """Contour-dependent weight w(x; t), elementwise over x > 0 (and a t that broadcasts).
+    """Contour-dependent weight w(x; t) over finite x > 0 (else ConfigError) and a t that broadcasts.
 
     The factor (t - tau_tilde x)^(-1/2) uses the principal branch, i.e. the
     cut sits where arg(t - tau_tilde x) = pi.  Raises SingularWeightError if
     any x lands within machine distance of its branch point t / tau_tilde.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("weight_w requires x > 0")
+    ok = (x > 0) & (x < np.inf)                     # NaN fails both
+    if not ok.all():
+        raise ConfigError(f"weight_w needs finite x > 0, got {x[~ok].flat[0]:g}")
     u = np.asarray(t - params.tau_tilde * x, dtype=complex)
     if np.any(near := np.abs(u) < 64 * np.finfo(float).eps * np.maximum(np.abs(t), 1.0)):
         raise SingularWeightError(f"t - tau_tilde*x vanished at t={np.broadcast_to(t, u.shape)[near][0]}")

@@ -11,10 +11,10 @@ which turns x^(k/2) factors into plain powers of u.  In u the integrand is
 panelwise analytic, so composite Gauss-Legendre panels converge spectrally.
 
 Besides plain integration the rules support *cumulative* integration
-F(y) = int_0^y f, evaluated both at the rule's own nodes and at arbitrary
-points, by re-expanding each panel's samples in a Legendre series and
-integrating that series term by term.  This is what makes the epsilon
-transform
+F(y) = int_0^y f of each panel's interpolant of the samples: at the rule's own nodes
+through the reference panel's cumulative matrix, and at any point as the integral up to
+the panel edge below it plus the in-panel piece from the reference panel's Chebyshev
+`head` table (`HalfLineRule.cum_at`).  This is what makes the epsilon transform
 
     eps(f)(x) = kappa * ( int_0^x f  -  int_x^xmax f ),   kappa = 1/2
 
@@ -24,9 +24,9 @@ d/dx eps(f)(x) = 2 * kappa * f(x) = f(x).
 
 The truncated skew Gram (1/2) int_0^z (f_a F_b - f_b F_a) costs per panel edge once and per
 z only for the piece of z's own panel: a z-free table of running sums of per-panel blocks up to
-each edge (`EpsilonTransform.gram_rows`), and fixed Chebyshev tables of the head integrals on the
-reference panel for the piece of that panel below z (`_read_gram`).  Both batch over a
-`HalfLineRule.stack`.
+each edge (`EpsilonTransform.gram_rows`), and the same `head` table for the piece of that panel
+below z (`_read_gram`).  The two readers share the panel lookup (`_locate`) and the head
+evaluation (`_head_at`), and both batch over a `HalfLineRule.stack`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureError, check_count, check_real
+from .errors import ConfigError, QuadratureError, check_count, check_real
 
 __all__ = [
     "KAPPA_EPSILON",
@@ -81,9 +81,9 @@ class ReferencePanel:
     """The q-point Gauss-Legendre panel on [-1, 1] that every rule maps to its panels.
 
     It depends on q alone, so `reference_panel` builds one per q for every rule
-    of the process; its arrays are read-only.  `vinv` (Legendre analysis), `cum_ref`
-    (reference cumulative integrals) and their product `cum_samples` give within-panel
-    cumulatives.
+    of the process; its arrays are read-only.  `cum_samples` gives the within-panel
+    cumulatives at the nodes and `head` those at any point; `vinv` (Legendre analysis)
+    and `cum_ref` (reference cumulative integrals) only build them.
     """
 
     q: int
@@ -137,8 +137,9 @@ class HalfLineRule:
     weights, and cumulatives queried at x - z.
     `u_edges` are the panel boundaries in u = sqrt(x); each panel is an affine image of
     the shared reference `panel` (`reference_panel(q)`), whose tables also give the
-    within-panel cumulatives.  A `stack` puts a rules axis first; it serves `cumulative`
-    and `EpsilonTransform.gram_rows` of (rules, k, n_nodes) samples.
+    within-panel cumulatives, at the nodes (`cum_samples`) and at points (`head`).  A
+    `stack` puts a rules axis first; it serves `cumulative`, `cum_at` and
+    `EpsilonTransform.gram_rows` of (rules, k, n_nodes) samples.
     """
 
     xmax: float
@@ -175,8 +176,9 @@ class HalfLineRule:
     def integrate(self, fvals) -> complex:
         fvals = np.asarray(fvals)
         if not np.all(np.isfinite(fvals)):
-            bad = int(np.flatnonzero(~np.isfinite(fvals))[0])
-            raise QuadratureError(f"non-finite sample at node {bad} (x={self.x[bad]:.6g})")
+            *row, node = np.unravel_index(np.flatnonzero(~np.isfinite(fvals))[0], fvals.shape)
+            where = f"row {', '.join(map(str, row))}, node {node}" if row else f"node {node}"
+            raise QuadratureError(f"non-finite sample at {where} (x={self.x[node]:.6g})")
         return fvals @ self.w
 
     def _panel_scales(self):
@@ -206,42 +208,24 @@ class HalfLineRule:
         return out.reshape(out.shape[:-2] + (-1,))
 
     def cum_at(self, fvals, xq) -> np.ndarray:
-        """int_0^{xq} f dx for arbitrary query points (clipped to [0, xmax]).
+        """int_0^{xq} f dx at arbitrary points, clipped to [0, xmax] (a NaN point is a ConfigError).
 
-        `fvals` is shaped (..., n_nodes) as in `cumulative`, after a stack's
-        rules axis; a scalar `xq` gives shape (...), a 1-D `xq` gives
-        (..., len(xq)).  Each rule finds every point's panel through one
-        `searchsorted` over its own panels (a stack pads with zero-width
-        ones), and the panel's Legendre series is summed one term at a time,
-        so no (points x q) table of the samples is formed.
+        `fvals` is shaped (..., n_nodes) as in `cumulative`, after a stack's rules axis; a
+        scalar `xq` gives shape (...), a 1-D `xq` (..., len(xq)).  As in `_read_gram`, a point's
+        value is the integral up to the edge lo below it plus du (g . m~(v)) on its panel, g the
+        samples of 2 u f there and m~ the last column of `head`; each (rule, point) item takes
+        the same small products whatever the other points and rules of the call.
         """
-        cf, prefix = self._series(fvals)             # the samples, then in their place their
-        cf = (cf @ self.panel.vinv.T).reshape(-1)    # Legendre coefficients, (rules, rows, P, q) flat
-        edges = self.u_edges.reshape(-1, self.n_panels + 1)             # one row per rule
-        B, P, q = len(edges), self.n_panels, self.q
-        rows = np.arange(cf.size // (P * q)).reshape(B, -1, 1)
-        scalar = np.ndim(xq) == 0
-        uq = np.sqrt(np.clip(np.atleast_1d(np.asarray(xq, dtype=float)), 0.0, self.xmax))
-        idx = np.empty((B, uq.size), dtype=np.intp)
-        for i, e in enumerate(edges):
-            idx[i] = np.minimum(e.searchsorted(uq, side="right"), e.searchsorted(e[-1])) - 1
-        lo = np.take_along_axis(edges, idx, 1)
-        half = 0.5 * (np.take_along_axis(edges, idx + 1, 1) - lo)
-        v = np.clip((uq - lo) / half - 1.0, -1.0, 1.0)
-        at = (rows * P + idx[:, None]) * q           # each point's panel, per rule and row
-        out = np.take(cf, at)
-        out *= (v + 1.0)[:, None]                    # n = 0: int_{-1}^v P_0
-        term, pm, pc = np.empty_like(out), np.ones_like(v), v        # P_{n-1}, P_n at the points
-        for n in range(1, q):                        # int_{-1}^v P_n = (P_{n+1} - P_{n-1}) / (2n + 1)
-            pn = ((2 * n + 1) * v * pc - n * pm) / (n + 1)
-            np.take(cf[n:], at, out=term, mode="clip")   # every index is in range; "clip" writes unbuffered
-            term *= ((pn - pm) / (2 * n + 1))[:, None]
-            out += term
-            pm, pc = pc, pn
-        out *= half[:, None]
-        out += np.take(prefix, rows * (P + 1) + idx[:, None], out=term, mode="clip")
-        out = out.reshape(np.shape(fvals)[:-1] + uq.shape)
-        return np.take(out, 0, axis=-1) if scalar else out
+        g, prefix = self._series(fvals)
+        B, P, xs = math.prod(self.u_edges.shape[:-1]), self.n_panels, np.ravel(xq)
+        g, prefix = g.reshape(B, -1, P, self.q), prefix.reshape(B, -1, P + 1)
+        idx, sel, _, _, du, v = _locate(self.u_edges.reshape(B, P + 1), xs)
+        out = np.take_along_axis(prefix, idx[:, None, :], -1)      # the integral up to lo
+        if sel.size:
+            i, j = np.divmod(sel, len(xs))
+            gm = _head_at(self.panel, v, True) @ np.swapaxes(g[i, :, idx.ravel()[sel]], 1, 2)   # (n, 1, rows)
+            out[i, :, j] += du[:, None] * gm[:, 0]
+        return out.reshape(np.shape(fvals)[:-1] + np.shape(xq))
 
 
 def _map_panel(edges: np.ndarray, panel: ReferencePanel) -> tuple[np.ndarray, np.ndarray]:
@@ -314,8 +298,8 @@ class EpsilonTransform:
     all computed together.  It holds the samples as `fvals`, the one copy
     its callers read, and precomputes the cumulative table once;
     evaluation at the rule's own nodes is a lookup, and arbitrary points go
-    through the panelwise Legendre series.  Linear in f; eps(f)' = f at
-    interior points.
+    through `HalfLineRule.cum_at`.  Linear in f; eps(f)' = f at interior
+    points.
     """
 
     def __init__(self, rule: HalfLineRule, fvals):
@@ -390,50 +374,62 @@ def _read_gram(rows, start, edges, panel: ReferencePanel, xq, sample) -> np.ndar
 
     Rule i's rows (`rows`, (n_rows, k (k + 1) / 2)) start at rows[start[i]], one per edge of
     its own panels, the u-edges `edges[i]`; a stack's padding past them is never read.  The row
-    of the edge lo below a point gives the Gram up to lo, and F_lo.  The piece of the point's
-    own panel from lo up to it is du^2 g K g^T + du (g m) F_lo^T, antisymmetrised, with du =
-    u(xq) - lo, g the panel's samples of 2 u f and K, m the reference `head` quotients at
-    v(xq); a point at or past the rule's top edge has no such piece.  `sample(i, p, x)` gives
-    the k functions at the q nodes x (n, q) of panel p (n,) of rule i (n,), shaped (n, k, q).
-    Each (rule, point) item is computed on its own, with the same small products whatever the
-    number of items, so its Gram depends on neither the other points nor the other rules of
-    the call.
+    of the edge lo below a point (`_locate`) gives the Gram up to lo, and F_lo.  The piece of the
+    point's own panel from lo up to it is du^2 g K g^T + du (g m) F_lo^T, antisymmetrised, with
+    g the panel's samples of 2 u f and K, m the reference `head` quotients at v(xq).
+    `sample(i, p, x)` gives the k functions at the q nodes x (n, q) of panel p (n,) of rule i
+    (n,), shaped (n, k, q).  Each (rule, point) item takes the same small products whatever the
+    other points and rules of the call.
     """
     q, k = panel.q, (math.isqrt(8 * rows.shape[-1] + 1) - 1) // 2
-    uq = np.sqrt(np.maximum(xq, 0.0))
-    own = np.array([e.searchsorted(e[-1]) for e in edges])     # a stack pads with zero-width panels
-    idx = np.minimum(np.array([e.searchsorted(uq, side="right") for e in edges]) - 1, own[:, None])
-    inside = idx < own[:, None]                                 # idx is own past the top edge
-    size = np.array([len(e) for e in edges])
-    p = np.minimum(idx, own[:, None] - 1) + (np.cumsum(size) - size)[:, None]
-    flat = np.concatenate(edges)
-    lo, hi = flat[p], flat[p + 1]
+    idx, sel, lo, hi, du, v = _locate(edges, xq)
     at = rows[(np.asarray(start)[:, None] + idx).ravel()]
     out = np.zeros((len(at), k, k), dtype=rows.dtype)
     a, c = _upper(k)
     out[:, a, c] = at[:, :-k]
     out[:, c, a] = -at[:, :-k]
-    sel = np.flatnonzero(inside)
     if sel.size:        # the piece of each point's panel from its lower edge lo up to the point
-        i, j = np.divmod(sel, len(uq))
-        lo, hi = lo.ravel()[sel], hi.ravel()[sel]
-        du = (uq[j] - lo)[:, None, None]
-        v = np.minimum(2.0 * du[:, 0, 0] / (hi - lo) - 1.0, 1.0)
         u = _map_panel(np.stack((lo, hi), -1), panel)[0]                      # the panel's nodes
-        g = sample(i, idx.ravel()[sel], u * u)
+        g = sample(sel // idx.shape[1], idx.ravel()[sel], u * u)
         g *= 2.0 * u[:, None, :]
-        head = (np.cos(np.arange(2 * q - 1) * np.arccos(v)[:, None])[:, None]   # Chebyshev T_l(v)
-                @ panel.head.reshape(2 * q - 1, -1)).reshape(-1, q, q + 1)
         gh = np.concatenate((g.real, g.imag), 1) if np.iscomplexobj(g) else g   # one real product
-        gh = gh @ head
-        del head
+        gh = gh @ _head_at(panel, v)
         if np.iscomplexobj(g):
             gh = gh[:, :k] + 1j * gh[:, k:]
         H = gh[..., :q] @ np.swapaxes(g, 1, 2)
-        H *= du
+        H *= du[:, None, None]
         H += gh[..., q:] * at[sel, None, -k:]
-        H *= du
+        H *= du[:, None, None]
         H = H - np.swapaxes(H, 1, 2)
         H *= 0.5
         out[sel] += H
-    return out.reshape(len(edges), len(uq), k, k)
+    return out.reshape(len(edges), idx.shape[1], k, k)
+
+
+def _locate(edges, xq):
+    """Each point of a 1-D xq (below 0 read as 0, NaN a ConfigError) on each rule of `edges`, 1-D
+    u-edge arrays: idx (len(edges), len(xq)), the edge at or below it, the rule's top edge at or
+    past it, so a stack's padding is never entered; sel, the flat indices of the items inside a
+    panel, and for those the panel's lo and hi, du = u(xq) - lo and its place v in [-1, 1]."""
+    xq = np.asarray(xq, dtype=float)
+    if np.isnan(xq).any():
+        raise ConfigError("a quadrature point is NaN")
+    uq = np.sqrt(np.maximum(xq, 0.0))
+    own = np.array([e.searchsorted(e[-1]) for e in edges])     # a stack pads with zero-width panels
+    idx = np.minimum(np.array([e.searchsorted(uq, side="right") for e in edges]) - 1, own[:, None])
+    sel = np.flatnonzero(idx < own[:, None])                   # idx is own past the top edge
+    i, j = np.divmod(sel, len(uq))
+    flat, start = np.concatenate(edges), np.cumsum([0] + [len(e) for e in edges])
+    p = idx.ravel()[sel] + start[i]
+    lo, hi = flat[p], flat[p + 1]
+    du = uq[j] - lo
+    return idx, sel, lo, hi, du, np.minimum(2.0 * du / (hi - lo) - 1.0, 1.0)
+
+
+def _head_at(panel: ReferencePanel, v, m_only: bool = False) -> np.ndarray:
+    """`panel.head` in Chebyshev T_l(v) at each v (n,), one fixed-shape product per v: (n, q, q + 1),
+    or with `m_only` its last column m~(v) alone, (n, 1, q)."""
+    T = np.cos(np.arange(2 * panel.q - 1) * np.arccos(v)[:, None])[:, None]      # (n, 1, 2q - 1)
+    if m_only:
+        return T @ np.ascontiguousarray(panel.head[..., -1])
+    return (T @ panel.head.reshape(len(panel.head), -1)).reshape(-1, panel.q, panel.q + 1)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import ConfigError, DegenerateSkewProductError
+from .errors import ConfigError, DegenerateSkewProductError, check_count
 from .laguerre import LaguerreBasis, build_basis
 from .params import ModelParams, mp_edges, weight_w, weight_w0
 from .quadrature import EpsilonTransform, HalfLineRule, half_line_rule
@@ -134,8 +134,7 @@ class SkewProductTable:
     @classmethod
     def build(cls, params: ModelParams, t: complex, kmax: int | None = None,
               z: float = math.inf, rule: HalfLineRule | None = None) -> "SkewProductTable":
-        if kmax is None:
-            kmax = params.N + 1
+        kmax = params.N + 1 if kmax is None else check_count("kmax", kmax, 1)
         t = t.astype(complex) if isinstance(t, np.ndarray) else complex(t)
         rule = rule_for_t(params, t) if rule is None else rule
         entries, eps = skew_gram(rule, _weighted_laguerre(params, t, rule.x, kmax), z)

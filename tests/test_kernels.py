@@ -5,7 +5,7 @@ import pytest
 
 from wishart_lab import (CdCorrectedKernel, CdfEngine, ConfigError, DegenerateSkewProductError, KernelBundle,
                          ModelParams, build_basis, check_multi_orthogonality,
-                         correction_matrix, weight_w)
+                         cd_kernel_k2, correction_matrix, weight_w)
 from wishart_lab.quadrature import EpsilonTransform, HalfLineRule
 from wishart_lab.skew import SkewProductTable, default_xmax, rule_for_t
 
@@ -203,6 +203,36 @@ class TestStackedBundle:
         # the default rule adapts to one t; it was a raw ValueError from comparing an array
         with pytest.raises(ConfigError, match="stacked rule"):
             KernelBundle.build(p48, np.array([2 + 1j, 1 + 1j]))
+
+
+class TestBadPoints:
+    """A point where w is undefined (0, -1, NaN, inf) is a ConfigError wherever L_j w is
+    sampled there; eps(L_j w) clips its points to [0, xmax] and refuses NaN alone."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_sampling_w_at_a_bad_point_is_a_config_error(self, p48, bundle, bad):
+        cd = CdCorrectedKernel.build(p48, 2 + 1j)
+        calls = [lambda: bundle.s1(bad, 1.0), lambda: bundle.ds1(bad, 1.0), lambda: bundle.ds1(1.0, bad),
+                 lambda: cd.s1(bad, 1.0), lambda: cd.s1(1.0, bad),
+                 lambda: cd_kernel_k2(bundle.table.basis, 2 + 1j, bad, 1.0)]
+        for call in calls:
+            with pytest.raises(ConfigError, match="finite x > 0"):
+                call()
+
+    def test_eps_points_are_clipped_and_nan_refused(self, bundle):
+        xmax = bundle.table.rule.xmax
+        assert bundle.is1(-1.0, 1.0) == bundle.is1(0.0, 1.0) and bundle.s1(1.0, -1.0) == bundle.s1(1.0, 0.0)
+        assert bundle.is1(np.inf, 1.0) == bundle.is1(xmax, 1.0) and bundle.s1(1.0, np.inf) == bundle.s1(1.0, xmax)
+        assert np.isfinite(bundle.is1(0.0, 1.0))
+        for call in (lambda: bundle.is1(np.nan, 1.0), lambda: bundle.is1(1.0, np.nan),
+                     lambda: bundle.s1(1.0, np.nan)):
+            with pytest.raises(ConfigError, match="NaN"):      # is1(nan, 1) was nan+nanj, no warning
+                call()
+
+    def test_a_table_below_degree_n_minus_1_is_refused(self, p48):
+        # a 2 x 2 mu at N = 4 ended in a raw reshape ValueError in s1
+        with pytest.raises(ConfigError, match="need 3"):
+            KernelBundle.build(p48, 2 + 1j, table=SkewProductTable.build(p48, 2 + 1j, kmax=1))
 
 
 class TestCdCorrected:

@@ -74,6 +74,12 @@ class TestWeights:
         assert np.allclose(lhs, weight_w0(p, x), rtol=1e-13)
         assert not np.allclose(weight_w(p, t, x) ** 2, weight_w0(p, x))
 
+    @pytest.mark.parametrize("x", [0.0, -1.0, np.nan, np.inf, [1.0, np.nan], [2.0, 0.0]])
+    def test_x_must_be_finite_and_positive(self, x):
+        # 0 and -1 were a raw ValueError; NaN and inf a RuntimeWarning and NaN
+        with pytest.raises(ConfigError, match="finite x > 0"):
+            weight_w(ModelParams(4, 8, 1.0), 2 + 1j, x)
+
 
 class TestMpDensity:
     def test_outside_support_is_zero(self):

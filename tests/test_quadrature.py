@@ -61,6 +61,13 @@ class TestHalfLineRule:
         with pytest.raises(QuadratureError, match="node 17"):
             rule.integrate(f)
 
+    def test_nonfinite_stacked_sample_names_its_row_and_node(self, rule):
+        # it indexed the nodes with the flat index: a raw IndexError (387 of 384)
+        f = np.ones((2, rule.n_nodes))
+        f[1, 3] = np.nan
+        with pytest.raises(QuadratureError, match=f"row 1, node 3 \\(x={rule.x[3]:.6g}\\)"):
+            rule.integrate(f)
+
 
 class TestEpsilonTransform:
     def test_truncated_gram_and_cum_at_need_no_panel_edge(self):
@@ -168,6 +175,52 @@ def test_stacked_rules_match_rule_by_rule(counts):
         assert np.array_equal(gram[i], EpsilonTransform(r, own).truncated_gram(xq))
         assert np.array_equal(rows[i, :r.n_panels + 1], EpsilonTransform(r, own).gram_rows())
         assert np.all(rows[i, r.n_panels:] == rows[i, r.n_panels])
+
+
+class TestCumAt:
+    """int_0^x e^-x = 1 - e^-x read off the rule at points: in the panel at u = 0, on interior
+    edges (exactly, on the last rule, whose edges square exactly), at and past the top edge of a
+    padded stack, and below 0."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        edges = [np.sqrt(6.0) * np.linspace(0.0, 1.0, n + 1) ** 1.5 for n in (7, 13)]
+        edges.append(np.array([0.0, 0.5, 1.0, 1.5, 2.0, np.sqrt(6.0)]))
+        return edges, quadrature.HalfLineRule.stack(6.0, edges, 16)
+
+    def test_closed_form_at_edges_and_inside_the_first_panel(self, stack):
+        edges, r = stack
+        f = np.exp(-r.x)[:, None]                                         # (rules, 1, n)
+        for i, e in enumerate(edges):
+            xq = np.concatenate(((0.3 * e[1]) ** 2 * np.array([1e-9, 1.0, 3.0]), e[1:-1] ** 2))
+            got = r.cum_at(f, xq)[i, 0]
+            assert np.max(np.abs(got - (1.0 - np.exp(-xq)))) <= 1e-15
+        assert np.all(r.cum_at(f, 0.0) == 0.0)
+
+    def test_top_edge_past_xmax_and_below_zero_are_clipped(self, stack):
+        _, r = stack
+        f = np.exp(-r.x)[:, None]
+        top = r.cum_at(f, [6.0, 6.5, np.inf, -1.0, -np.inf])
+        assert np.all(top[..., 1:3] == top[..., :1]) and np.all(top[..., 3:] == 0.0)
+        assert np.max(np.abs(top[..., 0] - (1.0 - np.exp(-6.0)))) <= 1e-15
+
+    def test_a_point_alone_is_bitwise_its_value_in_a_batch(self, stack):
+        edges, r = stack
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=(3, 3, r.n_nodes)) + 1j * rng.normal(size=(3, 3, r.n_nodes))
+        xq = np.array([0.0, 1e-8, 0.7, edges[0][4] ** 2, edges[1][9] ** 2, 5.99, 6.0, 8.0])
+        batch = r.cum_at(f, xq)
+        for j, x in enumerate(xq):
+            assert np.array_equal(r.cum_at(f, x), batch[..., j])
+            assert np.array_equal(r.cum_at(f, xq[j:j + 1])[..., 0], batch[..., j])
+
+    def test_a_nan_point_is_a_config_error(self, rule):
+        f = np.exp(-rule.x)
+        for xq in (np.nan, [1.0, np.nan]):
+            with pytest.raises(ConfigError, match="NaN"):
+                rule.cum_at(f, xq)
+            with pytest.raises(ConfigError, match="NaN"):
+                EpsilonTransform(rule, f)(xq)
 
 
 def fresh_build(rule):

@@ -21,6 +21,13 @@ def table(p48):
     return SkewProductTable.build(p48, 2 + 1j)
 
 
+@pytest.mark.parametrize("kmax", [-1, 0, 2.5, True, "3"])
+def test_kmax_must_be_an_integer_of_at_least_1(p48, kmax):
+    # -1 was a raw ValueError, 2.5 a raw TypeError
+    with pytest.raises(ConfigError, match="kmax must be"):
+        SkewProductTable.build(p48, 2 + 1j, kmax=kmax)
+
+
 class TestSkewProduct:
     def test_self_product_vanishes(self, p48):
         f = np.array([0.3, -1.0, 2.0])
