@@ -57,26 +57,26 @@ by EpsilonTransform on that rule, both eps(x - y) and eps(L_j w) (the
 latter shifted by eps(L_j w)(z), read off the node rule).  Apart from
 eps(x - y) every entry is a bilinear form in the N functions L_j w and
 eps(L_j w) through mu, so I - K is a unit-triangular matrix minus a rank-2N
-product.  Sylvester's identity
-det(I_2n - U R) = det(I_2N - R U) (with the triangular factor moved across,
-see `fredholm_det`) takes the same Nystrom determinant as one 2N x 2N
-determinant per z, at O(n N (N + 20) + N^3) per node and z in place of
-O((2n)^3), and nothing keyed on z is cached.  The discretisation, and with
-it the route's independence from the Pfaffian route's skew tables, is unchanged.
+product.  Sylvester's identity det(I_2n - U R) = det(I_2N - R U) (with the
+triangular factor moved across, see `fredholm_det`) takes the Nystrom
+determinant as one 2N x 2N determinant per z, at O(n N (N + 20) + N^3) per
+node and z in place of O((2n)^3); nothing keyed on z is cached, and nothing
+of the Pfaffian route's skew tables is read.
 
-Node blocks.  Both routes run over blocks of upper contour nodes, cut to about
-BLOCK_BYTES by `_node_blocks`, and build what is z-free once per engine, on
-stacked rules (`HalfLineRule.stack`).  The Pfaffian route keeps one table for
-all upper nodes: per node and own panel edge (no padding) the strict upper
-triangle of the Gram truncated there and the integrals F up to it, N (N + 1) / 2
-complex numbers, so nodes x panels x N (N + 1) / 2 in all (4.7 MB at
-(16, 64, 1), 0.3 MB at (4, 8, 1)).  A pass then reads, per (node, z), the row
-below z and the piece of z's own panel, from L_j w on that panel's q nodes
-alone (`_read_gram`), and takes one batched Pfaffian per block.  A Fredholm
-block is one stacked KernelBundle.  Each pass reads eps(L_j w) off the node
-rule at the live z only, samples L_j w at the Nystrom points, which every
-node shares, takes eps there from the one transform on the Nystrom rule, and
-takes one batched determinant over (nodes x z), in z chunks within the budget.
+Node blocks.  Both routes build what is z-free once per engine over one plan,
+runs of consecutive upper contour nodes in node order of about BLOCK_BYTES of
+samples of L_j w each (`_node_blocks`), one stacked rule per block
+(`HalfLineRule.stack`).  The Pfaffian route keeps one table for all upper nodes:
+per node and own panel edge (no padding) the strict upper triangle of the Gram
+truncated there and the integrals F up to it, nodes x panels x N (N + 1) / 2
+complex numbers in all (4.7 MB at (16, 64, 1), 0.3 MB at (4, 8, 1)).  A pass
+re-cuts the nodes by its (node, z) pairs, reads per (node, z) the row below z and
+the piece of z's panel, from L_j w on its q nodes alone (`_read_gram`), and takes
+one batched Pfaffian per block.  The Fredholm route keeps one stacked KernelBundle
+per block.  Each pass reads eps(L_j w) off the node rule at the live z only,
+samples L_j w at the Nystrom points, which every node shares, takes eps there from
+the one transform on the Nystrom rule, and takes one batched determinant over
+(nodes x z), in z chunks within the budget.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ __all__ = [
 #: or RANGE_TOL outside [0, 1]
 MAX_LOST_DIGITS, RANGE_TOL = 13.0, 1e-6
 
-#: the bytes budget of a block of contour nodes: on the Pfaffian route its complex samples
-#: (N x n_quad) while its table is built, then `_pair_bytes` per z of a pass; on the Fredholm
-#: route 80 N n_quad per node, and per z chunk of `fredholm_det` its Nystrom arrays
+#: the bytes budget of a block of contour nodes: its complex samples (N x n_quad) while the
+#: z-free state of either route is built, then `_pair_bytes` per z of a Pfaffian pass; and of
+#: a z chunk of `fredholm_det`, its Nystrom arrays
 BLOCK_BYTES = 2**19
 
 
@@ -203,9 +203,9 @@ def fredholm_det(bundle: KernelBundle, z, n_nystrom: int | None = None):
     as K lives on [0, xmax], and z past the quadrature horizon gives 1.
     n_nystrom (default_n_nystrom(bundle.params)) is whole 20-node panels, >= 2.
     The z are taken in chunks whose Nystrom arrays, about four N x n complex per
-    (t, z), stay within BLOCK_BYTES; each chunk samples Phi once for every t and
-    z and takes one transform and one batched 2N x 2N determinant.  A z's value
-    does not depend on the other z.
+    (t, z), stay within BLOCK_BYTES, one z at least; each chunk samples Phi once
+    for every t and z and takes one transform and one batched 2N x 2N
+    determinant.  A z's value does not depend on the other z.
     """
     shape = np.shape(z)
     zs = np.maximum([check_real("z", v) for v in np.asarray(z, dtype=object).ravel()], 0.0)
@@ -272,20 +272,16 @@ class CdfEngine:
     contour nodes serves every z of a grid; the first pass of each route
     also evaluates z_inf and caches that contour sum as the route's
     normalisation anchor, which later calls reuse.  Each route keeps what is
-    z-free for the engine's life, built on its first pass.  The Pfaffian route
-    keeps one table of truncated-Gram rows, one per own panel edge of every
-    upper node, nodes x panels x N (N + 1) / 2 complex numbers (4.7 MB at
-    (16, 64, 1)); each pass reads every (node, z) Gram off it, from L_j w on
-    z's panel alone, and takes one batched Pfaffian per block of nodes.  The
-    Fredholm route keeps one stacked KernelBundle per block of upper nodes
-    (the samples of L_j w, their epsilon transform and mu) and the z-free
-    Lambda, and each pass takes one batched Nystrom determinant per block.
+    z-free for the engine's life, built on its first pass over the one node
+    plan of `_node_blocks` (the module docstring's "Node blocks"): the Pfaffian
+    route one table of truncated-Gram rows (`_gram_table`), the Fredholm route
+    one stacked KernelBundle per block (`_bundles`) and the Lambda walk (`_lam`).
     The engine builds its node rules once; their q-point reference panel and
     the Laguerre basis are the process's shared ones (`reference_panel`,
-    `build_basis`), and nothing is keyed on z.  contour_nodes
-    must be an even integer >= 8, n_panels >= 2 and q >= 4 integers, z_inf and
-    margin finite and positive, radius_factor finite and >= 1 (no boolean),
-    and n_nystrom (default_n_nystrom(params) if None) a multiple of 20, >= 40.
+    `build_basis`), and nothing is keyed on z.  contour_nodes must be an even
+    integer >= 8, n_panels >= 2 and q >= 4 integers, z_inf and margin finite
+    and positive, radius_factor finite and >= 1 (no boolean), and n_nystrom
+    (default_n_nystrom(params) if None) a multiple of 20, >= 40.
     """
 
     def __init__(self, params: ModelParams, *, contour_nodes: int = 64,
@@ -310,7 +306,6 @@ class CdfEngine:
             raise ConfigError(f"radius_factor must be >= 1, got {radius_factor!r}")
         self.contour = self.contour_for(self.z_inf)
         self._anchors: dict = {}     # route -> (contour sum at z_inf / i, anchor_gap)
-        self._bundles = self._lam = self._lam0 = None  # Fredholm block bundles, Lambda, (1/2) log|det M(t_i0)|
 
     def contour_for(self, z: float) -> ContourSpec:
         """Circle hugging the integrand's branch cut [0, tau_tilde * z].
@@ -396,7 +391,7 @@ class CdfEngine:
                         f"{route} anchor at z_inf = {self.z_inf:g} is {total[-1]}i: "
                         "the contour sum under- or overflows at this (N, M, tau)")
                 gap = (math.log(abs(total[-1])) - self._log_exact_anchor
-                       + (self._lam0 if route == "fredholm" else 0.0))
+                       + (self._lam[1] if route == "fredholm" else 0.0))
                 self._anchors[route] = (float(total[-1]),
                                         abs(math.expm1(gap)) if gap < 700.0 else math.inf)
             anchor, anchor_gap = self._anchors[route]
@@ -425,8 +420,9 @@ class CdfEngine:
         """log |2 pi i (1 + tau)^{M/2} M^{N/2 - 1} / Gamma(N/2) Pf(G0)|, G0
         the tau = 0 moment matrix at t = 1; nan unless Pf(G0) is usable."""
         N, M = self.params.N, self.params.M
-        rule = half_line_rule(default_xmax(self.params), self.n_panels, self.q)   # rule_for_t at tau = 0
-        pf0 = abs(pfaffian(truncated_moment_matrix(ModelParams(N, M, 0.0), 1.0, math.inf, rule=rule)))
+        p0 = ModelParams(N, M, 0.0)
+        rule = rule_for_t(p0, 1.0, self.n_panels, self.q)
+        pf0 = abs(pfaffian(truncated_moment_matrix(p0, 1.0, math.inf, rule=rule)))
         return (math.log(2.0 * math.pi) + 0.5 * M * math.log1p(self.params.tau)
                 + _log_residue(M, 0.5 * N) + math.log(pf0)) if 0.0 < pf0 < math.inf else math.nan
 
@@ -474,61 +470,53 @@ class CdfEngine:
     def _rule(self, nodes) -> HalfLineRule:
         return HalfLineRule.stack(default_xmax(self.params), [self._edges[i] for i in nodes], self.q)
 
-    def _node_blocks(self, n_z: int = 0, route: str = "pfaffian") -> list[np.ndarray]:
-        """Upper nodes cut into blocks of about BLOCK_BYTES each.  The Pfaffian route takes
-        them in order of panel count, which keeps a stacked rule's padding small, and counts
-        each node's complex samples (N x n_quad) when n_z is 0, for the table build, and
-        otherwise n_z pairs of `_pair_bytes`, for a pass, so a dense z grid gets smaller
-        blocks.  The Fredholm route takes them in index order, the order of its Lambda walk,
-        and counts 80 N n_quad bytes per node whatever n_z: its complex samples (N x n_quad)
-        beside the four N x n complex Nystrom arrays of n_quad / n values of z.  A larger grid
-        is split over z in `fredholm_det`, not over nodes."""
-        N, q, n_quad = self.params.N, self.q, np.array([len(e) - 1 for e in self._edges]) * self.q
-        if route == "pfaffian":
-            order = np.argsort(n_quad, kind="stable")
-            used = np.full(len(n_quad), n_z * _pair_bytes(N, q)) if n_z else 16 * N * n_quad
-        else:
-            order, used = np.arange(len(n_quad)), 80 * N * n_quad
-        used = np.cumsum(used[order])
-        return np.split(order, np.flatnonzero(np.diff(used // BLOCK_BYTES)) + 1)
+    def _node_blocks(self, n_z: int = 0) -> list[np.ndarray]:
+        """Upper nodes cut into runs of consecutive nodes, in node order, of about BLOCK_BYTES
+        each.  A block counts each node's complex samples (N x n_quad) when n_z is 0, for the
+        z-free builds of both routes, and otherwise n_z pairs of `_pair_bytes`, for a Pfaffian
+        pass, so a dense z grid gets smaller blocks.  Panel counts change smoothly along the
+        circle, so neighbouring nodes pad a stacked rule little."""
+        N, n_quad = self.params.N, np.array([len(e) - 1 for e in self._edges]) * self.q
+        used = np.full(len(n_quad), n_z * _pair_bytes(N, self.q)) if n_z else 16 * N * n_quad
+        return np.split(np.arange(len(n_quad)), np.flatnonzero(np.diff(np.cumsum(used) // BLOCK_BYTES)) + 1)
+
+    @functools.cached_property
+    def _bundles(self) -> list[KernelBundle]:
+        """One stacked KernelBundle per `_node_blocks` block (the samples of L_j w, their epsilon
+        transform and mu), built once per engine, on its first Fredholm pass."""
+        return [KernelBundle.build(self.params, self.contour.nodes[b], rule=self._rule(b))
+                for b in self._node_blocks()]
+
+    @functools.cached_property
+    def _lam(self) -> tuple[np.ndarray, float]:
+        """Lambda at every upper node, and (1/2) log |det M(t_i0)|, which Lambda leaves out.
+
+        One walk over the upper nodes 0 .. i0 = n/2 - 1 in node order, the order of the
+        bundles, runs from just above the positive real axis to just above arg t = pi.  Lambda
+        is a `cumsum` of steps read off one stacked `slogdet`, on the branch the trapezoid rule
+        over the resolvent traces picks, and (1/2) i arg det M(t_i0) at i0: relative in modulus,
+        so det M may underflow, with the phase of sqrt(det M) that f(conj t) = conj f(t) needs."""
+        p, nodes = self.params, self.contour.nodes[:self.contour.node_count // 2]
+        sign, logabs = np.linalg.slogdet(np.concatenate([b.table.entries for b in self._bundles]))
+        i = np.argmin(np.isfinite(logabs))                  # the first non-finite one, if any
+        if not np.isfinite(logabs[i]):
+            raise FloatingPointError(f"log |det M| at contour node {i} (t = {nodes[i]:.6g}) is {logabs[i]} "
+                                     f"at (N, M, tau) = ({p.N}, {p.M}, {p.tau:g})")
+        d = np.concatenate([logdet_m_derivative(p, b.t, bundle=b) for b in self._bundles])
+        step = 0.5 * np.diff(logabs) + 0.5j * np.angle(sign[1:] / sign[:-1])
+        est = 0.25 * np.diff(nodes) * (d[:-1] + d[1:])
+        lam = np.cumsum(np.r_[0, step + 1j * np.pi * np.round((est.imag - step.imag) / np.pi)])
+        return lam - lam[-1] + 0.5j * np.angle(sign[-1]), 0.5 * logabs[-1]
 
     def _fredholm_values(self, zs):
-        """e^Lambda sqrt(det(I - K chi_[z, inf))) at every upper-half node and z.
-
-        One walk over the upper nodes 0 .. i0 = n/2 - 1 in index order runs
-        from just above the positive real axis to just above arg t = pi.
-        The route's first call cuts the nodes into `_node_blocks`, builds one
-        stacked KernelBundle per block and the z-free Lambda (a `cumsum` of
-        steps read off one stacked `slogdet`), (1/2) i arg det M(t_i0) at i0:
-        relative in modulus, so det M may underflow, but with the phase of
-        sqrt(det M) that f(conj t) = conj f(t) needs.  Every call takes one
-        batched Nystrom determinant per block and continues each z's root by
-        sign from its principal value at i0.  `sqrt_max_step` is each z's
-        largest jump of the root between neighbours, relative to the root
-        stepped to.
-        """
-        i0, p = self.contour.node_count // 2 - 1, self.params
-        nodes = self.contour.nodes[:i0 + 1]
-        if self._bundles is None:
-            bs = [KernelBundle.build(p, nodes[b], rule=self._rule(b))
-                  for b in self._node_blocks(route="fredholm")]
-            sign, logabs = np.linalg.slogdet(np.concatenate([b.table.entries for b in bs]))
-            bad = np.flatnonzero(~np.isfinite(logabs))
-            if bad.size:
-                i = bad[0]
-                raise FloatingPointError(
-                    f"log |det M| at contour node {i} (t = {nodes[i]:.6g}) is {logabs[i]} at "
-                    f"(N, M, tau) = ({p.N}, {p.M}, {p.tau:g})")
-            d = np.concatenate([logdet_m_derivative(p, b.t, bundle=b) for b in bs])
-            step = 0.5 * np.diff(logabs) + 0.5j * np.angle(sign[1:] / sign[:-1])
-            est = 0.25 * np.diff(nodes) * (d[:-1] + d[1:])
-            lam = np.cumsum(np.r_[0, step + 1j * np.pi * np.round((est.imag - step.imag) / np.pi)])
-            self._bundles, self._lam0 = bs, 0.5 * logabs[i0]
-            self._lam = lam - lam[i0] + 0.5j * np.angle(sign[i0])
+        """e^Lambda sqrt(det(I - K chi_[z, inf))) at every upper-half node and z: one batched
+        Nystrom determinant per bundle, each z's root continued by sign along the walk of `_lam`
+        from its principal value at i0.  `sqrt_max_step` is each z's largest jump of the root
+        between neighbours, relative to the root stepped to."""
         r = np.sqrt(np.concatenate([fredholm_det(b, zs, self.n_nystrom) for b in self._bundles]))
         flips = np.where((r[1:] * r[:-1].conj()).real < 0, -1.0, 1.0)
         parity = np.cumprod(np.vstack((np.ones(len(zs)), flips)), axis=0)
-        r *= parity * parity[i0]
+        r *= parity * parity[-1]
         max_step = np.max(abs(np.diff(r, axis=0)) / np.maximum(abs(r[1:]), 1e-300), axis=0)
-        return (np.exp(self._lam)[:, None] * r,
+        return (np.exp(self._lam[0])[:, None] * r,
                 [{"sqrt_max_step": float(s), "n_nystrom": self.n_nystrom} for s in max_step])

@@ -94,16 +94,15 @@ def _write_manifest(out_dir: Path, name: str, payload: dict) -> None:
         fh.write("\n")
 
 
+#: the CdfEngine keywords a config may set, with their kinds; an absent or null key keeps
+#: the engine's own default
+_ENGINE_KEYS = {"contour_nodes": int, "margin": float, "n_panels": int, "q": int,
+                "n_nystrom": int, "z_inf": float}
+
+
 def _engine_from(cfg: dict, params: ModelParams) -> CdfEngine:
-    return CdfEngine(
-        params,
-        contour_nodes=_value(cfg, "contour_nodes", int, 64),
-        margin=_value(cfg, "margin", float, 0.5),
-        n_panels=_value(cfg, "n_panels", int, 24),
-        q=_value(cfg, "q", int, 16),
-        n_nystrom=_value(cfg, "n_nystrom", int),
-        z_inf=_value(cfg, "z_inf", float),
-    )
+    return CdfEngine(params, **{key: _value(cfg, key, kind) for key, kind in _ENGINE_KEYS.items()
+                                if cfg.get(key) is not None})
 
 
 def cmd_cdf(args) -> int:

@@ -138,8 +138,8 @@ class HalfLineRule:
     `u_edges` are the panel boundaries in u = sqrt(x); each panel is an affine image of
     the shared reference `panel` (`reference_panel(q)`), whose tables also give the
     within-panel cumulatives, at the nodes (`cum_samples`) and at points (`head`).  A
-    `stack` puts a rules axis first; it serves `cumulative`, `cum_at` and
-    `EpsilonTransform.gram_rows` of (rules, k, n_nodes) samples.
+    `stack` puts a rules axis first; it serves `integrate`, `cumulative`, `cum_at` and
+    `EpsilonTransform` of samples shaped (rules, k, n_nodes), and refuses any other shape.
     """
 
     xmax: float
@@ -173,13 +173,23 @@ class HalfLineRule:
     def _lift(self, a):     # a per-rule array, with an axis for the k rows of a stack's samples
         return a if self.u_edges.ndim == 1 else a[..., None, :]
 
-    def integrate(self, fvals) -> complex:
-        fvals = np.asarray(fvals)
+    def _samples(self, fvals) -> np.ndarray:
+        """`fvals` as an array; a stack's must be shaped (rules, k, n_nodes) (ConfigError)."""
+        fvals, rules = np.asarray(fvals), self.u_edges.shape[:-1]
+        if rules and (fvals.ndim != 3 or fvals.shape[::2] != rules + (self.n_nodes,)):
+            raise ConfigError(f"samples on a stack of {rules[0]} rules of {self.n_nodes} nodes "
+                              f"must be shaped (rules, k, n_nodes), got {fvals.shape}")
+        return fvals
+
+    def integrate(self, fvals):
+        """int_0^xmax f along the last axis; on a stack each rule's rows with its own weights."""
+        fvals = self._samples(fvals)
         if not np.all(np.isfinite(fvals)):
             *row, node = np.unravel_index(np.flatnonzero(~np.isfinite(fvals))[0], fvals.shape)
             where = f"row {', '.join(map(str, row))}, node {node}" if row else f"node {node}"
-            raise QuadratureError(f"non-finite sample at {where} (x={self.x[node]:.6g})")
-        return fvals @ self.w
+            x = self.x[node] if self.x.ndim == 1 else self.x[row[0], node]
+            raise QuadratureError(f"non-finite sample at {where} (x={x:.6g})")
+        return fvals @ self.w if self.w.ndim == 1 else (fvals @ self.w[..., None])[..., 0]
 
     def _panel_scales(self):
         return self._lift(0.5 * np.diff(self.u_edges))
@@ -188,7 +198,7 @@ class HalfLineRule:
         """Samples of g = 2 u f(u^2) per panel, shaped (..., n_panels, q), and the
         integrals up to each panel edge, shaped (..., n_panels + 1)."""
         u = self._lift(np.sqrt(self.x))
-        g = 2.0 * u * np.asarray(fvals)
+        g = 2.0 * u * self._samples(fvals)
         g = g.reshape(g.shape[:-1] + (self.n_panels, self.q))
         panel_totals = (g @ self.panel.wg) * self._panel_scales()
         running = np.cumsum(panel_totals, axis=-1)

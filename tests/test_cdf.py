@@ -634,8 +634,8 @@ class TestCdfGrid:
         assert len(calls) == 1
 
     def test_one_pfaffian_per_node_block_and_one_rule_per_node(self, p48, monkeypatch):
-        # the node rules are built once per engine, and each pass takes one
-        # batched Pfaffian per block of nodes, fewer blocks than nodes
+        # the node rules are built once per engine, beside G0's rule at t = 1, and each
+        # pass takes one batched Pfaffian per block of nodes, fewer blocks than nodes
         rules, pfs = [], []
         rule_for_t, pf = cdf_module.rule_for_t, cdf_module.pfaffian
         monkeypatch.setattr(cdf_module, "rule_for_t", lambda *a: rules.append(a[1]) or rule_for_t(*a))
@@ -647,7 +647,7 @@ class TestCdfGrid:
         pfs.clear()
         eng.cdf_grid(list(np.linspace(1.0, 6.0, 48)))
         assert len(pfs) == len(eng._node_blocks(48)) < n
-        assert sorted(rules, key=np.angle) == sorted(eng.contour.nodes[:n].tolist(), key=np.angle)
+        assert sorted(rules, key=np.angle) == [1.0] + sorted(eng.contour.nodes[:n].tolist(), key=np.angle)
 
     def test_one_bundle_and_one_determinant_per_block(self, p48, monkeypatch):
         # the anchor pass and a later grid share one stacked KernelBundle per
@@ -673,7 +673,7 @@ class TestCdfGrid:
             eng.cdf_grid(zs, "fredholm")
             assert dets == builds
             dets.clear()
-        assert 1 < len(builds) == len(eng._node_blocks(route="fredholm")) < n
+        assert 1 < len(builds) == len(eng._node_blocks()) < n
         assert sorted((t for ts in builds for t in ts), key=np.angle) == \
             sorted(eng.contour.nodes[:n].tolist(), key=np.angle)
 
@@ -785,7 +785,7 @@ class TestCdfGrid:
 
 
 class TestNodeBlocks:
-    """The Pfaffian route's table and block pass against the one-node path, bit for bit."""
+    """Both routes' node blocks against the one-node path and against each other, bit for bit."""
 
     @staticmethod
     def per_node(eng, zs):
@@ -808,6 +808,19 @@ class TestNodeBlocks:
             for nodes in eng._node_blocks(len(zs)):
                 assert np.array_equal(eng._grams(nodes, zs), want[nodes])
             assert np.array_equal(eng._node_values(zs, "pfaffian")[0], pfaffian(want))
+
+    def test_fredholm_values_do_not_depend_on_the_budget(self, p48, monkeypatch):
+        # one bundle per node and one z per Nystrom chunk, the default blocks, and one block
+        # of every node with every z in one chunk: the same values and diagnostics, bit for bit
+        zs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        results, bundles = [], []
+        for budget in (1, cdf_module.BLOCK_BYTES, 2**40):
+            monkeypatch.setattr(cdf_module, "BLOCK_BYTES", budget)
+            eng = CdfEngine(p48)
+            results.append(eng.cdf_grid(zs, "fredholm"))
+            bundles.append(len(eng._bundles))
+        assert bundles[0] == len(eng._edges) > bundles[1] > bundles[2] == 1
+        assert results[0] == results[1] == results[2]
 
     def test_block_edges_and_padding_do_not_leak(self, monkeypatch):
         # one block of every node, padded to the most panels, and one block per node, for
@@ -842,25 +855,24 @@ class TestNodeBlocks:
             assert np.array_equal(rows[start[i]:start[i] + len(eng._edges[i])], own)
 
     def test_blocks_cover_every_node_once(self, p48):
+        # every plan, the z-free builds' and a pass's, cuts the upper nodes into runs of
+        # consecutive nodes in node order, the order of the Fredholm walk
         eng = CdfEngine(p48)
         eng.cdf(eng.z_inf)
         build, sparse, dense = eng._node_blocks(), eng._node_blocks(1), eng._node_blocks(48)
         for blocks in (build, sparse, dense):
-            assert sorted(np.concatenate(blocks).tolist()) == list(range(len(eng._edges)))
+            assert all(len(b) > 0 for b in blocks)
+            assert np.array_equal(np.concatenate(blocks), np.arange(len(eng._edges)))
         # a pass counts its (node, z) pairs, so a dense grid makes for smaller blocks
         assert len(dense) > len(sparse)
         # and the nodes past a block's first stay below the budget
         pair = cdf_module._pair_bytes(p48.N, eng.q)
         assert all((len(b) - 1) * 48 * pair < cdf_module.BLOCK_BYTES for b in dense)
-        # the Fredholm route's blocks follow its walk, in node order, and hold
-        # about BLOCK_BYTES each of 80 N n_quad bytes per node (its samples beside
-        # four N x n Nystrom arrays for n_quad / n values of z): the nodes past a
-        # block's first stay below it, and a block ends where the next node would pass it
-        fredholm = eng._node_blocks(route="fredholm")
-        assert np.array_equal(np.concatenate(fredholm), np.arange(len(eng._edges)))
-        peak = 80 * p48.N * (np.array([len(e) for e in eng._edges]) - 1) * eng.q
-        assert all(1 < len(b) and peak[b[1:]].sum() < cdf_module.BLOCK_BYTES for b in fredholm)
-        assert all(peak[b].sum() + peak[c[0]] > cdf_module.BLOCK_BYTES for b, c in zip(fredholm, fredholm[1:]))
+        # a build counts each node's complex samples of L_j w (N x n_quad): the nodes past a
+        # block's first stay below the budget, and a block ends where the next node reaches it
+        samples = 16 * p48.N * (np.array([len(e) for e in eng._edges]) - 1) * eng.q
+        assert 1 < len(build) and all(samples[b[1:]].sum() < cdf_module.BLOCK_BYTES for b in build)
+        assert all(samples[b].sum() + samples[c[0]] >= cdf_module.BLOCK_BYTES for b, c in zip(build, build[1:]))
 
     def test_padding_panels_have_zero_weight_above_every_point(self, p48):
         eng = CdfEngine(p48)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from wishart_lab import McConfig, ModelParams, sample_wishart_max_eig
+from wishart_lab import McConfig, ModelParams, cli, sample_wishart_max_eig
 from wishart_lab.cli import _fmt, main
 
 
@@ -145,6 +145,17 @@ class TestCdfCommand:
         err = capsys.readouterr().err
         assert "PrecisionLossError" in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "cdf.csv").exists()
+
+    def test_engine_keeps_its_own_defaults(self, tmp_path, monkeypatch):
+        # the CLI passes only the engine keywords a config sets (a null key counts as unset),
+        # so it cannot drift from a CdfEngine default
+        seen, engine = [], cli.CdfEngine
+        monkeypatch.setattr(cli, "CdfEngine", lambda params, **kw: seen.append(kw) or engine(params, **kw))
+        base = {"N": 4, "M": 8, "tau": 1.0, "z": [2.0]}
+        for extra in ({}, {"q": 12, "margin": 0.75, "n_nystrom": None}):
+            cfg = write_config(tmp_path / "c.json", **base, **extra)
+            assert main(["cdf", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert seen == [{}, {"q": 12, "margin": 0.75}]
 
     def test_bad_route(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[2.0],

@@ -177,6 +177,46 @@ def test_stacked_rules_match_rule_by_rule(counts):
         assert np.all(rows[i, r.n_panels:] == rows[i, r.n_panels])
 
 
+class TestStackedSamples:
+    """A stack of a 3-panel and a 5-panel rule at q = 8 takes samples shaped (rules, k, n_nodes)."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        edges = [np.sqrt(6.0) * np.linspace(0.0, 1.0, n + 1) for n in (3, 5)]
+        return edges, quadrature.HalfLineRule.stack(6.0, edges, 8)
+
+    def test_integrate_takes_each_rules_rows_against_its_own_weights(self, stack):
+        # it took the (rules, n) weights as a matrix: a raw matmul ValueError
+        edges, r = stack
+        f = np.stack((np.exp(-r.x), np.exp(-2.0 * r.x)), 1)              # (rules, 2, n)
+        got = r.integrate(f)
+        assert got.shape == (2, 2)
+        assert np.max(np.abs(got - [1.0 - np.exp(-6.0), 0.5 * (1.0 - np.exp(-12.0))])) <= 1e-12
+        for i, e in enumerate(edges):
+            own = quadrature.HalfLineRule.stack(6.0, [e], 8)
+            assert np.array_equal(got[i], own.integrate(f[i:i + 1, :, :own.n_nodes])[0])
+        assert np.array_equal(got, EpsilonTransform(r, f).total)
+
+    def test_nonfinite_stacked_sample_names_its_rule_row_and_node(self, stack):
+        _, r = stack
+        f = np.ones((2, 3, r.n_nodes))
+        f[1, 2, 5] = np.inf
+        with pytest.raises(QuadratureError, match=f"row 1, 2, node 5 \\(x={r.x[1, 5]:.6g}\\)"):
+            r.integrate(f)
+
+    @pytest.mark.parametrize("shape", [(2, 40), (40,), (1, 1, 40), (3, 1, 40), (2, 1, 39), (2, 1, 1, 40)])
+    def test_other_shapes_are_config_errors(self, stack, shape):
+        # (2, 40) gave a (2, 2, 40) cumulative and a total with cross-rule entries, and
+        # cum_at and eps at points raised raw reshape ValueErrors
+        _, r = stack
+        f = np.ones(shape)
+        calls = [lambda: r.integrate(f), lambda: r.cumulative(f), lambda: r.cum_at(f, 1.0),
+                 lambda: EpsilonTransform(r, f)]
+        for call in calls:
+            with pytest.raises(ConfigError, match="shaped \\(rules, k, n_nodes\\)"):
+                call()
+
+
 class TestCumAt:
     """int_0^x e^-x = 1 - e^-x read off the rule at points: in the panel at u = 0, on interior
     edges (exactly, on the last rule, whose edges square exactly), at and past the top edge of a
