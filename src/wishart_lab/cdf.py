@@ -4,19 +4,19 @@ Primary route.  The ordered eigenvalue integral truncated at z equals (up to
 a z- and t-independent constant) the Pfaffian of the truncated moment matrix
 <(1 - chi_[z,inf)) L_j, (1 - chi_[z,inf)) L_k>_1, so
 
-    P(lambda_max < z)  =  oint e^{M t} Pf(Mtrunc(t, z)) dt
-                          -----------------------------------
-                          oint e^{M t} Pf(Mtrunc(t, z_inf)) dt
+    P(lambda_max < z)  =  oint e^{M t} Pf(Mtrunc(t, min(z, xmax))) dt
+                          ------------------------------------------
+                          oint e^{M t} Pf(Mtrunc(t, xmax)) dt
 
-with z_inf a far-tail anchor where the CDF is 1.  The unknown normalisation
-constants of the de Bruijn identity and of the eigenvalue density cancel in
-this ratio ("never computed from first principles").  Any monic family gives
-the same Pfaffian (unit-triangular congruence), so the truncated matrices
-are built straight from Laguerre.  Every z shares one contour, the z_inf
-circle, and Mtrunc(t, z) is read off one z-free table per node (running sums
-of its skew Gram up to each panel edge, `EpsilonTransform.gram_rows`), so one
-pass over the contour serves a whole z grid and a z's value does not depend
-on the other z of the grid.
+with [0, xmax] the quadrature's half-line, where the truncated model's CDF is
+exactly 1.  The unknown normalisation constants of the de Bruijn identity and
+of the eigenvalue density cancel in this ratio ("never computed from first
+principles").  Any monic family gives the same Pfaffian (unit-triangular
+congruence), so the truncated matrices are built straight from Laguerre.
+Every z shares one contour, the circle for default_z_inf, and Mtrunc(t, z) is
+read off one z-free table per node (running sums of its skew Gram up to each
+panel edge, `EpsilonTransform.gram_rows`), so one pass over the contour serves
+a whole z grid and a z's value does not depend on the other z of the grid.
 
 Half the contour.  The weight's (t - tau_tilde x)^(-1/2) is principal and
 the Laguerre basis real, so f(conj t) = conj f(t); node n-1-k of the circle
@@ -124,7 +124,7 @@ class CdfResult:
 
 
 def default_z_inf(params: ModelParams) -> float:
-    """Anchor abscissa where the CDF is 1 to well below every tolerance."""
+    """Reach of an engine's contour: the circle encloses the cut [0, tau_tilde z_inf] (capped)."""
     _, b_plus = mp_edges(params.gamma)
     return 3.0 * (1.0 + params.tau) * b_plus + 10.0 / params.M
 
@@ -249,15 +249,14 @@ def loe_direct_cdf(params: ModelParams, z: float) -> float:
     No contour: the tau = 0 weight has no t content beyond a global factor
     t^(-1/2), so the t-integral drops out of the ratio.  Numerator and
     denominator are the tau = 0 moment matrices at t = 1 truncated at z and
-    z_inf = default_z_inf(params), from one skew Gram on one rule.  z must be a
-    finite real, not a boolean or a string (ConfigError), and z <= 0 gives exactly 0.
+    at z = inf, from one skew Gram on one rule, so z >= its xmax gives exactly 1.
+    z must be a finite real, not a boolean or a string (ConfigError), and z <= 0 gives exactly 0.
     """
     if check_real("z", z) <= 0.0:
         return 0.0
-    z_inf = default_z_inf(params)
-    num, den = pfaffian(truncated_moment_matrix(ModelParams(params.N, params.M, 0.0), 1.0, [z, z_inf]))
+    num, den = pfaffian(truncated_moment_matrix(ModelParams(params.N, params.M, 0.0), 1.0, [z, math.inf]))
     if not (np.isfinite(num) and np.isfinite(den) and num != 0 and den != 0):
-        raise FloatingPointError(f"LOE Pfaffians at z = {z:g}, z_inf = {z_inf:g} are "
+        raise FloatingPointError(f"LOE Pfaffians at z = {z:g} and over the half-line are "
                                  f"{num} and {den}: they under- or overflow at this (N, M)")
     return float(np.real(num / den))
 
@@ -266,46 +265,39 @@ class CdfEngine:
     """Evaluator of P(lambda_max < z) on one contour with one anchor per route.
 
     One engine fixes (N, M, tau), all discretisation knobs and with them one
-    contour, the circle for z_inf: its geometry is capped, so it encloses
-    the live part of the branch cut for every z, and both routes use it.
-    `cdf_grid` is the one evaluation path.  A single pass over the upper
-    contour nodes serves every z of a grid; the first pass of each route
-    also evaluates z_inf and caches that contour sum as the route's
-    normalisation anchor, which later calls reuse.  Each route keeps what is
-    z-free for the engine's life, built on its first pass over the one node
-    plan of `_node_blocks` (the module docstring's "Node blocks"): the Pfaffian
-    route one table of truncated-Gram rows (`_gram_table`), the Fredholm route
-    one stacked KernelBundle per block (`_bundles`) and the Lambda walk (`_lam`).
-    The engine builds its node rules once; their q-point reference panel and
-    the Laguerre basis are the process's shared ones (`reference_panel`,
-    `build_basis`), and nothing is keyed on z.  contour_nodes must be an even
-    integer >= 8, n_panels >= 2 and q >= 4 integers, z_inf and margin finite
-    and positive, radius_factor finite and >= 1 (no boolean), and n_nystrom
-    (default_n_nystrom(params) if None) a multiple of 20, >= 40.
+    contour, the circle for z_inf = default_z_inf(params): its geometry is
+    capped, so it encloses the live part of the branch cut for every z, and
+    both routes use it.  `cdf_grid` is the one evaluation path.  A single pass
+    over the upper contour nodes serves every z of a grid; the first pass of
+    each route also evaluates xmax = default_xmax(params), where the CDF is 1,
+    and caches that sum as the route's anchor, which later calls reuse.  Each
+    route keeps what is z-free for the engine's life, built on its first pass
+    over the one node plan of `_node_blocks` (the module docstring's "Node
+    blocks"): the Pfaffian route one table of truncated-Gram rows
+    (`_gram_table`), the Fredholm route one stacked KernelBundle per block
+    (`_bundles`) and the Lambda walk (`_lam`).  The engine builds its node
+    rules once; their q-point reference panel and the Laguerre basis are the
+    process's shared ones (`reference_panel`, `build_basis`), and nothing is
+    keyed on z.  n_panels >= 2 and q >= 4 must be integers, radius_factor finite
+    and >= 1 (no boolean), and n_nystrom (default_n_nystrom(params) if None) a
+    multiple of 20, >= 40.
     """
 
-    def __init__(self, params: ModelParams, *, contour_nodes: int = 64,
-                 margin: float = 0.5, radius_factor: float = 1.0,
-                 n_panels: int = 24, q: int = 16, n_nystrom: int | None = None,
-                 z_inf: float | None = None):
-        if check_count("contour_nodes", contour_nodes, 8) % 2:
-            raise ConfigError(f"contour_nodes must be even, got {contour_nodes!r}")
+    def __init__(self, params: ModelParams, *, radius_factor: float = 1.0,
+                 n_panels: int = 24, q: int = 16, n_nystrom: int | None = None):
         check_count("n_panels", n_panels, 2)
         check_count("q", q, 4)
         self.params = params
-        self.contour_nodes = contour_nodes
-        self.margin = margin
         self.radius_factor = radius_factor
         self.n_panels = n_panels
         self.q = q
         self.n_nystrom = default_n_nystrom(params) if n_nystrom is None else n_nystrom
         _nystrom_panels(self.n_nystrom)
-        self.z_inf = default_z_inf(params) if z_inf is None else check_real("z_inf", z_inf, 0.0)
-        check_real("margin", margin, 0.0)
         if check_real("radius_factor", radius_factor, 0.0) < 1.0:
             raise ConfigError(f"radius_factor must be >= 1, got {radius_factor!r}")
+        self.z_inf, self.xmax = default_z_inf(params), default_xmax(params)
         self.contour = self.contour_for(self.z_inf)
-        self._anchors: dict = {}     # route -> (contour sum at z_inf / i, anchor_gap)
+        self._anchors: dict = {}     # route -> (contour sum at xmax / i, anchor_gap)
 
     def contour_for(self, z: float) -> ContourSpec:
         """Circle hugging the integrand's branch cut [0, tau_tilde * z].
@@ -331,15 +323,15 @@ class CdfEngine:
         if 0.0 < tt < 0.5:
             rate = M * (0.5 / tt - 1.0)
             cut = min(cut, 24.0 / rate)
-        margin_eff = max(self.margin, cut / 8.0)
-        radius = (cut / 2.0 + margin_eff) * self.radius_factor
+        margin = max(0.5, cut / 8.0)
+        radius = (cut / 2.0 + margin) * self.radius_factor
         # radius_factor grows the circle leftward, pinning the rightmost
         # point at cut + margin: max Re t (hence the e^{M t} cancellation
         # floor) is invariant under radius doubling
-        center = complex(cut + margin_eff - radius, 0.0)
-        # node count: trapezoid aliasing of e^{M t}, and clearance from the
-        # enclosed cut endpoints
-        n = max(self.contour_nodes, 2 * math.ceil(1.6 * M * radius))
+        center = complex(cut + margin - radius, 0.0)
+        # node count: a floor of 64, trapezoid aliasing of e^{M t}, and
+        # clearance from the enclosed cut endpoints
+        n = max(64, 2 * math.ceil(1.6 * M * radius))
         if cut > 0:
             d_max = max(abs(center.real), cut - center.real)
             n = max(n, 2 * math.ceil(17.0 / math.log(radius / d_max)))
@@ -354,12 +346,13 @@ class CdfEngine:
 
         The sum over the upper nodes, 2i Im sum w e^{M t} f, makes each value
         exactly real; each z must be a finite real, not a boolean or a string
-        (ConfigError), and z <= 0 gives exactly 0.  Each other result carries the
-        circle's `node_count`, the route's `anchor`, `anchor_gap` =
-        |anchor / exact - 1| (exact less the sqrt|det M(t_i0)| the Fredholm
-        Lambda leaves out; inf if Pf(G0) is 0 or not finite), `im_residual`
-        (0.0, kept for existing readers) and `cancellation_digits` =
-        log10(sum |w e^{M t} f| / |sum w e^{M t} f|), the digits lost to
+        (ConfigError), z <= 0 gives exactly 0, and z >= xmax is evaluated as
+        xmax, the anchor's own column, so it gives exactly 1.0.  Each other
+        result carries the circle's `node_count`, the route's `anchor`,
+        `anchor_gap` = |anchor / exact - 1| (exact less the sqrt|det M(t_i0)|
+        the Fredholm Lambda leaves out; inf if Pf(G0) is 0 or not finite),
+        `im_residual` (0.0, kept for existing readers) and `cancellation_digits`
+        = log10(sum |w e^{M t} f| / |sum w e^{M t} f|), the digits lost to
         cancellation in the contour sum (f is Pf on the Pfaffian route and
         e^Lambda sqrt(det) on the Fredholm route).  A z that loses more than
         MAX_LOST_DIGITS, or whose value leaves [0, 1] by more than RANGE_TOL,
@@ -378,7 +371,7 @@ class CdfEngine:
         n = self.contour.node_count
         results = iter(())
         if live:
-            pts = live + ([self.z_inf] if route not in self._anchors else [])
+            pts = [min(z, self.xmax) for z in live] + ([self.xmax] if route not in self._anchors else [])
             uniq, inv = np.unique(pts, return_inverse=True)
             f, diags = self._node_values(uniq, route)
             c, h = self.contour, n // 2
@@ -388,7 +381,7 @@ class CdfEngine:
             if len(pts) > len(live):
                 if not (np.isfinite(total[-1]) and total[-1] != 0):
                     raise FloatingPointError(
-                        f"{route} anchor at z_inf = {self.z_inf:g} is {total[-1]}i: "
+                        f"{route} anchor at xmax = {self.xmax:g} is {total[-1]}i: "
                         "the contour sum under- or overflows at this (N, M, tau)")
                 gap = (math.log(abs(total[-1])) - self._log_exact_anchor
                        + (self._lam[1] if route == "fredholm" else 0.0))
@@ -468,7 +461,7 @@ class CdfEngine:
         return f, [{}] * len(zs)
 
     def _rule(self, nodes) -> HalfLineRule:
-        return HalfLineRule.stack(default_xmax(self.params), [self._edges[i] for i in nodes], self.q)
+        return HalfLineRule.stack(self.xmax, [self._edges[i] for i in nodes], self.q)
 
     def _node_blocks(self, n_z: int = 0) -> list[np.ndarray]:
         """Upper nodes cut into runs of consecutive nodes, in node order, of about BLOCK_BYTES

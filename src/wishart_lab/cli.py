@@ -1,10 +1,10 @@
 """Command-line front end: cdf, sample, verify, kernel-dump.
 
 Every data file is written next to a JSON manifest that records the full
-configuration, seeds and versions needed to reproduce it byte for byte
-(wall-clock time is recorded for bookkeeping but is of course not part of
-the reproducibility contract).  Exit codes: 0 success, 2 configuration
-error, 3 numerical failure (see `errors`), 4 verification failure.
+configuration, seeds and versions needed to reproduce it byte for byte (the
+wall-clock time it also records aside); a command refuses every config key it
+does not apply.  Exit codes: 0 success, 2 configuration error (an unwritable
+output path too), 3 numerical failure (see `errors`), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .cdf import CdfEngine
 from .errors import (ConfigError, DegenerateSkewProductError, PrecisionLossError,
-                     QuadratureError, SingularWeightError, WishartLabError)
+                     QuadratureError, SingularWeightError, WishartLabError, check_count)
 from .kernels import CdCorrectedKernel, KernelBundle
 from .params import ModelParams, mp_density
 from .sampling import McConfig, sample_wishart_all_eigs, sample_wishart_max_eig
@@ -41,7 +41,7 @@ def _fmt(x) -> str:
     return _FMT % float(x)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, keys) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -49,6 +49,15 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    return _known(cfg, {"N", "M", "tau", *keys}, "config")
+
+
+def _known(cfg: dict, keys, where: str) -> dict:
+    """cfg itself; ConfigError naming its first key that is not one of `keys`."""
+    key = next((k for k in cfg if k not in keys), None)
+    if key is not None:
+        raise ConfigError(f"{where} key {key!r} is not applied by this command; "
+                          f"it applies {', '.join(sorted(keys))}")
     return cfg
 
 
@@ -96,27 +105,20 @@ def _write_manifest(out_dir: Path, name: str, payload: dict) -> None:
 
 #: the CdfEngine keywords a config may set, with their kinds; an absent or null key keeps
 #: the engine's own default
-_ENGINE_KEYS = {"contour_nodes": int, "margin": float, "n_panels": int, "q": int,
-                "n_nystrom": int, "z_inf": float}
-
-
-def _engine_from(cfg: dict, params: ModelParams) -> CdfEngine:
-    return CdfEngine(params, **{key: _value(cfg, key, kind) for key, kind in _ENGINE_KEYS.items()
-                                if cfg.get(key) is not None})
+_ENGINE_KEYS = {"n_panels": int, "q": int, "n_nystrom": int}
 
 
 def cmd_cdf(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, {"z", "route", *_ENGINE_KEYS})
     params = _params_from(cfg)
     zs = _value(cfg, "z", list, [])
     if not zs:
         raise ConfigError("config needs a non-empty z grid")
     route = args.route or cfg.get("route", "pfaffian")
-    if route not in ("pfaffian", "fredholm"):
-        raise ConfigError(f"unknown route {route!r}")
-    eng = _engine_from(cfg, params)
+    eng = CdfEngine(params, **{key: _value(cfg, key, kind) for key, kind in _ENGINE_KEYS.items()
+                               if cfg.get(key) is not None})
     t0 = time.time()
-    results = eng.cdf_grid(zs, route=route)
+    results = eng.cdf_grid(zs, route=route)         # ConfigError for an unknown route
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "cdf.csv"
@@ -131,17 +133,16 @@ def cmd_cdf(args) -> int:
         "command": "cdf",
         "config": cfg,
         "route": route,
-        "seed": args.seed,
         "wall_clock_s": time.time() - t0,
         "outputs": ["cdf.csv"],
-        "anchor_z_inf": eng.z_inf,
+        "anchor_z": eng.xmax,
     })
     print(f"wrote {out_path} ({len(results)} rows, route={route})")
     return 0
 
 
 def cmd_sample(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, {"seed", "n", "bins", "mode"})
     params = _params_from(cfg)
     seed = args.seed if args.seed is not None else _value(cfg, "seed", int, 0)
     n = _value(cfg, "n", int, 1000)
@@ -185,6 +186,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed is not None:
+        check_count("seed", args.seed, 0)
     if args.suite == "all":
         names = list(SUITES)
     elif args.suite in SUITES:
@@ -210,12 +213,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernel_dump(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, {"t", "grid"})
     params = _params_from(cfg)
     re_im = _value(cfg, "t", list, [2.0, 1.0])
     grid = cfg.get("grid") or {}
     if len(re_im) != 2 or not isinstance(grid, dict):
         raise ConfigError(f"config needs t = [re, im] and a grid object, got {re_im} and {grid!r}")
+    _known(grid, {"lo", "hi", "n"}, "grid")
     t = complex(*re_im)
     lo, hi, n = _value(grid, "lo", float, 0.3), _value(grid, "hi", float, 6.0), _value(grid, "n", int, 12)
     if not (n >= 1 and lo > 0.0 and hi > 0.0):
@@ -265,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cdf = sub.add_parser("cdf", help="largest-eigenvalue CDF on a z grid")
     p_cdf.add_argument("--config", required=True)
     p_cdf.add_argument("--route", choices=["pfaffian", "fredholm"])
-    p_cdf.add_argument("--seed", type=int, help="recorded in the manifest (the CDF itself is deterministic)")
     p_cdf.add_argument("--out", default=".")
     p_cdf.set_defaults(fn=cmd_cdf)
 
@@ -298,6 +301,9 @@ def main(argv=None) -> int:
     except _NUMERICAL as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:          # _load_config reads the config, so this is an output
+        print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except WishartLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -233,9 +234,9 @@ class TestPfaffianRoute:
         assert engine.cdf(-1.0).value == 0.0
 
     def test_anchor_self_consistency(self, p48, engine):
-        # the normalisation fixed at z_inf must hold at a second, larger anchor
+        # the anchor is the sum at xmax, so a z past it reads the anchor's own column
         r = engine.cdf(1.3 * engine.z_inf)
-        assert r.value == pytest.approx(1.0, abs=1e-4)
+        assert r.value == 1.0
 
     def test_im_residual_small(self, engine):
         # the half-contour sum is exactly real; the key stays for its readers
@@ -271,6 +272,22 @@ class TestPfaffianRoute:
         for z in (1.5, 2.5, 3.5):
             assert eng.cdf(z).value == pytest.approx(
                 loe_direct_cdf(p, z), abs=1e-6)
+
+    @pytest.mark.parametrize("params", [(2, 3, 0.0), (2, 4, 1.0)])
+    @pytest.mark.parametrize("route", ["pfaffian", "fredholm"])
+    def test_one_at_and_past_xmax(self, params, route):
+        # the anchor is the truncated model's whole range [0, xmax]; at these sets
+        # z_inf < xmax, and an anchor there gave 1.0000000952 at (2, 3, 0)
+        p = ModelParams(*params)
+        xmax = default_xmax(p)
+        eng = CdfEngine(p)
+        assert eng.z_inf < xmax
+        res = eng.cdf_grid([xmax, 1.5 * xmax, 2.0, 1e6], route)
+        assert [r.value for r in res] == [1.0, 1.0, res[2].value, 1.0] and res[2].value < 1.0
+        assert 0.0 < 1.0 - eng.cdf(eng.z_inf, route).value < 2e-7
+        if params[2] == 0.0:
+            assert loe_direct_cdf(p, xmax) == loe_direct_cdf(p, 1.5 * xmax) == 1.0
+            assert res[0].diagnostics["anchor_gap"] < 1e-14
 
     def test_contour_invariance(self, p48, engine):
         wide = CdfEngine(p48, radius_factor=2.0)
@@ -452,8 +469,9 @@ class TestCdfGrid:
 
     def test_each_distinct_z_evaluated_once(self, p48, monkeypatch):
         # each pass reads the table once per node block over the distinct z only, and takes
-        # one batched Pfaffian per block: the set-up call sees z_inf once, a grid's repeats
-        # (z_inf among them) are read back from their first evaluation
+        # one batched Pfaffian per block: the set-up call sees xmax once (z_inf lies past it and
+        # is evaluated as xmax), a grid's repeats (z_inf among them) are read back from their
+        # first evaluation
         seen, pf_calls = [], []
         read, pf = cdf_module._read_gram, cdf_module.pfaffian
 
@@ -468,7 +486,7 @@ class TestCdfGrid:
         eng.cdf(eng.z_inf)
         # the anchor pass also takes G0's Pfaffian, once per engine
         assert pf_calls[-1] == (p48.N, p48.N)
-        assert {tuple(z) for _, z in seen} == {(eng.z_inf,)}
+        assert {tuple(z) for _, z in seen} == {(eng.xmax,)}
         assert [b for b, _ in seen] == [s[0] for s in pf_calls[:-1]]
         assert sum(b for b, _ in seen) == n
         assert {s[1:] for s in pf_calls[:-1]} == {(1, p48.N, p48.N)}
@@ -476,12 +494,12 @@ class TestCdfGrid:
         pf_calls.clear()
         grid = [3.0, 2.0, 3.0, eng.z_inf, 2.0, -1.0, 3.0]
         res = eng.cdf_grid(grid)
-        assert {tuple(z) for _, z in seen} == {(2.0, 3.0, eng.z_inf)}
+        assert {tuple(z) for _, z in seen} == {(2.0, 3.0, eng.xmax)}
         assert sum(b for b, _ in seen) == n and [b for b, _ in seen] == [s[0] for s in pf_calls]
         assert {s[1:] for s in pf_calls} == {(3, p48.N, p48.N)}
         assert res[0] == res[2] == res[6] and res[1] == res[4]
         assert [r.z for r in res] == grid and res[0] != res[1]
-        assert res[3].value == pytest.approx(1.0, abs=1e-9)
+        assert res[3].value == 1.0
 
     def test_a_later_pass_samples_no_whole_rule(self, p48, monkeypatch):
         # the table holds all a pass needs of the node rules: after the first pass no
@@ -543,17 +561,6 @@ class TestCdfGrid:
         res = engine.cdf_grid([4.0, 2.0, 4.0], "fredholm")
         assert res[0] == res[2] and res[0] != res[1]
 
-    @pytest.mark.parametrize("z_inf", [0.0, -1.0, float("nan"), float("inf")])
-    def test_z_inf_must_be_finite_and_positive(self, p48, z_inf):
-        with pytest.raises(ConfigError):
-            CdfEngine(p48, z_inf=z_inf)
-
-    @pytest.mark.parametrize("margin", [0.0, -0.5, float("nan"), float("inf")])
-    def test_margin_must_be_finite_and_positive(self, p48, margin):
-        # margin 0 puts a node on t = 0 at tau = 0
-        with pytest.raises(ConfigError, match="margin"):
-            CdfEngine(p48, margin=margin)
-
     @pytest.mark.parametrize("radius_factor", [0.8, 0.0, float("nan"), float("inf")])
     def test_radius_factor_must_be_finite_and_at_least_one(self, p48, radius_factor):
         # below 1 the circle stops enclosing the cut: at 0.8 its leftmost
@@ -561,17 +568,16 @@ class TestCdfGrid:
         with pytest.raises(ConfigError, match="radius_factor"):
             CdfEngine(p48, radius_factor=radius_factor)
 
-    @pytest.mark.parametrize("contour_nodes", [0, -5, 65, 6, 64.0, True, "64"])
-    def test_contour_nodes_must_be_an_even_integer_of_at_least_8(self, p48, contour_nodes):
-        # never replaced silently; an odd count would put a node on the real axis
-        with pytest.raises(ConfigError, match="contour_nodes"):
-            CdfEngine(p48, contour_nodes=contour_nodes)
+    def test_engine_keywords(self):
+        # the discretisation knobs a caller can set; the contour's node floor and margin are fixed
+        assert list(inspect.signature(CdfEngine).parameters) == [
+            "params", "radius_factor", "n_panels", "q", "n_nystrom"]
 
-    def test_valid_contour_nodes_is_a_floor_on_the_node_count(self, p48, engine):
-        # the circle's own aliasing bound (120 nodes at (4, 8, 1)) still wins
-        assert np.array_equal(CdfEngine(p48, contour_nodes=np.int64(8)).contour.nodes,
-                              engine.contour.nodes)
-        assert CdfEngine(p48, contour_nodes=160).contour.node_count == 160
+    def test_contour_keeps_its_node_floor_and_margin(self):
+        # at tau = 0 the cut is the point 0: the circle is the margin, 0.5 about it, on
+        # the 64-node floor
+        c = CdfEngine(ModelParams(2, 3, 0.0)).contour
+        assert (c.center, c.radius, c.node_count) == (0j, 0.5, 64)
 
     @pytest.mark.parametrize("n_panels", [1, 0, 2.5, 24.0, True, "24"])
     def test_n_panels_is_checked_at_construction(self, p48, n_panels):
@@ -579,8 +585,7 @@ class TestCdfGrid:
         with pytest.raises(ConfigError, match="n_panels"):
             CdfEngine(p48, n_panels=n_panels)
 
-    @pytest.mark.parametrize("name,good", [("contour_nodes", 64), ("radius_factor", 2),
-                                           ("n_nystrom", 80)])
+    @pytest.mark.parametrize("name,good", [("radius_factor", 2), ("n_nystrom", 80)])
     def test_shared_checks_refuse_booleans_and_non_finite_values(self, p48, name, good):
         for bad in (True, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match=name):
@@ -588,9 +593,9 @@ class TestCdfGrid:
         a, b = CdfEngine(p48, **{name: np.int64(good)}), CdfEngine(p48, **{name: good})
         assert np.array_equal(a.contour.nodes, b.contour.nodes) and a.n_nystrom == b.n_nystrom
 
-    @pytest.mark.parametrize("name", ["z_inf", "margin", "radius_factor"])
+    @pytest.mark.parametrize("name", ["radius_factor"])
     def test_booleans_are_refused(self, p48, name):
-        # z_inf=True would otherwise be an anchor at z = 1
+        # radius_factor=True would otherwise be the default circle
         with pytest.raises(ConfigError, match=name):
             CdfEngine(p48, **{name: True})
 
@@ -901,7 +906,7 @@ class TestHalfContour:
         p = ModelParams(*params)
         eng = CdfEngine(p)
         c = eng.contour
-        pf = np.array([[pfaffian(m) for m in truncated_moment_matrix(p, t, zs + [eng.z_inf])]
+        pf = np.array([[pfaffian(m) for m in truncated_moment_matrix(p, t, zs + [eng.xmax])]
                        for t in c.nodes])
         sums = (c.weights * np.exp(p.M * c.nodes)) @ pf
         oracle = (sums[:-1] / sums[-1]).real

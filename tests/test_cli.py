@@ -1,11 +1,15 @@
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wishart_lab import McConfig, ModelParams, cli, sample_wishart_max_eig
 from wishart_lab.cli import _fmt, main
+from wishart_lab.skew import default_xmax
 
 
 def write_config(path, **kw):
@@ -60,9 +64,20 @@ def write_config(path, **kw):
     ("sample", {"n": "50"}, "samples.csv"),
     ("sample", {"seed": "3"}, "samples.csv"),
     ("sample", {"mode": "hist", "bins": "5"}, "samples.csv"),
+    # keys that no command applies: the engine knobs that are gone, one the engine has but
+    # the CLI does not pass, a misspelling, and stray keys in sample and in kernel-dump's grid
+    ("cdf", {"contour_nodes": 64}, "cdf.csv"),
+    ("cdf", {"margin": 0.5}, "cdf.csv"),
+    ("cdf", {"z_inf": 20.0}, "cdf.csv"),
+    ("cdf", {"radius_factor": 2}, "cdf.csv"),
+    ("cdf", {"n_panel": 24}, "cdf.csv"),
+    ("sample", {"z": [2.0]}, "samples.csv"),
+    ("kernel-dump", {"grid": {"lo": 0.5, "m": 8}}, "kernel.csv"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, bad, out):
-    cfg = write_config(tmp_path / "c.json", **{"N": 4, "M": 8, "tau": 1.0, "z": [2.0], **bad})
+    # each command's config holds only its own keys besides the one under test
+    own = {"z": [2.0]} if command == "cdf" else {}
+    cfg = write_config(tmp_path / "c.json", **{"N": 4, "M": 8, "tau": 1.0, **own, **bad})
     out_dir = tmp_path / "o"
     if command == "verify":
         argv = ["verify", "mc-cdf", "--seed", str(bad["seed"]), "--json", str(out_dir / out)]
@@ -70,9 +85,49 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, bad, out):
         argv = [command, "--config", cfg, "--out", str(out_dir)]
     code = main(argv)
     err = capsys.readouterr().err
+    key = list(bad)[-1]
+    key = list(bad[key])[-1] if isinstance(bad[key], dict) else key
     assert code == 2
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert re.search(rf"\b{key}\b", err)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("cdf", {"z": [2.0]}),
+    ("sample", {"n": 10}),
+    ("kernel-dump", {"grid": {"n": 2}}),
+    ("verify", None),
+])
+def test_unwritable_output_is_config_error(tmp_path, capsys, command, cfg):
+    # a data directory under a file, or a report in a directory that does not exist
+    (tmp_path / "a_file").write_text("")
+    if command == "verify":
+        path = tmp_path / "missing" / "report.json"
+        argv = ["verify", "derpar", "--json", str(path)]
+    else:
+        path = tmp_path / "a_file" / "sub"
+        argv = [command, "--config", write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, **cfg),
+                "--out", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(path) in err[0] and "Traceback" not in err[0]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every command of the README's CLI block, with its echoed configs, exits 0
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI.*?```sh\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    commands = 0
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["echo"]:
+            Path(words[3]).write_text(words[1])
+        elif words[:1] == ["wishart-lab"]:
+            assert main(words[1:]) == 0, (line, capsys.readouterr().err)
+            commands += 1
+    assert commands == 4
 
 
 class TestCdfCommand:
@@ -94,6 +149,22 @@ class TestCdfCommand:
         assert all(0.0 <= float(r["anchor_gap"]) < 1e-6 for r in rows)
         manifest = json.loads((out1 / "cdf_manifest.json").read_text())
         assert manifest["outputs"] == ["cdf.csv"]
+
+    def test_manifest_records_the_anchor_used(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", N=2, M=3, tau=0.0, z=[2.0, 40.0])
+        assert main(["cdf", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        manifest = json.loads((tmp_path / "o" / "cdf_manifest.json").read_text())
+        assert manifest["anchor_z"] == default_xmax(ModelParams(2, 3, 0.0)) < 40.0
+        assert "seed" not in manifest and "anchor_z_inf" not in manifest
+        rows = list(csv.DictReader((tmp_path / "o" / "cdf.csv").open()))
+        assert rows[1]["cdf"] == "1"
+
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        # the CDF draws nothing, so a seed would only be recorded
+        cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[2.0])
+        with pytest.raises(SystemExit) as exc:
+            main(["cdf", "--config", cfg, "--seed", "1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
 
     def test_empty_grid_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[])
@@ -152,10 +223,10 @@ class TestCdfCommand:
         seen, engine = [], cli.CdfEngine
         monkeypatch.setattr(cli, "CdfEngine", lambda params, **kw: seen.append(kw) or engine(params, **kw))
         base = {"N": 4, "M": 8, "tau": 1.0, "z": [2.0]}
-        for extra in ({}, {"q": 12, "margin": 0.75, "n_nystrom": None}):
+        for extra in ({}, {"q": 12, "n_panels": 20, "n_nystrom": None}):
             cfg = write_config(tmp_path / "c.json", **base, **extra)
             assert main(["cdf", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert seen == [{}, {"q": 12, "margin": 0.75}]
+        assert seen == [{}, {"q": 12, "n_panels": 20}]
 
     def test_bad_route(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[2.0],
@@ -202,6 +273,12 @@ class TestSampleCommand:
 class TestVerifyCommand:
     def test_unknown_suite(self):
         assert main(["verify", "nonsense"]) == 2
+
+    def test_negative_seed_is_refused_by_a_seedless_suite(self, capsys):
+        # derpar draws nothing, so only the seed check itself can refuse it
+        assert main(["verify", "derpar", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "seed" in err[0]
 
     def test_named_suite_passes(self, tmp_path):
         report = tmp_path / "rep.json"
