@@ -66,7 +66,8 @@ of the Pfaffian route's skew tables is read.
 Node blocks.  Both routes build what is z-free once per engine over one plan,
 runs of consecutive upper contour nodes in node order of about BLOCK_BYTES of
 samples of L_j w each (`_node_blocks`), one stacked rule per block
-(`HalfLineRule.stack`).  The Pfaffian route keeps one table for all upper nodes:
+(`HalfLineRule.stack`) on the panel edges that one batched call gives every node
+(`_edges`).  The Pfaffian route keeps one table for all upper nodes:
 per node and own panel edge (no padding) the strict upper triangle of the Gram
 truncated there and the integrals F up to it, nodes x panels x N (N + 1) / 2
 complex numbers in all (4.7 MB at (16, 64, 1), 0.3 MB at (4, 8, 1)).  A pass
@@ -90,9 +91,9 @@ import numpy as np
 from .errors import ConfigError, PrecisionLossError, check_count, check_real
 from .kernels import KernelBundle
 from .params import ContourSpec, ModelParams, mp_edges
-from .quadrature import (KAPPA_EPSILON, EpsilonTransform, HalfLineRule, _read_gram,
+from .quadrature import (KAPPA_EPSILON, EpsilonTransform, HalfLineRule, _panel_edges, _read_gram,
                          half_line_rule, reference_panel)
-from .skew import SkewProductTable, _weighted_laguerre, default_xmax, pfaffian, rule_for_t
+from .skew import SkewProductTable, _refinement, _weighted_laguerre, default_xmax, pfaffian, rule_for_t
 from .zonal import _log_residue
 
 __all__ = [
@@ -275,8 +276,8 @@ class CdfEngine:
     over the one node plan of `_node_blocks` (the module docstring's "Node
     blocks"): the Pfaffian route one table of truncated-Gram rows
     (`_gram_table`), the Fredholm route one stacked KernelBundle per block
-    (`_bundles`) and the Lambda walk (`_lam`).  The engine builds its node
-    rules once; their q-point reference panel and the Laguerre basis are the
+    (`_bundles`) and the Lambda walk (`_lam`).  Every node's panel edges come
+    from one batched call; the reference panel and the Laguerre basis are the
     process's shared ones (`reference_panel`, `build_basis`), and nothing is
     keyed on z.  n_panels >= 2 and q >= 4 must be integers, radius_factor finite
     and >= 1 (no boolean), and n_nystrom (default_n_nystrom(params) if None) a
@@ -421,9 +422,9 @@ class CdfEngine:
 
     @functools.cached_property
     def _edges(self) -> list[np.ndarray]:
-        """u-edges of each upper node's rule (`rule_for_t`), built once for both routes."""
-        return [rule_for_t(self.params, complex(t), self.n_panels, self.q).u_edges
-                for t in self.contour.nodes[:self.contour.node_count // 2]]
+        """u-edges of each upper node's rule (`rule_for_t`), from one batched call for both routes."""
+        t = self.contour.nodes[:self.contour.node_count // 2]
+        return _panel_edges(*_refinement(self.params, t), self.n_panels)
 
     @functools.cached_property
     def _gram_table(self) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ import math
 import numbers
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -196,16 +197,16 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"unknown suite {args.suite!r}; "
                           f"choose from {', '.join(sorted(SUITES))} or 'all'")
     reports = []
-    for name in names:
-        rep = run_suite(name, seed=args.seed)
-        reports.append(rep)
-        status = "PASS" if rep["passed"] else "FAIL"
-        print(f"[{status}] {rep['suite']}  ({rep['elapsed_s']:.1f}s)")
-        for c in rep["checks"]:
-            mark = "ok " if c["passed"] else "BAD"
-            print(f"    {mark} {c['name']}: {c['value']:.3e} (tol {c['tol']:.0e})")
-    if args.json:
-        with open(args.json, "w") as fh:
+    with open(args.json, "w") if args.json else nullcontext() as fh:   # refused before any suite runs
+        for name in names:
+            rep = run_suite(name, seed=args.seed)
+            reports.append(rep)
+            status = "PASS" if rep["passed"] else "FAIL"
+            print(f"[{status}] {rep['suite']}  ({rep['elapsed_s']:.1f}s)")
+            for c in rep["checks"]:
+                mark = "ok " if c["passed"] else "BAD"
+                print(f"    {mark} {c['name']}: {c['value']:.3e} (tol {c['tol']:.0e})")
+        if fh:
             json.dump({"version": __version__, "reports": reports}, fh,
                       indent=2, sort_keys=True)
             fh.write("\n")

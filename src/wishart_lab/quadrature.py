@@ -246,15 +246,25 @@ def _map_panel(edges: np.ndarray, panel: ReferencePanel) -> tuple[np.ndarray, np
     return nodes, (scale[..., None] * panel.wg).reshape(nodes.shape)
 
 
-def _refine_edges(base: np.ndarray, u_star: float, delta: float, levels: int = 7) -> np.ndarray:
-    """Insert a geometric ladder of edges around u_star, floor width `delta`; an old
-    interior edge within delta / 1000 of a ladder edge gives way to it."""
-    lo, hi, tol = base[0], base[-1], 1e-3 * delta
-    new = np.unique([u_star] + [u_star + sgn * delta * 2.0**m
-                                for m in range(levels + 1) for sgn in (-1.0, 1.0)])
-    new, old = new[(new > lo + tol) & (new < hi - tol)], base[1:-1]
-    old = old[np.min(np.abs(old[:, None] - new[None, :]), axis=1, initial=np.inf) > tol]
-    return np.unique(np.concatenate(([lo, hi], old, new)))
+#: doublings of the refinement ladder's floor width delta on each side of the branch point
+LADDER_LEVELS = 7
+
+
+def _panel_edges(xmax: float, refine_x, refine_width, n_panels: int) -> list[np.ndarray]:
+    """u-edges of `half_line_rule(xmax, n_panels, q, refine_x[i], refine_width[i])` for each i of the
+    checked 1-D arrays (NaN for None), in one pass: the plain edges less those within tol = delta / 1000
+    of a ladder edge u* + delta (0, +-2^m, m <= LADDER_LEVELS), u* = sqrt(refine_x), sorted per row."""
+    umax = np.sqrt(xmax)
+    base, width = umax * np.linspace(0.0, 1.0, n_panels + 1), umax / n_panels
+    delta = np.where(np.isnan(refine_width), width / 64.0, np.maximum(refine_width, width / 512.0))[:, None]
+    on = ((0.0 < refine_x) & (refine_x < 1.1 * xmax))[:, None] & (delta < width)
+    step, tol = 2.0 ** np.arange(LADDER_LEVELS + 1), 1e-3 * delta
+    new = np.sqrt(np.where(on, refine_x[:, None], 0.0)) + delta * np.r_[-step, 0.0, step]
+    new[~on | (new <= tol) | (new >= base[-1] - tol)] = np.nan       # a NaN is a dropped point
+    old = np.tile(base, (len(refine_x), 1))
+    old[:, 1:-1][(np.abs(base[1:-1, None] - new[:, None, :]) <= tol[..., None]).any(-1)] = np.nan
+    rows = np.sort(np.concatenate((old, new), axis=1), axis=1)
+    return [r[:k] for r, k in zip(rows, np.count_nonzero(~np.isnan(rows), axis=1))]
 
 
 def half_line_rule(
@@ -270,22 +280,17 @@ def half_line_rule(
 
     If `refine_x` is given (the real part of the weight's branch point,
     Re t / tau_tilde), panel edges cluster geometrically toward it down to
-    panels of u-width `refine_width`, so the peaked factor
-    (t - tau_tilde x)^(-1/2) is resolved without ever evaluating closer to
-    the peak than its own scale.  Truncations to [0, z] need no panel edge
-    at z (`EpsilonTransform.truncated_gram`).
+    panels of u-width `refine_width`, so the peaked factor (t - tau_tilde x)^(-1/2)
+    is resolved without evaluating closer to the peak than its own scale.  The edges
+    are one row of `_panel_edges`, which builds all of a CDF engine's node edges at once.
+    Truncations to [0, z] need no panel edge at z (`EpsilonTransform.truncated_gram`).
     """
     xmax, n_panels = check_real("xmax", xmax, 0.0), check_count("n_panels", n_panels, 2)
     panel = reference_panel(q)
-    umax = np.sqrt(xmax)
-    base = umax * np.linspace(0.0, 1.0, n_panels + 1)
-    if refine_x is not None and 0.0 < check_real("refine_x", refine_x) < 1.1 * xmax:
-        u_star = np.sqrt(refine_x)
-        base_width = umax / n_panels
-        delta = base_width / 64.0 if refine_width is None else \
-            max(check_real("refine_width", refine_width, 0.0), base_width / 512.0)
-        if delta < base_width:
-            base = _refine_edges(base, u_star, delta)
+    rx = math.nan if refine_x is None else check_real("refine_x", refine_x)
+    on = 0.0 < rx < 1.1 * xmax and refine_width is not None     # refine_width is checked only then
+    rw = check_real("refine_width", refine_width, 0.0) if on else math.nan
+    base = _panel_edges(xmax, np.array([rx]), np.array([rw]), n_panels)[0]
     u, w_u = _map_panel(base, panel)
     return HalfLineRule(xmax, base, u * u, w_u * 2.0 * u, panel)
 

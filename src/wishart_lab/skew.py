@@ -76,19 +76,26 @@ def rule_for_t(params: ModelParams, t: complex, n_panels: int = 24, q: int = 16)
     peaks at x = Re t / tau_tilde with width |Im t| / tau_tilde; panels
     cluster there down to that width (never finer, so no sample sits closer
     to the peak than its own scale).  Every panel is a copy of the process's
-    one q-point reference panel (`half_line_rule`).  t must be one complex number
+    one q-point reference panel (`half_line_rule`); a CDF engine takes every node's
+    edges from one batched call (`quadrature._panel_edges`).  t must be one complex number
     (ConfigError otherwise): a 1-D t needs a stacked rule, one per t (`HalfLineRule.stack`).
     """
     if np.ndim(t):
         raise ConfigError(f"rule_for_t takes one t, got shape {np.shape(t)}: "
                           "a 1-D t needs a stacked rule, one per t (HalfLineRule.stack)")
-    xmax = default_xmax(params)
-    tt = params.tau_tilde
-    refine_x = refine_width = None
-    if tt > 0 and 0.0 < t.real and t.real / tt < 1.1 * xmax:
-        refine_x = t.real / tt   # > 0: widths below are taken in u = sqrt(x)
-        refine_width = max(abs(t.imag) / (10.0 * tt) / (2.0 * math.sqrt(refine_x)), 1e-8)
-    return half_line_rule(xmax, n_panels=n_panels, q=q, refine_x=refine_x, refine_width=refine_width)
+    xmax, *refine = _refinement(params, np.array([t], dtype=complex))
+    return half_line_rule(xmax, n_panels, q, *(None if np.isnan(v[0]) else float(v[0]) for v in refine))
+
+
+def _refinement(params: ModelParams, t: np.ndarray):
+    """default_xmax and `rule_for_t`'s refine_x, refine_width (the peak's width taken in
+    u = sqrt(x)) at each t of a 1-D t, NaN where its rule is plain: with them
+    `quadrature._panel_edges` gives the rules' u-edges."""
+    xmax, tt, x = default_xmax(params), params.tau_tilde, np.full(t.shape, np.nan)
+    if tt > 0:
+        x = np.where((0.0 < t.real) & (t.real / tt < 1.1 * xmax), t.real / tt, np.nan)
+        return xmax, x, np.maximum(np.abs(t.imag) / (10.0 * tt) / (2.0 * np.sqrt(x)), 1e-8)
+    return xmax, x, x
 
 
 def skew_gram(rule: HalfLineRule, phi, z=math.inf) -> tuple[np.ndarray, EpsilonTransform]:

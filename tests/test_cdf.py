@@ -13,7 +13,7 @@ from wishart_lab import (ConfigError, DegenerateSkewProductError, PrecisionLossE
                          SingularWeightError)
 from wishart_lab import cdf as cdf_module, quadrature
 from wishart_lab.quadrature import HalfLineRule
-from wishart_lab.skew import SkewProductTable, default_xmax
+from wishart_lab.skew import SkewProductTable, default_xmax, rule_for_t
 
 
 def fresh_panel_cache(monkeypatch):
@@ -639,11 +639,16 @@ class TestCdfGrid:
         assert len(calls) == 1
 
     def test_one_pfaffian_per_node_block_and_one_rule_per_node(self, p48, monkeypatch):
-        # the node rules are built once per engine, beside G0's rule at t = 1, and each
-        # pass takes one batched Pfaffian per block of nodes, fewer blocks than nodes
-        rules, pfs = [], []
+        # every upper node's panel edges come from one batched ladder call, beside G0's rule at
+        # t = 1; set-up builds one stacked rule per block of nodes and no rule per node, and each
+        # pass takes one batched Pfaffian per block, fewer blocks than nodes
+        ts, ladders, rules, built, pfs = [], [], [], [], []
+        refinement, panel_edges, init = cdf_module._refinement, cdf_module._panel_edges, HalfLineRule.__init__
         rule_for_t, pf = cdf_module.rule_for_t, cdf_module.pfaffian
+        monkeypatch.setattr(cdf_module, "_refinement", lambda p, t: ts.append(t.tolist()) or refinement(p, t))
+        monkeypatch.setattr(cdf_module, "_panel_edges", lambda *a: ladders.append(len(a[1])) or panel_edges(*a))
         monkeypatch.setattr(cdf_module, "rule_for_t", lambda *a: rules.append(a[1]) or rule_for_t(*a))
+        monkeypatch.setattr(HalfLineRule, "__init__", lambda r, *a: built.append(np.ndim(a[1])) or init(r, *a))
         monkeypatch.setattr(cdf_module, "pfaffian", lambda A: pfs.append(np.shape(A)) or pf(A))
         eng = CdfEngine(p48)
         n = eng.contour.node_count // 2
@@ -652,7 +657,21 @@ class TestCdfGrid:
         pfs.clear()
         eng.cdf_grid(list(np.linspace(1.0, 6.0, 48)))
         assert len(pfs) == len(eng._node_blocks(48)) < n
-        assert sorted(rules, key=np.angle) == [1.0] + sorted(eng.contour.nodes[:n].tolist(), key=np.angle)
+        assert ts == [eng.contour.nodes[:n].tolist()] and ladders == [n] and rules == [1.0]
+        # G0's one-row rule and one stacked rule (2-D u_edges) per block
+        assert sorted(built) == [1] + [2] * len(eng._node_blocks()) and len(eng._node_blocks()) < n
+
+    @pytest.mark.parametrize("nmt", [(4, 8, 1.0), (16, 64, 1.0), (8, 32, 1.0), (12, 48, 0.3),
+                                     (4, 16, 2.0), (4, 8, 0.0)])
+    def test_batched_node_edges_are_each_nodes_rule_for_t(self, nmt):
+        p = ModelParams(*nmt)
+        eng = CdfEngine(p)
+        nodes = eng.contour.nodes[:eng.contour.node_count // 2]
+        assert len(eng._edges) == len(nodes)
+        for e, t in zip(eng._edges, nodes):
+            assert np.array_equal(e, rule_for_t(p, complex(t), eng.n_panels, eng.q).u_edges)
+        # tau > 0 refines the nodes near the positive real axis; tau = 0 none
+        assert any(len(e) > eng.n_panels + 1 for e in eng._edges) == (p.tau > 0)
 
     def test_one_bundle_and_one_determinant_per_block(self, p48, monkeypatch):
         # the anchor pass and a later grid share one stacked KernelBundle per

@@ -114,6 +114,17 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, command, cfg):
     assert len(err) == 1 and str(path) in err[0] and "Traceback" not in err[0]
 
 
+@pytest.mark.parametrize("suite", ["derpar", "all"])
+def test_unwritable_report_is_refused_before_any_suite_runs(tmp_path, capsys, monkeypatch, suite):
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, seed=None: ran.append(name))
+    path = tmp_path / "missing" / "report.json"
+    assert main(["verify", suite, "--json", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert ran == [] and out == ""
+    assert len(err.strip().splitlines()) == 1 and str(path) in err
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     # every command of the README's CLI block, with its echoed configs, exits 0
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

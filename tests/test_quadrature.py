@@ -69,6 +69,73 @@ class TestHalfLineRule:
             rule.integrate(f)
 
 
+def ladder_edges(xmax, n_panels, refine_x=None, refine_width=None):
+    """The refined u-edges of one rule, one ladder point at a time: the reference the batched
+    `quadrature._panel_edges` must match bitwise."""
+    umax = np.sqrt(xmax)
+    base, width = umax * np.linspace(0.0, 1.0, n_panels + 1), umax / n_panels
+    if refine_x is None or not 0.0 < refine_x < 1.1 * xmax:
+        return base
+    delta = width / 64.0 if refine_width is None else max(refine_width, width / 512.0)
+    if delta >= width:
+        return base
+    u_star, tol = np.sqrt(refine_x), 1e-3 * delta
+    new = np.unique([u_star] + [u_star + sgn * delta * 2.0**m for m in range(8) for sgn in (-1.0, 1.0)])
+    new = new[(new > base[0] + tol) & (new < base[-1] - tol)]
+    old = [e for e in base[1:-1] if np.min(np.abs(e - new), initial=np.inf) > tol]
+    return np.unique(np.concatenate((base[[0, -1]], old, new)))
+
+
+class TestPanelEdges:
+    # (xmax, n_panels, refine_x, refine_width): the cases where the ladder takes another branch
+    CASES = {
+        "default width (base / 64)": (30.0, 24, 3.0, None),
+        "width floor (base / 512)": (30.0, 24, 3.0, 1e-9),
+        "width at least the base width": (30.0, 24, 3.0, 1.0),
+        "refine_x at 1.1 xmax": (30.0, 24, 33.0, None),
+        "refine_x past 1.1 xmax": (30.0, 24, 40.0, 1e-3),
+        "refine_x at or below 0": (30.0, 24, -1.0, 1e-3),
+        "ladder clipped at 0": (30.0, 24, 1e-4, None),
+        "ladder clipped at sqrt(xmax)": (30.0, 24, 29.9, 1e-3),
+        "old edges under ladder points": (30.0, 24, float(np.sqrt(30.0) / 2) ** 2, None),
+        "no refinement": (30.0, 24, None, None),
+    }
+
+    @pytest.mark.parametrize("n_panels", [2, 5, 24])
+    def test_batched_rows_are_one_row_rules_and_the_pointwise_ladder(self, n_panels):
+        cases = [(x, n_panels, rx, rw) for x, _, rx, rw in self.CASES.values()]
+        rng = np.random.default_rng(n_panels)
+        for k in range(200):
+            xmax = float(rng.uniform(0.5, 60.0))
+            cases.append((xmax, n_panels, float(rng.uniform(-0.1, 1.2) * xmax),
+                          None if k % 3 == 0 else float(10.0 ** rng.uniform(-9.0, 0.5))))
+        nan = lambda v: np.nan if v is None else v
+        for xmax in {c[0] for c in cases}:
+            mine = [c for c in cases if c[0] == xmax]
+            rows = quadrature._panel_edges(xmax, np.array([nan(c[2]) for c in mine]),
+                                           np.array([nan(c[3]) for c in mine]), n_panels)
+            for row, (_, n, rx, rw) in zip(rows, mine):
+                want = ladder_edges(xmax, n, rx, rw)
+                assert np.array_equal(row, want)
+                assert np.array_equal(half_line_rule(xmax, n, refine_x=rx, refine_width=rw).u_edges, want)
+
+    def test_each_case_takes_its_branch(self):
+        plain = ladder_edges(30.0, 24)
+        rows = dict(zip(self.CASES, quadrature._panel_edges(
+            30.0, *(np.array([np.nan if c[k] is None else c[k] for c in self.CASES.values()]) for k in (2, 3)),
+            24)))
+        for name in ("width at least the base width", "refine_x at 1.1 xmax", "refine_x past 1.1 xmax",
+                     "refine_x at or below 0", "no refinement"):
+            assert np.array_equal(rows[name], plain), name
+        # 17 ladder points; each old edge within tol of one gives way to it, and each clipped one is gone
+        assert len(rows["default width (base / 64)"]) == len(rows["width floor (base / 512)"]) == 25 + 17
+        assert len(rows["ladder clipped at 0"]) < 25 + 17 and rows["ladder clipped at 0"][0] == 0.0
+        assert len(rows["ladder clipped at sqrt(xmax)"]) < 25 + 17
+        assert rows["ladder clipped at sqrt(xmax)"][-1] == np.sqrt(30.0)
+        assert len(rows["old edges under ladder points"]) == 25 + 17 - 5     # at u*, u* +- w, u* +- 2w
+        assert quadrature.LADDER_LEVELS == 7
+
+
 class TestEpsilonTransform:
     def test_truncated_gram_and_cum_at_need_no_panel_edge(self):
         # f_a = e^-x, f_b = e^-2x from x0: F_a = A - b and F_b = (A^2 - b^2) / 2 with
