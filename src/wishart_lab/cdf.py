@@ -73,7 +73,9 @@ truncated there and the integrals F up to it, nodes x panels x N (N + 1) / 2
 complex numbers in all (4.7 MB at (16, 64, 1), 0.3 MB at (4, 8, 1)).  A pass
 re-cuts the nodes by its (node, z) pairs, reads per (node, z) the row below z and
 the piece of z's panel, from L_j w on its q nodes alone (`_read_gram`), and takes
-one batched Pfaffian per block.  The Fredholm route keeps one stacked KernelBundle
+one batched Pfaffian per block; a block samples L_j w once per distinct (node, panel)
+and evaluates the head table once per distinct place of a z in its panel, both shared
+by every (node, z) they serve.  The Fredholm route keeps one stacked KernelBundle
 per block.  Each pass reads eps(L_j w) off the node rule at the live z only,
 samples L_j w at the Nystrom points, which every node shares, takes eps there from
 the one transform on the Nystrom rule, and takes one batched determinant over
@@ -91,8 +93,8 @@ import numpy as np
 from .errors import ConfigError, PrecisionLossError, check_count, check_real
 from .kernels import KernelBundle
 from .params import ContourSpec, ModelParams, mp_edges
-from .quadrature import (KAPPA_EPSILON, EpsilonTransform, HalfLineRule, _panel_edges, _read_gram,
-                         half_line_rule, reference_panel)
+from .quadrature import (KAPPA_EPSILON, EpsilonTransform, HalfLineRule, _pad_edges, _panel_edges,
+                         _read_gram, half_line_rule, reference_panel)
 from .skew import SkewProductTable, _refinement, _weighted_laguerre, default_xmax, pfaffian, rule_for_t
 from .zonal import _log_residue
 
@@ -427,6 +429,11 @@ class CdfEngine:
         return _panel_edges(*_refinement(self.params, t), self.n_panels)
 
     @functools.cached_property
+    def _padded_edges(self) -> np.ndarray:
+        """`_edges` padded as `_pad_edges` pads them, the one array `_read_gram` finds each z in."""
+        return _pad_edges(self._edges)
+
+    @functools.cached_property
     def _gram_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Every upper node's z-free `EpsilonTransform.gram_rows` over its own panels, one
         row per panel edge, in one table, and each node's first row.  Built once per engine,
@@ -444,10 +451,10 @@ class CdfEngine:
     def _grams(self, nodes, zs) -> np.ndarray:
         """Truncated moment matrices (len(nodes), len(zs), N, N) at the given upper nodes, read
         off the table: per (node, z) only the row below z and the piece of z's own panel, whose
-        samples of L_j w are taken on that panel's q nodes alone."""
+        samples of L_j w are taken on that panel's q nodes alone, once per (node, panel)."""
         rows, start = self._gram_table
         t, N = self.contour.nodes[nodes], self.params.N
-        return _read_gram(rows, start[nodes], [self._edges[i] for i in nodes], reference_panel(self.q),
+        return _read_gram(rows, start[nodes], self._padded_edges[nodes], reference_panel(self.q),
                           np.asarray(zs, dtype=float),
                           lambda i, p, x: _weighted_laguerre(self.params, t[i], x, N - 1))
 

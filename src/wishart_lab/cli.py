@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import numbers
+import os
 import sys
+import tempfile
 import time
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +199,8 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"unknown suite {args.suite!r}; "
                           f"choose from {', '.join(sorted(SUITES))} or 'all'")
     reports = []
-    with open(args.json, "w") if args.json else nullcontext() as fh:   # refused before any suite runs
+    fh = _report_file(args.json) if args.json else None     # refused before any suite runs
+    try:
         for name in names:
             rep = run_suite(name, seed=args.seed)
             reports.append(rep)
@@ -210,7 +213,24 @@ def cmd_verify(args) -> int:
             json.dump({"version": __version__, "reports": reports}, fh,
                       indent=2, sort_keys=True)
             fh.write("\n")
+            fh.close()
+            os.replace(fh.name, args.json)
+    finally:
+        if fh and os.path.exists(fh.name):      # a run that raised leaves the report path as it was
+            fh.close()
+            os.unlink(fh.name)
     return 0 if all(r["passed"] for r in reports) else 4
+
+
+def _report_file(path: str):
+    """A temporary file beside the report `path`, moved onto it once the report is complete; an
+    OSError names `path`, and a directory there is refused as well."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        return tempfile.NamedTemporaryFile("w", dir=os.path.dirname(os.path.abspath(path)), delete=False)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def cmd_kernel_dump(args) -> int:

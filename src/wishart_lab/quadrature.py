@@ -164,9 +164,7 @@ class HalfLineRule:
     def stack(cls, xmax: float, edges, q: int) -> "HalfLineRule":
         """q-point rules on [0, xmax] on each of `edges`, padded to the most panels with
         zero-width panels at sqrt(xmax) (weights exactly 0, above every point), stacked."""
-        P = max(map(len, edges))
-        E = np.stack([np.concatenate((e, e[-1:].repeat(P - len(e)))) for e in edges])
-        panel = reference_panel(q)
+        E, panel = _pad_edges(edges), reference_panel(q)
         u, w_u = _map_panel(E, panel)
         return cls(float(xmax), E, u * u, w_u * 2.0 * u, panel)
 
@@ -229,13 +227,19 @@ class HalfLineRule:
         g, prefix = self._series(fvals)
         B, P, xs = math.prod(self.u_edges.shape[:-1]), self.n_panels, np.ravel(xq)
         g, prefix = g.reshape(B, -1, P, self.q), prefix.reshape(B, -1, P + 1)
-        idx, sel, _, _, du, v = _locate(self.u_edges.reshape(B, P + 1), xs)
+        idx, sel, du, v = _locate(self.u_edges.reshape(B, P + 1), xs)
         out = np.take_along_axis(prefix, idx[:, None, :], -1)      # the integral up to lo
         if sel.size:
             i, j = np.divmod(sel, len(xs))
             gm = _head_at(self.panel, v, True) @ np.swapaxes(g[i, :, idx.ravel()[sel]], 1, 2)   # (n, 1, rows)
             out[i, :, j] += du[:, None] * gm[:, 0]
         return out.reshape(np.shape(fvals)[:-1] + np.shape(xq))
+
+
+def _pad_edges(edges) -> np.ndarray:
+    """1-D u-edge arrays stacked, each padded to the most panels by repeating its top edge."""
+    P = max(map(len, edges))
+    return np.stack([np.concatenate((e, e[-1:].repeat(P - len(e)))) for e in edges])
 
 
 def _map_panel(edges: np.ndarray, panel: ReferencePanel) -> tuple[np.ndarray, np.ndarray]:
@@ -388,27 +392,29 @@ def _read_gram(rows, start, edges, panel: ReferencePanel, xq, sample) -> np.ndar
     read off their z-free `EpsilonTransform.gram_rows`: (len(edges), len(xq), k, k).
 
     Rule i's rows (`rows`, (n_rows, k (k + 1) / 2)) start at rows[start[i]], one per edge of
-    its own panels, the u-edges `edges[i]`; a stack's padding past them is never read.  The row
-    of the edge lo below a point (`_locate`) gives the Gram up to lo, and F_lo.  The piece of the
-    point's own panel from lo up to it is du^2 g K g^T + du (g m) F_lo^T, antisymmetrised, with
-    g the panel's samples of 2 u f and K, m the reference `head` quotients at v(xq).
-    `sample(i, p, x)` gives the k functions at the q nodes x (n, q) of panel p (n,) of rule i
-    (n,), shaped (n, k, q).  Each (rule, point) item takes the same small products whatever the
-    other points and rules of the call.
+    its own panels, `edges[i]` (u-edges padded as by `_pad_edges`; the padding is never read).  The
+    row of the edge lo below a point (`_locate`) gives the Gram up to lo, and F_lo.  The piece of the
+    point's own panel from lo up to it is du^2 g K g^T + du (g m) F_lo^T, antisymmetrised, with g the
+    panel's samples of 2 u f, taken by one `sample(i, p, x)` call (the k functions at the q nodes x
+    (n, q) of panel p (n,) of rule i (n,), shaped (n, k, q)) once per distinct (rule, panel), and K, m
+    the reference `head` quotients at v(xq), once per distinct v, both gathered back to the items.
+    Each (rule, point) item takes the same small products whatever the other points and rules.
     """
     q, k = panel.q, (math.isqrt(8 * rows.shape[-1] + 1) - 1) // 2
-    idx, sel, lo, hi, du, v = _locate(edges, xq)
+    idx, sel, du, v = _locate(edges, xq)
     at = rows[(np.asarray(start)[:, None] + idx).ravel()]
     out = np.zeros((len(at), k, k), dtype=rows.dtype)
     a, c = _upper(k)
     out[:, a, c] = at[:, :-k]
     out[:, c, a] = -at[:, :-k]
     if sel.size:        # the piece of each point's panel from its lower edge lo up to the point
-        u = _map_panel(np.stack((lo, hi), -1), panel)[0]                      # the panel's nodes
-        g = sample(sel // idx.shape[1], idx.ravel()[sel], u * u)
-        g *= 2.0 * u[:, None, :]
+        keys, item = np.unique(sel // idx.shape[1] * edges.shape[1] + idx.ravel()[sel], return_inverse=True)
+        i, p = np.divmod(keys, edges.shape[1])                                # the distinct panels
+        u = _map_panel(np.stack((edges[i, p], edges[i, p + 1]), -1), panel)[0]
+        g = (sample(i, p, u * u) * (2.0 * u[:, None, :]))[item]
         gh = np.concatenate((g.real, g.imag), 1) if np.iscomplexobj(g) else g   # one real product
-        gh = gh @ _head_at(panel, v)
+        vs, at_v = np.unique(v, return_inverse=True)
+        gh = gh @ _head_at(panel, vs)[at_v]
         if np.iscomplexobj(g):
             gh = gh[:, :k] + 1j * gh[:, k:]
         H = gh[..., :q] @ np.swapaxes(g, 1, 2)
@@ -422,23 +428,20 @@ def _read_gram(rows, start, edges, panel: ReferencePanel, xq, sample) -> np.ndar
 
 
 def _locate(edges, xq):
-    """Each point of a 1-D xq (below 0 read as 0, NaN a ConfigError) on each rule of `edges`, 1-D
-    u-edge arrays: idx (len(edges), len(xq)), the edge at or below it, the rule's top edge at or
-    past it, so a stack's padding is never entered; sel, the flat indices of the items inside a
-    panel, and for those the panel's lo and hi, du = u(xq) - lo and its place v in [-1, 1]."""
+    """Each point of a 1-D xq (below 0 read as 0, NaN a ConfigError) on each row of `edges`, padded as
+    by `_pad_edges`, in one lookup: idx (len(edges), len(xq)), the edge at or below it, the rule's top
+    edge at or past it, so the padding is never entered; sel, the flat indices of the items inside a
+    panel, and for those du = u(xq) - lo, lo the edge below, and its place v in [-1, 1]."""
     xq = np.asarray(xq, dtype=float)
     if np.isnan(xq).any():
         raise ConfigError("a quadrature point is NaN")
     uq = np.sqrt(np.maximum(xq, 0.0))
-    own = np.array([e.searchsorted(e[-1]) for e in edges])     # a stack pads with zero-width panels
-    idx = np.minimum(np.array([e.searchsorted(uq, side="right") for e in edges]) - 1, own[:, None])
-    sel = np.flatnonzero(idx < own[:, None])                   # idx is own past the top edge
-    i, j = np.divmod(sel, len(uq))
-    flat, start = np.concatenate(edges), np.cumsum([0] + [len(e) for e in edges])
-    p = idx.ravel()[sel] + start[i]
-    lo, hi = flat[p], flat[p + 1]
-    du = uq[j] - lo
-    return idx, sel, lo, hi, du, np.minimum(2.0 * du / (hi - lo) - 1.0, 1.0)
+    own = np.count_nonzero(edges < edges[:, -1:], axis=1)[:, None]        # the top edge's place
+    idx = np.minimum(np.count_nonzero(edges[:, None, :] <= uq[:, None], axis=2) - 1, own)
+    sel = np.flatnonzero(idx < own)
+    (i, j), p = np.divmod(sel, len(uq)), idx.ravel()[sel]
+    du = uq[j] - edges[i, p]
+    return idx, sel, du, np.minimum(2.0 * du / (edges[i, p + 1] - edges[i, p]) - 1.0, 1.0)
 
 
 def _head_at(panel: ReferencePanel, v, m_only: bool = False) -> np.ndarray:

@@ -519,6 +519,38 @@ class TestCdfGrid:
         assert cums == [] and len(sampled) == len(eng._node_blocks(48))
         assert {s[-1] for s in sampled} == {eng.q}
 
+    def test_a_pass_samples_each_node_panel_once_and_each_head_place_once(self, p48, monkeypatch):
+        # the 48-z pass at (4, 8, 1) has 60 upper nodes, so 2,880 (node, z) items; per block it
+        # samples L_j w once on each distinct (node, panel) that holds a z (645 in all) and
+        # evaluates the head table once at each distinct place v of a z in its panel (714)
+        eng = CdfEngine(p48)
+        eng.cdf(eng.z_inf)
+        sampled, heads = [], []
+        lw, head = cdf_module._weighted_laguerre, quadrature._head_at
+        monkeypatch.setattr(cdf_module, "_weighted_laguerre",
+                            lambda params, t, x, kmax: sampled.append((t, x)) or lw(params, t, x, kmax))
+        monkeypatch.setattr(quadrature, "_head_at",
+                            lambda panel, v, m_only=False: heads.append(v) or head(panel, v, m_only))
+        zs = np.linspace(1.0, 6.0, 48)
+        eng.cdf_grid(list(zs))
+        blocks, uz = eng._node_blocks(48), np.sqrt(zs)
+        assert len(sampled) == len(heads) == len(blocks) and sum(map(len, blocks)) * len(zs) == 2880
+        for nodes, (t, x), v in zip(blocks, sampled, heads):
+            pairs, places = [], set()
+            for i in nodes:
+                e = eng._edges[i]
+                p = np.searchsorted(e, uz, side="right") - 1
+                inside = p < len(e) - 1
+                p = p[inside]
+                pairs += [(i, k) for k in np.unique(p)]
+                du = uz[inside] - e[p]
+                places |= set(np.minimum(2.0 * du / (e[p + 1] - e[p]) - 1.0, 1.0))
+            assert np.array_equal(t, eng.contour.nodes[[i for i, _ in pairs]])
+            lo, hi = np.array([eng._edges[i][k:k + 2] for i, k in pairs]).T ** 2
+            assert x.shape == (len(pairs), eng.q) and np.all((lo < x.T) & (x.T < hi))
+            assert len(np.unique(v)) == len(v) and set(v) == places
+        assert sum(len(x) for _, x in sampled) == 645 and sum(map(len, heads)) == 714
+
     def test_a_fredholm_pass_reads_the_node_rules_only_at_z(self, p48, monkeypatch):
         # eps(L_j w) at the Nystrom points comes from the transform on the Nystrom rule:
         # a pass queries each block's node rule once, at the grid's live z alone (the

@@ -12,6 +12,11 @@ from wishart_lab.cli import _fmt, main
 from wishart_lab.skew import default_xmax
 
 
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def write_config(path, **kw):
     with open(path, "w") as fh:
         json.dump(kw, fh)
@@ -125,6 +130,41 @@ def test_unwritable_report_is_refused_before_any_suite_runs(tmp_path, capsys, mo
     assert len(err.strip().splitlines()) == 1 and str(path) in err
 
 
+def test_a_directory_at_the_report_path_is_refused_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, seed=None: ran.append(name))
+    assert main(["verify", "all", "--json", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert ran == [] and out == "" and list(tmp_path.iterdir()) == []
+    assert len(err.strip().splitlines()) == 1 and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("old", [None, '{"reports": []}\n'])
+def test_a_suite_that_raises_leaves_the_report_path_as_it_was(tmp_path, capsys, monkeypatch, old):
+    # the report is written beside PATH and moved onto it once complete; a suite that raised
+    # after another had passed left a 0-byte PATH, an invalid report
+    ran = []
+
+    def run_suite(name, seed=None):
+        if ran:
+            raise FloatingPointError(f"{name} overflowed")
+        ran.append(name)
+        return {"suite": name, "passed": True, "elapsed_s": 0.0, "checks": []}
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    path = tmp_path / "verify.json"
+    if old is not None:
+        path.write_text(old)
+    assert main(["verify", "all", "--json", str(path)]) == 3
+    assert f"[PASS] {ran[0]}" in capsys.readouterr().out
+    ran.clear()
+    assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["verify.json"])
+    assert old is None or path.read_text() == old
+    assert main(["verify", "derpar", "--json", str(path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["verify.json"]
+    assert json.loads(path.read_text())["reports"][0]["suite"] == "derpar"
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     # every command of the README's CLI block, with its echoed configs, exits 0
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -151,7 +191,7 @@ class TestCdfCommand:
         assert main(["cdf", "--config", cfg, "--out", str(out2)]) == 0
         data1 = (out1 / "cdf.csv").read_bytes()
         assert data1 == (out2 / "cdf.csv").read_bytes()
-        rows = list(csv.DictReader((out1 / "cdf.csv").open()))
+        rows = read_rows(out1 / "cdf.csv")
         assert len(rows) == 3
         vals = [float(r["cdf"]) for r in rows]
         assert all(-1e-6 < v < 1 + 1e-6 for v in vals)
@@ -167,7 +207,7 @@ class TestCdfCommand:
         manifest = json.loads((tmp_path / "o" / "cdf_manifest.json").read_text())
         assert manifest["anchor_z"] == default_xmax(ModelParams(2, 3, 0.0)) < 40.0
         assert "seed" not in manifest and "anchor_z_inf" not in manifest
-        rows = list(csv.DictReader((tmp_path / "o" / "cdf.csv").open()))
+        rows = read_rows(tmp_path / "o" / "cdf.csv")
         assert rows[1]["cdf"] == "1"
 
     def test_seed_is_not_an_option(self, tmp_path, capsys):
@@ -275,7 +315,7 @@ class TestSampleCommand:
                            seed=3, mode="hist", bins=20)
         out = tmp_path / "h"
         assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
-        rows = list(csv.DictReader((out / "samples.csv").open()))
+        rows = read_rows(out / "samples.csv")
         assert len(rows) == 20
         assert "mp_density_mid" in rows[0]
         assert float(rows[0]["bin_lo"]) == 0.0
@@ -305,7 +345,7 @@ class TestKernelDump:
                            t=[2.0, 1.0], grid={"lo": 0.5, "hi": 4.0, "n": 5})
         out = tmp_path / "k"
         assert main(["kernel-dump", "--config", cfg, "--out", str(out)]) == 0
-        rows = list(csv.DictReader((out / "kernel.csv").open()))
+        rows = read_rows(out / "kernel.csv")
         assert len(rows) == 25
         manifest = json.loads((out / "kernel_manifest.json").read_text())
         # the two kernel modes agree on the dumped grid

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -328,6 +329,81 @@ class TestCumAt:
                 rule.cum_at(f, xq)
             with pytest.raises(ConfigError, match="NaN"):
                 EpsilonTransform(rule, f)(xq)
+
+
+def locate_per_rule(edges, xq):
+    """The panel lookup as it was taken rule by rule, with one `searchsorted` per rule on its own
+    (unpadded) u-edges; the reference for `quadrature._locate`: idx, sel, du and v."""
+    uq = np.sqrt(np.maximum(np.asarray(xq, dtype=float), 0.0))
+    own = np.array([e.searchsorted(e[-1]) for e in edges])
+    idx = np.minimum(np.array([e.searchsorted(uq, side="right") for e in edges]) - 1, own[:, None])
+    sel = np.flatnonzero(idx < own[:, None])
+    i, j = np.divmod(sel, len(uq))
+    flat, start = np.concatenate(edges), np.cumsum([0] + [len(e) for e in edges])
+    p = idx.ravel()[sel] + start[i]
+    lo, hi = flat[p], flat[p + 1]
+    du = uq[j] - lo
+    return idx, sel, du, np.minimum(2.0 * du / (hi - lo) - 1.0, 1.0)
+
+
+class TestPanelLookup:
+    """`_locate` on a padded stack of rules with 3, 7 and 5 panels (and an unrefined one), at
+    points inside panels, on interior and top edges, past xmax and below 0."""
+
+    EDGES = [np.sqrt(6.0) * np.linspace(0.0, 1.0, n + 1) ** 1.5 for n in (3, 7, 5)] \
+        + [half_line_rule(6.0, 4, 8, refine_x=2.0, refine_width=0.02).u_edges]
+
+    def points(self, rng):
+        on_edges = np.concatenate(self.EDGES) ** 2
+        return np.concatenate((rng.uniform(-1.0, 7.0, 200), on_edges, [6.0, 6.0 + 1e-12, 9.0, np.inf],
+                               [0.0, -0.0, -2.0, -np.inf, 1e-300]))
+
+    def test_one_lookup_is_the_per_rule_searchsorted(self):
+        xq = self.points(np.random.default_rng(2))
+        padded = quadrature._pad_edges(self.EDGES)
+        assert padded.shape == (4, max(map(len, self.EDGES)))
+        got, want = quadrature._locate(padded, xq), locate_per_rule(self.EDGES, xq)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        idx, sel = got[:2]
+        # the top edge, and every point past it, sits at the rule's own top edge, never in padding
+        top = [len(e) - 1 for e in self.EDGES]
+        assert np.array_equal(idx[:, -9:-5], np.repeat(top, 4).reshape(4, 4))
+        assert not np.isin(np.arange(idx.size).reshape(idx.shape)[:, -9:-5], sel).any()
+        # 0 and below read as 0: the first panel's lower edge, at du = 0 and v = -1
+        below = np.isin(sel % len(xq), np.arange(len(xq) - 5, len(xq) - 1))
+        assert np.all(idx[:, -5:-1] == 0) and np.all(got[2][below] == 0.0) and np.all(got[3][below] == -1.0)
+
+    def test_a_nan_point_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="NaN"):
+            quadrature._locate(quadrature._pad_edges(self.EDGES), [1.0, np.nan])
+
+
+def test_read_gram_over_many_points_is_its_one_point_calls():
+    """`_read_gram` takes each distinct (rule, panel) sample and each distinct head position once;
+    over 120 points on a padded stack, two of whose rules share their edges and so their head
+    positions, every (rule, point) item is bitwise the call on that rule and point alone."""
+    rng = np.random.default_rng(8)
+    edges = [np.sqrt(6.0) * np.linspace(0.0, 1.0, n + 1) ** 1.5 for n in (7, 4, 7)]
+    stack = quadrature.HalfLineRule.stack(6.0, edges, 8)
+    f = rng.normal(size=(3, 3, stack.n_nodes)) + 1j * rng.normal(size=(3, 3, stack.n_nodes))
+    rows = EpsilonTransform(stack, f).gram_rows()
+    start, calls, g = np.arange(3) * rows.shape[1], [], f.reshape(3, 3, -1, 8)
+
+    def sample(first):          # the samples of rule first + i of the stack on its panel p
+        return lambda i, p, x: calls.append((first + i, p)) or g[first + i, :, p]
+
+    xq = np.concatenate((rng.uniform(0.0, 6.0, 112), edges[0][2:4] ** 2, [6.0, 7.0, -1.0, 1e-9, 0.2, 0.2]))
+    read = functools.partial(quadrature._read_gram, rows.reshape(-1, rows.shape[-1]))
+    panel, padded = reference_panel(8), quadrature._pad_edges(edges)
+    many = read(start, padded, panel, xq, sample(0))
+    (i, p), = calls
+    assert len(set(zip(i, p))) == len(i) < 3 * len(xq)
+    for j, x in enumerate(xq):
+        assert np.array_equal(read(start, padded, panel, [x], sample(0))[:, 0], many[:, j])
+        for r in range(3):
+            one = read(start[r:r + 1], padded[r:r + 1], panel, [x], sample(r))[0, 0]
+            assert np.array_equal(one, many[r, j])
 
 
 def fresh_build(rule):
