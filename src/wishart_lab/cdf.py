@@ -75,10 +75,11 @@ re-cuts the nodes by its (node, z) pairs, reads per (node, z) the row below z an
 the piece of z's panel, from L_j w on its q nodes alone (`_read_gram`), and takes
 one batched Pfaffian per block; a block samples L_j w once per distinct (node, panel)
 and evaluates the head table once per distinct place of a z in its panel, both shared
-by every (node, z) they serve.  The Fredholm route keeps one stacked KernelBundle
-per block.  Each pass reads eps(L_j w) off the node rule at the live z only,
-samples L_j w at the Nystrom points, which every node shares, takes eps there from
-the one transform on the Nystrom rule, and takes one batched determinant over
+by every (node, z) they serve.  Grams stay packed strict upper triangles up to one gather
+into the working array the Pfaffian overwrites (`_unpack`, `_eliminate`).  The Fredholm
+route keeps one stacked KernelBundle per block.  Each pass reads eps(L_j w) off the node
+rule at the live z only, samples L_j w at the Nystrom points, which every node shares, takes
+eps there from the one transform on the Nystrom rule, and takes one batched determinant over
 (nodes x z), in z chunks within the budget.
 """
 
@@ -94,8 +95,9 @@ from .errors import ConfigError, PrecisionLossError, check_count, check_real
 from .kernels import KernelBundle
 from .params import ContourSpec, ModelParams, mp_edges
 from .quadrature import (KAPPA_EPSILON, EpsilonTransform, HalfLineRule, _pad_edges, _panel_edges,
-                         _read_gram, half_line_rule, reference_panel)
-from .skew import SkewProductTable, _refinement, _weighted_laguerre, default_xmax, pfaffian, rule_for_t
+                         _read_gram, _unpack, half_line_rule, reference_panel)
+from .skew import (SkewProductTable, _eliminate, _refinement, _weighted_laguerre, default_xmax, pfaffian,
+                   rule_for_t)
 from .zonal import _log_residue
 
 __all__ = [
@@ -164,10 +166,9 @@ def logdet_m_derivative(params: ModelParams, t: complex, bundle: KernelBundle | 
 
 
 def _pair_bytes(N: int, q: int) -> int:
-    """Bytes one (node, z) pair of a Pfaffian pass keeps for its result: its samples of L_j w
-    on the q nodes of z's panel and its N x N Gram, both complex.  With the transients beside
-    them (the real q x (q + 1) head tables, the products with them and the Pfaffian's working
-    copy) a pair peaks at about 4.6 times this at N = 4 and 3.7 times at N = 16."""
+    """Bytes one (node, z) pair of a Pfaffian pass keeps for its result: its samples of L_j w on
+    the q nodes of z's panel and its N x N Pfaffian working array, both complex.  With the real
+    head tables and products beside them a pair peaks at about 4.3 times this at N = 4, 2.1 at N = 16."""
     return 16 * N * (q + N)
 
 
@@ -449,9 +450,9 @@ class CdfEngine:
         return rows, start
 
     def _grams(self, nodes, zs) -> np.ndarray:
-        """Truncated moment matrices (len(nodes), len(zs), N, N) at the given upper nodes, read
-        off the table: per (node, z) only the row below z and the piece of z's own panel, whose
-        samples of L_j w are taken on that panel's q nodes alone, once per (node, panel)."""
+        """Truncated moment matrices (len(nodes), len(zs), N (N - 1) / 2), packed as `_read_gram`
+        packs them, at the given upper nodes, read off the table: per (node, z) only the row below
+        z and the piece of z's panel, from L_j w on its q nodes alone, once per (node, panel)."""
         rows, start = self._gram_table
         t, N = self.contour.nodes[nodes], self.params.N
         return _read_gram(rows, start[nodes], self._padded_edges[nodes], reference_panel(self.q),
@@ -460,12 +461,12 @@ class CdfEngine:
 
     def _node_values(self, zs, route: str):
         """f at every upper contour node (rows) and z (columns), and per-z diagnostics; on the
-        Pfaffian route one batched Pfaffian of `_grams` per `_node_blocks` of the z."""
+        Pfaffian route one elimination of `_grams`' working array per `_node_blocks` of the z."""
         if route == "fredholm":
             return self._fredholm_values(zs)
         f = np.empty((self.contour.node_count // 2, len(zs)), dtype=complex)
         for nodes in self._node_blocks(len(zs)):
-            f[nodes] = pfaffian(self._grams(nodes, zs))
+            f[nodes] = _eliminate(_unpack(self._grams(nodes, zs))).reshape(len(nodes), -1)
         return f, [{}] * len(zs)
 
     def _rule(self, nodes) -> HalfLineRule:

@@ -26,7 +26,8 @@ The truncated skew Gram (1/2) int_0^z (f_a F_b - f_b F_a) costs per panel edge o
 z only for the piece of z's own panel: a z-free table of running sums of per-panel blocks up to
 each edge (`EpsilonTransform.gram_rows`), and the same `head` table for the piece of that panel
 below z (`_read_gram`).  The two readers share the panel lookup (`_locate`) and the head
-evaluation (`_head_at`), and both batch over a `HalfLineRule.stack`.
+evaluation (`_head_at`), and both batch over a `HalfLineRule.stack`.  Grams pass as packed strict
+upper triangles; one gather (`_unpack`) makes them matrices, for `truncated_gram` and Pfaffians.
 """
 
 from __future__ import annotations
@@ -352,16 +353,16 @@ class EpsilonTransform:
 
     def truncated_gram(self, xq) -> np.ndarray:
         """The skew Gram (1/2) int_0^{xq} (f_a F_b - f_b F_a) of a (k, n_nodes) `fvals` at each
-        point of a 1-D `xq`: (len(xq), k, k), after a stack's rules axis.  Read off `gram_rows`
-        by `_read_gram`, with the head samples taken from `fvals`; no point need be a panel
-        edge, and a point's Gram depends on that point alone."""
+        point of a 1-D `xq`: (len(xq), k, k), after a stack's rules axis, exactly antisymmetric.
+        Read off `gram_rows` by `_read_gram`, with the head samples taken from `fvals`; no point
+        need be a panel edge, and a point's Gram depends on that point alone."""
         r = self.rule
         edges = r.u_edges.reshape(-1, r.n_panels + 1)                       # one row per rule
         rows = self.gram_rows()
         f = self.fvals.reshape(len(edges), -1, r.n_panels, r.q)
         out = _read_gram(rows.reshape(-1, rows.shape[-1]), np.arange(len(edges)) * (r.n_panels + 1),
                          edges, r.panel, np.asarray(xq, dtype=float), lambda i, p, x: f[i, :, p])
-        return out.reshape(r.u_edges.shape[:-1] + out.shape[1:])
+        return np.moveaxis(_unpack(out), -1, 0).reshape(r.u_edges.shape[:-1] + (-1,) + (f.shape[1],) * 2)
 
     def at_nodes(self) -> np.ndarray:
         """eps(f) at the rule nodes, shaped like `fvals`."""
@@ -387,9 +388,19 @@ def _upper(k: int) -> tuple[np.ndarray, np.ndarray]:
     return upper
 
 
+def _unpack(packed) -> np.ndarray:
+    """Antisymmetric k x k matrices from strict upper triangles (..., k (k - 1) / 2) in the order of
+    `_upper`, by one gather from the triangles, their negations and a zero, as a (k, k, batch) array."""
+    *lead, P = packed.shape
+    k, flat = (1 + math.isqrt(8 * P + 1)) // 2, packed.reshape(math.prod(lead), P).T
+    at = np.full((k, k), 2 * P)
+    at[_upper(k)], at[_upper(k)[::-1]] = np.arange(P), np.arange(P, 2 * P)
+    return np.concatenate((flat, -flat, np.zeros((1, flat.shape[1]), flat.dtype)))[at]
+
+
 def _read_gram(rows, start, edges, panel: ReferencePanel, xq, sample) -> np.ndarray:
     """Truncated skew Grams of k functions on each of a set of rules at each point of a 1-D xq,
-    read off their z-free `EpsilonTransform.gram_rows`: (len(edges), len(xq), k, k).
+    read off their z-free `EpsilonTransform.gram_rows`, packed as by `_upper`: (len(edges), len(xq), k (k-1)/2).
 
     Rule i's rows (`rows`, (n_rows, k (k + 1) / 2)) start at rows[start[i]], one per edge of
     its own panels, `edges[i]` (u-edges padded as by `_pad_edges`; the padding is never read).  The
@@ -402,11 +413,8 @@ def _read_gram(rows, start, edges, panel: ReferencePanel, xq, sample) -> np.ndar
     """
     q, k = panel.q, (math.isqrt(8 * rows.shape[-1] + 1) - 1) // 2
     idx, sel, du, v = _locate(edges, xq)
-    at = rows[(np.asarray(start)[:, None] + idx).ravel()]
-    out = np.zeros((len(at), k, k), dtype=rows.dtype)
-    a, c = _upper(k)
-    out[:, a, c] = at[:, :-k]
-    out[:, c, a] = -at[:, :-k]
+    at = (np.asarray(start)[:, None] + idx).ravel()          # the row of each item's edge lo
+    out = rows[at, :-k]
     if sel.size:        # the piece of each point's panel from its lower edge lo up to the point
         keys, item = np.unique(sel // idx.shape[1] * edges.shape[1] + idx.ravel()[sel], return_inverse=True)
         i, p = np.divmod(keys, edges.shape[1])                                # the distinct panels
@@ -418,13 +426,15 @@ def _read_gram(rows, start, edges, panel: ReferencePanel, xq, sample) -> np.ndar
         if np.iscomplexobj(g):
             gh = gh[:, :k] + 1j * gh[:, k:]
         H = gh[..., :q] @ np.swapaxes(g, 1, 2)
+        del g
         H *= du[:, None, None]
-        H += gh[..., q:] * at[sel, None, -k:]
+        H += gh[..., q:] * rows[at[sel], None, -k:]
         H *= du[:, None, None]
-        H = H - np.swapaxes(H, 1, 2)
+        a, c = _upper(k)
+        H = H[:, a, c] - H[:, c, a]
         H *= 0.5
         out[sel] += H
-    return out.reshape(len(edges), idx.shape[1], k, k)
+    return out.reshape(len(edges), idx.shape[1], -1)
 
 
 def _locate(edges, xq):

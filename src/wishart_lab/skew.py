@@ -291,33 +291,37 @@ def moment_matrix(table: SkewProductTable, polyset: SkewPolySet | None = None,
 
 
 def pfaffian(A: np.ndarray):
-    """Pfaffians of a stack (..., n, n) of even-dimensional antisymmetric matrices
-    (to 1e-10 of each matrix's largest entry, else ConfigError).
-
-    Parlett-Reid elimination with partial pivoting over the whole stack at
-    once (Wimmer, ACM TOMS 38, 2012): each step swaps each matrix's own
-    largest working-column element into place (flipping the sign), clears
-    the rest with a unit congruence and drops the leading 2 x 2; an all-zero
-    column gives that matrix 0.  2-D input gives a complex; Pf([[0, a], [-a, 0]]) = a.
-    """
+    """Pfaffians of a stack (..., n, n) of even-dimensional antisymmetric matrices (to 1e-10
+    of each matrix's largest entry, and finite, else ConfigError), by `_eliminate` on a fresh
+    (n, n, batch) copy.  2-D input gives a complex; Pf([[0, a], [-a, 0]]) = a."""
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] % 2:
         raise ConfigError(f"pfaffian needs square matrices of even dimension, got {A.shape}")
     lead, n = A.shape[:-2], A.shape[-1]
-    # a fresh (n, n, batch) copy: each entry's values over the stack are contiguous
     A = np.moveaxis(A.reshape((math.prod(lead), n, n)), 0, -1).copy()
+    if not np.isfinite(A).all():
+        raise ConfigError("matrix has a non-finite entry")
     norm = np.abs(A).max(axis=(0, 1), initial=0.0)
     if np.any(np.abs(A + np.swapaxes(A, 0, 1)).max(axis=(0, 1), initial=0.0) > 1e-10 * norm):
         raise ConfigError("matrix is not antisymmetric within tolerance")
-    idx, pf = np.arange(A.shape[-1]), np.ones(A.shape[-1], dtype=complex)
+    pf = _eliminate(A)
+    return complex(pf[0]) if not lead else pf.reshape(lead)
+
+
+def _eliminate(A: np.ndarray) -> np.ndarray:
+    """Pfaffians (batch,) of the antisymmetric A[:, :, b] of an (n, n, batch) array, which it overwrites:
+    Parlett-Reid elimination with partial pivoting over every lane at once (Wimmer, ACM TOMS 38, 2012).
+    Each step swaps a lane's largest working-column element into place (flipping the sign) if it moves,
+    clears the rest by a unit congruence in place and drops the leading 2 x 2; a zero column gives 0."""
+    pf = np.ones(A.shape[-1], dtype=complex)
     while len(A) > 2:        # A is the trailing block; its rows 0 and 1 are the working pair
         ip = 1 + np.abs(A[1:, 0]).argmax(axis=0)
-        A[1, :, idx], A[ip, :, idx] = A[ip, :, idx], A[1, :, idx]
-        A[:, 1, idx], A[:, ip, idx] = A[:, ip, idx], A[:, 1, idx]
+        lanes, p = np.flatnonzero(ip != 1), ip[ip != 1]
+        A[1, :, lanes], A[p, :, lanes] = A[p, :, lanes], A[1, :, lanes]
+        A[:, 1, lanes], A[:, p, lanes] = A[:, p, lanes], A[:, 1, lanes]
         live = A[1, 0] != 0
         pf = np.where(live, np.where(ip == 1, pf, -pf) * A[0, 1], 0j)
         tau = A[2:, 0] / np.where(live, A[1, 0], 1.0)
-        row = A[1, 2:]
-        A = A[2:, 2:] + (row[:, None] * tau[None, :] - tau[:, None] * row[None, :])
-    pf = pf * A[0, 1] if n else pf
-    return complex(pf[0]) if not lead else pf.reshape(lead)
+        row, A = A[1, 2:], A[2:, 2:]
+        A += row[:, None] * tau[None, :] - tau[:, None] * row[None, :]
+    return pf * A[0, 1] if len(A) else pf

@@ -469,11 +469,11 @@ class TestCdfGrid:
 
     def test_each_distinct_z_evaluated_once(self, p48, monkeypatch):
         # each pass reads the table once per node block over the distinct z only, and takes
-        # one batched Pfaffian per block: the set-up call sees xmax once (z_inf lies past it and
-        # is evaluated as xmax), a grid's repeats (z_inf among them) are read back from their
-        # first evaluation
+        # one batched Pfaffian per block, (N, N, nodes x z) working arrays: the set-up call sees
+        # xmax once (z_inf lies past it and is evaluated as xmax), a grid's repeats (z_inf among
+        # them) are read back from their first evaluation
         seen, pf_calls = [], []
-        read, pf = cdf_module._read_gram, cdf_module.pfaffian
+        read, pf, eliminate = cdf_module._read_gram, cdf_module.pfaffian, cdf_module._eliminate
 
         def read_spy(rows, start, edges, panel, xq, sample):
             seen.append((len(edges), np.asarray(xq).tolist()))
@@ -481,22 +481,23 @@ class TestCdfGrid:
 
         monkeypatch.setattr(cdf_module, "_read_gram", read_spy)
         monkeypatch.setattr(cdf_module, "pfaffian", lambda A: pf_calls.append(np.shape(A)) or pf(A))
+        monkeypatch.setattr(cdf_module, "_eliminate", lambda W: pf_calls.append(np.shape(W)) or eliminate(W))
         eng = CdfEngine(p48)
         n = eng.contour.node_count // 2
         eng.cdf(eng.z_inf)
         # the anchor pass also takes G0's Pfaffian, once per engine
         assert pf_calls[-1] == (p48.N, p48.N)
         assert {tuple(z) for _, z in seen} == {(eng.xmax,)}
-        assert [b for b, _ in seen] == [s[0] for s in pf_calls[:-1]]
+        assert [b for b, _ in seen] == [s[-1] for s in pf_calls[:-1]]
         assert sum(b for b, _ in seen) == n
-        assert {s[1:] for s in pf_calls[:-1]} == {(1, p48.N, p48.N)}
+        assert {s[:-1] for s in pf_calls[:-1]} == {(p48.N, p48.N)}
         seen.clear()
         pf_calls.clear()
         grid = [3.0, 2.0, 3.0, eng.z_inf, 2.0, -1.0, 3.0]
         res = eng.cdf_grid(grid)
         assert {tuple(z) for _, z in seen} == {(2.0, 3.0, eng.xmax)}
-        assert sum(b for b, _ in seen) == n and [b for b, _ in seen] == [s[0] for s in pf_calls]
-        assert {s[1:] for s in pf_calls} == {(3, p48.N, p48.N)}
+        assert sum(b for b, _ in seen) == n and [3 * b for b, _ in seen] == [s[-1] for s in pf_calls]
+        assert {s[:-1] for s in pf_calls} == {(p48.N, p48.N)}
         assert res[0] == res[2] == res[6] and res[1] == res[4]
         assert [r.z for r in res] == grid and res[0] != res[1]
         assert res[3].value == 1.0
@@ -676,12 +677,13 @@ class TestCdfGrid:
         # pass takes one batched Pfaffian per block, fewer blocks than nodes
         ts, ladders, rules, built, pfs = [], [], [], [], []
         refinement, panel_edges, init = cdf_module._refinement, cdf_module._panel_edges, HalfLineRule.__init__
-        rule_for_t, pf = cdf_module.rule_for_t, cdf_module.pfaffian
+        rule_for_t, pf, eliminate = cdf_module.rule_for_t, cdf_module.pfaffian, cdf_module._eliminate
         monkeypatch.setattr(cdf_module, "_refinement", lambda p, t: ts.append(t.tolist()) or refinement(p, t))
         monkeypatch.setattr(cdf_module, "_panel_edges", lambda *a: ladders.append(len(a[1])) or panel_edges(*a))
         monkeypatch.setattr(cdf_module, "rule_for_t", lambda *a: rules.append(a[1]) or rule_for_t(*a))
         monkeypatch.setattr(HalfLineRule, "__init__", lambda r, *a: built.append(np.ndim(a[1])) or init(r, *a))
         monkeypatch.setattr(cdf_module, "pfaffian", lambda A: pfs.append(np.shape(A)) or pf(A))
+        monkeypatch.setattr(cdf_module, "_eliminate", lambda W: pfs.append(np.shape(W)) or eliminate(W))
         eng = CdfEngine(p48)
         n = eng.contour.node_count // 2
         eng.cdf(eng.z_inf)
@@ -798,10 +800,10 @@ class TestCdfGrid:
 
     def test_pfaffian_grid_pass_memory(self, p48):
         # tracemalloc peak of one 48-z Pfaffian pass on a set-up engine, the held table
-        # included (2.94 MB): about 2.5 MB of (node, z) pairs per block, over a 0.3 MB table.
-        # The pass that formed every node's samples, cumulative table and per-panel blocks
-        # on each call peaked at 2.17 MB here.  A first pass warms the caches that outlive
-        # an engine.
+        # included (2.79 MB with packed Grams, 2.92 MB with N x N Grams): about 2.4 MB of
+        # (node, z) pairs per block, over a 0.3 MB table.  The pass that formed every node's
+        # samples, cumulative table and per-panel blocks on each call peaked at 2.17 MB here.
+        # A first pass warms the caches that outlive an engine.
         CdfEngine(p48).cdf_grid(np.linspace(1.0, 6.0, 48))
         tracemalloc.start()
         try:
@@ -816,8 +818,9 @@ class TestCdfGrid:
 
     def test_pfaffian_set_up_memory(self):
         # tracemalloc bytes a fresh (16, 64, 1) engine holds after its Pfaffian set-up: the
-        # z-free table, 2,178 rows of 136 complex numbers (4.7 MB), beside the node edges.
-        # A first engine warms the caches that outlive an engine.
+        # z-free table, 2,178 rows of 136 complex numbers (4.7 MB), beside the node edges
+        # (4.80 MB held, with packed Grams as before them).  A first engine warms the caches
+        # that outlive an engine.
         p = ModelParams(16, 64, 1.0)
         CdfEngine(p).cdf(2.5)
         tracemalloc.start()
@@ -862,7 +865,8 @@ class TestNodeBlocks:
             monkeypatch.setattr(cdf_module, "BLOCK_BYTES", budget)
             eng = CdfEngine(p)
             for nodes in eng._node_blocks(len(zs)):
-                assert np.array_equal(eng._grams(nodes, zs), want[nodes])
+                W = quadrature._unpack(eng._grams(nodes, zs))
+                assert np.array_equal(np.moveaxis(W, -1, 0).reshape(want[nodes].shape), want[nodes])
             assert np.array_equal(eng._node_values(zs, "pfaffian")[0], pfaffian(want))
 
     def test_fredholm_values_do_not_depend_on_the_budget(self, p48, monkeypatch):

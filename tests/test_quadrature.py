@@ -406,6 +406,27 @@ def test_read_gram_over_many_points_is_its_one_point_calls():
             assert np.array_equal(one, many[r, j])
 
 
+def test_truncated_grams_unpack_the_packed_read_exactly():
+    """`_read_gram` hands over strict upper triangles in the order of `_upper`, and
+    `truncated_gram` unpacks them: A + A^T == 0 exactly, with the packed entries above the
+    diagonal, on a padded stack of complex and of real samples."""
+    rng = np.random.default_rng(9)
+    edges = [np.sqrt(6.0) * np.linspace(0.0, 1.0, n + 1) ** 1.5 for n in (7, 4)]
+    stack = quadrature.HalfLineRule.stack(6.0, edges, 8)
+    xq = np.concatenate((rng.uniform(0.0, 6.0, 30), [0.0, 6.0, 7.0, 1e-9]))
+    for f in (rng.normal(size=(2, 5, stack.n_nodes)) * (1 + 2j), rng.normal(size=(2, 5, stack.n_nodes))):
+        eps = EpsilonTransform(stack, f)
+        rows, g = eps.gram_rows(), f.reshape(2, 5, -1, 8)
+        packed = quadrature._read_gram(rows.reshape(-1, rows.shape[-1]), np.arange(2) * rows.shape[1],
+                                       quadrature._pad_edges(edges), reference_panel(8), xq,
+                                       lambda i, p, x: g[i, :, p])
+        gram = eps.truncated_gram(xq)
+        assert packed.shape == (2, len(xq), 10) and gram.shape == (2, len(xq), 5, 5)
+        assert np.all(gram + np.swapaxes(gram, -1, -2) == 0) and gram.dtype == f.dtype
+        a, c = quadrature._upper(5)
+        assert np.array_equal(gram[..., a, c], packed)
+
+
 def fresh_build(rule):
     """x, w, vinv and cum_ref of `rule` recomputed from its panel edges alone,
     with leggauss(q) and the Vandermonde inverse taken afresh."""

@@ -5,10 +5,10 @@ import pytest
 
 from wishart_lab import (ConfigError, DegenerateSkewProductError, EpsilonTransform,
                          ModelParams, SkewProductTable, build_basis, build_skew_polys,
-                         h_poly, inner_product_2, moment_matrix, pfaffian, skew_gram,
-                         skew_product, weight_w)
+                         h_poly, inner_product_2, moment_matrix, pfaffian, quadrature,
+                         skew_gram, skew_product, weight_w)
 from wishart_lab.quadrature import half_line_rule
-from wishart_lab.skew import default_xmax, rule_for_t
+from wishart_lab.skew import _eliminate, default_xmax, rule_for_t
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +221,7 @@ def random_skew(rng, shape, n):
     """Complex antisymmetric stack whose (1, 0) entries are tiny, so the
     first elimination step must pivot in every member."""
     A = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
-    A[..., 1, 0] *= 1e-6
+    A[..., 0, 1] *= 1e-6                              # the upper entry: triu keeps it
     return np.triu(A, 1) - np.swapaxes(np.triu(A, 1), -1, -2)
 
 
@@ -279,6 +279,43 @@ class TestPfaffian:
         A[2, 0, 1] += 1.0                             # one member of the stack
         with pytest.raises(ConfigError):
             pfaffian(A)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+    def test_a_non_finite_entry_is_refused(self, bad):
+        # NaN fails every comparison, so it slipped through the antisymmetry check and
+        # came back as nan+nanj with a divide warning; +-inf did the same
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="non-finite"):
+                pfaffian(np.full((4, 4), bad))
+            A = random_skew(np.random.default_rng(3), (3,), 4)
+            A[1, 0, 2], A[1, 2, 0] = bad, -bad             # one member of the stack
+            with pytest.raises(ConfigError, match="non-finite"):
+                pfaffian(A)
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_packed_entries_give_the_pfaffian_of_the_unpacked_matrices(self, n):
+        # the CDF engine's pass gathers strict upper triangles straight into the working
+        # array: bitwise `pfaffian` of the unpacked matrices, on a stack that mixes a member
+        # whose first pivot must move, members whose pivots stay in place, and a zero matrix
+        rng = np.random.default_rng(20 + n)
+        moved = random_skew(rng, (2,), n)
+        still = 1e-3 * random_skew(rng, (2,), n)
+        for j in range(0, n, 2):                              # a dominant (j + 1, j) entry per pair
+            still[:, j, j + 1], still[:, j + 1, j] = 5.0 + j, -5.0 - j
+        A = np.concatenate((moved[:1], still[:1], np.zeros((1, n, n)), moved[1:], still[1:]))
+        first = 1 + np.abs(A[:, 1:, 0]).argmax(-1)
+        assert (first[[0, 3]] != 1).all() or n == 2
+        assert (first[[1, 4]] == 1).all()
+        a, c = np.triu_indices(n, 1)
+        W = quadrature._unpack(A[:, a, c])
+        assert W.shape == (n, n, len(A)) and W.flags.c_contiguous
+        unpacked = np.moveaxis(W, -1, 0)
+        assert np.array_equal(unpacked, A) and np.all(unpacked + np.swapaxes(unpacked, 1, 2) == 0)
+        want = pfaffian(unpacked)
+        got = _eliminate(W)
+        assert np.array_equal(got, want) and got[2] == 0.0
+        assert np.array_equal(got, [pfaffian(m) for m in A])
 
     def test_singular(self):
         A = np.zeros((4, 4))
