@@ -21,7 +21,7 @@ from .params import (ModelParams, ContourSpec, weight_w, weight_w0, mp_density,
 from .quadrature import (KAPPA_EPSILON, HalfLineRule, ReferencePanel, half_line_rule,
                          reference_panel, finite_rule, EpsilonTransform)
 from .laguerre import LaguerreBasis, build_basis, eval_poly, cd_kernel_k2
-from .skew import (SkewProductTable, SkewPolySet, MomentMatrix, skew_gram, skew_product,
+from .skew import (SkewProductTable, SkewPolySet, MomentMatrix, skew_product,
                    inner_product_2, h_poly, build_skew_polys, moment_matrix,
                    pfaffian, default_xmax, rule_for_t)
 from .kernels import (KernelBundle, CdCorrectedKernel, correction_matrix,

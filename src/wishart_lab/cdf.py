@@ -324,7 +324,7 @@ class CdfEngine:
         # Enclosing cut segments beyond where that has decayed to ~1e-13 only
         # adds e^{M R} cancellation noise, so the circle is capped there; the
         # crossing of the (numerically dead) remainder of the cut is harmless.
-        if 0.0 < tt < 0.5:
+        if tt > 0.0:
             rate = M * (0.5 / tt - 1.0)
             cut = min(cut, 24.0 / rate)
         margin = max(0.5, cut / 8.0)

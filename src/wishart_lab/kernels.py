@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSkewProductError
 from .laguerre import LaguerreBasis, cd_kernel_k2
-from .params import ModelParams, weight_w
+from .params import ModelParams, weight_w, weight_w0
 from .quadrature import EpsilonTransform, HalfLineRule, KAPPA_EPSILON
 from .skew import SkewPolySet, SkewProductTable, _weighted_laguerre, build_skew_polys
 
@@ -241,7 +241,7 @@ def check_multi_orthogonality(params: ModelParams, t: complex) -> dict:
     rule = table.rule
     lag = table.basis.eval_all(rule.x)
     eps_nodes = table.eps.at_nodes()
-    w0v = np.exp(-params.M * rule.x) * rule.x ** params.alpha
+    w0v = weight_w0(params, rule.x)
 
     # rows 0..N-3: <P, x^m>_2 = 0 ; rows N-2, N-1: int P w_l = -2 pi i delta
     A = np.zeros((N, N), dtype=complex)

@@ -76,7 +76,7 @@ class ModelParams:
 
 
 def weight_w(params: ModelParams, t: complex, x):
-    """Contour-dependent weight w(x; t) over finite x > 0 (else ConfigError) and a t that broadcasts.
+    """Contour-dependent weight w(x; t) over finite x > 0 and a finite t that broadcasts (else ConfigError).
 
     The factor (t - tau_tilde x)^(-1/2) uses the principal branch, i.e. the
     cut sits where arg(t - tau_tilde x) = pi.  Raises SingularWeightError if
@@ -86,6 +86,8 @@ def weight_w(params: ModelParams, t: complex, x):
     ok = (x > 0) & (x < np.inf)                     # NaN fails both
     if not ok.all():
         raise ConfigError(f"weight_w needs finite x > 0, got {x[~ok].flat[0]:g}")
+    if not np.isfinite(t).all():
+        raise ConfigError(f"weight_w needs a finite t, got {np.ravel(t)[~np.isfinite(np.ravel(t))][0]}")
     u = np.asarray(t - params.tau_tilde * x, dtype=complex)
     if np.any(near := np.abs(u) < 64 * np.finfo(float).eps * np.maximum(np.abs(t), 1.0)):
         raise SingularWeightError(f"t - tau_tilde*x vanished at t={np.broadcast_to(t, u.shape)[near][0]}")
@@ -95,8 +97,11 @@ def weight_w(params: ModelParams, t: complex, x):
 
 
 def weight_w0(params: ModelParams, x):
-    """Laguerre weight w0(x) = x^(M-N) exp(-M x); positive on (0, inf)."""
+    """Laguerre weight w0(x) = x^(M-N) exp(-M x) over finite x >= 0 (else ConfigError); positive on (0, inf)."""
     x = np.asarray(x, dtype=float)
+    ok = (x >= 0) & (x < np.inf)                    # NaN fails both
+    if not ok.all():
+        raise ConfigError(f"weight_w0 needs finite x >= 0, got {x[~ok].flat[0]:g}")
     vals = x ** (params.M - params.N) * np.exp(-params.M * x)
     return vals if vals.ndim else float(vals)
 
@@ -111,12 +116,14 @@ def mp_density(params_or_gamma, lam):
 
     Accepts either a ModelParams (gamma taken from it) or a bare aspect
     parameter gamma = sqrt(N/M) in (0, 1].  Normalised to unit mass:
-    rho(lam) = sqrt((lam - b-) (b+ - lam)) / (2 pi gamma^2 lam) on [b-, b+].
+    rho(lam) = sqrt((lam - b-) (b+ - lam)) / (2 pi gamma^2 lam) on [b-, b+]; NaN is a ConfigError.
     """
     gamma = params_or_gamma.gamma if isinstance(params_or_gamma, ModelParams) else float(params_or_gamma)
     if not 0 < gamma <= 1:
         raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
     lam = np.asarray(lam, dtype=float)
+    if np.isnan(lam).any():
+        raise ConfigError("mp_density needs lam that is not NaN")
     b_minus, b_plus = mp_edges(gamma)
     inside = (lam > b_minus) & (lam < b_plus)
     rho = np.zeros_like(lam)

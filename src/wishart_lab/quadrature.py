@@ -9,6 +9,9 @@ even, so all rules here are built under the substitution x = u^2:
 
 which turns x^(k/2) factors into plain powers of u.  In u the integrand is
 panelwise analytic, so composite Gauss-Legendre panels converge spectrally.
+Every rule is built from its u-edges by `_from_edges`: equal panels (`half_line_rule`),
+a stack of padded edges (`HalfLineRule.stack`), or edges `_panel_edges` refines toward
+the weight's branch point (`skew.rule_for_t`), the one place that decides refinement.
 
 Besides plain integration the rules support *cumulative* integration
 F(y) = int_0^y f of each panel's interpolant of the samples: at the rule's own nodes
@@ -165,9 +168,7 @@ class HalfLineRule:
     def stack(cls, xmax: float, edges, q: int) -> "HalfLineRule":
         """q-point rules on [0, xmax] on each of `edges`, padded to the most panels with
         zero-width panels at sqrt(xmax) (weights exactly 0, above every point), stacked."""
-        E, panel = _pad_edges(edges), reference_panel(q)
-        u, w_u = _map_panel(E, panel)
-        return cls(float(xmax), E, u * u, w_u * 2.0 * u, panel)
+        return _from_edges(xmax, _pad_edges(edges), q)
 
     def _lift(self, a):     # a per-rule array, with an axis for the k rows of a stack's samples
         return a if self.u_edges.ndim == 1 else a[..., None, :]
@@ -251,17 +252,27 @@ def _map_panel(edges: np.ndarray, panel: ReferencePanel) -> tuple[np.ndarray, np
     return nodes, (scale[..., None] * panel.wg).reshape(nodes.shape)
 
 
+def _from_edges(xmax: float, u_edges: np.ndarray, q: int) -> HalfLineRule:
+    """The rule on [0, xmax] whose panels in u are `u_edges` (1-D, or a stack's 2-D), each a copy of
+    `reference_panel(q)`: the one constructor of every rule."""
+    panel = reference_panel(q)
+    u, w_u = _map_panel(u_edges, panel)
+    return HalfLineRule(float(xmax), u_edges, u * u, w_u * 2.0 * u, panel)
+
+
 #: doublings of the refinement ladder's floor width delta on each side of the branch point
 LADDER_LEVELS = 7
 
 
 def _panel_edges(xmax: float, refine_x, refine_width, n_panels: int) -> list[np.ndarray]:
-    """u-edges of `half_line_rule(xmax, n_panels, q, refine_x[i], refine_width[i])` for each i of the
-    checked 1-D arrays (NaN for None), in one pass: the plain edges less those within tol = delta / 1000
-    of a ladder edge u* + delta (0, +-2^m, m <= LADDER_LEVELS), u* = sqrt(refine_x), sorted per row."""
+    """u-edges of rules on [0, xmax], one per entry i of `skew._refinement`'s 1-D arrays, in one pass.
+    A rule is plain (n_panels equal u-panels) unless 0 < refine_x[i] < 1.1 xmax and delta =
+    max(refine_width[i], width / 512) is below the plain width.  Then the plain edges within tol = delta / 1000
+    of a ladder edge u* + delta (0, +-2^m, m <= LADDER_LEVELS), u* = sqrt(refine_x[i]), give way to the
+    ladder edges inside (tol, sqrt(xmax) - tol), sorted per row."""
     umax = np.sqrt(xmax)
     base, width = umax * np.linspace(0.0, 1.0, n_panels + 1), umax / n_panels
-    delta = np.where(np.isnan(refine_width), width / 64.0, np.maximum(refine_width, width / 512.0))[:, None]
+    delta = np.maximum(refine_width, width / 512.0)[:, None]
     on = ((0.0 < refine_x) & (refine_x < 1.1 * xmax))[:, None] & (delta < width)
     step, tol = 2.0 ** np.arange(LADDER_LEVELS + 1), 1e-3 * delta
     new = np.sqrt(np.where(on, refine_x[:, None], 0.0)) + delta * np.r_[-step, 0.0, step]
@@ -272,32 +283,14 @@ def _panel_edges(xmax: float, refine_x, refine_width, n_panels: int) -> list[np.
     return [r[:k] for r, k in zip(rows, np.count_nonzero(~np.isnan(rows), axis=1))]
 
 
-def half_line_rule(
-    xmax: float,
-    n_panels: int = 24,
-    q: int = 16,
-    refine_x: float | None = None,
-    refine_width: float | None = None,
-) -> HalfLineRule:
-    """Build a rule on [0, xmax] from n_panels copies of `reference_panel(q)`, the one
-    read-only q-point panel of the process; xmax must be finite and positive,
-    n_panels an integer >= 2, and refine_x, refine_width (when used) finite.
-
-    If `refine_x` is given (the real part of the weight's branch point,
-    Re t / tau_tilde), panel edges cluster geometrically toward it down to
-    panels of u-width `refine_width`, so the peaked factor (t - tau_tilde x)^(-1/2)
-    is resolved without evaluating closer to the peak than its own scale.  The edges
-    are one row of `_panel_edges`, which builds all of a CDF engine's node edges at once.
-    Truncations to [0, z] need no panel edge at z (`EpsilonTransform.truncated_gram`).
+def half_line_rule(xmax: float, n_panels: int = 24, q: int = 16) -> HalfLineRule:
+    """The plain rule on [0, xmax]: n_panels equal panels in u, each a copy of `reference_panel(q)`,
+    the one read-only q-point panel of the process; xmax must be finite and positive and n_panels
+    an integer >= 2.  Truncations to [0, z] need no panel edge at z (`EpsilonTransform.truncated_gram`);
+    a rule refined toward the weight's branch point is `skew.rule_for_t`'s.
     """
     xmax, n_panels = check_real("xmax", xmax, 0.0), check_count("n_panels", n_panels, 2)
-    panel = reference_panel(q)
-    rx = math.nan if refine_x is None else check_real("refine_x", refine_x)
-    on = 0.0 < rx < 1.1 * xmax and refine_width is not None     # refine_width is checked only then
-    rw = check_real("refine_width", refine_width, 0.0) if on else math.nan
-    base = _panel_edges(xmax, np.array([rx]), np.array([rw]), n_panels)[0]
-    u, w_u = _map_panel(base, panel)
-    return HalfLineRule(xmax, base, u * u, w_u * 2.0 * u, panel)
+    return _from_edges(xmax, np.sqrt(xmax) * np.linspace(0.0, 1.0, n_panels + 1), q)
 
 
 def finite_rule(a: float, b: float, n_panels: int = 12, q: int = 16):
@@ -351,18 +344,18 @@ class EpsilonTransform:
         np.cumsum(out, axis=1, out=out)
         return out.reshape(r.u_edges.shape[:-1] + out.shape[1:])
 
-    def truncated_gram(self, xq) -> np.ndarray:
-        """The skew Gram (1/2) int_0^{xq} (f_a F_b - f_b F_a) of a (k, n_nodes) `fvals` at each
-        point of a 1-D `xq`: (len(xq), k, k), after a stack's rules axis, exactly antisymmetric.
-        Read off `gram_rows` by `_read_gram`, with the head samples taken from `fvals`; no point
-        need be a panel edge, and a point's Gram depends on that point alone."""
-        r = self.rule
+    def truncated_gram(self, z) -> np.ndarray:
+        """The skew Gram (1/2) int_0^z (f_a F_b - f_b F_a) of a (k, n_nodes) `fvals` at each entry of a z of
+        any shape: z.shape + (k, k), after a stack's rules axis, exactly antisymmetric; z = inf gives the full
+        Gram, and z <= 0 or NaN the empty one.  Read off `gram_rows` by `_read_gram`, with the head samples
+        taken from `fvals`; no z need be a panel edge, and a z's Gram depends on that z alone."""
+        r, zs = self.rule, np.nan_to_num(np.asarray(z, dtype=float), nan=-np.inf)     # [0, NaN] is empty
         edges = r.u_edges.reshape(-1, r.n_panels + 1)                       # one row per rule
         rows = self.gram_rows()
         f = self.fvals.reshape(len(edges), -1, r.n_panels, r.q)
         out = _read_gram(rows.reshape(-1, rows.shape[-1]), np.arange(len(edges)) * (r.n_panels + 1),
-                         edges, r.panel, np.asarray(xq, dtype=float), lambda i, p, x: f[i, :, p])
-        return np.moveaxis(_unpack(out), -1, 0).reshape(r.u_edges.shape[:-1] + (-1,) + (f.shape[1],) * 2)
+                         edges, r.panel, zs.ravel(), lambda i, p, x: f[i, :, p])
+        return np.moveaxis(_unpack(out), -1, 0).reshape(r.u_edges.shape[:-1] + zs.shape + (f.shape[1],) * 2)
 
     def at_nodes(self) -> np.ndarray:
         """eps(f) at the rule nodes, shaped like `fvals`."""

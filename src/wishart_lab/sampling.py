@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, check_count
 from .params import ContourSpec, ModelParams
-from .zonal import contour_S
+from .zonal import _checked, contour_S
 
 __all__ = [
     "McConfig",
@@ -223,10 +223,10 @@ def sphere_integral_oracle(cfg: McConfig, lambdas) -> tuple[float, float]:
     Averages exp(M tau_tilde sum lambda_j u_j^2) over uniform u on the unit
     sphere and multiplies by the tau-free prefactor prod exp(-M lambda_j / 2).
     Estimates the j.p.d.f.'s group integral up to a constant that cancels in
-    ratios, which is how tests consume it.
+    ratios, which is how tests consume it.  The eigenvalues must be finite (ConfigError).
     """
     p = cfg.params
-    lambdas = np.asarray(lambdas, dtype=float)
+    lambdas = _checked(lambdas)
     if lambdas.shape != (p.N,):
         raise ConfigError(f"need exactly N={p.N} eigenvalues")
     rng = _rng(cfg.seed)
@@ -275,10 +275,12 @@ def haar_unitary_integral(cfg: McConfig, x_eigs, y: float,
 
 def _haar_integral(haar, cfg: McConfig, x_eigs, y: float,
                    M: int | None) -> tuple[float, float]:
-    """MC (mean, SE) of e^{-M y sum x_i |g_iN|^2} over g drawn by `haar`."""
-    x_eigs = np.asarray(x_eigs, dtype=float)
-    rng = _rng(cfg.seed)
+    """MC (mean, SE) of e^{-M y sum x_i |g_iN|^2} over g drawn by `haar`, of checked inputs (ConfigError)."""
     M = cfg.params.M if M is None else M
+    x_eigs = _checked(x_eigs, y, M)
+    if not x_eigs.size:
+        raise ConfigError("the group integral needs at least one eigenvalue")
+    rng = _rng(cfg.seed)
 
     def draw(m):
         col = np.abs(haar(rng, x_eigs.size, m)[:, :, -1]) ** 2

@@ -7,10 +7,10 @@ The skew product at fixed contour variable t (optionally truncated to
 
 and collapses to a single integral of running integrals: with F, G the
 integrals of f w, g w from 0, <f, g>_1 = (1/2) int_0^z (f w G - g w F).
-`skew_gram` forms these products for sampled f w: the epsilon transform's
-`truncated_gram`, read off its z-free table of antisymmetrised running sums
-(`EpsilonTransform.gram_rows`), so <f, f>_1 = 0 exactly.  The CDF engine
-keeps that table per contour node and reads it through the same code.
+`SkewProductTable` and `skew_product` form them for sampled f w through the
+epsilon transform's `truncated_gram`, read off its z-free table of antisymmetrised
+running sums (`EpsilonTransform.gram_rows`), so <f, f>_1 = 0 exactly.  The CDF
+engine keeps that table per contour node and reads it through the same code.
 
 The companion form <f, g>_2 = int f g w0 is the plain Laguerre pairing.
 The two are linked by the integration-by-parts identity
@@ -38,12 +38,11 @@ from numpy.polynomial import polynomial as P
 from .errors import ConfigError, DegenerateSkewProductError, check_count
 from .laguerre import LaguerreBasis, build_basis
 from .params import ModelParams, mp_edges, weight_w, weight_w0
-from .quadrature import EpsilonTransform, HalfLineRule, half_line_rule
+from .quadrature import EpsilonTransform, HalfLineRule, _from_edges, _panel_edges, half_line_rule
 
 __all__ = [
     "default_xmax",
     "rule_for_t",
-    "skew_gram",
     "SkewProductTable",
     "SkewPolySet",
     "MomentMatrix",
@@ -75,39 +74,29 @@ def rule_for_t(params: ModelParams, t: complex, n_panels: int = 24, q: int = 16)
     For t near the positive real axis the factor (t - tau_tilde x)^(-1/2)
     peaks at x = Re t / tau_tilde with width |Im t| / tau_tilde; panels
     cluster there down to that width (never finer, so no sample sits closer
-    to the peak than its own scale).  Every panel is a copy of the process's
-    one q-point reference panel (`half_line_rule`); a CDF engine takes every node's
-    edges from one batched call (`quadrature._panel_edges`).  t must be one complex number
-    (ConfigError otherwise): a 1-D t needs a stacked rule, one per t (`HalfLineRule.stack`).
+    to the peak than its own scale).  The edges are t's row of `quadrature._panel_edges`,
+    which gives a CDF engine every node's edges in one call.  t must be one finite complex
+    number (ConfigError otherwise): a 1-D t needs a stacked rule (`HalfLineRule.stack`).
     """
     if np.ndim(t):
         raise ConfigError(f"rule_for_t takes one t, got shape {np.shape(t)}: "
                           "a 1-D t needs a stacked rule, one per t (HalfLineRule.stack)")
+    if not np.isfinite(t):
+        raise ConfigError(f"rule_for_t needs a finite t, got {t!r}")
     xmax, *refine = _refinement(params, np.array([t], dtype=complex))
-    return half_line_rule(xmax, n_panels, q, *(None if np.isnan(v[0]) else float(v[0]) for v in refine))
+    return _from_edges(xmax, _panel_edges(xmax, *refine, check_count("n_panels", n_panels, 2))[0], q)
 
 
 def _refinement(params: ModelParams, t: np.ndarray):
-    """default_xmax and `rule_for_t`'s refine_x, refine_width (the peak's width taken in
-    u = sqrt(x)) at each t of a 1-D t, NaN where its rule is plain: with them
-    `quadrature._panel_edges` gives the rules' u-edges."""
-    xmax, tt, x = default_xmax(params), params.tau_tilde, np.full(t.shape, np.nan)
-    if tt > 0:
-        x = np.where((0.0 < t.real) & (t.real / tt < 1.1 * xmax), t.real / tt, np.nan)
-        return xmax, x, np.maximum(np.abs(t.imag) / (10.0 * tt) / (2.0 * np.sqrt(x)), 1e-8)
-    return xmax, x, x
-
-
-def skew_gram(rule: HalfLineRule, phi, z=math.inf) -> tuple[np.ndarray, EpsilonTransform]:
-    """Skew Gram (1/2) int_0^z (phi_a F_b - phi_b F_a) of sampled functions phi_a
-    (rows of `phi`), F_a their running integrals, shaped (k, k) for a scalar z and
-    (len(z), k, k) for a 1-D z (after a stack's rules axis), z = inf the full Gram.  Read
-    off `EpsilonTransform.truncated_gram`, so no z need be a panel edge and a z's
-    Gram depends on that z alone.  Also returns the epsilon transform."""
-    zs = np.nan_to_num(np.asarray(z, dtype=float), nan=-np.inf)   # [0, NaN] is empty
-    eps = EpsilonTransform(rule, phi)
-    gram = eps.truncated_gram(zs.ravel())
-    return gram.reshape(gram.shape[:-3] + zs.shape + gram.shape[-2:]), eps
+    """default_xmax, and at each t of a 1-D t the weight's branch point Re t / tau_tilde and its
+    peak's width taken in u = sqrt(x), NaN where Re t <= 0 or tau = 0: from them
+    `quadrature._panel_edges` decides which rules to refine and gives every rule's u-edges."""
+    xmax, tt = default_xmax(params), params.tau_tilde
+    if tt == 0:
+        nan = np.full(t.shape, np.nan)
+        return xmax, nan, nan
+    x = np.where(t.real > 0.0, t.real / tt, np.nan)
+    return xmax, x, np.maximum(np.abs(t.imag) / (10.0 * tt) / (2.0 * np.sqrt(x)), 1e-8)
 
 
 def _weighted_laguerre(params: ModelParams, t, x, kmax: int) -> np.ndarray:
@@ -144,8 +133,8 @@ class SkewProductTable:
         kmax = params.N + 1 if kmax is None else check_count("kmax", kmax, 1)
         t = t.astype(complex) if isinstance(t, np.ndarray) else complex(t)
         rule = rule_for_t(params, t) if rule is None else rule
-        entries, eps = skew_gram(rule, _weighted_laguerre(params, t, rule.x, kmax), z)
-        return cls(params, t, z, build_basis(params, max(kmax, params.N + 2)), rule, entries, eps)
+        eps = EpsilonTransform(rule, _weighted_laguerre(params, t, rule.x, kmax))
+        return cls(params, t, z, build_basis(params, max(kmax, params.N + 2)), rule, eps.truncated_gram(z), eps)
 
     @property
     def kmax(self) -> int:
@@ -167,7 +156,7 @@ def skew_product(params: ModelParams, fcoef, gcoef, t: complex, z: float = math.
     rule = rule_for_t(params, complex(t))
     wv = weight_w(params, complex(t), rule.x)
     fg = np.stack([P.polyval(rule.x, np.asarray(c, dtype=complex)) for c in (fcoef, gcoef)])
-    return complex(skew_gram(rule, fg * wv, z)[0][0, 1])
+    return complex(EpsilonTransform(rule, fg * wv).truncated_gram(z)[0, 1])
 
 
 def inner_product_2(params: ModelParams, fcoef, gcoef,

@@ -80,8 +80,26 @@ class TestWeights:
         with pytest.raises(ConfigError, match="finite x > 0"):
             weight_w(ModelParams(4, 8, 1.0), 2 + 1j, x)
 
+    @pytest.mark.parametrize("x", [-1.0, -1e-300, np.nan, np.inf, -np.inf, [1.0, np.nan], [2.0, -3.0]])
+    def test_w0_x_must_be_finite_and_non_negative(self, x):
+        # weight_w0(p, -1) returned 2980.96, e^M read off the wrong side of 0; NaN and inf were NaN or 0
+        with pytest.raises(ConfigError, match="finite x >= 0"):
+            weight_w0(ModelParams(4, 8, 1.0), x)
+
+    def test_w0_at_zero_and_at_points(self):
+        p = ModelParams(4, 8, 1.0)
+        x = np.array([0.0, 0.5, 3.0])
+        assert weight_w0(p, 0.0) == 0.0
+        assert np.array_equal(weight_w0(p, x), np.exp(-p.M * x) * x ** p.alpha)
+
 
 class TestMpDensity:
+    @pytest.mark.parametrize("lam", [np.nan, [1.0, np.nan]])
+    def test_nan_lam_is_refused(self, lam):
+        # it read as outside the support: 0.0
+        with pytest.raises(ConfigError, match="NaN"):
+            mp_density(ModelParams(4, 16, 0.0), lam)
+
     def test_outside_support_is_zero(self):
         p = ModelParams(4, 16, 0.0)
         assert mp_density(p, 10.0) == 0.0

@@ -72,12 +72,12 @@ class TestHalfLineRule:
 
 def ladder_edges(xmax, n_panels, refine_x=None, refine_width=None):
     """The refined u-edges of one rule, one ladder point at a time: the reference the batched
-    `quadrature._panel_edges` must match bitwise."""
+    `quadrature._panel_edges` must match bitwise (None for NaN)."""
     umax = np.sqrt(xmax)
     base, width = umax * np.linspace(0.0, 1.0, n_panels + 1), umax / n_panels
-    if refine_x is None or not 0.0 < refine_x < 1.1 * xmax:
+    if refine_x is None or refine_width is None or not 0.0 < refine_x < 1.1 * xmax:
         return base
-    delta = width / 64.0 if refine_width is None else max(refine_width, width / 512.0)
+    delta = max(refine_width, width / 512.0)
     if delta >= width:
         return base
     u_star, tol = np.sqrt(refine_x), 1e-3 * delta
@@ -87,18 +87,27 @@ def ladder_edges(xmax, n_panels, refine_x=None, refine_width=None):
     return np.unique(np.concatenate((base[[0, -1]], old, new)))
 
 
+def refined_rule(xmax, refine_x, n_panels=24, q=16):
+    """The rule on [0, xmax] refined toward refine_x down to 1/64 of the plain panel width, built as
+    `skew.rule_for_t` builds its rules: one row of `quadrature._panel_edges`."""
+    width = np.sqrt(xmax) / n_panels / 64.0
+    edges = quadrature._panel_edges(xmax, np.array([refine_x]), np.array([width]), n_panels)[0]
+    return quadrature._from_edges(xmax, edges, q)
+
+
 class TestPanelEdges:
     # (xmax, n_panels, refine_x, refine_width): the cases where the ladder takes another branch
     CASES = {
-        "default width (base / 64)": (30.0, 24, 3.0, None),
+        "ladder inside the plain panels": (30.0, 24, 3.0, 1e-3),
         "width floor (base / 512)": (30.0, 24, 3.0, 1e-9),
         "width at least the base width": (30.0, 24, 3.0, 1.0),
-        "refine_x at 1.1 xmax": (30.0, 24, 33.0, None),
+        "refine_x at 1.1 xmax": (30.0, 24, 33.0, 1e-3),
         "refine_x past 1.1 xmax": (30.0, 24, 40.0, 1e-3),
         "refine_x at or below 0": (30.0, 24, -1.0, 1e-3),
-        "ladder clipped at 0": (30.0, 24, 1e-4, None),
+        "ladder clipped at 0": (30.0, 24, 1e-4, 1e-3),
         "ladder clipped at sqrt(xmax)": (30.0, 24, 29.9, 1e-3),
-        "old edges under ladder points": (30.0, 24, float(np.sqrt(30.0) / 2) ** 2, None),
+        "old edges under ladder points": (30.0, 24, float(np.sqrt(30.0) / 2) ** 2, float(np.sqrt(30.0) / 24 / 64)),
+        "no width": (30.0, 24, 3.0, None),
         "no refinement": (30.0, 24, None, None),
     }
 
@@ -118,7 +127,8 @@ class TestPanelEdges:
             for row, (_, n, rx, rw) in zip(rows, mine):
                 want = ladder_edges(xmax, n, rx, rw)
                 assert np.array_equal(row, want)
-                assert np.array_equal(half_line_rule(xmax, n, refine_x=rx, refine_width=rw).u_edges, want)
+                one, = quadrature._panel_edges(xmax, np.array([nan(rx)]), np.array([nan(rw)]), n)
+                assert np.array_equal(one, want)
 
     def test_each_case_takes_its_branch(self):
         plain = ladder_edges(30.0, 24)
@@ -126,10 +136,10 @@ class TestPanelEdges:
             30.0, *(np.array([np.nan if c[k] is None else c[k] for c in self.CASES.values()]) for k in (2, 3)),
             24)))
         for name in ("width at least the base width", "refine_x at 1.1 xmax", "refine_x past 1.1 xmax",
-                     "refine_x at or below 0", "no refinement"):
+                     "refine_x at or below 0", "no width", "no refinement"):
             assert np.array_equal(rows[name], plain), name
         # 17 ladder points; each old edge within tol of one gives way to it, and each clipped one is gone
-        assert len(rows["default width (base / 64)"]) == len(rows["width floor (base / 512)"]) == 25 + 17
+        assert len(rows["ladder inside the plain panels"]) == len(rows["width floor (base / 512)"]) == 25 + 17
         assert len(rows["ladder clipped at 0"]) < 25 + 17 and rows["ladder clipped at 0"][0] == 0.0
         assert len(rows["ladder clipped at sqrt(xmax)"]) < 25 + 17
         assert rows["ladder clipped at sqrt(xmax)"][-1] == np.sqrt(30.0)
@@ -144,8 +154,7 @@ class TestEpsilonTransform:
         # Gram, at z inside panels, on a panel edge, at x0 and past the ends; each z's value
         # is its own.  The rule on [x0, 30] is x0 + half_line_rule(30 - x0), queried at z - x0.
         x0 = 0.1
-        for refine_x in (None, 3.0):
-            r = half_line_rule(30.0 - x0, refine_x=refine_x and refine_x - x0)
+        for r in (half_line_rule(30.0 - x0), refined_rule(30.0 - x0, 3.0 - x0)):
             eps = EpsilonTransform(r, np.exp(-np.outer([1.0, 2.0], x0 + r.x)))
             y = np.array([0.2, 1.9, 7.67, r.u_edges[5] ** 2, 29.8, 0.0, 29.9, 39.9, -1.1])  # z - x0
             gram, F = eps.truncated_gram(y), r.cum_at(eps.fvals, y)
@@ -351,7 +360,7 @@ class TestPanelLookup:
     points inside panels, on interior and top edges, past xmax and below 0."""
 
     EDGES = [np.sqrt(6.0) * np.linspace(0.0, 1.0, n + 1) ** 1.5 for n in (3, 7, 5)] \
-        + [half_line_rule(6.0, 4, 8, refine_x=2.0, refine_width=0.02).u_edges]
+        + [quadrature._panel_edges(6.0, np.array([2.0]), np.array([0.02]), 4)[0]]
 
     def points(self, rng):
         on_edges = np.concatenate(self.EDGES) ** 2
@@ -445,9 +454,9 @@ class TestReferencePanel:
     @pytest.mark.parametrize("refine_x,x0", [(None, 0.0), (3.0, 0.0), (3.0, 2.0)])
     def test_shared_panel_rule_equals_fresh_build(self, q, refine_x, x0):
         # the rule on [x0, 30] is x0 + half_line_rule(30 - x0): the rule itself is checked
-        panel, refine_x = reference_panel(q), refine_x and refine_x - x0
+        panel = reference_panel(q)
         for _ in range(2):     # the second rule reuses the first one's panel
-            r = half_line_rule(30.0 - x0, q=q, refine_x=refine_x)
+            r = half_line_rule(30.0 - x0, q=q) if refine_x is None else refined_rule(30.0 - x0, refine_x - x0, q=q)
             assert r.panel is panel
             for got, want in zip((r.x, r.w, panel.vinv, panel.cum_ref), fresh_build(r)):
                 assert np.array_equal(got, want)
@@ -497,13 +506,10 @@ class TestReferencePanel:
 @pytest.mark.parametrize("args, kwargs", [
     ((float("nan"),), {}), ((float("inf"),), {}), ((0.0,), {}), ((-1.0,), {}), ((True,), {}),
     (("30",), {}), ((10.0,), {"n_panels": 2.5}), ((10.0,), {"n_panels": 1}),
-    ((10.0,), {"n_panels": True}), ((10.0,), {"n_panels": np.float64(4.0)}),
-    ((10.0,), {"refine_x": float("nan")}), ((10.0,), {"refine_x": 3.0, "refine_width": float("nan")}),
-    ((10.0,), {"refine_x": 3.0, "refine_width": 0.0})])
+    ((10.0,), {"n_panels": True}), ((10.0,), {"n_panels": np.float64(4.0)})])
 def test_half_line_rule_refuses_bad_input(args, kwargs):
-    # nan / inf would otherwise give all-NaN rules, a float n_panels a raw
-    # TypeError, and a nan refine_width an unrefined rule
-    with pytest.raises(ConfigError, match="xmax|n_panels|refine_"):
+    # nan / inf would otherwise give all-NaN rules, and a float n_panels a raw TypeError
+    with pytest.raises(ConfigError, match="xmax|n_panels"):
         half_line_rule(*args, **kwargs)
 
 

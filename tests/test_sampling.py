@@ -5,6 +5,7 @@ import pytest
 
 from wishart_lab import (ConfigError, McConfig, ModelParams, contour_integral_I,
                          haar_orthogonal, haar_orthogonal_integral, haar_unitary,
+                         haar_unitary_integral,
                          loe_direct_cdf, make_contour, sample_wishart_all_eigs,
                          sample_wishart_max_eig, sphere_integral_oracle)
 from wishart_lab import sampling
@@ -274,6 +275,26 @@ class TestContourIntegralI:
         contour = make_contour(0.1, node_count=16, margin=0.01)
         with pytest.raises(ConfigError):
             contour_integral_I(p, [10.0, 11.0, 12.0, 13.0], contour)
+
+
+class TestOracleInputs:
+    """The group-integral oracles check their eigenvalues and y (`zonal._checked`): a NaN gave
+    (nan, nan), an inf eigenvalue a RuntimeWarning and an empty list a ZeroDivisionError."""
+
+    P = ModelParams(2, 4, 1.0)
+
+    @pytest.mark.parametrize("lam", [[0.5, np.nan], [np.inf, 1.0], [-np.inf, 1.0]])
+    def test_sphere_oracle_refuses_non_finite_eigenvalues(self, lam):
+        with pytest.raises(ConfigError, match="finite"):
+            sphere_integral_oracle(McConfig(1, 100, self.P), lam)
+
+    @pytest.mark.parametrize("integral", [haar_orthogonal_integral, haar_unitary_integral])
+    @pytest.mark.parametrize("x, y, M", [([0.2, np.nan], 0.3, None), ([np.inf, 0.5], 0.3, None),
+                                         ([0.2, 0.5], np.nan, None), ([0.2, 0.5], np.inf, None),
+                                         ([0.2, 0.5], 0.3, 0), ([], 0.3, None), ([[0.2, 0.5]], 0.3, None)])
+    def test_haar_integrals_refuse_bad_input(self, integral, x, y, M):
+        with pytest.raises(ConfigError, match="x_eigs|y must|M must|at least one eigenvalue"):
+            integral(McConfig(4, 100, self.P), x, y, M)
 
 
 class TestHaarIntegral:

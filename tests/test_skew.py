@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from wishart_lab import (ConfigError, DegenerateSkewProductError, EpsilonTransform,
-                         ModelParams, SkewProductTable, build_basis, build_skew_polys,
+from wishart_lab import (ConfigError, DegenerateSkewProductError, EpsilonTransform, HalfLineRule,
+                         KernelBundle, ModelParams, SkewProductTable, build_basis, build_skew_polys,
+                         cd_kernel_k2, truncated_moment_matrix,
                          h_poly, inner_product_2, moment_matrix, pfaffian, quadrature,
-                         skew_gram, skew_product, weight_w)
+                         skew_product, weight_w)
 from wishart_lab.quadrature import half_line_rule
 from wishart_lab.skew import _eliminate, default_xmax, rule_for_t
 
@@ -364,7 +365,8 @@ class TestSkewGram:
 
         rule = rule_for_t(p48, t)
         phi = phi_on(rule)
-        F = EpsilonTransform(rule, phi).cumulative
+        eps = EpsilonTransform(rule, phi)
+        F = eps.cumulative
         edges = rule.u_edges ** 2
         zs = [edges[20], edges[7], -1.0, 0.0, edges[20], 3.3, default_xmax(p48), 1e3, edges[7],
               0.77, rule.x[37]]
@@ -374,7 +376,7 @@ class TestSkewGram:
             zs += [np.nextafter(lo ** 2, np.inf), (lo + 1e-9 * (hi - lo)) ** 2,
                    (hi - 1e-9 * (hi - lo)) ** 2, np.nextafter(hi ** 2, 0.0)]
         zs.append(np.nan)
-        got, _ = skew_gram(rule, phi, zs)
+        got = eps.truncated_gram(zs)
         assert got.shape == (len(zs), 5, 5)
         for z, g in zip(zs, got):
             if z in edges or not 0 < z < default_xmax(p48):
@@ -391,9 +393,29 @@ class TestSkewGram:
         assert np.array_equal(got[0], got[4]) and np.array_equal(got[1], got[8])
         # each z's Gram is bitwise the same alone (scalar z) or beside other z
         for z, g in zip(zs, got):
-            one, _ = skew_gram(rule, phi, z)
+            one = eps.truncated_gram(z)
             assert one.shape == (5, 5) and np.array_equal(one, g)
-            assert np.array_equal(skew_gram(rule, phi, [1.0, z])[0][1], g)
+            assert np.array_equal(eps.truncated_gram([1.0, z])[1], g)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf)])
+@pytest.mark.parametrize("call", ["weight_w", "rule_for_t", "skew_product", "truncated_moment_matrix",
+                                  "KernelBundle.build", "stacked KernelBundle.build", "cd_kernel_k2"])
+def test_a_non_finite_t_is_a_config_error(p48, call, t):
+    # rule_for_t(p, nan) returned a plain rule, weight_w(p, inf, x) zeros (so skew_product 0j),
+    # truncated_moment_matrix NaN entries, and KernelBundle.build a raw LinAlgError
+    stack = HalfLineRule.stack(default_xmax(p48), [rule_for_t(p48, 2 + 1j).u_edges] * 2, 16)
+    run = {
+        "weight_w": lambda: weight_w(p48, t, [1.0, 2.0]),
+        "rule_for_t": lambda: rule_for_t(p48, t),
+        "skew_product": lambda: skew_product(p48, [1.0], [0.0, 1.0], t),
+        "truncated_moment_matrix": lambda: truncated_moment_matrix(p48, t, 2.0),
+        "KernelBundle.build": lambda: KernelBundle.build(p48, t),
+        "stacked KernelBundle.build": lambda: KernelBundle.build(p48, np.array([2 + 1j, t]), rule=stack),
+        "cd_kernel_k2": lambda: cd_kernel_k2(build_basis(p48), t, 1.0, 2.0),
+    }[call]
+    with pytest.raises(ConfigError, match="finite t"):
+        run()
 
 
 class TestDeBruijn:
