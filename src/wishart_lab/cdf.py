@@ -153,7 +153,7 @@ def truncated_moment_matrix(params: ModelParams, t: complex, z,
 
     A 1-D z gives the stack (len(z), N, N), every truncation read off one
     z-free half-line `rule` (default `rule_for_t(params, t)`); z <= 0 gives
-    zeros.  A 1-D t and a stacked `rule` put a t axis first.
+    zeros and a NaN z is a ConfigError.  A 1-D t and a stacked `rule` put a t axis first.
     """
     return SkewProductTable.build(params, t, kmax=params.N - 1, z=z, rule=rule).entries
 

@@ -19,22 +19,25 @@ Christoffel-Darboux corrected (the finite-N structure theorem):
 
 (the column really is (L_{N-2}, L_{N-1}); the degree-(2N) variant that
 appears in one display upstream is a typo, which the brute-force oracle
-confirms).  A is also reproduced from the skew-product table as C^T B^{-1}
-where C collects the expansion coefficients of L_{N-3}, L_{N-4} over
-(pi_{N+1,1}, pi_{N,1}) and B is the 2x2 cross Gram; `correction_matrix_from_table`
-exposes that route for the test suite.
+confirms).  eps is linear, so the row is the Laguerre coefficients of
+(pi_{N+1,1}, pi_{N,1}) times the table's eps(L_j w): both assemblies read one
+table, and every whole-rule integral is `HalfLineRule.integrate`.  A is also
+reproduced from the skew-product table as C^T B^{-1} where C collects the
+expansion coefficients of L_{N-3}, L_{N-4} over (pi_{N+1,1}, pi_{N,1}) and B is
+the 2x2 cross Gram; `correction_matrix_from_table` exposes that route for the
+test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateSkewProductError
 from .laguerre import LaguerreBasis, cd_kernel_k2
-from .params import ModelParams, weight_w, weight_w0
-from .quadrature import EpsilonTransform, HalfLineRule, KAPPA_EPSILON
+from .params import ModelParams, weight_w0
+from .quadrature import HalfLineRule, KAPPA_EPSILON
 from .skew import SkewPolySet, SkewProductTable, _weighted_laguerre, build_skew_polys
 
 __all__ = [
@@ -138,13 +141,14 @@ class KernelBundle:
 
     def trace_s1(self) -> complex:
         """int S1(x, x) dx; equals N and is t-independent."""
-        return complex(self.s1_diag_nodes() @ self.table.rule.w)
+        return complex(self.table.rule.integrate(self.s1_diag_nodes()))
 
     def resolvent_trace(self):
         """int S1(x, x) / (t - tau_tilde x) dx over the half-line, one per t of a stack."""
         rule, t = self.table.rule, self.t
-        vals = self.s1_diag_nodes() / ((t[:, None] if np.ndim(t) else t) - self.params.tau_tilde * rule.x)
-        return np.einsum("...n,...n->...", vals, rule.w) if np.ndim(t) else complex(vals @ rule.w)
+        vals = self.s1_diag_nodes() / (np.reshape(t, np.shape(t) + (1,)) - self.params.tau_tilde * rule.x)
+        out = rule.integrate(rule._lift(vals))
+        return out[..., 0] if np.ndim(t) else complex(out)
 
 
 def correction_matrix(params: ModelParams, t: complex, basis: LaguerreBasis) -> np.ndarray:
@@ -160,12 +164,14 @@ def correction_matrix(params: ModelParams, t: complex, basis: LaguerreBasis) -> 
 
 @dataclass
 class CdCorrectedKernel:
-    """S1 via the Laguerre CD kernel plus the rank-2 correction."""
+    """S1 via the Laguerre CD kernel plus the rank-2 correction, read off one table: the
+    correction's row is `hi @ table.eps(y)` and its column (L_{N-2}, L_{N-1}) w(x) the
+    sampler of `KernelBundle.factor`; no pi is sampled and no second transform built."""
 
     table: SkewProductTable
     polys: SkewPolySet
     A: np.ndarray                       # 2x2 correction matrix
-    eps_hi: EpsilonTransform = field(repr=False)   # of the stack (pi_{N+1,1} w, pi_{N,1} w)
+    hi: np.ndarray                      # (2, kmax + 1) Laguerre coefficients of (pi_{N+1,1}, pi_{N,1})
 
     @classmethod
     def build(cls, params: ModelParams, t: complex,
@@ -175,9 +181,8 @@ class CdCorrectedKernel:
         polys = build_skew_polys(table)
         N = params.N
         A = correction_matrix(params, complex(t), table.basis)
-        hi = np.stack([polys.values(N + 1), polys.values(N)])
-        eps_hi = EpsilonTransform(table.rule, hi * weight_w(params, complex(t), table.rule.x))
-        return cls(table, polys, A, eps_hi)
+        hi = np.stack([np.pad(polys.coeffs[d], (0, table.kmax - d)) for d in (N + 1, N)])
+        return cls(table, polys, A, hi)
 
     @property
     def params(self) -> ModelParams:
@@ -192,11 +197,9 @@ class CdCorrectedKernel:
         xs, sx = _as_points(x)
         ys, sy = _as_points(y)
         N = self.params.N
-        row = self.eps_hi(ys)                                      # (2, ny)
-        lag = self.table.basis.eval_all(xs)
-        col = np.stack([lag[N - 2], lag[N - 1]])                   # (2, nx)
-        col = col * np.atleast_1d(weight_w(self.params, self.t, xs))
-        out = col.T @ self.A.T @ row                               # (nx, ny)
+        row = self.hi @ self.table.eps(ys)                                   # (2, ny)
+        col = _weighted_laguerre(self.params, self.t, xs, N - 1)[N - 2:]     # (2, nx)
+        out = col.T @ self.A.T @ row                                         # (nx, ny)
         return complex(out[0, 0]) if sx and sy else out
 
     def s1(self, x, y):
@@ -230,27 +233,21 @@ def check_multi_orthogonality(params: ModelParams, t: complex) -> dict:
     The polynomials P_l (l = 1, 2) have degree N - 1, are w0-orthogonal to
     x^m for m <= N - 3, and satisfy int P_l w_m dx = -2 pi i delta_{lm} with
     w_m = w * eps-kernel smoothing of L_{N-m-2} w.  Solvability is governed
-    by the cross pivot <L_{N-1}, L_{N-2}>_1: the system matrix factors
-    through the skew Gram of (L_{N-2}, L_{N-1}), so zeroing that pivot makes
-    it singular (reported as `det_with_pivot_zeroed`).
+    by the cross pivot <L_{N-1}, L_{N-2}>_1, through which the reduced system
+    factors: reduced_det = cmat_det * pivot^2.
     """
     N = params.N
     if N < 4:
         raise ConfigError("multi-orthogonality check needs N >= 4")
     table = SkewProductTable.build(params, t)
-    rule = table.rule
-    lag = table.basis.eval_all(rule.x)
-    eps_nodes = table.eps.at_nodes()
-    w0v = weight_w0(params, rule.x)
+    rule, eps = table.rule, table.eps
+    lag_w0 = table.basis.eval_all(rule.x)[:N] * weight_w0(params, rule.x)
 
-    # rows 0..N-3: <P, x^m>_2 = 0 ; rows N-2, N-1: int P w_l = -2 pi i delta
-    A = np.zeros((N, N), dtype=complex)
-    for m in range(N - 2):
-        A[m, :] = ((rule.x ** m) * w0v * lag[:N]) @ rule.w
-    wv = weight_w(params, complex(t), rule.x)
-    for li, l in enumerate((1, 2)):
-        wm = wv * eps_nodes[N - l - 2]   # w_l = w * eps(L_{N-l-2} w)
-        A[N - 2 + li, :] = (wm * lag[:N]) @ rule.w
+    # rows 0..N-3: <P, x^m>_2 = 0 ; rows N-2, N-1: int P w_l = -2 pi i delta,
+    # w_l = w eps(L_{N-l-2} w), with P w read off the table's samples of L_j w
+    A = np.empty((N, N), dtype=complex)
+    A[:N - 2] = rule.integrate(rule.x ** np.arange(N - 2)[:, None, None] * lag_w0)
+    A[N - 2:] = rule.integrate(eps.at_nodes()[[N - 3, N - 4], None] * eps.fvals[:N])
     rhs = np.zeros((N, 2), dtype=complex)
     rhs[N - 2, 0] = rhs[N - 1, 1] = -2.0j * np.pi
 
@@ -274,6 +271,5 @@ def check_multi_orthogonality(params: ModelParams, t: complex) -> dict:
         "reduced_det": complex(np.linalg.det(S2)),
         "gram_pivot": complex(gram_pivot),
         "cmat_det": complex(np.linalg.det(cmat)),
-        "det_with_pivot_zeroed": complex(np.linalg.det(cmat @ (0.0 * gram))),
         "moment_values": (A[N - 2:, :] @ sol),
     }

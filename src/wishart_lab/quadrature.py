@@ -189,7 +189,7 @@ class HalfLineRule:
             where = f"row {', '.join(map(str, row))}, node {node}" if row else f"node {node}"
             x = self.x[node] if self.x.ndim == 1 else self.x[row[0], node]
             raise QuadratureError(f"non-finite sample at {where} (x={x:.6g})")
-        return fvals @ self.w if self.w.ndim == 1 else (fvals @ self.w[..., None])[..., 0]
+        return (fvals @ self.w[..., None])[..., 0]
 
     def _panel_scales(self):
         return self._lift(0.5 * np.diff(self.u_edges))
@@ -321,8 +321,9 @@ class EpsilonTransform:
         self.cumulative = rule.cumulative(self.fvals)   # int_0^{x_i} f at the nodes
 
     @cached_property
-    def total(self) -> np.ndarray:      # int_0^xmax f, shaped (...); taken on first use
-        return (self.fvals @ self.rule.w[..., None])[..., 0]
+    def total(self) -> np.ndarray:
+        """int_0^xmax f, shaped (...), on first use; `HalfLineRule.integrate` refuses a non-finite sample."""
+        return self.rule.integrate(self.fvals)
 
     def gram_rows(self) -> np.ndarray:
         """The z-free table of the truncated skew Gram (1/2) int_0^z (f_a F_b - f_b F_a) of the
@@ -347,9 +348,9 @@ class EpsilonTransform:
     def truncated_gram(self, z) -> np.ndarray:
         """The skew Gram (1/2) int_0^z (f_a F_b - f_b F_a) of a (k, n_nodes) `fvals` at each entry of a z of
         any shape: z.shape + (k, k), after a stack's rules axis, exactly antisymmetric; z = inf gives the full
-        Gram, and z <= 0 or NaN the empty one.  Read off `gram_rows` by `_read_gram`, with the head samples
-        taken from `fvals`; no z need be a panel edge, and a z's Gram depends on that z alone."""
-        r, zs = self.rule, np.nan_to_num(np.asarray(z, dtype=float), nan=-np.inf)     # [0, NaN] is empty
+        Gram, z <= 0 the empty one, and NaN a ConfigError (`_locate`).  Read off `gram_rows` by `_read_gram`,
+        with the head samples taken from `fvals`; no z need be a panel edge, and a z's Gram depends on it alone."""
+        r, zs = self.rule, np.asarray(z, dtype=float)
         edges = r.u_edges.reshape(-1, r.n_panels + 1)                       # one row per rule
         rows = self.gram_rows()
         f = self.fvals.reshape(len(edges), -1, r.n_panels, r.q)

@@ -30,7 +30,7 @@ derived under.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -167,7 +167,7 @@ def inner_product_2(params: ModelParams, fcoef, gcoef,
     vals = (P.polyval(rule.x, np.asarray(fcoef, dtype=complex))
             * P.polyval(rule.x, np.asarray(gcoef, dtype=complex))
             * weight_w0(params, rule.x))
-    return complex(vals @ rule.w)
+    return complex(rule.integrate(vals))
 
 
 def h_poly(params: ModelParams, j: int, t: complex) -> np.ndarray:
@@ -199,19 +199,14 @@ class SkewPolySet:
     """Laguerre-basis coefficients of pi_{N-2,1} .. pi_{N+1,1} at fixed t.
 
     coeffs[d] has length d + 1: pi_{d,1} = sum_k coeffs[d][k] L_k, monic.
-    h_skew is h_{N-1,1} = <pi_{N-2,1}, pi_{N-1,1}>_1.
+    h_skew is h_{N-1,1} = <pi_{N-2,1}, pi_{N-1,1}>_1.  The pi are never sampled:
+    anything of pi w is these coefficients times the table's L_j w, or their eps.
     """
 
     params: ModelParams
     t: complex
     coeffs: dict[int, np.ndarray]
     h_skew: complex
-    table: SkewProductTable = field(repr=False)
-
-    def values(self, d: int) -> np.ndarray:
-        """pi_{d,1} sampled at the table's rule nodes."""
-        c = self.coeffs[d]
-        return np.tensordot(c, self.table.basis.eval_all(self.table.rule.x)[: len(c)], axes=(0, 0))
 
 
 def _pair_coeffs(table: SkewProductTable, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +237,7 @@ def build_skew_polys(table: SkewProductTable) -> SkewPolySet:
     coeffs[N - 2], coeffs[N - 1] = _pair_coeffs(table, (N - 2) // 2)
     coeffs[N], coeffs[N + 1] = _pair_coeffs(table, N // 2)
     h_skew = table.bilinear(coeffs[N - 2], coeffs[N - 1])
-    return SkewPolySet(table.params, table.t, coeffs, h_skew, table)
+    return SkewPolySet(table.params, table.t, coeffs, h_skew)
 
 
 @dataclass

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wishart_lab import McConfig, ModelParams, cli, sample_wishart_max_eig
+from wishart_lab import KernelBundle, McConfig, ModelParams, cli, sample_wishart_max_eig
 from wishart_lab.cli import _fmt, main
 from wishart_lab.skew import default_xmax
 
@@ -258,6 +258,24 @@ class TestCdfCommand:
         assert main(["cdf", "--config", cfg, "--route", "fredholm", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "FloatingPointError" in err and "(4, 8, 1)" in err
+        assert len(err.strip().splitlines()) == 1 and not (tmp_path / "cdf.csv").exists()
+
+    def test_non_finite_nystrom_sample_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a NaN sample of L_j w on the Nystrom grid went on to the range check, a
+        # PrecisionLossError (or, with warnings as errors, a RuntimeWarning from det)
+        factor = KernelBundle.factor
+
+        def one_nan(self, x, eps):
+            out = factor(self, x, eps)
+            if not eps:
+                out[..., 0, 3] = np.nan
+            return out
+
+        monkeypatch.setattr(KernelBundle, "factor", one_nan)
+        cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[2.0])
+        assert main(["cdf", "--config", cfg, "--route", "fredholm", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "QuadratureError" in err and "node 3" in err
         assert len(err.strip().splitlines()) == 1 and not (tmp_path / "cdf.csv").exists()
 
     def test_precision_loss_exits_3(self, tmp_path, capsys):

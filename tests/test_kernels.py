@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wishart_lab import (CdCorrectedKernel, CdfEngine, ConfigError, DegenerateSkewProductError, KernelBundle,
-                         ModelParams, build_basis, check_multi_orthogonality,
+                         ModelParams, QuadratureError, build_basis, check_multi_orthogonality,
                          cd_kernel_k2, correction_matrix, weight_w)
 from wishart_lab.quadrature import EpsilonTransform, HalfLineRule
 from wishart_lab.skew import SkewProductTable, default_xmax, rule_for_t
@@ -93,6 +93,22 @@ class TestBruteForce:
         for x, y in ((0.7, 1.9), (2.0, 0.5), (3.1, 3.0), (1.1, 4.2), (4.0, 1.0)):
             fd = -(bundle.s1(x, y + h) - bundle.s1(x, y - h)) / (2 * h)
             assert bundle.ds1(x, y) == pytest.approx(fd, rel=1e-6)
+
+    def test_a_non_finite_diagonal_sample_is_a_quadrature_error(self, p48, monkeypatch):
+        # trace_s1 and resolvent_trace returned nan; on a stack the row is the t's
+        ts = np.array([2 + 1j, 0.9 + 0.05j])
+        stack = KernelBundle.build(p48, ts, rule=HalfLineRule.stack(
+            default_xmax(p48), [rule_for_t(p48, complex(t)).u_edges for t in ts], 16))
+        one = KernelBundle.build(p48, 2 + 1j)
+        for kb, at, where, calls in ((one, 7, "node 7", ("trace_s1", "resolvent_trace")),
+                                     (stack, (1, 7), "row 1, 0, node 7", ("resolvent_trace",))):
+            diag = kb.s1_diag_nodes()
+            diag[at] = np.nan
+            monkeypatch.setattr(kb, "s1_diag_nodes", lambda: diag)
+            x = kb.table.rule.x[at]
+            for name in calls:
+                with pytest.raises(QuadratureError, match=re.escape(f"{where} (x={x:.6g})")):
+                    getattr(kb, name)()
 
     def test_conjugation_symmetry(self, p48):
         ka = KernelBundle.build(p48, 1.4 + 0.9j)
@@ -263,6 +279,23 @@ class TestCdCorrected:
         tt_ratio = ModelParams(4, 8, 1e-6).tau_tilde / p.tau_tilde
         assert ratio == pytest.approx(tt_ratio, rel=1e-6)
 
+    @pytest.mark.parametrize("tau", [0.3, 1.0])
+    @pytest.mark.parametrize("t", [2 + 1j, 1 + 2j, 0.8 + 0.9j])
+    def test_correction_reads_the_tables_eps_by_linearity(self, tau, t):
+        # the oracle is a construction of its own: pi_{N+1,1} w and pi_{N,1} w sampled
+        # on the table's rule and given their own epsilon transform
+        p = ModelParams(4, 8, tau)
+        cd = CdCorrectedKernel.build(p, t)
+        rule, N = cd.table.rule, p.N
+        lag = cd.table.basis.eval_all(rule.x)
+        pi_w = np.stack([cd.polys.coeffs[d] @ lag[:d + 1] for d in (N + 1, N)]) * weight_w(p, t, rule.x)
+        eps_pi = EpsilonTransform(rule, pi_w)
+        xs, ys = np.linspace(0.4, 6.0, 5), np.linspace(0.3, 5.5, 5)
+        row = eps_pi(ys)
+        assert np.max(np.abs(cd.hi @ cd.table.eps(ys) - row)) <= 1e-13 * np.max(np.abs(row))
+        want = (cd.table.basis.eval_all(xs)[N - 2:N] * weight_w(p, t, xs)).T @ cd.A.T @ row
+        assert np.max(np.abs(cd.correction(xs, ys) - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_correction_matrix_from_table(self, p48):
         cd = CdCorrectedKernel.build(p48, 2 + 1j)
         A_tab = cd.correction_matrix_from_table()
@@ -285,8 +318,7 @@ class TestMultiOrthogonality:
 
     def test_singular_iff_pivot_zero(self, p48):
         rep = check_multi_orthogonality(p48, 2 + 1j)
-        # S2 = C J(pivot): determinant relation and the zeroed-pivot collapse
+        # S2 = C J(pivot): the determinant factors through the pivot
         det_pred = rep["cmat_det"] * rep["gram_pivot"] ** 2
         assert rep["reduced_det"] == pytest.approx(det_pred, rel=1e-10)
-        assert rep["det_with_pivot_zeroed"] == 0.0
         assert abs(rep["reduced_det"]) > 0.0

@@ -61,6 +61,8 @@ class TestHalfLineRule:
         f[17] = np.nan
         with pytest.raises(QuadratureError, match="node 17"):
             rule.integrate(f)
+        with pytest.raises(QuadratureError, match=f"node 17 \\(x={rule.x[17]:.6g}\\)"):
+            EpsilonTransform(rule, f).total          # it returned nan
 
     def test_nonfinite_stacked_sample_names_its_row_and_node(self, rule):
         # it indexed the nodes with the flat index: a raw IndexError (387 of 384)
@@ -280,6 +282,8 @@ class TestStackedSamples:
         f[1, 2, 5] = np.inf
         with pytest.raises(QuadratureError, match=f"row 1, 2, node 5 \\(x={r.x[1, 5]:.6g}\\)"):
             r.integrate(f)
+        with pytest.raises(QuadratureError, match=f"row 1, 2, node 5 \\(x={r.x[1, 5]:.6g}\\)"):
+            EpsilonTransform(r, f).total             # it returned inf
 
     @pytest.mark.parametrize("shape", [(2, 40), (40,), (1, 1, 40), (3, 1, 40), (2, 1, 39), (2, 1, 1, 40)])
     def test_other_shapes_are_config_errors(self, stack, shape):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wishart_lab import (ConfigError, DegenerateSkewProductError, EpsilonTransform, HalfLineRule,
-                         KernelBundle, ModelParams, SkewProductTable, build_basis, build_skew_polys,
-                         cd_kernel_k2, truncated_moment_matrix,
+                         KernelBundle, ModelParams, QuadratureError, SkewProductTable, build_basis,
+                         build_skew_polys, cd_kernel_k2, truncated_moment_matrix,
                          h_poly, inner_product_2, moment_matrix, pfaffian, quadrature,
                          skew_product, weight_w)
 from wishart_lab.quadrature import half_line_rule
@@ -102,6 +102,12 @@ class TestInnerProduct2:
 
     def test_zero(self, p48):
         assert inner_product_2(p48, [0.0], [1.0, 2.0]) == 0.0
+
+    def test_a_non_finite_sample_is_a_quadrature_error(self, p48):
+        # it returned nan+nanj
+        x0 = half_line_rule(default_xmax(p48)).x[0]
+        with pytest.raises(QuadratureError, match=f"node 0 \\(x={x0:.6g}\\)"):
+            inner_product_2(p48, [np.nan], [1.0, 2.0])
 
 
 class TestHPoly:
@@ -354,7 +360,7 @@ class TestPfaffian:
 
 class TestSkewGram:
     def test_truncation_is_exact_and_depends_on_z_alone(self, p48):
-        # unsorted and repeated z, z <= 0, z past xmax and NaN (empty), z on
+        # unsorted and repeated z, z <= 0 (empty), z past xmax, z on
         # panel edges, inside panels, on a node, and just inside both ends of a
         # plain panel and of a refinement-ladder panel
         t = 2 + 1j
@@ -375,7 +381,6 @@ class TestSkewGram:
         for lo, hi in (rule.u_edges[8:10], rule.u_edges[22:24]):
             zs += [np.nextafter(lo ** 2, np.inf), (lo + 1e-9 * (hi - lo)) ** 2,
                    (hi - 1e-9 * (hi - lo)) ** 2, np.nextafter(hi ** 2, 0.0)]
-        zs.append(np.nan)
         got = eps.truncated_gram(zs)
         assert got.shape == (len(zs), 5, 5)
         for z, g in zip(zs, got):
@@ -389,13 +394,28 @@ class TestSkewGram:
                 raw = (f * fine.w) @ EpsilonTransform(fine, f).cumulative.T
             want = 0.5 * (raw - raw.T)
             assert np.max(np.abs(g - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
-        assert np.all(got[[2, 3, -1]] == 0.0)
+        assert np.all(got[[2, 3]] == 0.0)
         assert np.array_equal(got[0], got[4]) and np.array_equal(got[1], got[8])
         # each z's Gram is bitwise the same alone (scalar z) or beside other z
         for z, g in zip(zs, got):
             one = eps.truncated_gram(z)
             assert one.shape == (5, 5) and np.array_equal(one, g)
             assert np.array_equal(eps.truncated_gram([1.0, z])[1], g)
+
+
+@pytest.mark.parametrize("call", ["truncated_gram", "truncated_moment_matrix", "SkewProductTable.build",
+                                  "skew_product"])
+def test_a_nan_z_is_a_config_error(p48, call):
+    # a NaN z was read as an empty truncation, an all-zero Gram, where cum_at refused it
+    t, z = 2 + 1j, [2.0, np.nan]
+    run = {
+        "truncated_gram": lambda: SkewProductTable.build(p48, t).eps.truncated_gram(z),
+        "truncated_moment_matrix": lambda: truncated_moment_matrix(p48, t, np.nan),
+        "SkewProductTable.build": lambda: SkewProductTable.build(p48, t, z=z),
+        "skew_product": lambda: skew_product(p48, [1.0], [0.0, 1.0], t, z=np.nan),
+    }[call]
+    with pytest.raises(ConfigError, match="a quadrature point is NaN"):
+        run()
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf)])
