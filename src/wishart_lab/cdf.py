@@ -23,7 +23,8 @@ the Laguerre basis real, so f(conj t) = conj f(t); node n-1-k of the circle
 is the conjugate of node k (weight -conj).  Both routes evaluate only the
 upper nodes 0 .. n/2 - 1 and sum 2i Im sum_upper w e^{M t} f row by row,
 so values are exactly real.  `anchor_gap` reports the anchor's shortfall
-against the exact normaliser 2 pi i (1 + tau)^{M/2} M^{N/2 - 1} / Gamma(N/2) Pf(G0).
+against the exact normaliser 2 pi i (1 + tau)^{M/2} M^{N/2 - 1} / Gamma(N/2) Pf(G0),
+Pf(G0) in closed form through the Selberg integral (`CdfEngine._log_exact_anchor`).
 
 Cross-check route.  Pf(Mtrunc)^2 = det M(t) * det(I - K chi_[z,inf)) where K
 is the 2x2 matrix kernel
@@ -75,8 +76,9 @@ re-cuts the nodes by its (node, z) pairs, reads per (node, z) the row below z an
 the piece of z's panel, from L_j w on its q nodes alone (`_read_gram`), and takes
 one batched Pfaffian per block; a block samples L_j w once per distinct (node, panel)
 and evaluates the head table once per distinct place of a z in its panel, both shared
-by every (node, z) they serve.  Grams stay packed strict upper triangles up to one gather
-into the working array the Pfaffian overwrites (`_unpack`, `_eliminate`).  The Fredholm
+by every (node, z) they serve.  Grams stay packed strict upper triangles throughout: a
+block's triangles, one lane per (node, z), are the array the one elimination (`skew._eliminate`)
+overwrites in place, and no N x N matrix is formed.  The Fredholm
 route keeps one stacked KernelBundle per block.  Each pass reads eps(L_j w) off the node
 rule at the live z only, samples L_j w at the Nystrom points, which every node shares, takes
 eps there from the one transform on the Nystrom rule, and takes one batched determinant over
@@ -95,9 +97,8 @@ from .errors import ConfigError, PrecisionLossError, check_count, check_real
 from .kernels import KernelBundle
 from .params import ContourSpec, ModelParams, mp_edges
 from .quadrature import (KAPPA_EPSILON, EpsilonTransform, HalfLineRule, _pad_edges, _panel_edges,
-                         _read_gram, _unpack, half_line_rule, reference_panel)
-from .skew import (SkewProductTable, _eliminate, _refinement, _weighted_laguerre, default_xmax, pfaffian,
-                   rule_for_t)
+                         _read_gram, half_line_rule, reference_panel)
+from .skew import SkewProductTable, _eliminate, _refinement, _weighted_laguerre, default_xmax, pfaffian
 from .zonal import _log_residue
 
 __all__ = [
@@ -167,8 +168,9 @@ def logdet_m_derivative(params: ModelParams, t: complex, bundle: KernelBundle | 
 
 def _pair_bytes(N: int, q: int) -> int:
     """Bytes one (node, z) pair of a Pfaffian pass keeps for its result: its samples of L_j w on
-    the q nodes of z's panel and its N x N Pfaffian working array, both complex.  With the real
-    head tables and products beside them a pair peaks at about 4.3 times this at N = 4, 2.1 at N = 16."""
+    the q nodes of z's panel and the N x N head piece `_read_gram` forms before packing it, both
+    complex.  With the real head tables, products and packed Gram beside them a pair peaks at
+    about 4.3 times this at N = 4, 2.3 at N = 16 (tracemalloc)."""
     return 16 * N * (q + N)
 
 
@@ -354,7 +356,7 @@ class CdfEngine:
         xmax, the anchor's own column, so it gives exactly 1.0.  Each other
         result carries the circle's `node_count`, the route's `anchor`,
         `anchor_gap` = |anchor / exact - 1| (exact less the sqrt|det M(t_i0)|
-        the Fredholm Lambda leaves out; inf if Pf(G0) is 0 or not finite),
+        the Fredholm Lambda leaves out; inf once the ratio passes e^700),
         `im_residual` (0.0, kept for existing readers) and `cancellation_digits`
         = log10(sum |w e^{M t} f| / |sum w e^{M t} f|), the digits lost to
         cancellation in the contour sum (f is Pf on the Pfaffian route and
@@ -414,14 +416,17 @@ class CdfEngine:
 
     @functools.cached_property
     def _log_exact_anchor(self) -> float:
-        """log |2 pi i (1 + tau)^{M/2} M^{N/2 - 1} / Gamma(N/2) Pf(G0)|, G0
-        the tau = 0 moment matrix at t = 1; nan unless Pf(G0) is usable."""
+        """log |2 pi i (1 + tau)^{M/2} M^{N/2 - 1} / Gamma(N/2) Pf(G0)|, G0 the tau = 0 moment
+        matrix at t = 1, in closed form.  By de Bruijn's identity |Pf(G0)| is 2^{-N/2} / N! times
+        the integral over (0, inf)^N of |Delta(x)| prod x^{(M-N-1)/2} e^{-M x/2}, which x = 2 y / M
+        turns into (2/M)^{NM/2} times the Selberg integral of Laguerre type with gamma = 1/2:
+        prod_{j<N} Gamma((M-N+1+j)/2) Gamma((j+3)/2) / Gamma(3/2).  Finite where Pf(G0) underflows."""
         N, M = self.params.N, self.params.M
-        p0 = ModelParams(N, M, 0.0)
-        rule = rule_for_t(p0, 1.0, self.n_panels, self.q)
-        pf0 = abs(pfaffian(truncated_moment_matrix(p0, 1.0, math.inf, rule=rule)))
+        log_pf0 = (0.5 * N * M * math.log(2.0 / M) - math.lgamma(N + 1.0) - 0.5 * N * math.log(2.0)
+                   + sum(math.lgamma(0.5 * (M - N + 1 + j)) + math.lgamma(0.5 * (j + 3)) - math.lgamma(1.5)
+                         for j in range(N)))
         return (math.log(2.0 * math.pi) + 0.5 * M * math.log1p(self.params.tau)
-                + _log_residue(M, 0.5 * N) + math.log(pf0)) if 0.0 < pf0 < math.inf else math.nan
+                + _log_residue(M, 0.5 * N) + log_pf0)
 
     @functools.cached_property
     def _edges(self) -> list[np.ndarray]:
@@ -461,12 +466,14 @@ class CdfEngine:
 
     def _node_values(self, zs, route: str):
         """f at every upper contour node (rows) and z (columns), and per-z diagnostics; on the
-        Pfaffian route one elimination of `_grams`' working array per `_node_blocks` of the z."""
+        Pfaffian route one in-place elimination of `_grams`' packed triangles per `_node_blocks`
+        block of the z, lanes (node, z) last."""
         if route == "fredholm":
             return self._fredholm_values(zs)
         f = np.empty((self.contour.node_count // 2, len(zs)), dtype=complex)
         for nodes in self._node_blocks(len(zs)):
-            f[nodes] = _eliminate(_unpack(self._grams(nodes, zs))).reshape(len(nodes), -1)
+            g = self._grams(nodes, zs)
+            f[nodes] = _eliminate(g.reshape(-1, g.shape[-1]).T.copy()).reshape(len(nodes), -1)
         return f, [{}] * len(zs)
 
     def _rule(self, nodes) -> HalfLineRule:

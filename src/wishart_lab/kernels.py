@@ -139,16 +139,21 @@ class KernelBundle:
         N, eps = self.params.N, self.table.eps
         return -((self.mu @ eps.at_nodes()[..., :N, :]) * eps.fvals[..., :N, :]).sum(-2)
 
-    def trace_s1(self) -> complex:
-        """int S1(x, x) dx; equals N and is t-independent."""
-        return complex(self.table.rule.integrate(self.s1_diag_nodes()))
+    def trace_s1(self):
+        """int S1(x, x) dx, one per t of a stack; equals N and is t-independent."""
+        return self._integrate_nodes(self.s1_diag_nodes())
 
     def resolvent_trace(self):
         """int S1(x, x) / (t - tau_tilde x) dx over the half-line, one per t of a stack."""
-        rule, t = self.table.rule, self.t
-        vals = self.s1_diag_nodes() / (np.reshape(t, np.shape(t) + (1,)) - self.params.tau_tilde * rule.x)
+        t = self.t
+        return self._integrate_nodes(self.s1_diag_nodes()
+                                     / (np.reshape(t, np.shape(t) + (1,)) - self.params.tau_tilde * self.table.rule.x))
+
+    def _integrate_nodes(self, vals):
+        """int over the rule of samples at its nodes, (..., n_nodes): a complex, or one per t of a stack."""
+        rule = self.table.rule
         out = rule.integrate(rule._lift(vals))
-        return out[..., 0] if np.ndim(t) else complex(out)
+        return out[..., 0] if np.ndim(self.t) else complex(out)
 
 
 def correction_matrix(params: ModelParams, t: complex, basis: LaguerreBasis) -> np.ndarray:
@@ -241,7 +246,7 @@ def check_multi_orthogonality(params: ModelParams, t: complex) -> dict:
         raise ConfigError("multi-orthogonality check needs N >= 4")
     table = SkewProductTable.build(params, t)
     rule, eps = table.rule, table.eps
-    lag_w0 = table.basis.eval_all(rule.x)[:N] * weight_w0(params, rule.x)
+    lag_w0 = table.basis.eval_all(rule.x, N - 1) * weight_w0(params, rule.x)
 
     # rows 0..N-3: <P, x^m>_2 = 0 ; rows N-2, N-1: int P w_l = -2 pi i delta,
     # w_l = w eps(L_{N-l-2} w), with P w read off the table's samples of L_j w

@@ -40,14 +40,18 @@ class LaguerreBasis:
     def h(self, n: int) -> float:
         return math.exp(self.log_h[n])
 
-    def eval_all(self, x) -> np.ndarray:
-        """Values L_0..L_max_degree at x; shape (max_degree + 1,) + x.shape."""
+    def eval_all(self, x, upto: int | None = None) -> np.ndarray:
+        """Values L_0..L_upto at x, upto <= max_degree (default max_degree; ConfigError past it);
+        shape (upto + 1,) + x.shape.  Each degree's values do not depend on upto."""
+        upto = self.max_degree if upto is None else upto
+        if not 0 <= upto <= self.max_degree:
+            raise ConfigError(f"degree {upto} out of range 0..{self.max_degree}")
         x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
-        out = np.empty((self.max_degree + 1,) + x.shape, dtype=x.dtype)
+        out = np.empty((upto + 1,) + x.shape, dtype=x.dtype)
         out[0] = 1.0
-        if self.max_degree >= 1:
+        if upto >= 1:
             out[1] = x - self.a[0]
-        for n in range(1, self.max_degree):
+        for n in range(1, upto):
             out[n + 1] = (x - self.a[n]) * out[n] - self.b[n] * out[n - 1]
         return out
 
@@ -108,7 +112,7 @@ def eval_poly(basis: LaguerreBasis, n: int, x):
     if n > basis.max_degree or n < 0:
         raise ConfigError(f"degree {n} out of range 0..{basis.max_degree}")
     xa = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
-    vals = basis.eval_all(xa)[n]
+    vals = basis.eval_all(xa, n)[n]
     return vals if vals.ndim else vals[()]
 
 
@@ -138,8 +142,8 @@ def cd_kernel_k2(basis: LaguerreBasis, t: complex, x, y):
     hN1 = basis.h(N - 1)
     pref = wx * wy * yf * (t - p.tau_tilde * yf) / hN1
 
-    Lx = basis.eval_all(xf)
-    Ly = basis.eval_all(yf)
+    Lx = basis.eval_all(xf, N)
+    Ly = basis.eval_all(yf, N)
     num = Lx[N] * Ly[N - 1] - Ly[N] * Lx[N - 1]
     scale = np.maximum(np.abs(xf), np.abs(yf)) + 1.0
     near = np.abs(xf - yf) < 1e-6 * scale

@@ -30,7 +30,8 @@ z only for the piece of z's own panel: a z-free table of running sums of per-pan
 each edge (`EpsilonTransform.gram_rows`), and the same `head` table for the piece of that panel
 below z (`_read_gram`).  The two readers share the panel lookup (`_locate`) and the head
 evaluation (`_head_at`), and both batch over a `HalfLineRule.stack`.  Grams pass as packed strict
-upper triangles; one gather (`_unpack`) makes them matrices, for `truncated_gram` and Pfaffians.
+upper triangles, which the Pfaffian eliminates in place (`skew._eliminate`); one gather (`_unpack`)
+makes them matrices for `truncated_gram` alone.
 """
 
 from __future__ import annotations
@@ -375,7 +376,8 @@ class EpsilonTransform:
 @cache
 def _upper(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the strict upper triangle of a k x k matrix, the order of a
-    Gram table row (`EpsilonTransform.gram_rows`), built once per k and read-only."""
+    Gram table row (`EpsilonTransform.gram_rows`) and of a Pfaffian's packed lanes
+    (`skew._eliminate`), built once per k and read-only."""
     upper = np.triu_indices(k, 1)
     for a in upper:
         a.setflags(write=False)
@@ -384,7 +386,8 @@ def _upper(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _unpack(packed) -> np.ndarray:
     """Antisymmetric k x k matrices from strict upper triangles (..., k (k - 1) / 2) in the order of
-    `_upper`, by one gather from the triangles, their negations and a zero, as a (k, k, batch) array."""
+    `_upper`, by one gather from the triangles, their negations and a zero, as a (k, k, batch) array:
+    `EpsilonTransform.truncated_gram`'s matrices; Pfaffians take the triangles as they are."""
     *lead, P = packed.shape
     k, flat = (1 + math.isqrt(8 * P + 1)) // 2, packed.reshape(math.prod(lead), P).T
     at = np.full((k, k), 2 * P)

@@ -29,6 +29,7 @@ derived under.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ from numpy.polynomial import polynomial as P
 from .errors import ConfigError, DegenerateSkewProductError, check_count
 from .laguerre import LaguerreBasis, build_basis
 from .params import ModelParams, mp_edges, weight_w, weight_w0
-from .quadrature import EpsilonTransform, HalfLineRule, _from_edges, _panel_edges, half_line_rule
+from .quadrature import EpsilonTransform, HalfLineRule, _from_edges, _panel_edges, _upper, half_line_rule
 
 __all__ = [
     "default_xmax",
@@ -103,7 +104,7 @@ def _weighted_laguerre(params: ModelParams, t, x, kmax: int) -> np.ndarray:
     """L_0 .. L_kmax times w(x; t) at points x (..., n), one t per row of x: (..., kmax + 1, n).
     The one sampler of the truncated Grams' functions, on a whole rule or on one panel's nodes."""
     wv = weight_w(params, t[..., None] if np.ndim(t) else t, x)
-    lag = build_basis(params, max(kmax, params.N + 2)).eval_all(x)[: kmax + 1]
+    lag = build_basis(params, max(kmax, params.N + 2)).eval_all(x, kmax)
     return np.swapaxes(lag, 0, -2) * wv[..., None, :]
 
 
@@ -276,36 +277,67 @@ def moment_matrix(table: SkewProductTable, polyset: SkewPolySet | None = None,
 
 def pfaffian(A: np.ndarray):
     """Pfaffians of a stack (..., n, n) of even-dimensional antisymmetric matrices (to 1e-10
-    of each matrix's largest entry, and finite, else ConfigError), by `_eliminate` on a fresh
-    (n, n, batch) copy.  2-D input gives a complex; Pf([[0, a], [-a, 0]]) = a."""
+    of each matrix's largest entry, and finite, else ConfigError), by `_eliminate` of their
+    packed strict upper triangles, taken as the negated lower ones (-A[j, i], i < j), so the
+    pivot column is read as A holds it.  2-D input gives a complex; Pf([[0, a], [-a, 0]]) = a."""
     A = np.asarray(A, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] % 2:
         raise ConfigError(f"pfaffian needs square matrices of even dimension, got {A.shape}")
     lead, n = A.shape[:-2], A.shape[-1]
-    A = np.moveaxis(A.reshape((math.prod(lead), n, n)), 0, -1).copy()
+    A = np.moveaxis(A.reshape((math.prod(lead), n, n)), 0, -1)
     if not np.isfinite(A).all():
         raise ConfigError("matrix has a non-finite entry")
     norm = np.abs(A).max(axis=(0, 1), initial=0.0)
     if np.any(np.abs(A + np.swapaxes(A, 0, 1)).max(axis=(0, 1), initial=0.0) > 1e-10 * norm):
         raise ConfigError("matrix is not antisymmetric within tolerance")
-    pf = _eliminate(A)
+    a, c = _upper(n)
+    pf = _eliminate(-A[c, a])
     return complex(pf[0]) if not lead else pf.reshape(lead)
 
 
 def _eliminate(A: np.ndarray) -> np.ndarray:
-    """Pfaffians (batch,) of the antisymmetric A[:, :, b] of an (n, n, batch) array, which it overwrites:
-    Parlett-Reid elimination with partial pivoting over every lane at once (Wimmer, ACM TOMS 38, 2012).
-    Each step swaps a lane's largest working-column element into place (flipping the sign) if it moves,
-    clears the rest by a unit congruence in place and drops the leading 2 x 2; a zero column gives 0."""
+    """Pfaffians (lanes,) of the antisymmetric n x n matrices whose strict upper triangles, in the
+    order of `_upper`, are the columns of A (n (n - 1) / 2, lanes), which it overwrites: Parlett-Reid
+    elimination with partial pivoting over every lane at once (Wimmer, ACM TOMS 38, 2012).  At each
+    step of the trailing m x m block, row 0 (A[:m - 1]) is the working column negated, row 1 follows it,
+    and the trailing (m - 2) x (m - 2) triangle is the tail A[2m - 3:], updated in place by
+    row[I] tau[J] - tau[I] row[J] over its upper indices (I, J).  A lane whose largest working entry
+    is off the natural pivot swaps it into place (flipping the sign) by `_swap`; a zero column gives 0."""
     pf = np.ones(A.shape[-1], dtype=complex)
-    while len(A) > 2:        # A is the trailing block; its rows 0 and 1 are the working pair
-        ip = 1 + np.abs(A[1:, 0]).argmax(axis=0)
-        lanes, p = np.flatnonzero(ip != 1), ip[ip != 1]
-        A[1, :, lanes], A[p, :, lanes] = A[p, :, lanes], A[1, :, lanes]
-        A[:, 1, lanes], A[:, p, lanes] = A[:, p, lanes], A[:, 1, lanes]
-        live = A[1, 0] != 0
-        pf = np.where(live, np.where(ip == 1, pf, -pf) * A[0, 1], 0j)
-        tau = A[2:, 0] / np.where(live, A[1, 0], 1.0)
-        row, A = A[1, 2:], A[2:, 2:]
-        A += row[:, None] * tau[None, :] - tau[:, None] * row[None, :]
-    return pf * A[0, 1] if len(A) else pf
+    m = (1 + math.isqrt(8 * len(A) + 1)) // 2
+    while m > 2:
+        ip = np.abs(A[:m - 1]).argmax(axis=0)
+        if ip.any():                                  # pivoting is rare: one gather per pivot row
+            moved = np.flatnonzero(ip)
+            for p in set(ip[moved].tolist()):
+                lanes = moved[ip[moved] == p]
+                perm, sign = _swap(m, p + 1)
+                A[:, lanes] = A[perm[:, None], lanes] * sign[:, None]
+            pf[moved] = -pf[moved]
+        piv = A[0]                                    # a zero pivot makes the lane's Pf 0
+        # not pf *= piv: numpy rounds an in-place complex product on one lane differently, and a
+        # lane's value must not depend on the size of its block
+        pf = pf * piv
+        tau = A[1:m - 1] / np.where(piv == 0, 1.0, piv)
+        row, A = A[m - 1:2 * m - 3], A[2 * m - 3:]
+        I, J = _upper(m - 2)
+        upd = row[I] * tau[J]
+        upd -= tau[I] * row[J]
+        A += upd
+        m -= 2
+    return pf * A[0] if len(A) else pf
+
+
+@functools.cache
+def _swap(m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The packed strict upper triangle of an m x m antisymmetric matrix with rows and columns 1 and p
+    swapped, as a gather and signs (new = sign * old[perm]), built once per (m, p) and read-only."""
+    a, c = _upper(m)
+    s = np.arange(m)
+    s[[1, p]] = p, 1
+    at = np.empty((m, m), dtype=np.intp)
+    at[a, c] = at[c, a] = np.arange(len(a))
+    perm, sign = at[s[a], s[c]], np.where(s[a] < s[c], 1.0, -1.0)
+    for x in (perm, sign):
+        x.setflags(write=False)
+    return perm, sign

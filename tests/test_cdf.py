@@ -1,5 +1,6 @@
 import functools
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from wishart_lab import (KAPPA_EPSILON, CdfEngine, EpsilonTransform, KernelBundl
                          truncated_moment_matrix, weight_w)
 from wishart_lab import (ConfigError, DegenerateSkewProductError, PrecisionLossError,
                          SingularWeightError)
-from wishart_lab import cdf as cdf_module, quadrature
+from wishart_lab import cdf as cdf_module, quadrature, skew as skew_module
 from wishart_lab.quadrature import HalfLineRule
 from wishart_lab.skew import SkewProductTable, default_xmax, rule_for_t
 
@@ -448,8 +449,8 @@ class TestCdfGrid:
 
     def test_anchor_computed_once(self, p48, monkeypatch):
         # the first Pfaffian pass builds the z-free table, one stacked rule per build block
-        # and every upper node once, and takes G0 of the exact normaliser (scalar t = 1,
-        # z = inf); later passes on either route reuse the table, the anchor and G0
+        # and every upper node once; the exact normaliser is in closed form, so no G0 moment
+        # matrix is built; later passes on either route reuse the table and the anchor
         stacks, g0 = [], []
         stack, tmm = HalfLineRule.stack.__func__, cdf_module.truncated_moment_matrix
         monkeypatch.setattr(HalfLineRule, "stack", classmethod(
@@ -459,21 +460,23 @@ class TestCdfGrid:
         eng = CdfEngine(p48)
         eng.cdf_grid(self.ZS)
         rows, anchor = eng._gram_table[0], eng._anchors["pfaffian"]
-        assert g0 == [(1.0, np.inf)]
+        assert g0 == []
         assert stacks == [len(b) for b in eng._node_blocks()] and sum(stacks) == eng.contour.node_count // 2
         stacks.clear()
         eng.cdf_grid(self.ZS)
         assert stacks == []
         eng.cdf_grid(self.ZS, "fredholm")
-        assert eng._gram_table[0] is rows and eng._anchors["pfaffian"] == anchor and len(g0) == 1
+        assert eng._gram_table[0] is rows and eng._anchors["pfaffian"] == anchor and g0 == []
 
     def test_each_distinct_z_evaluated_once(self, p48, monkeypatch):
         # each pass reads the table once per node block over the distinct z only, and takes
-        # one batched Pfaffian per block, (N, N, nodes x z) working arrays: the set-up call sees
-        # xmax once (z_inf lies past it and is evaluated as xmax), a grid's repeats (z_inf among
-        # them) are read back from their first evaluation
-        seen, pf_calls = [], []
+        # one batched elimination per block, of its packed triangles (N (N - 1) / 2, nodes x z),
+        # lanes last and contiguous: the set-up call sees xmax once (z_inf lies past it and is
+        # evaluated as xmax), a grid's repeats (z_inf among them) are read back from their
+        # first evaluation; the public `pfaffian` is never called (G0 is in closed form)
+        seen, pf_calls, layouts = [], [], []
         read, pf, eliminate = cdf_module._read_gram, cdf_module.pfaffian, cdf_module._eliminate
+        packed = p48.N * (p48.N - 1) // 2
 
         def read_spy(rows, start, edges, panel, xq, sample):
             seen.append((len(edges), np.asarray(xq).tolist()))
@@ -481,23 +484,22 @@ class TestCdfGrid:
 
         monkeypatch.setattr(cdf_module, "_read_gram", read_spy)
         monkeypatch.setattr(cdf_module, "pfaffian", lambda A: pf_calls.append(np.shape(A)) or pf(A))
-        monkeypatch.setattr(cdf_module, "_eliminate", lambda W: pf_calls.append(np.shape(W)) or eliminate(W))
+        monkeypatch.setattr(cdf_module, "_eliminate", lambda W: pf_calls.append(np.shape(W))
+                            or layouts.append(W.flags.c_contiguous) or eliminate(W))
         eng = CdfEngine(p48)
         n = eng.contour.node_count // 2
         eng.cdf(eng.z_inf)
-        # the anchor pass also takes G0's Pfaffian, once per engine
-        assert pf_calls[-1] == (p48.N, p48.N)
         assert {tuple(z) for _, z in seen} == {(eng.xmax,)}
-        assert [b for b, _ in seen] == [s[-1] for s in pf_calls[:-1]]
+        assert [b for b, _ in seen] == [s[-1] for s in pf_calls]
         assert sum(b for b, _ in seen) == n
-        assert {s[:-1] for s in pf_calls[:-1]} == {(p48.N, p48.N)}
+        assert {s[:-1] for s in pf_calls} == {(packed,)} and all(layouts)
         seen.clear()
         pf_calls.clear()
         grid = [3.0, 2.0, 3.0, eng.z_inf, 2.0, -1.0, 3.0]
         res = eng.cdf_grid(grid)
         assert {tuple(z) for _, z in seen} == {(2.0, 3.0, eng.xmax)}
         assert sum(b for b, _ in seen) == n and [3 * b for b, _ in seen] == [s[-1] for s in pf_calls]
-        assert {s[:-1] for s in pf_calls} == {(p48.N, p48.N)}
+        assert {s[:-1] for s in pf_calls} == {(packed,)} and all(layouts)
         assert res[0] == res[2] == res[6] and res[1] == res[4]
         assert [r.z for r in res] == grid and res[0] != res[1]
         assert res[3].value == 1.0
@@ -513,7 +515,7 @@ class TestCdfGrid:
                             lambda params, t, x, kmax: sampled.append(np.shape(x)) or lw(params, t, x, kmax))
         eng = CdfEngine(p48)
         eng.cdf(eng.z_inf)
-        assert len(cums) == len(eng._node_blocks()) + 1        # the build blocks and G0
+        assert len(cums) == len(eng._node_blocks())            # the build blocks alone
         cums.clear()
         sampled.clear()
         eng.cdf_grid(list(np.linspace(1.0, 6.0, 48)))
@@ -672,28 +674,29 @@ class TestCdfGrid:
         assert len(calls) == 1
 
     def test_one_pfaffian_per_node_block_and_one_rule_per_node(self, p48, monkeypatch):
-        # every upper node's panel edges come from one batched ladder call, beside G0's rule at
-        # t = 1; set-up builds one stacked rule per block of nodes and no rule per node, and each
-        # pass takes one batched Pfaffian per block, fewer blocks than nodes
+        # every upper node's panel edges come from one batched ladder call, and the exact
+        # normaliser is in closed form, so no rule is built at t = 1 for G0; set-up builds one
+        # stacked rule per block of nodes and no rule per node, and each pass takes one batched
+        # Pfaffian per block, fewer blocks than nodes
         ts, ladders, rules, built, pfs = [], [], [], [], []
         refinement, panel_edges, init = cdf_module._refinement, cdf_module._panel_edges, HalfLineRule.__init__
-        rule_for_t, pf, eliminate = cdf_module.rule_for_t, cdf_module.pfaffian, cdf_module._eliminate
+        rule_for_t, pf, eliminate = skew_module.rule_for_t, cdf_module.pfaffian, cdf_module._eliminate
         monkeypatch.setattr(cdf_module, "_refinement", lambda p, t: ts.append(t.tolist()) or refinement(p, t))
         monkeypatch.setattr(cdf_module, "_panel_edges", lambda *a: ladders.append(len(a[1])) or panel_edges(*a))
-        monkeypatch.setattr(cdf_module, "rule_for_t", lambda *a: rules.append(a[1]) or rule_for_t(*a))
+        monkeypatch.setattr(skew_module, "rule_for_t", lambda *a: rules.append(a[1]) or rule_for_t(*a))
         monkeypatch.setattr(HalfLineRule, "__init__", lambda r, *a: built.append(np.ndim(a[1])) or init(r, *a))
         monkeypatch.setattr(cdf_module, "pfaffian", lambda A: pfs.append(np.shape(A)) or pf(A))
         monkeypatch.setattr(cdf_module, "_eliminate", lambda W: pfs.append(np.shape(W)) or eliminate(W))
         eng = CdfEngine(p48)
         n = eng.contour.node_count // 2
         eng.cdf(eng.z_inf)
-        assert len(pfs) == len(eng._node_blocks(1)) + 1 < n     # and G0's, once
+        assert len(pfs) == len(eng._node_blocks(1)) < n
         pfs.clear()
         eng.cdf_grid(list(np.linspace(1.0, 6.0, 48)))
         assert len(pfs) == len(eng._node_blocks(48)) < n
-        assert ts == [eng.contour.nodes[:n].tolist()] and ladders == [n] and rules == [1.0]
-        # G0's one-row rule and one stacked rule (2-D u_edges) per block
-        assert sorted(built) == [1] + [2] * len(eng._node_blocks()) and len(eng._node_blocks()) < n
+        assert ts == [eng.contour.nodes[:n].tolist()] and ladders == [n] and rules == []
+        # one stacked rule (2-D u_edges) per block, and no other
+        assert built == [2] * len(eng._node_blocks()) and len(eng._node_blocks()) < n
 
     @pytest.mark.parametrize("nmt", [(4, 8, 1.0), (16, 64, 1.0), (8, 32, 1.0), (12, 48, 0.3),
                                      (4, 16, 2.0), (4, 8, 0.0)])
@@ -993,11 +996,27 @@ class TestHalfContour:
         gaps = {r.diagnostics["anchor_gap"] for r in res}
         assert len(gaps) == 1 and lo <= gaps.pop() < hi
 
-    def test_anchor_gap_is_inf_when_pf_g0_is_not_usable(self, p48, monkeypatch):
-        pf = cdf_module.pfaffian
-        monkeypatch.setattr(cdf_module, "pfaffian",
-                            lambda A: 0.0 if np.ndim(A) == 2 else pf(A))
+    def test_anchor_gap_is_inf_once_the_ratio_passes_e700(self, p48, monkeypatch):
+        # the ratio anchor / exact is taken in logs; past e^700 its gap reads inf, not an overflow
+        monkeypatch.setattr(CdfEngine, "_log_exact_anchor", -1000.0)
         assert CdfEngine(p48).cdf(3.0).diagnostics["anchor_gap"] == np.inf
+
+    @pytest.mark.parametrize("nm", [(2, 3), (4, 8), (4, 16), (8, 32), (12, 48), (16, 17), (16, 32),
+                                    (16, 64), (20, 80), (24, 96)])
+    def test_exact_normaliser_is_the_selberg_closed_form(self, nm):
+        # log |Pf(G0)| from the Selberg integral matches the Pfaffian of G0 on G0's quadrature rule,
+        # taken as Pf(D G0 D) / det D with D = diag(1 / sqrt(max_k |G0_jk|)); at (20, 80) and
+        # (24, 96) the unscaled Pfaffian underflows to 0, which left the normaliser NaN
+        N, M = nm
+        p0 = ModelParams(N, M, 0.0)
+        g0 = truncated_moment_matrix(p0, 1.0, np.inf, rule=rule_for_t(p0, 1.0))
+        d = 1.0 / np.sqrt(np.abs(g0).max(axis=1))
+        log_pf0 = np.log(abs(pfaffian(d[:, None] * g0 * d))) - np.log(d).sum()
+        got = CdfEngine(ModelParams(N, M, 1.0))._log_exact_anchor
+        want = (np.log(2.0 * np.pi) + 0.5 * M * np.log(2.0) + (0.5 * N - 1.0) * np.log(M)
+                - math.lgamma(0.5 * N) + log_pf0)
+        assert np.isfinite(got) and got == pytest.approx(want, rel=1e-15, abs=1e-15)
+        assert (pfaffian(g0) == 0.0) == (N >= 20)
 
 
 class TestPrecisionGuard:

@@ -101,7 +101,7 @@ class TestBruteForce:
             default_xmax(p48), [rule_for_t(p48, complex(t)).u_edges for t in ts], 16))
         one = KernelBundle.build(p48, 2 + 1j)
         for kb, at, where, calls in ((one, 7, "node 7", ("trace_s1", "resolvent_trace")),
-                                     (stack, (1, 7), "row 1, 0, node 7", ("resolvent_trace",))):
+                                     (stack, (1, 7), "row 1, 0, node 7", ("trace_s1", "resolvent_trace"))):
             diag = kb.s1_diag_nodes()
             diag[at] = np.nan
             monkeypatch.setattr(kb, "s1_diag_nodes", lambda: diag)
@@ -192,6 +192,18 @@ class TestStackedBundle:
             for eps in (False, True):
                 a, b = stack.factor(x, eps)[i], one.factor(x, eps)
                 assert a.shape == (2, p48.N, 7) and np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    def test_trace_on_a_stack_is_n_at_every_t(self, p48):
+        # one trace per t, as resolvent_trace gives; it raised a ConfigError about the shape of
+        # samples its caller never passed
+        ts = np.array([2 + 1j, 0.9 + 0.05j, -0.5 + 1.5j])
+        stack = KernelBundle.build(p48, ts, rule=HalfLineRule.stack(
+            default_xmax(p48), [rule_for_t(p48, complex(t)).u_edges for t in ts], 16))
+        trace = stack.trace_s1()
+        assert trace.shape == (3,) and np.allclose(trace, p48.N, rtol=1e-7, atol=0)
+        for i, t in enumerate(ts):
+            one = KernelBundle.build(p48, complex(t))
+            assert abs(trace[i] - one.trace_s1()) <= 1e-13 * p48.N
 
     def test_s1_diagonal_is_the_kernel_at_the_rule_nodes(self, p48, bundle):
         # s1_diag_nodes reads the table's samples of L_j w and their transform;

@@ -35,6 +35,14 @@ def rodrigues_coeffs(n, M, alpha):
 
 
 class TestRecurrence:
+    def test_lower_degrees_do_not_depend_on_how_many_are_evaluated(self, basis):
+        x = np.linspace(0.05, 6.0, 37)
+        full = basis.eval_all(x)
+        for upto in range(basis.max_degree + 1):
+            assert np.array_equal(basis.eval_all(x, upto), full[:upto + 1])
+        with pytest.raises(ConfigError, match="out of range"):
+            basis.eval_all(x, basis.max_degree + 1)
+
     def test_l0_l1(self, basis, p48):
         assert eval_poly(basis, 0, 123.4) == 1.0
         root = (p48.M - p48.N + 1) / p48.M

@@ -1,15 +1,17 @@
+import functools
 import warnings
 
 import numpy as np
 import pytest
 
-from wishart_lab import (ConfigError, DegenerateSkewProductError, EpsilonTransform, HalfLineRule,
+from wishart_lab import (CdfEngine, ConfigError, DegenerateSkewProductError, EpsilonTransform, HalfLineRule,
                          KernelBundle, ModelParams, QuadratureError, SkewProductTable, build_basis,
                          build_skew_polys, cd_kernel_k2, truncated_moment_matrix,
-                         h_poly, inner_product_2, moment_matrix, pfaffian, quadrature,
-                         skew_product, weight_w)
+                         h_poly, inner_product_2, moment_matrix, pfaffian, skew_product,
+                         weight_w)
+from wishart_lab.laguerre import LaguerreBasis
 from wishart_lab.quadrature import half_line_rule
-from wishart_lab.skew import _eliminate, default_xmax, rule_for_t
+from wishart_lab.skew import _eliminate, _swap, _weighted_laguerre, default_xmax, rule_for_t
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +29,20 @@ def test_kmax_must_be_an_integer_of_at_least_1(p48, kmax):
     # -1 was a raw ValueError, 2.5 a raw TypeError
     with pytest.raises(ConfigError, match="kmax must be"):
         SkewProductTable.build(p48, 2 + 1j, kmax=kmax)
+
+
+def test_the_sampler_evaluates_only_the_degrees_it_returns(p48, monkeypatch):
+    # L_0 .. L_kmax, not L_0 .. L_{N+2}: each row bitwise that of the full evaluation; an engine's
+    # table and passes take N rows, 4 at N = 4 where they took 7
+    uptos, ev = [], LaguerreBasis.eval_all
+    monkeypatch.setattr(LaguerreBasis, "eval_all", lambda self, x, upto=None: uptos.append(upto) or ev(self, x, upto))
+    x = rule_for_t(p48, 2 + 1j).x
+    got = _weighted_laguerre(p48, 2 + 1j, x, p48.N - 1)
+    want = build_basis(p48).eval_all(x) * weight_w(p48, 2 + 1j, x)
+    assert uptos[0] == p48.N - 1 and np.array_equal(got, want[:p48.N])
+    uptos.clear()
+    CdfEngine(p48).cdf_grid([2.0, 3.0])
+    assert set(uptos) == {p48.N - 1}
 
 
 class TestSkewProduct:
@@ -233,15 +249,16 @@ def random_skew(rng, shape, n):
 
 
 def pf_expansion(A):
-    """Oracle: expansion along the first row, Pf(A) = sum_j (-1)^(j+1) a_0j Pf(A without 0, j)."""
-    n = A.shape[0]
-    if n == 0:
-        return 1.0 + 0j
-    total = 0j
-    for j in range(1, n):
-        keep = [i for i in range(1, n) if i != j]
-        total += (-1) ** (j + 1) * A[0, j] * pf_expansion(A[np.ix_(keep, keep)])
-    return total
+    """Oracle over a stack (..., n, n): the first-row expansion, memoised on the rows left, so
+    n = 16 takes 1,597 sub-Pfaffians: Pf(S) = sum_k (-1)^k a_ij Pf(S without i, j), i = min S and
+    j the k-th other member of S."""
+    @functools.cache
+    def pf(rows):
+        if not rows:
+            return np.ones(A.shape[:-2], dtype=complex)
+        i, rest = rows[0], rows[1:]
+        return sum((-1) ** k * A[..., i, j] * pf(rest[:k] + rest[k + 1:]) for k, j in enumerate(rest))
+    return pf(tuple(range(A.shape[-1])))
 
 
 class TestPfaffian:
@@ -265,7 +282,7 @@ class TestPfaffian:
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_matches_first_row_expansion(self, n):
         A = random_skew(np.random.default_rng(10 + n), (3,), n)
-        assert np.allclose(pfaffian(A), [pf_expansion(a) for a in A], rtol=1e-10, atol=0)
+        assert np.allclose(pfaffian(A), pf_expansion(A), rtol=1e-10, atol=0)
 
     def test_congruence_scaling(self):
         rng = np.random.default_rng(9)
@@ -302,9 +319,9 @@ class TestPfaffian:
 
     @pytest.mark.parametrize("n", [2, 4, 16])
     def test_packed_entries_give_the_pfaffian_of_the_unpacked_matrices(self, n):
-        # the CDF engine's pass gathers strict upper triangles straight into the working
-        # array: bitwise `pfaffian` of the unpacked matrices, on a stack that mixes a member
-        # whose first pivot must move, members whose pivots stay in place, and a zero matrix
+        # the CDF engine's pass hands its strict upper triangles, lanes last, straight to the
+        # elimination, which overwrites them: bitwise `pfaffian` of the matrices, on a stack that
+        # mixes members whose first pivot must move, members whose pivots stay, and a zero matrix
         rng = np.random.default_rng(20 + n)
         moved = random_skew(rng, (2,), n)
         still = 1e-3 * random_skew(rng, (2,), n)
@@ -315,14 +332,61 @@ class TestPfaffian:
         assert (first[[0, 3]] != 1).all() or n == 2
         assert (first[[1, 4]] == 1).all()
         a, c = np.triu_indices(n, 1)
-        W = quadrature._unpack(A[:, a, c])
-        assert W.shape == (n, n, len(A)) and W.flags.c_contiguous
-        unpacked = np.moveaxis(W, -1, 0)
-        assert np.array_equal(unpacked, A) and np.all(unpacked + np.swapaxes(unpacked, 1, 2) == 0)
-        want = pfaffian(unpacked)
+        W = np.ascontiguousarray(A[:, a, c].T)
+        assert W.shape == (n * (n - 1) // 2, len(A))
+        before = W.copy()
         got = _eliminate(W)
-        assert np.array_equal(got, want) and got[2] == 0.0
+        assert not np.array_equal(W, before) or n == 2       # overwritten in place
+        assert np.array_equal(got, pfaffian(A)) and got[2] == 0.0
         assert np.array_equal(got, [pfaffian(m) for m in A])
+
+    @pytest.mark.parametrize("n", [0, 2, 4, 6, 16])
+    def test_packed_elimination_matches_the_first_row_expansion(self, n):
+        # one stack of lanes that do not pivot, lanes whose first pivot moves to two different
+        # rows in the same step, and lanes whose working column is zero at step 1 and at step 2,
+        # each against the first-row expansion; a zero column gives exactly 0
+        rng = np.random.default_rng(40 + n)
+        still = 1e-2 * random_skew(rng, (2,), n) if n else np.zeros((2, 0, 0), dtype=complex)
+        for j in range(0, n, 2):
+            still[:, j, j + 1], still[:, j + 1, j] = 3.0 + j, -3.0 - j
+        lanes, rows = [still[0], still[1]], [1, 1]
+        for p in ((2, n - 1) if n >= 4 else ()):              # two pivot rows in one step
+            m = random_skew(rng, (), n)
+            m[0, p], m[p, 0] = 10.0, -10.0
+            lanes.append(m)
+            rows.append(p)
+        dead = []
+        if n >= 2:
+            m = random_skew(rng, (), n)
+            m[0, :], m[:, 0] = 0.0, 0.0                       # zero column at step 1
+            lanes.append(m)
+            dead.append(len(lanes) - 1)
+        if n >= 4:
+            m = random_skew(rng, (), n)
+            m[:2, 2:], m[2:, :2] = 0.0, 0.0                   # step 1 leaves the rest alone,
+            m[2, 3:], m[3:, 2] = 0.0, 0.0                     # so column 2 is zero at step 2
+            lanes.append(m)
+            dead.append(len(lanes) - 1)
+        A = np.array(lanes)
+        assert n == 0 or [1 + int(np.abs(m[1:, 0]).argmax()) for m in A[:len(rows)]] == rows
+        a, c = np.triu_indices(n, 1)
+        got = _eliminate(np.ascontiguousarray(A[:, a, c].T))
+        want = pf_expansion(A)
+        assert got.shape == (len(A),) and all(got[dead] == 0.0) and all(want[dead] == 0.0)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [4, 6, 16])
+    def test_packed_swap_is_the_swap_of_the_matrix(self, m):
+        # the cached gather and signs swap rows and columns 1 and p of the packed triangle
+        a, c = np.triu_indices(m, 1)
+        A = random_skew(np.random.default_rng(m), (), m)
+        for p in range(2, m):
+            perm, sign = _swap(m, p)
+            S = A.copy()
+            S[[1, p]] = S[[p, 1]]
+            S[:, [1, p]] = S[:, [p, 1]]
+            assert np.array_equal(sign * A[a, c][perm], S[a, c])
+            assert _swap(m, p)[0] is perm and not perm.flags.writeable
 
     def test_singular(self):
         A = np.zeros((4, 4))
