@@ -3,13 +3,16 @@
 Every data file is written next to a JSON manifest that records the full
 configuration, seeds and versions needed to reproduce it byte for byte (the
 wall-clock time it also records aside); a command refuses every config key it
-does not apply.  Exit codes: 0 success, 2 configuration error (an unwritable
-output path too), 3 numerical failure (see `errors`), 4 verification failure.
+does not apply.  Every output, the `verify --json` report too, goes through one
+writer (`_replacing`), so each is replaced whole or left as it was.  Exit codes:
+0 success, 2 configuration error (an unwritable output path too), 3 numerical
+failure (see `errors`), 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import json
@@ -17,7 +20,6 @@ import math
 import numbers
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -97,13 +99,52 @@ def _params_from(cfg: dict) -> ModelParams:
         raise ConfigError(f"config missing key {exc}") from exc
 
 
-def _write_manifest(out_dir: Path, name: str, payload: dict) -> None:
-    payload = dict(payload)
-    payload.setdefault("tool", "wishart-lab")
-    payload.setdefault("version", __version__)
-    with open(out_dir / f"{name}_manifest.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file opened beside `path` and moved onto it once the block completes, so `path` is
+    replaced whole or left as it was.  A directory at `path` is refused before anything is created;
+    an OSError, the block's too unless it names a file already (a nested writer's), is raised again
+    naming `path`.  The file is opened like a plain `open`, so its mode is 0o666 & ~umask.
+    """
+    path = Path(path)
+    tmp, fh = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp"), None
+    try:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        fh = open(tmp, "x", newline="")
+        yield fh
+        fh.close()
+        os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename not in (None, str(tmp)):
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        if fh is not None:
+            fh.close()
+            tmp.unlink(missing_ok=True)     # gone once moved
+
+
+def _emit(args, cfg: dict, name: str, header, rows, t0: float, note: str, **fields) -> int:
+    """Write `<name>.csv` (header, rows) and `<name>_manifest.json` under --out; print `note`.
+
+    The manifest holds the shared fields (tool, version, command, config, wall_clock_s since
+    `t0`, outputs) and `fields`.  Both files are complete before either is moved into place, so
+    a failed write leaves the previous run's pair as it was.
+    """
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out_path = out_dir / f"{name}.csv"
+    with _replacing(out_path) as fh:
+        csv.writer(fh).writerows([header, *rows])
+        fh.close()                  # finished before the manifest is, so before either moves
+        with _replacing(out_dir / f"{name}_manifest.json") as mfh:
+            json.dump({"tool": "wishart-lab", "version": __version__, "command": args.command,
+                       "config": cfg, "wall_clock_s": time.time() - t0, "outputs": [out_path.name],
+                       **fields}, mfh, indent=2, sort_keys=True, default=str)
+            mfh.write("\n")
+    print(f"wrote {out_path} ({note})")
+    return 0
 
 
 #: the CdfEngine keywords a config may set, with their kinds; an absent or null key keeps
@@ -122,26 +163,13 @@ def cmd_cdf(args) -> int:
                                if cfg.get(key) is not None})
     t0 = time.time()
     results = eng.cdf_grid(zs, route=route)         # ConfigError for an unknown route
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "cdf.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z", "cdf", "route", "anchor_gap", "cancellation_digits"])
-        for r in results:
-            writer.writerow([_fmt(r.z), _fmt(r.value), r.route,
-                             _fmt(r.diagnostics.get("anchor_gap", 0.0)),
-                             _fmt(r.diagnostics.get("cancellation_digits", 0.0))])
-    _write_manifest(out_dir, "cdf", {
-        "command": "cdf",
-        "config": cfg,
-        "route": route,
-        "wall_clock_s": time.time() - t0,
-        "outputs": ["cdf.csv"],
-        "anchor_z": eng.xmax,
-    })
-    print(f"wrote {out_path} ({len(results)} rows, route={route})")
-    return 0
+    gaps, digits = ([r.diagnostics.get(key, 0.0) for r in results]
+                    for key in ("anchor_gap", "cancellation_digits"))
+    return _emit(args, cfg, "cdf", ["z", "cdf", "route", "anchor_gap", "cancellation_digits"],
+                 ([_fmt(r.z), _fmt(r.value), r.route, _fmt(g), _fmt(d)]
+                  for r, g, d in zip(results, gaps, digits)),
+                 t0, f"{len(results)} rows, route={route}", route=route, anchor_z=eng.xmax,
+                 max_anchor_gap=max(gaps), max_cancellation_digits=max(digits))
 
 
 def cmd_sample(args) -> int:
@@ -170,37 +198,19 @@ def cmd_sample(args) -> int:
         rows = ([_fmt(lo), _fmt(hi), int(c), _fmt(c / m), _fmt(np.sqrt(max(c, 1)) / m), _fmt(rho)]
                 for lo, hi, c, m, rho in zip(edges[:-1], edges[1:], counts, norm,
                                              mp_density(params, mids)))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "samples.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    _write_manifest(out_dir, "samples", {
-        "command": "sample",
-        "config": cfg,
-        "seed": seed,
-        "wall_clock_s": time.time() - t0,
-        "outputs": [out_path.name],
-    })
-    print(f"wrote {out_path} (mode={mode}, n={n}, seed={seed})")
-    return 0
+    return _emit(args, cfg, "samples", header, rows, t0, f"mode={mode}, n={n}, seed={seed}", seed=seed)
 
 
 def cmd_verify(args) -> int:
     if args.seed is not None:
         check_count("seed", args.seed, 0)
-    if args.suite == "all":
-        names = list(SUITES)
-    elif args.suite in SUITES:
-        names = [args.suite]
-    else:
+    if args.suite != "all" and args.suite not in SUITES:
         raise ConfigError(f"unknown suite {args.suite!r}; "
                           f"choose from {', '.join(sorted(SUITES))} or 'all'")
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = []
-    fh = _report_file(args.json) if args.json else None     # refused before any suite runs
-    try:
+    # the report is opened, or refused, before any suite runs
+    with (_replacing(args.json) if args.json else contextlib.nullcontext()) as fh:
         for name in names:
             rep = run_suite(name, seed=args.seed)
             reports.append(rep)
@@ -213,24 +223,7 @@ def cmd_verify(args) -> int:
             json.dump({"version": __version__, "reports": reports}, fh,
                       indent=2, sort_keys=True)
             fh.write("\n")
-            fh.close()
-            os.replace(fh.name, args.json)
-    finally:
-        if fh and os.path.exists(fh.name):      # a run that raised leaves the report path as it was
-            fh.close()
-            os.unlink(fh.name)
     return 0 if all(r["passed"] for r in reports) else 4
-
-
-def _report_file(path: str):
-    """A temporary file beside the report `path`, moved onto it once the report is complete; an
-    OSError names `path`, and a directory there is refused as well."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    try:
-        return tempfile.NamedTemporaryFile("w", dir=os.path.dirname(os.path.abspath(path)), delete=False)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def cmd_kernel_dump(args) -> int:
@@ -249,35 +242,12 @@ def cmd_kernel_dump(args) -> int:
     t0 = time.time()
     table = SkewProductTable.build(params, t)     # degree N + 1, which the correction reads
     kb, cd = KernelBundle.build(params, t, table=table), CdCorrectedKernel.build(params, t, table=table)
-    s_b = kb.s1(xs, xs)
-    s_c = cd.s1(xs, xs)
-    is_b = kb.is1(xs, xs)
-    ds_b = kb.ds1(xs, xs)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "kernel.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "s1_brute_re", "s1_brute_im",
-                         "s1_cd_re", "s1_cd_im", "is1_re", "is1_im",
-                         "ds1_re", "ds1_im"])
-        for i, x in enumerate(xs):
-            for j, y in enumerate(xs):
-                writer.writerow([_fmt(x), _fmt(y),
-                                 _fmt(s_b[i, j].real), _fmt(s_b[i, j].imag),
-                                 _fmt(s_c[i, j].real), _fmt(s_c[i, j].imag),
-                                 _fmt(is_b[i, j].real), _fmt(is_b[i, j].imag),
-                                 _fmt(ds_b[i, j].real), _fmt(ds_b[i, j].imag)])
-    _write_manifest(out_dir, "kernel", {
-        "command": "kernel-dump",
-        "config": cfg,
-        "t": [t.real, t.imag],
-        "wall_clock_s": time.time() - t0,
-        "outputs": ["kernel.csv"],
-        "max_mode_deviation": float(np.max(np.abs(s_b - s_c))),
-    })
-    print(f"wrote {out_path} ({n}x{n} grid at t={t})")
-    return 0
+    mats = kb.s1(xs, xs), cd.s1(xs, xs), kb.is1(xs, xs), kb.ds1(xs, xs)    # in the header's order
+    header = ["x", "y", *(f"{k}_{p}" for k in ("s1_brute", "s1_cd", "is1", "ds1") for p in ("re", "im"))]
+    rows = ([_fmt(x), _fmt(y), *(_fmt(v) for a in mats for v in (a[i, j].real, a[i, j].imag))]
+            for i, x in enumerate(xs) for j, y in enumerate(xs))
+    return _emit(args, cfg, "kernel", header, rows, t0, f"{n}x{n} grid at t={t}", t=[t.real, t.imag],
+                 max_mode_deviation=float(np.max(np.abs(mats[0] - mats[1]))))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -165,6 +167,45 @@ def test_a_suite_that_raises_leaves_the_report_path_as_it_was(tmp_path, capsys, 
     assert json.loads(path.read_text())["reports"][0]["suite"] == "derpar"
 
 
+def test_every_output_gets_the_mode_a_plain_open_gives(tmp_path, monkeypatch):
+    # the report went through a NamedTemporaryFile and landed with mode 0600
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[2.0])
+    old = os.umask(0o022)
+    try:
+        assert main(["cdf", "--config", cfg, "--out", "o"]) == 0
+        assert main(["verify", "derpar", "--json", "report.json"]) == 0
+    finally:
+        os.umask(old)
+    for name in ("report.json", "o/cdf.csv", "o/cdf_manifest.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o644, name
+
+
+@pytest.mark.parametrize("fails,named", [("manifest", "cdf_manifest.json"), ("csv", "cdf.csv")])
+def test_a_failed_write_names_its_file_and_keeps_the_previous_run(tmp_path, capsys, monkeypatch,
+                                                                  fails, named):
+    # a full disk while the manifest was dumped printed "cannot write None" and left a 0-byte
+    # manifest beside the new CSV
+    out = tmp_path / "o"
+    assert main(["cdf", "--config", write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[2.0]),
+                 "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[2.0, 3.0])
+    capsys.readouterr()
+
+    def full(*args, **kw):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    if fails == "manifest":
+        monkeypatch.setattr(json, "dump", full)
+    else:
+        monkeypatch.setattr(csv, "writer", lambda fh: type("W", (), {"writerows": full})())
+    assert main(["cdf", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].endswith(f"{out / named}: {os.strerror(errno.ENOSPC)}")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     # every command of the README's CLI block, with its echoed configs, exits 0
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -200,6 +241,15 @@ class TestCdfCommand:
         assert all(0.0 <= float(r["anchor_gap"]) < 1e-6 for r in rows)
         manifest = json.loads((out1 / "cdf_manifest.json").read_text())
         assert manifest["outputs"] == ["cdf.csv"]
+
+    @pytest.mark.parametrize("route", ["pfaffian", "fredholm"])
+    def test_manifest_carries_the_column_maxima_of_the_accuracy_columns(self, tmp_path, route):
+        cfg = write_config(tmp_path / "c.json", N=4, M=8, tau=1.0, z=[0.0, 2.0, 3.0, 5.0])
+        assert main(["cdf", "--config", cfg, "--route", route, "--out", str(tmp_path / "o")]) == 0
+        rows = read_rows(tmp_path / "o" / "cdf.csv")
+        manifest = json.loads((tmp_path / "o" / "cdf_manifest.json").read_text())
+        for col in ("anchor_gap", "cancellation_digits"):
+            assert manifest[f"max_{col}"] == max(float(r[col]) for r in rows) > 0.0
 
     def test_manifest_records_the_anchor_used(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", N=2, M=3, tau=0.0, z=[2.0, 40.0])
