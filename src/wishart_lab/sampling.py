@@ -5,7 +5,9 @@ so a seed fully determines every stream on every platform; Gaussian and
 chi-square draws go through the generator's deterministic transforms, never
 OS entropy.  Sampling is chunked for memory only: each chunk draws its rows
 in order, one variate after another, so a stream does not depend on the
-chunk size, which is set in bytes (_CHUNK per array of a chunk).
+chunk size, which is set in bytes (_CHUNK per array of a chunk).  The Wishart
+samplers draw every chunk into one buffer held for the whole call
+(`_bidiagonal_chunks`).
 
 The group-integral oracles follow two sign conventions deliberately: the
 sphere representation of the eigenvalue j.p.d.f. carries e^{+ M tau_tilde
@@ -17,6 +19,7 @@ it explicitly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +58,47 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _chunk_rows(n: int, row_bytes: int) -> int:
+    """Rows per chunk of n rows of row_bytes each: as many as _CHUNK bytes hold, one at least."""
+    return min(n, max(1, _CHUNK // row_bytes))
+
+
 def _chunked(n: int, draw, row_bytes: int) -> np.ndarray:
     """Concatenate draw(m) over consecutive chunks of m rows, n rows in all, each chunk at
-    most _CHUNK bytes per array of row_bytes per row (one row at least).
+    most _CHUNK bytes per array of row_bytes per row (`_chunk_rows`).
 
     Chunks are drawn in order, so the stream consumed depends on n only;
     each chunk's intermediates are freed before the next one is drawn.
     """
-    m = max(1, _CHUNK // row_bytes)
+    m = _chunk_rows(n, row_bytes)
     return np.concatenate([draw(min(m, n - start)) for start in range(0, n, m)])
+
+
+def _bidiagonal_chunks(cfg: McConfig, m: int, width: int):
+    """Yield (span, c, buf) per chunk of at most m samples of the bidiagonal model's chi
+    variates: `span` slices the samples of the chunk, and c holds one row per sample.
+
+    Each row of c holds B's diagonal sqrt(1 + tau) chi_M, chi_{M-1}, ...,
+    chi_{M-N+1} and subdiagonal chi_{N-1}, ..., chi_1, all over sqrt(M).
+    Every chunk is drawn into one buffer of m * width floats (width >= 2N - 1)
+    kept for the whole call; buf is the chunk's part of it, with c at its
+    head, and the caller may overwrite it once it is done with c.  numpy's
+    chisquare(df) is 2 standard_gamma(df / 2), so the stream is that of
+    chisquare(df, size=(n_samples, 2N - 1)) whatever the chunk size.
+    """
+    p, n = cfg.params, cfg.n_samples
+    df = np.r_[np.arange(p.M, p.M - p.N, -1), np.arange(p.N - 1, 0, -1)]
+    rng = _rng(cfg.seed)
+    whole = np.empty(m * width)
+    for start in range(0, n, m):
+        k = min(m, n - start)
+        c = whole[:k * df.size].reshape(k, df.size)
+        rng.standard_gamma(df / 2, out=c)
+        c *= 2.0
+        c /= p.M
+        np.sqrt(c, out=c)
+        c[:, 0] *= math.sqrt(1.0 + p.tau)
+        yield slice(start, start + k), c, whole[:k * width]
 
 
 def _bidiagonal_gram(c: np.ndarray) -> np.ndarray:
@@ -81,8 +116,12 @@ def _bidiagonal_gram(c: np.ndarray) -> np.ndarray:
 #: Laguerre steps after which a lane that has not converged is an error
 _LAGUERRE_STEPS = 40
 
+#: rows of lanes the Laguerre step works in (q, r, s, G, H, g, t)
+_STEP_ROWS = 7
 
-def _bidiagonal_max_eig(c: np.ndarray) -> np.ndarray:
+
+def _bidiagonal_max_eig(c: np.ndarray, tri: np.ndarray | None = None,
+                        work: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Largest eigenvalue of B B^T per row of c (B as in _bidiagonal_gram), by Laguerre's method.
 
     T = B B^T is tridiagonal with diagonal d_k = a_k^2 + b_{k-1}^2 and squared
@@ -94,23 +133,32 @@ def _bidiagonal_max_eig(c: np.ndarray) -> np.ndarray:
     not finite (lam sits on a root, so some pivot is 0); stopped lanes drop out
     of the arrays once they are half of them.  A lane still moving after
     _LAGUERRE_STEPS steps raises FloatingPointError.
+
+    c (m rows) is only read.  The work is done in two flat float buffers,
+    allocated when not given: tri, of at least (2N - 1) m, holds the rows d
+    and f, and work, of at least _STEP_ROWS m, the step's rows; the sampler
+    lends its spent draw buffer as work.  The eigenvalues go into out (m).
     """
-    n = (c.shape[1] + 1) // 2
-    sq = np.square(c.T, order="C")          # rows a_k^2, then b_k^2
-    f = sq[:n - 1] * sq[n:]
-    d = np.empty_like(sq[:n])
-    d[0] = sq[0]
-    np.add(sq[1:n], sq[n:], out=d[1:])
-    del sq
-    lam = _gershgorin_top(d, np.sqrt(f))
-    out = np.empty_like(lam)
-    live, active = np.arange(lam.size), np.ones(lam.size, dtype=bool)
+    m, w = c.shape
+    n = (w + 1) // 2
+    tri = np.empty(w * m) if tri is None else tri
+    work = np.empty(_STEP_ROWS * m) if work is None else work
+    out = np.empty(m) if out is None else out
+    T = tri[:w * m].reshape(w, m)
+    np.square(c.T, out=T)                   # rows a_k^2, then b_k^2
+    for k in range(n - 1, 0, -1):           # downwards, so each square is read before it is overwritten
+        T[k] += T[n + k - 1]                # d_k = a_k^2 + b_{k-1}^2
+        T[n + k - 1] *= T[k - 1]            # f_{k-1} = a_{k-1}^2 b_{k-1}^2
+    rows = work[:_STEP_ROWS * m].reshape(_STEP_ROWS, m)
+    lam = _gershgorin_top(T[:n], T[n:], rows)
+    live, active = np.arange(m), np.ones(m, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(_LAGUERRE_STEPS):
-            step = _laguerre_step(d, f, lam)
+            step = _laguerre_step(T[:n], T[n:], lam, rows)
             moving = np.isfinite(step)
-            lam -= np.where(moving, step, 0.0)
-            moving &= active & (np.abs(step) > 4e-16 * lam)
+            np.subtract(lam, step, out=lam, where=moving)
+            moving &= active
+            moving &= np.abs(step, out=rows[0]) > np.multiply(4e-16, lam, out=rows[1])
             if np.array_equal(moving, active):
                 continue
             stopped = active & ~moving
@@ -119,61 +167,83 @@ def _bidiagonal_max_eig(c: np.ndarray) -> np.ndarray:
             if not active.any():
                 return out
             if 2 * np.count_nonzero(active) <= active.size:     # compact once half have stopped
-                live, lam, d, f = live[active], lam[active], d[:, active], f[:, active]
+                live, lam = live[active], lam[active]
+                T = _compress_lanes(tri, T, np.flatnonzero(active))
+                rows = work[:_STEP_ROWS * lam.size].reshape(_STEP_ROWS, lam.size)
                 active = np.ones(lam.size, dtype=bool)
     raise FloatingPointError(f"Laguerre iteration left {np.count_nonzero(active)} of {out.size} "
                              f"largest eigenvalues unconverged after {_LAGUERRE_STEPS} steps")
 
 
-def _gershgorin_top(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """max_k d_k + e_{k-1} + e_k per column: the Gershgorin upper bound of a
-    tridiagonal with diagonal rows d and off-diagonal rows e >= 0."""
-    top = d.copy()
-    top[:-1] += e
-    top[1:] += e
-    return top.max(axis=0)
+def _compress_lanes(flat: np.ndarray, a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """a[:, keep] as a C-contiguous array at the head of flat, a's own buffer, for at most
+    half of a's lanes: row i then ends at or before the start of a's row i + 1."""
+    out = flat[:a.shape[0] * keep.size].reshape(a.shape[0], keep.size)
+    for src, dst in zip(a, out):
+        np.take(src, keep, out=dst, mode="clip")
+    return out
 
 
-def _laguerre_step(d: np.ndarray, f: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _gershgorin_top(d: np.ndarray, f: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """max_k d_k + e_{k-1} + e_k per lane, e_k = sqrt(f_k): the Gershgorin upper bound of a
+    tridiagonal with diagonal rows d and squared off-diagonal rows f.  rows[:3] are overwritten."""
+    n = d.shape[0]
+    top, e, e_prev = rows[:3]
+    lam = np.full(d.shape[1], -np.inf)
+    for k in range(n):
+        np.copyto(top, d[k])
+        if k < n - 1:
+            np.sqrt(f[k], out=e)
+            top += e
+        if k:
+            top += e_prev
+        np.maximum(lam, top, out=lam)
+        e, e_prev = e_prev, e
+    return lam
+
+
+def _laguerre_step(d: np.ndarray, f: np.ndarray, lam: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Laguerre step n / (G + sign(G) sqrt((n - 1)(n H - G^2))) on p(lam) = det(T - lam).
 
     G = p'/p and H = -G' are sums over the LDL^T pivots
     q_k = d_k - lam - f_{k-1} / q_{k-1}: with r_k = q_k'/q_k and
     s_k = q_k''/q_k, G = sum r_k and H = sum r_k^2 - s_k.  The sign follows
-    G, so the step never overshoots the root nearest lam.
+    G, so the step never overshoots the root nearest lam.  The recurrence
+    runs in place in the seven rows of `rows`; the step is returned in its
+    row H.
     """
     n = d.shape[0]
-    q = d[0] - lam
-    r, s = -1.0 / q, 0.0
-    G, H = r, r * r
+    q, r, s, G, H, g, t = rows
+    np.subtract(d[0], lam, out=q)
+    np.divide(-1.0, q, out=r)
+    s.fill(0.0)
+    np.copyto(G, r)
+    np.multiply(r, r, out=H)
     for k in range(1, n):
-        g = f[k - 1] / q
-        q = d[k] - lam - g
-        r, s = (g * r - 1.0) / q, g * (s - 2.0 * r * r) / q
-        G = G + r
-        H = H + (r * r - s)
-    return n / (G + np.copysign(np.sqrt((n - 1) * np.maximum(n * H - G * G, 0.0)), G))
-
-
-def _sample_bidiagonal(cfg: McConfig, solve, row_bytes: int) -> np.ndarray:
-    """solve(c) over chunks of the bidiagonal model's chi variates, one row of c per sample,
-    each chunk sized for row_bytes per sample in solve's largest array (`_chunked`).
-
-    Each row holds B's diagonal sqrt(1 + tau) chi_M, chi_{M-1}, ...,
-    chi_{M-N+1} and subdiagonal chi_{N-1}, ..., chi_1, all over sqrt(M).
-    """
-    p = cfg.params
-    rng = _rng(cfg.seed)
-    df = np.r_[np.arange(p.M, p.M - p.N, -1), np.arange(p.N - 1, 0, -1)]
-
-    def draw(m):
-        c = rng.chisquare(df, size=(m, df.size))
-        c /= p.M
-        np.sqrt(c, out=c)
-        c[:, 0] *= math.sqrt(1.0 + p.tau)
-        return solve(c)
-
-    return _chunked(cfg.n_samples, draw, row_bytes)
+        np.divide(f[k - 1], q, out=g)
+        np.subtract(d[k], lam, out=q)
+        q -= g                              # q_k = d_k - lam - g
+        np.multiply(2.0, r, out=t)
+        t *= r
+        s -= t
+        s *= g
+        s /= q                              # s_k = g (s - 2 r^2) / q_k, with the old r
+        r *= g
+        r -= 1.0
+        r /= q                              # r_k = (g r - 1) / q_k
+        G += r
+        np.multiply(r, r, out=t)
+        t -= s
+        H += t                              # H + (r_k^2 - s_k)
+    H *= n
+    np.multiply(G, G, out=t)
+    H -= t
+    np.maximum(H, 0.0, out=H)
+    H *= n - 1
+    np.sqrt(H, out=H)
+    np.copysign(H, G, out=H)
+    H += G
+    return np.divide(n, H, out=H)
 
 
 def sample_wishart_all_eigs(cfg: McConfig) -> np.ndarray:
@@ -184,9 +254,14 @@ def sample_wishart_all_eigs(cfg: McConfig) -> np.ndarray:
     2..N only, give S = B B^T / M in law with B lower bidiagonal: diagonal
     sqrt(1 + tau) chi_M, chi_{M-1}, ..., chi_{M-N+1}, subdiagonal chi_{N-1},
     ..., chi_1 (Dumitriu & Edelman, J. Math. Phys. 43 (2002), plus the spike).
+    One batched tridiagonal eigvalsh per chunk, its (m, N, N) array at most
+    _CHUNK bytes.
     """
-    return _sample_bidiagonal(cfg, lambda c: np.linalg.eigvalsh(_bidiagonal_gram(c)),
-                              8 * cfg.params.N ** 2)
+    N = cfg.params.N
+    out = np.empty((cfg.n_samples, N))
+    for span, c, _ in _bidiagonal_chunks(cfg, _chunk_rows(cfg.n_samples, 8 * N * N), 2 * N - 1):
+        out[span] = np.linalg.eigvalsh(_bidiagonal_gram(c))
+    return out
 
 
 def sample_wishart_max_eig(cfg: McConfig) -> np.ndarray:
@@ -194,9 +269,18 @@ def sample_wishart_max_eig(cfg: McConfig) -> np.ndarray:
     see sample_wishart_all_eigs), by a batched Laguerre iteration on its tridiagonal.
 
     It uses the same chi variates as sample_wishart_all_eigs and agrees with
-    its last column to about 1e-15 relative.
+    its last column to about 1e-15 relative.  Besides its output, a call
+    holds two arrays of at most _CHUNK bytes: the draw buffer, of
+    max(2N - 1, _STEP_ROWS) floats per sample, whose spent variates hold the
+    Laguerre step's rows, and T's rows d and f.
     """
-    return _sample_bidiagonal(cfg, _bidiagonal_max_eig, 8 * (2 * cfg.params.N - 1))
+    w = 2 * cfg.params.N - 1
+    width = max(w, _STEP_ROWS)
+    m = _chunk_rows(cfg.n_samples, 8 * width)
+    tri, out = np.empty(w * m), np.empty(cfg.n_samples)
+    for span, c, spent in _bidiagonal_chunks(cfg, m, width):
+        _bidiagonal_max_eig(c, tri, spent, out[span])
+    return out
 
 
 def haar_orthogonal(rng: np.random.Generator, n: int, count: int = 1) -> np.ndarray:
@@ -223,24 +307,21 @@ def sphere_integral_oracle(cfg: McConfig, lambdas) -> tuple[float, float]:
     Averages exp(M tau_tilde sum lambda_j u_j^2) over uniform u on the unit
     sphere and multiplies by the tau-free prefactor prod exp(-M lambda_j / 2).
     Estimates the j.p.d.f.'s group integral up to a constant that cancels in
-    ratios, which is how tests consume it.  The eigenvalues must be finite (ConfigError).
+    ratios, which is how tests consume it.  The eigenvalues must be finite (ConfigError); a
+    prefactor, term or mean out of the float range is a FloatingPointError (`_exp_moments`).
     """
     p = cfg.params
     lambdas = _checked(lambdas)
     if lambdas.shape != (p.N,):
         raise ConfigError(f"need exactly N={p.N} eigenvalues")
     rng = _rng(cfg.seed)
-    pref = math.exp(-0.5 * p.M * float(np.sum(lambdas)))
 
     def draw(m):
         g = rng.standard_normal((m, p.N))
         u2 = g**2 / np.sum(g**2, axis=1, keepdims=True)
-        return np.exp(p.M * p.tau_tilde * (u2 @ lambdas))
+        return p.M * p.tau_tilde * (u2 @ lambdas)
 
-    vals = _chunked(cfg.n_samples, draw, 8 * p.N)
-    mean = float(np.mean(vals)) * pref
-    se = float(np.std(vals, ddof=1) / math.sqrt(cfg.n_samples)) * pref
-    return mean, se
+    return _exp_moments(_chunked(cfg.n_samples, draw, 8 * p.N), -0.5 * p.M * float(np.sum(lambdas)))
 
 
 def contour_integral_I(params: ModelParams, lambdas, contour: ContourSpec) -> complex:
@@ -275,7 +356,8 @@ def haar_unitary_integral(cfg: McConfig, x_eigs, y: float,
 
 def _haar_integral(haar, cfg: McConfig, x_eigs, y: float,
                    M: int | None) -> tuple[float, float]:
-    """MC (mean, SE) of e^{-M y sum x_i |g_iN|^2} over g drawn by `haar`, of checked inputs (ConfigError)."""
+    """MC (mean, SE) of e^{-M y sum x_i |g_iN|^2} over g drawn by `haar`, of checked inputs
+    (ConfigError); a term or mean out of the float range is a FloatingPointError (`_exp_moments`)."""
     M = cfg.params.M if M is None else M
     x_eigs = _checked(x_eigs, y, M)
     if not x_eigs.size:
@@ -284,7 +366,35 @@ def _haar_integral(haar, cfg: McConfig, x_eigs, y: float,
 
     def draw(m):
         col = np.abs(haar(rng, x_eigs.size, m)[:, :, -1]) ** 2
-        return np.exp(-M * y * (col @ x_eigs))
+        return -M * y * (col @ x_eigs)
 
-    vals = _chunked(cfg.n_samples, draw, 16 * x_eigs.size ** 2)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(cfg.n_samples))
+    return _exp_moments(_chunked(cfg.n_samples, draw, 16 * x_eigs.size ** 2))
+
+
+#: natural logs of the largest and of the smallest normal float
+_LOG_HUGE, _LOG_TINY = math.log(sys.float_info.max), math.log(sys.float_info.min)
+
+
+def _exp_moments(a: np.ndarray, log_scale: float = 0.0) -> tuple[float, float]:
+    """(mean, standard error) of e^a over a Monte-Carlo sample of exponents a, times the
+    prefactor e^log_scale.
+
+    A standard error needs two samples at least (ConfigError; one gave nan).
+    FloatingPointError unless the prefactor and the mean are normal floats and the standard
+    error is not inf: a term that overflowed made the mean inf or nan, and a prefactor or
+    mean that underflowed read as a plausible 0.
+    """
+    if a.size < 2:
+        raise ConfigError(f"a Monte-Carlo standard error needs n_samples >= 2, got {a.size}")
+    if not _LOG_TINY <= log_scale <= _LOG_HUGE:
+        raise FloatingPointError(f"the oracle's prefactor e^{log_scale:.6g} leaves the float range")
+    scale = math.exp(log_scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(a)
+        mean = float(np.mean(vals)) * scale
+        se = float(np.std(vals, ddof=1) / math.sqrt(a.size)) * scale
+    if not (sys.float_info.min <= mean < math.inf and se != math.inf):
+        raise FloatingPointError(f"the Monte-Carlo mean {mean:.6g} (standard error {se:.6g}) of "
+                                 f"e^a, a at most {float(np.max(a)):.6g}, times e^{log_scale:.6g}, "
+                                 f"is not a normal float")
+    return mean, se

@@ -174,18 +174,30 @@ class TestLaguerreMaxEig:
         assert np.array_equal(sample_wishart_max_eig(cfg), ref)
 
     def test_draw_memory_is_bounded_by_the_chunk_bytes(self):
-        # tracemalloc peak of 10^4 draws at (16, 64): chunks of at most _CHUNK bytes per
-        # array, divided and rooted in place, the squared transpose freed once d and f
-        # exist (3.22 MB); 20,000-row chunks holding 3.5 copies of the variates read 8.72 MB
-        cfg = McConfig(1, 10_000, ModelParams(16, 64, 1.0))
-        sample_wishart_max_eig(McConfig(1, 10, cfg.params))
-        tracemalloc.start()
-        try:
-            sample_wishart_max_eig(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5e6
+        # tracemalloc peaks, bounded by those of the sampler that allocated a chi-square
+        # array, a squared transpose and the step's temporaries per chunk: 3.22 MB at
+        # (16, 64), 4.69 MB at (4, 8) and 6.73 MB at (2, 3), whose chunks were sized on its
+        # 3 variates per sample (43,690 rows).  One draw buffer of max(2N - 1, 7) floats per
+        # sample, whose spent variates hold the step's rows, reads 2.31, 3.53 and 2.96 MB.
+        for (N, M, tau), n, bound in [((16, 64, 1.0), 10_000, 3.5e6), ((4, 8, 1.0), 100_000, 4.7e6),
+                                      ((2, 3, 1.0), 100_000, 6.75e6)]:
+            p = ModelParams(N, M, tau)
+            sample_wishart_max_eig(McConfig(1, 10, p))
+            tracemalloc.start()
+            try:
+                sample_wishart_max_eig(McConfig(1, n, p))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (N, M, peak)
+
+    def test_solver_leaves_the_variates_unchanged(self):
+        # only the sampler lends the solver its spent draw rows as work space
+        df = np.r_[np.arange(8, 4, -1), np.arange(3, 0, -1)]
+        c = np.sqrt(np.random.default_rng(4).chisquare(df, size=(3_000, df.size)) / 8)
+        kept = c.copy()
+        sampling._bidiagonal_max_eig(c)
+        assert np.array_equal(c, kept)
 
     def test_makes_no_eigvalsh_call(self, monkeypatch):
         def refuse(a):
@@ -197,6 +209,26 @@ class TestLaguerreMaxEig:
         monkeypatch.setattr(sampling, "_LAGUERRE_STEPS", 1)
         with pytest.raises(FloatingPointError, match="unconverged after 1 steps"):
             sample_wishart_max_eig(McConfig(1, 100, ModelParams(4, 8, 1.0)))
+
+
+class TestStreamPin:
+    """Both samplers give bitwise what one whole-array chisquare draw solves to."""
+
+    @pytest.mark.parametrize("N,M,tau,n", [(2, 3, 0.0, 37_449), (4, 8, 1.0, 37_449),
+                                           (16, 64, 1.5, 8_457)])
+    def test_chunks_solve_one_whole_chisquare_draw(self, N, M, tau, n):
+        for floats in (max(2 * N - 1, sampling._STEP_ROWS), N * N):   # per sample, per sampler
+            m = sampling._CHUNK // (8 * floats)
+            assert n > m and n % m, "the last chunk must be a short one"
+        df = np.r_[np.arange(M, M - N, -1), np.arange(N - 1, 0, -1)]
+        c = np.random.Generator(np.random.Philox(N + M)).chisquare(df, size=(n, df.size))
+        c /= M
+        np.sqrt(c, out=c)
+        c[:, 0] *= np.sqrt(1.0 + tau)
+        cfg = McConfig(N + M, n, ModelParams(N, M, tau))
+        assert np.array_equal(sample_wishart_max_eig(cfg), sampling._bidiagonal_max_eig(c))
+        assert np.array_equal(sample_wishart_all_eigs(cfg),
+                              np.linalg.eigvalsh(sampling._bidiagonal_gram(c)))
 
 
 class TestHaarSamplers:
@@ -288,6 +320,14 @@ class TestOracleInputs:
         with pytest.raises(ConfigError, match="finite"):
             sphere_integral_oracle(McConfig(1, 100, self.P), lam)
 
+    @pytest.mark.parametrize("oracle", [lambda cfg: sphere_integral_oracle(cfg, [0.5, 1.0]),
+                                        lambda cfg: haar_orthogonal_integral(cfg, [0.2, 0.5], 0.3),
+                                        lambda cfg: haar_unitary_integral(cfg, [0.2, 0.5], 0.3)])
+    def test_oracles_refuse_a_single_sample(self, oracle):
+        # the standard error of one sample was nan, with a RuntimeWarning
+        with pytest.raises(ConfigError, match="n_samples >= 2"):
+            oracle(McConfig(1, 1, self.P))
+
     @pytest.mark.parametrize("integral", [haar_orthogonal_integral, haar_unitary_integral])
     @pytest.mark.parametrize("x, y, M", [([0.2, np.nan], 0.3, None), ([np.inf, 0.5], 0.3, None),
                                          ([0.2, 0.5], np.nan, None), ([0.2, 0.5], np.inf, None),
@@ -295,6 +335,25 @@ class TestOracleInputs:
     def test_haar_integrals_refuse_bad_input(self, integral, x, y, M):
         with pytest.raises(ConfigError, match="x_eigs|y must|M must|at least one eigenvalue"):
             integral(McConfig(4, 100, self.P), x, y, M)
+
+
+class TestOracleRange:
+    """A term, prefactor or mean out of the float range is a FloatingPointError: these
+    probes gave (0.0, nan), (0.0, nan) and (inf, nan) with only a RuntimeWarning."""
+
+    CFG = McConfig(1, 1000, ModelParams(4, 64, 1.0))
+
+    def test_sphere_oracle_prefactor_underflow(self):
+        with pytest.raises(FloatingPointError, match="prefactor"):
+            sphere_integral_oracle(self.CFG, [30, 1, 1, 1])
+
+    def test_sphere_oracle_exponent_and_prefactor_out_of_range(self):
+        with pytest.raises(FloatingPointError, match="prefactor"):
+            sphere_integral_oracle(self.CFG, [30, 30, 30, 1])
+
+    def test_haar_integral_term_overflow(self):
+        with pytest.raises(FloatingPointError, match="not a normal float"):
+            haar_orthogonal_integral(self.CFG, [30, 1, 1, 1], -1.0)
 
 
 class TestHaarIntegral:
