@@ -20,10 +20,10 @@ from .params import (ModelParams, ContourSpec, weight_w, weight_w0, mp_density,
                      mp_edges, make_contour)
 from .quadrature import (KAPPA_EPSILON, HalfLineRule, ReferencePanel, half_line_rule,
                          reference_panel, finite_rule, EpsilonTransform)
-from .laguerre import LaguerreBasis, build_basis, eval_poly, cd_kernel_k2
-from .skew import (SkewProductTable, SkewPolySet, MomentMatrix, skew_product,
-                   inner_product_2, h_poly, build_skew_polys, moment_matrix,
-                   pfaffian, default_xmax, rule_for_t)
+from .laguerre import LaguerreBasis, build_basis, cd_kernel_k2
+from .skew import (SkewProductTable, SkewPolySet, skew_product, inner_product_2,
+                   h_poly, build_skew_polys, moment_matrix, pfaffian, default_xmax,
+                   rule_for_t)
 from .kernels import (KernelBundle, CdCorrectedKernel, correction_matrix,
                       check_multi_orthogonality)
 from .cdf import (CdfEngine, CdfResult, truncated_moment_matrix, logdet_m_derivative,
@@ -32,7 +32,7 @@ from .sampling import (McConfig, sample_wishart_max_eig, sample_wishart_all_eigs
                        haar_orthogonal, haar_unitary, sphere_integral_oracle,
                        contour_integral_I, haar_orthogonal_integral,
                        haar_unitary_integral)
-from .zonal import (ZonalSeries, zonal_row, zonal_I_closed_form, contour_S,
+from .zonal import (zonal_row, zonal_I_closed_form, contour_S,
                     series_S, haar_series, zonal_identity_check,
                     unitary_symplectic_identity_check)
 from .errors import (WishartLabError, ConfigError, SingularWeightError,

@@ -89,6 +89,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,6 +342,11 @@ class CdfEngine:
         if cut > 0:
             d_max = max(abs(center.real), cut - center.real)
             n = max(n, 2 * math.ceil(17.0 / math.log(radius / d_max)))
+        right = center.real + radius * math.cos(math.pi / n)       # the rightmost node's Re t
+        if M * right >= math.log(sys.float_info.max):
+            p = self.params
+            raise FloatingPointError(f"e^(M t) overflows at the contour's rightmost node, Re t = {right:.6g}, "
+                                     f"at (N, M, tau) = ({p.N}, {p.M}, {p.tau:g}): the anchor would be nan")
         return ContourSpec.circle(center, radius, n)
 
     # ------------------------------------------------------------------ #

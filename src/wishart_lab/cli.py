@@ -39,7 +39,7 @@ _FMT = "%.17g"
 
 #: exceptions reported as a numerical failure (exit 3) rather than a traceback
 _NUMERICAL = (DegenerateSkewProductError, SingularWeightError, QuadratureError, PrecisionLossError,
-              ZeroDivisionError, FloatingPointError, np.linalg.LinAlgError)
+              ZeroDivisionError, FloatingPointError, np.linalg.LinAlgError, RuntimeWarning, MemoryError)
 
 
 def _fmt(x) -> str:

@@ -2,9 +2,11 @@
 
 The CLI maps these onto exit codes: configuration problems exit with 2;
 numerical failures exit with 3, namely DegenerateSkewProductError,
-SingularWeightError, QuadratureError, PrecisionLossError, and the
+SingularWeightError, QuadratureError, PrecisionLossError, the
 arithmetic errors ZeroDivisionError, FloatingPointError and
-numpy.linalg.LinAlgError; verification failures exit with 4.
+numpy.linalg.LinAlgError, a RuntimeWarning raised as an error (python -W
+error) and a failed allocation (MemoryError); verification failures exit
+with 4.
 `check_count` and `check_real` are the argument checks that raise ConfigError.
 """
 

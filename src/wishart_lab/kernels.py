@@ -38,7 +38,7 @@ from .errors import ConfigError, DegenerateSkewProductError
 from .laguerre import LaguerreBasis, cd_kernel_k2
 from .params import ModelParams, weight_w0
 from .quadrature import HalfLineRule, KAPPA_EPSILON
-from .skew import SkewPolySet, SkewProductTable, _weighted_laguerre, build_skew_polys
+from .skew import SkewProductTable, _weighted_laguerre, build_skew_polys
 
 __all__ = [
     "KernelBundle",
@@ -174,7 +174,6 @@ class CdCorrectedKernel:
     sampler of `KernelBundle.factor`; no pi is sampled and no second transform built."""
 
     table: SkewProductTable
-    polys: SkewPolySet
     A: np.ndarray                       # 2x2 correction matrix
     hi: np.ndarray                      # (2, kmax + 1) Laguerre coefficients of (pi_{N+1,1}, pi_{N,1})
 
@@ -183,11 +182,11 @@ class CdCorrectedKernel:
               table: SkewProductTable | None = None) -> "CdCorrectedKernel":
         if table is None:
             table = SkewProductTable.build(params, t)
-        polys = build_skew_polys(table)
+        coeffs = build_skew_polys(table).coeffs
         N = params.N
         A = correction_matrix(params, complex(t), table.basis)
-        hi = np.stack([np.pad(polys.coeffs[d], (0, table.kmax - d)) for d in (N + 1, N)])
-        return cls(table, polys, A, hi)
+        hi = np.stack([np.pad(coeffs[d], (0, table.kmax - d)) for d in (N + 1, N)])
+        return cls(table, A, hi)
 
     @property
     def params(self) -> ModelParams:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, check_count
 from .params import ModelParams, weight_w
 
-__all__ = ["LaguerreBasis", "build_basis", "eval_poly", "cd_kernel_k2"]
+__all__ = ["LaguerreBasis", "build_basis", "cd_kernel_k2"]
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,6 @@ def _build_basis(params: ModelParams, max_degree: int) -> LaguerreBasis:
     for arr in (a, b, log_h):
         arr.setflags(write=False)
     return LaguerreBasis(params, max_degree, a, b, log_h)
-
-
-def eval_poly(basis: LaguerreBasis, n: int, x):
-    """L_n(x) by forward recurrence; x may be real or complex, scalar or array."""
-    if n > basis.max_degree or n < 0:
-        raise ConfigError(f"degree {n} out of range 0..{basis.max_degree}")
-    xa = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
-    vals = basis.eval_all(xa, n)[n]
-    return vals if vals.ndim else vals[()]
 
 
 def cd_kernel_k2(basis: LaguerreBasis, t: complex, x, y):

@@ -46,7 +46,6 @@ __all__ = [
     "rule_for_t",
     "SkewProductTable",
     "SkewPolySet",
-    "MomentMatrix",
     "skew_product",
     "inner_product_2",
     "h_poly",
@@ -112,7 +111,8 @@ def _weighted_laguerre(params: ModelParams, t, x, kmax: int) -> np.ndarray:
 
 @dataclass
 class SkewProductTable:
-    """Entries <L_i, L_j>_1 for 0 <= i, j <= kmax at fixed t over [0, z]^2.
+    """Entries <L_i, L_j>_1 for 0 <= i, j <= kmax at fixed t over [0, z]^2, z the truncation
+    given to `build` (inf, its default, is the full half-line).
 
     A 1-D z stacks the truncations, all read off one z-free `rule` (default
     `rule_for_t(params, t)`); a 1-D t and a stacked `rule`, one rule per t, put a
@@ -124,7 +124,6 @@ class SkewProductTable:
 
     params: ModelParams
     t: complex | np.ndarray
-    z: float | np.ndarray         # truncation(s); inf means the full half-line
     basis: LaguerreBasis
     rule: HalfLineRule
     entries: np.ndarray           # (kmax+1, kmax+1) antisymmetric, stacked over a 1-D z
@@ -137,7 +136,7 @@ class SkewProductTable:
         t = t.astype(complex) if isinstance(t, np.ndarray) else complex(t)
         rule = rule_for_t(params, t) if rule is None else rule
         eps = EpsilonTransform(rule, _weighted_laguerre(params, t, rule.x, kmax))
-        return cls(params, t, z, build_basis(params, max(kmax, params.N + 2)), rule, eps.truncated_gram(z), eps)
+        return cls(params, t, build_basis(params, max(kmax, params.N + 2)), rule, eps.truncated_gram(z), eps)
 
     @property
     def kmax(self) -> int:
@@ -243,38 +242,26 @@ def build_skew_polys(table: SkewProductTable) -> SkewPolySet:
     return SkewPolySet(table.params, table.t, coeffs, h_skew)
 
 
-@dataclass
-class MomentMatrix:
+def moment_matrix(table: SkewProductTable, polyset: SkewPolySet | None = None,
+                  basis_kind: str = "laguerre") -> np.ndarray:
     """Antisymmetric N x N matrix <r_j, r_k>_1 for a monic family r.
 
     basis_kind "laguerre" uses r_j = L_j throughout (t-independent); "pi"
     swaps the top two for the skew-orthogonal pair, which block-diagonalises
     the matrix with lower-right h_{N-1,1} * [[0, 1], [-1, 0]].
     """
-
-    params: ModelParams
-    t: complex
-    z: float
-    basis_kind: str
-    entries: np.ndarray
-
-
-def moment_matrix(table: SkewProductTable, polyset: SkewPolySet | None = None,
-                  basis_kind: str = "laguerre") -> MomentMatrix:
     N = table.params.N
     core = table.entries[:N, :N]
     if basis_kind == "laguerre":
-        entries = core.copy()
-    elif basis_kind == "pi":
-        if polyset is None:
-            polyset = build_skew_polys(table)
-        B = np.eye(N, dtype=complex)
-        B[N - 2, : N - 1] = polyset.coeffs[N - 2]
-        B[N - 1, : N] = polyset.coeffs[N - 1]
-        entries = B @ core @ B.T
-    else:
+        return core.copy()
+    if basis_kind != "pi":
         raise ConfigError(f"unknown basis_kind {basis_kind!r}")
-    return MomentMatrix(table.params, table.t, table.z, basis_kind, entries)
+    if polyset is None:
+        polyset = build_skew_polys(table)
+    B = np.eye(N, dtype=complex)
+    B[N - 2, : N - 1] = polyset.coeffs[N - 2]
+    B[N - 1, : N] = polyset.coeffs[N - 1]
+    return B @ core @ B.T
 
 
 def pfaffian(A: np.ndarray):

@@ -1,8 +1,9 @@
 """Named verification suites behind both the CLI and the acceptance tests.
 
-Each suite returns {"suite", "passed", "checks": [{name, value, tol,
-passed}], "elapsed_s"} with `value` the measured deviation (relative error,
-sigma count, ...) and `tol` the pinned acceptance bound.  Structural zeros
+Each suite returns its checks, [{name, value, tol, passed}], with `value` the
+measured deviation (relative error, sigma count, ...) and `tol` the pinned
+acceptance bound; the first line of its docstring is its headline.  `run_suite`
+alone names, times and reports a suite, by its key in SUITES.  Structural zeros
 are always measured against the scale of the surrounding table, never
 against themselves.
 """
@@ -26,7 +27,7 @@ from .skew import SkewProductTable, build_skew_polys, h_poly, inner_product_2, p
 from .zonal import (zonal_I_closed_form, zonal_identity_check, zonal_row,
                     unitary_symplectic_identity_check)
 
-__all__ = ["SUITES", "run_suite", "run_all"]
+__all__ = ["SUITES", "run_suite"]
 
 
 def _check(name: str, value: float, tol: float) -> dict:
@@ -34,14 +35,8 @@ def _check(name: str, value: float, tol: float) -> dict:
             "passed": bool(value < tol)}
 
 
-def _wrap(suite: str, checks: list, t0: float) -> dict:
-    return {"suite": suite, "passed": all(c["passed"] for c in checks),
-            "checks": checks, "elapsed_s": time.time() - t0}
-
-
-def suite_parts_identity(seed: int = 0) -> dict:
+def suite_parts_identity(seed: int = 0) -> list[dict]:
     """<f, H_j>_1 = <f, x^j>_2 for f = L_0..L_5, j = 0..4."""
-    t0 = time.time()
     checks = []
     for tau in (0.3, 1.0):
         p = ModelParams(4, 8, tau)
@@ -57,12 +52,11 @@ def suite_parts_identity(seed: int = 0) -> dict:
             worst = max(abs(l - r) / (abs(r) if abs(r) > 1e-10 * scale else scale)
                         for l, r in pairs)
             checks.append(_check(f"tau={tau} t={t}", worst, 1e-8))
-    return _wrap("parts-identity", checks, t0)
+    return checks
 
 
-def suite_skew_op(seed: int = 0) -> dict:
+def suite_skew_op(seed: int = 0) -> list[dict]:
     """Skew-orthogonality of the constructed pi's plus the structural zeros."""
-    t0 = time.time()
     checks = []
     p = ModelParams(4, 8, 1.0)
     basis = build_basis(p, 8)
@@ -90,12 +84,11 @@ def suite_skew_op(seed: int = 0) -> dict:
         w2 = max(abs(inner_product_2(p, mono[p.N], np.eye(j + 1)[j]))
                  for j in range(p.N - 2)) / basis.h(p.N - 2)
         checks.append(_check(f"<pi_N, x^j>_2 zero t={t}", w2, 1e-7))
-    return _wrap("skew-op", checks, t0)
+    return checks
 
 
-def suite_kernel_equiv(seed: int = 0) -> dict:
+def suite_kernel_equiv(seed: int = 0) -> list[dict]:
     """Brute-force S1 vs CD + rank-2 correction on grids (the structure theorem)."""
-    t0 = time.time()
     checks = []
     xs = np.linspace(0.4, 6.0, 5)
     ys = np.linspace(0.3, 5.5, 5)
@@ -114,12 +107,11 @@ def suite_kernel_equiv(seed: int = 0) -> dict:
                 checks.append(_check("global anchor |ratio - 1|", abs(ref_ratio - 1.0), 1e-6))
             dev = np.max(np.abs(sb - ref_ratio * sc)) / np.max(np.abs(sb))
             checks.append(_check(f"tau={tau} t={t}", dev, 1e-6))
-    return _wrap("kernel-equiv", checks, t0)
+    return checks
 
 
-def suite_derpar(seed: int = 0) -> dict:
+def suite_derpar(seed: int = 0) -> list[dict]:
     """d/dt log det M against central finite differences of det M."""
-    t0 = time.time()
     checks = []
     for tau, t in ((1.0, 2 + 1j), (0.3, 1 + 2j)):
         p = ModelParams(4, 8, tau)
@@ -136,12 +128,11 @@ def suite_derpar(seed: int = 0) -> dict:
     p0 = ModelParams(4, 8, 0.0)
     an = logdet_m_derivative(p0, 2 + 1j)
     checks.append(_check("tau=0 power law", abs(an + p0.N / (2 + 1j)) / abs(an), 1e-10))
-    return _wrap("derpar", checks, t0)
+    return checks
 
 
-def suite_mc_cdf(seed: int = 20260811) -> dict:
+def suite_mc_cdf(seed: int = 20260811) -> list[dict]:
     """Pfaffian-route CDF vs the empirical CDF of sampled largest eigenvalues."""
-    t0 = time.time()
     checks = []
     p = ModelParams(2, 4, 1.0)
     cfg = McConfig(seed=seed, n_samples=100_000, params=p)
@@ -156,22 +147,20 @@ def suite_mc_cdf(seed: int = 20260811) -> dict:
     dev = max(abs(r.value - loe_direct_cdf(p0, r.z))
               for r in CdfEngine(p0).cdf_grid([1.0, 2.0, 3.0]))
     checks.append(_check("tau=0 route agreement", dev, 1e-6))
-    return _wrap("mc-cdf", checks, t0)
+    return checks
 
 
-def suite_route_equiv(seed: int = 0) -> dict:
+def suite_route_equiv(seed: int = 0) -> list[dict]:
     """Pfaffian vs Fredholm-determinant route at shared normalisation."""
-    t0 = time.time()
     p = ModelParams(4, 8, 1.0)
     eng = CdfEngine(p)
     zs = [2.5, 3.5, 4.5]
-    checks = [_check(f"z={z}", abs(a.value - b.value), 1e-3)
-              for z, a, b in zip(zs, eng.cdf_grid(zs), eng.cdf_grid(zs, "fredholm"))]
-    return _wrap("route-equiv", checks, t0)
+    return [_check(f"z={z}", abs(a.value - b.value), 1e-3)
+            for z, a, b in zip(zs, eng.cdf_grid(zs), eng.cdf_grid(zs, "fredholm"))]
 
 
-def suite_zonal(seed: int = 5150) -> dict:
-    t0 = time.time()
+def suite_zonal(seed: int = 5150) -> list[dict]:
+    """Zonal closed forms, contour vs residue series, and Haar MC for O(N), U(N) and Sp(N)."""
     checks = []
     worst = max(abs(zonal_row(np.ones(N), 6, "real")[k] - zonal_I_closed_form(N, k))
                 / zonal_I_closed_form(N, k)
@@ -193,12 +182,11 @@ def suite_zonal(seed: int = 5150) -> dict:
     checks.append(_check("U(2) contour vs series", rep_u["unitary"]["rel_dev"], 1e-8))
     checks.append(_check("U(2) MC (sigmas/3)", rep_u["unitary"]["mc_sigmas"] / 3.0, 1.0))
     checks.append(_check("Sp contour vs series", rep_u["symplectic"]["rel_dev"], 1e-8))
-    return _wrap("zonal", checks, t0)
+    return checks
 
 
-def suite_sphere_oracle(seed: int = 11) -> dict:
+def suite_sphere_oracle(seed: int = 11) -> list[dict]:
     """Contour formula for the group integral vs the sphere MC, as ratios."""
-    t0 = time.time()
     p = ModelParams(4, 8, 1.0)
     l1 = [0.5, 1.0, 1.5, 3.0]
     l2 = [0.3, 0.8, 2.0, 2.5]
@@ -208,21 +196,17 @@ def suite_sphere_oracle(seed: int = 11) -> dict:
     m2, s2 = sphere_integral_oracle(McConfig(seed + 1, 100_000, p), l2)
     r_mc = m1 / m2
     se = abs(r_mc) * math.sqrt((s1 / m1) ** 2 + (s2 / m2) ** 2)
-    checks = [
-        _check("ratio (sigmas/3)", abs(r_ct.real - r_mc) / (3.0 * se), 1.0),
-        _check("imaginary residue", abs(r_ct.imag), 1e-10),
-    ]
-    return _wrap("sphere-oracle", checks, t0)
+    return [_check("ratio (sigmas/3)", abs(r_ct.real - r_mc) / (3.0 * se), 1.0),
+            _check("imaginary residue", abs(r_ct.imag), 1e-10)]
 
 
-def suite_mp_density(seed: int = 7) -> dict:
+def suite_mp_density(seed: int = 7) -> list[dict]:
     """Bulk histogram of 10^4 null-Wishart eigenvalues vs the limiting density.
 
     The comparison conditions on the bulk support (the limiting law says
     nothing about the finite-N mass that leaks past the edges) and uses
     multinomial errors per bin.
     """
-    t0 = time.time()
     p = ModelParams(16, 64, 0.0)
     n_eigs = 10_000
     n_mat = (n_eigs + p.N - 1) // p.N
@@ -241,12 +225,11 @@ def suite_mp_density(seed: int = 7) -> dict:
     devs = np.abs(counts - probs * n_in) / np.sqrt(n_in * probs * (1.0 - probs))
     checks = [_check(f"bin {i} (sigmas/3)", devs[i] / 3.0, 1.0) for i in range(10)]
     checks.append(_check("mass outside bulk", 1.0 - n_in / n_eigs, 0.05))
-    return _wrap("mp-density", checks, t0)
+    return checks
 
 
-def suite_hygiene(seed: int = 0) -> dict:
+def suite_hygiene(seed: int = 0) -> list[dict]:
     """Discretisation-doubling stability, Pf^2 = det, conjugation symmetry."""
-    t0 = time.time()
     p = ModelParams(4, 8, 1.0)
     checks = []
     base = CdfEngine(p)
@@ -274,7 +257,7 @@ def suite_hygiene(seed: int = 0) -> dict:
     mono = max(max(grid[i] - grid[i + 1] for i in range(len(grid) - 1)), 0.0)
     checks.append(_check("monotone nondecreasing", mono, 1e-6))
     checks.append(_check("bounds", max(-min(grid), max(grid) - 1.0, 0.0), 1e-6))
-    return _wrap("numerics-hygiene", checks, t0)
+    return checks
 
 
 SUITES = {
@@ -292,11 +275,11 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int | None = None) -> dict:
+    """{"suite": name, "passed", "checks", "elapsed_s"} for the suite registered as `name`,
+    run at `seed` (the suite's own default if None) and timed with perf_counter."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    fn = SUITES[name]
-    return fn() if seed is None else fn(seed=seed)
-
-
-def run_all(seed: int | None = None) -> list[dict]:
-    return [run_suite(name, seed=seed) for name in SUITES]
+    t0 = time.perf_counter()
+    checks = SUITES[name]() if seed is None else SUITES[name](seed=seed)
+    return {"suite": name, "passed": all(c["passed"] for c in checks),
+            "checks": checks, "elapsed_s": time.perf_counter() - t0}

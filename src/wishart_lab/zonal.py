@@ -25,7 +25,6 @@ and an M that is not finite and positive, raise ConfigError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .errors import ConfigError, check_count, check_real
 from .params import ContourSpec, make_contour
 
 __all__ = [
-    "ZonalSeries",
     "zonal_row",
     "zonal_I_closed_form",
     "contour_S",
@@ -83,19 +81,9 @@ def _u_series(x: np.ndarray, max_k, power: int) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
-class ZonalSeries:
-    x_eigs: np.ndarray
-    max_k: int
-    family: str
-    values: np.ndarray      # Z_(k)(X) (or C/Q analogue), k = 0..max_k
-
-    def __getitem__(self, k: int) -> float:
-        return float(self.values[k])
-
-
-def zonal_row(x_eigs, max_k: int, family: str = "real") -> ZonalSeries:
-    """Z_(k)(X) (or C_(k), Q_(k)) for k = 0..max_k, the family's multiple of the u-series."""
+def zonal_row(x_eigs, max_k: int, family: str = "real") -> np.ndarray:
+    """Z_(k)(X) (or C_(k), Q_(k)) for k = 0..max_k, the family's multiple of the u-series,
+    as a 1-D array of length max_k + 1."""
     if family not in _POWERS:
         raise ConfigError(f"family must be one of {sorted(_POWERS)}")
     x = _checked(x_eigs)
@@ -106,7 +94,7 @@ def zonal_row(x_eigs, max_k: int, family: str = "real") -> ZonalSeries:
                         for k in ks])
     elif family == "quaternionic":
         A = A / (ks + 1.0)
-    return ZonalSeries(x, max_k, family, A)
+    return A
 
 
 def zonal_I_closed_form(N: int, k: int) -> float:

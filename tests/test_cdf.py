@@ -1,6 +1,7 @@
 import functools
 import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -1026,3 +1027,31 @@ class TestPrecisionGuard:
         # about 15 digits lost: the values come out as -0.25 and 0.75 at z = 2
         with pytest.raises(PrecisionLossError):
             CdfEngine(ModelParams(*params)).cdf_grid([2.0, 3.0], route)
+
+
+class TestUnrepresentableContour:
+    # M Re t >= log(float max) at the circle's rightmost node: e^{M t} overflows there, so the
+    # anchor is NaN after the whole pass (up to 2.4 s and 186 MB; 48 million nodes at tau = 1e6)
+    @pytest.mark.parametrize("params", [(4, 8, 1e6), (4, 8, 30.0), (4, 8, 100.0), (4, 8, 26.3),
+                                        (16, 64, 50.0), (2, 1372, 1.0), (2, 1400, 1.0), (2, 10000, 1.0)])
+    def test_is_refused_before_any_rule_is_built(self, params, monkeypatch):
+        def no_circle(*args):
+            raise AssertionError("a circle was built")
+
+        monkeypatch.setattr(cdf_module.ContourSpec, "circle", no_circle)
+        p = ModelParams(*params)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FloatingPointError, match=re.escape(f"({p.N}, {p.M}, {p.tau:g})")):
+                CdfEngine(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("params", [(4, 8, 1.0), (8, 32, 1.0), (16, 64, 1.0), (4, 8, 10.0),
+                                        (4, 8, 26.2), (16, 64, 10.0), (2, 1000, 1.0), (2, 1371, 1.0)])
+    def test_a_representable_contour_is_built(self, params):
+        eng = CdfEngine(ModelParams(*params))
+        with np.errstate(over="raise"):
+            assert np.isfinite(np.exp(eng.params.M * np.max(eng.contour.nodes.real)))

@@ -3,7 +3,10 @@ import errno
 import json
 import os
 import re
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,9 @@ import pytest
 from wishart_lab import KernelBundle, McConfig, ModelParams, cli, sample_wishart_max_eig
 from wishart_lab.cli import _fmt, main
 from wishart_lab.skew import default_xmax
+from wishart_lab.verify import SUITES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_rows(path):
@@ -165,6 +171,36 @@ def test_a_suite_that_raises_leaves_the_report_path_as_it_was(tmp_path, capsys, 
     assert main(["verify", "derpar", "--json", str(path)]) == 0
     assert [p.name for p in tmp_path.iterdir()] == ["verify.json"]
     assert json.loads(path.read_text())["reports"][0]["suite"] == "derpar"
+
+
+def run_cli(args, **kw):
+    """`python -W error -m wishart_lab.cli *args` in a child process, as CI runs `verify`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "wishart_lab.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120, **kw)
+
+
+@pytest.mark.parametrize("params", [(4, 8, 100.0), (2, 1000, 1.0)])
+def test_an_overflow_under_warnings_as_errors_exits_3(tmp_path, params):
+    # with -W error, the overflow in the weight at (2, 1000, 1) was a raw RuntimeWarning traceback;
+    # (4, 8, 100) is refused by the engine before its contour is built
+    cfg = write_config(tmp_path / "c.json", **dict(zip(("N", "M", "tau"), params)), z=[0.5])
+    proc = run_cli(["cdf", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = proc.stderr.strip().splitlines()
+    assert proc.returncode == 3 and len(err) == 1, proc.stderr
+    assert err[0].startswith("numerical failure (") and not (tmp_path / "out").exists()
+
+
+def test_a_failed_allocation_exits_3(tmp_path):
+    # 10^11 draws: a raw _ArrayMemoryError traceback; the child's address space is capped at 2 GiB
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    cfg = write_config(tmp_path / "c.json", N=2, M=4, tau=1.0, n=100_000_000_000)
+    proc = run_cli(["sample", "--config", cfg, "--out", str(tmp_path / "out")], preexec_fn=cap)
+    err = proc.stderr.strip().splitlines()
+    assert proc.returncode == 3 and len(err) == 1, proc.stderr
+    assert "MemoryError" in err[0] and not (tmp_path / "out").exists()
 
 
 def test_every_output_gets_the_mode_a_plain_open_gives(tmp_path, monkeypatch):
@@ -398,6 +434,19 @@ class TestVerifyCommand:
         assert main(["verify", "derpar", "--seed", "-1"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "seed" in err[0]
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_the_report_names_each_suite_by_its_key(self, tmp_path, suite):
+        report = tmp_path / "rep.json"
+        assert main(["verify", suite, "--json", str(report)]) == 0
+        assert [r["suite"] for r in json.loads(report.read_text())["reports"]] == [suite]
+
+    def test_all_passes_the_seed_to_every_suite(self, monkeypatch):
+        seen = []
+        for name in SUITES:
+            monkeypatch.setitem(SUITES, name, lambda seed=None, name=name: seen.append((name, seed)) or [])
+        assert main(["verify", "all", "--seed", "17"]) == 0
+        assert seen == [(name, 17) for name in SUITES]
 
     def test_named_suite_passes(self, tmp_path):
         report = tmp_path / "rep.json"

@@ -22,7 +22,7 @@ def run_python(args):
 @pytest.mark.parametrize("demo", ["01_bulk_density.py", "02_largest_eigenvalue_cdf.py",
                                   "03_kernel_structure.py", "04_group_integrals.py"])
 def test_demo_runs(demo):
-    proc = run_python([str(ROOT / "demos" / demo)])
+    proc = run_python(["-W", "error", str(ROOT / "demos" / demo)])
     assert proc.returncode == 0, proc.stderr
 
 

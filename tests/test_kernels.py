@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wishart_lab import (CdCorrectedKernel, CdfEngine, ConfigError, DegenerateSkewProductError, KernelBundle,
-                         ModelParams, QuadratureError, build_basis, check_multi_orthogonality,
+                         ModelParams, QuadratureError, build_basis, build_skew_polys, check_multi_orthogonality,
                          cd_kernel_k2, correction_matrix, weight_w)
 from wishart_lab.quadrature import EpsilonTransform, HalfLineRule
 from wishart_lab.skew import SkewProductTable, default_xmax, rule_for_t
@@ -300,7 +300,8 @@ class TestCdCorrected:
         cd = CdCorrectedKernel.build(p, t)
         rule, N = cd.table.rule, p.N
         lag = cd.table.basis.eval_all(rule.x)
-        pi_w = np.stack([cd.polys.coeffs[d] @ lag[:d + 1] for d in (N + 1, N)]) * weight_w(p, t, rule.x)
+        coeffs = build_skew_polys(cd.table).coeffs
+        pi_w = np.stack([coeffs[d] @ lag[:d + 1] for d in (N + 1, N)]) * weight_w(p, t, rule.x)
         eps_pi = EpsilonTransform(rule, pi_w)
         xs, ys = np.linspace(0.4, 6.0, 5), np.linspace(0.3, 5.5, 5)
         row = eps_pi(ys)

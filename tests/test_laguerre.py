@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wishart_lab import (ConfigError, ModelParams, build_basis, cd_kernel_k2,
-                         eval_poly, half_line_rule, weight_w0)
+                         half_line_rule, weight_w0)
 from wishart_lab.quadrature import finite_rule
 
 
@@ -44,9 +44,9 @@ class TestRecurrence:
             basis.eval_all(x, basis.max_degree + 1)
 
     def test_l0_l1(self, basis, p48):
-        assert eval_poly(basis, 0, 123.4) == 1.0
+        assert basis.eval_all(123.4, 0)[0] == 1.0
         root = (p48.M - p48.N + 1) / p48.M
-        assert eval_poly(basis, 1, root) == pytest.approx(0.0, abs=1e-15)
+        assert basis.eval_all(root, 1)[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_subleading_coefficient(self, basis, p48):
         # L_n = x^n - (M-N+n) n / M x^{n-1} + ...
@@ -63,7 +63,7 @@ class TestRecurrence:
     def test_value_vs_rodrigues_at_point(self, basis):
         oracle = rodrigues_coeffs(6, 8, 4)
         val = np.polynomial.polynomial.polyval(2.0, oracle)
-        assert eval_poly(basis, 6, 2.0) == pytest.approx(val, rel=1e-9)
+        assert basis.eval_all(2.0, 6)[6] == pytest.approx(val, rel=1e-9)
 
     def test_stieltjes_rederivation(self, p48):
         """Re-derive a_n, b_n from quadrature moments of w0 before trusting
@@ -104,7 +104,7 @@ class TestRecurrence:
 
     def test_degree_guards(self, basis):
         with pytest.raises(ConfigError):
-            eval_poly(basis, 99, 1.0)
+            basis.eval_all(1.0, 99)[99]
         with pytest.raises(ConfigError):
             build_basis(ModelParams(4, 8, 1.0), 3)
 
