@@ -33,8 +33,7 @@ from .sampling import (McConfig, sample_wishart_max_eig, sample_wishart_all_eigs
                        contour_integral_I, haar_orthogonal_integral,
                        haar_unitary_integral)
 from .zonal import (zonal_row, zonal_I_closed_form, contour_S,
-                    series_S, haar_series, zonal_identity_check,
-                    unitary_symplectic_identity_check)
+                    series_S, haar_series, zonal_identity_check)
 from .errors import (WishartLabError, ConfigError, SingularWeightError,
                      DegenerateSkewProductError, QuadratureError, PrecisionLossError)
 

@@ -359,16 +359,15 @@ class CdfEngine:
         The sum over the upper nodes, 2i Im sum w e^{M t} f, makes each value
         exactly real; each z must be a finite real, not a boolean or a string
         (ConfigError), z <= 0 gives exactly 0, and z >= xmax is evaluated as
-        xmax, the anchor's own column, so it gives exactly 1.0.  Each other
-        result carries the circle's `node_count`, the route's `anchor`,
-        `anchor_gap` = |anchor / exact - 1| (exact less the sqrt|det M(t_i0)|
-        the Fredholm Lambda leaves out; inf once the ratio passes e^700),
-        `im_residual` (0.0, kept for existing readers) and `cancellation_digits`
-        = log10(sum |w e^{M t} f| / |sum w e^{M t} f|), the digits lost to
-        cancellation in the contour sum (f is Pf on the Pfaffian route and
-        e^Lambda sqrt(det) on the Fredholm route).  A z that loses more than
-        MAX_LOST_DIGITS, or whose value leaves [0, 1] by more than RANGE_TOL,
-        raises PrecisionLossError.  Each distinct z is evaluated once.
+        xmax, the anchor's own column, so it gives exactly 1.0.  A z <= 0 carries only
+        the circle's `node_count`; every other result also carries `anchor_gap` =
+        |anchor / exact - 1| (exact less the sqrt|det M(t_i0)| the Fredholm Lambda leaves out;
+        inf once the ratio passes e^700), `im_residual` (always 0.0; the benchmark harness
+        reads it) and `cancellation_digits` = log10(sum |w e^{M t} f| / |sum w e^{M t} f|),
+        the digits lost to cancellation in the contour sum (f is Pf on the Pfaffian route and
+        e^Lambda sqrt(det) on the Fredholm route, which adds `sqrt_max_step` and `n_nystrom`).
+        A z that loses more than MAX_LOST_DIGITS, or whose value leaves [0, 1] by more than
+        RANGE_TOL, raises PrecisionLossError.  Each distinct z is evaluated once.
 
         A pass does only per-z work on the route's z-free tables, which the
         route's first pass builds (see the class docstring).  On both routes a
@@ -411,7 +410,7 @@ class CdfEngine:
                     f"{route} CDF at z = {live[k]:g} is {vals[k]:.6g} and lost "
                     f"{digits[k]:.1f} digits to contour cancellation (budget {MAX_LOST_DIGITS:g})")
             results = iter([CdfResult(z, float(vals[k]), route, {
-                "im_residual": 0.0, "node_count": n, "anchor": 1j * anchor, "anchor_gap": anchor_gap,
+                "im_residual": 0.0, "node_count": n, "anchor_gap": anchor_gap,
                 "cancellation_digits": float(digits[k]), **diags[inv[k]]})
                 for k, z in enumerate(live)])
         return [next(results) if z > 0.0 else CdfResult(z, 0.0, route, {"node_count": n})

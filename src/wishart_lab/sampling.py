@@ -3,11 +3,12 @@
 Samplers use numpy's Philox counter-based generator (pinned in pyproject),
 so a seed fully determines every stream on every platform; Gaussian and
 chi-square draws go through the generator's deterministic transforms, never
-OS entropy.  Sampling is chunked for memory only: each chunk draws its rows
-in order, one variate after another, so a stream does not depend on the
-chunk size, which is set in bytes (_CHUNK per array of a chunk).  The Wishart
-samplers draw every chunk into one buffer held for the whole call
-(`_bidiagonal_chunks`).
+OS entropy.  Sampling is chunked for memory only, in bytes (_CHUNK per array
+of a chunk): `_chunks` slices each sampler's output, allocated once.  Rows
+are drawn in order, one variate after another, so a stream does not depend
+on the chunk size, except the U(N) oracle's, which draws a chunk's real parts
+before its imaginary parts; the oracles contract a one-row chunk through BLAS
+dot, not gemv, which may move an exponent's last bit.
 
 The group-integral oracles follow two sign conventions deliberately: the
 sphere representation of the eigenvalue j.p.d.f. carries e^{+ M tau_tilde
@@ -58,47 +59,25 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _chunk_rows(n: int, row_bytes: int) -> int:
-    """Rows per chunk of n rows of row_bytes each: as many as _CHUNK bytes hold, one at least."""
-    return min(n, max(1, _CHUNK // row_bytes))
+def _chunks(n: int, row_bytes: int):
+    """Consecutive slices of range(n), each of as many rows of row_bytes as _CHUNK bytes hold
+    (one at least); the first is the longest."""
+    m = max(1, _CHUNK // row_bytes)
+    return (slice(start, min(start + m, n)) for start in range(0, n, m))
 
 
-def _chunked(n: int, draw, row_bytes: int) -> np.ndarray:
-    """Concatenate draw(m) over consecutive chunks of m rows, n rows in all, each chunk at
-    most _CHUNK bytes per array of row_bytes per row (`_chunk_rows`).
-
-    Chunks are drawn in order, so the stream consumed depends on n only;
-    each chunk's intermediates are freed before the next one is drawn.
-    """
-    m = _chunk_rows(n, row_bytes)
-    return np.concatenate([draw(min(m, n - start)) for start in range(0, n, m)])
-
-
-def _bidiagonal_chunks(cfg: McConfig, m: int, width: int):
-    """Yield (span, c, buf) per chunk of at most m samples of the bidiagonal model's chi
-    variates: `span` slices the samples of the chunk, and c holds one row per sample.
-
-    Each row of c holds B's diagonal sqrt(1 + tau) chi_M, chi_{M-1}, ...,
-    chi_{M-N+1} and subdiagonal chi_{N-1}, ..., chi_1, all over sqrt(M).
-    Every chunk is drawn into one buffer of m * width floats (width >= 2N - 1)
-    kept for the whole call; buf is the chunk's part of it, with c at its
-    head, and the caller may overwrite it once it is done with c.  numpy's
-    chisquare(df) is 2 standard_gamma(df / 2), so the stream is that of
-    chisquare(df, size=(n_samples, 2N - 1)) whatever the chunk size.
-    """
-    p, n = cfg.params, cfg.n_samples
+def _chi_variates(rng: np.random.Generator, p: ModelParams, c: np.ndarray) -> np.ndarray:
+    """c, one row per sample, filled with B's diagonal sqrt(1 + tau) chi_M, chi_{M-1}, ...,
+    chi_{M-N+1} and subdiagonal chi_{N-1}, ..., chi_1, all over sqrt(M).  numpy's chisquare(df)
+    is 2 standard_gamma(df / 2), so over consecutive chunks the stream is that of
+    chisquare(df, size=(n_samples, 2N - 1)) whatever the chunk size."""
     df = np.r_[np.arange(p.M, p.M - p.N, -1), np.arange(p.N - 1, 0, -1)]
-    rng = _rng(cfg.seed)
-    whole = np.empty(m * width)
-    for start in range(0, n, m):
-        k = min(m, n - start)
-        c = whole[:k * df.size].reshape(k, df.size)
-        rng.standard_gamma(df / 2, out=c)
-        c *= 2.0
-        c /= p.M
-        np.sqrt(c, out=c)
-        c[:, 0] *= math.sqrt(1.0 + p.tau)
-        yield slice(start, start + k), c, whole[:k * width]
+    rng.standard_gamma(df / 2, out=c)
+    c *= 2.0
+    c /= p.M
+    np.sqrt(c, out=c)
+    c[:, 0] *= math.sqrt(1.0 + p.tau)
+    return c
 
 
 def _bidiagonal_gram(c: np.ndarray) -> np.ndarray:
@@ -255,11 +234,13 @@ def sample_wishart_all_eigs(cfg: McConfig) -> np.ndarray:
     sqrt(1 + tau) chi_M, chi_{M-1}, ..., chi_{M-N+1}, subdiagonal chi_{N-1},
     ..., chi_1 (Dumitriu & Edelman, J. Math. Phys. 43 (2002), plus the spike).
     One batched tridiagonal eigvalsh per chunk, its (m, N, N) array at most
-    _CHUNK bytes.
+    _CHUNK bytes; every chunk is drawn into one buffer held for the call.
     """
-    N = cfg.params.N
-    out = np.empty((cfg.n_samples, N))
-    for span, c, _ in _bidiagonal_chunks(cfg, _chunk_rows(cfg.n_samples, 8 * N * N), 2 * N - 1):
+    p, n = cfg.params, cfg.n_samples
+    w, row_bytes = 2 * p.N - 1, 8 * p.N * p.N
+    rng, out, whole = _rng(cfg.seed), np.empty((n, p.N)), np.empty(next(_chunks(n, row_bytes)).stop * w)
+    for span in _chunks(n, row_bytes):
+        c = _chi_variates(rng, p, whole[:(span.stop - span.start) * w].reshape(-1, w))
         out[span] = np.linalg.eigvalsh(_bidiagonal_gram(c))
     return out
 
@@ -274,12 +255,14 @@ def sample_wishart_max_eig(cfg: McConfig) -> np.ndarray:
     max(2N - 1, _STEP_ROWS) floats per sample, whose spent variates hold the
     Laguerre step's rows, and T's rows d and f.
     """
-    w = 2 * cfg.params.N - 1
-    width = max(w, _STEP_ROWS)
-    m = _chunk_rows(cfg.n_samples, 8 * width)
-    tri, out = np.empty(w * m), np.empty(cfg.n_samples)
-    for span, c, spent in _bidiagonal_chunks(cfg, m, width):
-        _bidiagonal_max_eig(c, tri, spent, out[span])
+    p, n = cfg.params, cfg.n_samples
+    w, width = 2 * p.N - 1, max(2 * p.N - 1, _STEP_ROWS)
+    m = next(_chunks(n, 8 * width)).stop
+    rng, whole, tri, out = _rng(cfg.seed), np.empty(m * width), np.empty(w * m), np.empty(n)
+    for span in _chunks(n, 8 * width):
+        k = span.stop - span.start
+        c = _chi_variates(rng, p, whole[:k * w].reshape(k, w))
+        _bidiagonal_max_eig(c, tri, whole[:k * width], out[span])
     return out
 
 
@@ -314,14 +297,12 @@ def sphere_integral_oracle(cfg: McConfig, lambdas) -> tuple[float, float]:
     lambdas = _checked(lambdas)
     if lambdas.shape != (p.N,):
         raise ConfigError(f"need exactly N={p.N} eigenvalues")
-    rng = _rng(cfg.seed)
-
-    def draw(m):
-        g = rng.standard_normal((m, p.N))
+    rng, a = _rng(cfg.seed), np.empty(cfg.n_samples)
+    for span in _chunks(cfg.n_samples, 8 * p.N):
+        g = rng.standard_normal((span.stop - span.start, p.N))
         u2 = g**2 / np.sum(g**2, axis=1, keepdims=True)
-        return p.M * p.tau_tilde * (u2 @ lambdas)
-
-    return _exp_moments(_chunked(cfg.n_samples, draw, 8 * p.N), -0.5 * p.M * float(np.sum(lambdas)))
+        a[span] = p.M * p.tau_tilde * (u2 @ lambdas)
+    return _exp_moments(a, -0.5 * p.M * float(np.sum(lambdas)))
 
 
 def contour_integral_I(params: ModelParams, lambdas, contour: ContourSpec) -> complex:
@@ -362,13 +343,11 @@ def _haar_integral(haar, cfg: McConfig, x_eigs, y: float,
     x_eigs = _checked(x_eigs, y, M)
     if not x_eigs.size:
         raise ConfigError("the group integral needs at least one eigenvalue")
-    rng = _rng(cfg.seed)
-
-    def draw(m):
-        col = np.abs(haar(rng, x_eigs.size, m)[:, :, -1]) ** 2
-        return -M * y * (col @ x_eigs)
-
-    return _exp_moments(_chunked(cfg.n_samples, draw, 16 * x_eigs.size ** 2))
+    rng, a = _rng(cfg.seed), np.empty(cfg.n_samples)
+    for span in _chunks(cfg.n_samples, 16 * x_eigs.size ** 2):
+        col = np.abs(haar(rng, x_eigs.size, span.stop - span.start)[:, :, -1]) ** 2
+        a[span] = -M * y * (col @ x_eigs)
+    return _exp_moments(a)
 
 
 #: natural logs of the largest and of the smallest normal float

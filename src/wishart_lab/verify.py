@@ -24,8 +24,7 @@ from .sampling import (McConfig, contour_integral_I, haar_orthogonal_integral,
                        haar_unitary_integral, sample_wishart_all_eigs,
                        sample_wishart_max_eig, sphere_integral_oracle)
 from .skew import SkewProductTable, build_skew_polys, h_poly, inner_product_2, pfaffian, skew_product
-from .zonal import (zonal_I_closed_form, zonal_identity_check, zonal_row,
-                    unitary_symplectic_identity_check)
+from .zonal import zonal_I_closed_form, zonal_identity_check, zonal_row
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -177,11 +176,12 @@ def suite_zonal(seed: int = 5150) -> list[dict]:
     checks.append(_check("Haar O(3) MC (sigmas/3)", rep3["mc_sigmas"] / 3.0, 1.0))
     mcu = haar_unitary_integral(McConfig(seed + 1, 100_000, pdummy),
                                 [0.3, 0.7], -0.4, M=1)
-    rep_u = unitary_symplectic_identity_check(1, [0.3, 0.7], 0.4, max_k=50,
-                                              mc_unitary=mcu)
-    checks.append(_check("U(2) contour vs series", rep_u["unitary"]["rel_dev"], 1e-8))
-    checks.append(_check("U(2) MC (sigmas/3)", rep_u["unitary"]["mc_sigmas"] / 3.0, 1.0))
-    checks.append(_check("Sp contour vs series", rep_u["symplectic"]["rel_dev"], 1e-8))
+    for label, family, mc in (("U(2)", "complex", mcu), ("Sp", "quaternionic", None)):
+        rep = zonal_identity_check(1, [0.3, 0.7], 0.4, family, max_k=50, mc=mc)
+        checks.append(_check(f"{label} contour vs series", rep["rel_dev"], 1e-8))
+        checks += [_check(f"{label} MC (sigmas/3)", rep["mc_sigmas"] / 3.0, 1.0)] if mc else []
+        checks.append(_check(f"{label} series vs group-average proportionality",
+                             rep["proportionality_dev"], 1e-10))
     return checks
 
 

@@ -16,10 +16,14 @@ single-valued at infinity):
     S_p(y) = (1 / 2 pi i) oint e^{M t} prod_i (t - x_i y)^(-p/2) dt
            = sum_k A_k y^k M^(pN/2 + k - 1) / Gamma(pN/2 + k).
 
-At p = 1 that is M^(N/2 - 1) / Gamma(N/2) times the Haar O(N) average of
-e^{+ M y sum x_i g_iN^2}, sum_k (M y)^k Z_(k)(X) / (k! Z_(k)(I_N)).  Factorials
-go through log-gamma so k up to 60 stays in range; non-finite eigenvalues or y,
-and an M that is not finite and positive, raise ConfigError.
+That is M^(pN/2 - 1) / Gamma(pN/2) times the Haar average over O(N), U(N) or
+Sp(N) of e^{+ M y sum x_i |g_iN|^2}, sum_k (M y)^k Z_(k)(X) / (k! Z_(k)(I_N))
+(`haar_series`, with C_(k) or Q_(k) for p = 2 or 4), which needs no parity.
+`zonal_identity_check` checks the three against each other for any family.
+Factorials go through log-gamma so k up to 60 stays in range; non-finite
+eigenvalues or y, an M that is not finite and positive, and a group dimension
+N below the eigenvalue count raise ConfigError (an N above it pads X with
+zero eigenvalues).
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "series_S",
     "haar_series",
     "zonal_identity_check",
-    "unitary_symplectic_identity_check",
 ]
 
 _POWERS = {"real": 1, "complex": 2, "quaternionic": 4}
@@ -54,16 +57,24 @@ def _log_residue(M: float, s: float) -> float:
     return (s - 1.0) * math.log(M) - math.lgamma(s)
 
 
-def _checked(x_eigs, y: float = 0.0, M: float = 1.0, N: int = 1) -> np.ndarray:
-    """x_eigs as a 1-D array; ConfigError unless it is finite, y a finite real, M a finite
-    real > 0 and N an integer >= 1 (no booleans)."""
+def _checked(x_eigs, y: float = 0.0, M: float = 1.0, N: int | None = None) -> np.ndarray:
+    """x_eigs as a 1-D array; ConfigError unless it is finite, y a finite real, M a finite real
+    > 0 and a given N an integer >= 1 (no booleans) at least len(x_eigs), which pads X with 0s."""
     check_real("y", y)
     check_real("M", M, 0.0)
-    check_count("N", N, 1)
     x = np.asarray(x_eigs, dtype=float)
     if not (x.ndim == 1 and np.isfinite(x).all()):
         raise ConfigError(f"x_eigs must be a finite 1-D array, got {x_eigs!r}")
+    if N is not None and check_count("N", N, 1) < x.size:
+        raise ConfigError(f"the group dimension N = {N} is below the {x.size} eigenvalues of x_eigs")
     return x
+
+
+def _power(family: str) -> int:
+    """p = 1, 2, 4 of the real, complex or quaternionic family (ConfigError for any other)."""
+    if family not in _POWERS:
+        raise ConfigError(f"family must be one of {sorted(_POWERS)}, got {family!r}")
+    return _POWERS[family]
 
 
 def _u_series(x: np.ndarray, max_k, power: int) -> np.ndarray:
@@ -84,10 +95,7 @@ def _u_series(x: np.ndarray, max_k, power: int) -> np.ndarray:
 def zonal_row(x_eigs, max_k: int, family: str = "real") -> np.ndarray:
     """Z_(k)(X) (or C_(k), Q_(k)) for k = 0..max_k, the family's multiple of the u-series,
     as a 1-D array of length max_k + 1."""
-    if family not in _POWERS:
-        raise ConfigError(f"family must be one of {sorted(_POWERS)}")
-    x = _checked(x_eigs)
-    A = _u_series(x, max_k, _POWERS[family])
+    A = _u_series(_checked(x_eigs), max_k, _power(family))
     ks = np.arange(max_k + 1)
     if family == "real":        # 2^k k! / (2k - 1)!!
         A = A * np.exp([k * math.log(2.0) + math.lgamma(k + 1.0) - _log_double_factorial(k)
@@ -97,10 +105,15 @@ def zonal_row(x_eigs, max_k: int, family: str = "real") -> np.ndarray:
     return A
 
 
-def zonal_I_closed_form(N: int, k: int) -> float:
-    """Z_(k)(I_N) = Gamma(N/2 + k) 2^k / (Gamma(N/2) (2k - 1)!!)."""
-    return math.exp(math.lgamma(N / 2.0 + k) + k * math.log(2.0)
-                    - math.lgamma(N / 2.0) - _log_double_factorial(k))
+def zonal_I_closed_form(N: int, k: int, family: str = "real") -> float:
+    """Z_(k)(I_N) = Gamma(N/2 + k) 2^k / (Gamma(N/2) (2k - 1)!!), C_(k)(I_N) = Gamma(N + k) /
+    (Gamma(N) k!) or Q_(k)(I_N) = Gamma(2N + k) / (Gamma(2N) (k + 1)!)."""
+    power = _power(family)
+    if power == 1:
+        return math.exp(math.lgamma(N / 2.0 + k) + k * math.log(2.0)
+                        - math.lgamma(N / 2.0) - _log_double_factorial(k))
+    a = power * N / 2.0
+    return math.exp(math.lgamma(a + k) - math.lgamma(a) - math.lgamma(k + power / 2.0))
 
 
 def contour_S(M: int, x_eigs, y: float, power: int,
@@ -119,80 +132,63 @@ def contour_S(M: int, x_eigs, y: float, power: int,
     return contour.integrate(vals) / (2.0j * np.pi)
 
 
-def series_S(M: int, N: int, x_eigs, y: float, power: int, max_k: int = 50,
-             return_tail: bool = False):
-    """The contour integral by residue at infinity, sum_k A_k y^k M^(pN/2 + k - 1) / Gamma(pN/2 + k).
-
-    Requires power in (1, 2, 4), N a positive integer and p*N even so the
-    integrand is single-valued at infinity; `return_tail` adds |last term|.
-    """
+def _residue_terms(M: int, N: int, x_eigs, y: float, power: int, max_k: int) -> list[float]:
+    """A_k y^k M^(pN/2 + k - 1) / Gamma(pN/2 + k), k = 0..max_k, of checked inputs."""
     if power not in (1, 2, 4):
         raise ConfigError(f"power must be 1, 2 or 4, got {power!r}")
     if (power * N) % 2:
         raise ConfigError("residue series needs power * N even")
     A = _u_series(_checked(x_eigs, y, M, N), max_k, power)
-    terms = [A[k] * y**k * math.exp(_log_residue(M, power * N / 2.0 + k)) for k in range(max_k + 1)]
-    return (sum(terms), abs(terms[-1])) if return_tail else sum(terms)
+    return [A[k] * y**k * math.exp(_log_residue(M, power * N / 2.0 + k)) for k in range(max_k + 1)]
 
 
-def haar_series(M: int, N: int, x_eigs, y: float, max_k: int = 50) -> float:
-    """Zonal expansion of the Haar O(N) average of e^{+ M y sum x_i g_iN^2}:
+def series_S(M: int, N: int, x_eigs, y: float, power: int, max_k: int = 50) -> float:
+    """The contour integral by residue at infinity, sum_k A_k y^k M^(pN/2 + k - 1) / Gamma(pN/2 + k).
+
+    Requires power in (1, 2, 4), N a positive integer at least the eigenvalue
+    count (X is padded with zero eigenvalues up to N) and p*N even so the
+    integrand is single-valued at infinity.
+    """
+    return sum(_residue_terms(M, N, x_eigs, y, power, max_k))
+
+
+def haar_series(M: int, N: int, x_eigs, y: float, max_k: int = 50, family: str = "real") -> float:
+    """Zonal expansion of the Haar O(N), U(N) or Sp(N) average of e^{+ M y sum x_i |g_iN|^2}:
 
         sum_k (M y)^k Z_(k)(X) / (k! Z_(k)(I_N)),
 
-    valid for every N (the contour/residue route needs N even, this does not).
+    with C_(k) or Q_(k) in place of Z_(k) for the complex or quaternionic
+    family.  Valid for every N at least the eigenvalue count (the
+    contour/residue route needs p N even, this does not).
     """
-    Z = zonal_row(_checked(x_eigs, y, M, N), max_k, "real")
-    return sum((M * y) ** k * Z[k] * math.exp(-math.lgamma(k + 1.0)) / zonal_I_closed_form(N, k)
+    Z = zonal_row(_checked(x_eigs, y, M, N), max_k, family)
+    return sum((M * y) ** k * Z[k] * math.exp(-math.lgamma(k + 1.0)) / zonal_I_closed_form(N, k, family)
                for k in range(max_k + 1))
 
 
-def _series_vs_contour(M: int, x: np.ndarray, y: float, power: int, max_k: int) -> dict:
-    """Contour value, residue series, their relative gap and the series' last-term tail."""
-    ct = contour_S(M, x, y, power=power)
-    se_val, tail = series_S(M, x.size, x, y, power=power, max_k=max_k, return_tail=True)
-    scale = max(abs(se_val), 1e-300)
-    return {"contour": ct, "series": se_val, "rel_dev": abs(ct - se_val) / scale,
-            "series_tail": tail / scale}
-
-
-def zonal_identity_check(M: int, x_eigs, y: float, max_k: int = 50,
+def zonal_identity_check(M: int, x_eigs, y: float, family: str = "real", max_k: int = 50,
                          mc=None) -> dict:
-    """Three-way check for the O(N) case: contour, residue series, Haar MC.
+    """Three-way check for the O(N), U(N) or Sp(N) case: contour, residue series, Haar MC.
 
-    The contour and residue-series legs require N even; the zonal expansion
-    of the group average works for every N and is what an `mc` (mean, se)
-    pair for e^{+ M y sum x_i g_iN^2} is compared against (positive-exponent
-    convention; callers sampling e^{- M y ...} pass y -> -y first).
+    Always returns the zonal expansion of the group average, `haar_series`,
+    which works for every N and is what an `mc` (mean, se) pair for
+    e^{+ M y sum x_i |g_iN|^2} is compared against (positive-exponent
+    convention; callers sampling e^{- M y ...} pass y -> -y first).  When
+    p N is even it adds the `contour`, the residue `series`, their `rel_dev`,
+    the series' last-term `series_tail` and `proportionality_dev`, the gap in
+    S_p = M^(pN/2 - 1) / Gamma(pN/2) * (group average).
     """
     x = _checked(x_eigs, y, M)
-    N = x.size
-    hs = haar_series(M, N, x, y, max_k=max_k)
+    N, power = x.size, _power(family)
+    hs = haar_series(M, N, x, y, max_k, family)
     out = {"haar_series": hs}
-    if N % 2 == 0:
-        out.update(_series_vs_contour(M, x, y, 1, max_k))
-        # appendix proportionality: S = M^(N/2-1) / Gamma(N/2) * group average
-        out["proportionality_dev"] = (abs(out["series"] - math.exp(_log_residue(M, N / 2.0)) * hs)
-                                      / max(abs(out["series"]), 1e-300))
+    if (power * N) % 2 == 0:
+        terms = _residue_terms(M, N, x, y, power, max_k)
+        ct, se_val = contour_S(M, x, y, power), sum(terms)
+        scale = max(abs(se_val), 1e-300)
+        out.update(contour=ct, series=se_val, rel_dev=abs(ct - se_val) / scale,
+                   series_tail=abs(terms[-1]) / scale,
+                   proportionality_dev=abs(se_val - math.exp(_log_residue(M, power * N / 2.0)) * hs) / scale)
     if mc is not None:
-        mean, se = mc
-        out["mc_sigmas"] = abs(hs - mean) / se
-    return out
-
-
-def unitary_symplectic_identity_check(M: int, x_eigs, y: float,
-                                      max_k: int = 50, mc_unitary=None) -> dict:
-    """Series vs contour for the U(N) (simple poles) and Sp (double poles) cases; an
-    `mc_unitary` (mean, se) pair meets the U(N) average sum_k (M y)^k C_(k)(X) Gamma(N) / Gamma(N + k)."""
-    x = _checked(x_eigs, y, M)
-    N = x.size
-    out = {label: _series_vs_contour(M, x, y, power, max_k)
-           for label, power in (("unitary", 2), ("symplectic", 4))}
-    if mc_unitary is not None:
-        mean, se = mc_unitary
-        C = zonal_row(x, max_k, "complex")
-        hs = sum((M * y) ** k * C[k] * math.exp(math.lgamma(float(N)) - math.lgamma(N + float(k)))
-                 for k in range(max_k + 1))
-        out["unitary"]["haar_series"] = hs
-        out["unitary"]["mc_sigmas"] = abs(hs - mean) / se
+        out["mc_sigmas"] = abs(hs - mc[0]) / mc[1]
     return out

@@ -246,6 +246,17 @@ class TestPfaffianRoute:
             r = engine.cdf(z)
             assert r.diagnostics["im_residual"] == 0.0
 
+    @pytest.mark.parametrize("route, extra", [("pfaffian", set()),
+                                              ("fredholm", {"sqrt_max_step", "n_nystrom"})])
+    def test_diagnostics_keys(self, engine, route, extra):
+        # the exact set each route reports
+        shared = {"im_residual", "node_count", "anchor_gap", "cancellation_digits"}
+        for z in (2.0, 4.0, 8.0):
+            r = engine.cdf(z, route)
+            assert set(r.diagnostics) == shared | extra
+            assert r.diagnostics["im_residual"] == 0.0
+        assert set(engine.cdf(0.0, route).diagnostics) == {"node_count"}
+
     def test_monotone_and_bounded(self, engine):
         zs = np.linspace(0.4, 12.0, 20)
         vals = [engine.cdf(float(z)).value for z in zs]

@@ -337,6 +337,28 @@ class TestOracleInputs:
             integral(McConfig(4, 100, self.P), x, y, M)
 
 
+class TestOracleChunks:
+    """The sphere and Haar oracles fill their exponents through the samplers' one chunk loop."""
+
+    def test_chunks_cover_the_rows_in_order(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_CHUNK", 24)
+        assert [(s.start, s.stop) for s in sampling._chunks(10, 8)] == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert [(s.start, s.stop) for s in sampling._chunks(2, 100)] == [(0, 1), (1, 2)]
+        assert [(s.start, s.stop) for s in sampling._chunks(2, 1)] == [(0, 2)]
+
+    @pytest.mark.parametrize("oracle", [
+        lambda cfg: sphere_integral_oracle(cfg, [0.5, 1.0, 1.5, 3.0]),
+        lambda cfg: haar_orthogonal_integral(cfg, [0.2, 0.5, 0.9], -0.3, M=1),
+    ], ids=["sphere", "orthogonal"])
+    def test_stream_does_not_depend_on_chunk_size(self, monkeypatch, oracle):
+        # the same variates at any chunk size; a one-row chunk contracts them through BLAS
+        # dot, a longer one through gemv, so the exponents may differ in their last bit
+        cfg = McConfig(11, 300, ModelParams(4, 8, 1.0))
+        ref = oracle(cfg)
+        monkeypatch.setattr(sampling, "_CHUNK", 7)
+        assert oracle(cfg) == pytest.approx(ref, rel=1e-14, abs=0)
+
+
 class TestOracleRange:
     """A term, prefactor or mean out of the float range is a FloatingPointError: these
     probes gave (0.0, nan), (0.0, nan) and (inf, nan) with only a RuntimeWarning."""

@@ -6,8 +6,7 @@ import pytest
 from wishart_lab import (ConfigError, McConfig, ModelParams, contour_S,
                          haar_orthogonal_integral, haar_series,
                          haar_unitary_integral, series_S, zonal_I_closed_form,
-                         zonal_identity_check, zonal_row,
-                         unitary_symplectic_identity_check)
+                         zonal_identity_check, zonal_row)
 
 
 class TestZonalRow:
@@ -26,6 +25,14 @@ class TestZonalRow:
             for k in range(7):
                 cf = zonal_I_closed_form(N, k)
                 assert Z[k] == pytest.approx(cf, rel=1e-10)
+
+    @pytest.mark.parametrize("family", ["complex", "quaternionic"])
+    def test_unitary_and_symplectic_closed_forms(self, family):
+        # C_(k)(I_N) = Gamma(N + k) / (Gamma(N) k!), Q_(k)(I_N) = Gamma(2N + k) / (Gamma(2N) (k + 1)!)
+        for N in range(1, 7):
+            row = zonal_row(np.ones(N), 10, family)
+            for k in range(11):
+                assert row[k] == pytest.approx(zonal_I_closed_form(N, k, family), rel=1e-13)
 
     def test_n2_k2_value(self):
         # Gamma(2)! route: Z_(2)(I_2) = 2! * 4 / (0! * 3) = 8/3
@@ -75,7 +82,12 @@ BAD_INPUTS = {
     "contour_S nan M": lambda: contour_S(np.nan, [0.1, 0.2], 0.5, 1),
     "contour_S odd power * N": lambda: contour_S(2, [0.1, 0.2, 0.3], 0.5, 1),
     "identity check nan y": lambda: zonal_identity_check(2, [0.1, 0.2], np.nan),
-    "unitary check inf eigenvalue": lambda: unitary_symplectic_identity_check(1, [np.inf, 0.7], 0.4),
+    "unitary check inf eigenvalue": lambda: zonal_identity_check(1, [np.inf, 0.7], 0.4, "complex"),
+    "identity check unknown family": lambda: zonal_identity_check(1, [0.3, 0.7], 0.4, "octonionic"),
+    "haar_series unknown family": lambda: haar_series(1, 2, [0.3, 0.7], 0.4, family="octonionic"),
+    "closed form unknown family": lambda: zonal_I_closed_form(2, 3, "octonionic"),
+    "haar_series N below eigenvalue count": lambda: haar_series(2, 2, [0.2, 0.5, 0.9], 0.3),
+    "series_S N below eigenvalue count": lambda: series_S(2, 2, [0.1, 0.2, 0.3, 0.4], 0.5, 1),
 }
 
 
@@ -113,6 +125,14 @@ class TestSeriesClosedForms:
     def test_symplectic_single_eigenvalue(self, M, x, y):
         assert series_S(M, 1, [x], y, 4) == pytest.approx(M * math.exp(M * x * y), rel=1e-13)
 
+    def test_padded_dimension_appends_zero_eigenvalues(self):
+        # an N above the eigenvalue count pads X with zero eigenvalues
+        x = [0.2, 0.5, 0.9]
+        for family in ("real", "complex", "quaternionic"):
+            assert haar_series(2, 4, x, 0.3, family=family) == pytest.approx(
+                haar_series(2, 4, x + [0.0], 0.3, family=family), rel=1e-14)
+        assert series_S(2, 4, x, 0.3, 1) == pytest.approx(series_S(2, 4, x + [0.0], 0.3, 1), rel=1e-14)
+
 
 class TestSeriesVsContour:
     def test_real_case(self):
@@ -139,9 +159,21 @@ class TestSeriesVsContour:
             3 * np.exp(3 * 0.5 * 0.4), rel=1e-10)
 
     def test_unitary_and_symplectic_series(self):
-        rep = unitary_symplectic_identity_check(1, [0.3, 0.7], 0.4, max_k=50)
-        assert rep["unitary"]["rel_dev"] < 1e-8
-        assert rep["symplectic"]["rel_dev"] < 1e-8
+        for family in ("complex", "quaternionic"):
+            assert zonal_identity_check(1, [0.3, 0.7], 0.4, family, max_k=50)["rel_dev"] < 1e-8
+
+    @pytest.mark.parametrize("family", ["complex", "quaternionic"])
+    def test_unitary_and_symplectic_proportionality(self, family):
+        # S_p = M^(pN/2 - 1) / Gamma(pN/2) times the U(N) or Sp(N) group average
+        for M, x, y in [(1, [0.3, 0.7], 0.4), (3, [0.2, 0.5, 0.9], 0.6), (2, [0.4], 1.1)]:
+            rep = zonal_identity_check(M, x, y, family, max_k=50)
+            assert rep["proportionality_dev"] < 1e-12
+            assert rep["series_tail"] < 1e-20
+
+    def test_odd_real_dimension_returns_only_the_haar_series(self):
+        rep = zonal_identity_check(1, [0.2, 0.5, 0.9], 0.3)
+        assert set(rep) == {"haar_series"}
+        assert rep["haar_series"] == haar_series(1, 3, [0.2, 0.5, 0.9], 0.3)
 
     def test_odd_N_needs_no_contour(self):
         with pytest.raises(ConfigError):
@@ -161,9 +193,8 @@ class TestMonteCarloThreeWay:
         pdummy = ModelParams(2, 4, 0.0)
         mcu = haar_unitary_integral(McConfig(5151, 100_000, pdummy),
                                     [0.3, 0.7], -0.4, M=1)
-        rep = unitary_symplectic_identity_check(1, [0.3, 0.7], 0.4, max_k=50,
-                                                mc_unitary=mcu)
-        assert rep["unitary"]["mc_sigmas"] < 3.0
+        rep = zonal_identity_check(1, [0.3, 0.7], 0.4, "complex", max_k=50, mc=mcu)
+        assert rep["mc_sigmas"] < 3.0
 
     def test_haar_series_small_y_expansion(self):
         # at tiny y the series is 1 + M y tr(X)/N + O(y^2)
