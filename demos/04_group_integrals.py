@@ -8,8 +8,8 @@ U(N) and Sp(N) analogues use powers -1 and -2 of the product.
 
 import math
 
-from wishart_lab import (McConfig, ModelParams, contour_S, haar_orthogonal_integral,
-                         haar_series, series_S, zonal_I_closed_form, zonal_row)
+from wishart_lab import (McConfig, ModelParams, contour_S, haar_integral, haar_series,
+                         series_S, zonal_I_closed_form, zonal_row)
 
 x = [0.1, 0.2, 0.3, 0.4]
 y, M = 0.5, 2
@@ -31,6 +31,6 @@ pref = math.exp((N / 2 - 1) * math.log(M) - math.lgamma(N / 2))
 print(f"\ngroup-average series: {hs:.10f} (x M^(N/2-1)/Gamma(N/2) = {pref * hs:.10f})")
 
 cfg = McConfig(seed=123, n_samples=200_000, params=ModelParams(2, 4, 0.0))
-mean, err = haar_orthogonal_integral(cfg, x, -y, M=M)   # sign map: -y for e^{+My...}
+mean, err = haar_integral(cfg, x, y, M=M)
 print(f"Haar O(4) Monte Carlo:  {mean:.10f} +- {err:.1e}"
       f"   ({abs(mean - hs) / err:.2f} sigma from the series)")

@@ -28,10 +28,7 @@ from .kernels import (KernelBundle, CdCorrectedKernel, correction_matrix,
                       check_multi_orthogonality)
 from .cdf import (CdfEngine, CdfResult, truncated_moment_matrix, logdet_m_derivative,
                   fredholm_det, loe_direct_cdf)
-from .sampling import (McConfig, sample_wishart_max_eig, sample_wishart_all_eigs,
-                       haar_orthogonal, haar_unitary, sphere_integral_oracle,
-                       contour_integral_I, haar_orthogonal_integral,
-                       haar_unitary_integral)
+from .sampling import McConfig, sample_wishart_max_eig, sample_wishart_all_eigs, haar_integral
 from .zonal import (zonal_row, zonal_I_closed_form, contour_S,
                     series_S, haar_series, zonal_identity_check)
 from .errors import (WishartLabError, ConfigError, SingularWeightError,

@@ -35,7 +35,8 @@ class QuadratureError(WishartLabError):
 
 
 class PrecisionLossError(WishartLabError):
-    """A computed value lost too many digits to cancellation, or left its range."""
+    """A computed value lost too many digits to cancellation, came from a truncated series that
+    had not converged, or left its range."""
 
 
 def check_count(name: str, n, least: int) -> int:

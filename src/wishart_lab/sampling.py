@@ -1,4 +1,4 @@
-"""Monte-Carlo and direct-integration oracles.
+"""Monte-Carlo samplers and oracles.
 
 Samplers use numpy's Philox counter-based generator (pinned in pyproject),
 so a seed fully determines every stream on every platform; Gaussian and
@@ -6,15 +6,9 @@ chi-square draws go through the generator's deterministic transforms, never
 OS entropy.  Sampling is chunked for memory only, in bytes (_CHUNK per array
 of a chunk): `_chunks` slices each sampler's output, allocated once.  Rows
 are drawn in order, one variate after another, so a stream does not depend
-on the chunk size, except the U(N) oracle's, which draws a chunk's real parts
-before its imaginary parts; the oracles contract a one-row chunk through BLAS
-dot, not gemv, which may move an exponent's last bit.
-
-The group-integral oracles follow two sign conventions deliberately: the
-sphere representation of the eigenvalue j.p.d.f. carries e^{+ M tau_tilde
-sum lambda_j u_j^2}, while the rank-1 O(N) integral is stated as
-e^{- M y sum x_i g_{iN}^2}.  The map between them is y -> -y; tests apply
-it explicitly.
+on the chunk size; the group-integral oracle, `haar_integral`, contracts a
+one-row chunk through BLAS dot, not gemv, which may move an exponent's last
+bit.
 """
 
 from __future__ import annotations
@@ -26,19 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_count
-from .params import ContourSpec, ModelParams
-from .zonal import _checked, contour_S
+from .params import ModelParams
+from .zonal import _checked, _power
 
 __all__ = [
     "McConfig",
     "sample_wishart_max_eig",
     "sample_wishart_all_eigs",
-    "haar_orthogonal",
-    "haar_unitary",
-    "sphere_integral_oracle",
-    "contour_integral_I",
-    "haar_orthogonal_integral",
-    "haar_unitary_integral",
+    "haar_integral",
 ]
 
 #: bytes one array of a chunk's rows may take
@@ -266,114 +255,50 @@ def sample_wishart_max_eig(cfg: McConfig) -> np.ndarray:
     return out
 
 
-def haar_orthogonal(rng: np.random.Generator, n: int, count: int = 1) -> np.ndarray:
-    """Haar-distributed O(n) matrices via QR with the R-diagonal sign fix."""
-    g = rng.standard_normal((count, n, n))
-    qs, rs = np.linalg.qr(g)
-    d = np.sign(np.einsum("kii->ki", rs))
-    d[d == 0] = 1.0
-    return qs * d[:, None, :]
+def haar_integral(cfg: McConfig, x_eigs, y: float, M: float | None = None,
+                  family: str = "real") -> tuple[float, float]:
+    """MC estimate (mean, SE) of the Haar average over O(N), U(N) or Sp(N) (`family` "real",
+    "complex" or "quaternionic", as in `zonal`) of e^{+ M y sum x_i |g_iN|^2}, N = len(x_eigs).
 
-
-def haar_unitary(rng: np.random.Generator, n: int, count: int = 1) -> np.ndarray:
-    """Haar-distributed U(n) matrices via complex QR with phase-fixed R."""
-    g = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))) / math.sqrt(2.0)
-    qs, rs = np.linalg.qr(g)
-    d = np.einsum("kii->ki", rs)
-    d = d / np.abs(d)
-    return qs * d[:, None, :]
-
-
-def sphere_integral_oracle(cfg: McConfig, lambdas) -> tuple[float, float]:
-    """MC estimate (mean, standard error) of the sphere representation.
-
-    Averages exp(M tau_tilde sum lambda_j u_j^2) over uniform u on the unit
-    sphere and multiplies by the tau-free prefactor prod exp(-M lambda_j / 2).
-    Estimates the j.p.d.f.'s group integral up to a constant that cancels in
-    ratios, which is how tests consume it.  The eigenvalues must be finite (ConfigError); a
-    prefactor, term or mean out of the float range is a FloatingPointError (`_exp_moments`).
+    This is `zonal.haar_series`' sign convention.  At rank 1 the integrand
+    reads g only through its last column, which is uniform on the real,
+    complex or quaternionic unit sphere (Muirhead 1982): per sample, N rows
+    of p = 1, 2 or 4 standard normals, and |g_iN|^2 is row i's sum of squares
+    over the total.  With p = 1, y = tau_tilde and M = params.M it is the
+    sphere representation of the eigenvalue j.p.d.f.'s group integral, up to
+    an eigenvalue-dependent constant that cancels in ratios.  The eigenvalue
+    count may differ from cfg.params.N, and M may be overridden: the group
+    integral is meaningful for scalars (N, M) that no Wishart ensemble
+    admits.  Bad inputs are a ConfigError; a term or mean out of the float
+    range is a FloatingPointError (`_exp_moments`).
     """
-    p = cfg.params
-    lambdas = _checked(lambdas)
-    if lambdas.shape != (p.N,):
-        raise ConfigError(f"need exactly N={p.N} eigenvalues")
-    rng, a = _rng(cfg.seed), np.empty(cfg.n_samples)
-    for span in _chunks(cfg.n_samples, 8 * p.N):
-        g = rng.standard_normal((span.stop - span.start, p.N))
-        u2 = g**2 / np.sum(g**2, axis=1, keepdims=True)
-        a[span] = p.M * p.tau_tilde * (u2 @ lambdas)
-    return _exp_moments(a, -0.5 * p.M * float(np.sum(lambdas)))
-
-
-def contour_integral_I(params: ModelParams, lambdas, contour: ContourSpec) -> complex:
-    """(1 / 2 pi i) oint e^{M t} prod_j (t - tau_tilde lambda_j)^{-1/2} dt.
-
-    That is `zonal.contour_S` at power 1 and y = tau_tilde, times the same
-    prod exp(-M lambda_j / 2) prefactor as the sphere oracle;
-    the two agree up to one lambda-independent constant, so tests compare
-    ratios across two eigenvalue vectors.
-    """
-    pref = math.exp(-0.5 * params.M * float(np.sum(lambdas)))
-    return pref * contour_S(params.M, lambdas, params.tau_tilde, 1, contour)
-
-
-def haar_orthogonal_integral(cfg: McConfig, x_eigs, y: float,
-                             M: int | None = None) -> tuple[float, float]:
-    """MC estimate (mean, SE) of the O(N) integral of e^{-M y sum x_i g_iN^2}.
-
-    The sign convention is the rank-1 group-integral one; pass -y to match
-    oracles stated with a positive exponent.  The eigenvalue count may
-    differ from cfg.params.N, and M may be overridden: the group integral is
-    meaningful for scalars (N, M) that no Wishart ensemble admits.
-    """
-    return _haar_integral(haar_orthogonal, cfg, x_eigs, y, M)
-
-
-def haar_unitary_integral(cfg: McConfig, x_eigs, y: float,
-                          M: int | None = None) -> tuple[float, float]:
-    """Same as haar_orthogonal_integral but over U(N), with |g_iN|^2 weights."""
-    return _haar_integral(haar_unitary, cfg, x_eigs, y, M)
-
-
-def _haar_integral(haar, cfg: McConfig, x_eigs, y: float,
-                   M: int | None) -> tuple[float, float]:
-    """MC (mean, SE) of e^{-M y sum x_i |g_iN|^2} over g drawn by `haar`, of checked inputs
-    (ConfigError); a term or mean out of the float range is a FloatingPointError (`_exp_moments`)."""
     M = cfg.params.M if M is None else M
-    x_eigs = _checked(x_eigs, y, M)
-    if not x_eigs.size:
+    x, p = _checked(x_eigs, y, M), _power(family)
+    if not x.size:
         raise ConfigError("the group integral needs at least one eigenvalue")
     rng, a = _rng(cfg.seed), np.empty(cfg.n_samples)
-    for span in _chunks(cfg.n_samples, 16 * x_eigs.size ** 2):
-        col = np.abs(haar(rng, x_eigs.size, span.stop - span.start)[:, :, -1]) ** 2
-        a[span] = -M * y * (col @ x_eigs)
+    for span in _chunks(cfg.n_samples, 8 * p * x.size):
+        g2 = np.square(rng.standard_normal((span.stop - span.start, x.size, p))).sum(axis=2)
+        g2 /= np.sum(g2, axis=1, keepdims=True)
+        a[span] = M * y * (g2 @ x)
     return _exp_moments(a)
 
 
-#: natural logs of the largest and of the smallest normal float
-_LOG_HUGE, _LOG_TINY = math.log(sys.float_info.max), math.log(sys.float_info.min)
-
-
-def _exp_moments(a: np.ndarray, log_scale: float = 0.0) -> tuple[float, float]:
-    """(mean, standard error) of e^a over a Monte-Carlo sample of exponents a, times the
-    prefactor e^log_scale.
+def _exp_moments(a: np.ndarray) -> tuple[float, float]:
+    """(mean, standard error) of e^a over a Monte-Carlo sample of exponents a.
 
     A standard error needs two samples at least (ConfigError; one gave nan).
-    FloatingPointError unless the prefactor and the mean are normal floats and the standard
-    error is not inf: a term that overflowed made the mean inf or nan, and a prefactor or
+    FloatingPointError unless the mean is a normal float and the standard
+    error is not inf: a term that overflowed made the mean inf or nan, and a
     mean that underflowed read as a plausible 0.
     """
     if a.size < 2:
         raise ConfigError(f"a Monte-Carlo standard error needs n_samples >= 2, got {a.size}")
-    if not _LOG_TINY <= log_scale <= _LOG_HUGE:
-        raise FloatingPointError(f"the oracle's prefactor e^{log_scale:.6g} leaves the float range")
-    scale = math.exp(log_scale)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.exp(a)
-        mean = float(np.mean(vals)) * scale
-        se = float(np.std(vals, ddof=1) / math.sqrt(a.size)) * scale
+        mean = float(np.mean(vals))
+        se = float(np.std(vals, ddof=1) / math.sqrt(a.size))
     if not (sys.float_info.min <= mean < math.inf and se != math.inf):
         raise FloatingPointError(f"the Monte-Carlo mean {mean:.6g} (standard error {se:.6g}) of "
-                                 f"e^a, a at most {float(np.max(a)):.6g}, times e^{log_scale:.6g}, "
-                                 f"is not a normal float")
+                                 f"e^a, a at most {float(np.max(a)):.6g}, is not a normal float")
     return mean, se

@@ -20,11 +20,9 @@ from .kernels import CdCorrectedKernel, KernelBundle
 from .laguerre import build_basis
 from .params import ModelParams, make_contour, mp_density, mp_edges
 from .quadrature import finite_rule
-from .sampling import (McConfig, contour_integral_I, haar_orthogonal_integral,
-                       haar_unitary_integral, sample_wishart_all_eigs,
-                       sample_wishart_max_eig, sphere_integral_oracle)
+from .sampling import McConfig, haar_integral, sample_wishart_all_eigs, sample_wishart_max_eig
 from .skew import SkewProductTable, build_skew_polys, h_poly, inner_product_2, pfaffian, skew_product
-from .zonal import zonal_I_closed_form, zonal_identity_check, zonal_row
+from .zonal import contour_S, zonal_I_closed_form, zonal_identity_check, zonal_row
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -170,16 +168,14 @@ def suite_zonal(seed: int = 5150) -> list[dict]:
     checks.append(_check("series vs group-average proportionality",
                          rep["proportionality_dev"], 1e-10))
     pdummy = ModelParams(2, 4, 0.0)
-    mean, se = haar_orthogonal_integral(McConfig(seed, 200_000, pdummy),
-                                        [0.2, 0.5, 0.9], -0.3, M=1)
-    rep3 = zonal_identity_check(1, [0.2, 0.5, 0.9], 0.3, max_k=40, mc=(mean, se))
+    mc = haar_integral(McConfig(seed, 200_000, pdummy), [0.2, 0.5, 0.9], 0.3, M=1)
+    rep3 = zonal_identity_check(1, [0.2, 0.5, 0.9], 0.3, max_k=40, mc=mc)
     checks.append(_check("Haar O(3) MC (sigmas/3)", rep3["mc_sigmas"] / 3.0, 1.0))
-    mcu = haar_unitary_integral(McConfig(seed + 1, 100_000, pdummy),
-                                [0.3, 0.7], -0.4, M=1)
-    for label, family, mc in (("U(2)", "complex", mcu), ("Sp", "quaternionic", None)):
+    for i, (label, family) in enumerate((("U(2)", "complex"), ("Sp", "quaternionic")), 1):
+        mc = haar_integral(McConfig(seed + i, 100_000, pdummy), [0.3, 0.7], 0.4, M=1, family=family)
         rep = zonal_identity_check(1, [0.3, 0.7], 0.4, family, max_k=50, mc=mc)
         checks.append(_check(f"{label} contour vs series", rep["rel_dev"], 1e-8))
-        checks += [_check(f"{label} MC (sigmas/3)", rep["mc_sigmas"] / 3.0, 1.0)] if mc else []
+        checks.append(_check(f"{label} MC (sigmas/3)", rep["mc_sigmas"] / 3.0, 1.0))
         checks.append(_check(f"{label} series vs group-average proportionality",
                              rep["proportionality_dev"], 1e-10))
     return checks
@@ -191,9 +187,9 @@ def suite_sphere_oracle(seed: int = 11) -> list[dict]:
     l1 = [0.5, 1.0, 1.5, 3.0]
     l2 = [0.3, 0.8, 2.0, 2.5]
     contour = make_contour(3.0 * p.tau_tilde + 0.3, node_count=64, margin=0.4)
-    r_ct = contour_integral_I(p, l1, contour) / contour_integral_I(p, l2, contour)
-    m1, s1 = sphere_integral_oracle(McConfig(seed, 100_000, p), l1)
-    m2, s2 = sphere_integral_oracle(McConfig(seed + 1, 100_000, p), l2)
+    r_ct = contour_S(p.M, l1, p.tau_tilde, 1, contour) / contour_S(p.M, l2, p.tau_tilde, 1, contour)
+    m1, s1 = haar_integral(McConfig(seed, 100_000, p), l1, p.tau_tilde)
+    m2, s2 = haar_integral(McConfig(seed + 1, 100_000, p), l2, p.tau_tilde)
     r_mc = m1 / m2
     se = abs(r_mc) * math.sqrt((s1 / m1) ** 2 + (s2 / m2) ** 2)
     return [_check("ratio (sigmas/3)", abs(r_ct.real - r_mc) / (3.0 * se), 1.0),

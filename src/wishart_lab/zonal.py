@@ -19,21 +19,24 @@ single-valued at infinity):
 That is M^(pN/2 - 1) / Gamma(pN/2) times the Haar average over O(N), U(N) or
 Sp(N) of e^{+ M y sum x_i |g_iN|^2}, sum_k (M y)^k Z_(k)(X) / (k! Z_(k)(I_N))
 (`haar_series`, with C_(k) or Q_(k) for p = 2 or 4), which needs no parity.
-`zonal_identity_check` checks the three against each other for any family.
-Factorials go through log-gamma so k up to 60 stays in range; non-finite
-eigenvalues or y, an M that is not finite and positive, and a group dimension
-N below the eigenvalue count raise ConfigError (an N above it pads X with
-zero eigenvalues).
+`zonal_identity_check` checks the three against each other for any family,
+and `sampling.haar_integral` samples the same average.  Factorials go through
+log-gamma so k up to 60 stays in range; non-finite eigenvalues or y, an M that
+is not finite and positive, and a group dimension N below the eigenvalue count
+raise ConfigError (an N above it pads X with zero eigenvalues).  A contour
+node sum or series that loses more than 8 digits to cancellation, or a series
+whose last kept term is not below roundoff, raises PrecisionLossError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .errors import ConfigError, check_count, check_real
-from .params import ContourSpec, make_contour
+from .errors import ConfigError, PrecisionLossError, check_count, check_real
+from .params import ContourSpec
 
 __all__ = [
     "zonal_row",
@@ -116,30 +119,55 @@ def zonal_I_closed_form(N: int, k: int, family: str = "real") -> float:
     return math.exp(math.lgamma(a + k) - math.lgamma(a) - math.lgamma(k + power / 2.0))
 
 
+#: digits a sum may lose to cancellation, log10(sum |t| / |sum t|), before it is refused
+_MAX_LOST_DIGITS = 8.0
+
+
+def _kept_digits(total, terms, what: str):
+    """total, the sum of terms; PrecisionLossError when it is not finite or lost more than
+    _MAX_LOST_DIGITS to cancellation, log10(sum |t| / |total|)."""
+    mag = float(np.sum(np.abs(terms)))
+    if not mag <= 10.0**_MAX_LOST_DIGITS * abs(total):     # also refuses a nan or inf total
+        raise PrecisionLossError(f"{what} is {total:.6g} from terms of {mag:.6g} in absolute sum: more "
+                                 f"than {_MAX_LOST_DIGITS:g} digits lost to cancellation")
+    return total
+
+
+def _series_sum(terms: list, what: str):
+    """sum(terms), in order, of a series cut after its last term; PrecisionLossError when that
+    term exceeds 2.2e-16 sum |t|, so the series has not converged, or when _kept_digits does."""
+    mag = float(np.sum(np.abs(terms)))
+    if abs(terms[-1]) > 2.2e-16 * mag:
+        raise PrecisionLossError(f"{what}: the last of {len(terms)} terms is {abs(terms[-1]) / mag:.3g} "
+                                 f"of sum |t|, so the truncated series has not converged")
+    return _kept_digits(sum(terms), terms, what)
+
+
 def contour_S(M: int, x_eigs, y: float, power: int,
               contour: ContourSpec | None = None) -> complex:
-    """(1 / 2 pi i) oint e^{M t} prod_i (t - x_i y)^(-power/2) dt, for power * N even."""
+    """(1 / 2 pi i) oint e^{M t} prod_i (t - x_i y)^(-power/2) dt, for power * N even.
+
+    The default circle is centred at 0 with radius R = max |x_i y| + 1, so it
+    encloses either sign of y, and has max(128, 2 ceil(1.6 M R)) nodes, which
+    keeps trapezoid aliasing of e^{M t} below roundoff (`CdfEngine.contour_for`'s
+    rule).  A node sum that loses more than 8 digits raises PrecisionLossError,
+    and a circle on which e^{M t} overflows FloatingPointError.
+    """
     sing = _checked(x_eigs, y, M) * y
     if (power * sing.size) % 2:     # the product's cut would run to infinity, across the circle
         raise ConfigError("contour_S needs power * N even")
+    # the circle's rightmost Re t; the default circle is centred at 0
+    right = (float(np.max(np.abs(sing), initial=0.0)) + 1.0 if contour is None
+             else contour.center.real + contour.radius)
+    if M * right >= math.log(sys.float_info.max):
+        raise FloatingPointError(f"e^(M t) overflows on the circle at M = {M:g}, Re t = {right:.6g}")
     if contour is None:
-        hi = float(np.max(np.abs(sing), initial=0.0))
-        contour = make_contour(2.0 * hi + 1.0, node_count=128, margin=0.5)
+        contour = ContourSpec.circle(0j, right, max(128, 2 * math.ceil(1.6 * M * right)))
     if np.any(np.abs(sing - contour.center) >= 0.999 * contour.radius):
         raise ConfigError("contour does not enclose all x_i * y")
     t = contour.nodes[:, None]
-    vals = np.exp(M * contour.nodes) * np.prod((t - sing) ** (-power / 2.0), axis=1)
-    return contour.integrate(vals) / (2.0j * np.pi)
-
-
-def _residue_terms(M: int, N: int, x_eigs, y: float, power: int, max_k: int) -> list[float]:
-    """A_k y^k M^(pN/2 + k - 1) / Gamma(pN/2 + k), k = 0..max_k, of checked inputs."""
-    if power not in (1, 2, 4):
-        raise ConfigError(f"power must be 1, 2 or 4, got {power!r}")
-    if (power * N) % 2:
-        raise ConfigError("residue series needs power * N even")
-    A = _u_series(_checked(x_eigs, y, M, N), max_k, power)
-    return [A[k] * y**k * math.exp(_log_residue(M, power * N / 2.0 + k)) for k in range(max_k + 1)]
+    terms = np.exp(M * contour.nodes) * np.prod((t - sing) ** (-power / 2.0), axis=1) * contour.weights
+    return complex(_kept_digits(np.sum(terms), terms, "the contour sum")) / (2.0j * np.pi)
 
 
 def series_S(M: int, N: int, x_eigs, y: float, power: int, max_k: int = 50) -> float:
@@ -147,9 +175,16 @@ def series_S(M: int, N: int, x_eigs, y: float, power: int, max_k: int = 50) -> f
 
     Requires power in (1, 2, 4), N a positive integer at least the eigenvalue
     count (X is padded with zero eigenvalues up to N) and p*N even so the
-    integrand is single-valued at infinity.
+    integrand is single-valued at infinity.  A sum whose last term is not
+    negligible, or that lost more than 8 digits, raises PrecisionLossError.
     """
-    return sum(_residue_terms(M, N, x_eigs, y, power, max_k))
+    if power not in (1, 2, 4):
+        raise ConfigError(f"power must be 1, 2 or 4, got {power!r}")
+    if (power * N) % 2:
+        raise ConfigError("residue series needs power * N even")
+    A = _u_series(_checked(x_eigs, y, M, N), max_k, power)
+    terms = [A[k] * y**k * math.exp(_log_residue(M, power * N / 2.0 + k)) for k in range(max_k + 1)]
+    return _series_sum(terms, "the residue series")
 
 
 def haar_series(M: int, N: int, x_eigs, y: float, max_k: int = 50, family: str = "real") -> float:
@@ -159,11 +194,13 @@ def haar_series(M: int, N: int, x_eigs, y: float, max_k: int = 50, family: str =
 
     with C_(k) or Q_(k) in place of Z_(k) for the complex or quaternionic
     family.  Valid for every N at least the eigenvalue count (the
-    contour/residue route needs p N even, this does not).
+    contour/residue route needs p N even, this does not).  Refuses a
+    truncated sum as series_S does.
     """
     Z = zonal_row(_checked(x_eigs, y, M, N), max_k, family)
-    return sum((M * y) ** k * Z[k] * math.exp(-math.lgamma(k + 1.0)) / zonal_I_closed_form(N, k, family)
-               for k in range(max_k + 1))
+    terms = [(M * y) ** k * Z[k] * math.exp(-math.lgamma(k + 1.0)) / zonal_I_closed_form(N, k, family)
+             for k in range(max_k + 1)]
+    return _series_sum(terms, "the zonal series")
 
 
 def zonal_identity_check(M: int, x_eigs, y: float, family: str = "real", max_k: int = 50,
@@ -172,10 +209,9 @@ def zonal_identity_check(M: int, x_eigs, y: float, family: str = "real", max_k: 
 
     Always returns the zonal expansion of the group average, `haar_series`,
     which works for every N and is what an `mc` (mean, se) pair for
-    e^{+ M y sum x_i |g_iN|^2} is compared against (positive-exponent
-    convention; callers sampling e^{- M y ...} pass y -> -y first).  When
-    p N is even it adds the `contour`, the residue `series`, their `rel_dev`,
-    the series' last-term `series_tail` and `proportionality_dev`, the gap in
+    e^{+ M y sum x_i |g_iN|^2} (`sampling.haar_integral`) is compared
+    against.  When p N is even it adds the `contour`, the residue `series`,
+    their `rel_dev` and `proportionality_dev`, the gap in
     S_p = M^(pN/2 - 1) / Gamma(pN/2) * (group average).
     """
     x = _checked(x_eigs, y, M)
@@ -183,11 +219,9 @@ def zonal_identity_check(M: int, x_eigs, y: float, family: str = "real", max_k: 
     hs = haar_series(M, N, x, y, max_k, family)
     out = {"haar_series": hs}
     if (power * N) % 2 == 0:
-        terms = _residue_terms(M, N, x, y, power, max_k)
-        ct, se_val = contour_S(M, x, y, power), sum(terms)
+        ct, se_val = contour_S(M, x, y, power), series_S(M, N, x, y, power, max_k)
         scale = max(abs(se_val), 1e-300)
         out.update(contour=ct, series=se_val, rel_dev=abs(ct - se_val) / scale,
-                   series_tail=abs(terms[-1]) / scale,
                    proportionality_dev=abs(se_val - math.exp(_log_residue(M, power * N / 2.0)) * hs) / scale)
     if mc is not None:
         out["mc_sigmas"] = abs(hs - mc[0]) / mc[1]

@@ -3,11 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wishart_lab import (ConfigError, McConfig, ModelParams, contour_integral_I,
-                         haar_orthogonal, haar_orthogonal_integral, haar_unitary,
-                         haar_unitary_integral,
+from wishart_lab import (ConfigError, McConfig, ModelParams, contour_S, haar_integral,
                          loe_direct_cdf, make_contour, sample_wishart_all_eigs,
-                         sample_wishart_max_eig, sphere_integral_oracle)
+                         sample_wishart_max_eig)
 from wishart_lab import sampling
 
 
@@ -231,114 +229,114 @@ class TestStreamPin:
                               np.linalg.eigvalsh(sampling._bidiagonal_gram(c)))
 
 
-class TestHaarSamplers:
-    def test_orthogonality_and_column_moments(self):
-        rng = np.random.default_rng(2)
-        n = 4
-        g = haar_orthogonal(rng, n, 20_000)
-        eye_dev = np.einsum("kij,klj->kil", g, g) - np.eye(n)
-        assert np.max(np.abs(eye_dev)) < 1e-12
-        col2 = g[:, :, -1] ** 2
-        se = col2.std(ddof=1) / np.sqrt(col2.shape[0])
-        assert np.all(np.abs(col2.mean(axis=0) - 1.0 / n) < 3 * se.max())
-
-    def test_unitary(self):
-        rng = np.random.default_rng(3)
-        n = 3
-        g = haar_unitary(rng, n, 5_000)
-        eye_dev = np.einsum("kij,klj->kil", g, g.conj()) - np.eye(n)
-        assert np.max(np.abs(eye_dev)) < 1e-12
-        col2 = np.abs(g[:, :, -1]) ** 2
-        se = col2.std(ddof=1) / np.sqrt(col2.shape[0])
-        assert np.all(np.abs(col2.mean(axis=0) - 1.0 / n) < 3 * se.max())
+FAMILIES = ("real", "complex", "quaternionic")
 
 
 class TestSphereOracle:
+    """haar_integral at p = 1, y = tau_tilde and M = params.M: the sphere representation of the
+    eigenvalue j.p.d.f.'s group integral."""
+
     def test_tau_zero_is_prefactor_exactly(self):
+        # at tau = 0 the integral is its eigenvalue-dependent constant, which the oracle leaves out
         p = ModelParams(4, 8, 0.0)
-        lam = [0.5, 1.0, 1.5, 3.0]
-        mean, se = sphere_integral_oracle(McConfig(1, 100, p), lam)
-        assert se == 0.0
-        assert mean == pytest.approx(np.exp(-0.5 * p.M * sum(lam)), rel=1e-12)
+        mean, se = haar_integral(McConfig(1, 100, p), [0.5, 1.0, 1.5, 3.0], p.tau_tilde)
+        assert mean == 1.0 and se == 0.0
 
     def test_equal_eigenvalues_have_zero_variance(self):
         p = ModelParams(4, 8, 1.0)
-        lam = [1.2] * 4
-        mean, se = sphere_integral_oracle(McConfig(1, 500, p), lam)
+        mean, se = haar_integral(McConfig(1, 500, p), [1.2] * 4, p.tau_tilde)
         assert se < 1e-12 * mean
-        expect = np.exp(-0.5 * p.M * 4 * 1.2) * np.exp(p.M * p.tau_tilde * 1.2)
-        assert mean == pytest.approx(expect, rel=1e-12)
+        assert mean == pytest.approx(np.exp(p.M * p.tau_tilde * 1.2), rel=1e-12)
 
     def test_ratio_against_contour(self):
         p = ModelParams(4, 8, 1.0)
         l1 = [0.5, 1.0, 1.5, 3.0]
         l2 = [0.3, 0.8, 2.0, 2.5]
         contour = make_contour(3.0 * p.tau_tilde + 0.3, node_count=64, margin=0.4)
-        r_ct = contour_integral_I(p, l1, contour) / contour_integral_I(p, l2, contour)
-        m1, s1 = sphere_integral_oracle(McConfig(11, 100_000, p), l1)
-        m2, s2 = sphere_integral_oracle(McConfig(12, 100_000, p), l2)
+        r_ct = contour_S(p.M, l1, p.tau_tilde, 1, contour) / contour_S(p.M, l2, p.tau_tilde, 1, contour)
+        m1, s1 = haar_integral(McConfig(11, 100_000, p), l1, p.tau_tilde)
+        m2, s2 = haar_integral(McConfig(12, 100_000, p), l2, p.tau_tilde)
         r_mc = m1 / m2
         se = abs(r_mc) * np.sqrt((s1 / m1) ** 2 + (s2 / m2) ** 2)
         assert abs(r_ct.real - r_mc) < 3 * se
         assert abs(r_ct.imag) < 1e-12
 
+    def test_exponents_are_one_whole_array_draw(self, monkeypatch):
+        # the real family's |g_iN|^2 are the squares of one standard_normal((n, N)) draw over
+        # their row sums, whatever the chunks (here 100 rows each)
+        p, x = ModelParams(4, 8, 1.0), np.array([0.5, 1.0, 1.5, 3.0])
+        monkeypatch.setattr(sampling, "_CHUNK", 8 * x.size * 100)
+        monkeypatch.setattr(sampling, "_exp_moments", lambda a: a)
+        g = np.random.Generator(np.random.Philox(11)).standard_normal((1050, x.size))
+        expect = p.M * p.tau_tilde * ((g**2 / np.sum(g**2, axis=1, keepdims=True)) @ x)
+        got = haar_integral(McConfig(11, 1050, p), x, p.tau_tilde)
+        assert got == pytest.approx(expect, rel=1e-14, abs=0)
+
 
 class TestContourIntegralI:
+    """contour_S at power 1 and y = tau_tilde: the contour form of the group integral I."""
+
     def test_equal_lambda_residue(self):
         # N = 2 coincident eigenvalues: integrand e^{Mt}/(t - tt a), a simple pole
         p = ModelParams(2, 4, 1.0)
         a = 1.3
         contour = make_contour(2.0 * p.tau_tilde * a, node_count=64, margin=0.4)
-        val = contour_integral_I(p, [a, a], contour)
-        expect = np.exp(-0.5 * p.M * 2 * a) * np.exp(p.M * p.tau_tilde * a)
-        assert val == pytest.approx(expect, rel=1e-8)
+        val = contour_S(p.M, [a, a], p.tau_tilde, 1, contour)
+        assert val == pytest.approx(np.exp(p.M * p.tau_tilde * a), rel=1e-8)
 
     def test_radius_invariance(self):
         p = ModelParams(4, 8, 1.0)
         lam = [0.5, 1.0, 1.5, 3.0]
         c1 = make_contour(3.0 * p.tau_tilde + 0.3, node_count=96, margin=0.4)
         c2 = make_contour(3.0 * p.tau_tilde + 0.3, node_count=96, margin=1.1)
-        v1 = contour_integral_I(p, lam, c1)
-        v2 = contour_integral_I(p, lam, c2)
+        v1 = contour_S(p.M, lam, p.tau_tilde, 1, c1)
+        v2 = contour_S(p.M, lam, p.tau_tilde, 1, c2)
         assert v1 == pytest.approx(v2, rel=1e-8)
 
     def test_enclosure_check(self):
         p = ModelParams(4, 8, 1.0)
         contour = make_contour(0.1, node_count=16, margin=0.01)
         with pytest.raises(ConfigError):
-            contour_integral_I(p, [10.0, 11.0, 12.0, 13.0], contour)
+            contour_S(p.M, [10.0, 11.0, 12.0, 13.0], p.tau_tilde, 1, contour)
 
 
 class TestOracleInputs:
-    """The group-integral oracles check their eigenvalues and y (`zonal._checked`): a NaN gave
-    (nan, nan), an inf eigenvalue a RuntimeWarning and an empty list a ZeroDivisionError."""
+    """haar_integral checks its eigenvalues, y and M (`zonal._checked`) and its family: a NaN
+    gave (nan, nan), an inf eigenvalue a RuntimeWarning and an empty list a ZeroDivisionError."""
 
     P = ModelParams(2, 4, 1.0)
 
     @pytest.mark.parametrize("lam", [[0.5, np.nan], [np.inf, 1.0], [-np.inf, 1.0]])
     def test_sphere_oracle_refuses_non_finite_eigenvalues(self, lam):
         with pytest.raises(ConfigError, match="finite"):
-            sphere_integral_oracle(McConfig(1, 100, self.P), lam)
+            haar_integral(McConfig(1, 100, self.P), lam, self.P.tau_tilde)
 
-    @pytest.mark.parametrize("oracle", [lambda cfg: sphere_integral_oracle(cfg, [0.5, 1.0]),
-                                        lambda cfg: haar_orthogonal_integral(cfg, [0.2, 0.5], 0.3),
-                                        lambda cfg: haar_unitary_integral(cfg, [0.2, 0.5], 0.3)])
+    @pytest.mark.parametrize("oracle", [lambda cfg: haar_integral(cfg, [0.5, 1.0], 0.3),
+                                        lambda cfg: haar_integral(cfg, [0.2, 0.5], 0.3, family="complex"),
+                                        lambda cfg: haar_integral(cfg, [0.2, 0.5], 0.3, family="quaternionic")])
     def test_oracles_refuse_a_single_sample(self, oracle):
         # the standard error of one sample was nan, with a RuntimeWarning
         with pytest.raises(ConfigError, match="n_samples >= 2"):
             oracle(McConfig(1, 1, self.P))
 
-    @pytest.mark.parametrize("integral", [haar_orthogonal_integral, haar_unitary_integral])
+    # the real and complex cases keep the ids they have always been listed under
+    @pytest.mark.parametrize("family", [pytest.param("real", id="haar_orthogonal_integral"),
+                                        pytest.param("complex", id="haar_unitary_integral"),
+                                        "quaternionic"])
     @pytest.mark.parametrize("x, y, M", [([0.2, np.nan], 0.3, None), ([np.inf, 0.5], 0.3, None),
                                          ([0.2, 0.5], np.nan, None), ([0.2, 0.5], np.inf, None),
                                          ([0.2, 0.5], 0.3, 0), ([], 0.3, None), ([[0.2, 0.5]], 0.3, None)])
-    def test_haar_integrals_refuse_bad_input(self, integral, x, y, M):
+    def test_haar_integrals_refuse_bad_input(self, family, x, y, M):
         with pytest.raises(ConfigError, match="x_eigs|y must|M must|at least one eigenvalue"):
-            integral(McConfig(4, 100, self.P), x, y, M)
+            haar_integral(McConfig(4, 100, self.P), x, y, M, family)
+
+    def test_unknown_family_is_refused(self):
+        with pytest.raises(ConfigError, match="family"):
+            haar_integral(McConfig(4, 100, self.P), [0.2, 0.5], 0.3, family="octonionic")
 
 
 class TestOracleChunks:
-    """The sphere and Haar oracles fill their exponents through the samplers' one chunk loop."""
+    """haar_integral fills its exponents through the samplers' one chunk loop."""
 
     def test_chunks_cover_the_rows_in_order(self, monkeypatch):
         monkeypatch.setattr(sampling, "_CHUNK", 24)
@@ -347,9 +345,11 @@ class TestOracleChunks:
         assert [(s.start, s.stop) for s in sampling._chunks(2, 1)] == [(0, 2)]
 
     @pytest.mark.parametrize("oracle", [
-        lambda cfg: sphere_integral_oracle(cfg, [0.5, 1.0, 1.5, 3.0]),
-        lambda cfg: haar_orthogonal_integral(cfg, [0.2, 0.5, 0.9], -0.3, M=1),
-    ], ids=["sphere", "orthogonal"])
+        lambda cfg: haar_integral(cfg, [0.5, 1.0, 1.5, 3.0], cfg.params.tau_tilde),
+        lambda cfg: haar_integral(cfg, [0.2, 0.5, 0.9], 0.3, M=1),
+        lambda cfg: haar_integral(cfg, [0.3, 0.7], 0.4, M=1, family="complex"),
+        lambda cfg: haar_integral(cfg, [0.3, 0.7], 0.4, M=1, family="quaternionic"),
+    ], ids=["sphere", "orthogonal", "unitary", "symplectic"])
     def test_stream_does_not_depend_on_chunk_size(self, monkeypatch, oracle):
         # the same variates at any chunk size; a one-row chunk contracts them through BLAS
         # dot, a longer one through gemv, so the exponents may differ in their last bit
@@ -360,33 +360,32 @@ class TestOracleChunks:
 
 
 class TestOracleRange:
-    """A term, prefactor or mean out of the float range is a FloatingPointError: these
-    probes gave (0.0, nan), (0.0, nan) and (inf, nan) with only a RuntimeWarning."""
+    """A term or mean out of the float range is a FloatingPointError, not (inf, nan) or a
+    plausible 0 with only a RuntimeWarning."""
 
     CFG = McConfig(1, 1000, ModelParams(4, 64, 1.0))
 
-    def test_sphere_oracle_prefactor_underflow(self):
-        with pytest.raises(FloatingPointError, match="prefactor"):
-            sphere_integral_oracle(self.CFG, [30, 1, 1, 1])
-
-    def test_sphere_oracle_exponent_and_prefactor_out_of_range(self):
-        with pytest.raises(FloatingPointError, match="prefactor"):
-            sphere_integral_oracle(self.CFG, [30, 30, 30, 1])
-
     def test_haar_integral_term_overflow(self):
         with pytest.raises(FloatingPointError, match="not a normal float"):
-            haar_orthogonal_integral(self.CFG, [30, 1, 1, 1], -1.0)
+            haar_integral(self.CFG, [30, 1, 1, 1], 1.0)
+
+    def test_haar_integral_mean_underflow(self):
+        with pytest.raises(FloatingPointError, match="not a normal float"):
+            haar_integral(self.CFG, [30, 30, 30, 30], -1.0)
 
 
 class TestHaarIntegral:
     def test_y_zero_is_one(self):
         p = ModelParams(2, 4, 0.0)
-        mean, se = haar_orthogonal_integral(McConfig(4, 200, p), [0.2, 0.5], 0.0)
-        assert mean == 1.0 and se == 0.0
+        for family in FAMILIES:
+            mean, se = haar_integral(McConfig(4, 200, p), [0.2, 0.5], 0.0, family=family)
+            assert mean == 1.0 and se == 0.0
 
     def test_identity_argument_is_constant(self):
+        # sum_i |g_iN|^2 = 1, so a constant x = c 1 gives e^{M y c} with no variance
         p = ModelParams(2, 4, 0.0)
         c = 0.7
-        mean, se = haar_orthogonal_integral(McConfig(4, 500, p), [c, c, c], 0.3, M=2)
-        assert se < 1e-12
-        assert mean == pytest.approx(np.exp(-2 * 0.3 * c), rel=1e-12)
+        for family in FAMILIES:
+            mean, se = haar_integral(McConfig(4, 500, p), [c, c, c], 0.3, M=2, family=family)
+            assert se < 1e-12
+            assert mean == pytest.approx(np.exp(2 * 0.3 * c), rel=1e-12)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wishart_lab import (ConfigError, McConfig, ModelParams, contour_S,
-                         haar_orthogonal_integral, haar_series,
-                         haar_unitary_integral, series_S, zonal_I_closed_form,
+from wishart_lab import (ConfigError, McConfig, ModelParams, PrecisionLossError, contour_S,
+                         haar_integral, haar_series, series_S, zonal_I_closed_form,
                          zonal_identity_check, zonal_row)
 
 
@@ -138,7 +137,6 @@ class TestSeriesVsContour:
     def test_real_case(self):
         rep = zonal_identity_check(2, [0.1, 0.2, 0.3, 0.4], 0.5, max_k=50)
         assert rep["rel_dev"] < 1e-8
-        assert rep["series_tail"] < 1e-20
         assert rep["proportionality_dev"] < 1e-12
 
     def test_y_zero_reduces_to_k0_term(self):
@@ -166,14 +164,23 @@ class TestSeriesVsContour:
     def test_unitary_and_symplectic_proportionality(self, family):
         # S_p = M^(pN/2 - 1) / Gamma(pN/2) times the U(N) or Sp(N) group average
         for M, x, y in [(1, [0.3, 0.7], 0.4), (3, [0.2, 0.5, 0.9], 0.6), (2, [0.4], 1.1)]:
-            rep = zonal_identity_check(M, x, y, family, max_k=50)
+            rep = zonal_identity_check(M, x, y, family, max_k=50)   # returns: both series converged
             assert rep["proportionality_dev"] < 1e-12
-            assert rep["series_tail"] < 1e-20
 
     def test_odd_real_dimension_returns_only_the_haar_series(self):
         rep = zonal_identity_check(1, [0.2, 0.5, 0.9], 0.3)
         assert set(rep) == {"haar_series"}
         assert rep["haar_series"] == haar_series(1, 3, [0.2, 0.5, 0.9], 0.3)
+
+    def test_negative_y_three_ways(self):
+        # y < 0 is the paper's e^{-tr(X g Y g^T)}; the default circle, centred at 0, encloses it
+        x, y = [0.2, 0.5, 0.9], -0.6
+        rep = zonal_identity_check(3, x, y, "complex",
+                                   mc=haar_integral(McConfig(5153, 100_000, ModelParams(2, 4, 0.0)),
+                                                    x, y, M=3, family="complex"))
+        assert rep["rel_dev"] < 1e-13
+        assert rep["proportionality_dev"] < 1e-13
+        assert rep["mc_sigmas"] < 3.0
 
     def test_odd_N_needs_no_contour(self):
         with pytest.raises(ConfigError):
@@ -183,17 +190,20 @@ class TestSeriesVsContour:
 class TestMonteCarloThreeWay:
     def test_haar_orthogonal_vs_series(self):
         pdummy = ModelParams(2, 4, 0.0)
-        mean, se = haar_orthogonal_integral(McConfig(5150, 200_000, pdummy),
-                                            [0.2, 0.5, 0.9], -0.3, M=1)
-        rep = zonal_identity_check(1, [0.2, 0.5, 0.9], 0.3, max_k=40,
-                                   mc=(mean, se))
+        mc = haar_integral(McConfig(5150, 200_000, pdummy), [0.2, 0.5, 0.9], 0.3, M=1)
+        rep = zonal_identity_check(1, [0.2, 0.5, 0.9], 0.3, max_k=40, mc=mc)
         assert rep["mc_sigmas"] < 3.0
 
     def test_haar_unitary_vs_series(self):
         pdummy = ModelParams(2, 4, 0.0)
-        mcu = haar_unitary_integral(McConfig(5151, 100_000, pdummy),
-                                    [0.3, 0.7], -0.4, M=1)
-        rep = zonal_identity_check(1, [0.3, 0.7], 0.4, "complex", max_k=50, mc=mcu)
+        mc = haar_integral(McConfig(5151, 100_000, pdummy), [0.3, 0.7], 0.4, M=1, family="complex")
+        rep = zonal_identity_check(1, [0.3, 0.7], 0.4, "complex", max_k=50, mc=mc)
+        assert rep["mc_sigmas"] < 3.0
+
+    def test_haar_symplectic_vs_series(self):
+        pdummy = ModelParams(2, 4, 0.0)
+        mc = haar_integral(McConfig(5152, 100_000, pdummy), [0.3, 0.7], 0.4, M=1, family="quaternionic")
+        rep = zonal_identity_check(1, [0.3, 0.7], 0.4, "quaternionic", max_k=50, mc=mc)
         assert rep["mc_sigmas"] < 3.0
 
     def test_haar_series_small_y_expansion(self):
@@ -202,3 +212,31 @@ class TestMonteCarloThreeWay:
         y = 1e-6
         val = haar_series(2, 3, x, y, max_k=10)
         assert val == pytest.approx(1.0 + 2 * y * sum(x) / 3, rel=1e-9)
+
+
+class TestRefusedSums:
+    """At M = 64 the default circle's node sum loses 14 digits and a 51-term series stops at a
+    last term of 6.7 % of the sum; each had returned a number without a word (the contour
+    -6.98e80 for a positive integral)."""
+
+    X = [0.5, 1.0, 1.5, 3.0]
+
+    @pytest.mark.parametrize("call", [lambda x: contour_S(64, x, 0.25, 1),
+                                      lambda x: series_S(64, 4, x, 0.25, 1),
+                                      lambda x: haar_series(64, 4, x, 0.25)],
+                             ids=["contour_S", "series_S", "haar_series"])
+    def test_refused_at_large_M(self, call):
+        with pytest.raises(PrecisionLossError, match="cancellation|not converged"):
+            call(self.X)
+
+    def test_the_truncated_series_names_its_last_term(self):
+        with pytest.raises(PrecisionLossError, match="0.0674 of sum"):
+            series_S(64, 4, self.X, 0.25, 1)
+        with pytest.raises(PrecisionLossError, match="3.95e-07 of sum"):
+            haar_series(32, 4, self.X, 0.25)
+
+    def test_an_overflowing_circle_is_refused_before_it_is_built(self):
+        # e^{M t} overflows at M R >= 709.78; the default circle would have 2 ceil(1.6 M R) nodes,
+        # 6.4e9 here
+        with pytest.raises(FloatingPointError, match="overflows"):
+            contour_S(10**9, [1.0, 2.0], 0.5, 1)
